@@ -16,6 +16,7 @@ Float64 values are stored exactly, so a load/save round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,13 +67,22 @@ def load_checkpoint(path) -> Checkpoint:
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         header_len = int.from_bytes(handle.read(8), "little")
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        if header_len > remaining:
+            raise CheckpointError(f"{path}: header length {header_len} exceeds the "
+                                  f"{remaining} bytes left in the file")
         try:
             header = json.loads(handle.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as err:
             raise CheckpointError(f"{path}: corrupt header: {err}") from err
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version}")
+        missing = [key for key in ("kind", "params", "vocab") if key not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header missing {', '.join(missing)}")
         params: dict[str, np.ndarray] = {}
         for entry in header["params"]:
             shape = tuple(entry["shape"])
@@ -81,6 +91,8 @@ def load_checkpoint(path) -> Checkpoint:
             if len(raw) != count * 8:
                 raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
             params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if handle.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
         tokens = header["vocab"]
         if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
             raise CheckpointError(f"{path}: vocabulary missing reserved tokens")
@@ -93,3 +105,22 @@ def load_checkpoint(path) -> Checkpoint:
         config=header.get("config", {}),
         extra=header.get("extra", {}),
     )
+
+
+def restore_params(model, arrays: dict[str, np.ndarray]) -> None:
+    """Copy ``arrays`` into the parameters of ``model``, anything with
+    ``named_params()``. The names must match exactly and every shape must
+    agree; otherwise nothing is copied and CheckpointError names the first
+    offending parameter."""
+    named = model.named_params()
+    unexpected = sorted(set(arrays) - {name for name, _ in named})
+    if unexpected:
+        raise CheckpointError(f"unexpected parameter {unexpected[0]}")
+    for name, tensor in named:
+        if name not in arrays:
+            raise CheckpointError(f"missing parameter {name}")
+        if arrays[name].shape != tensor.data.shape:
+            raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, "
+                                  f"expected {tensor.data.shape}")
+    for name, tensor in named:
+        tensor.data[...] = arrays[name]

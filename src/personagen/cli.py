@@ -33,7 +33,7 @@ from .expansion import expand
 from .metrics import evaluate_corpus
 from .net import BoundExample, DialogueModel, LossSettings, bind_example
 from .topic import TopicModel, TopicTrainConfig, train_topic_model, word_topic_vectors
-from .trainer import TrainSettings, restore_params, train_dialogue_model
+from .trainer import TrainSettings, train_dialogue_model
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -101,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="responses output path (default: stdout)")
     p.add_argument("--mode", choices=("greedy", "beam"), default="beam")
     p.add_argument("--diagnostics", action="store_true",
-                   help="include persona match weights and memory attention")
+                   help="include persona match weights and the last decode step's "
+                        "history and memory attention (greedy and beam)")
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("eval", help="automatic metrics over a dialogue file")
@@ -180,13 +181,7 @@ def _topic_model_from_checkpoint(loaded: ckpt.Checkpoint) -> TopicModel:
     topics = int(loaded.extra["topics"])
     hidden = int(loaded.extra["hidden"])
     model = TopicModel.create(loaded.vocab, topics, hidden, np.random.default_rng(0))
-    for name, tensor in model.named_params():
-        if name not in loaded.params:
-            raise UserError(f"checkpoint missing parameter {name}")
-        if loaded.params[name].shape != tensor.data.shape:
-            raise UserError(f"checkpoint parameter {name} has shape "
-                            f"{loaded.params[name].shape}, expected {tensor.data.shape}")
-        tensor.data[...] = loaded.params[name]
+    ckpt.restore_params(model, loaded.params)
     return model
 
 
@@ -293,7 +288,7 @@ def cmd_train(args) -> int:
                       lr=config.model.lr, grad_clip=config.model.grad_clip),
         rng, log=log,
     )
-    restore_params(model, result.best_params)
+    ckpt.restore_params(model, result.best_params)
     ckpt.save_checkpoint(
         args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"best_valid": result.best_valid},
@@ -308,20 +303,18 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _dialogue_model_from_checkpoint(loaded: ckpt.Checkpoint) -> tuple[DialogueModel, Config]:
+def _load_dialogue_model(args) -> tuple[DialogueModel, Config]:
+    """The model in ``--checkpoint``, with the config saved beside it unless
+    ``--config`` overrides it."""
+    config_cli = _load_config(args)
+    loaded = ckpt.load_checkpoint(args.checkpoint)
     if loaded.kind != "dialogue":
         raise UserError(f"checkpoint kind {loaded.kind!r} is not a dialogue model")
     config = Config.from_dict(loaded.config)
     model = DialogueModel(loaded.vocab, config.model.emb_dim, config.model.hidden,
                           config.model.hops, np.random.default_rng(0))
-    for name, tensor in model.named_params():
-        if name not in loaded.params:
-            raise UserError(f"checkpoint missing parameter {name}")
-        if loaded.params[name].shape != tensor.data.shape:
-            raise UserError(f"checkpoint parameter {name} has shape "
-                            f"{loaded.params[name].shape}, expected {tensor.data.shape}")
-        tensor.data[...] = loaded.params[name]
-    return model, config
+    ckpt.restore_params(model, loaded.params)
+    return model, config_cli if args.config else config
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +323,7 @@ def _dialogue_model_from_checkpoint(loaded: ckpt.Checkpoint) -> tuple[DialogueMo
 
 
 def cmd_generate(args) -> int:
-    config_cli = _load_config(args)
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    model, config = _dialogue_model_from_checkpoint(loaded)
-    if args.config:
-        config = config_cli
+    model, config = _load_dialogue_model(args)
     conversations = _load_conversations(args.data)
     expansions = load_expansion_records(args.expansions) if args.expansions else None
 
@@ -368,11 +357,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config_cli = _load_config(args)
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    model, config = _dialogue_model_from_checkpoint(loaded)
-    if args.config:
-        config = config_cli
+    model, config = _load_dialogue_model(args)
     conversations = _load_conversations(args.data)
     expansions = load_expansion_records(args.expansions) if args.expansions else None
 
@@ -408,11 +393,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_chat(args) -> int:
-    config_cli = _load_config(args)
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    model, config = _dialogue_model_from_checkpoint(loaded)
-    if args.config:
-        config = config_cli
+    model, config = _load_dialogue_model(args)
     with open(args.persona, encoding="utf-8") as handle:
         persona_sentences = [tokenize(line) for line in handle if line.strip()]
     if not persona_sentences:

@@ -71,13 +71,6 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_index.get(t, UNK) for t in tokens]
 
-    def decode(self, ids: list[int]) -> list[str]:
-        return [self.index_to_token[i] for i in ids]
-
-    def content_indices(self) -> list[int]:
-        """Indices of all non-reserved tokens, ascending."""
-        return list(range(len(RESERVED_TOKENS), len(self.index_to_token)))
-
 
 @dataclass
 class DialogueExample:
@@ -236,9 +229,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.vectors)
-
-    def get(self, token: str) -> np.ndarray | None:
-        return self.vectors.get(token)
 
 
 def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:

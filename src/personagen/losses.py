@@ -10,6 +10,7 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .numkit import (
+    PROB_FLOOR,
     Tensor,
     as_tensor,
     clip,
@@ -24,8 +25,6 @@ from .numkit import (
     sum_,
 )
 from .stopwords import is_stopword
-
-PROB_FLOOR = 1e-12
 
 
 def jaccard(set1: set, set2: set) -> float:
@@ -69,9 +68,9 @@ def p_match_loss(a_s: Tensor, target: PMatchTarget) -> Tensor:
     labeled = np.flatnonzero(target.labels)
     if labeled.size == 0:
         return Tensor(0.0)
-    total = cross_entropy(a_s, int(labeled[0]), floor=PROB_FLOOR)
+    total = cross_entropy(a_s, int(labeled[0]))
     for i in labeled[1:]:
-        total = total + cross_entropy(a_s, int(i), floor=PROB_FLOOR)
+        total = total + cross_entropy(a_s, int(i))
     return total
 
 
@@ -125,8 +124,7 @@ def nll_loss(step_distributions: Sequence[Tensor], targets: Sequence[int]) -> Te
         raise ValueError("one target per decode step required")
     if not targets:
         raise ValueError("nll_loss needs at least one step")
-    steps = [cross_entropy(p, int(t), floor=PROB_FLOOR)
-             for p, t in zip(step_distributions, targets)]
+    steps = [cross_entropy(p, int(t)) for p, t in zip(step_distributions, targets)]
     return mean(stack(steps))
 
 

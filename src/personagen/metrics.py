@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import EmbeddingTable
+from .expansion import cosine
 from .stopwords import is_stopword
 
 
@@ -70,21 +71,13 @@ def _embedded(tokens: list[str], table: EmbeddingTable) -> list[np.ndarray]:
     return [table.vectors[t] for t in tokens if t in table.vectors]
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def emb_average(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:
     """Cosine of the mean word vectors; 0 if either side has no embedded tokens."""
     cand = _embedded(candidate, table)
     ref = _embedded(reference, table)
     if not cand or not ref:
         return 0.0
-    return _cosine(np.mean(cand, axis=0), np.mean(ref, axis=0))
+    return cosine(np.mean(cand, axis=0), np.mean(ref, axis=0))
 
 
 def _extrema_vector(vectors: list[np.ndarray]) -> np.ndarray:
@@ -99,7 +92,7 @@ def emb_extrema(candidate: list[str], reference: list[str], table: EmbeddingTabl
     ref = _embedded(reference, table)
     if not cand or not ref:
         return 0.0
-    return _cosine(_extrema_vector(cand), _extrema_vector(ref))
+    return cosine(_extrema_vector(cand), _extrema_vector(ref))
 
 
 def emb_greedy(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:
@@ -110,7 +103,7 @@ def emb_greedy(candidate: list[str], reference: list[str], table: EmbeddingTable
         return 0.0
 
     def directed(src: list[np.ndarray], dst: list[np.ndarray]) -> float:
-        return float(np.mean([max(_cosine(u, v) for v in dst) for u in src]))
+        return float(np.mean([max(cosine(u, v) for v in dst) for u in src]))
 
     return 0.5 * (directed(cand, ref) + directed(ref, cand))
 

@@ -1,5 +1,5 @@
-"""Multi-source sequence encoders, the persona-oriented decoder, and sequence
-generation (greedy and beam search).
+"""Multi-source sequence encoders, the persona-oriented decoder, and
+beam-search generation (greedy decoding is beam width 1).
 
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
@@ -32,6 +32,7 @@ from .memory import (
     persona_information_retrieval,
 )
 from .numkit import (
+    PROB_FLOOR,
     Affine,
     GruParams,
     TanhMlp,
@@ -48,8 +49,6 @@ from .numkit import (
     zero_param,
 )
 from .stopwords import is_stopword
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -381,79 +380,76 @@ class DialogueModel:
                  max_len: int = 30, collect_diagnostics: bool = False):
         """Generate a response token list (EOS excluded).
 
-        Greedy picks the argmax token each step; beam search ranks hypotheses
-        by summed log probability with no length normalization, retiring
-        EOS-terminated hypotheses and comparing them by the same score. Ties
-        break toward lower token indices.
+        Beam search ranks hypotheses by summed log probability with no length
+        normalization, retiring EOS-terminated hypotheses and comparing them
+        by the same score. Greedy is beam search of width 1, so it picks the
+        argmax token each step. Ties break toward lower token indices.
         """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
         if mode not in ("greedy", "beam"):
             raise ValueError(f"unknown generation mode {mode!r}")
         _, mem_w, mem_e, word_states, state, trace = self._encode(bound)
-        if mode == "greedy":
-            ids, diag = self._greedy(state, mem_w, mem_e, word_states, max_len, collect_diagnostics)
-        else:
-            ids = self._beam(state, mem_w, mem_e, word_states, beam_width, max_len)
-            diag = None
+        width = 1 if mode == "greedy" else beam_width
+        ids, steps = self._beam(state, mem_w, mem_e, word_states, width, max_len,
+                                collect_diagnostics)
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
             diagnostics = {
                 "match_weights": [float(x) for x in trace.last_weights.data],
-                "steps": diag,
+                "steps": steps,
             }
             return tokens, diagnostics
         return tokens
 
-    def _greedy(self, state, mem_w, mem_e, word_states, max_len, collect):
-        ids: list[int] = []
-        diagnostics = [] if collect else None
-        prev = SOS
+    def _beam(self, state, mem_w, mem_e, word_states, beam_width, max_len, collect):
+        # hypotheses: (summed log prob, token tuple, decoder state, step diagnostics)
+        live = [(0.0, (), state, ())]
+        finished = []
         for _ in range(max_len):
-            probs, _, state, diag = decode_step(
-                prev, state, mem_w, mem_e, word_states, self.decoder, self.hops, self.embedding)
-            token = int(np.argmax(probs.data))
-            if collect:
-                entry = {"attention": [float(x) for x in diag.attention.data]}
-                if diag.hop_w_weights[-1] is not None:
-                    entry["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
-                if diag.hop_e_weights[-1] is not None:
-                    entry["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
-                diagnostics.append(entry)
-            if token == EOS:
-                break
-            ids.append(token)
-            prev = token
-        return ids, diagnostics
-
-    def _beam(self, state, mem_w, mem_e, word_states, beam_width, max_len):
-        # live hypotheses: (summed log prob, token tuple, decoder state)
-        live = [(0.0, (), state)]
-        finished: list[tuple[float, tuple[int, ...]]] = []
-        for _ in range(max_len):
-            candidates: list[tuple[float, tuple[int, ...], DecoderState]] = []
-            for score, tokens, hyp_state in live:
+            candidates = []
+            for score, tokens, hyp_state, steps in live:
                 prev = tokens[-1] if tokens else SOS
-                probs, _, new_state, _ = decode_step(
+                probs, _, new_state, diag = decode_step(
                     prev, hyp_state, mem_w, mem_e, word_states, self.decoder, self.hops,
                     self.embedding)
+                if collect:
+                    steps = steps + (_step_record(diag),)
                 log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
-                top = np.argsort(-log_probs, kind="stable")[:beam_width]
-                for token in top:
+                for token in _top_k(log_probs, beam_width):
                     candidates.append((score + float(log_probs[token]),
-                                       tokens + (int(token),), new_state))
+                                       tokens + (int(token),), new_state, steps))
             candidates.sort(key=lambda c: (-c[0], c[1]))
             live = []
-            for score, tokens, new_state in candidates:
-                if tokens[-1] == EOS:
-                    finished.append((score, tokens))
+            for candidate in candidates:
+                if candidate[1][-1] == EOS:
+                    finished.append(candidate)
                 else:
-                    live.append((score, tokens, new_state))
+                    live.append(candidate)
                 if len(live) >= beam_width:
                     break
             if not live:
                 break
-        pool = finished + [(score, tokens) for score, tokens, _ in live]
-        pool.sort(key=lambda c: (-c[0], c[1]))
-        best = pool[0][1]
-        return [i for i in best if i != EOS]
+        _, best, _, steps = min(finished + live, key=lambda c: (-c[0], c[1]))
+        return [i for i in best if i != EOS], list(steps)
+
+
+def _step_record(diag: StepDiagnostics) -> dict[str, list[float]]:
+    """History attention and the last hop's memory attention of one step."""
+    record = {"attention": [float(x) for x in diag.attention.data]}
+    if diag.hop_w_weights[-1] is not None:
+        record["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
+    if diag.hop_e_weights[-1] is not None:
+        record["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
+    return record
+
+
+def _top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values, largest first, ties toward lower
+    indices: ``np.argsort(-values, kind="stable")[:k]`` in O(V) rather than
+    O(V log V). Only the entries at or above the k-th largest value are sorted.
+    """
+    pivot = max(values.size - k, 0)
+    kth = np.partition(values, pivot)[pivot]
+    candidates = np.flatnonzero(values >= kth)
+    return candidates[np.argsort(-values[candidates], kind="stable")[:k]]

@@ -23,6 +23,9 @@ _local = threading.local()
 
 _check_finite = True
 
+# Lower clamp applied to probabilities before taking their log.
+PROB_FLOOR = 1e-12
+
 
 def set_finite_checks(enabled: bool) -> bool:
     """Toggle per-op NaN/Inf validation; returns the previous setting."""
@@ -59,10 +62,6 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> Array:
-        """Copy of the underlying array."""
-        return np.array(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -494,7 +493,7 @@ def lookup(table, ids) -> Tensor:
     return _finish(out, (table,), backward_fn)
 
 
-def cross_entropy(p, index: int, floor: float = 1e-12) -> Tensor:
+def cross_entropy(p, index: int, floor: float = PROB_FLOOR) -> Tensor:
     """-log p[index] with the probability clamped below at ``floor``."""
     p = as_tensor(p)
     if p.data.ndim != 1:

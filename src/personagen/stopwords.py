@@ -32,7 +32,3 @@ def is_stopword(token: str) -> bool:
         return True
     return bool(token) and all(ch in _PUNCT for ch in token)
 
-
-def content_tokens(tokens: list[str]) -> list[str]:
-    """Tokens with stop-words and punctuation removed, order preserved."""
-    return [t for t in tokens if not is_stopword(t)]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .corpus import RESERVED_TOKENS, TfIdfDoc, Vocabulary
 from .numkit import (
+    PROB_FLOOR,
     AdamState,
     Affine,
     Tape,
@@ -32,8 +33,6 @@ from .numkit import (
     sub,
     sum_,
 )
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass
@@ -106,8 +105,12 @@ def decode(z, model: TopicModel) -> Tensor:
 
 
 def elbo_loss(doc, model: TopicModel, eps) -> Tensor:
-    """Negative ELBO of one document: reconstruction cross-entropy (tf-idf
-    weights as soft counts) plus the closed-form Gaussian KL to N(0, I)."""
+    """Mean negative ELBO over documents: reconstruction cross-entropy (tf-idf
+    weights as soft counts) plus the closed-form Gaussian KL to N(0, I).
+
+    ``doc`` is one (vocab,) document or a (batch, vocab) matrix, with ``eps``
+    of shape (topics,) or (batch, topics) to match.
+    """
     v = _as_dense_tensor(doc, len(model.vocab))
     mu, logvar, _ = encode(v, model)
     z = reparameterize(mu, logvar, eps)
@@ -115,20 +118,8 @@ def elbo_loss(doc, model: TopicModel, eps) -> Tensor:
     log_probs = log(clip(recon_probs, PROB_FLOOR, 1.0))
     recon = scale(sum_(mul(v, log_probs)), -1.0)
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
-    return recon + kl
-
-
-def _batch_loss(model: TopicModel, dense: np.ndarray, eps: np.ndarray) -> Tensor:
-    """Mean negative ELBO over a (batch, vocab) matrix, one eps row per doc."""
-    v = Tensor(dense)
-    h = softplus(model.enc_hidden(v))
-    mu = model.enc_mu(h)
-    logvar = model.enc_logvar(h)
-    z = mu + mul(exp(scale(logvar, 0.5)), Tensor(eps))
-    probs = softmax(model.dec_out(softplus(model.dec_hidden(z))), axis=-1)
-    recon = scale(sum_(mul(v, log(clip(probs, PROB_FLOOR, 1.0)))), -1.0)
-    kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
-    return scale(recon + kl, 1.0 / dense.shape[0])
+    documents = v.shape[0] if v.ndim == 2 else 1
+    return scale(recon + kl, 1.0 / documents)
 
 
 @dataclass
@@ -161,7 +152,6 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
     params = model.params()
     state = AdamState.create(params, lr=config.lr)
     size = len(vocab)
-    dense_all = np.stack([d.to_dense(size) for d in docs])
 
     trace: list[tuple[int, float]] = []
     for epoch in range(1, config.epochs + 1):
@@ -170,9 +160,11 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
         for start in range(0, len(docs), config.batch_size):
             batch = order[start:start + config.batch_size]
             eps = rng.standard_normal((len(batch), model.topics))
+            # densified per batch so memory is bounded by the batch, not the corpus
+            dense = np.stack([docs[i].to_dense(size) for i in batch])
             try:
                 with Tape() as tape:
-                    loss = _batch_loss(model, dense_all[batch], eps)
+                    loss = elbo_loss(dense, model, eps)
                 grad_map = backward(loss, tape)
             except FloatingPointError as err:
                 raise RuntimeError(

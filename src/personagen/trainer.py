@@ -108,12 +108,3 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
         result.best_params = {name: p.data.copy() for name, p in zip(names, params)}
     return result
 
-
-def restore_params(model: DialogueModel, snapshot: dict[str, np.ndarray]) -> None:
-    for name, tensor in model.named_params():
-        if name not in snapshot:
-            raise KeyError(f"missing parameter {name} in snapshot")
-        if snapshot[name].shape != tensor.data.shape:
-            raise ValueError(f"parameter {name} has shape {snapshot[name].shape}, "
-                             f"expected {tensor.data.shape}")
-        tensor.data[...] = snapshot[name]

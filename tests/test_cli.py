@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import toy_dialogue_text
-from personagen.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from personagen.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from personagen.cli import main
 from personagen.config import Config
-from personagen.corpus import Vocabulary
+from personagen.corpus import RESERVED_TOKENS, Vocabulary
 
 
 class TestConfig:
@@ -80,6 +80,52 @@ class TestCheckpoint:
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+
+def raw_checkpoint(header, payload: bytes = b"", header_len: int | None = None) -> bytes:
+    encoded = json.dumps(header).encode("utf-8")
+    length = len(encoded) if header_len is None else header_len
+    return MAGIC + length.to_bytes(8, "little") + encoded + payload
+
+
+VALID_HEADER = {"format_version": 1, "kind": "dialogue", "config": {},
+                "vocab": list(RESERVED_TOKENS) + ["x"],
+                "params": [{"name": "w", "shape": [2]}], "extra": {}}
+VALID_PAYLOAD = np.zeros(2).tobytes()
+
+
+def without(key):
+    return {k: v for k, v in VALID_HEADER.items() if k != key}
+
+
+MALFORMED_CHECKPOINTS = {
+    "header_not_object": raw_checkpoint([VALID_HEADER]),
+    "missing_kind": raw_checkpoint(without("kind"), VALID_PAYLOAD),
+    "missing_params": raw_checkpoint(without("params")),
+    "missing_vocab": raw_checkpoint(without("vocab"), VALID_PAYLOAD),
+    "header_longer_than_file": raw_checkpoint(
+        dict(VALID_HEADER, params=[]),
+        header_len=len(json.dumps(dict(VALID_HEADER, params=[]))) + 8),
+    "trailing_bytes": raw_checkpoint(VALID_HEADER, VALID_PAYLOAD + b"\0" * 8),
+}
+
+
+class TestMalformedCheckpoint:
+    def test_valid_raw_checkpoint_loads(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        path.write_bytes(raw_checkpoint(VALID_HEADER, VALID_PAYLOAD))
+        assert load_checkpoint(path).params["w"].tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_rejected_with_exit_2(self, case, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        data = tmp_path / "dialogues.txt"
+        data.write_text(toy_dialogue_text(), encoding="utf-8")
+        assert main(["generate", "--checkpoint", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +201,20 @@ class TestPipeline:
         assert len(records) == 16
         assert all("response" in r for r in records)
         assert all(abs(sum(r["match_weights"]) - 1.0) < 1e-9 for r in records)
+
+    def test_beam_diagnostics_include_memory_attention(self, pipeline, tmp_path):
+        out = tmp_path / "responses.jsonl"
+        assert main(["generate", "--checkpoint", str(pipeline["model_ckpt"]),
+                     "--data", str(pipeline["data"]),
+                     "--expansions", str(pipeline["expansions"]),
+                     "--out", str(out), "--mode", "beam", "--diagnostics"]) == 0
+        records = [json.loads(line) for line in open(out, encoding="utf-8")]
+        assert len(records) == 16
+        for record in records:
+            attention = record["memory_attention"]
+            assert abs(sum(attention["attention"]) - 1.0) < 1e-9
+            assert abs(sum(attention["word_memory"]) - 1.0) < 1e-9
+            assert abs(sum(attention["external_memory"]) - 1.0) < 1e-9
 
     def test_eval_report_schema(self, pipeline, tmp_path):
         out = tmp_path / "report.json"

@@ -185,7 +185,7 @@ class TestEmbeddings:
         table = load_embeddings(path)
         assert table.dim == 3
         assert len(table) == 2
-        assert np.array_equal(table.get("dog"), [4.0, 5.0, 6.0])
+        assert np.array_equal(table.vectors["dog"], [4.0, 5.0, 6.0])
 
     def test_restricts_to_vocab(self, tmp_path):
         path = tmp_path / "emb.txt"

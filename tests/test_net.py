@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import np_bigru, np_gru_step, np_retrieve, np_softmax, np_tanh_mlp
 from personagen import numkit as nk
-from personagen.corpus import SOS, DialogueExample, Vocabulary
+from personagen.corpus import EOS, SOS, DialogueExample, Vocabulary
 from personagen.memory import KeyValueMemory
 from personagen.net import (
     DecoderState,
     DialogueModel,
     LossSettings,
+    _top_k,
     attend_history,
     bind_example,
     decode_step,
@@ -335,13 +338,49 @@ class TestPretrainedEmbeddings:
                           rng=np.random.default_rng(0), pretrained=table)
 
 
+def greedy_oracle(model, bound, max_len):
+    """Argmax decoding straight over decode_step: the tokens, and the history
+    and last-hop memory attention of every step (the EOS step included)."""
+    _, mem_w, mem_e, word_states, state, _ = model._encode(bound)
+    ids, steps = [], []
+    prev = SOS
+    for _ in range(max_len):
+        probs, _, state, diag = decode_step(
+            prev, state, mem_w, mem_e, word_states, model.decoder, model.hops, model.embedding)
+        token = int(np.argmax(probs.data))
+        entry = {"attention": [float(x) for x in diag.attention.data]}
+        if diag.hop_w_weights[-1] is not None:
+            entry["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
+        if diag.hop_e_weights[-1] is not None:
+            entry["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
+        steps.append(entry)
+        if token == EOS:
+            break
+        ids.append(token)
+        prev = token
+    return [model.vocab.token(i) for i in ids], steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=40),
+       st.integers(min_value=1, max_value=3))
+def test_top_k_equals_stable_argsort(values, k):
+    x = np.array(values, dtype=np.float64)
+    assert np.array_equal(_top_k(x, k), np.argsort(-x, kind="stable")[:k])
+
+
 class TestGenerate:
-    def test_beam_one_equals_greedy(self):
-        model = tiny_model(seed=15)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_greedy_matches_argmax_oracle(self, seed):
+        model = tiny_model(hidden=4 + 2 * (seed % 3), hops=1 + seed % 3, seed=100 + seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params():
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        # a raised EOS bias on some seeds mixes early stops into the max-length runs
+        model.decoder.out.b.data[EOS] += 0.5 * (seed % 4)
         bound = tiny_example(model.vocab)
-        greedy = model.generate(bound, mode="greedy", max_len=8)
-        beam = model.generate(bound, mode="beam", beam_width=1, max_len=8)
-        assert greedy == beam
+        tokens, diag = model.generate(bound, mode="greedy", max_len=8, collect_diagnostics=True)
+        assert (tokens, diag["steps"]) == greedy_oracle(model, bound, 8)
 
     def test_max_len_one_gives_at_most_one_token(self):
         model = tiny_model(seed=16)
@@ -374,13 +413,19 @@ class TestGenerate:
         assert result.trace[-1].train_nll < 0.2
         out = model.generate(bound, mode="greedy", max_len=10)
         assert out == bound.example.response
+        assert out == greedy_oracle(model, bound, 10)[0]
 
     def test_diagnostics_payload(self):
         model = tiny_model(seed=19)
         bound = tiny_example(model.vocab)
-        tokens, diag = model.generate(bound, mode="greedy", max_len=3,
-                                      collect_diagnostics=True)
-        assert len(diag["match_weights"]) == 2
-        assert abs(sum(diag["match_weights"]) - 1.0) < 1e-9
-        assert diag["steps"], "per-step attention should be recorded"
-        assert "attention" in diag["steps"][0]
+        for mode in ("greedy", "beam"):
+            tokens, diag = model.generate(bound, mode=mode, max_len=3,
+                                          collect_diagnostics=True)
+            assert tokens == model.generate(bound, mode=mode, max_len=3)
+            assert len(diag["match_weights"]) == 2
+            assert abs(sum(diag["match_weights"]) - 1.0) < 1e-9
+            assert diag["steps"], "per-step attention should be recorded"
+            # one entry per decoded token, plus the EOS step when one was taken
+            assert len(diag["steps"]) in (len(tokens), len(tokens) + 1)
+            assert "attention" in diag["steps"][0]
+            assert "word_memory" in diag["steps"][-1]

@@ -156,6 +156,20 @@ class TestElbo:
         assert err < 1e-4
 
 
+    def test_batch_is_mean_of_rows(self):
+        rng = np.random.default_rng(7)
+        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        for _, t in model.named_params():
+            t.data[:] = rng.normal(size=t.data.shape) * 0.3
+        docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5}), TfIdfDoc({})]
+        dense = np.stack([d.to_dense(len(model.vocab)) for d in docs])
+        eps = rng.normal(size=(3, 2))
+        rows = [elbo_loss(d, model, e).item() for d, e in zip(docs, eps)]
+        assert elbo_loss(dense, model, eps).item() == pytest.approx(np.mean(rows), rel=1e-12)
+        params = [t for _, t in model.named_params()]
+        assert nk.grad_check(lambda: elbo_loss(dense, model, eps), params) < 1e-4
+
+
 class TestTraining:
     def test_zero_epochs_returns_initial_model(self):
         vocab = small_vocab()

@@ -2,14 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import toy_expansions
+from personagen.checkpoint import CheckpointError, restore_params
 from personagen.corpus import build_vocab, conversation_document, load_personachat
 from personagen.net import DialogueModel, LossSettings, bind_example
-from personagen.trainer import (
-    TrainSettings,
-    evaluate_loss,
-    restore_params,
-    train_dialogue_model,
-)
+from personagen.trainer import TrainSettings, evaluate_loss, train_dialogue_model
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +83,17 @@ def test_empty_training_set_rejected(toy_setup):
 def test_restore_params_validates(toy_setup):
     vocab, _ = toy_setup
     model = make_model(vocab)
-    snapshot = {name: t.data.copy() for name, t in model.named_params()}
-    del snapshot["embedding"]
-    with pytest.raises(KeyError):
-        restore_params(model, snapshot)
+    good = {name: np.full_like(t.data, 0.5) for name, t in model.named_params()}
+    missing = dict(good)
+    del missing["embedding"]
+    reshaped = dict(good, embedding=good["embedding"][:-1])
+    extra = dict(good, spare=np.zeros(2))
+    for snapshot, message in ((missing, "missing parameter embedding"),
+                              (reshaped, "parameter embedding has shape"),
+                              (extra, "unexpected parameter spare")):
+        with pytest.raises(CheckpointError, match=message):
+            restore_params(model, snapshot)
+    # a rejected snapshot copies nothing; an accepted one copies everything
+    assert not any((t.data == 0.5).all() for _, t in model.named_params())
+    restore_params(model, good)
+    assert all((t.data == 0.5).all() for _, t in model.named_params())
