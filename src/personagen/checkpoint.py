@@ -83,14 +83,16 @@ def load_checkpoint(path) -> Checkpoint:
         missing = [key for key in ("kind", "params", "vocab") if key not in header]
         if missing:
             raise CheckpointError(f"{path}: header missing {', '.join(missing)}")
+        if not isinstance(header["params"], list):
+            raise CheckpointError(f"{path}: header params is not a list")
         params: dict[str, np.ndarray] = {}
         for entry in header["params"]:
-            shape = tuple(entry["shape"])
+            name, shape = _manifest_entry(path, entry)
             count = int(np.prod(shape)) if shape else 1
             raw = handle.read(count * 8)
             if len(raw) != count * 8:
-                raise CheckpointError(f"{path}: truncated payload at {entry['name']}")
-            params[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                raise CheckpointError(f"{path}: truncated payload at {name}")
+            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
         tokens = header["vocab"]
@@ -105,6 +107,19 @@ def load_checkpoint(path) -> Checkpoint:
         config=header.get("config", {}),
         extra=header.get("extra", {}),
     )
+
+
+def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
+    """The name and shape of one ``params`` manifest entry, validated."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"{path}: manifest entry {entry!r} has no parameter name")
+    name = entry["name"]
+    shape = entry.get("shape")
+    if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape):
+        raise CheckpointError(f"{path}: parameter {name} has shape {shape!r}, "
+                              f"not a list of non-negative integers")
+    return name, tuple(shape)
 
 
 def restore_params(model, arrays: dict[str, np.ndarray]) -> None:

@@ -125,7 +125,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> Config:
-    config = Config.from_file(args.config) if args.config else Config()
+    try:
+        config = Config.from_file(args.config) if args.config else Config()
+    except ValueError as err:  # malformed JSON, unknown keys, out-of-range values
+        raise UserError(f"{args.config}: {err}") from err
     if args.seed is not None:
         config.seed = args.seed
     return config
@@ -310,7 +313,10 @@ def _load_dialogue_model(args) -> tuple[DialogueModel, Config]:
     loaded = ckpt.load_checkpoint(args.checkpoint)
     if loaded.kind != "dialogue":
         raise UserError(f"checkpoint kind {loaded.kind!r} is not a dialogue model")
-    config = Config.from_dict(loaded.config)
+    try:
+        config = Config.from_dict(loaded.config)
+    except ValueError as err:
+        raise UserError(f"{args.checkpoint}: saved config: {err}") from err
     model = DialogueModel(loaded.vocab, config.model.emb_dim, config.model.hidden,
                           config.model.hops, np.random.default_rng(0))
     ckpt.restore_params(model, loaded.params)

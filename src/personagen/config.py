@@ -74,6 +74,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {"paths": PathsConfig, "topic": TopicConfig, "expansion": ExpansionConfig,
                  "model": ModelConfig, "losses": LossesConfig}
         kwargs = {}
@@ -84,7 +86,12 @@ class Config:
                 kwargs[key] = int(value)
             else:
                 raise ValueError(f"unknown config section {key!r}")
-        return cls(**kwargs)
+        config = cls(**kwargs)
+        for key in ("hops", "beam", "max_len"):
+            value = getattr(config.model, key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"model.{key} must be an integer of at least 1, got {value!r}")
+        return config
 
     @classmethod
     def from_file(cls, path) -> "Config":
@@ -93,6 +100,8 @@ class Config:
 
 
 def _section_from_dict(section_cls, data: dict, name: str):
+    if not isinstance(data, dict):
+        raise ValueError(f"config section {name!r} must be a JSON object")
     valid = {f.name for f in fields(section_cls)}
     unknown = set(data) - valid
     if unknown:

@@ -20,7 +20,6 @@ from .numkit import (
     mul,
     scale,
     sigmoid,
-    stack,
     sub,
     sum_,
 )
@@ -99,16 +98,19 @@ def p_bows_targets(response: list[str], persona_word_set: set[str],
     return PBowsTarget(weights)
 
 
-def p_bows_loss(output_activations: Sequence[Tensor], target: PBowsTarget) -> Tensor:
+def p_bows_loss(output_activations: Tensor, target: PBowsTarget) -> Tensor:
     """Bag-of-words cross entropy on the sigmoid of summed output activations.
 
-    The stated formula is applied literally, including slots whose target is
+    ``output_activations`` stacks the raw output-layer activations of the T
+    decode steps as a (T, V) matrix; they are summed over steps. The stated
+    formula is applied literally, including slots whose target is
     1 + lambda, so individual terms can be negative; probabilities are clamped
     to [1e-12, 1 - 1e-12].
     """
-    if not output_activations:
-        raise ValueError("p_bows_loss needs at least one decode step")
-    summed = sum_(stack(output_activations), axis=0)
+    activations = as_tensor(output_activations)
+    if activations.ndim != 2 or activations.shape[0] == 0:
+        raise ValueError("p_bows_loss needs a (steps, vocab) matrix with at least one step")
+    summed = sum_(activations, axis=0)
     if summed.shape != target.weights.shape:
         raise ValueError(f"activations cover {summed.shape}, target {target.weights.shape}")
     probs = clip(sigmoid(summed), PROB_FLOOR, 1.0 - PROB_FLOOR)
@@ -118,14 +120,19 @@ def p_bows_loss(output_activations: Sequence[Tensor], target: PBowsTarget) -> Te
     return scale(mean(positive + negative), -1.0)
 
 
-def nll_loss(step_distributions: Sequence[Tensor], targets: Sequence[int]) -> Tensor:
-    """Mean negative log probability of the target token at each step."""
-    if len(step_distributions) != len(targets):
+def nll_loss(step_distributions: Tensor, targets: Sequence[int]) -> Tensor:
+    """Mean negative log probability of the target token at each step.
+
+    ``step_distributions`` is the (T, V) matrix of the T steps' token
+    distributions, one row per target; all T targets are picked in one
+    ``cross_entropy`` record.
+    """
+    probs = as_tensor(step_distributions)
+    if probs.ndim != 2 or probs.shape[0] != len(targets):
         raise ValueError("one target per decode step required")
     if not targets:
         raise ValueError("nll_loss needs at least one step")
-    steps = [cross_entropy(p, int(t)) for p, t in zip(step_distributions, targets)]
-    return mean(stack(steps))
+    return mean(cross_entropy(probs, [int(t) for t in targets]))
 
 
 def joint_loss(nll, p_match, p_bows, gamma1: float, gamma2: float) -> Tensor:

@@ -220,26 +220,40 @@ class StepDiagnostics:
     hop_e_weights: list[Tensor | None] = field(default_factory=list)
 
 
-def decode_step(prev_token: int, state: DecoderState, mem_w: KeyValueMemory,
-                mem_e: KeyValueMemory, word_states: Tensor, params: DecoderParams,
-                hops: int, embedding: Tensor,
-                ) -> tuple[Tensor, Tensor, DecoderState, StepDiagnostics]:
-    """One decoder step.
+def decoder_features(prev_token: int, state: DecoderState, mem_w: KeyValueMemory,
+                     mem_e: KeyValueMemory, word_states: Tensor, params: DecoderParams,
+                     hops: int, embedding: Tensor,
+                     ) -> tuple[Tensor, DecoderState, StepDiagnostics]:
+    """Everything of a decoder step before the output layer.
 
     Advances the GRU on the previous token's embedding, attends over history
-    words, runs the multi-hop read over both persona word memories, and maps
-    the concatenation [state; history context; word read; external read]
-    through the output layer. Returns the token distribution, the raw output
-    activations, the new state, and attention diagnostics.
+    words and runs the multi-hop read over both persona word memories.
+    Returns the concatenation [state; history context; word read; external
+    read], the new state, and attention diagnostics.
     """
     x = lookup(embedding, int(prev_token))
     s_t = gru_cell(x, state.hidden, params.cell)
     u_x, attn_weights = attend_history(s_t, word_states, params)
     hop: MultihopResult = multihop(s_t, mem_w, mem_e, hops)
-    s_tilde = params.out(concat([s_t, u_x, hop.o_w, hop.o_e]))
-    probs = softmax(s_tilde, axis=-1)
+    features = concat([s_t, u_x, hop.o_w, hop.o_e])
     diag = StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
-    return probs, s_tilde, DecoderState(s_t, state.step + 1), diag
+    return features, DecoderState(s_t, state.step + 1), diag
+
+
+def decode_step(prev_token: int, state: DecoderState, mem_w: KeyValueMemory,
+                mem_e: KeyValueMemory, word_states: Tensor, params: DecoderParams,
+                hops: int, embedding: Tensor,
+                ) -> tuple[Tensor, Tensor, DecoderState, StepDiagnostics]:
+    """One decoder step: ``decoder_features`` mapped through the output layer.
+
+    Returns the token distribution, the raw output activations, the new
+    state, and attention diagnostics.
+    """
+    features, new_state, diag = decoder_features(
+        prev_token, state, mem_w, mem_e, word_states, params, hops, embedding)
+    s_tilde = params.out(features)
+    probs = softmax(s_tilde, axis=-1)
+    return probs, s_tilde, new_state, diag
 
 
 @dataclass
@@ -348,25 +362,28 @@ class DialogueModel:
         return mem_s, mem_w, mem_e, word_states, state, trace
 
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
-        """Teacher-forced joint loss of one example."""
+        """Teacher-forced joint loss of one example.
+
+        The decoder runs step by step up to the output layer; the output
+        layer and softmax then run once over the stacked (T, 4H) features.
+        """
         _, mem_w, mem_e, word_states, state, trace = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
-        step_probs = []
-        step_activations = []
+        step_features = []
         for prev in inputs:
-            probs, s_tilde, state, _ = decode_step(
+            features, state, _ = decoder_features(
                 prev, state, mem_w, mem_e, word_states, self.decoder, self.hops, self.embedding)
-            step_probs.append(probs)
-            step_activations.append(s_tilde)
-        nll = nll_loss(step_probs, targets)
+            step_features.append(features)
+        activations = self.decoder.out(stack(step_features))
+        nll = nll_loss(softmax(activations, axis=-1), targets)
         match_target = p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold)
         match = p_match_loss(trace.last_weights, match_target)
         persona_words = self.persona_word_set(bound)
         bows_target = p_bows_targets(
             bound.example.response, persona_words, self.vocab, settings.bows_extra_weight)
-        bows = p_bows_loss(step_activations, bows_target)
+        bows = p_bows_loss(activations, bows_target)
         total = joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows)
         return LossBreakdown(total, nll, match, bows, trace.last_weights, match_target)
 
@@ -387,6 +404,8 @@ class DialogueModel:
         """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
+        if beam_width < 1:
+            raise ValueError("beam_width must be at least 1")
         if mode not in ("greedy", "beam"):
             raise ValueError(f"unknown generation mode {mode!r}")
         _, mem_w, mem_e, word_states, state, trace = self._encode(bound)

@@ -6,6 +6,21 @@ closure mapping the output gradient to input gradients; ``backward`` walks the
 records in reverse. With no active tape nothing is recorded, so inference and
 finite-difference probes run at plain numpy speed.
 
+Gradient ownership: a backward rule may return its upstream gradient itself,
+or a view of it (``add`` hands the same array to both operands), so
+``backward`` never writes into an array it did not allocate. The first
+gradient that reaches a tensor is stored as it is and marked not owned; the
+second one is added into a fresh array, which ``backward`` then owns and adds
+every later gradient into in place. Each leaf gradient returned is an array
+owned by ``backward`` alone: no two parameters share one, and none aliases an
+intermediate gradient, so callers may scale them in place.
+
+Row-sparse lookups: the backward rule of ``lookup`` returns ``RowGrad(indices,
+rows)`` rather than a dense table-size array. ``backward`` scatter-adds those
+rows into one owned table-size buffer per table, which dense gradients of the
+same table (say, from a ``matmul``) accumulate into as well; the gradients it
+returns are always dense.
+
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
 """
@@ -13,7 +28,7 @@ the op that produced it rather than as a NaN loss many steps later.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -162,40 +177,68 @@ def _finish(out_data, inputs: tuple[Tensor, ...],
     return out
 
 
+class RowGrad(NamedTuple):
+    """Row-sparse gradient of a 2-D table: ``rows[k]`` adds to row
+    ``indices[k]``; an index may repeat."""
+
+    indices: Array
+    rows: Array
+
+
 def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
     """Reverse sweep over ``tape`` from a scalar ``loss``.
 
     Returns gradient arrays keyed by tensor for every requires_grad tensor
     that appears on the tape (zeros for those not reachable from the loss),
-    and stores the same arrays on each tensor's ``grad`` attribute.
+    and stores the same arrays on each tensor's ``grad`` attribute. Every
+    returned array is a fresh one that no other tensor's gradient shares.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
+    owned: set[int] = set()
     for rec in reversed(tape.records):
         g_out = flowing.pop(id(rec.output), None)
         if g_out is None:
             continue
+        owned.discard(id(rec.output))
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
-            if g is None:
-                continue
-            key = id(tensor)
-            if key in flowing:
-                flowing[key] = flowing[key] + g
-            else:
-                flowing[key] = g
+            if g is not None:
+                _accumulate(flowing, owned, tensor, g)
     result: dict[Tensor, Array] = {}
     for rec in tape.records:
         for tensor in rec.inputs:
             if tensor.requires_grad and tensor not in result:
-                grad = flowing.get(id(tensor))
+                key = id(tensor)
+                grad = flowing.get(key)
                 if grad is None:
                     grad = np.zeros_like(tensor.data)
-                else:
-                    grad = np.asarray(grad, dtype=np.float64)
+                elif key not in owned:
+                    grad = np.array(grad, dtype=np.float64)
                 result[tensor] = grad
                 tensor.grad = grad
     return result
+
+
+def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g) -> None:
+    """Add gradient ``g`` (dense, or a RowGrad) to ``tensor``'s entry in
+    ``flowing``; ``owned`` holds the keys whose arrays ``backward`` allocated
+    and may therefore write into."""
+    key = id(tensor)
+    current = flowing.get(key)
+    if isinstance(g, RowGrad):
+        if key not in owned:
+            flowing[key] = current = (np.zeros_like(tensor.data) if current is None
+                                      else np.array(current, dtype=np.float64))
+            owned.add(key)
+        np.add.at(current, g.indices, g.rows)
+    elif current is None:
+        flowing[key] = g
+    elif key in owned:
+        current += g
+    else:
+        flowing[key] = np.asarray(current + g)
+        owned.add(key)
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -486,28 +529,38 @@ def lookup(table, ids) -> Tensor:
     out = gathered[0] if single else gathered
 
     def backward_fn(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g[None, :] if single else g)
-        return [full]
+        return [RowGrad(idx, g[None, :] if single else g)]
 
     return _finish(out, (table,), backward_fn)
 
 
-def cross_entropy(p, index: int, floor: float = PROB_FLOOR) -> Tensor:
-    """-log p[index] with the probability clamped below at ``floor``."""
+def cross_entropy(p, index, floor: float = PROB_FLOOR) -> Tensor:
+    """-log p[index] with the probability clamped below at ``floor``.
+
+    A 1-D distribution takes one index and gives a scalar; a 2-D ``p`` holds
+    one distribution per row, takes one index per row and gives the vector of
+    per-row values, all in one record.
+    """
     p = as_tensor(p)
-    if p.data.ndim != 1:
-        raise ValueError("cross_entropy expects a 1-D distribution")
-    i = int(index)
-    if not 0 <= i < p.data.shape[0]:
-        raise IndexError(f"target index {i} out of range for distribution of size {p.data.shape[0]}")
-    value = float(p.data[i])
-    clamped = value if value > floor else floor
+    pdata = p.data
+    if pdata.ndim not in (1, 2):
+        raise ValueError("cross_entropy expects a 1-D distribution or a 2-D batch of them")
+    idx = np.asarray(index, dtype=np.intp)
+    if idx.shape != pdata.shape[:-1]:
+        raise ValueError(f"cross_entropy needs one target index per distribution, got "
+                         f"index shape {idx.shape} for distributions of shape {pdata.shape}")
+    size = pdata.shape[-1]
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise IndexError(f"target index out of range for distribution of size {size}")
+    at = idx[..., None]
+    values = np.take_along_axis(pdata, at, axis=-1)[..., 0]
+    clamped = np.maximum(values, floor)
 
     def backward_fn(g):
-        grad = np.zeros_like(p.data)
-        if value >= floor:
-            grad[i] = -float(g) / value
+        picked = np.zeros_like(values)
+        np.divide(-g, values, out=picked, where=values >= floor)
+        grad = np.zeros_like(pdata)
+        np.put_along_axis(grad, at, picked[..., None], axis=-1)
         return [grad]
 
-    return _finish(np.asarray(-np.log(clamped)), (p,), backward_fn)
+    return _finish(-np.log(clamped), (p,), backward_fn)

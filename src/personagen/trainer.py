@@ -84,7 +84,7 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
                 components = [(p.nll.item(), p.p_match.item(), p.p_bows.item()) for p in parts]
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_id} (components: {components})")
-            grads = [grad_map.get(p, np.zeros_like(p.data)) for p in params]
+            grads = [grad_map[p] if p in grad_map else np.zeros_like(p.data) for p in params]
             clip_global_norm(grads, train_settings.grad_clip)
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)

@@ -285,7 +285,7 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
     probs = [nk.Tensor(np.full(10, 0.1)) for _ in range(3)]
-    assert nll_loss(probs, [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
+    assert nll_loss(nk.stack(probs), [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
 
     vocab = Vocabulary.from_tokens(["cat"])
     target = p_bows_targets(["cat", "runs"], {"cat"}, vocab, lam=1.0)

@@ -11,6 +11,15 @@ from personagen.config import Config
 from personagen.corpus import RESERVED_TOKENS, Vocabulary
 
 
+BAD_CONFIG_FILES = {
+    "malformed_json": '{"model": {"beam": 2,}}',
+    "unknown_section": '{"optimizer": {}}',
+    "unknown_key": '{"model": {"hidde": 8}}',
+    "section_not_object": '{"model": 8}',
+    "beam_zero": '{"model": {"beam": 0}}',
+}
+
+
 class TestConfig:
     def test_published_defaults(self):
         config = Config()
@@ -47,6 +56,19 @@ class TestConfig:
     def test_round_trip(self):
         config = Config.from_dict({"model": {"hidden": 16}})
         assert Config.from_dict(config.to_dict()) == config
+
+    @pytest.mark.parametrize("key", ["beam", "hops", "max_len"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_counts_below_one_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"model.{key}"):
+            Config.from_dict({"model": {key: value}})
+
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
+    def test_bad_config_file_is_user_error(self, case, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(BAD_CONFIG_FILES[case], encoding="utf-8")
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "m.ckpt")]) == 2
+        assert f"error: {path}" in capsys.readouterr().err
 
 
 class TestCheckpoint:
@@ -107,6 +129,18 @@ MALFORMED_CHECKPOINTS = {
         dict(VALID_HEADER, params=[]),
         header_len=len(json.dumps(dict(VALID_HEADER, params=[]))) + 8),
     "trailing_bytes": raw_checkpoint(VALID_HEADER, VALID_PAYLOAD + b"\0" * 8),
+    "params_not_list": raw_checkpoint(dict(VALID_HEADER, params=5), VALID_PAYLOAD),
+    "entry_not_object": raw_checkpoint(dict(VALID_HEADER, params=["w"]), VALID_PAYLOAD),
+    "entry_without_name": raw_checkpoint(dict(VALID_HEADER, params=[{"shape": [2]}]),
+                                         VALID_PAYLOAD),
+    "entry_without_shape": raw_checkpoint(dict(VALID_HEADER, params=[{"name": "w"}]),
+                                          VALID_PAYLOAD),
+    "shape_not_list": raw_checkpoint(dict(VALID_HEADER, params=[{"name": "w", "shape": 2}]),
+                                     VALID_PAYLOAD),
+    "shape_float": raw_checkpoint(dict(VALID_HEADER, params=[{"name": "w", "shape": [2.0]}]),
+                                  VALID_PAYLOAD),
+    "shape_negative": raw_checkpoint(dict(VALID_HEADER, params=[{"name": "w", "shape": [-2]}]),
+                                     VALID_PAYLOAD),
 }
 
 

@@ -7,6 +7,13 @@ from conftest import np_bigru, np_gru_step, np_retrieve, np_softmax, np_tanh_mlp
 from personagen import numkit as nk
 from personagen.corpus import EOS, SOS, DialogueExample, Vocabulary
 from personagen.memory import KeyValueMemory
+from personagen.losses import (
+    joint_loss,
+    p_bows_loss,
+    p_bows_targets,
+    p_match_loss,
+    p_match_targets,
+)
 from personagen.net import (
     DecoderState,
     DialogueModel,
@@ -316,6 +323,72 @@ class TestJointLossAndGradients:
         assert nk.grad_check(batch_loss, model.params()) < 1e-4
 
 
+def per_step_loss(model, bound, settings):
+    """Oracle for ``example_loss``: the output layer, softmax and cross
+    entropy run once per decode step, through ``decode_step``."""
+    _, mem_w, mem_e, word_states, state, trace = model._encode(bound)
+    inputs = [SOS] + bound.response_ids
+    targets = bound.response_ids + [EOS]
+    step_losses = []
+    step_activations = []
+    for prev, target in zip(inputs, targets):
+        probs, s_tilde, state, _ = decode_step(
+            prev, state, mem_w, mem_e, word_states, model.decoder, model.hops, model.embedding)
+        step_losses.append(nk.cross_entropy(probs, target))
+        step_activations.append(s_tilde)
+    nll = nk.mean(nk.stack(step_losses))
+    match = p_match_loss(trace.last_weights, p_match_targets(
+        bound.example.persona_sentences, bound.example.response, settings.match_threshold))
+    bows = p_bows_loss(nk.stack(step_activations), p_bows_targets(
+        bound.example.response, model.persona_word_set(bound), model.vocab,
+        settings.bows_extra_weight))
+    return joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows), nll, bows
+
+
+def random_example(vocab, rng, with_expansion):
+    words = vocab.index_to_token[4:]
+
+    def sentence(lo, hi):
+        return [str(w) for w in rng.choice(words, size=int(rng.integers(lo, hi)))]
+
+    example = DialogueExample(
+        persona_sentences=[sentence(2, 6) for _ in range(int(rng.integers(1, 4)))],
+        history=[sentence(1, 6) for _ in range(int(rng.integers(1, 4)))],
+        response=sentence(1, 7),
+    )
+    expansion = sentence(1, 4) if with_expansion else []
+    return bind_example(example, vocab, expansion)
+
+
+class TestBatchedOutputLayer:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_step_oracle(self, seed):
+        model = tiny_model(hidden=4 + 2 * (seed % 2), emb=3, hops=1 + seed % 3, seed=300 + seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params():
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        bound = random_example(model.vocab, rng, with_expansion=seed % 2 == 0)
+        assert bool(bound.expansion_ids) == (seed % 2 == 0)
+        settings = LossSettings()
+
+        with nk.Tape() as tape:
+            parts = model.example_loss(bound, settings)
+        got = nk.backward(parts.joint, tape)
+        with nk.Tape() as tape:
+            joint, nll, bows = per_step_loss(model, bound, settings)
+        want = nk.backward(joint, tape)
+
+        for a, b in ((parts.joint, joint), (parts.nll, nll), (parts.p_bows, bows)):
+            assert a.item() == pytest.approx(b.item(), rel=1e-10, abs=0.0)
+        assert set(got) == set(want)
+        for name, p in model.named_params():
+            if p not in want:  # the expansion memory's networks, when it is empty
+                continue
+            scale = np.abs(want[p]).max()
+            np.testing.assert_allclose(got[p], want[p], rtol=1e-10, atol=1e-10 * scale,
+                                       err_msg=name)
+
+
 class TestPretrainedEmbeddings:
     def test_rows_copied_for_known_tokens(self):
         from personagen.corpus import EmbeddingTable
@@ -402,6 +475,8 @@ class TestGenerate:
             model.generate(bound, mode="greedy", max_len=0)
         with pytest.raises(ValueError):
             model.generate(bound, mode="sampled")
+        with pytest.raises(ValueError, match="beam_width"):
+            model.generate(bound, mode="beam", beam_width=0)
 
     def test_overfit_model_reproduces_response(self):
         model = tiny_model(hidden=8, emb=6, seed=18)

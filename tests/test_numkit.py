@@ -94,6 +94,67 @@ class TestBackward:
         assert not out._tracked
 
 
+# primitives whose backward hands the upstream gradient on unchanged
+PASS_THROUGH_CASES = {
+    "add": (lambda a, b: nk.add(a, b), [(3, 2), (3, 2)]),
+    "add_broadcast": (lambda a, b: nk.add(a, b), [(3, 2), (2,)]),
+    "add_chain": (lambda a, b: nk.add(nk.add(a, b), a), [(4,), (4,)]),
+    "scale": (lambda a, b: nk.add(nk.scale(a, 1.0), nk.scale(b, 1.0)), [(4,), (4,)]),
+    "sub": (lambda a, b: nk.sub(a, b), [(3, 2), (3, 2)]),
+}
+
+
+class TestGradientOwnership:
+    def test_clipping_two_leaves_of_one_sum(self):
+        # add hands its upstream gradient to both operands; if both leaves
+        # kept that one array, clipping would scale it twice
+        rng = np.random.default_rng(0)
+        a = nk.Tensor(rng.normal(size=3), requires_grad=True)
+        b = nk.Tensor(rng.normal(size=3), requires_grad=True)
+        with nk.Tape() as tape:
+            loss = nk.sum_(nk.scale(nk.add(a, b), 10.0))
+        grads = nk.backward(loss, tape)
+        ga, gb = grads[a], grads[b]
+        nk.clip_global_norm([ga, gb], 1.0)
+        assert abs(np.sqrt((ga * ga).sum() + (gb * gb).sum()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(PASS_THROUGH_CASES))
+    def test_leaf_gradients_share_no_memory(self, name):
+        build, shapes = PASS_THROUGH_CASES[name]
+        rng = np.random.default_rng(1)
+        leaves = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        with nk.Tape() as tape:
+            loss = nk.sum_(build(*leaves))
+        grads = nk.backward(loss, tape)
+        arrays = [grads[t] for t in leaves]
+        for i in range(len(arrays)):
+            for j in range(i + 1, len(arrays)):
+                assert not np.shares_memory(arrays[i], arrays[j])
+
+    @pytest.mark.parametrize("lookup_first", [True, False])
+    def test_sparse_and_dense_gradients_of_one_table(self, lookup_first):
+        # lookup's row-sparse gradient and matmul's dense one meet in one
+        # buffer, in either arrival order
+        rng = np.random.default_rng(5)
+        table = nk.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        x = nk.Tensor(rng.normal(size=5), requires_grad=True)
+
+        def fn():
+            def sparse():
+                return nk.sum_(nk.tanh(nk.lookup(table, [1, 3, 1])), axis=0) + nk.lookup(table, 1)
+
+            def dense():
+                return nk.matmul(x, table)
+
+            if lookup_first:
+                s, d = sparse(), dense()
+            else:
+                d, s = dense(), sparse()
+            return nk.sum_(nk.mul(s, nk.tanh(d)))
+
+        assert nk.grad_check(fn, [table, x]) < 1e-6
+
+
 PRIMITIVE_CASES = {
     "matmul_mat_vec": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
     "matmul_vec_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
@@ -197,6 +258,32 @@ class TestAdam:
             return p.data.tobytes()
 
         assert run() == run()
+
+    def test_matches_reference_formula_bitwise(self):
+        # the in-place, blocked update against the textbook expression; the
+        # shapes cover a scalar, a vector and matrices above the block size
+        rng = np.random.default_rng(11)
+        shapes = [(), (7,), (3, 40000), (40000, 3)]
+        params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        state = nk.AdamState.create(params, lr=3e-3)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        for t in range(1, 6):
+            grads = [rng.normal(size=s) * (t % 3) for s in shapes]
+            nk.adam_step(params, [g.copy() for g in grads], state)
+            for i, g in enumerate(grads):
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+                m_hat = ref_m[i] / (1.0 - b1 ** t)
+                v_hat = ref_v[i] / (1.0 - b2 ** t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, m, v, want_p, want_m, want_v in zip(params, state.m, state.v,
+                                                     ref_p, ref_m, ref_v):
+            assert p.data.tobytes() == np.asarray(want_p).tobytes()
+            assert m.tobytes() == np.asarray(want_m).tobytes()
+            assert v.tobytes() == np.asarray(want_v).tobytes()
 
     def test_shape_mismatch_rejected(self):
         p = nk.Tensor([1.0, 2.0], requires_grad=True)
