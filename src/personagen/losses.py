@@ -132,7 +132,7 @@ def nll_loss(step_distributions: Tensor, targets: Sequence[int]) -> Tensor:
         raise ValueError("one target per decode step required")
     if not targets:
         raise ValueError("nll_loss needs at least one step")
-    return mean(cross_entropy(probs, [int(t) for t in targets]))
+    return mean(cross_entropy(probs, targets))
 
 
 def joint_loss(nll, p_match, p_bows, gamma1: float, gamma2: float) -> Tensor:

@@ -201,7 +201,6 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
         g_out = flowing.pop(id(rec.output), None)
         if g_out is None:
             continue
-        owned.discard(id(rec.output))
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is not None:
                 _accumulate(flowing, owned, tensor, g)

@@ -94,7 +94,8 @@ class TestBackward:
         assert not out._tracked
 
 
-# primitives whose backward hands the upstream gradient on unchanged
+# primitives whose backward hands on the upstream gradient itself, or (scale)
+# a constant multiple of it
 PASS_THROUGH_CASES = {
     "add": (lambda a, b: nk.add(a, b), [(3, 2), (3, 2)]),
     "add_broadcast": (lambda a, b: nk.add(a, b), [(3, 2), (2,)]),
