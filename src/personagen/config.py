@@ -87,10 +87,13 @@ class Config:
             else:
                 raise ValueError(f"unknown config section {key!r}")
         config = cls(**kwargs)
-        for key in ("hops", "beam", "max_len"):
-            value = getattr(config.model, key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"model.{key} must be an integer of at least 1, got {value!r}")
+        for section, key, least in (("model", "hops", 1), ("model", "beam", 1),
+                                    ("model", "max_len", 1), ("expansion", "neighbors", 1),
+                                    ("expansion", "max_words", 0)):
+            value = getattr(getattr(config, section), key)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{section}.{key} must be an integer of at least {least}, "
+                                 f"got {value!r}")
         return config
 
     @classmethod

@@ -103,7 +103,7 @@ def emb_greedy(candidate: list[str], reference: list[str], table: EmbeddingTable
         return 0.0
 
     def directed(src: list[np.ndarray], dst: list[np.ndarray]) -> float:
-        return float(np.mean([max(cosine(u, v) for v in dst) for u in src]))
+        return float(np.mean(cosine(np.stack(src), np.stack(dst)).max(axis=1)))
 
     return 0.5 * (directed(cand, ref) + directed(ref, cand))
 

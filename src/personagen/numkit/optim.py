@@ -85,7 +85,7 @@ def _adam_update(state: AdamState, bc1: float, bc2: float,
 
 def clip_global_norm(grads: list[Array], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most max_norm."""
-    total = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    total = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
     if total > max_norm > 0.0:
         factor = max_norm / total
         for g in grads:

@@ -9,6 +9,7 @@ topic-space representation for every vocabulary word.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,31 @@ class TopicModel:
 class TopicWordVector:
     token: str
     vector: np.ndarray
+
+
+class TopicSpace(Mapping[str, TopicWordVector]):
+    """Read-only token -> TopicWordVector mapping over one (words, topics)
+    matrix: ``matrix[rows[token]]`` is ``token``'s topic-space vector."""
+
+    def __init__(self, tokens: list[str], matrix: np.ndarray):
+        if matrix.shape[0] != len(tokens):
+            raise ValueError(f"{len(tokens)} tokens for a matrix of {matrix.shape[0]} rows")
+        self.tokens = tokens
+        self.rows = {token: row for row, token in enumerate(tokens)}
+        self.matrix = matrix.view()
+        self.matrix.flags.writeable = False
+
+    def __getitem__(self, token: str) -> TopicWordVector:
+        return TopicWordVector(token, self.matrix[self.rows[token]])
+
+    def __contains__(self, token) -> bool:
+        return token in self.rows
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.tokens)
+
+    def __len__(self) -> int:
+        return len(self.tokens)
 
 
 def _as_dense_tensor(doc, size: int) -> Tensor:
@@ -177,14 +203,12 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
     return model, trace
 
 
-def word_topic_vectors(model: TopicModel) -> dict[str, TopicWordVector]:
-    """Column of the decoder output weights for every non-reserved token."""
-    weight = model.dec_out.w.data  # (topics, vocab)
-    vectors = {}
-    for index in range(len(RESERVED_TOKENS), len(model.vocab)):
-        token = model.vocab.token(index)
-        vectors[token] = TopicWordVector(token, weight[:, index].copy())
-    return vectors
+def word_topic_vectors(model: TopicModel) -> TopicSpace:
+    """Column of the decoder output weights for every non-reserved token, as
+    rows of one matrix copied from the weights (later training leaves it be)."""
+    start = len(RESERVED_TOKENS)
+    tokens = [model.vocab.token(index) for index in range(start, len(model.vocab))]
+    return TopicSpace(tokens, model.dec_out.w.data[:, start:].T.copy())
 
 
 def top_topic_words(model: TopicModel, count: int) -> list[list[str]]:

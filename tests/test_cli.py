@@ -63,6 +63,23 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"model.{key}"):
             Config.from_dict({"model": {key: value}})
 
+    @pytest.mark.parametrize("key,value", [("neighbors", 0), ("neighbors", -3),
+                                           ("max_words", -1), ("max_words", -5)])
+    def test_expansion_counts_out_of_range_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"expansion.{key}"):
+            Config.from_dict({"expansion": {key: value}})
+
+    def test_zero_expansion_words_allowed(self):
+        assert Config.from_dict({"expansion": {"max_words": 0}}).expansion.max_words == 0
+
+    def test_bad_expansion_config_fails_expand_with_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"expansion": {"neighbors": -3}}', encoding="utf-8")
+        code = main(["expand", "--config", str(path), "--topic", str(tmp_path / "t.ckpt"),
+                     "--data", str(tmp_path / "d.txt"), "--out", str(tmp_path / "e.jsonl")])
+        assert code == 2
+        assert "expansion.neighbors" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
     def test_bad_config_file_is_user_error(self, case, tmp_path, capsys):
         path = tmp_path / "config.json"

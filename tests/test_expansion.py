@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from personagen.corpus import DialogueExample, load_personachat
 from personagen.expansion import cosine, expand, nearest_words, persona_vocab
-from personagen.topic import TopicWordVector, word_topic_vectors
+from personagen.topic import TopicSpace, TopicWordVector, word_topic_vectors
 
 
 def make_vectors(entries: dict[str, list[float]]) -> dict[str, TopicWordVector]:
@@ -48,6 +50,34 @@ class TestCosine:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             cosine(np.zeros(2), np.zeros(3))
+        with pytest.raises(ValueError):
+            cosine(np.zeros((2, 2)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            cosine(np.zeros(2), np.zeros((1, 2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matrices_give_every_row_pair(self, data):
+        # small integers: exact dot products, zero rows and parallel rows occur
+        dim = data.draw(st.integers(1, 4))
+        rows = st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                        min_size=1, max_size=6)
+        a = np.array(data.draw(rows), dtype=float)
+        b = np.array(data.draw(rows), dtype=float)
+        got = cosine(a, b)
+        assert got.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert got[i, j] == cosine(a[i], b[j])
+
+    def test_real_matrices_match_pairwise(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(5, 50)), rng.normal(size=(40, 50))
+        b[3] = 0.0
+        got = cosine(a, b)
+        want = np.array([[cosine(u, v) for v in b] for u in a])
+        assert np.max(np.abs(got - want)) <= 1e-12
+        assert np.all(got[:, 3] == 0.0)
 
 
 class TestNearestWords:
@@ -61,6 +91,11 @@ class TestNearestWords:
         assert [t for t, _ in result] == ["b", "c"]
         scores = [s for _, s in result]
         assert scores == sorted(scores, reverse=True)
+
+    def test_negative_count_rejected(self):
+        vectors = make_vectors({"a": [1, 0], "b": [0.9, 0.1], "c": [0, 1]})
+        with pytest.raises(ValueError):
+            nearest_words("a", vectors, -1)
 
     def test_unknown_word_rejected(self):
         with pytest.raises(KeyError):
@@ -140,7 +175,99 @@ class TestExpand:
         scores = [s for _, s in expand(example, vectors, 10, 20).words]
         assert scores == sorted(scores, reverse=True)
 
+    def test_negative_count_rejected(self):
+        vectors = make_vectors({"p1": [1, 0], "x": [0.5, 0.5]})
+        with pytest.raises(ValueError):
+            expand(example_with_personas([["p1"]]), vectors, m=-1, n_w=5)
+
     def test_source_recorded(self):
         vectors = make_vectors({"p1": [1, 0], "x": [0.5, 0.5]})
         example = example_with_personas([["p1"]])
         assert expand(example, vectors, 1, 1, source=7).source == 7
+
+
+# ---------------------------------------------------------------------------
+# the batched path against the pairwise definition
+# ---------------------------------------------------------------------------
+
+
+def pairwise_cosine(u1, u2):
+    n1 = float(np.linalg.norm(u1))
+    n2 = float(np.linalg.norm(u2))
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return float(np.dot(u1, u2) / (n1 * n2))
+
+
+def pairwise_nearest_words(word, vectors, m, exclude=frozenset()):
+    seed = vectors[word].vector
+    scored = [(token, pairwise_cosine(seed, entry.vector)) for token, entry in vectors.items()
+              if token != word and token not in exclude]
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    return scored[:m]
+
+
+def pairwise_expand(example, vectors, m, n_w):
+    seeds = persona_vocab(example, vectors)
+    best = {}
+    for seed in sorted(seeds):
+        for token, score in pairwise_nearest_words(seed, vectors, m, exclude=seeds):
+            if token not in best or score > best[token]:
+                best[token] = score
+    return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:max(0, n_w)]
+
+
+def assert_same_words(got, want):
+    assert [t for t, _ in got] == [t for t, _ in want]
+    assert all(abs(a - b) <= 1e-12 for (_, a), (_, b) in zip(got, want))
+
+
+WORDS = ["kiwi", "fig", "plum", "pear", "lime", "date", "apple", "mango", "grape",
+         "melon", "lemon", "peach", "guava", "olive"]
+
+
+@st.composite
+def topic_spaces(draw):
+    """Shuffled words with small integer vectors: ties and zero rows are common."""
+    words = draw(st.lists(st.sampled_from(WORDS), min_size=2, max_size=len(WORDS), unique=True))
+    dim = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim),
+                         min_size=len(words), max_size=len(words)))
+    return make_vectors(dict(zip(words, rows)))
+
+
+class TestBatchedEqualsPairwise:
+    @settings(max_examples=150, deadline=None)
+    @given(topic_spaces(), st.data())
+    def test_nearest_words(self, vectors, data):
+        words = list(vectors)
+        word = data.draw(st.sampled_from(words))
+        exclude = set(data.draw(st.lists(st.sampled_from(words + ["absent"]), max_size=4)))
+        m = data.draw(st.integers(0, len(words) + 2))
+        want = pairwise_nearest_words(word, vectors, m, exclude)
+        assert_same_words(nearest_words(word, vectors, m, exclude), want)
+        space = TopicSpace(words, np.stack([vectors[w].vector for w in words]))
+        assert_same_words(nearest_words(word, space, m, exclude), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(topic_spaces(), st.data())
+    def test_expand(self, vectors, data):
+        words = list(vectors)
+        persona = data.draw(st.lists(st.lists(st.sampled_from(words + ["the", "absent"]),
+                                              max_size=4), min_size=1, max_size=3))
+        m = data.draw(st.integers(0, len(words) + 2))
+        n_w = data.draw(st.integers(0, len(words) + 2))
+        example = example_with_personas(persona)
+        want = pairwise_expand(example, vectors, m, n_w)
+        assert_same_words(expand(example, vectors, m, n_w).words, want)
+        space = TopicSpace(words, np.stack([vectors[w].vector for w in words]))
+        assert_same_words(expand(example, space, m, n_w).words, want)
+
+    def test_trained_topic_space(self, cluster_topic_model):
+        vectors = word_topic_vectors(cluster_topic_model["model"])
+        plain = dict(vectors.items())
+        example = example_with_personas([["red00", "red03", "blue01"], ["blue04"]])
+        assert_same_words(expand(example, vectors, 7, 20).words,
+                          pairwise_expand(example, plain, 7, 20))
+        assert_same_words(nearest_words("blue02", vectors, 12),
+                          pairwise_nearest_words("blue02", plain, 12))

@@ -225,6 +225,27 @@ class TestWordTopicVectors:
             column = model.vocab.index(token)
             assert np.array_equal(entry.vector, model.dec_out.w.data[:, column])
 
+    def test_is_a_read_only_snapshot(self):
+        model = TopicModel.create(small_vocab(6), 3, 4, np.random.default_rng(2))
+        vectors = word_topic_vectors(model)
+        before = {token: entry.vector.copy() for token, entry in vectors.items()}
+        model.dec_out.w.data *= 2.0
+        model.dec_out.w.data[:, 5] = 7.0
+        for token, entry in vectors.items():
+            assert np.array_equal(entry.vector, before[token])
+        with pytest.raises(ValueError):
+            vectors["w0"].vector[0] = 1.0
+
+    def test_is_a_mapping_over_non_reserved_tokens(self):
+        model = TopicModel.create(small_vocab(3), 2, 4, np.random.default_rng(3))
+        vectors = word_topic_vectors(model)
+        assert list(vectors) == ["w0", "w1", "w2"]
+        assert "w1" in vectors and "<unk>" not in vectors and 7 not in vectors
+        assert vectors.get("zzz") is None
+        assert vectors["w2"].token == "w2"
+        with pytest.raises(KeyError):
+            vectors["zzz"]
+
     def test_cluster_separation(self, cluster_topic_model):
         from personagen.expansion import cosine
 
