@@ -213,15 +213,30 @@ def cmd_expand(args) -> int:
 
 
 def load_expansion_records(path) -> dict[int, list[str]]:
+    """Expansion tokens by conversation from the JSONL records ``expand``
+    writes: ``{"conversation": int, "words": [[token, score], ...]}``."""
     records: dict[int, list[str]] = {}
     with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(handle, start=1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            records[int(record["conversation"])] = [token for token, _ in record["words"]]
+            try:
+                record = json.loads(line)
+            except ValueError as err:
+                raise UserError(f"{path}:{number}: expansion record is not JSON ({err})") from err
+            if not isinstance(record, dict) or type(record.get("conversation")) is not int:
+                raise UserError(f"{path}:{number}: expansion record is not an object "
+                                "with an integer \"conversation\"")
+            words = record.get("words")
+            if not isinstance(words, list) or not all(map(_is_word_pair, words)):
+                raise UserError(f"{path}:{number}: \"words\" is not a list of [token, score] pairs")
+            records[record["conversation"]] = [token for token, _ in words]
     return records
+
+
+def _is_word_pair(word) -> bool:
+    return (isinstance(word, list) and len(word) == 2 and isinstance(word[0], str)
+            and type(word[1]) in (int, float))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .numkit import Tensor, matmul, softmax, stack, zeros
+from .numkit import Tensor, matmul, softmax, zeros
 
 
 @dataclass
@@ -33,41 +33,23 @@ class KeyValueMemory:
         return 0 if self.keys is None else self.keys.shape[0]
 
 
-def build_memory(representations: Sequence[Tensor],
+def build_memory(representations: Tensor,
                  key_mlp: Callable[[Tensor], Tensor],
-                 value_mlp: Callable[[Tensor], Tensor],
-                 key_dim: int | None = None,
-                 value_dim: int | None = None) -> KeyValueMemory:
-    """Map each representation through the key and value networks.
-
-    ``key_dim``/``value_dim`` are only needed for the empty-input case (they
-    are otherwise inferred from the first outputs, or from ``out_dim``
-    attributes when the callables expose one).
-    """
-    if not representations:
-        kd = key_dim if key_dim is not None else getattr(key_mlp, "out_dim", None)
-        vd = value_dim if value_dim is not None else getattr(value_mlp, "out_dim", None)
-        if kd is None or vd is None:
-            raise ValueError("empty build_memory needs explicit key_dim/value_dim")
-        return KeyValueMemory.empty(kd, vd)
-    keys = [key_mlp(rep) for rep in representations]
-    values = [value_mlp(rep) for rep in representations]
-    key_mat = stack(keys)
-    value_mat = stack(values)
-    return KeyValueMemory(key_mat, value_mat, key_mat.shape[1], value_mat.shape[1])
-
-
-def retrieve(query: Tensor, mem: KeyValueMemory) -> Tensor:
-    """Attention read: softmax(keys @ query) weighted sum of values.
-
-    An empty memory reads as a zero vector so downstream additive updates are
-    unaffected.
-    """
-    out, _ = retrieve_with_weights(query, mem)
-    return out
+                 value_mlp: Callable[[Tensor], Tensor]) -> KeyValueMemory:
+    """Map the (n, d) matrix of slot representations through the key and
+    value networks, one call each; row i of both becomes slot i."""
+    if representations.ndim != 2:
+        raise ValueError(f"build_memory needs an (n, d) matrix, got shape {representations.shape}")
+    keys = key_mlp(representations)
+    values = value_mlp(representations)
+    return KeyValueMemory(keys, values, keys.shape[1], values.shape[1])
 
 
 def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, Tensor | None]:
+    """Attention read: softmax(keys @ query) weighted sum of values, and the
+    weights. An empty memory reads as a zero vector (weights None) so
+    downstream additive updates are unaffected.
+    """
     if query.shape != (mem.key_dim,):
         raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
     if mem.slots == 0:

@@ -150,6 +150,15 @@ class DecoderState:
     step: int = 0
 
 
+def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams,
+                      embedding: Tensor) -> tuple[list[Tensor], Tensor]:
+    """Bi-GRU over each sentence: every sentence's final state, and the
+    per-token states of all sentences as one (tokens, 2H) matrix."""
+    encoded = [bigru_encode([lookup(embedding, i) for i in sentence], fwd, bwd)
+               for sentence in sentences]
+    return [final for _, final in encoded], concat([steps for steps, _ in encoded])
+
+
 def encode_persona(persona_sentences: list[list[int]], params: PersonaEncoderParams,
                    embedding: Tensor) -> tuple[KeyValueMemory, KeyValueMemory]:
     """Build the sentence-granularity and word-granularity persona memories.
@@ -159,37 +168,26 @@ def encode_persona(persona_sentences: list[list[int]], params: PersonaEncoderPar
     """
     if not persona_sentences:
         raise ValueError("encode_persona needs at least one persona sentence")
-    sentence_reps = []
-    word_reps = []
-    for sentence in persona_sentences:
-        vectors = [lookup(embedding, i) for i in sentence]
-        steps, final = bigru_encode(vectors, params.fwd, params.bwd)
-        sentence_reps.append(final)
-        word_reps.extend(steps)
-    mem_s = build_memory(sentence_reps, params.sent_key, params.sent_value)
+    sentence_reps, word_reps = _encode_sentences(
+        persona_sentences, params.fwd, params.bwd, embedding)
+    mem_s = build_memory(stack(sentence_reps), params.sent_key, params.sent_value)
     mem_w = build_memory(word_reps, params.word_key, params.word_value)
     return mem_s, mem_w
 
 
 def encode_history(history: list[list[int]], params: HistoryEncoderParams,
-                   embedding: Tensor) -> tuple[Tensor, list[Tensor], list[Tensor]]:
+                   embedding: Tensor) -> tuple[Tensor, list[Tensor], Tensor]:
     """Hierarchical encoding of the dialogue history.
 
     The word level encodes each utterance into a sentence vector C_i and
-    exposes every per-token state for decoder attention; the utterance level
-    consumes C_1..C_k in turn order and its final state summarizes the whole
-    history.
+    exposes every per-token state, as one (tokens, H) matrix, for decoder
+    attention; the utterance level consumes C_1..C_k in turn order and its
+    final state summarizes the whole history.
     """
     if not history:
         raise ValueError("encode_history needs at least one utterance")
-    sentence_vectors = []
-    word_states = []
-    for utterance in history:
-        ids = utterance if utterance else [UNK]
-        vectors = [lookup(embedding, i) for i in ids]
-        steps, final = bigru_encode(vectors, params.word_fwd, params.word_bwd)
-        sentence_vectors.append(final)
-        word_states.extend(steps)
+    sentence_vectors, word_states = _encode_sentences(
+        history, params.word_fwd, params.word_bwd, embedding)
     _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd)
     return e_x, sentence_vectors, word_states
 
@@ -347,17 +345,15 @@ class DialogueModel:
     def external_memory(self, expansion_ids: list[int]) -> KeyValueMemory:
         if not expansion_ids:
             return KeyValueMemory.empty(self.hidden, self.hidden)
-        reps = [lookup(self.embedding, i) for i in expansion_ids]
-        return build_memory(reps, self.e_key, self.e_value)
+        return build_memory(lookup(self.embedding, expansion_ids), self.e_key, self.e_value)
 
     def _encode(self, bound: BoundExample):
         mem_s, mem_w = encode_persona(bound.persona_ids, self.persona, self.embedding)
-        e_x, sentence_vectors, word_state_list = encode_history(
+        e_x, sentence_vectors, word_states = encode_history(
             bound.history_ids, self.history, self.embedding)
         queries = [self.c_proj(c) for c in sentence_vectors]
         o_k, trace = persona_information_retrieval(queries, mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
-        word_states = stack(word_state_list)
         mem_e = self.external_memory(bound.expansion_ids)
         return mem_s, mem_w, mem_e, word_states, state, trace
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import uniform_param, zero_param
-from .tensor import Tensor, concat, sigmoid, tanh, zeros
+from .tensor import Tensor, concat, sigmoid, stack, tanh, zeros
 
 
 @dataclass
@@ -65,12 +65,13 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     return (1.0 - z) * h + z * n
 
 
-def bigru_encode(seq: list[Tensor], fwd: GruParams, bwd: GruParams) -> tuple[list[Tensor], Tensor]:
+def bigru_encode(seq: list[Tensor], fwd: GruParams, bwd: GruParams) -> tuple[Tensor, Tensor]:
     """Run a Bi-GRU over a sequence of input vectors.
 
-    Returns per-step states (forward and backward directions concatenated,
-    dimension 2H) and the final state, which concatenates the forward state at
-    the last position with the backward state at the first position.
+    Returns the (T, 2H) matrix of per-step states, row t holding the forward
+    and backward states at position t side by side, and the final state,
+    which concatenates the forward state at the last position with the
+    backward state at the first position.
     """
     if not seq:
         raise ValueError("bigru_encode needs a non-empty sequence")
@@ -86,6 +87,6 @@ def bigru_encode(seq: list[Tensor], fwd: GruParams, bwd: GruParams) -> tuple[lis
     for t in reversed(range(len(seq))):
         h = gru_cell(seq[t], h, bwd)
         backward_states[t] = h
-    steps = [concat([f, b]) for f, b in zip(forward_states, backward_states)]
+    steps = concat([stack(forward_states), stack(backward_states)], axis=1)
     final = concat([forward_states[-1], backward_states[0]])
     return steps, final

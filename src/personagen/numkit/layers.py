@@ -23,8 +23,6 @@ class Affine:
     """
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, scale: float = 0.1):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = uniform_param(rng, (in_dim, out_dim), scale)
         self.b = zero_param((out_dim,))
 
@@ -40,14 +38,6 @@ class TanhMlp:
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, scale: float = 0.1):
         self.affine = Affine(in_dim, out_dim, rng, scale)
-
-    @property
-    def in_dim(self) -> int:
-        return self.affine.in_dim
-
-    @property
-    def out_dim(self) -> int:
-        return self.affine.out_dim
 
     def __call__(self, x) -> Tensor:
         return tanh(self.affine(x))

@@ -6,13 +6,14 @@ closure mapping the output gradient to input gradients; ``backward`` walks the
 records in reverse. With no active tape nothing is recorded, so inference and
 finite-difference probes run at plain numpy speed.
 
-Gradient ownership: a backward rule may return its upstream gradient itself,
-or a view of it (``add`` hands the same array to both operands), so
-``backward`` never writes into an array it did not allocate. The first
-gradient that reaches a tensor is stored as it is and marked not owned; the
-second one is added into a fresh array, which ``backward`` then owns and adds
-every later gradient into in place. Each leaf gradient returned is an array
-owned by ``backward`` alone: no two parameters share one, and none aliases an
+Gradient ownership: for each input, a backward rule returns either its
+upstream gradient ``g_out`` itself (``add`` hands it to both operands) or a
+value it allocated, which shares no memory with ``g_out`` or with the rule's
+other results (``lookup``'s ``RowGrad`` rows may be ``g_out``; they are only
+read). ``backward`` owns, and later adds into in place, every gradient a rule
+allocated; a ``g_out`` passed through is copied once, before its first write
+or when it reaches a leaf. Each leaf gradient returned is an array owned by
+``backward`` alone: no two parameters share one, and none aliases an
 intermediate gradient, so callers may scale them in place.
 
 Row-sparse lookups: the backward rule of ``lookup`` returns ``RowGrad(indices,
@@ -203,7 +204,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is not None:
-                _accumulate(flowing, owned, tensor, g)
+                _accumulate(flowing, owned, tensor, g, g is not g_out)
     result: dict[Tensor, Array] = {}
     for rec in tape.records:
         for tensor in rec.inputs:
@@ -219,10 +220,11 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
     return result
 
 
-def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g) -> None:
+def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,
+                fresh: bool) -> None:
     """Add gradient ``g`` (dense, or a RowGrad) to ``tensor``'s entry in
-    ``flowing``; ``owned`` holds the keys whose arrays ``backward`` allocated
-    and may therefore write into."""
+    ``flowing``; ``owned`` holds the keys whose arrays ``backward`` may write
+    into, and ``fresh`` says that a rule allocated ``g``."""
     key = id(tensor)
     current = flowing.get(key)
     if isinstance(g, RowGrad):
@@ -232,7 +234,9 @@ def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g) -
             owned.add(key)
         np.add.at(current, g.indices, g.rows)
     elif current is None:
-        flowing[key] = g
+        flowing[key] = np.asarray(g)  # a reduction to shape () gives a numpy scalar
+        if fresh:
+            owned.add(key)
     elif key in owned:
         current += g
     else:

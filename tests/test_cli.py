@@ -367,3 +367,36 @@ class TestExitCodes:
         bad.write_bytes(b"garbage")
         assert main(["generate", "--checkpoint", str(bad),
                      "--data", str(pipeline["data"])]) == 2
+
+
+VALID_EXPANSION_LINE = '{"conversation": 0, "words": [["guitar", 0.5]]}'
+
+MALFORMED_EXPANSION_LINES = {
+    "not_json": '{"conversation": 1, "words": []',
+    "not_object": '[1, []]',
+    "missing_conversation": '{"words": [["music", 0.4]]}',
+    "string_conversation": '{"conversation": "1", "words": []}',
+    "float_conversation": '{"conversation": 1.5, "words": []}',
+    "missing_words": '{"conversation": 1}',
+    "word_not_pair": '{"conversation": 1, "words": ["music"]}',
+    "word_score_not_number": '{"conversation": 1, "words": [["music", "high"]]}',
+}
+
+
+class TestMalformedExpansions:
+    @pytest.mark.parametrize("command", ["train", "generate"])
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EXPANSION_LINES))
+    def test_rejected_with_exit_2(self, case, command, pipeline, tmp_path, capsys):
+        records = tmp_path / "expansions.jsonl"
+        records.write_text(f"{VALID_EXPANSION_LINE}\n{MALFORMED_EXPANSION_LINES[case]}\n",
+                           encoding="utf-8")
+        if command == "train":
+            argv = ["train", "--config", str(pipeline["config"])]
+        else:
+            argv = ["generate", "--checkpoint", str(pipeline["model_ckpt"]),
+                    "--data", str(pipeline["data"])]
+        argv += ["--expansions", str(records), "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2" in err
+        assert "Traceback" not in err

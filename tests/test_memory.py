@@ -10,7 +10,6 @@ from personagen.memory import (
     build_memory,
     multihop,
     persona_information_retrieval,
-    retrieve,
     retrieve_with_weights,
 )
 
@@ -23,16 +22,11 @@ def memory_from_arrays(keys, values) -> KeyValueMemory:
 
 class TestBuildMemory:
     def test_identity_mlps(self):
-        reps = [nk.Tensor([1.0, 2.0]), nk.Tensor([3.0, 4.0])]
+        reps = nk.Tensor([[1.0, 2.0], [3.0, 4.0]])
         mem = build_memory(reps, lambda x: x, lambda x: x)
         assert np.array_equal(mem.keys.data, [[1, 2], [3, 4]])
         assert np.array_equal(mem.values.data, [[1, 2], [3, 4]])
         assert mem.slots == 2
-
-    def test_empty_input(self):
-        mem = build_memory([], lambda x: x, lambda x: x, key_dim=3, value_dim=2)
-        assert mem.slots == 0
-        assert mem.key_dim == 3 and mem.value_dim == 2
 
     def test_matches_mlp_oracle(self):
         from conftest import np_tanh_mlp
@@ -41,7 +35,7 @@ class TestBuildMemory:
         key_mlp = nk.TanhMlp(2, 3, rng)
         value_mlp = nk.TanhMlp(2, 3, rng)
         raw = [rng.normal(size=2) for _ in range(2)]
-        mem = build_memory([nk.Tensor(r) for r in raw], key_mlp, value_mlp)
+        mem = build_memory(nk.Tensor(np.stack(raw)), key_mlp, value_mlp)
         for i, r in enumerate(raw):
             assert np.allclose(mem.keys.data[i], np_tanh_mlp(r, key_mlp), atol=1e-12)
             assert np.allclose(mem.values.data[i], np_tanh_mlp(r, value_mlp), atol=1e-12)
@@ -50,7 +44,9 @@ class TestBuildMemory:
         rng = np.random.default_rng(0)
         key_mlp = nk.TanhMlp(3, 2, rng)
         with pytest.raises(ValueError):
-            build_memory([nk.Tensor([1.0, 2.0])], key_mlp, key_mlp)
+            build_memory(nk.Tensor([[1.0, 2.0]]), key_mlp, key_mlp)
+        with pytest.raises(ValueError, match="matrix"):
+            build_memory(nk.Tensor([1.0, 2.0, 3.0]), key_mlp, key_mlp)
 
 
 class TestRetrieve:
@@ -62,7 +58,7 @@ class TestRetrieve:
 
     def test_identical_keys_average_values(self):
         mem = memory_from_arrays([[1.0, 0.0]] * 3, [[0.0, 0.0], [3.0, 6.0], [6.0, 0.0]])
-        out = retrieve(nk.Tensor([2.0, 5.0]), mem)
+        out = retrieve_with_weights(nk.Tensor([2.0, 5.0]), mem)[0]
         assert np.allclose(out.data, [3.0, 2.0])
 
     def test_hand_softmax_arithmetic(self):
@@ -75,13 +71,13 @@ class TestRetrieve:
 
     def test_empty_memory_reads_zero(self):
         mem = KeyValueMemory.empty(2, 3)
-        out = retrieve(nk.Tensor([1.0, 2.0]), mem)
+        out = retrieve_with_weights(nk.Tensor([1.0, 2.0]), mem)[0]
         assert np.array_equal(out.data, np.zeros(3))
 
     def test_query_dim_checked(self):
         mem = memory_from_arrays([[1.0, 0.0]], [[1.0]])
         with pytest.raises(ValueError):
-            retrieve(nk.Tensor([1.0, 2.0, 3.0]), mem)
+            retrieve_with_weights(nk.Tensor([1.0, 2.0, 3.0]), mem)
 
     def test_weights_are_distribution(self):
         rng = np.random.default_rng(3)
@@ -95,7 +91,7 @@ class TestRetrieve:
         rng = np.random.default_rng(4)
         values = rng.normal(size=(6, 3))
         mem = memory_from_arrays(rng.normal(size=(6, 2)), values)
-        out = retrieve(nk.Tensor(rng.normal(size=2)), mem).data
+        out = retrieve_with_weights(nk.Tensor(rng.normal(size=2)), mem)[0].data
         assert (out <= values.max(axis=0) + 1e-12).all()
         assert (out >= values.min(axis=0) - 1e-12).all()
 
@@ -119,7 +115,7 @@ class TestPersonaInformationRetrieval:
         mem = memory_from_arrays(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
         c1 = nk.Tensor(rng.normal(size=2))
         out, trace = persona_information_retrieval([c1], mem)
-        assert np.allclose(out.data, retrieve(c1, mem).data)
+        assert np.allclose(out.data, retrieve_with_weights(c1, mem)[0].data)
         assert len(trace.weights) == 1
 
     def test_zero_values_keep_queries_equal_to_history(self):
@@ -174,8 +170,8 @@ class TestMultihop:
         mem_e = memory_from_arrays(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         q0 = nk.Tensor(rng.normal(size=2))
         result = multihop(q0, mem_w, mem_e, hops=1)
-        assert np.allclose(result.o_w.data, retrieve(q0, mem_w).data)
-        assert np.allclose(result.o_e.data, retrieve(q0, mem_e).data)
+        assert np.allclose(result.o_w.data, retrieve_with_weights(q0, mem_w)[0].data)
+        assert np.allclose(result.o_e.data, retrieve_with_weights(q0, mem_e)[0].data)
         assert np.allclose(result.query.data, q0.data + result.o_w.data + result.o_e.data)
 
     def test_zero_values_are_a_fixed_point(self):

@@ -103,7 +103,7 @@ class TestEncodeHistory:
         model = tiny_model()
         history = [[0, 1, 2, 3, 4], [5, 6, 7], [8, 9, 10, 11]]
         _, _, word_states = encode_history(history, model.history, model.embedding)
-        assert len(word_states) == 12
+        assert word_states.shape == (12, model.hidden)
 
     def test_matches_composition_oracle(self):
         model = tiny_model(seed=5)
@@ -119,8 +119,9 @@ class TestEncodeHistory:
             oracle_words.extend(steps)
         _, oracle_ex = np_bigru(oracle_cs, model.history.utt_fwd, model.history.utt_bwd)
         assert np.allclose(e_x.data, oracle_ex, atol=1e-12)
-        for ours, expected in zip(word_states, oracle_words):
-            assert np.allclose(ours.data, expected, atol=1e-12)
+        assert word_states.shape == (len(oracle_words), model.hidden)
+        for ours, expected in zip(word_states.data, oracle_words):
+            assert np.allclose(ours, expected, atol=1e-12)
         for ours, expected in zip(sentence_vectors, oracle_cs):
             assert np.allclose(ours.data, expected, atol=1e-12)
 
@@ -288,6 +289,19 @@ class TestJointLossAndGradients:
         bound = tiny_example(model.vocab)
         parts = model.example_loss(bound, LossSettings(gamma_match=0.0, gamma_bows=0.0))
         assert parts.joint.item() == pytest.approx(parts.nll.item(), abs=1e-12)
+
+    def test_tape_length_independent_of_expansion_count(self):
+        # the external memory is built from one lookup and one call of each
+        # memory network, however many expansion words there are
+        model = tiny_model(seed=15)
+        bound = tiny_example(model.vocab)
+        lengths = []
+        for count in (1, 20):
+            bound.expansion_ids = [i % len(model.vocab) for i in range(count)]
+            with nk.Tape() as tape:
+                model.example_loss(bound, LossSettings())
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
 
     def test_full_joint_loss_gradients_verify(self):
         model = tiny_model(hidden=4, emb=3, seed=14)

@@ -1,3 +1,6 @@
+import itertools
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import np_bigru, np_gru_step
 from personagen import numkit as nk
+from personagen.numkit.tensor import RowGrad
 
 
 def finite_difference(fn, tensor, eps=1e-6):
@@ -187,9 +191,41 @@ PRIMITIVE_CASES = {
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
 def test_primitive_gradients(name):
     build, shapes = PRIMITIVE_CASES[name]
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
     assert nk.grad_check(lambda: build(*params), params) < 1e-6
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
+def test_backward_rules_return_upstream_or_fresh_arrays(name):
+    # backward owns, and later adds into, every dense gradient a rule returns
+    # that is not the upstream gradient itself; that is sound only if such an
+    # array shares memory with nothing else the rule hands out
+    build, shapes = PRIMITIVE_CASES[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    with nk.Tape() as tape:
+        build(*params)
+    for rec in tape.records:
+        g_out = np.asarray(rng.normal(size=rec.output.shape))
+        fresh = [g for g in rec.backward_fn(g_out)
+                 if g is not None and g is not g_out and not isinstance(g, RowGrad)]
+        for g in fresh:
+            assert not np.shares_memory(g, g_out)
+        for g, h in itertools.combinations(fresh, 2):
+            assert not np.shares_memory(g, h)
+
+
+def test_scalar_leaf_gradients_accumulate():
+    # a reduction to shape () gives a numpy scalar, which cannot be added
+    # into in place
+    s = nk.Tensor(np.array(0.5), requires_grad=True)
+    v = nk.Tensor(np.ones(3), requires_grad=True)
+    with nk.Tape() as tape:
+        loss = nk.sum_(nk.add(v, s)) + nk.sum_(nk.mul(v, s))
+    grads = nk.backward(loss, tape)
+    assert isinstance(grads[s], np.ndarray) and grads[s].shape == ()
+    assert grads[s] == 6.0
 
 
 class TestGradCheck:
@@ -352,8 +388,8 @@ class TestBigru:
         fwd = nk.GruParams.create(2, 3, rng)
         bwd = nk.GruParams.create(2, 3, rng)
         steps, final = nk.bigru_encode([nk.Tensor([0.3, -0.6])], fwd, bwd)
-        assert len(steps) == 1
-        assert np.array_equal(steps[0].data, final.data)
+        assert steps.shape == (1, 6)
+        assert np.array_equal(steps.data[0], final.data)
 
     def test_palindrome_with_shared_params_mirrors(self):
         rng = np.random.default_rng(3)
@@ -362,8 +398,8 @@ class TestBigru:
         steps, _ = nk.bigru_encode(seq, fwd, fwd)
         n = len(seq)
         for t in range(n):
-            fwd_part = steps[t].data[:3]
-            bwd_part = steps[n - 1 - t].data[3:]
+            fwd_part = steps.data[t, :3]
+            bwd_part = steps.data[n - 1 - t, 3:]
             assert np.allclose(fwd_part, bwd_part, atol=1e-12)
 
     def test_matches_composition_oracle(self):
@@ -373,8 +409,9 @@ class TestBigru:
         raw = [rng.normal(size=2) for _ in range(3)]
         steps, final = nk.bigru_encode([nk.Tensor(x) for x in raw], fwd, bwd)
         oracle_steps, oracle_final = np_bigru(raw, fwd, bwd)
-        for ours, expected in zip(steps, oracle_steps):
-            assert np.allclose(ours.data, expected, atol=1e-12)
+        assert steps.shape == (3, 6)
+        for ours, expected in zip(steps.data, oracle_steps):
+            assert np.allclose(ours, expected, atol=1e-12)
         assert np.allclose(final.data, oracle_final, atol=1e-12)
 
     def test_empty_sequence_rejected(self):
