@@ -20,6 +20,7 @@ from .corpus import (
     Conversation,
     DialogueExample,
     EmbeddingTable,
+    InputFormatError,
     Vocabulary,
     build_vocab,
     compute_tfidf,
@@ -134,11 +135,38 @@ def _load_config(args) -> Config:
     return config
 
 
-def _load_conversations(path) -> list[Conversation]:
+def _read_input(load, path, *args):
+    """``load(path, *args)``, with a file that cannot be read, is not UTF-8
+    or is malformed reported as a UserError naming the path and, where one
+    line is at fault, the line."""
     try:
-        return load_personachat(path)
+        return load(path, *args)
     except OSError as err:
         raise UserError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise UserError(f"{_at(path, _undecodable_line(path))}: not UTF-8 text "
+                        f"({err.reason})") from err
+    except InputFormatError as err:
+        raise UserError(f"{_at(path, err.line_no)}: {err.message}") from err
+
+
+def _at(path, line: int | None) -> str:
+    return str(path) if line is None else f"{path}:{line}"
+
+
+def _undecodable_line(path) -> int | None:
+    """The number of the first line of ``path`` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
+
+
+def _load_conversations(path) -> list[Conversation]:
+    return _read_input(load_personachat, path)
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +243,10 @@ def cmd_expand(args) -> int:
 def load_expansion_records(path) -> dict[int, list[str]]:
     """Expansion tokens by conversation from the JSONL records ``expand``
     writes: ``{"conversation": int, "words": [[token, score], ...]}``."""
+    return _read_input(_parse_expansion_records, path)
+
+
+def _parse_expansion_records(path) -> dict[int, list[str]]:
     records: dict[int, list[str]] = {}
     with open(path, encoding="utf-8") as handle:
         for number, line in enumerate(handle, start=1):
@@ -280,7 +312,7 @@ def cmd_train(args) -> int:
 
     pretrained = None
     if config.paths.embeddings:
-        pretrained = load_embeddings(config.paths.embeddings, vocab)
+        pretrained = _read_input(load_embeddings, config.paths.embeddings, vocab)
         if pretrained.dim != config.model.emb_dim:
             print(f"note: using embedding dim {pretrained.dim} from {config.paths.embeddings}",
                   file=sys.stderr)
@@ -384,7 +416,7 @@ def cmd_eval(args) -> int:
 
     table: EmbeddingTable | None = None
     if config.paths.embeddings:
-        table = load_embeddings(config.paths.embeddings)
+        table = _read_input(load_embeddings, config.paths.embeddings)
 
     candidates: list[list[str]] = []
     references: list[list[str]] = []
@@ -415,8 +447,7 @@ def cmd_eval(args) -> int:
 
 def cmd_chat(args) -> int:
     model, config = _load_dialogue_model(args)
-    with open(args.persona, encoding="utf-8") as handle:
-        persona_sentences = [tokenize(line) for line in handle if line.strip()]
+    persona_sentences = _read_input(_load_persona, args.persona)
     if not persona_sentences:
         raise UserError(f"{args.persona}: no persona sentences")
     expansion_tokens: list[str] = []
@@ -439,6 +470,11 @@ def cmd_chat(args) -> int:
         print(detokenize(response), flush=True)
         history.append(response)
     return EXIT_OK
+
+
+def _load_persona(path) -> list[list[str]]:
+    with open(path, encoding="utf-8") as handle:
+        return [tokenize(line) for line in handle if line.strip()]
 
 
 if __name__ == "__main__":

@@ -88,10 +88,17 @@ class Conversation:
     examples: list[DialogueExample] = field(default_factory=list)
 
 
-class PersonaChatFormatError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+class InputFormatError(ValueError):
+    """A malformed input file; ``line_no`` is None when no one line is at fault."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+        self.message = message
+
+
+class PersonaChatFormatError(InputFormatError):
+    pass
 
 
 def load_personachat(path) -> list[Conversation]:
@@ -213,7 +220,7 @@ def compute_tfidf(documents: list[list[str]], vocab: Vocabulary) -> list[TfIdfDo
     return docs
 
 
-class EmbeddingFormatError(ValueError):
+class EmbeddingFormatError(InputFormatError):
     pass
 
 
@@ -247,17 +254,17 @@ def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
             token, values = parts[0], parts[1:]
             if dim is None:
                 if not values:
-                    raise EmbeddingFormatError(f"line {line_no}: no vector components")
+                    raise EmbeddingFormatError(line_no, "no vector components")
                 dim = len(values)
             elif len(values) != dim:
                 raise EmbeddingFormatError(
-                    f"line {line_no}: expected {dim} components, got {len(values)}")
+                    line_no, f"expected {dim} components, got {len(values)}")
             if vocab is not None and token not in vocab:
                 continue
             try:
                 vectors[token] = np.array([float(v) for v in values])
             except ValueError as err:
-                raise EmbeddingFormatError(f"line {line_no}: {err}") from err
+                raise EmbeddingFormatError(line_no, str(err)) from err
     if dim is None:
-        raise EmbeddingFormatError("embedding file is empty")
+        raise EmbeddingFormatError(None, "embedding file is empty")
     return EmbeddingTable(dim, vectors)

@@ -154,8 +154,7 @@ def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams
                       embedding: Tensor) -> tuple[list[Tensor], Tensor]:
     """Bi-GRU over each sentence: every sentence's final state, and the
     per-token states of all sentences as one (tokens, 2H) matrix."""
-    encoded = [bigru_encode([lookup(embedding, i) for i in sentence], fwd, bwd)
-               for sentence in sentences]
+    encoded = [bigru_encode(lookup(embedding, sentence), fwd, bwd) for sentence in sentences]
     return [final for _, final in encoded], concat([steps for steps, _ in encoded])
 
 
@@ -188,7 +187,7 @@ def encode_history(history: list[list[int]], params: HistoryEncoderParams,
         raise ValueError("encode_history needs at least one utterance")
     sentence_vectors, word_states = _encode_sentences(
         history, params.word_fwd, params.word_bwd, embedding)
-    _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd)
+    _, e_x = bigru_encode(stack(sentence_vectors), params.utt_fwd, params.utt_bwd)
     return e_x, sentence_vectors, word_states
 
 

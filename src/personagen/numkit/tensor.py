@@ -166,11 +166,17 @@ def active_tape() -> Tape | None:
     return getattr(_local, "tape", None)
 
 
+def _require_finite(values: Array, what: str) -> None:
+    """Raise FloatingPointError if per-op checks are on and ``values`` holds a
+    NaN or an infinity."""
+    if _check_finite and not np.isfinite(values).all():
+        raise FloatingPointError(f"{what} produced non-finite values")
+
+
 def _finish(out_data, inputs: tuple[Tensor, ...],
             backward_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
     out = Tensor(out_data)
-    if _check_finite and not np.isfinite(out.data).all():
-        raise FloatingPointError("primitive produced non-finite values")
+    _require_finite(out.data, "primitive")
     tape = active_tape()
     if tape is not None and any(t.requires_grad or t._tracked for t in inputs):
         out._tracked = True
@@ -320,14 +326,6 @@ def matmul(a, b) -> Tensor:
     return _finish(np.asarray(out), (a, b), backward_fn)
 
 
-def dot(a, b) -> Tensor:
-    """Inner product of two vectors."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise ValueError("dot expects two vectors")
-    return matmul(a, b)
-
-
 # ---------------------------------------------------------------------------
 # shape ops
 # ---------------------------------------------------------------------------
@@ -428,12 +426,9 @@ def mean(x, axis: int | None = None) -> Tensor:
 
 
 def _sigmoid_stable(v: Array) -> Array:
-    out = np.empty_like(v)
-    pos = v >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
-    ev = np.exp(v[~pos])
-    out[~pos] = ev / (1.0 + ev)
-    return out
+    """1 / (1 + e^-v) for v >= 0 and e^v / (1 + e^v) below, so no exp overflows."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 def tanh(x) -> Tensor:

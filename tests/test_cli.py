@@ -400,3 +400,78 @@ class TestMalformedExpansions:
         err = capsys.readouterr().err
         assert f"{records}:2" in err
         assert "Traceback" not in err
+
+
+TOY_LINES = toy_dialogue_text().splitlines(keepends=True)
+
+# file bytes, and the line at fault
+BAD_INPUT_FILES = {
+    "corpus_not_utf8": ("".join(TOY_LINES[:2]).encode("utf-8")
+                        + "3 your persona: i drink café.\n".encode("latin-1")
+                        + "".join(TOY_LINES[3:]).encode("utf-8"), 3),
+    "corpus_malformed": ((TOY_LINES[0] + "two your persona: i drink tea.\n"
+                          + "".join(TOY_LINES[2:])).encode("utf-8"), 2),
+    "embeddings_not_utf8": ("guitar 0.1 0.2 0.3\ncafé 0.4 0.5 0.6\n".encode("latin-1"), 2),
+    "embeddings_ragged": (b"guitar 0.1 0.2 0.3\nlove 0.4 0.5\n", 2),
+    "embeddings_not_numbers": (b"guitar 0.1 0.2 0.3\nlove 0.4 high 0.6\n", 2),
+    "expansions_not_utf8": ((VALID_EXPANSION_LINE + '\n{"conversation": 1, "words": '
+                             '[["café", 0.5]]}\n').encode("latin-1"), 2),
+    "persona_not_utf8": ("i love guitar .\ni drink café .\n".encode("latin-1"), 2),
+}
+
+BAD_INPUT_COMMANDS = [
+    ("corpus_not_utf8", "pretrain-topic"), ("corpus_not_utf8", "expand"),
+    ("corpus_not_utf8", "train"), ("corpus_not_utf8", "generate"),
+    ("corpus_malformed", "pretrain-topic"), ("corpus_malformed", "eval"),
+    ("embeddings_not_utf8", "train"), ("embeddings_not_utf8", "eval"),
+    ("embeddings_ragged", "train"), ("embeddings_not_numbers", "eval"),
+    ("expansions_not_utf8", "train"), ("expansions_not_utf8", "generate"),
+    ("persona_not_utf8", "chat"),
+]
+
+
+def bad_input_argv(kind, command, bad, pipeline, tmp_path):
+    """``command``'s arguments, reading the bad file as its ``kind`` input."""
+    out = str(tmp_path / "out")
+    data = bad if kind == "corpus" else str(pipeline["data"])
+    if command == "pretrain-topic":
+        return [command, "--corpus", bad, "--out", out]
+    if command == "expand":
+        return [command, "--topic", str(pipeline["topic_ckpt"]), "--data", bad, "--out", out]
+    if command == "chat":
+        return [command, "--checkpoint", str(pipeline["model_ckpt"]), "--persona", bad]
+    config = tmp_path / "config.json"
+    paths = {"train": data, "embeddings": bad if kind == "embeddings" else None}
+    config.write_text(json.dumps({
+        "paths": paths,
+        "model": {"hidden": 8, "emb_dim": 6, "vocab_size": 120, "batch_size": 16,
+                  "lr": 0.01, "hops": 1, "max_len": 6, "epochs": 1},
+    }), encoding="utf-8")
+    argv = [command, "--config", str(config), "--out", out]
+    if command != "train":
+        argv += ["--checkpoint", str(pipeline["model_ckpt"]), "--data", data]
+    if kind == "expansions":
+        argv += ["--expansions", bad]
+    return argv
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("case,command", BAD_INPUT_COMMANDS)
+    def test_exit_2_naming_path_and_line(self, case, command, pipeline, tmp_path, capsys,
+                                         monkeypatch):
+        content, line = BAD_INPUT_FILES[case]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(content)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello .\n"))
+        kind = case.split("_")[0]
+        assert main(bad_input_argv(kind, command, str(bad), pipeline, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:{line}:" in err
+        assert "Traceback" not in err
+
+    def test_empty_embeddings_file_names_path(self, pipeline, tmp_path, capsys):
+        bad = tmp_path / "empty.txt"
+        bad.write_text("\n", encoding="utf-8")
+        assert main(bad_input_argv("embeddings", "train", str(bad), pipeline, tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: embedding file is empty" in err

@@ -303,6 +303,19 @@ class TestJointLossAndGradients:
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
+    def test_tape_length_independent_of_sentence_lengths(self):
+        # each Bi-GRU direction is one record, however many tokens it reads
+        model = tiny_model(seed=16)
+        bound = tiny_example(model.vocab)
+        lengths = []
+        for count in (1, 9):
+            bound.persona_ids = [[4 + (s + i) % 12 for i in range(count)] for s in range(2)]
+            bound.history_ids = [[6 + (s + i) % 10 for i in range(count)] for s in range(3)]
+            with nk.Tape() as tape:
+                model.example_loss(bound, LossSettings())
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
     def test_full_joint_loss_gradients_verify(self):
         model = tiny_model(hidden=4, emb=3, seed=14)
         # check at a well-conditioned point: with the default tiny init some

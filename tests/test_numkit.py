@@ -160,6 +160,22 @@ class TestGradientOwnership:
         assert nk.grad_check(fn, [table, x]) < 1e-6
 
 
+def gru_shapes(input_dim, hidden_dim):
+    """Shapes of GruParams' nine tensors, in declaration order."""
+    w, u, b = (input_dim, hidden_dim), (hidden_dim, hidden_dim), (hidden_dim,)
+    return [w, u, b] * 3
+
+
+def gru_cell_case(x, h, *weights):
+    return nk.sum_(nk.tanh(nk.gru_cell(x, h, nk.GruParams(2, 3, *weights))))
+
+
+def bigru_case(x, *weights):
+    steps, final = nk.bigru_encode(x, nk.GruParams(2, 3, *weights[:9]),
+                                   nk.GruParams(2, 3, *weights[9:]))
+    return nk.add(nk.sum_(nk.tanh(steps)), nk.sum_(nk.mul(final, final)))
+
+
 PRIMITIVE_CASES = {
     "matmul_mat_vec": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
     "matmul_vec_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
@@ -185,6 +201,8 @@ PRIMITIVE_CASES = {
     "clip": (lambda a: nk.sum_(nk.clip(a, -0.5, 0.5)), [(6,)]),
     "lookup": (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
+    "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
+    "bigru_encode": (bigru_case, [(4, 2)] + gru_shapes(2, 3) * 2),
 }
 
 
@@ -387,16 +405,16 @@ class TestBigru:
         rng = np.random.default_rng(2)
         fwd = nk.GruParams.create(2, 3, rng)
         bwd = nk.GruParams.create(2, 3, rng)
-        steps, final = nk.bigru_encode([nk.Tensor([0.3, -0.6])], fwd, bwd)
+        steps, final = nk.bigru_encode(nk.Tensor([[0.3, -0.6]]), fwd, bwd)
         assert steps.shape == (1, 6)
         assert np.array_equal(steps.data[0], final.data)
 
     def test_palindrome_with_shared_params_mirrors(self):
         rng = np.random.default_rng(3)
         fwd = nk.GruParams.create(2, 3, rng)
-        seq = [nk.Tensor([1.0, 0.0]), nk.Tensor([0.5, 0.5]), nk.Tensor([1.0, 0.0])]
+        seq = nk.Tensor([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
         steps, _ = nk.bigru_encode(seq, fwd, fwd)
-        n = len(seq)
+        n = seq.shape[0]
         for t in range(n):
             fwd_part = steps.data[t, :3]
             bwd_part = steps.data[n - 1 - t, 3:]
@@ -407,7 +425,7 @@ class TestBigru:
         fwd = nk.GruParams.create(2, 3, rng)
         bwd = nk.GruParams.create(2, 3, rng)
         raw = [rng.normal(size=2) for _ in range(3)]
-        steps, final = nk.bigru_encode([nk.Tensor(x) for x in raw], fwd, bwd)
+        steps, final = nk.bigru_encode(nk.Tensor(np.stack(raw)), fwd, bwd)
         oracle_steps, oracle_final = np_bigru(raw, fwd, bwd)
         assert steps.shape == (3, 6)
         for ours, expected in zip(steps.data, oracle_steps):
@@ -418,7 +436,7 @@ class TestBigru:
         rng = np.random.default_rng(0)
         fwd = nk.GruParams.create(2, 3, rng)
         with pytest.raises(ValueError):
-            nk.bigru_encode([], fwd, fwd)
+            nk.bigru_encode(nk.zeros((0, 2)), fwd, fwd)
 
 
 @settings(max_examples=30, deadline=None)
@@ -427,6 +445,48 @@ def test_softmax_is_a_distribution(values):
     out = nk.softmax(nk.Tensor(values)).data
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) < 1e-12
+
+
+def test_bigru_rejects_input_that_is_not_a_t_by_e_matrix():
+    fwd = nk.GruParams.create(2, 3, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        nk.bigru_encode(nk.zeros((4, 5)), fwd, fwd)
+    with pytest.raises(ValueError):
+        nk.bigru_encode(nk.zeros(2), fwd, fwd)
+
+
+def test_huge_gru_weights_raise_from_both_entry_points():
+    # the fused kernels keep the per-op contract: a non-finite
+    # pre-activation raises, although the gates it saturates stay finite
+    rng = np.random.default_rng(4)
+    params = nk.GruParams.create(2, 3, rng)
+    for name in ("w_z", "w_r", "w_n"):
+        getattr(params, name).data[:] = 1e308
+    x = nk.Tensor([10.0, 10.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError):
+            nk.gru_cell(x, nk.zeros(3), params)
+        with pytest.raises(FloatingPointError):
+            nk.bigru_encode(nk.Tensor([[0.1, 0.2], [10.0, 10.0]]),
+                            nk.GruParams.create(2, 3, rng), params)
+        previous = nk.set_finite_checks(False)
+        try:
+            assert np.isfinite(nk.gru_cell(x, nk.zeros(3), params).data).all()
+        finally:
+            nk.set_finite_checks(previous)
+
+
+def test_sigmoid_matches_two_branch_reference_bitwise():
+    # reference: each formula evaluated only on its own half of the inputs
+    rng = np.random.default_rng(8)
+    v = np.concatenate([rng.normal(size=1000) * scale for scale in (1e-3, 1.0, 30.0, 800.0)]
+                       + [[0.0, -0.0, 1e-320, -1e-320, np.inf, -np.inf]])
+    want = np.empty_like(v)
+    pos = v >= 0
+    want[pos] = 1.0 / (1.0 + np.exp(-v[pos]))
+    ev = np.exp(v[~pos])
+    want[~pos] = ev / (1.0 + ev)
+    assert nk.sigmoid(nk.Tensor(v)).data.tobytes() == want.tobytes()
 
 
 def test_finite_check_raises_at_the_failing_op():
