@@ -11,6 +11,7 @@ are ignored). An index of 1 starts a new conversation. Lines beginning with
 
 from __future__ import annotations
 
+import re
 import string
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,19 +23,16 @@ from .stopwords import is_stopword
 PAD, UNK, SOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<sos>", "<eos>")
 
-_PUNCT_CHARS = set(string.punctuation)
+_PUNCT = re.escape(string.punctuation)
+# a run of characters that are neither whitespace nor punctuation, or one
+# punctuation character
+_TOKEN = re.compile(rf"[^\s{_PUNCT}]+|[{_PUNCT}]")
 
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split punctuation characters into standalone tokens, then
     whitespace-split. Empty text gives an empty list."""
-    pieces: list[str] = []
-    for ch in text.lower():
-        if ch in _PUNCT_CHARS:
-            pieces.append(f" {ch} ")
-        else:
-            pieces.append(ch)
-    return "".join(pieces).split()
+    return _TOKEN.findall(text.lower())
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -6,7 +6,10 @@ closure mapping the output gradient to input gradients; ``backward`` walks the
 records in reverse. With no active tape nothing is recorded, so inference and
 finite-difference probes run at plain numpy speed.
 
-Gradient ownership: for each input, a backward rule returns either its
+Gradient ownership: an input that neither requires a gradient nor is
+tracked (the output of a recorded op) is a constant: ``backward`` keeps no
+gradient for it, and ``matmul`` and ``mul`` return ``None`` in its slot rather
+than compute one. For every other input, a backward rule returns either its
 upstream gradient ``g_out`` itself (``add`` hands it to both operands) or a
 value it allocated, which shares no memory with ``g_out`` or with the rule's
 other results (``lookup``'s ``RowGrad`` rows may be ``g_out``; they are only
@@ -20,7 +23,9 @@ Row-sparse lookups: the backward rule of ``lookup`` returns ``RowGrad(indices,
 rows)`` rather than a dense table-size array. ``backward`` scatter-adds those
 rows into one owned table-size buffer per table, which dense gradients of the
 same table (say, from a ``matmul``) accumulate into as well; the gradients it
-returns are always dense.
+returns are always dense. Strictly increasing indices, such as ``np.unique``
+gives, are scattered with one fancy-index ``+=``; any other index array goes
+through ``np.add.at``, which sums repeated rows.
 
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
@@ -121,10 +126,6 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape))
 
 
-def ones(shape) -> Tensor:
-    return Tensor(np.ones(shape))
-
-
 class TapeRecord:
     """One primitive application: inputs, output, and its local backward rule."""
 
@@ -173,12 +174,18 @@ def _require_finite(values: Array, what: str) -> None:
         raise FloatingPointError(f"{what} produced non-finite values")
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether a gradient can flow to ``t``: a leaf that requires one, or the
+    output of a recorded op."""
+    return t.requires_grad or t._tracked
+
+
 def _finish(out_data, inputs: tuple[Tensor, ...],
             backward_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
     out = Tensor(out_data)
     _require_finite(out.data, "primitive")
     tape = active_tape()
-    if tape is not None and any(t.requires_grad or t._tracked for t in inputs):
+    if tape is not None and any(_needs_grad(t) for t in inputs):
         out._tracked = True
         tape.records.append(TapeRecord(inputs, out, backward_fn))
     return out
@@ -209,7 +216,7 @@ def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
         if g_out is None:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
-            if g is not None:
+            if g is not None and _needs_grad(tensor):
                 _accumulate(flowing, owned, tensor, g, g is not g_out)
     result: dict[Tensor, Array] = {}
     for rec in tape.records:
@@ -238,7 +245,11 @@ def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,
             flowing[key] = current = (np.zeros_like(tensor.data) if current is None
                                       else np.array(current, dtype=np.float64))
             owned.add(key)
-        np.add.at(current, g.indices, g.rows)
+        indices = g.indices
+        if (indices[1:] > indices[:-1]).all():  # unique, so no row adds twice
+            current[indices] += g.rows
+        else:
+            np.add.at(current, indices, g.rows)
     elif current is None:
         flowing[key] = np.asarray(g)  # a reduction to shape () gives a numpy scalar
         if fresh:
@@ -290,9 +301,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     adata, bdata = a.data, b.data
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def backward_fn(g):
-        return [_unbroadcast(g * bdata, adata.shape), _unbroadcast(g * adata, bdata.shape)]
+        return [_unbroadcast(g * bdata, adata.shape) if need_a else None,
+                _unbroadcast(g * adata, bdata.shape) if need_b else None]
 
     return _finish(adata * bdata, (a, b), backward_fn)
 
@@ -313,17 +326,25 @@ def matmul(a, b) -> Tensor:
     if not (1 <= adata.ndim <= 2 and 1 <= bdata.ndim <= 2):
         raise ValueError(f"matmul supports 1-D/2-D operands, got {adata.ndim}-D @ {bdata.ndim}-D")
     out = adata @ bdata
+    need_a, need_b = _needs_grad(a), _needs_grad(b)
 
     def backward_fn(g):
-        if adata.ndim == 1 and bdata.ndim == 1:
-            return [g * bdata, g * adata]
-        if adata.ndim == 2 and bdata.ndim == 1:
-            return [np.outer(g, bdata), adata.T @ g]
-        if adata.ndim == 1 and bdata.ndim == 2:
-            return [bdata @ g, np.outer(adata, g)]
-        return [g @ bdata.T, adata.T @ g]
+        return [_matmul_grad_a(g, adata, bdata) if need_a else None,
+                _matmul_grad_b(g, adata, bdata) if need_b else None]
 
     return _finish(np.asarray(out), (a, b), backward_fn)
+
+
+def _matmul_grad_a(g: Array, adata: Array, bdata: Array) -> Array:
+    if bdata.ndim == 1:
+        return g * bdata if adata.ndim == 1 else np.outer(g, bdata)
+    return bdata @ g if adata.ndim == 1 else g @ bdata.T
+
+
+def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Array:
+    if adata.ndim == 1:
+        return g * adata if bdata.ndim == 1 else np.outer(adata, g)
+    return adata.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +551,30 @@ def lookup(table, ids) -> Tensor:
         return [RowGrad(idx, g[None, :] if single else g)]
 
     return _finish(out, (table,), backward_fn)
+
+
+def take_columns(x, cols) -> Tensor:
+    """Entries ``cols`` of the last axis of a 1-D or 2-D tensor. ``cols`` must
+    be strictly increasing, as ``np.unique`` gives, so the backward rule
+    writes each column's gradient once."""
+    x = as_tensor(x)
+    xdata = x.data
+    if xdata.ndim not in (1, 2):
+        raise ValueError("take_columns expects a 1-D or 2-D tensor")
+    idx = np.asarray(cols, dtype=np.intp)
+    if idx.ndim != 1 or (idx[1:] <= idx[:-1]).any():
+        raise ValueError("take_columns needs strictly increasing column indices")
+    size = xdata.shape[-1]
+    if idx.size and (idx[0] < 0 or idx[-1] >= size):
+        raise IndexError(f"column index out of range for a last axis of size {size}")
+    shape = xdata.shape
+
+    def backward_fn(g):
+        grad = np.zeros(shape)
+        grad[..., idx] = g
+        return [grad]
+
+    return _finish(xdata[..., idx], (x,), backward_fn)
 
 
 def cross_entropy(p, index, floor: float = PROB_FLOOR) -> Tensor:

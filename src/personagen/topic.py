@@ -1,10 +1,11 @@
 """Variational topic model over tf-idf conversation vectors.
 
-A diagonal-Gaussian encoder compresses a document vector into a latent of the
-same dimension as the topic count; the decoder reconstructs a distribution
-over the topic vocabulary through a softmax output layer. After training, the
-output layer's weight matrix (topics x vocabulary) is read column-wise as a
-topic-space representation for every vocabulary word.
+A diagonal-Gaussian encoder compresses a document, read as a sparse bag of
+tf-idf weights, into a latent of the same dimension as the topic count; the
+decoder reconstructs a distribution over the topic vocabulary through a
+softmax output layer. After training, the output layer's weight matrix
+(topics x vocabulary) is read column-wise as a topic-space representation for
+every vocabulary word.
 """
 
 from __future__ import annotations
@@ -22,17 +23,21 @@ from .numkit import (
     Tape,
     Tensor,
     adam_step,
+    add,
     backward,
     clip,
     clip_global_norm,
     exp,
     log,
+    lookup,
+    matmul,
     mul,
     scale,
     softmax,
     softplus,
     sub,
     sum_,
+    take_columns,
 )
 
 
@@ -103,19 +108,32 @@ class TopicSpace(Mapping[str, TopicWordVector]):
         return len(self.tokens)
 
 
-def _as_dense_tensor(doc, size: int) -> Tensor:
-    if isinstance(doc, Tensor):
-        return doc
-    if isinstance(doc, TfIdfDoc):
-        return Tensor(doc.to_dense(size))
-    return Tensor(np.asarray(doc, dtype=np.float64))
+def _bag(docs: TfIdfDoc | list[TfIdfDoc]) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, cols) of one document or a list of them: ``cols`` is the
+    sorted union of their word ids and ``weights[..., k]`` each document's
+    tf-idf weight of word ``cols[k]``, a (U,) vector for one document and a
+    (B, U) matrix for a list."""
+    single = isinstance(docs, TfIdfDoc)
+    batch = [docs] if single else docs
+    cols = np.unique(np.fromiter((i for doc in batch for i in doc.weights), dtype=np.intp))
+    weights = np.zeros((len(batch), cols.size))
+    for row, doc in enumerate(batch):
+        weights[row, np.searchsorted(cols, list(doc.weights))] = list(doc.weights.values())
+    return (weights[0] if single else weights), cols
 
 
-def encode(doc, model: TopicModel) -> tuple[Tensor, Tensor, Tensor]:
-    """Document vector -> (mu, log variance, encoder hidden)."""
-    v = _as_dense_tensor(doc, len(model.vocab))
-    h_v = softplus(model.enc_hidden(v))
+def _encode(weights: np.ndarray, cols: np.ndarray, model: TopicModel
+            ) -> tuple[Tensor, Tensor, Tensor]:
+    # the input layer reads only the rows of the words present
+    layer = model.enc_hidden
+    h_v = softplus(add(matmul(weights, lookup(layer.w, cols)), layer.b))
     return model.enc_mu(h_v), model.enc_logvar(h_v), h_v
+
+
+def encode(docs: TfIdfDoc | list[TfIdfDoc], model: TopicModel) -> tuple[Tensor, Tensor, Tensor]:
+    """One document or a list of them -> (mu, log variance, encoder hidden):
+    vectors for one document, one row per document for a list."""
+    return _encode(*_bag(docs), model)
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, eps) -> Tensor:
@@ -130,21 +148,22 @@ def decode(z, model: TopicModel) -> Tensor:
     return softmax(model.dec_out(h), axis=-1)
 
 
-def elbo_loss(doc, model: TopicModel, eps) -> Tensor:
+def elbo_loss(docs: TfIdfDoc | list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
     """Mean negative ELBO over documents: reconstruction cross-entropy (tf-idf
     weights as soft counts) plus the closed-form Gaussian KL to N(0, I).
 
-    ``doc`` is one (vocab,) document or a (batch, vocab) matrix, with ``eps``
-    of shape (topics,) or (batch, topics) to match.
+    ``docs`` is one document, with ``eps`` of shape (topics,), or a list of
+    them, with ``eps`` of shape (len(docs), topics). The reconstruction term
+    reads the probabilities of the words present only; absent words weigh 0.
     """
-    v = _as_dense_tensor(doc, len(model.vocab))
-    mu, logvar, _ = encode(v, model)
+    weights, cols = _bag(docs)
+    mu, logvar, _ = _encode(weights, cols, model)
     z = reparameterize(mu, logvar, eps)
-    recon_probs = decode(z, model)
+    recon_probs = take_columns(decode(z, model), cols)
     log_probs = log(clip(recon_probs, PROB_FLOOR, 1.0))
-    recon = scale(sum_(mul(v, log_probs)), -1.0)
+    recon = scale(sum_(mul(weights, log_probs)), -1.0)
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
-    documents = v.shape[0] if v.ndim == 2 else 1
+    documents = weights.shape[0] if weights.ndim == 2 else 1
     return scale(recon + kl, 1.0 / documents)
 
 
@@ -177,7 +196,6 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
         model = TopicModel.create(vocab, config.topics, config.hidden, rng, config.init_scale)
     params = model.params()
     state = AdamState.create(params, lr=config.lr)
-    size = len(vocab)
 
     trace: list[tuple[int, float]] = []
     for epoch in range(1, config.epochs + 1):
@@ -186,11 +204,9 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
         for start in range(0, len(docs), config.batch_size):
             batch = order[start:start + config.batch_size]
             eps = rng.standard_normal((len(batch), model.topics))
-            # densified per batch so memory is bounded by the batch, not the corpus
-            dense = np.stack([docs[i].to_dense(size) for i in batch])
             try:
                 with Tape() as tape:
-                    loss = elbo_loss(dense, model, eps)
+                    loss = elbo_loss([docs[i] for i in batch], model, eps)
                 grad_map = backward(loss, tape)
             except FloatingPointError as err:
                 raise RuntimeError(

@@ -1,4 +1,5 @@
 import math
+import string
 
 import numpy as np
 import pytest
@@ -37,6 +38,26 @@ class TestTokenize:
                     min_size=0, max_size=10))
     def test_round_trip_fixed_point(self, tokens):
         assert tokenize(detokenize(tokens)) == tokens
+
+    @staticmethod
+    def char_loop_tokenize(text):
+        # reference: pad each punctuation character with spaces, then split
+        pieces = []
+        for ch in text.lower():
+            pieces.append(f" {ch} " if ch in string.punctuation else ch)
+        return "".join(pieces).split()
+
+    # whitespace that str.split() splits on, letters with special lowercasing
+    # (İ grows to two characters, a final Σ), and punctuation outside ASCII,
+    # which stays inside tokens
+    TRICKY = list("aZ9 .,'?!-_[]^\\()") + [
+        "\t", "\n", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000",
+        "é", "İ", "ß", "Σ", "¿", "—", "…", "字"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), st.text(alphabet=st.sampled_from(TRICKY))))
+    def test_matches_char_loop_reference(self, text):
+        assert tokenize(text) == self.char_loop_tokenize(text)
 
 
 class TestLoadPersonaChat:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import np_bigru, np_gru_step
 from personagen import numkit as nk
+from personagen.numkit import tensor as tensor_module
 from personagen.numkit.tensor import RowGrad
 
 
@@ -96,6 +97,88 @@ class TestBackward:
         x = nk.Tensor([1.0], requires_grad=True)
         out = x * 2.0
         assert not out._tracked
+
+
+class TestConstantInputs:
+    # a constant is an input that neither requires a gradient nor is the
+    # output of a recorded op: nothing reads a gradient for it
+
+    @pytest.mark.parametrize("op,shapes", [
+        (nk.matmul, [(3, 4), (4, 2)]),
+        (nk.matmul, [(4,), (4, 2)]),
+        (nk.matmul, [(3, 4), (4,)]),
+        (nk.matmul, [(4,), (4,)]),
+        (nk.mul, [(3, 2), (3, 2)]),
+        (nk.mul, [(3, 2), (2,)]),
+    ], ids=["mat_mat", "vec_mat", "mat_vec", "dot", "mul", "mul_broadcast"])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_rule_returns_none_for_a_constant_operand(self, op, shapes, constant):
+        rng = np.random.default_rng(2)
+        operands = [nk.Tensor(rng.normal(size=s), requires_grad=i != constant)
+                    for i, s in enumerate(shapes)]
+        with nk.Tape() as tape:
+            out = op(*operands)
+        (record,) = tape.records
+        grads = record.backward_fn(np.ones(out.shape))
+        assert grads[constant] is None
+        assert grads[1 - constant].shape == shapes[1 - constant]
+
+    def test_backward_keeps_no_gradient_for_a_constant(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        bags, weights, bias = rng.normal(size=(4, 30)), rng.normal(size=(30, 5)), rng.normal(size=5)
+        scales, shift = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+
+        def leaf_grads(constants_are_leaves):
+            w, b = nk.Tensor(weights, requires_grad=True), nk.Tensor(bias, requires_grad=True)
+            constants = [nk.Tensor(a, requires_grad=constants_are_leaves)
+                         for a in (bags, scales, shift)]
+            seen = []
+            accumulate = tensor_module._accumulate
+
+            def spy(flowing, owned, tensor, g, fresh):
+                seen.append(tensor)
+                accumulate(flowing, owned, tensor, g, fresh)
+
+            monkeypatch.setattr(tensor_module, "_accumulate", spy)
+            c, d, e = constants
+            with nk.Tape() as tape:
+                h = nk.tanh(nk.add(nk.matmul(c, w), b))
+                loss = nk.sum_(nk.add(nk.mul(d, h), e))
+            grads = nk.backward(loss, tape)
+            monkeypatch.undo()
+            return grads[w], grads[b], constants, seen
+
+        gw, gb, constants, seen = leaf_grads(False)
+        assert not any(t is c for t in seen for c in constants)
+        assert all(c.grad is None for c in constants)
+        # the same sweep with the constants as leaves: the weights' gradients
+        # are the same arrays bit for bit
+        gw_leaves, gb_leaves, _, _ = leaf_grads(True)
+        assert gw.tobytes() == gw_leaves.tobytes() and gb.tobytes() == gb_leaves.tobytes()
+        g_pre = scales * (1.0 - np.tanh(bags @ weights + bias) ** 2)
+        assert np.allclose(gw, bags.T @ g_pre, rtol=0, atol=1e-12)
+        assert np.allclose(gb, g_pre.sum(axis=0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("indices", [[0, 2, 5, 7], [4], [], [7, 2, 5, 0], [2, 5, 2, 7, 2]],
+                         ids=["sorted_unique", "single", "empty", "unsorted_unique", "repeated"])
+@pytest.mark.parametrize("start", ["empty", "owned", "borrowed"])
+def test_row_grad_scatter_matches_add_at(indices, start):
+    # unique indices take a fancy-index +=, others np.add.at; both must add
+    # each row exactly as np.add.at does
+    rng = np.random.default_rng(4)
+    table = nk.Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+    idx = np.asarray(indices, dtype=np.intp)
+    rows = rng.normal(size=(idx.size, 3))
+    flowing, owned = {}, set()
+    expected = np.zeros((8, 3))
+    if start != "empty":
+        prior = rng.normal(size=(8, 3))
+        expected = prior.copy()
+        tensor_module._accumulate(flowing, owned, table, prior, start == "owned")
+    np.add.at(expected, idx, rows)
+    tensor_module._accumulate(flowing, owned, table, RowGrad(idx, rows), True)
+    assert flowing[id(table)].tobytes() == expected.tobytes()
 
 
 # primitives whose backward hands on the upstream gradient itself, or (scale)
@@ -200,6 +283,8 @@ PRIMITIVE_CASES = {
     "log": (lambda a: nk.sum_(nk.log(nk.add(nk.mul(a, a), 0.5))), [(4,)]),
     "clip": (lambda a: nk.sum_(nk.clip(a, -0.5, 0.5)), [(6,)]),
     "lookup": (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
+    "take_columns": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [0, 2, 3]))), [(2, 5)]),
+    "take_columns_vector": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [1, 4]))), [(5,)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
     "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
     "bigru_encode": (bigru_case, [(4, 2)] + gru_shapes(2, 3) * 2),
@@ -232,6 +317,27 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
             assert not np.shares_memory(g, g_out)
         for g, h in itertools.combinations(fresh, 2):
             assert not np.shares_memory(g, h)
+
+
+@pytest.mark.parametrize("x_shape,cols,error", [
+    ((2, 5), [3, 1], ValueError),
+    ((2, 5), [1, 1], ValueError),
+    ((2, 5), [[0, 1]], ValueError),
+    ((2, 2, 5), [0], ValueError),
+    ((2, 5), [0, 5], IndexError),
+    ((5,), [-1, 2], IndexError),
+])
+def test_take_columns_rejects_bad_columns(x_shape, cols, error):
+    with pytest.raises(error):
+        nk.take_columns(nk.Tensor(np.zeros(x_shape)), cols)
+
+
+def test_take_columns_of_none_is_empty():
+    x = nk.Tensor(np.ones((2, 4)), requires_grad=True)
+    with nk.Tape() as tape:
+        loss = nk.sum_(nk.take_columns(x, np.array([], dtype=np.intp)))
+    assert loss.item() == 0.0
+    assert np.array_equal(nk.backward(loss, tape)[x], np.zeros((2, 4)))
 
 
 def test_scalar_leaf_gradients_accumulate():

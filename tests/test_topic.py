@@ -38,6 +38,20 @@ def np_forward(model, dense):
     return h, mu, logvar
 
 
+def np_elbo(model, dense, eps):
+    """Mean negative ELBO of the (batch, vocab) tf-idf rows ``dense``, in
+    numpy over every vocabulary column."""
+    _, mu, logvar = np_forward(model, dense)
+    z = mu + np.exp(0.5 * logvar) * eps
+    softplus = lambda v: np.logaddexp(0.0, v)
+    hid = softplus(z @ model.dec_hidden.w.data + model.dec_hidden.b.data)
+    probs = np.stack([np_softmax(row)
+                      for row in hid @ model.dec_out.w.data + model.dec_out.b.data])
+    recon = -(dense * np.log(np.clip(probs, nk.PROB_FLOOR, 1.0))).sum()
+    kl = 0.5 * (mu * mu + np.exp(logvar) - logvar - 1.0).sum()
+    return float((recon + kl) / dense.shape[0])
+
+
 class TestEncode:
     def test_zeroed_model_gives_zero_moments(self):
         model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
@@ -57,6 +71,18 @@ class TestEncode:
         assert np.allclose(mu.data, omu, atol=1e-12)
         assert np.allclose(logvar.data, ologvar, atol=1e-12)
 
+    def test_list_gives_one_row_per_document(self):
+        rng = np.random.default_rng(12)
+        model = TopicModel.create(small_vocab(), 2, 5, rng)
+        for _, t in model.named_params():
+            t.data[:] = rng.normal(size=t.data.shape)
+        docs = [TfIdfDoc({4: 1.5, 6: 0.75}), TfIdfDoc({}), TfIdfDoc({6: 2.0, 9: 1.0})]
+        batched = encode(docs, model)
+        for row, doc in enumerate(docs):
+            for whole, single in zip(batched, encode(doc, model)):
+                assert whole.shape == (len(docs),) + single.shape
+                assert np.allclose(whole.data[row], single.data, rtol=0, atol=1e-12)
+
     def test_doubling_doc_doubles_preactivation(self):
         rng = np.random.default_rng(2)
         model = TopicModel.create(small_vocab(), 2, 4, rng)  # bias starts zero
@@ -73,7 +99,7 @@ class TestReparameterize:
         assert np.array_equal(z.data, mu.data)
 
     def test_collapsed_variance_returns_mean(self):
-        z = reparameterize(nk.Tensor([1.0, 2.0]), nk.Tensor([-50.0, -50.0]), nk.ones(2))
+        z = reparameterize(nk.Tensor([1.0, 2.0]), nk.Tensor([-50.0, -50.0]), nk.Tensor(np.ones(2)))
         assert np.allclose(z.data, [1.0, 2.0], atol=1e-10)
 
     def test_arithmetic_identity(self):
@@ -162,12 +188,28 @@ class TestElbo:
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5}), TfIdfDoc({})]
-        dense = np.stack([d.to_dense(len(model.vocab)) for d in docs])
         eps = rng.normal(size=(3, 2))
         rows = [elbo_loss(d, model, e).item() for d, e in zip(docs, eps)]
-        assert elbo_loss(dense, model, eps).item() == pytest.approx(np.mean(rows), rel=1e-12)
+        assert elbo_loss(docs, model, eps).item() == pytest.approx(np.mean(rows), rel=1e-12)
         params = [t for _, t in model.named_params()]
-        assert nk.grad_check(lambda: elbo_loss(dense, model, eps), params) < 1e-4
+        assert nk.grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
+
+    @pytest.mark.parametrize("docs", [
+        [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({7: 0.5, 5: 1.5}), TfIdfDoc({4: 1.0, 9: 3.0})],
+        [TfIdfDoc({6: 1.0}), TfIdfDoc({}), TfIdfDoc({6: 2.0, 8: 0.25})],
+        [TfIdfDoc({}), TfIdfDoc({})],
+    ], ids=["shared_words", "with_empty_doc", "all_empty"])
+    def test_batch_matches_dense_oracle(self, docs):
+        rng = np.random.default_rng(8)
+        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        for _, t in model.named_params():
+            t.data[:] = rng.normal(size=t.data.shape) * 0.3
+        eps = rng.normal(size=(len(docs), 2))
+        dense = np.stack([d.to_dense(len(model.vocab)) for d in docs])
+        expected = np_elbo(model, dense, eps)
+        assert elbo_loss(docs, model, eps).item() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        params = [t for _, t in model.named_params()]
+        assert nk.grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
 
 
 class TestTraining:
@@ -188,6 +230,16 @@ class TestTraining:
         _, trace_a = train_topic_model(docs, vocab, config)
         _, trace_b = train_topic_model(docs, vocab, config)
         assert trace_a == trace_b
+
+    def test_builds_no_dense_document_matrix(self, monkeypatch):
+        def refuse(doc, size):
+            raise AssertionError("training densified a document")
+
+        monkeypatch.setattr(TfIdfDoc, "to_dense", refuse)
+        docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({}), TfIdfDoc({7: 3.0})]
+        config = TopicTrainConfig(topics=2, hidden=4, epochs=2, batch_size=3, seed=5)
+        _, trace = train_topic_model(docs, small_vocab(), config)
+        assert [epoch for epoch, _ in trace] == [1, 2]
 
     def test_empty_docs_rejected(self):
         with pytest.raises(ValueError):
