@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .numkit import Tensor, matmul, softmax, zeros
+from .numkit import Tensor, matmul, softmax, transpose, zeros
 
 
 @dataclass
@@ -49,13 +49,19 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
     """Attention read: softmax(keys @ query) weighted sum of values, and the
     weights. An empty memory reads as a zero vector (weights None) so
     downstream additive updates are unaffected.
+
+    ``query`` is one (key_dim,) query or a (k, key_dim) batch of rows; row i
+    of the read and of the (k, n) weights belongs to query row i.
     """
-    if query.shape != (mem.key_dim,):
+    if query.ndim not in (1, 2) or query.shape[-1] != mem.key_dim:
         raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
     if mem.slots == 0:
-        return zeros(mem.value_dim), None
-    scores = matmul(mem.keys, query)          # (n,)
-    weights = softmax(scores, axis=-1)        # (n,)
+        return zeros(query.shape[:-1] + (mem.value_dim,)), None
+    if query.ndim == 1:
+        scores = matmul(mem.keys, query)                # (n,)
+    else:
+        scores = matmul(query, transpose(mem.keys))     # (k, n)
+    weights = softmax(scores, axis=-1)
     return matmul(weights, mem.values), weights
 
 
@@ -113,7 +119,8 @@ def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
 
     Each hop reads both memories with the shared query, then adds both
     outputs back into the query so the two retrievals influence each other on
-    the next hop. Requires at least one hop.
+    the next hop. Requires at least one hop. ``q0`` is one query or a (k, d)
+    batch of rows, each read on its own.
     """
     if hops < 1:
         raise ValueError("multihop needs at least one hop")

@@ -1,6 +1,9 @@
 """Multi-source sequence encoders, the persona-oriented decoder, and
 beam-search generation (greedy decoding is beam width 1).
 
+A decoder step runs on one (H,) state or on a (k, H) batch of rows, one per
+beam hypothesis, so beam search reads the output weights once per step.
+
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
 H-dimensional, where H is the shared model hidden size; memory keys, memory
@@ -42,6 +45,7 @@ from .numkit import (
     gru_cell,
     lookup,
     matmul,
+    reshape,
     softmax,
     stack,
     tanh,
@@ -144,12 +148,6 @@ class DecoderParams:
         return params
 
 
-@dataclass
-class DecoderState:
-    hidden: Tensor
-    step: int = 0
-
-
 def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams,
                       embedding: Tensor) -> tuple[list[Tensor], Tensor]:
     """Bi-GRU over each sentence: every sentence's final state, and the
@@ -191,21 +189,34 @@ def encode_history(history: list[list[int]], params: HistoryEncoderParams,
     return e_x, sentence_vectors, word_states
 
 
-def init_state(e_x: Tensor, o_k: Tensor, init_proj: Affine) -> DecoderState:
+def init_state(e_x: Tensor, o_k: Tensor, init_proj: Affine) -> Tensor:
     """Project the concatenated history summary and final retrieval output to
-    the decoder hidden size."""
-    return DecoderState(hidden=init_proj(concat([e_x, o_k])), step=0)
+    the decoder hidden size: the (H,) initial decoder state."""
+    return init_proj(concat([e_x, o_k]))
 
 
-def attend_history(s_t: Tensor, word_states: Tensor, params: DecoderParams) -> tuple[Tensor, Tensor]:
+def history_keys(word_states: Tensor, params: DecoderParams) -> Tensor:
+    """The step-independent half of the history attention's pre-activation,
+    ``word_states @ attn_wt + attn_b``: (n, attn), computed once per example."""
+    return matmul(word_states, params.attn_wt) + params.attn_b
+
+
+def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
+                   params: DecoderParams) -> tuple[Tensor, Tensor]:
     """Additive attention over history word states.
 
-    ``word_states`` is the stacked (n, word_dim) matrix. Returns the context
-    vector and the attention distribution.
+    ``word_states`` is the stacked (n, word_dim) matrix and ``word_keys`` its
+    ``history_keys``. ``s_t`` is one (H,) state or a (k, H) batch of rows.
+    Returns the context vector and the (n,) attention distribution, or one row
+    of each per state row.
     """
-    # (n, attn) = broadcast of (attn,) + (n, attn) + (attn,)
-    pre = tanh(matmul(s_t, params.attn_ws) + matmul(word_states, params.attn_wt) + params.attn_b)
-    scores = matmul(pre, params.attn_v)       # (n,)
+    query = matmul(s_t, params.attn_ws)                       # (attn,) or (k, attn)
+    if s_t.ndim == 1:
+        scores = matmul(tanh(query + word_keys), params.attn_v)         # (n,)
+    else:
+        (k, attn), n = query.shape, word_keys.shape[0]
+        pre = tanh(reshape(query, (k, 1, attn)) + word_keys)            # (k, n, attn)
+        scores = reshape(matmul(reshape(pre, (k * n, attn)), params.attn_v), (k, n))
     weights = softmax(scores, axis=-1)
     return matmul(weights, word_states), weights
 
@@ -217,37 +228,41 @@ class StepDiagnostics:
     hop_e_weights: list[Tensor | None] = field(default_factory=list)
 
 
-def decoder_features(prev_token: int, state: DecoderState, mem_w: KeyValueMemory,
-                     mem_e: KeyValueMemory, word_states: Tensor, params: DecoderParams,
-                     hops: int, embedding: Tensor,
-                     ) -> tuple[Tensor, DecoderState, StepDiagnostics]:
+def decoder_features(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
+                     mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
+                     params: DecoderParams, hops: int, embedding: Tensor,
+                     ) -> tuple[Tensor, Tensor, StepDiagnostics]:
     """Everything of a decoder step before the output layer.
 
     Advances the GRU on the previous token's embedding, attends over history
     words and runs the multi-hop read over both persona word memories.
     Returns the concatenation [state; history context; word read; external
     read], the new state, and attention diagnostics.
+
+    ``prev`` is one token id with an (H,) ``state``, or a sequence of k ids
+    with a (k, H) ``state``: k independent steps whose results are rows.
     """
-    x = lookup(embedding, int(prev_token))
-    s_t = gru_cell(x, state.hidden, params.cell)
-    u_x, attn_weights = attend_history(s_t, word_states, params)
+    x = lookup(embedding, prev)
+    s_t = gru_cell(x, state, params.cell)
+    u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
     hop: MultihopResult = multihop(s_t, mem_w, mem_e, hops)
-    features = concat([s_t, u_x, hop.o_w, hop.o_e])
+    features = concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1)
     diag = StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
-    return features, DecoderState(s_t, state.step + 1), diag
+    return features, s_t, diag
 
 
-def decode_step(prev_token: int, state: DecoderState, mem_w: KeyValueMemory,
-                mem_e: KeyValueMemory, word_states: Tensor, params: DecoderParams,
-                hops: int, embedding: Tensor,
-                ) -> tuple[Tensor, Tensor, DecoderState, StepDiagnostics]:
+def decode_step(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
+                mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
+                params: DecoderParams, hops: int, embedding: Tensor,
+                ) -> tuple[Tensor, Tensor, Tensor, StepDiagnostics]:
     """One decoder step: ``decoder_features`` mapped through the output layer.
 
     Returns the token distribution, the raw output activations, the new
-    state, and attention diagnostics.
+    state, and attention diagnostics. With k rows in, each result holds one
+    row per input row, and the output layer is one (k, 4H) GEMM.
     """
     features, new_state, diag = decoder_features(
-        prev_token, state, mem_w, mem_e, word_states, params, hops, embedding)
+        prev, state, mem_w, mem_e, word_states, word_keys, params, hops, embedding)
     s_tilde = params.out(features)
     probs = softmax(s_tilde, axis=-1)
     return probs, s_tilde, new_state, diag
@@ -354,7 +369,8 @@ class DialogueModel:
         o_k, trace = persona_information_retrieval(queries, mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
         mem_e = self.external_memory(bound.expansion_ids)
-        return mem_s, mem_w, mem_e, word_states, state, trace
+        word_keys = history_keys(word_states, self.decoder)
+        return mem_s, mem_w, mem_e, word_states, word_keys, state, trace
 
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
         """Teacher-forced joint loss of one example.
@@ -362,13 +378,14 @@ class DialogueModel:
         The decoder runs step by step up to the output layer; the output
         layer and softmax then run once over the stacked (T, 4H) features.
         """
-        _, mem_w, mem_e, word_states, state, trace = self._encode(bound)
+        _, mem_w, mem_e, word_states, word_keys, state, trace = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
         step_features = []
         for prev in inputs:
             features, state, _ = decoder_features(
-                prev, state, mem_w, mem_e, word_states, self.decoder, self.hops, self.embedding)
+                prev, state, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops,
+                self.embedding)
             step_features.append(features)
         activations = self.decoder.out(stack(step_features))
         nll = nll_loss(softmax(activations, axis=-1), targets)
@@ -403,9 +420,9 @@ class DialogueModel:
             raise ValueError("beam_width must be at least 1")
         if mode not in ("greedy", "beam"):
             raise ValueError(f"unknown generation mode {mode!r}")
-        _, mem_w, mem_e, word_states, state, trace = self._encode(bound)
+        _, mem_w, mem_e, word_states, word_keys, state, trace = self._encode(bound)
         width = 1 if mode == "greedy" else beam_width
-        ids, steps = self._beam(state, mem_w, mem_e, word_states, width, max_len,
+        ids, steps = self._beam(state, mem_w, mem_e, word_states, word_keys, width, max_len,
                                 collect_diagnostics)
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
@@ -416,45 +433,50 @@ class DialogueModel:
             return tokens, diagnostics
         return tokens
 
-    def _beam(self, state, mem_w, mem_e, word_states, beam_width, max_len, collect):
-        # hypotheses: (summed log prob, token tuple, decoder state, step diagnostics)
-        live = [(0.0, (), state, ())]
+    def _beam(self, state, mem_w, mem_e, word_states, word_keys, beam_width, max_len, collect):
+        # live hypotheses: (summed log prob, token tuple, step diagnostics);
+        # row i of `rows` is live hypothesis i's decoder state
+        live = [(0.0, (), ())]
+        rows = stack([state])
         finished = []
         for _ in range(max_len):
-            candidates = []
-            for score, tokens, hyp_state, steps in live:
-                prev = tokens[-1] if tokens else SOS
-                probs, _, new_state, diag = decode_step(
-                    prev, hyp_state, mem_w, mem_e, word_states, self.decoder, self.hops,
-                    self.embedding)
+            prev = [tokens[-1] if tokens else SOS for _, tokens, _ in live]
+            probs, _, rows, diag = decode_step(
+                prev, rows, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops,
+                self.embedding)
+            log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
+            candidates = []   # (score, tokens, parent row, step diagnostics)
+            for i, (score, tokens, steps) in enumerate(live):
                 if collect:
-                    steps = steps + (_step_record(diag),)
-                log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
-                for token in _top_k(log_probs, beam_width):
-                    candidates.append((score + float(log_probs[token]),
-                                       tokens + (int(token),), new_state, steps))
+                    steps = steps + (_step_record(diag, i),)
+                for token in _top_k(log_probs[i], beam_width):
+                    candidates.append((score + float(log_probs[i, token]),
+                                       tokens + (int(token),), i, steps))
             candidates.sort(key=lambda c: (-c[0], c[1]))
-            live = []
-            for candidate in candidates:
-                if candidate[1][-1] == EOS:
-                    finished.append(candidate)
+            live, parents = [], []
+            for score, tokens, parent, steps in candidates:
+                if tokens[-1] == EOS:
+                    finished.append((score, tokens, steps))
                 else:
-                    live.append(candidate)
+                    live.append((score, tokens, steps))
+                    parents.append(parent)
                 if len(live) >= beam_width:
                     break
             if not live:
                 break
-        _, best, _, steps = min(finished + live, key=lambda c: (-c[0], c[1]))
+            rows = lookup(rows, parents)
+        _, best, steps = min(finished + live, key=lambda c: (-c[0], c[1]))
         return [i for i in best if i != EOS], list(steps)
 
 
-def _step_record(diag: StepDiagnostics) -> dict[str, list[float]]:
-    """History attention and the last hop's memory attention of one step."""
-    record = {"attention": [float(x) for x in diag.attention.data]}
+def _step_record(diag: StepDiagnostics, row: int) -> dict[str, list[float]]:
+    """History attention and the last hop's memory attention of one step's
+    ``row``."""
+    record = {"attention": [float(x) for x in diag.attention.data[row]]}
     if diag.hop_w_weights[-1] is not None:
-        record["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
+        record["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data[row]]
     if diag.hop_e_weights[-1] is not None:
-        record["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
+        record["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data[row]]
     return record
 
 

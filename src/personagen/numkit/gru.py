@@ -69,11 +69,15 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
     Update/reset gates are sigmoids of affine combinations of x and h; the
     candidate applies the reset gate to h before its hidden-to-hidden term.
+    ``x`` is one (E,) input with an (H,) ``h``, or a (k, E) batch of rows with
+    a (k, H) ``h``; row i of the result is the step of row i.
     """
-    if x.shape != (params.input_dim,):
-        raise ValueError(f"gru_cell input has shape {x.shape}, expected ({params.input_dim},)")
-    if h.shape != (params.hidden_dim,):
-        raise ValueError(f"gru_cell hidden has shape {h.shape}, expected ({params.hidden_dim},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
+        raise ValueError(f"gru_cell input has shape {x.shape}, expected "
+                         f"({params.input_dim},) or (k, {params.input_dim})")
+    if h.shape != x.shape[:-1] + (params.hidden_dim,):
+        raise ValueError(f"gru_cell hidden has shape {h.shape}, expected "
+                         f"{x.shape[:-1] + (params.hidden_dim,)} for input of shape {x.shape}")
     return _gru(x, h, params, reverse=False)
 
 
@@ -101,32 +105,36 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams) -> tuple[Tensor, Ten
 def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tensor:
     """The GRU over the rows of ``x`` as one tape record.
 
-    A (T, E) ``x`` gives the (T, H) states, row t the state after input row t;
-    ``reverse`` feeds the rows last to first. A 1-D ``x`` is one step and
-    gives one state. ``h0`` is the initial state; None starts from zero,
-    which is then no input of the record and gets no gradient.
+    With ``h0`` None, ``x`` is a (T, E) sequence run from the zero state, which
+    is then no input of the record and gets no gradient; the result is the
+    (T, H) states, row t the state after input row t, and ``reverse`` feeds the
+    rows last to first. Otherwise ``x`` is one step, an (E,) input or (k, E)
+    rows, from the matching (H,) or (k, H) ``h0``, and gives one state per row.
     """
     w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in params.tensors())
+    hidden = params.hidden_dim
     xs = x.data.reshape(-1, params.input_dim)
-    steps, hidden = xs.shape[0], params.hidden_dim
+    if h0 is None:   # (steps, rows) = (T, 1)
+        steps, rows, start = xs.shape[0], 1, np.zeros((1, hidden))
+    else:            # (1, k)
+        steps, rows, start = 1, xs.shape[0], h0.data.reshape(-1, hidden)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
-    start = np.zeros(hidden) if h0 is None else h0.data
 
     # every step's input projections, one GEMM per gate
-    x_z, x_r, x_n = xs @ w_z, xs @ w_r, xs @ w_n
-    pre = np.empty((steps, 3 * hidden))      # [a_z | a_r | a_n] per step
-    gates = np.empty((steps, 3 * hidden))    # [z | r | n] per step
-    states = np.empty((steps, hidden))
+    x_z, x_r, x_n = ((xs @ w).reshape(steps, rows, hidden) for w in (w_z, w_r, w_n))
+    pre = np.empty((steps, rows, 3 * hidden))      # [a_z | a_r | a_n] per step and row
+    gates = np.empty((steps, rows, 3 * hidden))    # [z | r | n] per step and row
+    states = np.empty((steps, rows, hidden))
     h = start
     for t in order:
         a, g = pre[t], gates[t]
-        a_z, a_r, a_n = a[:hidden], a[hidden:2 * hidden], a[2 * hidden:]
+        a_z, a_r, a_n = a[:, :hidden], a[:, hidden:2 * hidden], a[:, 2 * hidden:]
         np.add(x_z[t], h @ u_z, out=a_z)
         a_z += b_z
         np.add(x_r[t], h @ u_r, out=a_r)
         a_r += b_r
-        g[:2 * hidden] = _sigmoid_stable(a[:2 * hidden])
-        z, r, n = g[:hidden], g[hidden:2 * hidden], g[2 * hidden:]
+        g[:, :2 * hidden] = _sigmoid_stable(a[:, :2 * hidden])
+        z, r, n = g[:, :hidden], g[:, hidden:2 * hidden], g[:, 2 * hidden:]
         np.add(x_n[t], (r * h) @ u_n, out=a_n)
         a_n += b_n
         np.tanh(a_n, out=n)
@@ -134,13 +142,13 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
     _require_finite(pre, "GRU pre-activation")
 
     def backward_fn(g_out):
-        g_states = g_out.reshape(steps, hidden)
+        g_states = g_out.reshape(steps, rows, hidden)
         prev = np.empty_like(states)          # the state each step started from
         if reverse:
             prev[:-1], prev[-1] = states[1:], start
         else:
             prev[1:], prev[0] = states[:-1], start
-        z, r, n = gates[:, :hidden], gates[:, hidden:2 * hidden], gates[:, 2 * hidden:]
+        z, r, n = gates[..., :hidden], gates[..., hidden:2 * hidden], gates[..., 2 * hidden:]
         # per-step factors of d(pre-activation)/d(state) that the carried
         # gradient does not change
         f_z = (n - prev) * z * (1.0 - z)
@@ -148,7 +156,7 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
         f_r = prev * r * (1.0 - r)
         keep = 1.0 - z
         u_z_t, u_r_t, u_n_t = u_z.T, u_r.T, u_n.T
-        d_z, d_r, d_n = (np.empty((steps, hidden)) for _ in range(3))  # d(pre-activation)
+        d_z, d_r, d_n = (np.empty((steps, rows, hidden)) for _ in range(3))  # d(pre-activation)
         carry = None
         for t in reversed(order):
             dh = g_states[t] if carry is None else g_states[t] + carry
@@ -159,11 +167,14 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
             np.multiply(d_rh, f_r[t], out=d_rt)
             if t != order[0] or h0 is not None:
                 carry = dh * keep[t] + d_rh * r[t] + d_zt @ u_z_t + d_rt @ u_r_t
+        # one (steps * rows)-row GEMM per weight gradient
+        d_z, d_r, d_n, prev, r = (a.reshape(-1, hidden) for a in (d_z, d_r, d_n, prev, r))
         d_x = (d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T).reshape(x.shape)
         d_params = [xs.T @ d_z, prev.T @ d_z, d_z.sum(axis=0),
                     xs.T @ d_r, prev.T @ d_r, d_r.sum(axis=0),
                     xs.T @ d_n, (r * prev).T @ d_n, d_n.sum(axis=0)]
-        return [d_x] + ([] if h0 is None else [carry]) + d_params
+        return [d_x] + ([] if h0 is None else [carry.reshape(h0.shape)]) + d_params
 
     inputs = (x,) + (() if h0 is None else (h0,)) + tuple(params.tensors())
-    return _finish(states if x.ndim == 2 else states[0], inputs, backward_fn)
+    return _finish(states[:, 0] if h0 is None else states[0].reshape(h0.shape),
+                   inputs, backward_fn)

@@ -387,6 +387,31 @@ def stack(tensors: Iterable) -> Tensor:
     return _finish(out, tuple(parts), backward_fn)
 
 
+def reshape(x, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in another shape (numpy's row-major order)."""
+    x = as_tensor(x)
+    old = x.data.shape
+
+    def backward_fn(g):
+        return [np.array(g.reshape(old))]
+
+    return _finish(x.data.reshape(shape), (x,), backward_fn)
+
+
+def transpose(x) -> Tensor:
+    """The transpose of a 2-D tensor. The output's data is a view of ``x``'s,
+    so ``matmul(q, transpose(keys))`` makes the same BLAS call as
+    ``matmul(keys, q)`` for a 1-D ``q`` and gives bit-identical results."""
+    x = as_tensor(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"transpose expects a 2-D tensor, got shape {x.data.shape}")
+
+    def backward_fn(g):
+        return [np.array(g.T)]
+
+    return _finish(x.data.T, (x,), backward_fn)
+
+
 def slice_(x, key) -> Tensor:
     """Basic indexing (ints and slices); use lookup for index arrays."""
     x = as_tensor(x)

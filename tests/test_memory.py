@@ -231,3 +231,73 @@ class TestMultihop:
 
         err = nk.grad_check(fn, [keys_w, values_w, keys_e, values_e, q0])
         assert err < 1e-6
+
+
+class TestRowForms:
+    """A (k, d) batch of queries reads like k stacked single-query calls."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_retrieve_rows_equal_stacked_queries(self, k):
+        rng = np.random.default_rng(20 + k)
+        mem = memory_from_arrays(rng.normal(size=(4, 3)), rng.normal(size=(4, 2)))
+        queries = rng.normal(size=(k, 3))
+        out, weights = retrieve_with_weights(nk.Tensor(queries), mem)
+        assert out.shape == (k, 2) and weights.shape == (k, 4)
+        for i, q in enumerate(queries):
+            want_out, want_weights = retrieve_with_weights(nk.Tensor(q), mem)
+            np.testing.assert_allclose(out.data[i], want_out.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights.data[i], want_weights.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_retrieve_rows_from_empty_memory(self, k):
+        out, weights = retrieve_with_weights(nk.Tensor(np.ones((k, 3))), KeyValueMemory.empty(3, 2))
+        assert weights is None
+        assert np.array_equal(out.data, np.zeros((k, 2)))
+
+    @pytest.mark.parametrize("empty_external", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_multihop_rows_equal_stacked_queries(self, k, empty_external):
+        rng = np.random.default_rng(30 + k)
+        mem_w = memory_from_arrays(rng.normal(size=(3, 2)), rng.normal(size=(3, 2)))
+        mem_e = (KeyValueMemory.empty(2, 2) if empty_external
+                 else memory_from_arrays(rng.normal(size=(2, 2)), rng.normal(size=(2, 2))))
+        queries = rng.normal(size=(k, 2))
+        rows = multihop(nk.Tensor(queries), mem_w, mem_e, hops=3)
+        for i, q in enumerate(queries):
+            one = multihop(nk.Tensor(q), mem_w, mem_e, hops=3)
+            for got, want in ((rows.o_w, one.o_w), (rows.o_e, one.o_e), (rows.query, one.query)):
+                assert got.shape == (k, 2)
+                np.testing.assert_allclose(got.data[i], want.data, rtol=0, atol=1e-12)
+            for got_hops, want_hops in ((rows.w_weights, one.w_weights),
+                                        (rows.e_weights, one.e_weights)):
+                for got, want in zip(got_hops, want_hops, strict=True):
+                    if want is None:
+                        assert got is None
+                    else:
+                        np.testing.assert_allclose(got.data[i], want.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("empty_external", [False, True])
+    def test_multihop_rows_gradients(self, empty_external):
+        rng = np.random.default_rng(40)
+        keys_w = nk.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        values_w = nk.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        keys_e = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        values_e = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        q0 = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+
+        def fn():
+            mem_w = KeyValueMemory(keys_w, values_w, 3, 3)
+            mem_e = (KeyValueMemory.empty(3, 3) if empty_external
+                     else KeyValueMemory(keys_e, values_e, 3, 3))
+            result = multihop(q0, mem_w, mem_e, hops=3)
+            return nk.sum_(nk.tanh(result.query))
+
+        params = [keys_w, values_w, q0] + ([] if empty_external else [keys_e, values_e])
+        assert nk.grad_check(fn, params) < 1e-6
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 3)])
+    def test_query_width_mismatch_names_both(self, shape):
+        mem = memory_from_arrays(np.ones((2, 3)), np.ones((2, 3)))
+        with pytest.raises(ValueError) as err:
+            retrieve_with_weights(nk.Tensor(np.ones(shape)), mem)
+        assert str(shape) in str(err.value) and "dim 3" in str(err.value)

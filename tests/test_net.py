@@ -15,7 +15,6 @@ from personagen.losses import (
     p_match_targets,
 )
 from personagen.net import (
-    DecoderState,
     DialogueModel,
     LossSettings,
     _top_k,
@@ -24,6 +23,7 @@ from personagen.net import (
     decode_step,
     encode_history,
     encode_persona,
+    history_keys,
     init_state,
 )
 from personagen.trainer import TrainSettings, train_dialogue_model
@@ -137,15 +137,15 @@ class TestInitState:
         proj.w.data[:] = np.eye(4)
         proj.b.data[:] = 0.0
         state = init_state(nk.Tensor([1.0, 2.0]), nk.Tensor([3.0, 4.0]), proj)
-        assert np.allclose(state.hidden.data, [1.0, 2.0, 3.0, 4.0])
-        assert state.step == 0
+        assert np.allclose(state.data, [1.0, 2.0, 3.0, 4.0])
+        assert state.shape == (4,)
 
     def test_zero_retrieval_depends_only_on_history(self):
         rng = np.random.default_rng(1)
         proj = nk.Affine(5, 3, rng)
         e_x = nk.Tensor(rng.normal(size=3))
-        a = init_state(e_x, nk.zeros(2), proj).hidden.data
-        b = init_state(e_x, nk.zeros(2), proj).hidden.data
+        a = init_state(e_x, nk.zeros(2), proj).data
+        b = init_state(e_x, nk.zeros(2), proj).data
         assert np.array_equal(a, b)
         w_ex, w_ok = proj.w.data[:3], proj.w.data[3:]
         expected = e_x.data @ w_ex + proj.b.data
@@ -158,7 +158,7 @@ class TestInitState:
         o_k = rng.normal(size=2)
         state = init_state(nk.Tensor(e_x), nk.Tensor(o_k), proj)
         expected = np.concatenate([e_x, o_k]) @ proj.w.data + proj.b.data
-        assert np.allclose(state.hidden.data, expected, atol=1e-12)
+        assert np.allclose(state.data, expected, atol=1e-12)
 
 
 class TestAttendHistory:
@@ -167,7 +167,8 @@ class TestAttendHistory:
         state_row = np.random.default_rng(0).normal(size=model.hidden)
         word_states = nk.Tensor(np.tile(state_row, (5, 1)))
         s_t = nk.Tensor(np.random.default_rng(1).normal(size=model.hidden))
-        u, weights = attend_history(s_t, word_states, model.decoder)
+        u, weights = attend_history(s_t, word_states, history_keys(word_states, model.decoder),
+                                    model.decoder)
         assert np.allclose(u.data, state_row, atol=1e-12)
         assert np.allclose(weights.data, 0.2)
 
@@ -176,8 +177,8 @@ class TestAttendHistory:
         model.decoder.attn_v.data[:] = 0.0
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(4, model.hidden))
-        u, weights = attend_history(nk.Tensor(rng.normal(size=model.hidden)),
-                                    nk.Tensor(rows), model.decoder)
+        u, weights = attend_history(nk.Tensor(rng.normal(size=model.hidden)), nk.Tensor(rows),
+                                    history_keys(nk.Tensor(rows), model.decoder), model.decoder)
         assert np.allclose(weights.data, 0.25)
         assert np.allclose(u.data, rows.mean(axis=0), atol=1e-12)
 
@@ -191,9 +192,54 @@ class TestAttendHistory:
                         @ d.attn_v.data) for row in rows]
         expected_weights = np_softmax(scores)
         expected_u = expected_weights @ rows
-        u, weights = attend_history(nk.Tensor(s_t), nk.Tensor(rows), d)
+        u, weights = attend_history(nk.Tensor(s_t), nk.Tensor(rows),
+                                    history_keys(nk.Tensor(rows), d), d)
         assert np.allclose(weights.data, expected_weights, atol=1e-12)
         assert np.allclose(u.data, expected_u, atol=1e-12)
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_equal_stacked_states(self, k):
+        model = tiny_model(seed=9 + k)
+        rng = np.random.default_rng(30 + k)
+        rows = nk.Tensor(rng.normal(size=(5, model.hidden)))
+        keys = history_keys(rows, model.decoder)
+        states = rng.normal(size=(k, model.hidden))
+        u, weights = attend_history(nk.Tensor(states), rows, keys, model.decoder)
+        assert u.shape == (k, model.hidden) and weights.shape == (k, 5)
+        for i, s_t in enumerate(states):
+            want_u, want_weights = attend_history(nk.Tensor(s_t), rows, keys, model.decoder)
+            np.testing.assert_allclose(u.data[i], want_u.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights.data[i], want_weights.data, rtol=0, atol=1e-12)
+
+    def test_rows_gradients(self):
+        model = tiny_model(seed=13)
+        rng = np.random.default_rng(33)
+        d = model.decoder
+        # a well-conditioned point, as in the whole-model checks below: at the
+        # tiny init the attention is near uniform and some entries' gradients
+        # fall to where central differences lose digits
+        attention = [d.attn_ws, d.attn_wt, d.attn_b, d.attn_v]
+        for p in attention:
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        rows = nk.Tensor(rng.normal(size=(4, model.hidden)), requires_grad=True)
+        states = nk.Tensor(rng.normal(size=(3, model.hidden)), requires_grad=True)
+
+        def loss(s_t):
+            u, weights = attend_history(s_t, rows, history_keys(rows, d), d)
+            return nk.sum_(nk.tanh(u)) + nk.sum_(nk.mul(weights, weights))
+
+        assert nk.grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
+        # and they are the sums of the single-state calls' gradients
+        with nk.Tape() as tape:
+            got = nk.backward(loss(states), tape)
+        singles = [nk.Tensor(s, requires_grad=True) for s in states.data]
+        with nk.Tape() as tape:
+            want = nk.backward(nk.sum_(nk.stack([loss(s) for s in singles])), tape)
+        for p in [rows] + attention:
+            np.testing.assert_allclose(got[p], want[p], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got[states], np.stack([want[s] for s in singles]),
+                                   rtol=0, atol=1e-12)
 
 
 class TestDecodeStep:
@@ -211,13 +257,14 @@ class TestDecodeStep:
         rng = np.random.default_rng(4)
         mem_w, mem_e = self.build_memories(model, rng)
         word_states = nk.Tensor(rng.normal(size=(6, model.hidden)))
-        state = DecoderState(nk.Tensor(rng.normal(size=model.hidden)))
+        state = nk.Tensor(rng.normal(size=model.hidden))
         probs, s_tilde, new_state, diag = decode_step(
-            SOS, state, mem_w, mem_e, word_states, model.decoder, 3, model.embedding)
+            SOS, state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            model.decoder, 3, model.embedding)
         assert probs.data.shape == (len(model.vocab),)
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert (probs.data > 0).all()
-        assert new_state.step == 1
+        assert new_state.shape == (model.hidden,)
         assert abs(diag.attention.data.sum() - 1.0) < 1e-9
         assert abs(diag.hop_w_weights[-1].data.sum() - 1.0) < 1e-9
 
@@ -227,21 +274,62 @@ class TestDecodeStep:
         mem_w, _ = self.build_memories(model, rng)
         mem_e = KeyValueMemory.empty(model.hidden, model.hidden)
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
-        state = DecoderState(nk.Tensor(rng.normal(size=model.hidden)))
+        state = nk.Tensor(rng.normal(size=model.hidden))
         probs, _, _, diag = decode_step(
-            1, state, mem_w, mem_e, word_states, model.decoder, 2, model.embedding)
+            1, state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            model.decoder, 2, model.embedding)
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert diag.hop_e_weights[-1] is None
+
+    @pytest.mark.parametrize("empty_external", [False, True])
+    def test_rows_equal_stacked_steps(self, empty_external):
+        model = tiny_model(seed=12)
+        rng = np.random.default_rng(8)
+        mem_w, mem_e = self.build_memories(model, rng)
+        if empty_external:
+            mem_e = KeyValueMemory.empty(model.hidden, model.hidden)
+        word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
+        keys = history_keys(word_states, model.decoder)
+        tokens, states = [SOS, 5, 5], rng.normal(size=(3, model.hidden))
+        probs, s_tilde, new_rows, diag = decode_step(
+            tokens, nk.Tensor(states), mem_w, mem_e, word_states, keys, model.decoder, 2,
+            model.embedding)
+        assert probs.shape == (3, len(model.vocab)) and new_rows.shape == (3, model.hidden)
+        for i, (token, state) in enumerate(zip(tokens, states)):
+            one = decode_step(token, nk.Tensor(state), mem_w, mem_e, word_states, keys,
+                              model.decoder, 2, model.embedding)
+            for got, want in zip((probs, s_tilde, new_rows), one[:3]):
+                np.testing.assert_allclose(got.data[i], want.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(diag.attention.data[i], one[3].attention.data,
+                                       rtol=0, atol=1e-12)
+
+    def test_one_row_is_bitwise_the_single_state_step(self):
+        # greedy decoding runs one row; its oracle runs single states
+        model = tiny_model(hidden=6, seed=14)
+        rng = np.random.default_rng(9)
+        mem_w, mem_e = self.build_memories(model, rng)
+        word_states = nk.Tensor(rng.normal(size=(5, model.hidden)))
+        keys = history_keys(word_states, model.decoder)
+        state = rng.normal(size=model.hidden)
+        args = (mem_w, mem_e, word_states, keys, model.decoder, 3, model.embedding)
+        row = decode_step([7], nk.Tensor(state[None, :]), *args)
+        one = decode_step(7, nk.Tensor(state), *args)
+        for got, want in zip(row[:3], one[:3]):
+            assert np.array_equal(got.data[0], want.data)
+        for got, want in zip(row[3].hop_w_weights + row[3].hop_e_weights + [row[3].attention],
+                             one[3].hop_w_weights + one[3].hop_e_weights + [one[3].attention]):
+            assert np.array_equal(got.data[0], want.data)
 
     def test_out_of_range_token_rejected(self):
         model = tiny_model()
         rng = np.random.default_rng(6)
         mem_w, mem_e = self.build_memories(model, rng)
         word_states = nk.Tensor(rng.normal(size=(2, model.hidden)))
-        state = DecoderState(nk.Tensor(rng.normal(size=model.hidden)))
+        state = nk.Tensor(rng.normal(size=model.hidden))
         with pytest.raises(IndexError):
             decode_step(len(model.vocab) + 5, state, mem_w, mem_e, word_states,
-                        model.decoder, 2, model.embedding)
+                        history_keys(word_states, model.decoder), model.decoder, 2,
+                        model.embedding)
 
     def test_matches_composition_oracle(self):
         model = tiny_model(seed=11)
@@ -269,8 +357,8 @@ class TestDecodeStep:
         expected = np_softmax(logits)
 
         probs, s_tilde, _, _ = decode_step(
-            token, DecoderState(nk.Tensor(state_vec)), mem_w, mem_e,
-            nk.Tensor(word_rows), d, 3, model.embedding)
+            token, nk.Tensor(state_vec), mem_w, mem_e, nk.Tensor(word_rows),
+            history_keys(nk.Tensor(word_rows), d), d, 3, model.embedding)
         assert np.allclose(s_tilde.data, logits, atol=1e-10)
         assert np.allclose(probs.data, expected, atol=1e-10)
 
@@ -353,14 +441,15 @@ class TestJointLossAndGradients:
 def per_step_loss(model, bound, settings):
     """Oracle for ``example_loss``: the output layer, softmax and cross
     entropy run once per decode step, through ``decode_step``."""
-    _, mem_w, mem_e, word_states, state, trace = model._encode(bound)
+    _, mem_w, mem_e, word_states, word_keys, state, trace = model._encode(bound)
     inputs = [SOS] + bound.response_ids
     targets = bound.response_ids + [EOS]
     step_losses = []
     step_activations = []
     for prev, target in zip(inputs, targets):
         probs, s_tilde, state, _ = decode_step(
-            prev, state, mem_w, mem_e, word_states, model.decoder, model.hops, model.embedding)
+            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
+            model.embedding)
         step_losses.append(nk.cross_entropy(probs, target))
         step_activations.append(s_tilde)
     nll = nk.mean(nk.stack(step_losses))
@@ -438,27 +527,68 @@ class TestPretrainedEmbeddings:
                           rng=np.random.default_rng(0), pretrained=table)
 
 
+def oracle_step_entry(diag):
+    """The ``--diagnostics`` record of one single-state decode step."""
+    entry = {"attention": [float(x) for x in diag.attention.data]}
+    if diag.hop_w_weights[-1] is not None:
+        entry["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
+    if diag.hop_e_weights[-1] is not None:
+        entry["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
+    return entry
+
+
 def greedy_oracle(model, bound, max_len):
     """Argmax decoding straight over decode_step: the tokens, and the history
     and last-hop memory attention of every step (the EOS step included)."""
-    _, mem_w, mem_e, word_states, state, _ = model._encode(bound)
+    _, mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
     ids, steps = [], []
     prev = SOS
     for _ in range(max_len):
         probs, _, state, diag = decode_step(
-            prev, state, mem_w, mem_e, word_states, model.decoder, model.hops, model.embedding)
+            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
+            model.embedding)
         token = int(np.argmax(probs.data))
-        entry = {"attention": [float(x) for x in diag.attention.data]}
-        if diag.hop_w_weights[-1] is not None:
-            entry["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
-        if diag.hop_e_weights[-1] is not None:
-            entry["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
-        steps.append(entry)
+        steps.append(oracle_step_entry(diag))
         if token == EOS:
             break
         ids.append(token)
         prev = token
     return [model.vocab.token(i) for i in ids], steps
+
+
+def per_hypothesis_beam(model, bound, beam_width, max_len):
+    """Beam search with one single-state ``decode_step`` per live hypothesis,
+    each carrying its own state: the tokens and the best hypothesis' step
+    records. Same ranking as ``generate``: summed log probability, then the
+    token tuple; EOS-terminated hypotheses retire and compete by score."""
+    _, mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
+    live = [(0.0, (), state, ())]
+    finished = []
+    for _ in range(max_len):
+        candidates = []
+        for score, tokens, hyp_state, steps in live:
+            prev = tokens[-1] if tokens else SOS
+            probs, _, new_state, diag = decode_step(
+                prev, hyp_state, mem_w, mem_e, word_states, word_keys, model.decoder,
+                model.hops, model.embedding)
+            steps = steps + (oracle_step_entry(diag),)
+            log_probs = np.log(np.maximum(probs.data, nk.PROB_FLOOR))
+            for token in np.argsort(-log_probs, kind="stable")[:beam_width]:
+                candidates.append((score + float(log_probs[token]),
+                                   tokens + (int(token),), new_state, steps))
+        candidates.sort(key=lambda c: (-c[0], c[1]))
+        live = []
+        for candidate in candidates:
+            if candidate[1][-1] == EOS:
+                finished.append(candidate)
+            else:
+                live.append(candidate)
+            if len(live) >= beam_width:
+                break
+        if not live:
+            break
+    _, best, _, steps = min(finished + live, key=lambda c: (-c[0], c[1]))
+    return [model.vocab.token(i) for i in best if i != EOS], list(steps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -481,6 +611,26 @@ class TestGenerate:
         bound = tiny_example(model.vocab)
         tokens, diag = model.generate(bound, mode="greedy", max_len=8, collect_diagnostics=True)
         assert (tokens, diag["steps"]) == greedy_oracle(model, bound, 8)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    @pytest.mark.parametrize("seed", range(24))
+    def test_beam_matches_per_hypothesis_oracle(self, seed, width):
+        model = tiny_model(hidden=4 + 2 * (seed % 3), hops=1 + seed % 3, seed=200 + seed)
+        rng = np.random.default_rng(seed)
+        for p in model.params():
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        # a raised EOS bias on some seeds mixes early stops into the max-length runs
+        model.decoder.out.b.data[EOS] += 0.5 * (seed % 4)
+        bound = random_example(model.vocab, rng, with_expansion=seed % 2 == 0)
+        tokens, diag = model.generate(bound, mode="beam", beam_width=width, max_len=8,
+                                      collect_diagnostics=True)
+        want_tokens, want_steps = per_hypothesis_beam(model, bound, width, 8)
+        assert tokens == want_tokens
+        assert len(diag["steps"]) == len(want_steps)
+        for got, want in zip(diag["steps"], want_steps):
+            assert got.keys() == want.keys()
+            for name in want:
+                np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
 
     def test_max_len_one_gives_at_most_one_token(self):
         model = tiny_model(seed=16)

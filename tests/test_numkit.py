@@ -272,6 +272,8 @@ PRIMITIVE_CASES = {
     "concat": (lambda a, b: nk.sum_(nk.tanh(nk.concat([a, b]))), [(3,), (2,)]),
     "stack": (lambda a, b: nk.sum_(nk.tanh(nk.stack([a, b]))), [(3,), (3,)]),
     "slice": (lambda a: nk.sum_(nk.slice_(a, (slice(0, 2), 1))), [(3, 3)]),
+    "reshape": (lambda a, b: nk.sum_(nk.mul(nk.reshape(a, (3, 1, 2)), b)), [(2, 3), (4, 2)]),
+    "transpose": (lambda a, b: nk.sum_(nk.tanh(nk.matmul(b, nk.transpose(a)))), [(3, 2), (4, 2)]),
     "sum_axis": (lambda a: nk.sum_(nk.tanh(nk.sum_(a, axis=0))), [(3, 2)]),
     "mean": (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
     "mean_axis": (lambda a: nk.sum_(nk.tanh(nk.mean(a, axis=1))), [(2, 3)]),
@@ -287,6 +289,7 @@ PRIMITIVE_CASES = {
     "take_columns_vector": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [1, 4]))), [(5,)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
     "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
+    "gru_cell_rows": (gru_cell_case, [(3, 2), (3, 3)] + gru_shapes(2, 3)),
     "bigru_encode": (bigru_case, [(4, 2)] + gru_shapes(2, 3) * 2),
 }
 
@@ -330,6 +333,19 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
 def test_take_columns_rejects_bad_columns(x_shape, cols, error):
     with pytest.raises(error):
         nk.take_columns(nk.Tensor(np.zeros(x_shape)), cols)
+
+
+def test_transpose_rejects_non_matrix():
+    with pytest.raises(ValueError, match=r"\(3,\)"):
+        nk.transpose(nk.Tensor(np.zeros(3)))
+
+
+def test_transpose_then_matmul_equals_matmul_bitwise():
+    # a view, so q @ keys.T makes the same BLAS call as keys @ q
+    rng = np.random.default_rng(12)
+    keys, q = rng.normal(size=(76, 512)), rng.normal(size=512)
+    rows = nk.matmul(nk.Tensor(q[None, :]), nk.transpose(nk.Tensor(keys)))
+    assert np.array_equal(rows.data[0], keys @ q)
 
 
 def test_take_columns_of_none_is_empty():
@@ -495,6 +511,38 @@ class TestGru:
             nk.gru_cell(nk.zeros(5), nk.zeros(3), p)
         with pytest.raises(ValueError):
             nk.gru_cell(nk.zeros(2), nk.zeros(4), p)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_rows_equal_stacked_single_steps(self, k):
+        rng = np.random.default_rng(60 + k)
+        p = nk.GruParams.create(2, 3, rng)
+        for t in p.tensors():
+            t.data[:] = rng.normal(size=t.data.shape)
+        x, h = rng.normal(size=(k, 2)), rng.normal(size=(k, 3))
+        rows = nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p)
+        assert rows.shape == (k, 3)
+        for i in range(k):
+            one = nk.gru_cell(nk.Tensor(x[i]), nk.Tensor(h[i]), p)
+            np.testing.assert_allclose(rows.data[i], one.data, rtol=0, atol=1e-12)
+
+    def test_one_row_is_bitwise_the_single_step(self):
+        rng = np.random.default_rng(64)
+        p = nk.GruParams.create(5, 7, rng)
+        x, h = rng.normal(size=5), rng.normal(size=7)
+        row = nk.gru_cell(nk.Tensor(x[None, :]), nk.Tensor(h[None, :]), p)
+        assert np.array_equal(row.data[0], nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p).data)
+
+    @pytest.mark.parametrize("x_shape,h_shape", [
+        ((2, 2), (3, 3)),
+        ((3, 2), (2, 3)),
+        ((2,), (1, 3)),
+        ((1, 2), (3,)),
+    ])
+    def test_mismatched_rows_name_both_shapes(self, x_shape, h_shape):
+        p = nk.GruParams.create(2, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError) as err:
+            nk.gru_cell(nk.zeros(x_shape), nk.zeros(h_shape), p)
+        assert str(x_shape) in str(err.value) and str(h_shape) in str(err.value)
 
     def test_gradients_through_cell(self):
         rng = np.random.default_rng(5)
