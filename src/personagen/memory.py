@@ -57,10 +57,7 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
         raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
     if mem.slots == 0:
         return zeros(query.shape[:-1] + (mem.value_dim,)), None
-    if query.ndim == 1:
-        scores = matmul(mem.keys, query)                # (n,)
-    else:
-        scores = matmul(query, transpose(mem.keys))     # (k, n)
+    scores = matmul(query, transpose(mem.keys))         # (n,) or (k, n)
     weights = softmax(scores, axis=-1)
     return matmul(weights, mem.values), weights
 

@@ -211,13 +211,10 @@ def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
     of each per state row.
     """
     query = matmul(s_t, params.attn_ws)                       # (attn,) or (k, attn)
-    if s_t.ndim == 1:
-        scores = matmul(tanh(query + word_keys), params.attn_v)         # (n,)
-    else:
-        (k, attn), n = query.shape, word_keys.shape[0]
-        pre = tanh(reshape(query, (k, 1, attn)) + word_keys)            # (k, n, attn)
-        scores = reshape(matmul(reshape(pre, (k * n, attn)), params.attn_v), (k, n))
-    weights = softmax(scores, axis=-1)
+    attn, n = query.shape[-1], word_keys.shape[0]
+    pre = tanh(reshape(query, (-1, 1, attn)) + word_keys)     # (k, n, attn); k = 1 for one state
+    scores = matmul(reshape(pre, (-1, attn)), params.attn_v)  # (k * n,)
+    weights = softmax(reshape(scores, query.shape[:-1] + (n,)), axis=-1)
     return matmul(weights, word_states), weights
 
 
