@@ -90,6 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="joint training of the dialogue model")
     common(p)
     p.add_argument("--expansions", help="expansion records for the training file")
+    p.add_argument("--valid-expansions",
+                   help="expansion records for the validation file (paths.valid)")
     p.add_argument("--out", required=True, help="model checkpoint output path")
     p.add_argument("--trace", help="loss trace output path (default: <out>.trace.jsonl)")
     p.set_defaults(handler=cmd_train)
@@ -306,6 +308,11 @@ def cmd_train(args) -> int:
     train_conversations = _load_conversations(config.paths.train)
     valid_conversations = _load_conversations(config.paths.valid) if config.paths.valid else []
     expansions = load_expansion_records(args.expansions) if args.expansions else None
+    valid_expansions = (load_expansion_records(args.valid_expansions)
+                        if args.valid_expansions else None)
+    if expansions is not None and config.paths.valid and valid_expansions is None:
+        print("warning: --expansions given but not --valid-expansions; validation examples "
+              "get an empty external persona memory", file=sys.stderr)
 
     documents = [conversation_document(c) for c in train_conversations]
     vocab = build_vocab(documents, config.model.vocab_size, remove_stopwords=False)
@@ -322,7 +329,8 @@ def cmd_train(args) -> int:
     model = DialogueModel(vocab, config.model.emb_dim, config.model.hidden,
                           config.model.hops, rng, pretrained)
     train_examples = _bind_conversations(train_conversations, vocab, expansions, warn_missing=True)
-    valid_examples = _bind_conversations(valid_conversations, vocab, None)
+    valid_examples = _bind_conversations(valid_conversations, vocab, valid_expansions,
+                                         warn_missing=True)
 
     trace_path = args.trace or f"{args.out}.trace.jsonl"
     records = []
@@ -338,7 +346,8 @@ def cmd_train(args) -> int:
                       lr=config.model.lr, grad_clip=config.model.grad_clip),
         rng, log=log,
     )
-    ckpt.restore_params(model, result.best_params)
+    if result.best_params is not None:
+        ckpt.restore_params(model, result.best_params)
     ckpt.save_checkpoint(
         args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"best_valid": result.best_valid},

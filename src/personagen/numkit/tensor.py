@@ -20,12 +20,18 @@ or when it reaches a leaf. Each leaf gradient returned is an array owned by
 intermediate gradient, so callers may scale them in place.
 
 Row-sparse lookups: the backward rule of ``lookup`` returns ``RowGrad(indices,
-rows)`` rather than a dense table-size array. ``backward`` scatter-adds those
-rows into one owned table-size buffer per table, which dense gradients of the
-same table (say, from a ``matmul``) accumulate into as well; the gradients it
-returns are always dense. Strictly increasing indices, such as ``np.unique``
+rows)`` rather than a dense table-size array. While only ``lookup`` has
+reached a table, ``backward`` keeps its ``RowGrad``s as they arrive. The first
+dense gradient of the same table (say, from a ``matmul``) scatter-adds them, in
+arrival order, into one owned table-size buffer, which that and every later
+gradient accumulates into. Strictly increasing indices, such as ``np.unique``
 gives, are scattered with one fancy-index ``+=``; any other index array goes
-through ``np.add.at``, which sums repeated rows.
+through ``np.add.at``, which sums repeated rows. Given the parameters,
+``backward`` hands a table that only ``lookup`` reached its gradient as one
+owned ``RowGrad`` with strictly increasing indices, each row summed in arrival
+order, so scattering it into zeros gives the dense buffer bit for bit; clipping
+and Adam read only its rows. The dict form (no parameters given) always
+returns dense gradients.
 
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
@@ -192,45 +198,95 @@ def _finish(out_data, inputs: tuple[Tensor, ...],
 
 
 class RowGrad(NamedTuple):
-    """Row-sparse gradient of a 2-D table: ``rows[k]`` adds to row
+    """Row-sparse gradient of a table: ``rows[k]`` adds to row
     ``indices[k]``; an index may repeat."""
 
     indices: Array
     rows: Array
 
 
-def backward(loss: Tensor, tape: Tape) -> dict[Tensor, Array]:
+def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
+             ) -> dict[Tensor, Array] | list[Array | RowGrad]:
     """Reverse sweep over ``tape`` from a scalar ``loss``.
 
-    Returns gradient arrays keyed by tensor for every requires_grad tensor
-    that appears on the tape (zeros for those not reachable from the loss),
-    and stores the same arrays on each tensor's ``grad`` attribute. Every
-    returned array is a fresh one that no other tensor's gradient shares.
+    Given distinct ``params``, returns one gradient per parameter, in order:
+    an owned ``RowGrad`` with strictly increasing indices for a table that
+    only ``lookup`` reached, an empty ``RowGrad`` for a parameter that nothing
+    reached, and an owned dense array otherwise.
+
+    Without ``params``, returns the same gradients densified, keyed by tensor,
+    for every requires_grad tensor that appears on the tape (zeros for those
+    not reachable from the loss), and stores them on each tensor's ``grad``
+    attribute.
+
+    Every returned array is a fresh one that no other tensor's gradient
+    shares.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
+    sparse: dict[int, list[RowGrad]] = {}  # tables only lookup has reached so far
     for rec in reversed(tape.records):
+        _densify(flowing, owned, sparse, rec.output)
         g_out = flowing.pop(id(rec.output), None)
         if g_out is None:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
-            if g is not None and _needs_grad(tensor):
+            if g is None or not _needs_grad(tensor):
+                continue
+            if isinstance(g, RowGrad) and id(tensor) not in flowing:
+                sparse.setdefault(id(tensor), []).append(g)
+            else:
+                _densify(flowing, owned, sparse, tensor)
                 _accumulate(flowing, owned, tensor, g, g is not g_out)
+    leaves = params if params is not None else list(dict.fromkeys(
+        t for rec in tape.records for t in rec.inputs if t.requires_grad))
+    grads = [_leaf_grad(flowing, owned, sparse, t) for t in leaves]
+    if params is not None:
+        return grads
     result: dict[Tensor, Array] = {}
-    for rec in tape.records:
-        for tensor in rec.inputs:
-            if tensor.requires_grad and tensor not in result:
-                key = id(tensor)
-                grad = flowing.get(key)
-                if grad is None:
-                    grad = np.zeros_like(tensor.data)
-                elif key not in owned:
-                    grad = np.array(grad, dtype=np.float64)
-                result[tensor] = grad
-                tensor.grad = grad
+    for tensor, grad in zip(leaves, grads):
+        if isinstance(grad, RowGrad):
+            dense = np.zeros_like(tensor.data)
+            if grad.indices.size:
+                dense[grad.indices] = grad.rows
+            grad = dense
+        result[tensor] = tensor.grad = grad
     return result
+
+
+def _densify(flowing: dict[int, Array], owned: set[int], sparse: dict[int, list[RowGrad]],
+             tensor: Tensor) -> None:
+    """Scatter ``tensor``'s pending ``RowGrad``s, in arrival order, into its
+    dense entry in ``flowing``."""
+    for g in sparse.pop(id(tensor), ()):
+        _accumulate(flowing, owned, tensor, g, True)
+
+
+def _leaf_grad(flowing: dict[int, Array], owned: set[int], sparse: dict[int, list[RowGrad]],
+               leaf: Tensor) -> Array | RowGrad:
+    key = id(leaf)
+    if key in sparse:
+        return _coalesce(sparse[key])
+    if key in flowing:
+        return flowing[key] if key in owned else np.array(flowing[key], dtype=np.float64)
+    return RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + leaf.data.shape[1:]))
+
+
+def _coalesce(parts: list[RowGrad]) -> RowGrad:
+    """One owned RowGrad with strictly increasing indices whose row for an
+    index is zero plus that index's rows in arrival order, which is what
+    scattering ``parts`` into a zero buffer sums."""
+    indices = np.concatenate([g.indices for g in parts])
+    rows = np.concatenate([g.rows for g in parts])
+    if (indices[1:] > indices[:-1]).all():
+        rows += 0.0  # 0 + r: a -0.0 entry becomes +0.0, as in the zero buffer
+        return RowGrad(indices, rows)
+    unique, inverse = np.unique(indices, return_inverse=True)
+    summed = np.zeros((unique.size,) + rows.shape[1:])
+    np.add.at(summed, inverse, rows)
+    return RowGrad(unique, summed)
 
 
 def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,

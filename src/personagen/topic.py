@@ -207,11 +207,10 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
             try:
                 with Tape() as tape:
                     loss = elbo_loss([docs[i] for i in batch], model, eps)
-                grad_map = backward(loss, tape)
+                grads = backward(loss, tape, params)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite topic loss at epoch {epoch}, batch starting {start}: {err}") from err
-            grads = [grad_map[p] if p in grad_map else np.zeros_like(p.data) for p in params]
             clip_global_norm(grads, config.grad_clip)
             adam_step(params, grads, state)
             total += loss.item() * len(batch)

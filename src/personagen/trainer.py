@@ -56,8 +56,10 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
 
     The batch loss is the mean of per-example joint losses; gradients are
     clipped to a global norm before each update. Validation (when provided)
-    runs after every epoch and the best parameter snapshot is kept. A
-    non-finite loss aborts with the batch id and component losses.
+    runs after every epoch and the best parameter snapshot is kept; without
+    it ``best_params`` stays ``None`` and the model holds the final
+    parameters. A non-finite loss aborts with the batch id and component
+    losses.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -76,7 +78,7 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
                 with Tape() as tape:
                     parts = [model.example_loss(b, loss_settings) for b in batch]
                     batch_loss = mean(stack([p.joint for p in parts]))
-                grad_map = backward(batch_loss, tape)
+                grads = backward(batch_loss, tape, params)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_id}: {err}") from err
@@ -84,7 +86,6 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
                 components = [(p.nll.item(), p.p_match.item(), p.p_bows.item()) for p in parts]
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_id} (components: {components})")
-            grads = [grad_map[p] if p in grad_map else np.zeros_like(p.data) for p in params]
             clip_global_norm(grads, train_settings.grad_clip)
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)
@@ -104,7 +105,5 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
         if log is not None:
             log(record)
 
-    if result.best_params is None:
-        result.best_params = {name: p.data.copy() for name, p in zip(names, params)}
     return result
 

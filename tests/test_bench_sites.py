@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from personagen import numkit
-from personagen.corpus import DialogueExample, Vocabulary
+from personagen import numkit, topic, trainer
+from personagen.corpus import DialogueExample, TfIdfDoc, Vocabulary
 from personagen.net import DialogueModel, LossSettings, bind_example
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -39,8 +39,7 @@ def test_traced_site_exists(owner, attr, name):
     assert callable(tracing._resolve(owner).__dict__.get(attr)), f"{owner}.{attr} ({name})"
 
 
-def test_probed_parameters_exist():
-    checks = load_perfbench("checks")
+def toy_model_and_example():
     vocab = Vocabulary.from_tokens(["i", "love", "guitar", "music", "what", "do", "you", "?"])
     model = DialogueModel(vocab, emb_dim=3, hidden=4, hops=2, rng=np.random.default_rng(0))
     bound = bind_example(DialogueExample(
@@ -48,6 +47,41 @@ def test_probed_parameters_exist():
         history=[["what", "do", "you", "love", "?"]],
         response=["i", "love", "music"],
     ), vocab, ["music"])
+    return model, bound
+
+
+@pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])
+def test_training_loops_call_backward_through_the_traced_site(module, monkeypatch):
+    # the benchmark times backward by wrapping these module attributes and
+    # counts tape records from the second positional argument; a loop that
+    # reached backward some other way would make numkit.backward_s,
+    # topic.backward_s and numkit.tape_records_per_example read 0 silently
+    calls = []
+    original = module.backward
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, "backward", counting)
+    if module is topic:
+        docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({7: 3.0})]
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(6)])
+        topic.train_topic_model(docs, vocab, topic.TopicTrainConfig(
+            topics=2, hidden=4, epochs=1, batch_size=2, seed=1))
+    else:
+        model, bound = toy_model_and_example()
+        trainer.train_dialogue_model(model, [bound] * 3, None, LossSettings(),
+                                     trainer.TrainSettings(epochs=1, batch_size=2),
+                                     np.random.default_rng(0))
+    assert len(calls) == 2  # three documents or examples in batches of two
+    assert all(len(args) >= 2 and isinstance(args[1], numkit.Tape) and len(args[1]) > 0
+               for args in calls)
+
+
+def test_probed_parameters_exist():
+    checks = load_perfbench("checks")
+    model, bound = toy_model_and_example()
     with numkit.Tape() as tape:
         loss = model.example_loss(bound, LossSettings()).joint
     grads = numkit.backward(loss, tape)

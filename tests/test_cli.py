@@ -6,7 +6,8 @@ import pytest
 
 from conftest import toy_dialogue_text
 from personagen.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
-from personagen.cli import main
+from personagen import cli
+from personagen.cli import load_expansion_records, main
 from personagen.config import Config
 from personagen.corpus import RESERVED_TOKENS, Vocabulary
 
@@ -397,6 +398,104 @@ class TestMalformedExpansions:
                     "--data", str(pipeline["data"])]
         argv += ["--expansions", str(records), "--out", str(tmp_path / "out")]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{records}:2" in err
+        assert "Traceback" not in err
+
+
+def small_train_config(tmp_path, pipeline, valid: bool):
+    paths = {"train": str(pipeline["data"])}
+    if valid:
+        paths["valid"] = str(pipeline["data"])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "paths": paths,
+        "model": {"hidden": 8, "emb_dim": 6, "vocab_size": 120, "batch_size": 16,
+                  "lr": 0.01, "hops": 1, "max_len": 6, "epochs": 2},
+    }), encoding="utf-8")
+    return config_path
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The (model, train examples, valid examples, result, final parameters)
+    of each train_dialogue_model call that cmd_train makes."""
+    calls = []
+    train = cli.train_dialogue_model
+
+    def spy(model, train_examples, valid_examples, *args, **kwargs):
+        result = train(model, train_examples, valid_examples, *args, **kwargs)
+        final = {name: t.data.copy() for name, t in model.named_params()}
+        calls.append((model, train_examples, valid_examples, result, final))
+        return result
+
+    monkeypatch.setattr(cli, "train_dialogue_model", spy)
+    return calls
+
+
+class TestTrainCheckpoint:
+    @pytest.mark.parametrize("valid", [False, True], ids=["no_valid", "valid"])
+    def test_saves_the_kept_snapshot_or_the_final_parameters(self, valid, pipeline, tmp_path,
+                                                            train_calls):
+        out = tmp_path / "m.ckpt"
+        config_path = small_train_config(tmp_path, pipeline, valid)
+        assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+        (_, _, _, result, final), = train_calls
+        assert (result.best_params is not None) == valid
+        want = result.best_params if valid else final
+        saved = load_checkpoint(out).params
+        assert sorted(saved) == sorted(want)
+        for name, values in want.items():
+            assert saved[name].tobytes() == values.tobytes(), name
+
+
+class TestValidExpansions:
+    def test_validation_is_bound_with_its_records(self, pipeline, tmp_path, train_calls,
+                                                  capsys):
+        # the validation file is the training file here, so both bindings
+        # must carry the same expansion tokens
+        config_path = small_train_config(tmp_path, pipeline, valid=True)
+        records = str(pipeline["expansions"])
+        assert main(["train", "--config", str(config_path), "--expansions", records,
+                     "--valid-expansions", records, "--out", str(tmp_path / "m.ckpt")]) == 0
+        (_, train_examples, valid_examples, _, _), = train_calls
+        assert any(b.expansion_tokens for b in valid_examples)
+        assert ([b.expansion_tokens for b in valid_examples]
+                == [b.expansion_tokens for b in train_examples])
+        assert "warning" not in capsys.readouterr().err
+
+    def test_warns_once_when_validation_has_no_records(self, pipeline, tmp_path, capsys):
+        config_path = small_train_config(tmp_path, pipeline, valid=True)
+        assert main(["train", "--config", str(config_path), "--expansions",
+                     str(pipeline["expansions"]), "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert capsys.readouterr().err.count("--valid-expansions") == 1
+
+    def test_no_warning_without_a_validation_file(self, pipeline, tmp_path, capsys):
+        config_path = small_train_config(tmp_path, pipeline, valid=False)
+        assert main(["train", "--config", str(config_path), "--expansions",
+                     str(pipeline["expansions"]), "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert "--valid-expansions" not in capsys.readouterr().err
+
+    def test_missing_validation_record_warns(self, pipeline, tmp_path, capsys):
+        partial = tmp_path / "partial.jsonl"
+        with open(pipeline["expansions"], encoding="utf-8") as handle:
+            partial.write_text(handle.readline(), encoding="utf-8")
+        assert len(load_expansion_records(pipeline["expansions"])) > 1
+        config_path = small_train_config(tmp_path, pipeline, valid=True)
+        assert main(["train", "--config", str(config_path), "--expansions",
+                     str(pipeline["expansions"]), "--valid-expansions", str(partial),
+                     "--out", str(tmp_path / "m.ckpt")]) == 0
+        assert "no expansion record for conversation 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_EXPANSION_LINES))
+    def test_malformed_records_exit_2_naming_path_and_line(self, case, pipeline, tmp_path,
+                                                           capsys):
+        records = tmp_path / "valid_expansions.jsonl"
+        records.write_text(f"{VALID_EXPANSION_LINE}\n{MALFORMED_EXPANSION_LINES[case]}\n",
+                           encoding="utf-8")
+        config_path = small_train_config(tmp_path, pipeline, valid=True)
+        assert main(["train", "--config", str(config_path), "--valid-expansions", str(records),
+                     "--out", str(tmp_path / "m.ckpt")]) == 2
         err = capsys.readouterr().err
         assert f"{records}:2" in err
         assert "Traceback" not in err

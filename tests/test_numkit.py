@@ -192,6 +192,72 @@ PASS_THROUGH_CASES = {
 }
 
 
+def row_case(name):
+    """(params, loss, tape) of a small graph over two tables, a vector and a
+    parameter off the tape; ``name`` picks how the first table is reached."""
+    rng = np.random.default_rng(6)
+    table = nk.Tensor(rng.normal(size=(9, 4)), requires_grad=True)
+    other = nk.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
+    x = nk.Tensor(rng.normal(size=9), requires_grad=True)
+    off_tape = nk.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    weights = rng.normal(size=(3, 4))
+    with nk.Tape() as tape:
+        if name == "unique_lookup":
+            out = nk.sum_(nk.lookup(table, [1, 4, 8]))
+        elif name == "single_id":
+            out = nk.sum_(nk.mul(nk.lookup(table, 3), weights[0]))
+        elif name == "repeated_lookups":
+            # the embedding case: ids repeat within and across lookups
+            parts = [nk.mul(nk.lookup(table, [2, 5, 2]), weights),
+                     nk.tanh(nk.lookup(table, [7, 0, 2])), nk.lookup(table, [5, 5, 8])]
+            out = nk.add(nk.sum_(nk.add(nk.add(parts[0], parts[1]), parts[2])),
+                         nk.sum_(nk.lookup(table, 5)))
+        else:  # lookup and a dense matmul of one table, in either order
+            def sparse():
+                return nk.sum_(nk.tanh(nk.lookup(table, [1, 3, 1])), axis=0)
+
+            def dense():
+                return nk.matmul(x, table)
+
+            if name == "lookup_then_matmul":
+                s, d = sparse(), dense()
+            else:
+                d, s = dense(), sparse()
+            out = nk.sum_(nk.mul(s, nk.tanh(d)))
+        nk.tanh(nk.lookup(other, [0, 2]))  # on the tape, but unreached
+        loss = nk.add(out, nk.sum_(nk.mul(x, x)))
+    return [table, other, x, off_tape], loss, tape
+
+
+ROW_CASES = ["unique_lookup", "single_id", "repeated_lookups", "lookup_then_matmul",
+             "matmul_then_lookup"]
+
+
+def densify(grad, param):
+    if not isinstance(grad, RowGrad):
+        return grad
+    assert (grad.indices[1:] > grad.indices[:-1]).all()
+    dense = np.zeros_like(param.data)
+    dense[grad.indices] = grad.rows
+    return dense
+
+
+@pytest.mark.parametrize("case", ROW_CASES)
+def test_per_parameter_backward_densifies_to_the_dict_bitwise(case):
+    params, loss, tape = row_case(case)
+    table, other, x, off_tape = params
+    by_tensor = nk.backward(loss, tape)
+    grads = nk.backward(loss, tape, params)
+    assert isinstance(grads[0], RowGrad) == ("matmul" not in case)
+    assert not isinstance(grads[2], RowGrad)
+    # nothing reached `other` or `off_tape`: an empty RowGrad each
+    for unreached in grads[1], grads[3]:
+        assert isinstance(unreached, RowGrad) and unreached.indices.size == 0
+    for param, grad in zip(params, grads):
+        want = by_tensor.get(param, np.zeros_like(param.data))
+        assert densify(grad, param).tobytes() == want.tobytes()
+
+
 class TestGradientOwnership:
     def test_clipping_two_leaves_of_one_sum(self):
         # add hands its upstream gradient to both operands; if both leaves
@@ -241,6 +307,29 @@ class TestGradientOwnership:
             return nk.sum_(nk.mul(s, nk.tanh(d)))
 
         assert nk.grad_check(fn, [table, x]) < 1e-6
+
+    @pytest.mark.parametrize("case", ROW_CASES)
+    def test_row_gradients_share_no_memory(self, case):
+        # lookup's RowGrad rows may be its g_out itself; the per-parameter
+        # form hands out rows that nothing else holds, since clipping scales
+        # them in place
+        params, loss, tape = row_case(case)
+        seen = []
+        for rec in tape.records:
+            def spy(g, rule=rec.backward_fn):
+                results = rule(g)
+                seen.append(g)
+                seen.extend(r.rows if isinstance(r, RowGrad) else r
+                            for r in results if r is not None)
+                return results
+            rec.backward_fn = spy
+        grads = nk.backward(loss, tape, params)
+        arrays = [g.rows if isinstance(g, RowGrad) else g for g in grads]
+        for i, grad in enumerate(grads):
+            if not isinstance(grad, RowGrad):
+                continue
+            others = arrays[:i] + arrays[i + 1:] + [p.data for p in params] + seen
+            assert not any(np.shares_memory(grad.rows, other) for other in others)
 
 
 def gru_shapes(input_dim, hidden_dim):
@@ -468,6 +557,65 @@ class TestAdam:
         with pytest.raises(ValueError):
             nk.adam_step([p], [np.zeros(3)], state)
 
+    def test_row_grad_step_equals_zero_filled_dense_step_bitwise(self):
+        # not a lazy Adam: rows a RowGrad leaves out still decay their moments
+        # and move, exactly as with a zero gradient. The shapes span several
+        # blocks of the blocked update, and the index sets hit block edges,
+        # the first and last rows, all rows and none.
+        rng = np.random.default_rng(12)
+        shapes = [(300, 256), (70000,), (5, 3)]
+        sparse = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        dense = [nk.Tensor(p.data.copy(), requires_grad=True) for p in sparse]
+        sparse_state = nk.AdamState.create(sparse, lr=3e-3)
+        dense_state = nk.AdamState.create(dense, lr=3e-3)
+
+        def index_sets(rows, size):
+            step = max(1, nk.optim._BLOCK * rows // size)
+            edges = sorted({0, rows - 1} | {e + d for e in range(step, rows, step)
+                                            for d in (-1, 0)})
+            assert len(edges) > 4  # several blocks
+            subset = np.flatnonzero(rng.random(rows) < 0.3)
+            return [edges, np.arange(rows), [], subset, [0, rows - 1]]
+
+        schedules = [index_sets(s[0], int(np.prod(s))) for s in shapes[:2]]
+        for step in range(5):
+            sparse_grads, dense_grads = [], []
+            for p, schedule in zip(sparse, schedules):
+                idx = np.asarray(schedule[step], dtype=np.intp)
+                rows = rng.normal(size=(idx.size,) + p.shape[1:])
+                full = np.zeros(p.shape)
+                full[idx] = rows
+                sparse_grads.append(RowGrad(idx, rows))
+                dense_grads.append(full)
+            bias_grad = rng.normal(size=shapes[2])
+            nk.adam_step(sparse, sparse_grads + [bias_grad.copy()], sparse_state)
+            nk.adam_step(dense, dense_grads + [bias_grad], dense_state)
+            for arrays in zip(sparse, dense, sparse_state.m, dense_state.m,
+                              sparse_state.v, dense_state.v):
+                a_p, b_p, a_m, b_m, a_v, b_v = arrays
+                assert a_p.data.tobytes() == b_p.data.tobytes()
+                assert a_m.tobytes() == b_m.tobytes() and a_v.tobytes() == b_v.tobytes()
+
+    @pytest.mark.parametrize("indices,rows_shape,problem", [
+        ([3, 1], (2, 4), "strictly increasing"),
+        ([1, 1], (2, 4), "strictly increasing"),
+        ([[0, 1]], (2, 4), "strictly increasing"),
+        ([0, 6], (2, 4), "out of range"),
+        ([-1, 2], (2, 4), "out of range"),
+        ([0, 2], (2, 3), "rows of shape"),
+        ([0, 2], (3, 4), "rows of shape"),
+    ], ids=["unsorted", "repeated", "not_1d", "past_end", "negative", "row_width",
+            "row_count"])
+    def test_bad_row_grad_rejected_naming_its_parameter(self, indices, rows_shape, problem):
+        params = [nk.Tensor(np.ones(3), requires_grad=True),
+                  nk.Tensor(np.ones((6, 4)), requires_grad=True)]
+        state = nk.AdamState.create(params)
+        grad = RowGrad(np.asarray(indices, dtype=np.intp), np.ones(rows_shape))
+        with pytest.raises(ValueError, match=f"parameter 1 .*{problem}"):
+            nk.adam_step(params, [np.ones(3), grad], state)
+        assert state.step_count == 0
+        assert all((p.data == 1.0).all() for p in params)
+
 
 class TestClipGlobalNorm:
     def test_scales_down_only_when_above(self):
@@ -478,6 +626,23 @@ class TestClipGlobalNorm:
         norm = nk.clip_global_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(grads[0]) == pytest.approx(1.0)
+
+    def test_row_grad_counts_and_scales_its_rows_only(self):
+        rng = np.random.default_rng(13)
+        idx = np.array([0, 3, 4, 17, 59])
+        rows, other = rng.normal(size=(idx.size, 64)), rng.normal(size=7)
+        full = np.zeros((60, 64))
+        full[idx] = rows
+        sparse = [RowGrad(idx, rows.copy()), other.copy()]
+        dense = [full, other.copy()]
+        norm = nk.clip_global_norm(sparse, 1.0)
+        dense_norm = nk.clip_global_norm(dense, 1.0)
+        assert abs(norm - dense_norm) <= 1e-15 * dense_norm
+        factor = 1.0 / norm
+        assert sparse[0].rows.tobytes() == (rows * factor).tobytes()
+        assert sparse[1].tobytes() == (other * factor).tobytes()
+        assert np.allclose(sparse[0].rows, dense[0][idx], rtol=1e-15, atol=0)
+        assert sparse[0].indices is idx
 
 
 class TestGru:

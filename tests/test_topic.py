@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import np_softmax
+from conftest import make_cluster_corpus, np_softmax
 from personagen import numkit as nk
-from personagen.corpus import TfIdfDoc, Vocabulary
+from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
 from personagen.topic import (
     TopicModel,
     TopicTrainConfig,
@@ -240,6 +240,51 @@ class TestTraining:
         config = TopicTrainConfig(topics=2, hidden=4, epochs=2, batch_size=3, seed=5)
         _, trace = train_topic_model(docs, small_vocab(), config)
         assert [epoch for epoch, _ in trace] == [1, 2]
+
+    def test_matches_a_dense_oracle_loop_bitwise(self):
+        # the oracle fills every gradient densely (the dict form of backward,
+        # zeros for the rest) and applies the textbook Adam formula. Each
+        # batch reads under half of the words, so the rows of the others must
+        # decay their moments and move exactly as with a zero gradient: an
+        # Adam that skips them (a lazy one) fails here
+        docs_tokens, _, _ = make_cluster_corpus(seed=3, n_docs=40, words_per_doc=6)
+        vocab = build_vocab(docs_tokens, size_limit=54, remove_stopwords=True)
+        docs = compute_tfidf(docs_tokens, vocab)
+        config = TopicTrainConfig(topics=3, hidden=8, epochs=2, batch_size=4, lr=1e-2, seed=11)
+        model, trace = train_topic_model(docs, vocab, config)
+
+        rng = np.random.default_rng(config.seed)
+        oracle = TopicModel.create(vocab, config.topics, config.hidden, rng, config.init_scale)
+        params = oracle.params()
+        m = [np.zeros_like(p.data) for p in params]
+        v = [np.zeros_like(p.data) for p in params]
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        want, t = [], 0
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(docs))
+            total = 0.0
+            for start in range(0, len(docs), config.batch_size):
+                batch = order[start:start + config.batch_size]
+                noise = rng.standard_normal((len(batch), config.topics))
+                with nk.Tape() as tape:
+                    loss = elbo_loss([docs[i] for i in batch], oracle, noise)
+                by_tensor = nk.backward(loss, tape)
+                grads = [by_tensor[p] if p in by_tensor else np.zeros_like(p.data)
+                         for p in params]
+                norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
+                if norm > config.grad_clip:
+                    grads = [g * (config.grad_clip / norm) for g in grads]
+                t += 1
+                for i, (p, g) in enumerate(zip(params, grads)):
+                    m[i] = b1 * m[i] + (1.0 - b1) * g
+                    v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+                    m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+                    p.data = p.data - config.lr * m_hat / (np.sqrt(v_hat) + eps)
+                total += loss.item() * len(batch)
+            want.append((epoch, total / len(docs)))
+        assert trace == want
+        for (name, got), (_, expected) in zip(model.named_params(), oracle.named_params()):
+            assert got.data.tobytes() == expected.data.tobytes(), name
 
     def test_empty_docs_rejected(self):
         with pytest.raises(ValueError):

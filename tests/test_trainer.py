@@ -63,6 +63,18 @@ def test_best_validation_snapshot_kept(toy_setup):
     assert joint == pytest.approx(result.best_valid, abs=1e-9)
 
 
+def test_no_snapshot_without_validation(toy_setup):
+    # the model itself holds the final parameters; copying them all at the
+    # end would cost a full parameter copy per call
+    vocab, examples = toy_setup
+    model = make_model(vocab, seed=2)
+    result = train_dialogue_model(model, examples[:4], None, LossSettings(),
+                                  TrainSettings(epochs=2, batch_size=2, lr=0.02),
+                                  np.random.default_rng(2))
+    assert result.best_params is None and result.best_valid is None
+    assert [r.valid_loss for r in result.trace] == [None, None]
+
+
 def test_non_finite_loss_aborts_with_batch_id(toy_setup):
     vocab, examples = toy_setup
     model = make_model(vocab)
