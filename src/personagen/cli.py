@@ -32,7 +32,7 @@ from .corpus import (
 )
 from .expansion import expand
 from .metrics import evaluate_corpus
-from .net import BoundExample, DialogueModel, LossSettings, bind_example
+from .net import BoundExample, DialogueModel, bind_example
 from .topic import TopicModel, TopicTrainConfig, train_topic_model, word_topic_vectors
 from .trainer import TrainSettings, train_dialogue_model
 
@@ -50,13 +50,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except UserError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USER
-    except (FileNotFoundError, PermissionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USER
-    except ckpt.CheckpointError as err:
+    except (UserError, FileNotFoundError, PermissionError, ckpt.CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USER
     except Exception:
@@ -279,26 +273,16 @@ def _is_word_pair(word) -> bool:
 
 
 def _bind_conversations(conversations: list[Conversation], vocab: Vocabulary,
-                        expansions: dict[int, list[str]] | None,
-                        warn_missing: bool = False) -> list[BoundExample]:
+                        expansions: dict[int, list[str]] | None) -> list[BoundExample]:
     bound = []
     for i, conv in enumerate(conversations):
         tokens = None if expansions is None else expansions.get(i)
-        if expansions is not None and tokens is None and warn_missing:
+        if expansions is not None and tokens is None:
             print(f"warning: no expansion record for conversation {i}; "
                   "external persona memory will be empty", file=sys.stderr)
         for example in conv.examples:
             bound.append(bind_example(example, vocab, tokens))
     return bound
-
-
-def _loss_settings(config: Config) -> LossSettings:
-    return LossSettings(
-        gamma_match=config.losses.gamma_match,
-        gamma_bows=config.losses.gamma_bows,
-        bows_extra_weight=config.losses.bows_extra_weight,
-        match_threshold=config.losses.match_threshold,
-    )
 
 
 def cmd_train(args) -> int:
@@ -328,9 +312,8 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     model = DialogueModel(vocab, config.model.emb_dim, config.model.hidden,
                           config.model.hops, rng, pretrained)
-    train_examples = _bind_conversations(train_conversations, vocab, expansions, warn_missing=True)
-    valid_examples = _bind_conversations(valid_conversations, vocab, valid_expansions,
-                                         warn_missing=True)
+    train_examples = _bind_conversations(train_conversations, vocab, expansions)
+    valid_examples = _bind_conversations(valid_conversations, vocab, valid_expansions)
 
     trace_path = args.trace or f"{args.out}.trace.jsonl"
     records = []
@@ -341,7 +324,7 @@ def cmd_train(args) -> int:
               + (f", valid {record.valid_loss:.4f}" if record.valid_loss is not None else ""))
 
     result = train_dialogue_model(
-        model, train_examples, valid_examples, _loss_settings(config),
+        model, train_examples, valid_examples, config.losses,
         TrainSettings(epochs=config.model.epochs, batch_size=config.model.batch_size,
                       lr=config.model.lr, grad_clip=config.model.grad_clip),
         rng, log=log,

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
+
+from .corpus import RESERVED_TOKENS
 
 
 @dataclass
@@ -53,7 +56,7 @@ class ModelConfig:
 
 
 @dataclass
-class LossesConfig:
+class LossSettings:
     gamma_match: float = 0.1
     gamma_bows: float = 0.1
     bows_extra_weight: float = 1.0
@@ -66,7 +69,7 @@ class Config:
     topic: TopicConfig = field(default_factory=TopicConfig)
     expansion: ExpansionConfig = field(default_factory=ExpansionConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    losses: LossesConfig = field(default_factory=LossesConfig)
+    losses: LossSettings = field(default_factory=LossSettings)
     seed: int = 0
 
     def to_dict(self) -> dict:
@@ -74,26 +77,26 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        """The defaults overridden by ``data``, where each value must have its
+        default's type and each count its bound in ``_LEAST``; a ValueError
+        names the first ``section.key`` that does not."""
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {"paths": PathsConfig, "topic": TopicConfig, "expansion": ExpansionConfig,
-                 "model": ModelConfig, "losses": LossesConfig}
-        kwargs = {}
+        config = cls()
         for key, value in data.items():
-            if key in known:
-                kwargs[key] = _section_from_dict(known[key], value, key)
-            elif key == "seed":
-                kwargs[key] = int(value)
+            if key == "seed":
+                config.seed = _checked("seed", config.seed, value)
+            elif key in {f.name for f in fields(cls)}:
+                _override(getattr(config, key), value, key)
             else:
                 raise ValueError(f"unknown config section {key!r}")
-        config = cls(**kwargs)
-        for section, key, least in (("model", "hops", 1), ("model", "beam", 1),
-                                    ("model", "max_len", 1), ("expansion", "neighbors", 1),
-                                    ("expansion", "max_words", 0)):
-            value = getattr(getattr(config, section), key)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ValueError(f"{section}.{key} must be an integer of at least {least}, "
+        for where, least in _LEAST.items():
+            value = reduce(getattr, where.split("."), config)
+            if value < least:
+                raise ValueError(f"{where} must be an integer of at least {least}, "
                                  f"got {value!r}")
+        if config.model.hidden % 2:
+            raise ValueError(f"model.hidden must be even, got {config.model.hidden}")
         return config
 
     @classmethod
@@ -102,11 +105,37 @@ class Config:
             return cls.from_dict(json.load(handle))
 
 
-def _section_from_dict(section_cls, data: dict, name: str):
+# the least value of each integer that counts something
+_LEAST = {
+    "seed": 0,
+    "topic.topics": 1, "topic.vocab_size": len(RESERVED_TOKENS) + 1, "topic.hidden": 1,
+    "topic.batch_size": 1,
+    "expansion.neighbors": 1, "expansion.max_words": 0,
+    "model.hidden": 2, "model.emb_dim": 1, "model.vocab_size": len(RESERVED_TOKENS) + 1,
+    "model.batch_size": 1, "model.hops": 1, "model.beam": 1, "model.max_len": 1,
+}
+
+
+def _override(section, data: dict, name: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"config section {name!r} must be a JSON object")
-    valid = {f.name for f in fields(section_cls)}
-    unknown = set(data) - valid
+    unknown = set(data) - {f.name for f in fields(section)}
     if unknown:
         raise ValueError(f"unknown keys in config section {name!r}: {sorted(unknown)}")
-    return section_cls(**data)
+    for key, value in data.items():
+        setattr(section, key, _checked(f"{name}.{key}", getattr(section, key), value))
+
+
+# for the type of a default, the JSON types a value may have; an int field
+# takes no bool and a float field also takes an int
+_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+          type(None): ((str, type(None)), "a string or null"), list: ((list,), "a list of strings")}
+
+
+def _checked(where: str, default, value):
+    """``value``, if it has the type of ``default``; else a ValueError."""
+    allowed, wanted = _TYPES[type(default)]
+    if type(value) not in allowed or (
+            type(value) is list and not all(isinstance(v, str) for v in value)):
+        raise ValueError(f"{where} must be {wanted}, got {value!r}")
+    return value

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import LossSettings
 from .corpus import EOS, SOS, UNK, DialogueExample, EmbeddingTable, Vocabulary
 from .losses import (
     PMatchTarget,
@@ -38,6 +39,7 @@ from .numkit import (
     PROB_FLOOR,
     Affine,
     GruParams,
+    Module,
     TanhMlp,
     Tensor,
     bigru_encode,
@@ -55,97 +57,44 @@ from .numkit import (
 from .stopwords import is_stopword
 
 
-@dataclass
-class PersonaEncoderParams:
+class PersonaEncoderParams(Module):
     """Shared Bi-GRU over persona tokens plus the two key/value network pairs."""
 
-    fwd: GruParams
-    bwd: GruParams
-    sent_key: TanhMlp
-    sent_value: TanhMlp
-    word_key: TanhMlp
-    word_value: TanhMlp
-
-    @classmethod
-    def create(cls, emb_dim: int, direction_hidden: int, memory_dim: int,
-               rng: np.random.Generator) -> "PersonaEncoderParams":
+    def __init__(self, emb_dim: int, direction_hidden: int, memory_dim: int,
+                 rng: np.random.Generator):
         rep_dim = 2 * direction_hidden
-        return cls(
-            fwd=GruParams.create(emb_dim, direction_hidden, rng),
-            bwd=GruParams.create(emb_dim, direction_hidden, rng),
-            sent_key=TanhMlp(rep_dim, memory_dim, rng),
-            sent_value=TanhMlp(rep_dim, memory_dim, rng),
-            word_key=TanhMlp(rep_dim, memory_dim, rng),
-            word_value=TanhMlp(rep_dim, memory_dim, rng),
-        )
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        params = self.fwd.named_params(f"{prefix}.fwd") + self.bwd.named_params(f"{prefix}.bwd")
-        for name, mlp in (("sent_key", self.sent_key), ("sent_value", self.sent_value),
-                          ("word_key", self.word_key), ("word_value", self.word_value)):
-            params.extend(mlp.named_params(f"{prefix}.{name}"))
-        return params
+        self.fwd = GruParams.create(emb_dim, direction_hidden, rng)
+        self.bwd = GruParams.create(emb_dim, direction_hidden, rng)
+        self.sent_key = TanhMlp(rep_dim, memory_dim, rng)
+        self.sent_value = TanhMlp(rep_dim, memory_dim, rng)
+        self.word_key = TanhMlp(rep_dim, memory_dim, rng)
+        self.word_value = TanhMlp(rep_dim, memory_dim, rng)
 
 
-@dataclass
-class HistoryEncoderParams:
+class HistoryEncoderParams(Module):
     """Word-level Bi-GRU per utterance, utterance-level Bi-GRU over those."""
 
-    word_fwd: GruParams
-    word_bwd: GruParams
-    utt_fwd: GruParams
-    utt_bwd: GruParams
-
-    @classmethod
-    def create(cls, emb_dim: int, direction_hidden: int, rng: np.random.Generator) -> "HistoryEncoderParams":
+    def __init__(self, emb_dim: int, direction_hidden: int, rng: np.random.Generator):
         rep_dim = 2 * direction_hidden
-        return cls(
-            word_fwd=GruParams.create(emb_dim, direction_hidden, rng),
-            word_bwd=GruParams.create(emb_dim, direction_hidden, rng),
-            utt_fwd=GruParams.create(rep_dim, direction_hidden, rng),
-            utt_bwd=GruParams.create(rep_dim, direction_hidden, rng),
-        )
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return (self.word_fwd.named_params(f"{prefix}.word_fwd")
-                + self.word_bwd.named_params(f"{prefix}.word_bwd")
-                + self.utt_fwd.named_params(f"{prefix}.utt_fwd")
-                + self.utt_bwd.named_params(f"{prefix}.utt_bwd"))
+        self.word_fwd = GruParams.create(emb_dim, direction_hidden, rng)
+        self.word_bwd = GruParams.create(emb_dim, direction_hidden, rng)
+        self.utt_fwd = GruParams.create(rep_dim, direction_hidden, rng)
+        self.utt_bwd = GruParams.create(rep_dim, direction_hidden, rng)
 
 
-@dataclass
-class DecoderParams:
+class DecoderParams(Module):
     """GRU cell, history attention, output layer, and state initializer."""
 
-    cell: GruParams
-    attn_ws: Tensor
-    attn_wt: Tensor
-    attn_b: Tensor
-    attn_v: Tensor
-    out: Affine
-    init_proj: Affine
-
-    @classmethod
-    def create(cls, emb_dim: int, hidden: int, word_state_dim: int, vocab_size: int,
-               rng: np.random.Generator) -> "DecoderParams":
+    def __init__(self, emb_dim: int, hidden: int, word_state_dim: int, vocab_size: int,
+                 rng: np.random.Generator):
         attn_dim = hidden
-        return cls(
-            cell=GruParams.create(emb_dim, hidden, rng),
-            attn_ws=uniform_param(rng, (hidden, attn_dim)),
-            attn_wt=uniform_param(rng, (word_state_dim, attn_dim)),
-            attn_b=zero_param((attn_dim,)),
-            attn_v=uniform_param(rng, (attn_dim,)),
-            out=Affine(hidden + word_state_dim + 2 * hidden, vocab_size, rng),
-            init_proj=Affine(word_state_dim + hidden, hidden, rng),
-        )
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        params = self.cell.named_params(f"{prefix}.cell")
-        params += [(f"{prefix}.attn_ws", self.attn_ws), (f"{prefix}.attn_wt", self.attn_wt),
-                   (f"{prefix}.attn_b", self.attn_b), (f"{prefix}.attn_v", self.attn_v)]
-        params += self.out.named_params(f"{prefix}.out")
-        params += self.init_proj.named_params(f"{prefix}.init_proj")
-        return params
+        self.cell = GruParams.create(emb_dim, hidden, rng)
+        self.attn_ws = uniform_param(rng, (hidden, attn_dim))
+        self.attn_wt = uniform_param(rng, (word_state_dim, attn_dim))
+        self.attn_b = zero_param((attn_dim,))
+        self.attn_v = uniform_param(rng, (attn_dim,))
+        self.out = Affine(hidden + word_state_dim + 2 * hidden, vocab_size, rng)
+        self.init_proj = Affine(word_state_dim + hidden, hidden, rng)
 
 
 def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams,
@@ -302,15 +251,7 @@ class LossBreakdown:
     match_target: PMatchTarget
 
 
-@dataclass
-class LossSettings:
-    gamma_match: float = 0.1
-    gamma_bows: float = 0.1
-    bows_extra_weight: float = 1.0
-    match_threshold: float = 0.03
-
-
-class DialogueModel:
+class DialogueModel(Module):
     """The full persona-grounded encoder/retriever/decoder stack."""
 
     def __init__(self, vocab: Vocabulary, emb_dim: int, hidden: int, hops: int,
@@ -333,25 +274,12 @@ class DialogueModel:
                 if index is not None:
                     self.embedding.data[index] = vector
 
-        self.persona = PersonaEncoderParams.create(emb_dim, direction_hidden, hidden, rng)
-        self.history = HistoryEncoderParams.create(emb_dim, direction_hidden, rng)
+        self.persona = PersonaEncoderParams(emb_dim, direction_hidden, hidden, rng)
+        self.history = HistoryEncoderParams(emb_dim, direction_hidden, rng)
         self.c_proj = Affine(word_state_dim, hidden, rng)
         self.e_key = TanhMlp(emb_dim, hidden, rng)
         self.e_value = TanhMlp(emb_dim, hidden, rng)
-        self.decoder = DecoderParams.create(emb_dim, hidden, word_state_dim, len(vocab), rng)
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        params: list[tuple[str, Tensor]] = [("embedding", self.embedding)]
-        params += self.persona.named_params("persona")
-        params += self.history.named_params("history")
-        params += self.c_proj.named_params("c_proj")
-        params += self.e_key.named_params("e_key")
-        params += self.e_value.named_params("e_value")
-        params += self.decoder.named_params("decoder")
-        return params
-
-    def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
+        self.decoder = DecoderParams(emb_dim, hidden, word_state_dim, len(vocab), rng)
 
     def external_memory(self, expansion_ids: list[int]) -> KeyValueMemory:
         if not expansion_ids:

@@ -16,14 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import uniform_param, zero_param
+from .layers import Module, uniform_param, zero_param
 from .tensor import Tensor, _finish, _require_finite, _sigmoid_stable, concat
-
-_PARAM_NAMES = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n")
 
 
 @dataclass
-class GruParams:
+class GruParams(Module):
     """Gate weights for one GRU direction.
 
     Input-to-hidden matrices are (input_dim, hidden_dim), hidden-to-hidden are
@@ -45,23 +43,10 @@ class GruParams:
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
                scale: float = 0.1) -> "GruParams":
-        def w():
-            return uniform_param(rng, (input_dim, hidden_dim), scale)
-
-        def u():
-            return uniform_param(rng, (hidden_dim, hidden_dim), scale)
-
-        def b():
-            return zero_param((hidden_dim,))
-
-        return cls(input_dim, hidden_dim, w(), u(), b(), w(), u(), b(), w(), u(), b())
-
-    def tensors(self) -> list[Tensor]:
-        """The nine parameters in declaration order."""
-        return [getattr(self, name) for name in _PARAM_NAMES]
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", getattr(self, name)) for name in _PARAM_NAMES]
+        gates = [(uniform_param(rng, (input_dim, hidden_dim), scale),   # w, u, b of z, r, n
+                  uniform_param(rng, (hidden_dim, hidden_dim), scale), zero_param((hidden_dim,)))
+                 for _ in range(3)]
+        return cls(input_dim, hidden_dim, *(t for gate in gates for t in gate))
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
@@ -111,7 +96,8 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
     rows last to first. Otherwise ``x`` is one step, an (E,) input or (k, E)
     rows, from the matching (H,) or (k, H) ``h0``, and gives one state per row.
     """
-    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in params.tensors())
+    tensors = params.params()
+    w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in tensors)
     hidden = params.hidden_dim
     xs = x.data.reshape(-1, params.input_dim)
     if h0 is None:   # (steps, rows) = (T, 1)
@@ -175,6 +161,6 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
                     xs.T @ d_n, (r * prev).T @ d_n, d_n.sum(axis=0)]
         return [d_x] + ([] if h0 is None else [carry.reshape(h0.shape)]) + d_params
 
-    inputs = (x,) + (() if h0 is None else (h0,)) + tuple(params.tensors())
+    inputs = (x,) + (() if h0 is None else (h0,)) + tuple(tensors)
     return _finish(states[:, 0] if h0 is None else states[0].reshape(h0.shape),
                    inputs, backward_fn)

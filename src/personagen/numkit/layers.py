@@ -1,10 +1,33 @@
-"""Parameter initialization helpers and the two layer shapes used everywhere."""
+"""The parameter walker, initialization helpers and the two layer shapes used
+everywhere."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .tensor import Tensor, add, matmul, tanh
+
+
+class Module:
+    """A model part whose parameters are its ``Tensor`` attributes.
+
+    ``named_params`` walks the attributes in the order they were set: a
+    ``Tensor`` is named by its attribute, a ``Module`` contributes its own
+    parameters under ``attribute.name``, and anything else is skipped. That
+    order is the order of checkpoints, clipping sums and Adam state.
+    """
+
+    def named_params(self) -> list[tuple[str, Tensor]]:
+        named = []
+        for name, value in vars(self).items():
+            if isinstance(value, Tensor):
+                named.append((name, value))
+            elif isinstance(value, Module):
+                named += [(f"{name}.{inner}", t) for inner, t in value.named_params()]
+        return named
+
+    def params(self) -> list[Tensor]:
+        return [t for _, t in self.named_params()]
 
 
 def uniform_param(rng: np.random.Generator, shape, scale: float = 0.1) -> Tensor:
@@ -15,7 +38,7 @@ def zero_param(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-class Affine:
+class Affine(Module):
     """y = x @ w + b with w stored as (in_dim, out_dim).
 
     The orientation makes single vectors (in_dim,) and batches (n, in_dim)
@@ -29,18 +52,9 @@ class Affine:
     def __call__(self, x) -> Tensor:
         return add(matmul(x, self.w), self.b)
 
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.w", self.w), (f"{prefix}.b", self.b)]
 
-
-class TanhMlp:
+class TanhMlp(Affine):
     """Single-layer perceptron: tanh(x @ w + b)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, scale: float = 0.1):
-        self.affine = Affine(in_dim, out_dim, rng, scale)
-
     def __call__(self, x) -> Tensor:
-        return tanh(self.affine(x))
-
-    def named_params(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return self.affine.named_params(prefix)
+        return tanh(super().__call__(x))

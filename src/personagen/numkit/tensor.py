@@ -48,29 +48,18 @@ Array = np.ndarray
 
 _local = threading.local()
 
-_check_finite = True
-
 # Lower clamp applied to probabilities before taking their log.
 PROB_FLOOR = 1e-12
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op NaN/Inf validation; returns the previous setting."""
-    global _check_finite
-    previous = _check_finite
-    _check_finite = bool(enabled)
-    return previous
 
 
 class Tensor:
     """A float64 array, optionally marked as a trainable leaf."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_tracked")
+    __slots__ = ("data", "requires_grad", "_tracked")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad: Array | None = None
         self._tracked = False
 
     @property
@@ -174,9 +163,8 @@ def active_tape() -> Tape | None:
 
 
 def _require_finite(values: Array, what: str) -> None:
-    """Raise FloatingPointError if per-op checks are on and ``values`` holds a
-    NaN or an infinity."""
-    if _check_finite and not np.isfinite(values).all():
+    """Raise FloatingPointError if ``values`` holds a NaN or an infinity."""
+    if not np.isfinite(values).all():
         raise FloatingPointError(f"{what} produced non-finite values")
 
 
@@ -216,8 +204,7 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
 
     Without ``params``, returns the same gradients densified, keyed by tensor,
     for every requires_grad tensor that appears on the tape (zeros for those
-    not reachable from the loss), and stores them on each tensor's ``grad``
-    attribute.
+    not reachable from the loss).
 
     Every returned array is a fresh one that no other tensor's gradient
     shares.
@@ -252,7 +239,7 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
             if grad.indices.size:
                 dense[grad.indices] = grad.rows
             grad = dense
-        result[tensor] = tensor.grad = grad
+        result[tensor] = grad
     return result
 
 

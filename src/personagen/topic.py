@@ -20,6 +20,7 @@ from .numkit import (
     PROB_FLOOR,
     AdamState,
     Affine,
+    Module,
     Tape,
     Tensor,
     adam_step,
@@ -41,8 +42,13 @@ from .numkit import (
 )
 
 
+# every layer's initial weight range, and the global gradient norm bound
+INIT_SCALE = 0.05
+GRAD_CLIP = 5.0
+
+
 @dataclass
-class TopicModel:
+class TopicModel(Module):
     vocab: Vocabulary
     topics: int
     enc_hidden: Affine
@@ -53,28 +59,17 @@ class TopicModel:
 
     @classmethod
     def create(cls, vocab: Vocabulary, topics: int, hidden: int,
-               rng: np.random.Generator, scale: float = 0.05) -> "TopicModel":
+               rng: np.random.Generator) -> "TopicModel":
         v = len(vocab)
         return cls(
             vocab=vocab,
             topics=topics,
-            enc_hidden=Affine(v, hidden, rng, scale),
-            enc_mu=Affine(hidden, topics, rng, scale),
-            enc_logvar=Affine(hidden, topics, rng, scale),
-            dec_hidden=Affine(topics, topics, rng, scale),
-            dec_out=Affine(topics, v, rng, scale),
+            enc_hidden=Affine(v, hidden, rng, INIT_SCALE),
+            enc_mu=Affine(hidden, topics, rng, INIT_SCALE),
+            enc_logvar=Affine(hidden, topics, rng, INIT_SCALE),
+            dec_hidden=Affine(topics, topics, rng, INIT_SCALE),
+            dec_out=Affine(topics, v, rng, INIT_SCALE),
         )
-
-    def named_params(self) -> list[tuple[str, Tensor]]:
-        params: list[tuple[str, Tensor]] = []
-        for name, layer in (("enc_hidden", self.enc_hidden), ("enc_mu", self.enc_mu),
-                            ("enc_logvar", self.enc_logvar), ("dec_hidden", self.dec_hidden),
-                            ("dec_out", self.dec_out)):
-            params.extend(layer.named_params(name))
-        return params
-
-    def params(self) -> list[Tensor]:
-        return [t for _, t in self.named_params()]
 
 
 @dataclass
@@ -174,9 +169,7 @@ class TopicTrainConfig:
     epochs: int = 40
     batch_size: int = 32
     lr: float = 1e-3
-    grad_clip: float = 5.0
     seed: int = 0
-    init_scale: float = 0.05
 
 
 def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
@@ -193,7 +186,7 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
         raise ValueError("train_topic_model needs at least one document")
     rng = np.random.default_rng(config.seed)
     if model is None:
-        model = TopicModel.create(vocab, config.topics, config.hidden, rng, config.init_scale)
+        model = TopicModel.create(vocab, config.topics, config.hidden, rng)
     params = model.params()
     state = AdamState.create(params, lr=config.lr)
 
@@ -211,7 +204,7 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite topic loss at epoch {epoch}, batch starting {start}: {err}") from err
-            clip_global_norm(grads, config.grad_clip)
+            clip_global_norm(grads, GRAD_CLIP)
             adam_step(params, grads, state)
             total += loss.item() * len(batch)
         trace.append((epoch, total / len(docs)))

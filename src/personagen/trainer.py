@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import BoundExample, DialogueModel, LossSettings
+from .config import LossSettings
+from .net import BoundExample, DialogueModel
 from .numkit import AdamState, Tape, adam_step, backward, clip_global_norm, mean, stack
 
 
@@ -64,7 +65,6 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
     if not train_examples:
         raise ValueError("no training examples")
     params = model.params()
-    names = [name for name, _ in model.named_params()]
     state = AdamState.create(params, lr=train_settings.lr)
     result = TrainResult()
 
@@ -100,7 +100,7 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
             record.valid_loss, _ = evaluate_loss(model, valid_examples, loss_settings)
             if result.best_valid is None or record.valid_loss < result.best_valid:
                 result.best_valid = record.valid_loss
-                result.best_params = {name: p.data.copy() for name, p in zip(names, params)}
+                result.best_params = {name: p.data.copy() for name, p in model.named_params()}
         result.trace.append(record)
         if log is not None:
             log(record)

@@ -163,7 +163,7 @@ def np_affine(x, layer):
 
 
 def np_tanh_mlp(x, mlp):
-    return np.tanh(np_affine(x, mlp.affine))
+    return np.tanh(np_affine(x, mlp))
 
 
 def np_retrieve(q, keys, values):

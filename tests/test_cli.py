@@ -89,6 +89,53 @@ class TestConfig:
         assert f"error: {path}" in capsys.readouterr().err
 
 
+# a config value of the wrong type or out of range, and the key the error names
+BAD_CONFIG_VALUES = {
+    "seed_null": ({"seed": None}, "seed"),
+    "seed_fraction": ({"seed": 1.5}, "seed"),
+    "seed_negative": ({"seed": -1}, "seed"),
+    "lr_string": ({"model": {"lr": "fast"}}, "model.lr"),
+    "hidden_string": ({"model": {"hidden": "abc"}}, "model.hidden"),
+    "hidden_odd": ({"model": {"hidden": 3}}, "model.hidden"),
+    "beam_bool": ({"model": {"beam": True}}, "model.beam"),
+    "model_batch_zero": ({"model": {"batch_size": 0}}, "model.batch_size"),
+    "model_vocab_reserved_only": ({"model": {"vocab_size": 4}}, "model.vocab_size"),
+    "topic_batch_zero": ({"topic": {"batch_size": 0}}, "topic.batch_size"),
+    "topic_vocab_reserved_only": ({"topic": {"vocab_size": 4}}, "topic.vocab_size"),
+    "topics_zero": ({"topic": {"topics": 0}}, "topic.topics"),
+    "train_path_number": ({"paths": {"train": 5}}, "paths.train"),
+    "corpora_not_list": ({"paths": {"topic_corpora": "a.txt"}}, "paths.topic_corpora"),
+    "gamma_string": ({"losses": {"gamma_match": "high"}}, "losses.gamma_match"),
+}
+
+
+def run_small_config(override, command, corpus, tmp_path) -> int:
+    """``command`` on a config that trains in well under a second, with the
+    sections of ``override`` merged in."""
+    config = {"paths": {"train": str(corpus)},
+              "topic": {"topics": 2, "hidden": 4, "epochs": 1, "vocab_size": 64},
+              "model": {"hidden": 4, "emb_dim": 3, "vocab_size": 64, "epochs": 1}}
+    for section, values in override.items():
+        config[section] = dict(config.get(section, {}), **values) if isinstance(values, dict) \
+            else values
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out.ckpt")])
+
+
+@pytest.mark.parametrize("command", ["pretrain-topic", "train"])
+def test_small_config_runs(command, toy_corpus, tmp_path):
+    assert run_small_config({}, command, toy_corpus, tmp_path) == 0
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIG_VALUES))
+def test_bad_config_value_exits_2_naming_its_key(case, toy_corpus, tmp_path, capsys):
+    override, key = BAD_CONFIG_VALUES[case]
+    command = "pretrain-topic" if key.startswith("topic") else "train"
+    assert run_small_config(override, command, toy_corpus, tmp_path) == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -49,6 +49,43 @@ def tiny_example(vocab):
     return bind_example(example, vocab, ["music"])
 
 
+def gru_names(prefix):
+    return [f"{prefix}.{gate}" for gate in
+            ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n")]
+
+
+# checkpoint names and the order of clipping sums and Adam state: the
+# order decides the bits of a training run
+DIALOGUE_PARAM_NAMES = (
+    ["embedding"]
+    + gru_names("persona.fwd") + gru_names("persona.bwd")
+    + ["persona.sent_key.w", "persona.sent_key.b", "persona.sent_value.w", "persona.sent_value.b",
+       "persona.word_key.w", "persona.word_key.b", "persona.word_value.w", "persona.word_value.b"]
+    + gru_names("history.word_fwd") + gru_names("history.word_bwd")
+    + gru_names("history.utt_fwd") + gru_names("history.utt_bwd")
+    + ["c_proj.w", "c_proj.b", "e_key.w", "e_key.b", "e_value.w", "e_value.b"]
+    + gru_names("decoder.cell")
+    + ["decoder.attn_ws", "decoder.attn_wt", "decoder.attn_b", "decoder.attn_v",
+       "decoder.out.w", "decoder.out.b", "decoder.init_proj.w", "decoder.init_proj.b"]
+)
+
+
+class TestParameters:
+    def test_names_and_order_are_pinned(self):
+        named = tiny_model().named_params()
+        assert len(named) == 86
+        assert [name for name, _ in named] == DIALOGUE_PARAM_NAMES
+
+    def test_every_leaf_on_the_tape_is_a_parameter(self):
+        model = tiny_model()
+        with nk.Tape() as tape:
+            loss = model.example_loss(tiny_example(model.vocab), LossSettings()).joint
+        leaves = set(nk.backward(loss, tape))
+        params = model.params()
+        assert len({id(p) for p in params}) == len(params)
+        assert leaves == set(params)
+
+
 class TestEncodePersona:
     def test_slot_counts(self):
         model = tiny_model()

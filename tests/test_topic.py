@@ -7,6 +7,7 @@ from conftest import make_cluster_corpus, np_softmax
 from personagen import numkit as nk
 from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
 from personagen.topic import (
+    GRAD_CLIP,
     TopicModel,
     TopicTrainConfig,
     decode,
@@ -21,6 +22,15 @@ from personagen.topic import (
 
 def small_vocab(n=6):
     return Vocabulary.from_tokens([f"w{i}" for i in range(n)])
+
+
+def test_param_names_and_order_are_pinned():
+    # checkpoint names and the order of clipping sums and Adam state
+    model = TopicModel.create(small_vocab(), 2, 3, np.random.default_rng(0))
+    assert [name for name, _ in model.named_params()] == [
+        "enc_hidden.w", "enc_hidden.b", "enc_mu.w", "enc_mu.b", "enc_logvar.w", "enc_logvar.b",
+        "dec_hidden.w", "dec_hidden.b", "dec_out.w", "dec_out.b"]
+    assert [t for _, t in model.named_params()] == model.params()
 
 
 def zeroed(model):
@@ -218,7 +228,7 @@ class TestTraining:
         doc = TfIdfDoc({4: 1.0})
         config = TopicTrainConfig(topics=2, hidden=4, epochs=0, seed=9)
         model, trace = train_topic_model([doc], vocab, config)
-        fresh = TopicModel.create(vocab, 2, 4, np.random.default_rng(9), config.init_scale)
+        fresh = TopicModel.create(vocab, 2, 4, np.random.default_rng(9))
         for (_, trained), (_, init) in zip(model.named_params(), fresh.named_params()):
             assert np.array_equal(trained.data, init.data)
         assert trace == []
@@ -254,7 +264,7 @@ class TestTraining:
         model, trace = train_topic_model(docs, vocab, config)
 
         rng = np.random.default_rng(config.seed)
-        oracle = TopicModel.create(vocab, config.topics, config.hidden, rng, config.init_scale)
+        oracle = TopicModel.create(vocab, config.topics, config.hidden, rng)
         params = oracle.params()
         m = [np.zeros_like(p.data) for p in params]
         v = [np.zeros_like(p.data) for p in params]
@@ -272,8 +282,8 @@ class TestTraining:
                 grads = [by_tensor[p] if p in by_tensor else np.zeros_like(p.data)
                          for p in params]
                 norm = float(np.sqrt(sum(float(np.vdot(g, g)) for g in grads)))
-                if norm > config.grad_clip:
-                    grads = [g * (config.grad_clip / norm) for g in grads]
+                if norm > GRAD_CLIP:
+                    grads = [g * (GRAD_CLIP / norm) for g in grads]
                 t += 1
                 for i, (p, g) in enumerate(zip(params, grads)):
                     m[i] = b1 * m[i] + (1.0 - b1) * g
