@@ -128,6 +128,10 @@ def _load_config(args) -> Config:
         raise UserError(f"{args.config}: {err}") from err
     if args.seed is not None:
         config.seed = args.seed
+        try:
+            config.check_bounds()
+        except ValueError as err:
+            raise UserError(f"--seed: {err}") from err
     return config
 
 

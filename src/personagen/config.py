@@ -10,6 +10,7 @@ reproduces those settings.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 
@@ -90,14 +91,19 @@ class Config:
                 _override(getattr(config, key), value, key)
             else:
                 raise ValueError(f"unknown config section {key!r}")
+        config.check_bounds()
+        return config
+
+    def check_bounds(self) -> None:
+        """Raise a ValueError naming the first count below its bound in
+        ``_LEAST``, or an odd ``model.hidden``."""
         for where, least in _LEAST.items():
-            value = reduce(getattr, where.split("."), config)
+            value = reduce(getattr, where.split("."), self)
             if value < least:
                 raise ValueError(f"{where} must be an integer of at least {least}, "
                                  f"got {value!r}")
-        if config.model.hidden % 2:
-            raise ValueError(f"model.hidden must be even, got {config.model.hidden}")
-        return config
+        if self.model.hidden % 2:
+            raise ValueError(f"model.hidden must be even, got {self.model.hidden}")
 
     @classmethod
     def from_file(cls, path) -> "Config":
@@ -133,9 +139,12 @@ _TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
 
 
 def _checked(where: str, default, value):
-    """``value``, if it has the type of ``default``; else a ValueError."""
+    """``value``, if it has the type of ``default`` and is not JSON's
+    ``NaN`` or ``Infinity``; else a ValueError."""
     allowed, wanted = _TYPES[type(default)]
     if type(value) not in allowed or (
             type(value) is list and not all(isinstance(v, str) for v in value)):
         raise ValueError(f"{where} must be {wanted}, got {value!r}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{where} must be a finite number, got {value!r}")
     return value

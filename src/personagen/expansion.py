@@ -58,7 +58,9 @@ def cosine(u1: np.ndarray, u2: np.ndarray) -> float | np.ndarray:
         return float(np.dot(u1, u2) / (n1 * n2))
     norms = np.outer(np.sqrt(np.einsum("ij,ij->i", u1, u1)),
                      np.sqrt(np.einsum("ij,ij->i", u2, u2)))
-    return np.divide(u1 @ u2.T, norms, out=np.zeros_like(norms), where=norms != 0.0)
+    # the cosines overwrite the norms; a zero norm product is +0.0, which
+    # np.divide leaves in place
+    return np.divide(u1 @ u2.T, norms, out=norms, where=norms != 0.0)
 
 
 def _space(vectors: Mapping[str, TopicWordVector]) -> TopicSpace:
@@ -81,17 +83,18 @@ def _nearest(space: TopicSpace, rows: list[int], allowed: np.ndarray,
     """For each of ``rows``, the m best ``allowed`` words by cosine score
     descending then token ascending.
 
-    One cosine product scores the rows against the whole space. Only the
-    words scoring at least a row's m-th best allowed score (found with
-    ``np.partition``) are sorted, so the order equals a full sort's.
+    One cosine product scores the rows against the whole space, in place.
+    Only the words scoring at least a row's m-th best allowed score (found
+    with ``np.partition``) are sorted, so the order equals a full sort's.
     """
     m = min(m, int(np.count_nonzero(allowed)))
     if m == 0:
         return [[] for _ in rows]
-    scores = np.where(allowed, cosine(space.matrix[rows], space.matrix), -np.inf)
+    scores = cosine(space.matrix[rows], space.matrix)
+    scores[:, ~allowed] = -np.inf
     result = []
-    for row, least in zip(scores, np.partition(scores, -m, axis=1)[:, -m]):
-        picked = np.flatnonzero(row >= least)
+    for row in scores:
+        picked = np.flatnonzero(row >= np.partition(row, -m)[-m])
         ranked = sorted(zip(row[picked].tolist(), picked.tolist()),
                         key=lambda item: (-item[0], space.tokens[item[1]]))
         result.append([(space.tokens[i], score) for score, i in ranked[:m]])

@@ -1,5 +1,13 @@
 """Adam with bias correction, plus global-norm gradient clipping.
 
+Adam runs in the efficient form of Kingma & Ba (arXiv:1412.6980, section 2):
+the bias corrections fold into the step size ``alpha_t = lr * sqrt(1 -
+beta2^t) / (1 - beta1^t)`` and the floor ``eps_hat = eps * sqrt(1 -
+beta2^t)``, so ``p -= alpha_t * m / (sqrt(v) + eps_hat)`` is the bias-corrected
+update ``lr * m_hat / (sqrt(v_hat) + eps)`` in exact arithmetic, with one
+division per element instead of three. The moments are the same; the
+parameters differ from that formula's in the last bits.
+
 Both take one gradient per parameter: a dense array of the parameter's shape,
 or a ``RowGrad`` with strictly increasing indices, as ``backward`` gives for a
 table that only ``lookup`` reached. Clipping reads and scales a ``RowGrad``'s
@@ -10,6 +18,7 @@ with a zero gradient; only the gradient's own terms for that row are skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,12 +60,17 @@ def adam_step(params: list[Tensor], grads: list[Array | RowGrad],
             raise ValueError(f"adam_step: parameter {position} of shape {p.data.shape}: {problem}")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        p, m, v = (np.atleast_1d(a) for a in (p.data, m, v))
-        for block, selected, g_block in _gradient_blocks(g, p.shape[0], p.size):
-            _adam_update(state, bc1, bc2, p[block], m[block], v[block], selected, g_block)
+    root_bc2 = math.sqrt(1.0 - state.beta2 ** t)
+    alpha = state.lr * root_bc2 / (1.0 - state.beta1 ** t)
+    eps_hat = state.eps * root_bc2
+    params_data = [np.atleast_1d(p.data) for p in params]
+    largest = max((p[:_block_rows(p)].size for p in params_data), default=0)
+    g_buffer, step_buffer = np.empty(largest), np.empty(largest)
+    for p, g, m, v in zip(params_data, grads, state.m, state.v):
+        m, v = np.atleast_1d(m), np.atleast_1d(v)
+        for block, selected, g_block in _gradient_blocks(g, _block_rows(p), p.shape[0]):
+            _adam_update(state, alpha, eps_hat, p[block], m[block], v[block], selected,
+                         g_block, g_buffer, step_buffer)
     return params, state
 
 
@@ -75,13 +89,18 @@ def _gradient_problem(param: Array, g: Array | RowGrad) -> str | None:
     return None
 
 
-def _gradient_blocks(g: Array | RowGrad, rows: int, size: int):
-    """``(block, selected, g_block)`` for each block of whole rows, about
-    ``_BLOCK`` elements, of a parameter with ``rows`` rows and ``size``
-    elements: ``g_block`` holds the gradient of rows ``selected`` of the
-    block, which for a dense ``g`` is all of them (``slice(None)``) and for a
-    ``RowGrad`` the block-local indices of its rows that fall in the block."""
-    step = max(1, _BLOCK * rows // max(1, size))
+def _block_rows(p: Array) -> int:
+    """Rows of ``p`` per block of the update: whole rows, about ``_BLOCK``
+    elements, and at least one row."""
+    return max(1, _BLOCK * p.shape[0] // max(1, p.size))
+
+
+def _gradient_blocks(g: Array | RowGrad, step: int, rows: int):
+    """``(block, selected, g_block)`` for each block of ``step`` rows of a
+    parameter with ``rows`` rows: ``g_block`` holds the gradient of rows
+    ``selected`` of the block, which for a dense ``g`` is all of them
+    (``slice(None)``) and for a ``RowGrad`` the block-local indices of its
+    rows that fall in the block."""
     starts = range(0, rows, step)
     if isinstance(g, RowGrad):
         indices, g_rows = np.asarray(g.indices), np.asarray(g.rows, dtype=np.float64)
@@ -95,39 +114,43 @@ def _gradient_blocks(g: Array | RowGrad, rows: int, size: int):
 
 
 # Elements per block of the Adam update, so that a block's four operands and
-# two temporaries (about 6 x 128 KB) stay in cache across its passes.
-_BLOCK = 1 << 14
+# two temporaries (about 6 x 256 KB) stay in a 2 MB L2 cache across its
+# passes. On a Xeon with that cache, a topic epoch ran about 6 % faster than
+# with 1 << 14 and the same as with 1 << 16.
+_BLOCK = 1 << 15
 
 
-def _adam_update(state: AdamState, bc1: float, bc2: float, p: Array, m: Array, v: Array,
-                 selected, g: Array) -> None:
+def _adam_update(state: AdamState, alpha: float, eps_hat: float, p: Array, m: Array,
+                 v: Array, selected, g: Array, g_buffer: Array, step_buffer: Array) -> None:
     """Update views ``p``, ``m`` and ``v`` in place with the operations, in
     their order, of
 
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        p -= m / (sqrt(v) + eps_hat) * alpha
 
     where ``g`` is the gradient of rows ``selected`` and zero in the others,
     so the result is bit-identical to that formula. A row left out skips the
     two ``(1 - beta) * 0`` terms, which changes no bit: adding +0.0 alters
     only a -0.0, ``v`` is never negative, and ``m`` never holds -0.0, since
     it starts at +0.0 and, for beta1 > 1/2, ``beta1 * m`` rounds to zero only
-    when ``m`` is zero.
+    when ``m`` is zero. The two temporaries are the leading elements of
+    ``g_buffer`` and ``step_buffer``, flat arrays at least as large as the
+    block.
     """
     m *= state.beta1
     v *= state.beta2
-    scratch = np.multiply(g, 1.0 - state.beta1)
-    m[selected] += scratch
-    np.multiply(g, g, out=scratch)
-    scratch *= 1.0 - state.beta2
-    v[selected] += scratch
-    step = np.divide(m, bc1)
-    step *= state.lr
-    denom = np.divide(v, bc2)
-    np.sqrt(denom, out=denom)
-    denom += state.eps
-    step /= denom
+    work = g_buffer[:g.size].reshape(g.shape)
+    np.multiply(g, 1.0 - state.beta1, out=work)
+    m[selected] += work
+    np.multiply(g, g, out=work)
+    work *= 1.0 - state.beta2
+    v[selected] += work
+    step = step_buffer[:m.size].reshape(m.shape)
+    np.sqrt(v, out=step)
+    step += eps_hat
+    np.divide(m, step, out=step)
+    step *= alpha
     p -= step
 
 

@@ -64,6 +64,33 @@ def test_training_loops_call_backward_through_the_traced_site(module, monkeypatc
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, "backward", counting)
+    train_two_batches(module)
+    assert len(calls) == 2
+    assert all(len(args) >= 2 and isinstance(args[1], numkit.Tape) and len(args[1]) > 0
+               for args in calls)
+
+
+@pytest.mark.parametrize("attr", ["adam_step", "clip_global_norm"])
+@pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])
+def test_training_loops_step_through_the_traced_sites(module, attr, monkeypatch):
+    # the benchmark times clipping and Adam by wrapping these module
+    # attributes; a loop that reached them some other way would make
+    # numkit.adam_step_s or numkit.clip_global_norm_s read 0 silently
+    calls = []
+    original = getattr(module, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, counting)
+    train_two_batches(module)
+    assert len(calls) == 2
+
+
+def train_two_batches(module):
+    """One epoch of the topic model or the dialogue model over three toy
+    documents or examples, in batches of two."""
     if module is topic:
         docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({7: 3.0})]
         vocab = Vocabulary.from_tokens([f"w{i}" for i in range(6)])
@@ -74,9 +101,6 @@ def test_training_loops_call_backward_through_the_traced_site(module, monkeypatc
         trainer.train_dialogue_model(model, [bound] * 3, None, LossSettings(),
                                      trainer.TrainSettings(epochs=1, batch_size=2),
                                      np.random.default_rng(0))
-    assert len(calls) == 2  # three documents or examples in batches of two
-    assert all(len(args) >= 2 and isinstance(args[1], numkit.Tape) and len(args[1]) > 0
-               for args in calls)
 
 
 def test_probed_parameters_exist():

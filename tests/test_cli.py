@@ -106,12 +106,16 @@ BAD_CONFIG_VALUES = {
     "train_path_number": ({"paths": {"train": 5}}, "paths.train"),
     "corpora_not_list": ({"paths": {"topic_corpora": "a.txt"}}, "paths.topic_corpora"),
     "gamma_string": ({"losses": {"gamma_match": "high"}}, "losses.gamma_match"),
+    "lr_nan": ({"model": {"lr": float("nan")}}, "model.lr"),
+    "grad_clip_infinity": ({"model": {"grad_clip": float("inf")}}, "model.grad_clip"),
+    "topic_lr_minus_infinity": ({"topic": {"lr": float("-inf")}}, "topic.lr"),
+    "gamma_nan": ({"losses": {"gamma_bows": float("nan")}}, "losses.gamma_bows"),
 }
 
 
-def run_small_config(override, command, corpus, tmp_path) -> int:
+def run_small_config(override, command, corpus, tmp_path, *options) -> int:
     """``command`` on a config that trains in well under a second, with the
-    sections of ``override`` merged in."""
+    sections of ``override`` merged in and ``options`` appended."""
     config = {"paths": {"train": str(corpus)},
               "topic": {"topics": 2, "hidden": 4, "epochs": 1, "vocab_size": 64},
               "model": {"hidden": 4, "emb_dim": 3, "vocab_size": 64, "epochs": 1}}
@@ -120,7 +124,7 @@ def run_small_config(override, command, corpus, tmp_path) -> int:
             else values
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
-    return main([command, "--config", str(path), "--out", str(tmp_path / "out.ckpt")])
+    return main([command, "--config", str(path), "--out", str(tmp_path / "out.ckpt"), *options])
 
 
 @pytest.mark.parametrize("command", ["pretrain-topic", "train"])
@@ -134,6 +138,12 @@ def test_bad_config_value_exits_2_naming_its_key(case, toy_corpus, tmp_path, cap
     command = "pretrain-topic" if key.startswith("topic") else "train"
     assert run_small_config(override, command, toy_corpus, tmp_path) == 2
     assert f"{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pretrain-topic", "train"])
+def test_negative_seed_option_exits_2_naming_seed(command, toy_corpus, tmp_path, capsys):
+    assert run_small_config({}, command, toy_corpus, tmp_path, "--seed", "-1") == 2
+    assert "seed must be" in capsys.readouterr().err
 
 
 class TestCheckpoint:

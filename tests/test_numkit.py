@@ -525,8 +525,9 @@ class TestAdam:
         assert run() == run()
 
     def test_matches_reference_formula_bitwise(self):
-        # the in-place, blocked update against the textbook expression; the
-        # shapes cover a scalar, a vector and matrices above the block size
+        # the in-place, blocked update against Kingma & Ba's efficient form
+        # written out; the shapes cover a scalar, a vector and matrices above
+        # the block size
         rng = np.random.default_rng(11)
         shapes = [(), (7,), (3, 40000), (40000, 3)]
         params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
@@ -541,14 +542,54 @@ class TestAdam:
             for i, g in enumerate(grads):
                 ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
                 ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
-                m_hat = ref_m[i] / (1.0 - b1 ** t)
-                v_hat = ref_v[i] / (1.0 - b2 ** t)
-                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+                alpha = lr * np.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+                eps_hat = eps * np.sqrt(1.0 - b2 ** t)
+                ref_p[i] = ref_p[i] - ref_m[i] / (np.sqrt(ref_v[i]) + eps_hat) * alpha
         for p, m, v, want_p, want_m, want_v in zip(params, state.m, state.v,
                                                      ref_p, ref_m, ref_v):
             assert p.data.tobytes() == np.asarray(want_p).tobytes()
             assert m.tobytes() == np.asarray(want_m).tobytes()
             assert v.tobytes() == np.asarray(want_v).tobytes()
+
+    @pytest.mark.parametrize("row_grads", [False, True], ids=["dense", "row_grad"])
+    def test_stays_within_rounding_of_the_classic_formula(self, row_grads):
+        # the efficient form equals lr * m_hat / (sqrt(v_hat) + eps) in exact
+        # arithmetic: the moments match bit for bit, and each step may move
+        # a parameter by a few roundings of its largest entry
+        rng = np.random.default_rng(13)
+        shapes = [(), (7,), (300, 256), (70000,)]
+        params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+        state = nk.AdamState.create(params, lr=3e-3)
+        ref_p = [p.data.copy() for p in params]
+        ref_m = [np.zeros(s) for s in shapes]
+        ref_v = [np.zeros(s) for s in shapes]
+        b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+        steps = 60
+        for t in range(1, steps + 1):
+            grads, given = [], []
+            for s in shapes:
+                g = rng.normal(size=s) * (t % 3)
+                if row_grads and s:
+                    kept = rng.random(s[0]) < 0.3
+                    g[~kept] = 0.0
+                    given.append(RowGrad(np.flatnonzero(kept), g[kept]))
+                else:
+                    given.append(g.copy())
+                grads.append(g)
+            nk.adam_step(params, given, state)
+            for i, g in enumerate(grads):
+                ref_m[i] = b1 * ref_m[i] + (1.0 - b1) * g
+                ref_v[i] = b2 * ref_v[i] + (1.0 - b2) * (g * g)
+                m_hat = ref_m[i] / (1.0 - b1 ** t)
+                v_hat = ref_v[i] / (1.0 - b2 ** t)
+                ref_p[i] = ref_p[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        bound = steps * 8 * np.finfo(np.float64).eps
+        for p, m, v, want_p, want_m, want_v in zip(params, state.m, state.v,
+                                                     ref_p, ref_m, ref_v):
+            assert m.tobytes() == np.asarray(want_m).tobytes()
+            assert v.tobytes() == np.asarray(want_v).tobytes()
+            scale = np.abs(want_p).max()
+            assert np.abs(p.data - want_p).max() <= bound * scale
 
     def test_shape_mismatch_rejected(self):
         p = nk.Tensor([1.0, 2.0], requires_grad=True)

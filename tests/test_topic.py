@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,10 +255,10 @@ class TestTraining:
 
     def test_matches_a_dense_oracle_loop_bitwise(self):
         # the oracle fills every gradient densely (the dict form of backward,
-        # zeros for the rest) and applies the textbook Adam formula. Each
-        # batch reads under half of the words, so the rows of the others must
-        # decay their moments and move exactly as with a zero gradient: an
-        # Adam that skips them (a lazy one) fails here
+        # zeros for the rest) and applies Adam in Kingma & Ba's efficient
+        # form. Each batch reads under half of the words, so the rows of the
+        # others must decay their moments and move exactly as with a zero
+        # gradient: an Adam that skips them (a lazy one) fails here
         docs_tokens, _, _ = make_cluster_corpus(seed=3, n_docs=40, words_per_doc=6)
         vocab = build_vocab(docs_tokens, size_limit=54, remove_stopwords=True)
         docs = compute_tfidf(docs_tokens, vocab)
@@ -288,8 +290,9 @@ class TestTraining:
                 for i, (p, g) in enumerate(zip(params, grads)):
                     m[i] = b1 * m[i] + (1.0 - b1) * g
                     v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
-                    m_hat, v_hat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
-                    p.data = p.data - config.lr * m_hat / (np.sqrt(v_hat) + eps)
+                    alpha = config.lr * math.sqrt(1.0 - b2 ** t) / (1.0 - b1 ** t)
+                    eps_hat = eps * math.sqrt(1.0 - b2 ** t)
+                    p.data = p.data - m[i] / (np.sqrt(v[i]) + eps_hat) * alpha
                 total += loss.item() * len(batch)
             want.append((epoch, total / len(docs)))
         assert trace == want
