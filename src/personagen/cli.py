@@ -262,6 +262,9 @@ def _parse_expansion_records(path) -> dict[int, list[str]]:
             words = record.get("words")
             if not isinstance(words, list) or not all(map(_is_word_pair, words)):
                 raise UserError(f"{path}:{number}: \"words\" is not a list of [token, score] pairs")
+            if record["conversation"] in records:
+                raise UserError(f"{path}:{number}: a second expansion record for "
+                                f"conversation {record['conversation']}")
             records[record["conversation"]] = [token for token, _ in words]
     return records
 
@@ -371,6 +374,21 @@ def _load_dialogue_model(args) -> tuple[DialogueModel, Config]:
 # ---------------------------------------------------------------------------
 
 
+def _generated(model: DialogueModel, config: Config, conversations: list[Conversation],
+               expansions: dict[int, list[str]] | None, mode: str, diagnostics: bool = False):
+    """(conversation index, example, response, diagnostics or None) for each
+    example of ``conversations`` in order, bound to its conversation's
+    expansion record and decoded with the config's beam width and length."""
+    for i, conv in enumerate(conversations):
+        tokens = None if expansions is None else expansions.get(i)
+        for example in conv.examples:
+            result = model.generate(bind_example(example, model.vocab, tokens), mode=mode,
+                                    beam_width=config.model.beam, max_len=config.model.max_len,
+                                    collect_diagnostics=diagnostics)
+            response, diag = result if diagnostics else (result, None)
+            yield i, example, response, diag
+
+
 def cmd_generate(args) -> int:
     model, config = _load_dialogue_model(args)
     conversations = _load_conversations(args.data)
@@ -378,27 +396,14 @@ def cmd_generate(args) -> int:
 
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        index = 0
-        for i, conv in enumerate(conversations):
-            tokens = None if expansions is None else expansions.get(i)
-            for example in conv.examples:
-                bound = bind_example(example, model.vocab, tokens)
-                if args.diagnostics:
-                    response, diag = model.generate(
-                        bound, mode=args.mode, beam_width=config.model.beam,
-                        max_len=config.model.max_len, collect_diagnostics=True)
-                else:
-                    response = model.generate(
-                        bound, mode=args.mode, beam_width=config.model.beam,
-                        max_len=config.model.max_len)
-                    diag = None
-                record = {"conversation": i, "example": index, "response": detokenize(response)}
-                if diag is not None:
-                    record["match_weights"] = diag["match_weights"]
-                    if diag["steps"]:
-                        record["memory_attention"] = diag["steps"][-1]
-                out.write(json.dumps(record) + "\n")
-                index += 1
+        for index, (i, _, response, diag) in enumerate(
+                _generated(model, config, conversations, expansions, args.mode, args.diagnostics)):
+            record = {"conversation": i, "example": index, "response": detokenize(response)}
+            if diag is not None:
+                record["match_weights"] = diag["match_weights"]
+                if diag["steps"]:
+                    record["memory_attention"] = diag["steps"][-1]
+            out.write(json.dumps(record) + "\n")
     finally:
         if args.out:
             out.close()
@@ -416,20 +421,14 @@ def cmd_eval(args) -> int:
 
     candidates: list[list[str]] = []
     references: list[list[str]] = []
-    per_conversation: list[tuple[list[list[str]], list[list[str]]]] = []
-    for i, conv in enumerate(conversations):
-        tokens = None if expansions is None else expansions.get(i)
-        responses = []
-        persona = conv.persona_sentences
-        for example in conv.examples:
-            bound = bind_example(example, model.vocab, tokens)
-            response = model.generate(bound, mode=args.mode, beam_width=config.model.beam,
-                                      max_len=config.model.max_len)
-            candidates.append(response)
-            references.append(example.response)
-            responses.append(response)
-        if conv.examples:
-            per_conversation.append((persona, responses))
+    responses: dict[int, list[list[str]]] = {}
+    for i, example, response, _ in _generated(model, config, conversations, expansions,
+                                              args.mode):
+        candidates.append(response)
+        references.append(example.response)
+        responses.setdefault(i, []).append(response)
+    per_conversation = [(conversations[i].persona_sentences, conv_responses)
+                        for i, conv_responses in responses.items()]
 
     report = evaluate_corpus(candidates, references, table, per_conversation)
     line = json.dumps(report.to_record())

@@ -186,12 +186,6 @@ class TfIdfDoc:
 
     weights: dict[int, float]
 
-    def to_dense(self, size: int) -> np.ndarray:
-        dense = np.zeros(size)
-        for index, weight in self.weights.items():
-            dense[index] = weight
-        return dense
-
 
 def compute_tfidf(documents: list[list[str]], vocab: Vocabulary) -> list[TfIdfDoc]:
     """weight(w, d) = count(w, d) * log(N / (1 + df(w))), clamped at zero.

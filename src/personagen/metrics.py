@@ -77,7 +77,8 @@ def emb_average(candidate: list[str], reference: list[str], table: EmbeddingTabl
     ref = _embedded(reference, table)
     if not cand or not ref:
         return 0.0
-    return cosine(np.mean(cand, axis=0), np.mean(ref, axis=0))
+    return float(cosine(np.mean(cand, axis=0, keepdims=True),
+                        np.mean(ref, axis=0, keepdims=True))[0, 0])
 
 
 def _extrema_vector(vectors: list[np.ndarray]) -> np.ndarray:
@@ -92,7 +93,7 @@ def emb_extrema(candidate: list[str], reference: list[str], table: EmbeddingTabl
     ref = _embedded(reference, table)
     if not cand or not ref:
         return 0.0
-    return cosine(_extrema_vector(cand), _extrema_vector(ref))
+    return float(cosine(_extrema_vector(cand)[None], _extrema_vector(ref)[None])[0, 0])
 
 
 def emb_greedy(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:

@@ -622,27 +622,27 @@ def lookup(table, ids) -> Tensor:
 
 
 def take_columns(x, cols) -> Tensor:
-    """Entries ``cols`` of the last axis of a 1-D or 2-D tensor. ``cols`` must
-    be strictly increasing, as ``np.unique`` gives, so the backward rule
-    writes each column's gradient once."""
+    """Columns ``cols`` of a 2-D tensor. ``cols`` must be strictly
+    increasing, as ``np.unique`` gives, so the backward rule writes each
+    column's gradient once."""
     x = as_tensor(x)
     xdata = x.data
-    if xdata.ndim not in (1, 2):
-        raise ValueError("take_columns expects a 1-D or 2-D tensor")
+    if xdata.ndim != 2:
+        raise ValueError("take_columns expects a 2-D tensor")
     idx = np.asarray(cols, dtype=np.intp)
     if idx.ndim != 1 or (idx[1:] <= idx[:-1]).any():
         raise ValueError("take_columns needs strictly increasing column indices")
-    size = xdata.shape[-1]
+    size = xdata.shape[1]
     if idx.size and (idx[0] < 0 or idx[-1] >= size):
-        raise IndexError(f"column index out of range for a last axis of size {size}")
+        raise IndexError(f"column index out of range for {size} columns")
     shape = xdata.shape
 
     def backward_fn(g):
         grad = np.zeros(shape)
-        grad[..., idx] = g
+        grad[:, idx] = g
         return [grad]
 
-    return _finish(xdata[..., idx], (x,), backward_fn)
+    return _finish(xdata[:, idx], (x,), backward_fn)
 
 
 def cross_entropy(p, index, floor: float = PROB_FLOOR) -> Tensor:

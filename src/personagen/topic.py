@@ -10,7 +10,6 @@ every vocabulary word.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +71,9 @@ class TopicModel(Module):
         )
 
 
-@dataclass
-class TopicWordVector:
-    token: str
-    vector: np.ndarray
-
-
-class TopicSpace(Mapping[str, TopicWordVector]):
-    """Read-only token -> TopicWordVector mapping over one (words, topics)
-    matrix: ``matrix[rows[token]]`` is ``token``'s topic-space vector."""
+class TopicSpace:
+    """Topic-space vectors of a token list: ``matrix[rows[token]]`` is
+    ``token``'s vector, and ``matrix`` is read-only."""
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
         if matrix.shape[0] != len(tokens):
@@ -90,31 +83,19 @@ class TopicSpace(Mapping[str, TopicWordVector]):
         self.matrix = matrix.view()
         self.matrix.flags.writeable = False
 
-    def __getitem__(self, token: str) -> TopicWordVector:
-        return TopicWordVector(token, self.matrix[self.rows[token]])
-
-    def __contains__(self, token) -> bool:
-        return token in self.rows
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tokens)
-
     def __len__(self) -> int:
         return len(self.tokens)
 
 
-def _bag(docs: TfIdfDoc | list[TfIdfDoc]) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, cols) of one document or a list of them: ``cols`` is the
-    sorted union of their word ids and ``weights[..., k]`` each document's
-    tf-idf weight of word ``cols[k]``, a (U,) vector for one document and a
-    (B, U) matrix for a list."""
-    single = isinstance(docs, TfIdfDoc)
-    batch = [docs] if single else docs
-    cols = np.unique(np.fromiter((i for doc in batch for i in doc.weights), dtype=np.intp))
-    weights = np.zeros((len(batch), cols.size))
-    for row, doc in enumerate(batch):
+def _bag(docs: list[TfIdfDoc]) -> tuple[np.ndarray, np.ndarray]:
+    """(weights, cols) of a list of documents: ``cols`` is the sorted union
+    of their word ids and ``weights[b, k]`` document b's tf-idf weight of
+    word ``cols[k]``."""
+    cols = np.unique(np.fromiter((i for doc in docs for i in doc.weights), dtype=np.intp))
+    weights = np.zeros((len(docs), cols.size))
+    for row, doc in enumerate(docs):
         weights[row, np.searchsorted(cols, list(doc.weights))] = list(doc.weights.values())
-    return (weights[0] if single else weights), cols
+    return weights, cols
 
 
 def _encode(weights: np.ndarray, cols: np.ndarray, model: TopicModel
@@ -125,9 +106,9 @@ def _encode(weights: np.ndarray, cols: np.ndarray, model: TopicModel
     return model.enc_mu(h_v), model.enc_logvar(h_v), h_v
 
 
-def encode(docs: TfIdfDoc | list[TfIdfDoc], model: TopicModel) -> tuple[Tensor, Tensor, Tensor]:
-    """One document or a list of them -> (mu, log variance, encoder hidden):
-    vectors for one document, one row per document for a list."""
+def encode(docs: list[TfIdfDoc], model: TopicModel) -> tuple[Tensor, Tensor, Tensor]:
+    """A list of documents -> (mu, log variance, encoder hidden), one row per
+    document."""
     return _encode(*_bag(docs), model)
 
 
@@ -143,13 +124,12 @@ def decode(z, model: TopicModel) -> Tensor:
     return softmax(model.dec_out(h), axis=-1)
 
 
-def elbo_loss(docs: TfIdfDoc | list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
+def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
     """Mean negative ELBO over documents: reconstruction cross-entropy (tf-idf
     weights as soft counts) plus the closed-form Gaussian KL to N(0, I).
 
-    ``docs`` is one document, with ``eps`` of shape (topics,), or a list of
-    them, with ``eps`` of shape (len(docs), topics). The reconstruction term
-    reads the probabilities of the words present only; absent words weigh 0.
+    ``eps`` has shape (len(docs), topics). The reconstruction term reads the
+    probabilities of the words present only; absent words weigh 0.
     """
     weights, cols = _bag(docs)
     mu, logvar, _ = _encode(weights, cols, model)
@@ -158,8 +138,7 @@ def elbo_loss(docs: TfIdfDoc | list[TfIdfDoc], model: TopicModel, eps) -> Tensor
     log_probs = log(clip(recon_probs, PROB_FLOOR, 1.0))
     recon = scale(sum_(mul(weights, log_probs)), -1.0)
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
-    documents = weights.shape[0] if weights.ndim == 2 else 1
-    return scale(recon + kl, 1.0 / documents)
+    return scale(recon + kl, 1.0 / len(docs))
 
 
 @dataclass
@@ -217,15 +196,3 @@ def word_topic_vectors(model: TopicModel) -> TopicSpace:
     start = len(RESERVED_TOKENS)
     tokens = [model.vocab.token(index) for index in range(start, len(model.vocab))]
     return TopicSpace(tokens, model.dec_out.w.data[:, start:].T.copy())
-
-
-def top_topic_words(model: TopicModel, count: int) -> list[list[str]]:
-    """Highest-weight vocabulary words per topic (reserved slots excluded)."""
-    weight = model.dec_out.w.data
-    start = len(RESERVED_TOKENS)
-    result = []
-    for k in range(model.topics):
-        row = weight[k, start:]
-        order = np.argsort(-row)[:count]
-        result.append([model.vocab.token(start + int(i)) for i in order])
-    return result

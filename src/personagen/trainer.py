@@ -59,8 +59,8 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
     clipped to a global norm before each update. Validation (when provided)
     runs after every epoch and the best parameter snapshot is kept; without
     it ``best_params`` stays ``None`` and the model holds the final
-    parameters. A non-finite loss aborts with the batch id and component
-    losses.
+    parameters. A non-finite value in the forward or backward pass aborts
+    with the epoch and batch id.
     """
     if not train_examples:
         raise ValueError("no training examples")
@@ -82,10 +82,6 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_id}: {err}") from err
-            if not np.isfinite(batch_loss.item()):
-                components = [(p.nll.item(), p.p_match.item(), p.p_bows.item()) for p in parts]
-                raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_id} (components: {components})")
             clip_global_norm(grads, train_settings.grad_clip)
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)

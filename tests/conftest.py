@@ -170,3 +170,34 @@ def np_retrieve(q, keys, values):
     scores = np.asarray(keys) @ np.asarray(q)
     weights = np_softmax(scores)
     return weights @ np.asarray(values), weights
+
+
+def np_cosine(u1, u2):
+    """Cosine of two vectors, 0 when either is zero."""
+    n1 = float(np.linalg.norm(u1))
+    n2 = float(np.linalg.norm(u2))
+    if n1 == 0.0 or n2 == 0.0:
+        return 0.0
+    return float(np.dot(u1, u2) / (n1 * n2))
+
+
+def to_dense(doc, size: int) -> np.ndarray:
+    """A TfIdfDoc's weights as a dense vector of ``size`` entries."""
+    dense = np.zeros(size)
+    for index, weight in doc.weights.items():
+        dense[index] = weight
+    return dense
+
+
+def top_topic_words(model, count: int) -> list[list[str]]:
+    """Highest-weight vocabulary words per topic of a TopicModel's decoder
+    output layer (reserved slots excluded)."""
+    from personagen.corpus import RESERVED_TOKENS
+
+    weight = model.dec_out.w.data
+    start = len(RESERVED_TOKENS)
+    result = []
+    for k in range(model.topics):
+        order = np.argsort(-weight[k, start:])[:count]
+        result.append([model.vocab.token(start + int(i)) for i in order])
+    return result

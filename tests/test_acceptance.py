@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import np_retrieve, toy_dialogue_text, toy_expansions
+from conftest import np_retrieve, top_topic_words, toy_dialogue_text, toy_expansions
 from personagen import numkit as nk
 from personagen.cli import main
 from personagen.corpus import (
@@ -33,7 +33,7 @@ from personagen.memory import KeyValueMemory, multihop, retrieve_with_weights
 from personagen.metrics import bleu_n, f1_tokens, persona_use_ratio
 from personagen.net import DialogueModel, LossSettings, bind_example
 from personagen.stopwords import STOPWORDS
-from personagen.topic import TopicWordVector, top_topic_words, word_topic_vectors
+from personagen.topic import TopicSpace, word_topic_vectors
 from personagen.trainer import TrainSettings, train_dialogue_model
 
 
@@ -180,13 +180,8 @@ def test_criterion_3_expansion_soundness(cluster_topic_model):
     assert in_cluster / len(result) >= 0.8
 
     # constructed duplicate case: exact dedup-by-max and budget assertions
-    crafted = {
-        "p1": TopicWordVector("p1", np.array([1.0, 0.0])),
-        "p2": TopicWordVector("p2", np.array([0.0, 1.0])),
-        "shared": TopicWordVector("shared", np.array([2.0, 1.0])),
-        "near1": TopicWordVector("near1", np.array([0.9, 0.1])),
-        "near2": TopicWordVector("near2", np.array([0.1, 0.9])),
-    }
+    crafted = TopicSpace(["p1", "p2", "shared", "near1", "near2"],
+                         np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 1.0], [0.9, 0.1], [0.1, 0.9]]))
     example = DialogueExample([["p1", "p2"]], [["hi"]], ["ok"])
     full = expand(example, crafted, m=3, n_w=10)
     scores = dict(full.words)

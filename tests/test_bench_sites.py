@@ -5,10 +5,12 @@ A traced benchmark run (``perfbench/run.py --trace 1``) replaces each site in
 gradient probe (``probe_coordinates`` in ``perfbench/checks.py``) reads
 parameters by their ``named_params`` names. Renaming or deleting one of those
 would only surface in a benchmark run, so these tests load both files
-(without installing anything) and look every name up.
+(without installing anything) and look every name up, and run the
+benchmark's own toy-size smoke tests.
 """
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -115,3 +117,11 @@ def test_probed_parameters_exist():
     for name, index in coordinates:
         assert name in params
         assert len(index) == params[name].ndim
+
+
+def test_benchmark_smoke_passes():
+    # the workloads call more of the API than the sites above: len() of a
+    # TopicSpace, expand(..., source=), evaluate_loss(...)[0]
+    run = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")],
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr

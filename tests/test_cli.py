@@ -346,6 +346,26 @@ class TestPipeline:
         assert report.bleu1 == pytest.approx(100.0)
         assert report.f1 == pytest.approx(1.0)
 
+    def test_eval_scores_the_responses_generate_writes(self, pipeline, tmp_path):
+        from personagen.corpus import load_personachat
+        from personagen.metrics import evaluate_corpus
+
+        inputs = ["--checkpoint", str(pipeline["model_ckpt"]), "--data", str(pipeline["data"]),
+                  "--expansions", str(pipeline["expansions"]), "--mode", "greedy"]
+        responses, report = tmp_path / "responses.jsonl", tmp_path / "report.json"
+        assert main(["generate", *inputs, "--out", str(responses)]) == 0
+        assert main(["eval", *inputs, "--out", str(report)]) == 0
+        records = [json.loads(line) for line in open(responses, encoding="utf-8")]
+        conversations = load_personachat(pipeline["data"])
+        candidates = [record["response"].split() for record in records]
+        references = [example.response for conv in conversations for example in conv.examples]
+        per_conversation = [
+            (conv.persona_sentences, [candidates[r["example"]] for r in records
+                                      if r["conversation"] == i])
+            for i, conv in enumerate(conversations) if conv.examples]
+        want = evaluate_corpus(candidates, references, None, per_conversation)
+        assert json.loads(report.read_text(encoding="utf-8")) == want.to_record()
+
     def test_chat_session(self, pipeline, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n\nwhat do you like?\n"))
         persona = pipeline["root"] / "persona.txt"
@@ -438,6 +458,7 @@ MALFORMED_EXPANSION_LINES = {
     "missing_words": '{"conversation": 1}',
     "word_not_pair": '{"conversation": 1, "words": ["music"]}',
     "word_score_not_number": '{"conversation": 1, "words": [["music", "high"]]}',
+    "repeated_conversation": '{"conversation": 0, "words": [["music", 0.4]]}',
 }
 
 

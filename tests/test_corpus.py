@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import to_dense
 from personagen import corpus
 from personagen.corpus import (
     EmbeddingFormatError,
@@ -194,7 +195,7 @@ class TestTfIdf:
     def test_dense_round_trip(self):
         vocab = build_vocab([["a", "b"]], size_limit=8)
         docs = compute_tfidf([["a", "a"], ["b"], ["b"]], vocab)
-        dense = docs[0].to_dense(len(vocab))
+        dense = to_dense(docs[0], len(vocab))
         assert dense.shape == (len(vocab),)
         assert dense[vocab.index("a")] > 0
 

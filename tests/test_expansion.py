@@ -5,13 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import np_cosine
 from personagen.corpus import DialogueExample, load_personachat
 from personagen.expansion import cosine, expand, nearest_words, persona_vocab
-from personagen.topic import TopicSpace, TopicWordVector, word_topic_vectors
+from personagen.topic import TopicSpace, word_topic_vectors
 
 
-def make_vectors(entries: dict[str, list[float]]) -> dict[str, TopicWordVector]:
-    return {tok: TopicWordVector(tok, np.array(vec, dtype=float)) for tok, vec in entries.items()}
+def make_vectors(entries: dict[str, list[float]]) -> TopicSpace:
+    return TopicSpace(list(entries), np.array(list(entries.values()), dtype=float))
+
+
+def token_space(tokens) -> TopicSpace:
+    """A space holding ``tokens``, each with the same one-dimensional vector."""
+    return make_vectors({token: [1.0] for token in tokens})
+
+
+def rows(*vectors) -> np.ndarray:
+    return np.array(vectors, dtype=float)
 
 
 def example_with_personas(sentences: list[list[str]]) -> DialogueExample:
@@ -21,39 +31,41 @@ def example_with_personas(sentences: list[list[str]]) -> DialogueExample:
 class TestPersonaVocab:
     def test_sample_personas(self, sample_chat_file):
         example = load_personachat(sample_chat_file)[0].examples[0]
-        topic_vocab = {"music", "skateboard", "guitar", "vegan", "candy", "dairy"}
+        topic_vocab = token_space(["music", "skateboard", "guitar", "vegan", "candy", "dairy"])
         assert {"music", "skateboard", "guitar", "vegan"} <= persona_vocab(example, topic_vocab)
 
     def test_stopword_only_persona_is_empty(self):
         example = example_with_personas([["i", "am", "the", "most"]])
-        assert persona_vocab(example, {"i", "am", "the", "most"}) == set()
+        assert persona_vocab(example, token_space(["i", "am", "the", "most"])) == set()
 
     def test_token_absent_from_topic_vocab_excluded(self):
         example = example_with_personas([["i", "like", "zebras"]])
-        assert persona_vocab(example, {"like"}) == {"like"}
+        assert persona_vocab(example, token_space(["like"])) == {"like"}
 
 
 class TestCosine:
     def test_identical_vectors(self):
-        assert cosine(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == pytest.approx(1.0)
+        assert cosine(rows([1.0, 2.0]), rows([1.0, 2.0]))[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
+        assert cosine(rows([1.0, 0.0]), rows([0.0, 2.0]))[0, 0] == pytest.approx(0.0)
 
     def test_hand_value(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(1 / math.sqrt(2))
-        assert cosine(np.array([1.0, 0.0]), np.array([1.0, 1.0])) == pytest.approx(0.7071, abs=1e-4)
+        assert cosine(rows([1.0, 0.0]), rows([1.0, 1.0]))[0, 0] == pytest.approx(1 / math.sqrt(2))
+        assert cosine(rows([1.0, 0.0]), rows([1.0, 1.0]))[0, 0] == pytest.approx(0.7071, abs=1e-4)
 
     def test_zero_vector_defined_as_zero(self):
-        assert cosine(np.zeros(2), np.array([1.0, 0.0])) == 0.0
+        assert cosine(np.zeros((1, 2)), rows([1.0, 0.0]))[0, 0] == 0.0
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            cosine(np.zeros(2), np.zeros(3))
+            cosine(np.zeros((1, 2)), np.zeros((1, 3)))
         with pytest.raises(ValueError):
             cosine(np.zeros((2, 2)), np.zeros((2, 3)))
         with pytest.raises(ValueError):
             cosine(np.zeros(2), np.zeros((1, 2)))
+        with pytest.raises(ValueError):
+            cosine(np.zeros(2), np.zeros(2))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -68,14 +80,14 @@ class TestCosine:
         assert got.shape == (len(a), len(b))
         for i in range(len(a)):
             for j in range(len(b)):
-                assert got[i, j] == cosine(a[i], b[j])
+                assert got[i, j] == np_cosine(a[i], b[j])
 
     def test_real_matrices_match_pairwise(self):
         rng = np.random.default_rng(0)
         a, b = rng.normal(size=(5, 50)), rng.normal(size=(40, 50))
         b[3] = 0.0
         got = cosine(a, b)
-        want = np.array([[cosine(u, v) for v in b] for u in a])
+        want = np.array([[np_cosine(u, v) for v in b] for u in a])
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.all(got[:, 3] == 0.0)
 
@@ -126,8 +138,8 @@ class TestExpand:
         result = expand(example, vectors, m=2, n_w=10)
         scores = dict(result.words)
         assert scores["shared"] == pytest.approx(
-            max(cosine(np.array([1.0, 0.0]), np.array([0.9, 0.05])),
-                cosine(np.array([0.0, 1.0]), np.array([0.9, 0.05]))))
+            max(np_cosine(np.array([1.0, 0.0]), np.array([0.9, 0.05])),
+                np_cosine(np.array([0.0, 1.0]), np.array([0.9, 0.05]))))
         assert result.tokens().count("shared") == 1
 
     def test_zero_budget_gives_empty(self):
@@ -191,27 +203,19 @@ class TestExpand:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_cosine(u1, u2):
-    n1 = float(np.linalg.norm(u1))
-    n2 = float(np.linalg.norm(u2))
-    if n1 == 0.0 or n2 == 0.0:
-        return 0.0
-    return float(np.dot(u1, u2) / (n1 * n2))
-
-
-def pairwise_nearest_words(word, vectors, m, exclude=frozenset()):
-    seed = vectors[word].vector
-    scored = [(token, pairwise_cosine(seed, entry.vector)) for token, entry in vectors.items()
+def pairwise_nearest_words(word, space, m, exclude=frozenset()):
+    seed = space.matrix[space.rows[word]]
+    scored = [(token, np_cosine(seed, vector)) for token, vector in zip(space.tokens, space.matrix)
               if token != word and token not in exclude]
     scored.sort(key=lambda item: (-item[1], item[0]))
     return scored[:m]
 
 
-def pairwise_expand(example, vectors, m, n_w):
-    seeds = persona_vocab(example, vectors)
+def pairwise_expand(example, space, m, n_w):
+    seeds = persona_vocab(example, space)
     best = {}
     for seed in sorted(seeds):
-        for token, score in pairwise_nearest_words(seed, vectors, m, exclude=seeds):
+        for token, score in pairwise_nearest_words(seed, space, m, exclude=seeds):
             if token not in best or score > best[token]:
                 best[token] = score
     return sorted(best.items(), key=lambda item: (-item[1], item[0]))[:max(0, n_w)]
@@ -240,19 +244,17 @@ class TestBatchedEqualsPairwise:
     @settings(max_examples=150, deadline=None)
     @given(topic_spaces(), st.data())
     def test_nearest_words(self, vectors, data):
-        words = list(vectors)
+        words = vectors.tokens
         word = data.draw(st.sampled_from(words))
         exclude = set(data.draw(st.lists(st.sampled_from(words + ["absent"]), max_size=4)))
         m = data.draw(st.integers(0, len(words) + 2))
         want = pairwise_nearest_words(word, vectors, m, exclude)
         assert_same_words(nearest_words(word, vectors, m, exclude), want)
-        space = TopicSpace(words, np.stack([vectors[w].vector for w in words]))
-        assert_same_words(nearest_words(word, space, m, exclude), want)
 
     @settings(max_examples=150, deadline=None)
     @given(topic_spaces(), st.data())
     def test_expand(self, vectors, data):
-        words = list(vectors)
+        words = vectors.tokens
         persona = data.draw(st.lists(st.lists(st.sampled_from(words + ["the", "absent"]),
                                               max_size=4), min_size=1, max_size=3))
         m = data.draw(st.integers(0, len(words) + 2))
@@ -260,14 +262,11 @@ class TestBatchedEqualsPairwise:
         example = example_with_personas(persona)
         want = pairwise_expand(example, vectors, m, n_w)
         assert_same_words(expand(example, vectors, m, n_w).words, want)
-        space = TopicSpace(words, np.stack([vectors[w].vector for w in words]))
-        assert_same_words(expand(example, space, m, n_w).words, want)
 
     def test_trained_topic_space(self, cluster_topic_model):
         vectors = word_topic_vectors(cluster_topic_model["model"])
-        plain = dict(vectors.items())
         example = example_with_personas([["red00", "red03", "blue01"], ["blue04"]])
         assert_same_words(expand(example, vectors, 7, 20).words,
-                          pairwise_expand(example, plain, 7, 20))
+                          pairwise_expand(example, vectors, 7, 20))
         assert_same_words(nearest_words("blue02", vectors, 12),
-                          pairwise_nearest_words("blue02", plain, 12))
+                          pairwise_nearest_words("blue02", vectors, 12))

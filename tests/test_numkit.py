@@ -374,7 +374,6 @@ PRIMITIVE_CASES = {
     "clip": (lambda a: nk.sum_(nk.clip(a, -0.5, 0.5)), [(6,)]),
     "lookup": (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
     "take_columns": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [0, 2, 3]))), [(2, 5)]),
-    "take_columns_vector": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [1, 4]))), [(5,)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
     "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
     "gru_cell_rows": (gru_cell_case, [(3, 2), (3, 3)] + gru_shapes(2, 3)),
@@ -416,7 +415,8 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
     ((2, 5), [[0, 1]], ValueError),
     ((2, 2, 5), [0], ValueError),
     ((2, 5), [0, 5], IndexError),
-    ((5,), [-1, 2], IndexError),
+    ((2, 5), [-1, 2], IndexError),
+    ((5,), [0], ValueError),
 ])
 def test_take_columns_rejects_bad_columns(x_shape, cols, error):
     with pytest.raises(error):

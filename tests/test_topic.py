@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cluster_corpus, np_softmax
+from conftest import make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
 from personagen import numkit as nk
+from personagen import topic
 from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
 from personagen.topic import (
     GRAD_CLIP,
@@ -16,7 +17,6 @@ from personagen.topic import (
     elbo_loss,
     encode,
     reparameterize,
-    top_topic_words,
     train_topic_model,
     word_topic_vectors,
 )
@@ -67,9 +67,9 @@ def np_elbo(model, dense, eps):
 class TestEncode:
     def test_zeroed_model_gives_zero_moments(self):
         model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
-        mu, logvar, _ = encode(TfIdfDoc({}), model)
-        assert np.array_equal(mu.data, np.zeros(2))
-        assert np.array_equal(logvar.data, np.zeros(2))
+        mu, logvar, _ = encode([TfIdfDoc({})], model)
+        assert np.array_equal(mu.data, np.zeros((1, 2)))
+        assert np.array_equal(logvar.data, np.zeros((1, 2)))
 
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(11)
@@ -77,8 +77,8 @@ class TestEncode:
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
         doc = TfIdfDoc({4: 1.5, 6: 0.75})
-        mu, logvar, h = encode(doc, model)
-        oh, omu, ologvar = np_forward(model, doc.to_dense(len(model.vocab)))
+        mu, logvar, h = encode([doc], model)
+        oh, omu, ologvar = np_forward(model, to_dense(doc, len(model.vocab))[None])
         assert np.allclose(h.data, oh, atol=1e-12)
         assert np.allclose(mu.data, omu, atol=1e-12)
         assert np.allclose(logvar.data, ologvar, atol=1e-12)
@@ -91,16 +91,16 @@ class TestEncode:
         docs = [TfIdfDoc({4: 1.5, 6: 0.75}), TfIdfDoc({}), TfIdfDoc({6: 2.0, 9: 1.0})]
         batched = encode(docs, model)
         for row, doc in enumerate(docs):
-            for whole, single in zip(batched, encode(doc, model)):
-                assert whole.shape == (len(docs),) + single.shape
-                assert np.allclose(whole.data[row], single.data, rtol=0, atol=1e-12)
+            for whole, single in zip(batched, encode([doc], model)):
+                assert whole.shape == (len(docs),) + single.shape[1:]
+                assert np.allclose(whole.data[row], single.data[0], rtol=0, atol=1e-12)
 
     def test_doubling_doc_doubles_preactivation(self):
         rng = np.random.default_rng(2)
         model = TopicModel.create(small_vocab(), 2, 4, rng)  # bias starts zero
         doc = TfIdfDoc({4: 1.0, 5: 2.0})
-        single = model.enc_hidden(nk.Tensor(doc.to_dense(len(model.vocab))))
-        double = model.enc_hidden(nk.Tensor(2 * doc.to_dense(len(model.vocab))))
+        single = model.enc_hidden(nk.Tensor(to_dense(doc, len(model.vocab))))
+        double = model.enc_hidden(nk.Tensor(2 * to_dense(doc, len(model.vocab))))
         assert np.allclose(double.data, 2 * single.data, atol=1e-12)
 
 
@@ -149,7 +149,7 @@ class TestElbo:
     def test_standard_posterior_has_zero_kl(self):
         model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
         # zeroed model: mu = 0, logvar = 0; empty doc: reconstruction term 0
-        loss = elbo_loss(TfIdfDoc({}), model, nk.zeros(2))
+        loss = elbo_loss([TfIdfDoc({})], model, nk.zeros((1, 2)))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_is_nonnegative(self):
@@ -159,7 +159,7 @@ class TestElbo:
             t.data[:] = rng.normal(size=t.data.shape)
         # empty doc isolates the KL term
         for _ in range(10):
-            loss = elbo_loss(TfIdfDoc({}), model, nk.Tensor(rng.normal(size=2)))
+            loss = elbo_loss([TfIdfDoc({})], model, nk.Tensor(rng.normal(size=(1, 2))))
             assert loss.item() >= 0.0
 
     def test_matches_hand_computed_oracle(self):
@@ -170,7 +170,7 @@ class TestElbo:
         doc = TfIdfDoc({4: 2.0, 7: 1.0})
         eps = rng.normal(size=2)
 
-        dense = doc.to_dense(len(model.vocab))
+        dense = to_dense(doc, len(model.vocab))
         softplus = lambda v: np.logaddexp(0.0, v)
         h = softplus(dense @ model.enc_hidden.w.data + model.enc_hidden.b.data)
         mu = h @ model.enc_mu.w.data + model.enc_mu.b.data
@@ -181,16 +181,16 @@ class TestElbo:
         recon = -float((dense * np.log(probs)).sum())
         kl = 0.5 * float((mu * mu + np.exp(logvar) - logvar - 1.0).sum())
 
-        loss = elbo_loss(doc, model, nk.Tensor(eps))
+        loss = elbo_loss([doc], model, nk.Tensor(eps[None]))
         assert loss.item() == pytest.approx(recon + kl, abs=1e-10)
 
     def test_gradients_verify(self):
         rng = np.random.default_rng(6)
         model = TopicModel.create(small_vocab(4), 2, 3, rng)
         doc = TfIdfDoc({4: 1.0, 6: 2.0})
-        eps = nk.Tensor(rng.normal(size=2))
+        eps = nk.Tensor(rng.normal(size=(1, 2)))
         params = [t for _, t in model.named_params()]
-        err = nk.grad_check(lambda: elbo_loss(doc, model, eps), params)
+        err = nk.grad_check(lambda: elbo_loss([doc], model, eps), params)
         assert err < 1e-4
 
 
@@ -201,7 +201,7 @@ class TestElbo:
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5}), TfIdfDoc({})]
         eps = rng.normal(size=(3, 2))
-        rows = [elbo_loss(d, model, e).item() for d, e in zip(docs, eps)]
+        rows = [elbo_loss([d], model, e[None]).item() for d, e in zip(docs, eps)]
         assert elbo_loss(docs, model, eps).item() == pytest.approx(np.mean(rows), rel=1e-12)
         params = [t for _, t in model.named_params()]
         assert nk.grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
@@ -217,7 +217,7 @@ class TestElbo:
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         eps = rng.normal(size=(len(docs), 2))
-        dense = np.stack([d.to_dense(len(model.vocab)) for d in docs])
+        dense = np.stack([to_dense(d, len(model.vocab)) for d in docs])
         expected = np_elbo(model, dense, eps)
         assert elbo_loss(docs, model, eps).item() == pytest.approx(expected, rel=1e-12, abs=1e-12)
         params = [t for _, t in model.named_params()]
@@ -244,14 +244,22 @@ class TestTraining:
         assert trace_a == trace_b
 
     def test_builds_no_dense_document_matrix(self, monkeypatch):
-        def refuse(doc, size):
-            raise AssertionError("training densified a document")
+        # the encoder gets each batch's weights over the words it holds only
+        encode_bag = topic._encode
+        widths = []
 
-        monkeypatch.setattr(TfIdfDoc, "to_dense", refuse)
+        def refuse_dense(weights, cols, model):
+            widths.append(weights.shape[1])
+            if weights.shape[1] >= len(model.vocab):
+                raise AssertionError("training densified a document")
+            return encode_bag(weights, cols, model)
+
+        monkeypatch.setattr(topic, "_encode", refuse_dense)
         docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({}), TfIdfDoc({7: 3.0})]
         config = TopicTrainConfig(topics=2, hidden=4, epochs=2, batch_size=3, seed=5)
         _, trace = train_topic_model(docs, small_vocab(), config)
         assert [epoch for epoch, _ in trace] == [1, 2]
+        assert len(widths) == 4  # two batches per epoch
 
     def test_matches_a_dense_oracle_loop_bitwise(self):
         # the oracle fills every gradient densely (the dict form of backward,
@@ -308,10 +316,10 @@ class TestTraining:
         doc = TfIdfDoc({4: 3.0, 5: 2.0, 6: 1.0})
         config = TopicTrainConfig(topics=2, hidden=16, epochs=200, batch_size=16, lr=1e-2, seed=3)
         model, _ = train_topic_model([doc] * 16, vocab, config)
-        target = doc.to_dense(len(vocab))
+        target = to_dense(doc, len(vocab))
         target /= target.sum()
-        mu, _, _ = encode(doc, model)
-        recon = decode(mu, model).data
+        mu, _, _ = encode([doc], model)
+        recon = decode(mu, model).data[0]
         assert np.abs(recon - target).sum() < 0.1
 
     def test_cluster_corpus_loss_descends(self, cluster_topic_model):
@@ -326,46 +334,40 @@ class TestWordTopicVectors:
         model = TopicModel.create(small_vocab(6), 2, 4, np.random.default_rng(0))
         vectors = word_topic_vectors(model)
         assert len(vectors) == 6
-        assert all(v.vector.shape == (2,) for v in vectors.values())
+        assert vectors.matrix.shape == (6, 2)
 
     def test_reads_decoder_output_columns(self):
         model = TopicModel.create(small_vocab(6), 2, 4, np.random.default_rng(1))
         vectors = word_topic_vectors(model)
-        for token, entry in vectors.items():
+        for token, vector in zip(vectors.tokens, vectors.matrix):
             column = model.vocab.index(token)
-            assert np.array_equal(entry.vector, model.dec_out.w.data[:, column])
+            assert np.array_equal(vector, model.dec_out.w.data[:, column])
 
     def test_is_a_read_only_snapshot(self):
         model = TopicModel.create(small_vocab(6), 3, 4, np.random.default_rng(2))
         vectors = word_topic_vectors(model)
-        before = {token: entry.vector.copy() for token, entry in vectors.items()}
+        before = vectors.matrix.copy()
         model.dec_out.w.data *= 2.0
         model.dec_out.w.data[:, 5] = 7.0
-        for token, entry in vectors.items():
-            assert np.array_equal(entry.vector, before[token])
+        assert np.array_equal(vectors.matrix, before)
         with pytest.raises(ValueError):
-            vectors["w0"].vector[0] = 1.0
+            vectors.matrix[vectors.rows["w0"], 0] = 1.0
 
-    def test_is_a_mapping_over_non_reserved_tokens(self):
+    def test_rows_cover_the_non_reserved_tokens(self):
         model = TopicModel.create(small_vocab(3), 2, 4, np.random.default_rng(3))
         vectors = word_topic_vectors(model)
-        assert list(vectors) == ["w0", "w1", "w2"]
-        assert "w1" in vectors and "<unk>" not in vectors and 7 not in vectors
-        assert vectors.get("zzz") is None
-        assert vectors["w2"].token == "w2"
-        with pytest.raises(KeyError):
-            vectors["zzz"]
+        assert vectors.tokens == ["w0", "w1", "w2"]
+        assert vectors.rows == {"w0": 0, "w1": 1, "w2": 2}
 
     def test_cluster_separation(self, cluster_topic_model):
-        from personagen.expansion import cosine
-
-        vectors = cluster_topic_model["model"]
-        vectors = word_topic_vectors(vectors)
-        a = [vectors[w].vector for w in cluster_topic_model["cluster_a"] if w in vectors]
-        b = [vectors[w].vector for w in cluster_topic_model["cluster_b"] if w in vectors]
-        within = np.mean([cosine(u, v) for u in a[:10] for v in a[10:20]]
-                         + [cosine(u, v) for u in b[:10] for v in b[10:20]])
-        between = np.mean([cosine(u, v) for u in a[:10] for v in b[:10]])
+        vectors = word_topic_vectors(cluster_topic_model["model"])
+        a = [vectors.matrix[vectors.rows[w]] for w in cluster_topic_model["cluster_a"]
+             if w in vectors.rows]
+        b = [vectors.matrix[vectors.rows[w]] for w in cluster_topic_model["cluster_b"]
+             if w in vectors.rows]
+        within = np.mean([np_cosine(u, v) for u in a[:10] for v in a[10:20]]
+                         + [np_cosine(u, v) for u in b[:10] for v in b[10:20]])
+        between = np.mean([np_cosine(u, v) for u in a[:10] for v in b[:10]])
         assert within > between
 
     def test_topic_top_words_are_pure(self, cluster_topic_model):

@@ -85,6 +85,19 @@ def test_non_finite_loss_aborts_with_batch_id(toy_setup):
                              np.random.default_rng(0))
 
 
+def test_overflowing_loss_aborts_with_batch_id(toy_setup):
+    # finite parameters, but P-BoWs' sum of the output logits over the
+    # steps overflows: the op that makes the first non-finite value stops
+    # the batch
+    vocab, examples = toy_setup
+    model = make_model(vocab)
+    model.decoder.out.b.data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="epoch 1, batch 0"):
+        train_dialogue_model(model, examples[:2], None, LossSettings(),
+                             TrainSettings(epochs=1, batch_size=2, lr=0.01),
+                             np.random.default_rng(0))
+
+
 def test_empty_training_set_rejected(toy_setup):
     vocab, _ = toy_setup
     with pytest.raises(ValueError):
