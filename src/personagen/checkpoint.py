@@ -34,7 +34,6 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     kind: str
-    format_version: int
     params: dict[str, np.ndarray]
     vocab: Vocabulary
     config: dict
@@ -101,7 +100,6 @@ def load_checkpoint(path) -> Checkpoint:
         vocab = Vocabulary.from_tokens(tokens[len(RESERVED_TOKENS):])
     return Checkpoint(
         kind=header["kind"],
-        format_version=version,
         params=params,
         vocab=vocab,
         config=header.get("config", {}),

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import traceback
+from typing import Iterator
 
 import numpy as np
 
@@ -169,6 +170,22 @@ def _load_conversations(path) -> list[Conversation]:
     return _read_input(load_personachat, path)
 
 
+def _write_jsonl(path, records) -> None:
+    """One JSON line per record, to ``path``, or to stdout when it is None."""
+    out = open(path, "w", encoding="utf-8") if path else sys.stdout
+    try:
+        for record in records:
+            out.write(json.dumps(record) + "\n")
+    finally:
+        if path:
+            out.close()
+
+
+def _write_trace(args, records) -> None:
+    """Loss trace records to ``--trace``, by default ``<out>.trace.jsonl``."""
+    _write_jsonl(args.trace or f"{args.out}.trace.jsonl", records)
+
+
 # ---------------------------------------------------------------------------
 # pretrain-topic
 # ---------------------------------------------------------------------------
@@ -198,10 +215,7 @@ def cmd_pretrain_topic(args) -> int:
         args.out, "topic", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"topics": model.topics, "hidden": config.topic.hidden},
     )
-    trace_path = args.trace or f"{args.out}.trace.jsonl"
-    with open(trace_path, "w", encoding="utf-8") as handle:
-        for epoch, loss in trace:
-            handle.write(json.dumps({"epoch": epoch, "loss": loss}) + "\n")
+    _write_trace(args, ({"epoch": epoch, "loss": loss} for epoch, loss in trace))
     print(f"wrote {args.out} ({len(docs)} documents, {len(vocab)} vocab entries)")
     return EXIT_OK
 
@@ -227,15 +241,16 @@ def cmd_expand(args) -> int:
     model = _topic_model_from_checkpoint(loaded)
     conversations = _load_conversations(args.data)
     vectors = word_topic_vectors(model)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        for i, conv in enumerate(conversations):
-            if conv.examples:
-                result = expand(conv.examples[0], vectors,
-                                config.expansion.neighbors, config.expansion.max_words, source=i)
-                words = [[token, score] for token, score in result.words]
-            else:
-                words = []
-            handle.write(json.dumps({"conversation": i, "words": words}) + "\n")
+
+    def record(i: int, conv: Conversation) -> dict:
+        words = []
+        if conv.examples:
+            result = expand(conv.examples[0], vectors,
+                            config.expansion.neighbors, config.expansion.max_words, source=i)
+            words = [[token, score] for token, score in result.words]
+        return {"conversation": i, "words": words}
+
+    _write_jsonl(args.out, (record(i, conv) for i, conv in enumerate(conversations)))
     print(f"wrote {args.out} ({len(conversations)} records)")
     return EXIT_OK
 
@@ -255,16 +270,16 @@ def _parse_expansion_records(path) -> dict[int, list[str]]:
             try:
                 record = json.loads(line)
             except ValueError as err:
-                raise UserError(f"{path}:{number}: expansion record is not JSON ({err})") from err
+                raise InputFormatError(number, f"expansion record is not JSON ({err})") from err
             if not isinstance(record, dict) or type(record.get("conversation")) is not int:
-                raise UserError(f"{path}:{number}: expansion record is not an object "
-                                "with an integer \"conversation\"")
+                raise InputFormatError(number, "expansion record is not an object "
+                                       "with an integer \"conversation\"")
             words = record.get("words")
             if not isinstance(words, list) or not all(map(_is_word_pair, words)):
-                raise UserError(f"{path}:{number}: \"words\" is not a list of [token, score] pairs")
+                raise InputFormatError(number, "\"words\" is not a list of [token, score] pairs")
             if record["conversation"] in records:
-                raise UserError(f"{path}:{number}: a second expansion record for "
-                                f"conversation {record['conversation']}")
+                raise InputFormatError(number, "a second expansion record for "
+                                       f"conversation {record['conversation']}")
             records[record["conversation"]] = [token for token, _ in words]
     return records
 
@@ -274,22 +289,24 @@ def _is_word_pair(word) -> bool:
             and type(word[1]) in (int, float))
 
 
-# ---------------------------------------------------------------------------
-# train
-# ---------------------------------------------------------------------------
-
-
 def _bind_conversations(conversations: list[Conversation], vocab: Vocabulary,
-                        expansions: dict[int, list[str]] | None) -> list[BoundExample]:
-    bound = []
+                        expansions: dict[int, list[str]] | None
+                        ) -> Iterator[tuple[int, BoundExample]]:
+    """(conversation index, bound example) for each example of
+    ``conversations`` in order, bound to its conversation's expansion record.
+    Warns once for each conversation that ``expansions`` leaves out."""
     for i, conv in enumerate(conversations):
         tokens = None if expansions is None else expansions.get(i)
         if expansions is not None and tokens is None:
             print(f"warning: no expansion record for conversation {i}; "
                   "external persona memory will be empty", file=sys.stderr)
         for example in conv.examples:
-            bound.append(bind_example(example, vocab, tokens))
-    return bound
+            yield i, bind_example(example, vocab, tokens)
+
+
+# ---------------------------------------------------------------------------
+# train
+# ---------------------------------------------------------------------------
 
 
 def cmd_train(args) -> int:
@@ -319,14 +336,11 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(config.seed)
     model = DialogueModel(vocab, config.model.emb_dim, config.model.hidden,
                           config.model.hops, rng, pretrained)
-    train_examples = _bind_conversations(train_conversations, vocab, expansions)
-    valid_examples = _bind_conversations(valid_conversations, vocab, valid_expansions)
-
-    trace_path = args.trace or f"{args.out}.trace.jsonl"
-    records = []
+    train_examples = [b for _, b in _bind_conversations(train_conversations, vocab, expansions)]
+    valid_examples = [b for _, b in _bind_conversations(valid_conversations, vocab,
+                                                        valid_expansions)]
 
     def log(record):
-        records.append(record)
         print(f"epoch {record.epoch}: train {record.train_loss:.4f}"
               + (f", valid {record.valid_loss:.4f}" if record.valid_loss is not None else ""))
 
@@ -342,12 +356,10 @@ def cmd_train(args) -> int:
         args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"best_valid": result.best_valid},
     )
-    with open(trace_path, "w", encoding="utf-8") as handle:
-        for record in result.trace:
-            handle.write(json.dumps({
-                "epoch": record.epoch, "train_loss": record.train_loss,
-                "train_nll": record.train_nll, "valid_loss": record.valid_loss,
-            }) + "\n")
+    _write_trace(args, ({
+        "epoch": record.epoch, "train_loss": record.train_loss,
+        "train_nll": record.train_nll, "valid_loss": record.valid_loss,
+    } for record in result.trace))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -377,16 +389,13 @@ def _load_dialogue_model(args) -> tuple[DialogueModel, Config]:
 def _generated(model: DialogueModel, config: Config, conversations: list[Conversation],
                expansions: dict[int, list[str]] | None, mode: str, diagnostics: bool = False):
     """(conversation index, example, response, diagnostics or None) for each
-    example of ``conversations`` in order, bound to its conversation's
-    expansion record and decoded with the config's beam width and length."""
-    for i, conv in enumerate(conversations):
-        tokens = None if expansions is None else expansions.get(i)
-        for example in conv.examples:
-            result = model.generate(bind_example(example, model.vocab, tokens), mode=mode,
-                                    beam_width=config.model.beam, max_len=config.model.max_len,
-                                    collect_diagnostics=diagnostics)
-            response, diag = result if diagnostics else (result, None)
-            yield i, example, response, diag
+    example that ``_bind_conversations`` binds, decoded with the config's beam
+    width and length."""
+    for i, bound in _bind_conversations(conversations, model.vocab, expansions):
+        result = model.generate(bound, mode=mode, beam_width=config.model.beam,
+                                max_len=config.model.max_len, collect_diagnostics=diagnostics)
+        response, diag = result if diagnostics else (result, None)
+        yield i, bound.example, response, diag
 
 
 def cmd_generate(args) -> int:
@@ -394,8 +403,7 @@ def cmd_generate(args) -> int:
     conversations = _load_conversations(args.data)
     expansions = load_expansion_records(args.expansions) if args.expansions else None
 
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    def records():
         for index, (i, _, response, diag) in enumerate(
                 _generated(model, config, conversations, expansions, args.mode, args.diagnostics)):
             record = {"conversation": i, "example": index, "response": detokenize(response)}
@@ -403,10 +411,9 @@ def cmd_generate(args) -> int:
                 record["match_weights"] = diag["match_weights"]
                 if diag["steps"]:
                     record["memory_attention"] = diag["steps"][-1]
-            out.write(json.dumps(record) + "\n")
-    finally:
-        if args.out:
-            out.close()
+            yield record
+
+    _write_jsonl(args.out, records())
     return EXIT_OK
 
 
@@ -431,12 +438,7 @@ def cmd_eval(args) -> int:
                         for i, conv_responses in responses.items()]
 
     report = evaluate_corpus(candidates, references, table, per_conversation)
-    line = json.dumps(report.to_record())
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(line + "\n")
-    else:
-        print(line)
+    _write_jsonl(args.out, [report.to_record()])
     return EXIT_OK
 
 

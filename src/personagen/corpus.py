@@ -95,10 +95,6 @@ class InputFormatError(ValueError):
         self.message = message
 
 
-class PersonaChatFormatError(InputFormatError):
-    pass
-
-
 def load_personachat(path) -> list[Conversation]:
     """Parse a Persona-Chat-format file into conversations.
 
@@ -113,7 +109,7 @@ def load_personachat(path) -> list[Conversation]:
         if current is None:
             return
         if current.utterances and not current.persona_sentences:
-            raise PersonaChatFormatError(flush_line, "conversation has utterances but no persona lines")
+            raise InputFormatError(flush_line, "conversation has utterances but no persona lines")
         for t in range(1, len(current.utterances), 2):
             current.examples.append(DialogueExample(
                 persona_sentences=current.persona_sentences,
@@ -127,16 +123,16 @@ def load_personachat(path) -> list[Conversation]:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
             if not line.strip():
-                raise PersonaChatFormatError(line_no, "blank line")
+                raise InputFormatError(line_no, "blank line")
             head, sep, rest = line.partition(" ")
             if not sep or not head.isdigit():
-                raise PersonaChatFormatError(line_no, f"malformed line index {head!r}")
+                raise InputFormatError(line_no, f"malformed line index {head!r}")
             if int(head) == 1:
                 flush()
                 flush_line = line_no
                 current = Conversation()
             if current is None:
-                raise PersonaChatFormatError(line_no, "file does not start with line index 1")
+                raise InputFormatError(line_no, "file does not start with line index 1")
             if rest.startswith("your persona: "):
                 sentence = tokenize(rest[len("your persona: "):])
                 if sentence:
@@ -146,7 +142,7 @@ def load_personachat(path) -> list[Conversation]:
             else:
                 parts = rest.split("\t")
                 if len(parts) < 2:
-                    raise PersonaChatFormatError(line_no, "exchange line missing tab separator")
+                    raise InputFormatError(line_no, "exchange line missing tab separator")
                 current.utterances.append(tokenize(parts[0]))
                 current.utterances.append(tokenize(parts[1]))
         flush()
@@ -212,10 +208,6 @@ def compute_tfidf(documents: list[list[str]], vocab: Vocabulary) -> list[TfIdfDo
     return docs
 
 
-class EmbeddingFormatError(InputFormatError):
-    pass
-
-
 @dataclass
 class EmbeddingTable:
     """token -> fixed-dimension real vector."""
@@ -246,17 +238,17 @@ def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
             token, values = parts[0], parts[1:]
             if dim is None:
                 if not values:
-                    raise EmbeddingFormatError(line_no, "no vector components")
+                    raise InputFormatError(line_no, "no vector components")
                 dim = len(values)
             elif len(values) != dim:
-                raise EmbeddingFormatError(
+                raise InputFormatError(
                     line_no, f"expected {dim} components, got {len(values)}")
             if vocab is not None and token not in vocab:
                 continue
             try:
                 vectors[token] = np.array([float(v) for v in values])
             except ValueError as err:
-                raise EmbeddingFormatError(line_no, str(err)) from err
+                raise InputFormatError(line_no, str(err)) from err
     if dim is None:
-        raise EmbeddingFormatError(None, "embedding file is empty")
+        raise InputFormatError(None, "embedding file is empty")
     return EmbeddingTable(dim, vectors)

@@ -39,9 +39,6 @@ class PMatchTarget:
 
     labels: np.ndarray
 
-    def any(self) -> bool:
-        return bool(self.labels.any())
-
 
 def p_match_targets(persona_sentences: list[list[str]], response: list[str],
                     threshold: float) -> PMatchTarget:

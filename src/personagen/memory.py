@@ -67,7 +67,6 @@ class PirTrace:
     """Per-step record of the history-driven persona sentence retrieval."""
 
     queries: list[Tensor] = field(default_factory=list)
-    outputs: list[Tensor] = field(default_factory=list)
     weights: list[Tensor] = field(default_factory=list)
 
     @property
@@ -94,7 +93,6 @@ def persona_information_retrieval(history_vectors: Sequence[Tensor],
         query = c if i == 0 else c + output
         output, weights = retrieve_with_weights(query, mem_s)
         trace.queries.append(query)
-        trace.outputs.append(output)
         trace.weights.append(weights)
     return output, trace
 

@@ -6,12 +6,9 @@ from .layers import Affine, Module, TanhMlp, uniform_param, zero_param
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensor import (
     PROB_FLOOR,
-    Array,
     RowGrad,
     Tape,
-    TapeRecord,
     Tensor,
-    active_tape,
     add,
     as_tensor,
     backward,
@@ -38,50 +35,3 @@ from .tensor import (
     transpose,
     zeros,
 )
-
-__all__ = [
-    "Affine",
-    "AdamState",
-    "Array",
-    "GruParams",
-    "Module",
-    "PROB_FLOOR",
-    "RowGrad",
-    "TanhMlp",
-    "Tape",
-    "TapeRecord",
-    "Tensor",
-    "active_tape",
-    "adam_step",
-    "add",
-    "as_tensor",
-    "backward",
-    "bigru_encode",
-    "clip",
-    "clip_global_norm",
-    "concat",
-    "cross_entropy",
-    "exp",
-    "grad_check",
-    "gru_cell",
-    "log",
-    "lookup",
-    "matmul",
-    "mean",
-    "mul",
-    "reshape",
-    "scale",
-    "sigmoid",
-    "slice_",
-    "softmax",
-    "softplus",
-    "stack",
-    "sub",
-    "sum_",
-    "take_columns",
-    "tanh",
-    "transpose",
-    "uniform_param",
-    "zero_param",
-    "zeros",
-]

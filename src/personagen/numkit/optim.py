@@ -19,33 +19,25 @@ with a zero gradient; only the gradient's own terms for that row are skipped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tensor import Array, RowGrad, Tensor
 
 
-@dataclass
 class AdamState:
-    """Per-parameter first/second moment buffers and the shared step counter."""
+    """Per-parameter first/second moment buffers, zero at the start, and the
+    shared step counter. The decay rates and ``eps`` are Kingma & Ba's."""
 
-    lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: list[Array] = field(default_factory=list)
-    v: list[Array] = field(default_factory=list)
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
 
-    @classmethod
-    def create(cls, params: list[Tensor], lr: float = 1e-4, beta1: float = 0.9,
-               beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            lr=lr, beta1=beta1, beta2=beta2, eps=eps, step_count=0,
-            m=[np.zeros_like(p.data) for p in params],
-            v=[np.zeros_like(p.data) for p in params],
-        )
+    def __init__(self, params: list[Tensor], lr: float):
+        self.lr = lr
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in params]
+        self.v = [np.zeros_like(p.data) for p in params]
 
 
 def adam_step(params: list[Tensor], grads: list[Array | RowGrad],
@@ -157,9 +149,12 @@ def _adam_update(state: AdamState, alpha: float, eps_hat: float, p: Array, m: Ar
 def clip_global_norm(grads: list[Array | RowGrad], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most max_norm.
     A ``RowGrad``, whose indices must not repeat, counts and is scaled by its
-    rows."""
+    rows. A norm that is not finite, as when the sum of squares overflows,
+    raises FloatingPointError and leaves the gradients as they are."""
     arrays = [g.rows if isinstance(g, RowGrad) else g for g in grads]
     total = float(np.sqrt(sum(float(np.vdot(a, a)) for a in arrays)))
+    if not math.isfinite(total):
+        raise FloatingPointError(f"global gradient norm is {total}")
     if total > max_norm > 0.0:
         factor = max_norm / total
         for a in arrays:

@@ -645,8 +645,8 @@ def take_columns(x, cols) -> Tensor:
     return _finish(xdata[:, idx], (x,), backward_fn)
 
 
-def cross_entropy(p, index, floor: float = PROB_FLOOR) -> Tensor:
-    """-log p[index] with the probability clamped below at ``floor``.
+def cross_entropy(p, index) -> Tensor:
+    """-log p[index] with the probability clamped below at ``PROB_FLOOR``.
 
     A 1-D distribution takes one index and gives a scalar; a 2-D ``p`` holds
     one distribution per row, takes one index per row and gives the vector of
@@ -665,11 +665,11 @@ def cross_entropy(p, index, floor: float = PROB_FLOOR) -> Tensor:
         raise IndexError(f"target index out of range for distribution of size {size}")
     at = idx[..., None]
     values = np.take_along_axis(pdata, at, axis=-1)[..., 0]
-    clamped = np.maximum(values, floor)
+    clamped = np.maximum(values, PROB_FLOOR)
 
     def backward_fn(g):
         picked = np.zeros_like(values)
-        np.divide(-g, values, out=picked, where=values >= floor)
+        np.divide(-g, values, out=picked, where=values >= PROB_FLOOR)
         grad = np.zeros_like(pdata)
         np.put_along_axis(grad, at, picked[..., None], axis=-1)
         return [grad]

@@ -152,9 +152,7 @@ class TopicTrainConfig:
 
 
 def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
-                      config: TopicTrainConfig = TopicTrainConfig(),
-                      model: TopicModel | None = None,
-                      ) -> tuple[TopicModel, list[tuple[int, float]]]:
+                      config: TopicTrainConfig) -> tuple[TopicModel, list[tuple[int, float]]]:
     """Minimize mean negative ELBO with Adam over shuffled mini-batches.
 
     Returns the trained model and a per-epoch (epoch, mean loss) trace. All
@@ -164,10 +162,9 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
     if not docs:
         raise ValueError("train_topic_model needs at least one document")
     rng = np.random.default_rng(config.seed)
-    if model is None:
-        model = TopicModel.create(vocab, config.topics, config.hidden, rng)
+    model = TopicModel.create(vocab, config.topics, config.hidden, rng)
     params = model.params()
-    state = AdamState.create(params, lr=config.lr)
+    state = AdamState(params, lr=config.lr)
 
     trace: list[tuple[int, float]] = []
     for epoch in range(1, config.epochs + 1):
@@ -180,10 +177,10 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
                 with Tape() as tape:
                     loss = elbo_loss([docs[i] for i in batch], model, eps)
                 grads = backward(loss, tape, params)
+                clip_global_norm(grads, GRAD_CLIP)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite topic loss at epoch {epoch}, batch starting {start}: {err}") from err
-            clip_global_norm(grads, GRAD_CLIP)
             adam_step(params, grads, state)
             total += loss.item() * len(batch)
         trace.append((epoch, total / len(docs)))

@@ -59,13 +59,13 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
     clipped to a global norm before each update. Validation (when provided)
     runs after every epoch and the best parameter snapshot is kept; without
     it ``best_params`` stays ``None`` and the model holds the final
-    parameters. A non-finite value in the forward or backward pass aborts
-    with the epoch and batch id.
+    parameters. A non-finite value in the forward or backward pass, or a
+    gradient norm that overflows, aborts with the epoch and batch id.
     """
     if not train_examples:
         raise ValueError("no training examples")
     params = model.params()
-    state = AdamState.create(params, lr=train_settings.lr)
+    state = AdamState(params, lr=train_settings.lr)
     result = TrainResult()
 
     for epoch in range(1, train_settings.epochs + 1):
@@ -79,10 +79,10 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
                     parts = [model.example_loss(b, loss_settings) for b in batch]
                     batch_loss = mean(stack([p.joint for p in parts]))
                 grads = backward(batch_loss, tape, params)
+                clip_global_norm(grads, train_settings.grad_clip)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {batch_id}: {err}") from err
-            clip_global_norm(grads, train_settings.grad_clip)
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)
             epoch_nll += float(np.mean([p.nll.item() for p in parts])) * len(batch)

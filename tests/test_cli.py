@@ -366,6 +366,31 @@ class TestPipeline:
         want = evaluate_corpus(candidates, references, None, per_conversation)
         assert json.loads(report.read_text(encoding="utf-8")) == want.to_record()
 
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    def test_missing_expansion_records_warn_and_decode_as_empty(self, command, pipeline,
+                                                                tmp_path, capsys):
+        # a conversation that the records leave out warns once and is
+        # decoded as with a record of no words
+        with open(pipeline["expansions"], encoding="utf-8") as handle:
+            first = handle.readline()
+        partial, empty = tmp_path / "partial.jsonl", tmp_path / "empty.jsonl"
+        partial.write_text(first, encoding="utf-8")
+        empty.write_text(first + "".join(json.dumps({"conversation": i, "words": []}) + "\n"
+                                         for i in range(1, 8)), encoding="utf-8")
+        outputs, errors = [], []
+        for records in (partial, empty):
+            out = tmp_path / f"{records.stem}.out"
+            assert main([command, "--checkpoint", str(pipeline["model_ckpt"]),
+                         "--data", str(pipeline["data"]), "--expansions", str(records),
+                         "--out", str(out), "--mode", "greedy"]) == 0
+            outputs.append(out.read_bytes())
+            errors.append(capsys.readouterr().err)
+        assert outputs[0] == outputs[1]
+        assert errors[0].splitlines() == [
+            f"warning: no expansion record for conversation {i}; "
+            "external persona memory will be empty" for i in range(1, 8)]
+        assert errors[1] == ""
+
     def test_chat_session(self, pipeline, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n\nwhat do you like?\n"))
         persona = pipeline["root"] / "persona.txt"
@@ -463,7 +488,7 @@ MALFORMED_EXPANSION_LINES = {
 
 
 class TestMalformedExpansions:
-    @pytest.mark.parametrize("command", ["train", "generate"])
+    @pytest.mark.parametrize("command", ["train", "generate", "eval"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_EXPANSION_LINES))
     def test_rejected_with_exit_2(self, case, command, pipeline, tmp_path, capsys):
         records = tmp_path / "expansions.jsonl"
@@ -472,7 +497,7 @@ class TestMalformedExpansions:
         if command == "train":
             argv = ["train", "--config", str(pipeline["config"])]
         else:
-            argv = ["generate", "--checkpoint", str(pipeline["model_ckpt"]),
+            argv = [command, "--checkpoint", str(pipeline["model_ckpt"]),
                     "--data", str(pipeline["data"])]
         argv += ["--expansions", str(records), "--out", str(tmp_path / "out")]
         assert main(argv) == 2

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from conftest import to_dense
 from personagen import corpus
 from personagen.corpus import (
-    EmbeddingFormatError,
-    PersonaChatFormatError,
+    InputFormatError,
     Vocabulary,
     build_vocab,
     compute_tfidf,
@@ -120,13 +119,13 @@ class TestLoadPersonaChat:
     def test_malformed_line_number_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 your persona: i ski.\nxx hello\thi\n", encoding="utf-8")
-        with pytest.raises(PersonaChatFormatError, match="line 2"):
+        with pytest.raises(InputFormatError, match="line 2"):
             load_personachat(path)
 
     def test_missing_tab_reports_line(self, tmp_path):
         path = tmp_path / "notab.txt"
         path.write_text("1 your persona: i ski.\n2 hello there\n", encoding="utf-8")
-        with pytest.raises(PersonaChatFormatError, match="line 2"):
+        with pytest.raises(InputFormatError, match="line 2"):
             load_personachat(path)
 
     def test_conversation_document_covers_everything(self, sample_chat_file):
@@ -219,5 +218,5 @@ class TestEmbeddings:
     def test_wrong_arity_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("cat 1.0 2.0\ndog 3.0\n", encoding="utf-8")
-        with pytest.raises(EmbeddingFormatError, match="line 2"):
+        with pytest.raises(InputFormatError, match="line 2"):
             load_embeddings(path)

@@ -482,7 +482,7 @@ class TestGradCheck:
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = nk.Tensor([1.0, -2.0], requires_grad=True)
-        state = nk.AdamState.create([p], lr=0.01)
+        state = nk.AdamState([p], lr=0.01)
         before = p.data.copy()
         nk.adam_step([p], [np.zeros(2)], state)
         assert np.array_equal(p.data, before)
@@ -490,14 +490,14 @@ class TestAdam:
 
     def test_first_step_magnitude_is_learning_rate(self):
         p = nk.Tensor([0.0], requires_grad=True)
-        state = nk.AdamState.create([p], lr=1e-4)
+        state = nk.AdamState([p], lr=1e-4)
         nk.adam_step([p], [np.ones(1)], state)
         # bias correction makes the first update almost exactly -lr
         assert p.data[0] == pytest.approx(-1e-4, rel=1e-6)
 
     def test_constant_gradient_approaches_lr_per_step(self):
         p = nk.Tensor([0.0], requires_grad=True)
-        state = nk.AdamState.create([p], lr=1e-3)
+        state = nk.AdamState([p], lr=1e-3)
         g = np.array([0.37])
         previous = p.data.copy()
         for _ in range(500):
@@ -508,7 +508,7 @@ class TestAdam:
 
     def test_moments_decay_on_zero_gradient(self):
         p = nk.Tensor([0.0], requires_grad=True)
-        state = nk.AdamState.create([p], lr=1e-3)
+        state = nk.AdamState([p], lr=1e-3)
         nk.adam_step([p], [np.ones(1)], state)
         m_before = state.m[0].copy()
         nk.adam_step([p], [np.zeros(1)], state)
@@ -517,7 +517,7 @@ class TestAdam:
     def test_deterministic_bitwise(self):
         def run():
             p = nk.Tensor([0.5, -0.5], requires_grad=True)
-            state = nk.AdamState.create([p], lr=0.01)
+            state = nk.AdamState([p], lr=0.01)
             for step in range(20):
                 nk.adam_step([p], [np.array([0.1 * step, -0.3])], state)
             return p.data.tobytes()
@@ -531,7 +531,7 @@ class TestAdam:
         rng = np.random.default_rng(11)
         shapes = [(), (7,), (3, 40000), (40000, 3)]
         params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        state = nk.AdamState.create(params, lr=3e-3)
+        state = nk.AdamState(params, lr=3e-3)
         ref_p = [p.data.copy() for p in params]
         ref_m = [np.zeros(s) for s in shapes]
         ref_v = [np.zeros(s) for s in shapes]
@@ -559,7 +559,7 @@ class TestAdam:
         rng = np.random.default_rng(13)
         shapes = [(), (7,), (300, 256), (70000,)]
         params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        state = nk.AdamState.create(params, lr=3e-3)
+        state = nk.AdamState(params, lr=3e-3)
         ref_p = [p.data.copy() for p in params]
         ref_m = [np.zeros(s) for s in shapes]
         ref_v = [np.zeros(s) for s in shapes]
@@ -593,7 +593,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         p = nk.Tensor([1.0, 2.0], requires_grad=True)
-        state = nk.AdamState.create([p])
+        state = nk.AdamState([p], lr=1e-4)
         with pytest.raises(ValueError):
             nk.adam_step([p], [np.zeros(3)], state)
 
@@ -606,8 +606,8 @@ class TestAdam:
         shapes = [(300, 256), (70000,), (5, 3)]
         sparse = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
         dense = [nk.Tensor(p.data.copy(), requires_grad=True) for p in sparse]
-        sparse_state = nk.AdamState.create(sparse, lr=3e-3)
-        dense_state = nk.AdamState.create(dense, lr=3e-3)
+        sparse_state = nk.AdamState(sparse, lr=3e-3)
+        dense_state = nk.AdamState(dense, lr=3e-3)
 
         def index_sets(rows, size):
             step = max(1, nk.optim._BLOCK * rows // size)
@@ -649,7 +649,7 @@ class TestAdam:
     def test_bad_row_grad_rejected_naming_its_parameter(self, indices, rows_shape, problem):
         params = [nk.Tensor(np.ones(3), requires_grad=True),
                   nk.Tensor(np.ones((6, 4)), requires_grad=True)]
-        state = nk.AdamState.create(params)
+        state = nk.AdamState(params, lr=1e-4)
         grad = RowGrad(np.asarray(indices, dtype=np.intp), np.ones(rows_shape))
         with pytest.raises(ValueError, match=f"parameter 1 .*{problem}"):
             nk.adam_step(params, [np.ones(3), grad], state)
@@ -666,6 +666,14 @@ class TestClipGlobalNorm:
         norm = nk.clip_global_norm(grads, 1.0)
         assert norm == pytest.approx(5.0)
         assert np.linalg.norm(grads[0]) == pytest.approx(1.0)
+
+    def test_overflowing_norm_raises_and_leaves_gradients_unscaled(self):
+        # every entry is finite, but 1e200 squared is not
+        grads = [np.array([1e200, 1.0]), RowGrad(np.array([2]), np.array([[3.0, 4.0]]))]
+        with pytest.raises(FloatingPointError, match="gradient norm"):
+            nk.clip_global_norm(grads, 1.0)
+        assert grads[0].tolist() == [1e200, 1.0]
+        assert grads[1].rows.tolist() == [[3.0, 4.0]]
 
     def test_row_grad_counts_and_scales_its_rows_only(self):
         rng = np.random.default_rng(13)

@@ -98,6 +98,20 @@ def test_overflowing_loss_aborts_with_batch_id(toy_setup):
                              np.random.default_rng(0))
 
 
+def test_overflowing_gradient_norm_aborts_with_batch_id(toy_setup):
+    # finite losses and gradients whose sum of squares overflows: clipping
+    # by an infinite norm would scale every gradient to zero and the step
+    # would silently do nothing
+    vocab, examples = toy_setup
+    model = make_model(vocab)
+    model.decoder.out.w.data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match="epoch 1, batch 0: global gradient norm is inf"):
+        train_dialogue_model(model, examples[:2], None, LossSettings(),
+                             TrainSettings(epochs=1, batch_size=2, lr=0.01),
+                             np.random.default_rng(0))
+
+
 def test_empty_training_set_rejected(toy_setup):
     vocab, _ = toy_setup
     with pytest.raises(ValueError):
