@@ -225,7 +225,7 @@ def _topic_model_from_checkpoint(loaded: ckpt.Checkpoint) -> TopicModel:
         raise UserError(f"checkpoint kind {loaded.kind!r} is not a topic model")
     topics = int(loaded.extra["topics"])
     hidden = int(loaded.extra["hidden"])
-    model = TopicModel.create(loaded.vocab, topics, hidden, np.random.default_rng(0))
+    model = TopicModel(loaded.vocab, topics, hidden, np.random.default_rng(0))
     ckpt.restore_params(model, loaded.params)
     return model
 

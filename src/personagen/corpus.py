@@ -60,9 +60,6 @@ class Vocabulary:
     def __contains__(self, token: str) -> bool:
         return token in self.token_to_index
 
-    def index(self, token: str) -> int:
-        return self.token_to_index.get(token, UNK)
-
     def token(self, index: int) -> str:
         return self.index_to_token[index]
 
@@ -214,12 +211,6 @@ class EmbeddingTable:
 
     dim: int
     vectors: dict[str, np.ndarray]
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:

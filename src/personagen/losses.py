@@ -3,7 +3,6 @@ the persona bag-of-words objective, plus their target constructors."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,17 +32,11 @@ def jaccard(set1: set, set2: set) -> float:
     return len(set1 & set2) / len(set1 | set2)
 
 
-@dataclass
-class PMatchTarget:
-    """0-1 labels over persona sentences."""
-
-    labels: np.ndarray
-
-
 def p_match_targets(persona_sentences: list[list[str]], response: list[str],
-                    threshold: float) -> PMatchTarget:
-    """Label sentence i with 1 iff the Jaccard index between its non-stop-word
-    token set and the response's reaches ``threshold``."""
+                    threshold: float) -> np.ndarray:
+    """0-1 labels over persona sentences: sentence i gets 1 iff the Jaccard
+    index between its non-stop-word token set and the response's reaches
+    ``threshold``."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
     response_set = {t for t in response if not is_stopword(t)}
@@ -52,16 +45,16 @@ def p_match_targets(persona_sentences: list[list[str]], response: list[str],
         sentence_set = {t for t in sentence if not is_stopword(t)}
         if jaccard(sentence_set, response_set) >= threshold:
             labels[i] = 1.0
-    return PMatchTarget(labels)
+    return labels
 
 
-def p_match_loss(a_s: Tensor, target: PMatchTarget) -> Tensor:
+def p_match_loss(a_s: Tensor, labels: np.ndarray) -> Tensor:
     """-sum_i a_i log a_s_i over the labeled sentences (probabilities floored
     at 1e-12). Zero when no sentence is labeled."""
     a_s = as_tensor(a_s)
-    if a_s.shape != target.labels.shape:
-        raise ValueError(f"weights have shape {a_s.shape}, labels {target.labels.shape}")
-    labeled = np.flatnonzero(target.labels)
+    if a_s.shape != labels.shape:
+        raise ValueError(f"weights have shape {a_s.shape}, labels {labels.shape}")
+    labeled = np.flatnonzero(labels)
     if labeled.size == 0:
         return Tensor(0.0)
     total = cross_entropy(a_s, int(labeled[0]))
@@ -70,18 +63,12 @@ def p_match_loss(a_s: Tensor, target: PMatchTarget) -> Tensor:
     return total
 
 
-@dataclass
-class PBowsTarget:
-    """Per-vocabulary-entry weights in {0, 1, 1 + lambda}."""
-
-    weights: np.ndarray
-
-
 def p_bows_targets(response: list[str], persona_word_set: set[str],
-                   vocab: Vocabulary, lam: float) -> PBowsTarget:
-    """1 for each non-stop response token's vocabulary slot, raised to
-    1 + lambda when the token is persona-based information (a predefined or
-    expanded persona word). Out-of-vocabulary tokens set nothing."""
+                   vocab: Vocabulary, lam: float) -> np.ndarray:
+    """Per-vocabulary-entry weights in {0, 1, 1 + lambda}: 1 for each non-stop
+    response token's vocabulary slot, raised to 1 + lambda when the token is
+    persona-based information (a predefined or expanded persona word).
+    Out-of-vocabulary tokens set nothing."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     weights = np.zeros(len(vocab))
@@ -92,10 +79,10 @@ def p_bows_targets(response: list[str], persona_word_set: set[str],
         if index is None:
             continue
         weights[index] = 1.0 + lam if token in persona_word_set else 1.0
-    return PBowsTarget(weights)
+    return weights
 
 
-def p_bows_loss(output_activations: Tensor, target: PBowsTarget) -> Tensor:
+def p_bows_loss(output_activations: Tensor, target: np.ndarray) -> Tensor:
     """Bag-of-words cross entropy on the sigmoid of summed output activations.
 
     ``output_activations`` stacks the raw output-layer activations of the T
@@ -108,10 +95,10 @@ def p_bows_loss(output_activations: Tensor, target: PBowsTarget) -> Tensor:
     if activations.ndim != 2 or activations.shape[0] == 0:
         raise ValueError("p_bows_loss needs a (steps, vocab) matrix with at least one step")
     summed = sum_(activations, axis=0)
-    if summed.shape != target.weights.shape:
-        raise ValueError(f"activations cover {summed.shape}, target {target.weights.shape}")
+    if summed.shape != target.shape:
+        raise ValueError(f"activations cover {summed.shape}, target {target.shape}")
     probs = clip(sigmoid(summed), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    b = Tensor(target.weights)
+    b = Tensor(target)
     positive = mul(b, log(probs))
     negative = mul(sub(1.0, b), log(sub(1.0, probs)))
     return scale(mean(positive + negative), -1.0)

@@ -4,7 +4,7 @@ mutual-reinforcement multi-hop reads over the two persona word memories."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .numkit import Tensor, matmul, softmax, transpose, zeros
@@ -62,50 +62,35 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
     return matmul(weights, mem.values), weights
 
 
-@dataclass
-class PirTrace:
-    """Per-step record of the history-driven persona sentence retrieval."""
-
-    queries: list[Tensor] = field(default_factory=list)
-    weights: list[Tensor] = field(default_factory=list)
-
-    @property
-    def last_weights(self) -> Tensor:
-        return self.weights[-1]
-
-
 def persona_information_retrieval(history_vectors: Sequence[Tensor],
-                                  mem_s: KeyValueMemory) -> tuple[Tensor, PirTrace]:
+                                  mem_s: KeyValueMemory) -> tuple[Tensor, Tensor]:
     """Chained retrieval over the persona sentence memory.
 
     Step i queries with the i-th history vector plus the previous step's
     output (the first step uses the history vector alone); returns the final
-    output and the full trace, whose last-step weights feed the sentence
-    matching loss.
+    output and the last step's weights, which feed the sentence matching
+    loss.
     """
     if not history_vectors:
         raise ValueError("persona_information_retrieval needs at least one history vector")
     if mem_s.slots == 0:
         raise ValueError("persona sentence memory is empty")
-    trace = PirTrace()
     output: Tensor | None = None
     for i, c in enumerate(history_vectors):
-        query = c if i == 0 else c + output
-        output, weights = retrieve_with_weights(query, mem_s)
-        trace.queries.append(query)
-        trace.weights.append(weights)
-    return output, trace
+        output, weights = retrieve_with_weights(c if i == 0 else c + output, mem_s)
+    return output, weights
 
 
 @dataclass
 class MultihopResult:
-    """Final-hop reads and query of the mutual-reinforcement retrieval."""
+    """Final-hop reads, query and memory weights of the mutual-reinforcement
+    retrieval; a weight is None for an empty memory."""
 
     o_w: Tensor
     o_e: Tensor
     query: Tensor
-    w_weights: list[Tensor | None] = field(default_factory=list)
-    e_weights: list[Tensor | None] = field(default_factory=list)
+    w_weights: Tensor | None
+    e_weights: Tensor | None
 
 
 def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
@@ -122,13 +107,8 @@ def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
     if mem_w.key_dim != mem_e.key_dim or mem_w.value_dim != mem_e.value_dim:
         raise ValueError("both memories must share key/value dimensions")
     query = q0
-    o_w = o_e = None
-    w_weights: list[Tensor | None] = []
-    e_weights: list[Tensor | None] = []
     for _ in range(hops):
-        o_w, ww = retrieve_with_weights(query, mem_w)
-        o_e, ew = retrieve_with_weights(query, mem_e)
-        w_weights.append(ww)
-        e_weights.append(ew)
+        o_w, w_weights = retrieve_with_weights(query, mem_w)
+        o_e, e_weights = retrieve_with_weights(query, mem_e)
         query = query + o_w + o_e
     return MultihopResult(o_w, o_e, query, w_weights, e_weights)

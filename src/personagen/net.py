@@ -13,14 +13,13 @@ type-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import LossSettings
 from .corpus import EOS, SOS, UNK, DialogueExample, EmbeddingTable, Vocabulary
 from .losses import (
-    PMatchTarget,
     joint_loss,
     nll_loss,
     p_bows_loss,
@@ -30,7 +29,6 @@ from .losses import (
 )
 from .memory import (
     KeyValueMemory,
-    MultihopResult,
     build_memory,
     multihop,
     persona_information_retrieval,
@@ -63,8 +61,8 @@ class PersonaEncoderParams(Module):
     def __init__(self, emb_dim: int, direction_hidden: int, memory_dim: int,
                  rng: np.random.Generator):
         rep_dim = 2 * direction_hidden
-        self.fwd = GruParams.create(emb_dim, direction_hidden, rng)
-        self.bwd = GruParams.create(emb_dim, direction_hidden, rng)
+        self.fwd = GruParams(emb_dim, direction_hidden, rng)
+        self.bwd = GruParams(emb_dim, direction_hidden, rng)
         self.sent_key = TanhMlp(rep_dim, memory_dim, rng)
         self.sent_value = TanhMlp(rep_dim, memory_dim, rng)
         self.word_key = TanhMlp(rep_dim, memory_dim, rng)
@@ -76,10 +74,10 @@ class HistoryEncoderParams(Module):
 
     def __init__(self, emb_dim: int, direction_hidden: int, rng: np.random.Generator):
         rep_dim = 2 * direction_hidden
-        self.word_fwd = GruParams.create(emb_dim, direction_hidden, rng)
-        self.word_bwd = GruParams.create(emb_dim, direction_hidden, rng)
-        self.utt_fwd = GruParams.create(rep_dim, direction_hidden, rng)
-        self.utt_bwd = GruParams.create(rep_dim, direction_hidden, rng)
+        self.word_fwd = GruParams(emb_dim, direction_hidden, rng)
+        self.word_bwd = GruParams(emb_dim, direction_hidden, rng)
+        self.utt_fwd = GruParams(rep_dim, direction_hidden, rng)
+        self.utt_bwd = GruParams(rep_dim, direction_hidden, rng)
 
 
 class DecoderParams(Module):
@@ -88,7 +86,7 @@ class DecoderParams(Module):
     def __init__(self, emb_dim: int, hidden: int, word_state_dim: int, vocab_size: int,
                  rng: np.random.Generator):
         attn_dim = hidden
-        self.cell = GruParams.create(emb_dim, hidden, rng)
+        self.cell = GruParams(emb_dim, hidden, rng)
         self.attn_ws = uniform_param(rng, (hidden, attn_dim))
         self.attn_wt = uniform_param(rng, (word_state_dim, attn_dim))
         self.attn_b = zero_param((attn_dim,))
@@ -169,9 +167,12 @@ def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
 
 @dataclass
 class StepDiagnostics:
+    """History attention and the last hop's weights over the persona word
+    and external memories (None for an empty memory)."""
+
     attention: Tensor
-    hop_w_weights: list[Tensor | None] = field(default_factory=list)
-    hop_e_weights: list[Tensor | None] = field(default_factory=list)
+    w_weights: Tensor | None
+    e_weights: Tensor | None
 
 
 def decoder_features(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
@@ -191,7 +192,7 @@ def decoder_features(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory
     x = lookup(embedding, prev)
     s_t = gru_cell(x, state, params.cell)
     u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
-    hop: MultihopResult = multihop(s_t, mem_w, mem_e, hops)
+    hop = multihop(s_t, mem_w, mem_e, hops)
     features = concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1)
     diag = StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
     return features, s_t, diag
@@ -248,7 +249,7 @@ class LossBreakdown:
     p_match: Tensor
     p_bows: Tensor
     match_weights: Tensor
-    match_target: PMatchTarget
+    match_target: np.ndarray
 
 
 class DialogueModel(Module):
@@ -287,15 +288,16 @@ class DialogueModel(Module):
         return build_memory(lookup(self.embedding, expansion_ids), self.e_key, self.e_value)
 
     def _encode(self, bound: BoundExample):
+        """Everything the decoder reads, and the last PIR step's weights."""
         mem_s, mem_w = encode_persona(bound.persona_ids, self.persona, self.embedding)
         e_x, sentence_vectors, word_states = encode_history(
             bound.history_ids, self.history, self.embedding)
         queries = [self.c_proj(c) for c in sentence_vectors]
-        o_k, trace = persona_information_retrieval(queries, mem_s)
+        o_k, match_weights = persona_information_retrieval(queries, mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
         mem_e = self.external_memory(bound.expansion_ids)
         word_keys = history_keys(word_states, self.decoder)
-        return mem_s, mem_w, mem_e, word_states, word_keys, state, trace
+        return mem_w, mem_e, word_states, word_keys, state, match_weights
 
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
         """Teacher-forced joint loss of one example.
@@ -303,7 +305,7 @@ class DialogueModel(Module):
         The decoder runs step by step up to the output layer; the output
         layer and softmax then run once over the stacked (T, 4H) features.
         """
-        _, mem_w, mem_e, word_states, word_keys, state, trace = self._encode(bound)
+        mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
         step_features = []
@@ -316,13 +318,13 @@ class DialogueModel(Module):
         nll = nll_loss(softmax(activations, axis=-1), targets)
         match_target = p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold)
-        match = p_match_loss(trace.last_weights, match_target)
+        match = p_match_loss(match_weights, match_target)
         persona_words = self.persona_word_set(bound)
         bows_target = p_bows_targets(
             bound.example.response, persona_words, self.vocab, settings.bows_extra_weight)
         bows = p_bows_loss(activations, bows_target)
         total = joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows)
-        return LossBreakdown(total, nll, match, bows, trace.last_weights, match_target)
+        return LossBreakdown(total, nll, match, bows, match_weights, match_target)
 
     def persona_word_set(self, bound: BoundExample) -> set[str]:
         """Predefined persona content words plus the expansion tokens."""
@@ -345,14 +347,14 @@ class DialogueModel(Module):
             raise ValueError("beam_width must be at least 1")
         if mode not in ("greedy", "beam"):
             raise ValueError(f"unknown generation mode {mode!r}")
-        _, mem_w, mem_e, word_states, word_keys, state, trace = self._encode(bound)
+        mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
         width = 1 if mode == "greedy" else beam_width
         ids, steps = self._beam(state, mem_w, mem_e, word_states, word_keys, width, max_len,
                                 collect_diagnostics)
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
             diagnostics = {
-                "match_weights": [float(x) for x in trace.last_weights.data],
+                "match_weights": [float(x) for x in match_weights.data],
                 "steps": steps,
             }
             return tokens, diagnostics
@@ -398,10 +400,10 @@ def _step_record(diag: StepDiagnostics, row: int) -> dict[str, list[float]]:
     """History attention and the last hop's memory attention of one step's
     ``row``."""
     record = {"attention": [float(x) for x in diag.attention.data[row]]}
-    if diag.hop_w_weights[-1] is not None:
-        record["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data[row]]
-    if diag.hop_e_weights[-1] is not None:
-        record["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data[row]]
+    if diag.w_weights is not None:
+        record["word_memory"] = [float(x) for x in diag.w_weights.data[row]]
+    if diag.e_weights is not None:
+        record["external_memory"] = [float(x) for x in diag.e_weights.data[row]]
     return record
 
 

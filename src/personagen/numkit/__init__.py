@@ -24,7 +24,6 @@ from .tensor import (
     reshape,
     scale,
     sigmoid,
-    slice_,
     softmax,
     softplus,
     stack,

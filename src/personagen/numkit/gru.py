@@ -12,41 +12,31 @@ again one GEMM.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .layers import Module, uniform_param, zero_param
-from .tensor import Tensor, _finish, _require_finite, _sigmoid_stable, concat
+from .tensor import Tensor, _finish, _require_finite, _sigmoid_stable, concat, lookup
 
 
-@dataclass
 class GruParams(Module):
     """Gate weights for one GRU direction.
 
     Input-to-hidden matrices are (input_dim, hidden_dim), hidden-to-hidden are
-    (hidden_dim, hidden_dim); one bias per gate.
+    (hidden_dim, hidden_dim); one bias per gate, starting at zero.
     """
 
-    input_dim: int
-    hidden_dim: int
-    w_z: Tensor
-    u_z: Tensor
-    b_z: Tensor
-    w_r: Tensor
-    u_r: Tensor
-    b_r: Tensor
-    w_n: Tensor
-    u_n: Tensor
-    b_n: Tensor
-
-    @classmethod
-    def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator,
-               scale: float = 0.1) -> "GruParams":
-        gates = [(uniform_param(rng, (input_dim, hidden_dim), scale),   # w, u, b of z, r, n
-                  uniform_param(rng, (hidden_dim, hidden_dim), scale), zero_param((hidden_dim,)))
-                 for _ in range(3)]
-        return cls(input_dim, hidden_dim, *(t for gate in gates for t in gate))
+    def __init__(self, input_dim: int, hidden_dim: int, rng: np.random.Generator):
+        self.input_dim = input_dim
+        self.hidden_dim = hidden_dim
+        self.w_z = uniform_param(rng, (input_dim, hidden_dim))
+        self.u_z = uniform_param(rng, (hidden_dim, hidden_dim))
+        self.b_z = zero_param((hidden_dim,))
+        self.w_r = uniform_param(rng, (input_dim, hidden_dim))
+        self.u_r = uniform_param(rng, (hidden_dim, hidden_dim))
+        self.b_r = zero_param((hidden_dim,))
+        self.w_n = uniform_param(rng, (input_dim, hidden_dim))
+        self.u_n = uniform_param(rng, (hidden_dim, hidden_dim))
+        self.b_n = zero_param((hidden_dim,))
 
 
 def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
@@ -84,7 +74,8 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams) -> tuple[Tensor, Ten
                              f"expected {params.input_dim}")
     ahead = _gru(x, None, fwd, reverse=False)
     behind = _gru(x, None, bwd, reverse=True)
-    return concat([ahead, behind], axis=1), concat([ahead[-1], behind[0]])
+    return (concat([ahead, behind], axis=1),
+            concat([lookup(ahead, x.shape[0] - 1), lookup(behind, 0)]))
 
 
 def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tensor:

@@ -70,18 +70,10 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ValueError(f"item() needs a single-element tensor, got shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={tuple(self.data.shape)}{flag})"
 
     def __add__(self, other):
         return add(self, other)
@@ -106,9 +98,6 @@ class Tensor:
 
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __getitem__(self, key):
-        return slice_(self, key)
 
 
 def as_tensor(value) -> Tensor:
@@ -455,28 +444,6 @@ def transpose(x) -> Tensor:
     return _finish(x.data.T, (x,), backward_fn)
 
 
-def slice_(x, key) -> Tensor:
-    """Basic indexing (ints and slices); use lookup for index arrays."""
-    x = as_tensor(x)
-    _validate_basic_key(key)
-    out = np.array(x.data[key])
-    shape = x.data.shape
-
-    def backward_fn(g):
-        full = np.zeros(shape)
-        full[key] += g
-        return [full]
-
-    return _finish(out, (x,), backward_fn)
-
-
-def _validate_basic_key(key) -> None:
-    parts = key if isinstance(key, tuple) else (key,)
-    for part in parts:
-        if not isinstance(part, (int, np.integer, slice)):
-            raise TypeError(f"slice_ supports ints and slices only, got {type(part).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -598,12 +565,13 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# indexing ops over parameter tables and distributions
+# indexing ops: rows, columns and picked entries
 # ---------------------------------------------------------------------------
 
 
 def lookup(table, ids) -> Tensor:
-    """Row lookup into a 2-D table: an int gives a vector, a sequence a matrix."""
+    """Rows of a 2-D tensor, a parameter table or an op output alike: an int
+    gives a vector, a sequence a matrix. The one row gather."""
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise ValueError("lookup expects a 2-D table")

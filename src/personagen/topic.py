@@ -46,29 +46,15 @@ INIT_SCALE = 0.05
 GRAD_CLIP = 5.0
 
 
-@dataclass
 class TopicModel(Module):
-    vocab: Vocabulary
-    topics: int
-    enc_hidden: Affine
-    enc_mu: Affine
-    enc_logvar: Affine
-    dec_hidden: Affine
-    dec_out: Affine
-
-    @classmethod
-    def create(cls, vocab: Vocabulary, topics: int, hidden: int,
-               rng: np.random.Generator) -> "TopicModel":
-        v = len(vocab)
-        return cls(
-            vocab=vocab,
-            topics=topics,
-            enc_hidden=Affine(v, hidden, rng, INIT_SCALE),
-            enc_mu=Affine(hidden, topics, rng, INIT_SCALE),
-            enc_logvar=Affine(hidden, topics, rng, INIT_SCALE),
-            dec_hidden=Affine(topics, topics, rng, INIT_SCALE),
-            dec_out=Affine(topics, v, rng, INIT_SCALE),
-        )
+    def __init__(self, vocab: Vocabulary, topics: int, hidden: int, rng: np.random.Generator):
+        self.vocab = vocab
+        self.topics = topics
+        self.enc_hidden = Affine(len(vocab), hidden, rng, INIT_SCALE)
+        self.enc_mu = Affine(hidden, topics, rng, INIT_SCALE)
+        self.enc_logvar = Affine(hidden, topics, rng, INIT_SCALE)
+        self.dec_hidden = Affine(topics, topics, rng, INIT_SCALE)
+        self.dec_out = Affine(topics, len(vocab), rng, INIT_SCALE)
 
 
 class TopicSpace:
@@ -100,16 +86,11 @@ def _bag(docs: list[TfIdfDoc]) -> tuple[np.ndarray, np.ndarray]:
 
 def _encode(weights: np.ndarray, cols: np.ndarray, model: TopicModel
             ) -> tuple[Tensor, Tensor, Tensor]:
-    # the input layer reads only the rows of the words present
+    """A ``_bag`` of documents -> (mu, log variance, encoder hidden), one row
+    per document; the input layer reads only the rows of the words present."""
     layer = model.enc_hidden
     h_v = softplus(add(matmul(weights, lookup(layer.w, cols)), layer.b))
     return model.enc_mu(h_v), model.enc_logvar(h_v), h_v
-
-
-def encode(docs: list[TfIdfDoc], model: TopicModel) -> tuple[Tensor, Tensor, Tensor]:
-    """A list of documents -> (mu, log variance, encoder hidden), one row per
-    document."""
-    return _encode(*_bag(docs), model)
 
 
 def reparameterize(mu: Tensor, logvar: Tensor, eps) -> Tensor:
@@ -162,7 +143,7 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
     if not docs:
         raise ValueError("train_topic_model needs at least one document")
     rng = np.random.default_rng(config.seed)
-    model = TopicModel.create(vocab, config.topics, config.hidden, rng)
+    model = TopicModel(vocab, config.topics, config.hidden, rng)
     params = model.params()
     state = AdamState(params, lr=config.lr)
 
@@ -179,8 +160,8 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
                 grads = backward(loss, tape, params)
                 clip_global_norm(grads, GRAD_CLIP)
             except FloatingPointError as err:
-                raise RuntimeError(
-                    f"non-finite topic loss at epoch {epoch}, batch starting {start}: {err}") from err
+                raise RuntimeError(f"topic training stopped at epoch {epoch}, "
+                                   f"batch starting {start}: {err}") from err
             adam_step(params, grads, state)
             total += loss.item() * len(batch)
         trace.append((epoch, total / len(docs)))

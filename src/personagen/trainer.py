@@ -82,7 +82,7 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
                 clip_global_norm(grads, train_settings.grad_clip)
             except FloatingPointError as err:
                 raise RuntimeError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_id}: {err}") from err
+                    f"training stopped at epoch {epoch}, batch {batch_id}: {err}") from err
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)
             epoch_nll += float(np.mean([p.nll.item() for p in parts])) * len(batch)

@@ -21,7 +21,6 @@ from personagen.corpus import (
 )
 from personagen.expansion import expand, nearest_words
 from personagen.losses import (
-    PMatchTarget,
     jaccard,
     joint_loss,
     nll_loss,
@@ -91,6 +90,12 @@ def test_criterion_1_gradient_fidelity():
     started = time.time()
     rng = np.random.default_rng(0)
 
+    def row_of_op_output(a):
+        # an int lookup of an op output that a dense op reads too: the
+        # Bi-GRU final state's row gather
+        h = nk.tanh(a)
+        return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(nk.tanh(nk.lookup(h, 2))))
+
     # every primitive, randomized inputs
     primitive_cases = [
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
@@ -103,7 +108,7 @@ def test_criterion_1_gradient_fidelity():
         (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
         (lambda a, b: nk.sum_(nk.tanh(nk.concat([a, b]))), [(3,), (2,)]),
         (lambda a, b: nk.sum_(nk.tanh(nk.stack([a, b]))), [(3,), (3,)]),
-        (lambda a: nk.sum_(nk.slice_(a, (slice(0, 2), 1))), [(3, 3)]),
+        (row_of_op_output, [(4, 3)]),
         (lambda a: nk.sum_(nk.tanh(nk.sum_(a, axis=0))), [(3, 2)]),
         (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
         (lambda a: nk.sum_(nk.tanh(nk.mean(a, axis=1))), [(2, 3)]),
@@ -276,7 +281,7 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     assert jaccard({"x"}, {"x"}) == 1.0
     assert jaccard(set(), set()) == 0.0
 
-    loss = p_match_loss(nk.Tensor([0.5, 0.5]), PMatchTarget(np.array([1.0, 0.0])))
+    loss = p_match_loss(nk.Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
     assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
     probs = [nk.Tensor(np.full(10, 0.1)) for _ in range(3)]
@@ -286,7 +291,7 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     target = p_bows_targets(["cat", "runs"], {"cat"}, vocab, lam=1.0)
     expected = np.zeros(5)
     expected[4] = 2.0
-    assert np.array_equal(target.weights, expected)
+    assert np.array_equal(target, expected)
 
     assert joint_loss(2.0, 0.5, 1.0, 0.1, 0.1).item() == pytest.approx(2.15, abs=1e-9)
 
@@ -300,7 +305,7 @@ def test_criterion_5_loss_oracles(sample_chat_file):
         return len(left & right) / len(left | right)
 
     assert oracle_jaccard(example.persona_sentences[vegan_index], example.response) >= 0.03
-    labels = p_match_targets(example.persona_sentences, example.response, 0.03).labels
+    labels = p_match_targets(example.persona_sentences, example.response, 0.03)
     assert labels[vegan_index] == 1.0
     report(5, "loss oracles", started)
 
@@ -400,7 +405,7 @@ def test_criterion_8_ablation_direction(overfit_runs):
         masses = []
         for bound in overfit_runs["examples"]:
             parts = model.example_loss(bound, LossSettings())
-            labels = parts.match_target.labels
+            labels = parts.match_target
             if labels.any():
                 masses.append(float((parts.match_weights.data * labels).sum()))
         assert masses, "toy set must contain Jaccard-labeled sentences"

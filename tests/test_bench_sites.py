@@ -52,6 +52,16 @@ def toy_model_and_example():
     return model, bound
 
 
+def test_example_loss_tape_records_are_pinned():
+    # tape records per example are a design metric that the benchmark
+    # reports (numkit.tape_records_per_example); a change that adds or
+    # removes records on the toy example shows here first
+    model, bound = toy_model_and_example()
+    with numkit.Tape() as tape:
+        model.example_loss(bound, LossSettings())
+    assert len(tape) == 204
+
+
 @pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])
 def test_training_loops_call_backward_through_the_traced_site(module, monkeypatch):
     # the benchmark times backward by wrapping these module attributes and

@@ -427,7 +427,7 @@ class TestTrainVariants:
         loaded = load_checkpoint(out)
         # table dim (3) wins over the configured emb_dim
         assert loaded.params["embedding"].shape[1] == 3
-        guitar = loaded.vocab.index("guitar")
+        guitar = loaded.vocab.token_to_index["guitar"]
         assert np.isfinite(loaded.params["embedding"][guitar]).all()
 
     def test_missing_expansion_record_warns(self, pipeline, tmp_path, capsys):

@@ -153,8 +153,8 @@ class TestBuildVocab:
     def test_reserved_tokens_first(self):
         vocab = build_vocab([["word"]], size_limit=5)
         assert vocab.index_to_token[:4] == ["<pad>", "<unk>", "<sos>", "<eos>"]
-        assert vocab.index("word") == 4
-        assert vocab.index("missing") == corpus.UNK
+        assert vocab.token_to_index["word"] == 4
+        assert vocab.encode(["word", "missing"]) == [4, corpus.UNK]
 
     def test_limit_must_exceed_reserved(self):
         with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ class TestTfIdf:
         assert two_docs[0].weights == {}
         # with three docs, df=1: weight = 2 * log(3/2)
         three_docs = compute_tfidf([["word", "word"], ["other"], ["other"]], vocab)
-        index = vocab.index("word")
+        index = vocab.token_to_index["word"]
         assert three_docs[0].weights[index] == pytest.approx(2 * math.log(3 / 2))
         assert three_docs[0].weights[index] == pytest.approx(0.8109, abs=1e-4)
 
@@ -196,7 +196,7 @@ class TestTfIdf:
         docs = compute_tfidf([["a", "a"], ["b"], ["b"]], vocab)
         dense = to_dense(docs[0], len(vocab))
         assert dense.shape == (len(vocab),)
-        assert dense[vocab.index("a")] > 0
+        assert dense[vocab.token_to_index["a"]] > 0
 
 
 class TestEmbeddings:
@@ -205,7 +205,7 @@ class TestEmbeddings:
         path.write_text("cat 1.0 2.0 3.0\ndog 4.0 5.0 6.0\n", encoding="utf-8")
         table = load_embeddings(path)
         assert table.dim == 3
-        assert len(table) == 2
+        assert len(table.vectors) == 2
         assert np.array_equal(table.vectors["dog"], [4.0, 5.0, 6.0])
 
     def test_restricts_to_vocab(self, tmp_path):
@@ -213,7 +213,7 @@ class TestEmbeddings:
         path.write_text("cat 1.0 2.0\ndog 3.0 4.0\n", encoding="utf-8")
         vocab = Vocabulary.from_tokens(["cat"])
         table = load_embeddings(path, vocab)
-        assert "cat" in table and "dog" not in table
+        assert list(table.vectors) == ["cat"]
 
     def test_wrong_arity_names_line(self, tmp_path):
         path = tmp_path / "emb.txt"

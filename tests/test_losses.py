@@ -6,8 +6,6 @@ import pytest
 from personagen import numkit as nk
 from personagen.corpus import Vocabulary, load_personachat
 from personagen.losses import (
-    PBowsTarget,
-    PMatchTarget,
     jaccard,
     joint_loss,
     nll_loss,
@@ -37,7 +35,7 @@ class TestPMatchTargets:
     def test_zero_threshold_labels_everything(self):
         sentences = [["i", "like", "cats"], ["we", "ski", "alot"]]
         target = p_match_targets(sentences, ["dogs", "bark"], threshold=0.0)
-        assert target.labels.tolist() == [1.0, 1.0]
+        assert target.tolist() == [1.0, 1.0]
 
     def test_sample_vegan_sentence_labels_one(self, sample_chat_file):
         example = load_personachat(sample_chat_file)[0].examples[-1]
@@ -51,12 +49,12 @@ class TestPMatchTargets:
 
         vegan_index = next(i for i, s in enumerate(example.persona_sentences) if "vegan" in s)
         assert oracle_jaccard(example.persona_sentences[vegan_index], example.response) >= 0.03
-        assert target.labels[vegan_index] == 1.0
+        assert target[vegan_index] == 1.0
 
     def test_stopwords_do_not_create_overlap(self):
         sentences = [["i", "am", "the", "one"]]
         target = p_match_targets(sentences, ["i", "am", "a", "tree"], threshold=0.01)
-        assert target.labels.tolist() == [0.0]
+        assert target.tolist() == [0.0]
 
     def test_negative_threshold_rejected(self):
         with pytest.raises(ValueError):
@@ -65,25 +63,25 @@ class TestPMatchTargets:
 
 class TestPMatchLoss:
     def test_no_labels_gives_zero(self):
-        loss = p_match_loss(nk.Tensor([0.3, 0.7]), PMatchTarget(np.zeros(2)))
+        loss = p_match_loss(nk.Tensor([0.3, 0.7]), np.zeros(2))
         assert loss.item() == 0.0
 
     def test_certain_match_gives_zero(self):
-        loss = p_match_loss(nk.Tensor([1.0, 0.0]), PMatchTarget(np.array([1.0, 0.0])))
+        loss = p_match_loss(nk.Tensor([1.0, 0.0]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value_log_two(self):
-        loss = p_match_loss(nk.Tensor([0.5, 0.5]), PMatchTarget(np.array([1.0, 0.0])))
+        loss = p_match_loss(nk.Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_zero_probability_clamped(self):
-        loss = p_match_loss(nk.Tensor([0.0, 1.0]), PMatchTarget(np.array([1.0, 0.0])))
+        loss = p_match_loss(nk.Tensor([0.0, 1.0]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(-math.log(1e-12))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            p_match_loss(nk.Tensor([1.0]), PMatchTarget(np.zeros(2)))
+            p_match_loss(nk.Tensor([1.0]), np.zeros(2))
 
 
 def tiny_vocab():
@@ -97,18 +95,18 @@ class TestPBowsTargets:
         # "runs" is out of vocabulary, so only cat's slot is set, at 1 + lam
         expected = np.zeros(5)
         expected[4] = 2.0
-        assert np.array_equal(target.weights, expected)
+        assert np.array_equal(target, expected)
 
     def test_plain_response_word_gets_one(self):
         vocab = Vocabulary.from_tokens(["cat", "dog"])
         target = p_bows_targets(["dog"], {"cat"}, vocab, lam=0.5)
-        assert target.weights[vocab.index("dog")] == 1.0
-        assert target.weights[vocab.index("cat")] == 0.0
+        assert target[vocab.token_to_index["dog"]] == 1.0
+        assert target[vocab.token_to_index["cat"]] == 0.0
 
     def test_stopword_only_response_is_all_zero(self):
         vocab = Vocabulary.from_tokens(["the", "a", "cat"])
         target = p_bows_targets(["the", "a", "."], {"cat"}, vocab, lam=1.0)
-        assert not target.weights.any()
+        assert not target.any()
 
     def test_lambda_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -117,7 +115,7 @@ class TestPBowsTargets:
 
 class TestPBowsLoss:
     def test_saturated_correct_rejection_vanishes(self):
-        target = PBowsTarget(np.zeros(4))
+        target = np.zeros(4)
         activations = [nk.Tensor([-50.0] * 4)]
         assert p_bows_loss(nk.stack(activations), target).item() == pytest.approx(0.0, abs=1e-12)
 
@@ -125,10 +123,9 @@ class TestPBowsLoss:
         size = 8
         weights = np.zeros(size)
         weights[3] = 1.0
-        target = PBowsTarget(weights)
         acts = np.full(size, -50.0)
         acts[3] = 0.0  # sigmoid -> 0.5 exactly where the target is 1
-        loss = p_bows_loss(nk.stack([nk.Tensor(acts)]), target)
+        loss = p_bows_loss(nk.stack([nk.Tensor(acts)]), weights)
         assert loss.item() == pytest.approx(math.log(2) / size, abs=1e-9)
 
     def test_upweighted_slot_pushes_harder(self):
@@ -138,7 +135,7 @@ class TestPBowsLoss:
             weights[0] = b_value
             act = nk.Tensor([0.0], requires_grad=True)
             with nk.Tape() as tape:
-                loss = p_bows_loss(nk.stack([act]), PBowsTarget(weights))
+                loss = p_bows_loss(nk.stack([act]), weights)
             return nk.backward(loss, tape)[act][0]
 
         assert grad_at(2.0) < grad_at(1.0) < 0.0
@@ -147,7 +144,7 @@ class TestPBowsLoss:
         rng = np.random.default_rng(0)
         weights = rng.choice([0.0, 1.0, 2.0], size=6)
         acts = [nk.Tensor(rng.normal(size=6) * 30) for _ in range(3)]
-        loss = p_bows_loss(nk.stack(acts), PBowsTarget(weights))
+        loss = p_bows_loss(nk.stack(acts), weights)
         assert math.isfinite(loss.item())
 
     def test_sums_activations_over_steps(self):
@@ -155,8 +152,8 @@ class TestPBowsLoss:
         weights[0] = 1.0
         split = [nk.Tensor([1.0, -2.0]), nk.Tensor([2.0, 1.0])]
         merged = [nk.Tensor([3.0, -1.0])]
-        a = p_bows_loss(nk.stack(split), PBowsTarget(weights)).item()
-        b = p_bows_loss(nk.stack(merged), PBowsTarget(weights)).item()
+        a = p_bows_loss(nk.stack(split), weights).item()
+        b = p_bows_loss(nk.stack(merged), weights).item()
         assert a == pytest.approx(b, abs=1e-12)
 
 

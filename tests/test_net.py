@@ -303,7 +303,7 @@ class TestDecodeStep:
         assert (probs.data > 0).all()
         assert new_state.shape == (model.hidden,)
         assert abs(diag.attention.data.sum() - 1.0) < 1e-9
-        assert abs(diag.hop_w_weights[-1].data.sum() - 1.0) < 1e-9
+        assert abs(diag.w_weights.data.sum() - 1.0) < 1e-9
 
     def test_empty_external_memory_still_decodes(self):
         model = tiny_model(seed=10)
@@ -316,7 +316,7 @@ class TestDecodeStep:
             1, state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
             model.decoder, 2, model.embedding)
         assert abs(probs.data.sum() - 1.0) < 1e-9
-        assert diag.hop_e_weights[-1] is None
+        assert diag.e_weights is None
 
     @pytest.mark.parametrize("empty_external", [False, True])
     def test_rows_equal_stacked_steps(self, empty_external):
@@ -353,9 +353,8 @@ class TestDecodeStep:
         one = decode_step(7, nk.Tensor(state), *args)
         for got, want in zip(row[:3], one[:3]):
             assert np.array_equal(got.data[0], want.data)
-        for got, want in zip(row[3].hop_w_weights + row[3].hop_e_weights + [row[3].attention],
-                             one[3].hop_w_weights + one[3].hop_e_weights + [one[3].attention]):
-            assert np.array_equal(got.data[0], want.data)
+        for field in ("w_weights", "e_weights", "attention"):
+            assert np.array_equal(getattr(row[3], field).data[0], getattr(one[3], field).data)
 
     def test_out_of_range_token_rejected(self):
         model = tiny_model()
@@ -478,7 +477,7 @@ class TestJointLossAndGradients:
 def per_step_loss(model, bound, settings):
     """Oracle for ``example_loss``: the output layer, softmax and cross
     entropy run once per decode step, through ``decode_step``."""
-    _, mem_w, mem_e, word_states, word_keys, state, trace = model._encode(bound)
+    mem_w, mem_e, word_states, word_keys, state, match_weights = model._encode(bound)
     inputs = [SOS] + bound.response_ids
     targets = bound.response_ids + [EOS]
     step_losses = []
@@ -490,7 +489,7 @@ def per_step_loss(model, bound, settings):
         step_losses.append(nk.cross_entropy(probs, target))
         step_activations.append(s_tilde)
     nll = nk.mean(nk.stack(step_losses))
-    match = p_match_loss(trace.last_weights, p_match_targets(
+    match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
     bows = p_bows_loss(nk.stack(step_activations), p_bows_targets(
         bound.example.response, model.persona_word_set(bound), model.vocab,
@@ -551,9 +550,9 @@ class TestPretrainedEmbeddings:
                                    "unseen": np.array([1.0, 1.0, 1.0])})
         model = DialogueModel(vocab, emb_dim=3, hidden=4, hops=1,
                               rng=np.random.default_rng(0), pretrained=table)
-        assert np.array_equal(model.embedding.data[vocab.index("guitar")], [9.0, 8.0, 7.0])
+        assert np.array_equal(model.embedding.data[vocab.token_to_index["guitar"]], [9.0, 8.0, 7.0])
         # tokens without pretrained vectors keep their random init
-        assert np.abs(model.embedding.data[vocab.index("music")]).max() <= 0.1
+        assert np.abs(model.embedding.data[vocab.token_to_index["music"]]).max() <= 0.1
 
     def test_dimension_mismatch_rejected(self):
         from personagen.corpus import EmbeddingTable
@@ -567,17 +566,17 @@ class TestPretrainedEmbeddings:
 def oracle_step_entry(diag):
     """The ``--diagnostics`` record of one single-state decode step."""
     entry = {"attention": [float(x) for x in diag.attention.data]}
-    if diag.hop_w_weights[-1] is not None:
-        entry["word_memory"] = [float(x) for x in diag.hop_w_weights[-1].data]
-    if diag.hop_e_weights[-1] is not None:
-        entry["external_memory"] = [float(x) for x in diag.hop_e_weights[-1].data]
+    if diag.w_weights is not None:
+        entry["word_memory"] = [float(x) for x in diag.w_weights.data]
+    if diag.e_weights is not None:
+        entry["external_memory"] = [float(x) for x in diag.e_weights.data]
     return entry
 
 
 def greedy_oracle(model, bound, max_len):
     """Argmax decoding straight over decode_step: the tokens, and the history
     and last-hop memory attention of every step (the EOS step included)."""
-    _, mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
+    mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
     ids, steps = [], []
     prev = SOS
     for _ in range(max_len):
@@ -598,7 +597,7 @@ def per_hypothesis_beam(model, bound, beam_width, max_len):
     each carrying its own state: the tokens and the best hypothesis' step
     records. Same ranking as ``generate``: summed log probability, then the
     token tuple; EOS-terminated hypotheses retire and compete by score."""
-    _, mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
+    mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
     live = [(0.0, (), state, ())]
     finished = []
     for _ in range(max_len):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import np_bigru, np_gru_step
 from personagen import numkit as nk
+from personagen.numkit import gru as gru_module
 from personagen.numkit import tensor as tensor_module
 from personagen.numkit.tensor import RowGrad
 
@@ -337,14 +338,31 @@ def gru_shapes(input_dim, hidden_dim):
     return [w, u, b] * 3
 
 
+def gru_params(weights):
+    """A GruParams(2, 3) holding the nine given tensors, in declaration order."""
+    params = nk.GruParams(2, 3, np.random.default_rng(0))
+    for (name, _), t in zip(params.named_params(), weights, strict=True):
+        setattr(params, name, t)
+    return params
+
+
 def gru_cell_case(x, h, *weights):
-    return nk.sum_(nk.tanh(nk.gru_cell(x, h, nk.GruParams(2, 3, *weights))))
+    return nk.sum_(nk.tanh(nk.gru_cell(x, h, gru_params(weights))))
+
+
+def bigru_loss(steps, final):
+    return nk.add(nk.sum_(nk.tanh(steps)), nk.sum_(nk.mul(final, final)))
 
 
 def bigru_case(x, *weights):
-    steps, final = nk.bigru_encode(x, nk.GruParams(2, 3, *weights[:9]),
-                                   nk.GruParams(2, 3, *weights[9:]))
-    return nk.add(nk.sum_(nk.tanh(steps)), nk.sum_(nk.mul(final, final)))
+    return bigru_loss(*nk.bigru_encode(x, gru_params(weights[:9]), gru_params(weights[9:])))
+
+
+def lookup_op_output_case(a):
+    # an int row gather of an op output that a dense op reads too, as the
+    # Bi-GRU's final state gathers rows of the per-step states
+    h = nk.tanh(a)
+    return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(nk.tanh(nk.lookup(h, 2))))
 
 
 PRIMITIVE_CASES = {
@@ -359,7 +377,6 @@ PRIMITIVE_CASES = {
     "scale": (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
     "concat": (lambda a, b: nk.sum_(nk.tanh(nk.concat([a, b]))), [(3,), (2,)]),
     "stack": (lambda a, b: nk.sum_(nk.tanh(nk.stack([a, b]))), [(3,), (3,)]),
-    "slice": (lambda a: nk.sum_(nk.slice_(a, (slice(0, 2), 1))), [(3, 3)]),
     "reshape": (lambda a, b: nk.sum_(nk.mul(nk.reshape(a, (3, 1, 2)), b)), [(2, 3), (4, 2)]),
     "transpose": (lambda a, b: nk.sum_(nk.tanh(nk.matmul(b, nk.transpose(a)))), [(3, 2), (4, 2)]),
     "sum_axis": (lambda a: nk.sum_(nk.tanh(nk.sum_(a, axis=0))), [(3, 2)]),
@@ -373,6 +390,7 @@ PRIMITIVE_CASES = {
     "log": (lambda a: nk.sum_(nk.log(nk.add(nk.mul(a, a), 0.5))), [(4,)]),
     "clip": (lambda a: nk.sum_(nk.clip(a, -0.5, 0.5)), [(6,)]),
     "lookup": (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
+    "lookup_row_of_op_output": (lookup_op_output_case, [(4, 3)]),
     "take_columns": (lambda a: nk.sum_(nk.tanh(nk.take_columns(a, [0, 2, 3]))), [(2, 5)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
     "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
@@ -724,7 +742,7 @@ class TestModule:
         rng = np.random.default_rng(0)
         for layer in (nk.Affine(2, 3, rng), nk.TanhMlp(2, 3, rng)):
             assert [name for name, _ in layer.named_params()] == ["w", "b"]
-        gru = nk.GruParams.create(2, 3, rng)
+        gru = nk.GruParams(2, 3, rng)
         assert [name for name, _ in gru.named_params()] == [
             "w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_n", "u_n", "b_n"]
 
@@ -732,7 +750,7 @@ class TestModule:
 class TestGru:
     def test_zero_weights_halve_hidden(self):
         rng = np.random.default_rng(0)
-        p = nk.GruParams.create(2, 3, rng)
+        p = nk.GruParams(2, 3, rng)
         for _, t in p.named_params():
             t.data[:] = 0.0
         h = nk.gru_cell(nk.Tensor([0.7, -0.2]), nk.Tensor([1.0, 2.0, 3.0]), p)
@@ -740,13 +758,13 @@ class TestGru:
 
     def test_zero_input_and_hidden_stay_zero(self):
         rng = np.random.default_rng(1)
-        p = nk.GruParams.create(2, 3, rng)  # random weights, zero biases
+        p = nk.GruParams(2, 3, rng)  # random weights, zero biases
         h = nk.gru_cell(nk.zeros(2), nk.zeros(3), p)
         assert np.allclose(h.data, 0.0)
 
     def test_matches_straight_line_oracle(self):
         rng = np.random.default_rng(42)
-        p = nk.GruParams.create(2, 3, rng)
+        p = nk.GruParams(2, 3, rng)
         for _, t in p.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
         x = rng.normal(size=2)
@@ -755,7 +773,7 @@ class TestGru:
         assert np.allclose(ours.data, np_gru_step(x, h, p), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
-        p = nk.GruParams.create(2, 3, np.random.default_rng(0))
+        p = nk.GruParams(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             nk.gru_cell(nk.zeros(5), nk.zeros(3), p)
         with pytest.raises(ValueError):
@@ -764,7 +782,7 @@ class TestGru:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_equal_stacked_single_steps(self, k):
         rng = np.random.default_rng(60 + k)
-        p = nk.GruParams.create(2, 3, rng)
+        p = nk.GruParams(2, 3, rng)
         for t in p.params():
             t.data[:] = rng.normal(size=t.data.shape)
         x, h = rng.normal(size=(k, 2)), rng.normal(size=(k, 3))
@@ -776,7 +794,7 @@ class TestGru:
 
     def test_one_row_is_bitwise_the_single_step(self):
         rng = np.random.default_rng(64)
-        p = nk.GruParams.create(5, 7, rng)
+        p = nk.GruParams(5, 7, rng)
         x, h = rng.normal(size=5), rng.normal(size=7)
         row = nk.gru_cell(nk.Tensor(x[None, :]), nk.Tensor(h[None, :]), p)
         assert np.array_equal(row.data[0], nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p).data)
@@ -788,14 +806,14 @@ class TestGru:
         ((1, 2), (3,)),
     ])
     def test_mismatched_rows_name_both_shapes(self, x_shape, h_shape):
-        p = nk.GruParams.create(2, 3, np.random.default_rng(0))
+        p = nk.GruParams(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError) as err:
             nk.gru_cell(nk.zeros(x_shape), nk.zeros(h_shape), p)
         assert str(x_shape) in str(err.value) and str(h_shape) in str(err.value)
 
     def test_gradients_through_cell(self):
         rng = np.random.default_rng(5)
-        p = nk.GruParams.create(2, 3, rng)
+        p = nk.GruParams(2, 3, rng)
         x = nk.Tensor(rng.normal(size=2), requires_grad=True)
         h = nk.Tensor(rng.normal(size=3), requires_grad=True)
         params = [x, h] + [t for _, t in p.named_params()]
@@ -806,15 +824,15 @@ class TestGru:
 class TestBigru:
     def test_length_one_step_equals_final(self):
         rng = np.random.default_rng(2)
-        fwd = nk.GruParams.create(2, 3, rng)
-        bwd = nk.GruParams.create(2, 3, rng)
+        fwd = nk.GruParams(2, 3, rng)
+        bwd = nk.GruParams(2, 3, rng)
         steps, final = nk.bigru_encode(nk.Tensor([[0.3, -0.6]]), fwd, bwd)
         assert steps.shape == (1, 6)
         assert np.array_equal(steps.data[0], final.data)
 
     def test_palindrome_with_shared_params_mirrors(self):
         rng = np.random.default_rng(3)
-        fwd = nk.GruParams.create(2, 3, rng)
+        fwd = nk.GruParams(2, 3, rng)
         seq = nk.Tensor([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
         steps, _ = nk.bigru_encode(seq, fwd, fwd)
         n = seq.shape[0]
@@ -825,8 +843,8 @@ class TestBigru:
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
-        fwd = nk.GruParams.create(2, 3, rng)
-        bwd = nk.GruParams.create(2, 3, rng)
+        fwd = nk.GruParams(2, 3, rng)
+        bwd = nk.GruParams(2, 3, rng)
         raw = [rng.normal(size=2) for _ in range(3)]
         steps, final = nk.bigru_encode(nk.Tensor(np.stack(raw)), fwd, bwd)
         oracle_steps, oracle_final = np_bigru(raw, fwd, bwd)
@@ -835,9 +853,42 @@ class TestBigru:
             assert np.allclose(ours, expected, atol=1e-12)
         assert np.allclose(final.data, oracle_final, atol=1e-12)
 
+    def test_gradients_equal_a_row_slice_oracle_bitwise(self):
+        # bigru_encode gathers the final state's rows with lookup; the oracle
+        # runs the same two direction kernels and takes those rows with a
+        # numpy row slice whose backward writes the row into zeros
+        def row_slice(states, row):
+            shape = states.shape
+
+            def backward_fn(g):
+                full = np.zeros(shape)
+                full[row] += g
+                return [full]
+
+            return tensor_module._finish(np.array(states.data[row]), (states,), backward_fn)
+
+        rng = np.random.default_rng(12)
+        fwd, bwd = nk.GruParams(2, 3, rng), nk.GruParams(2, 3, rng)
+        x = nk.Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        params = [x] + fwd.params() + bwd.params()
+        for t in params:
+            t.data[:] = rng.normal(size=t.shape)
+        with nk.Tape() as tape:
+            got_loss = bigru_loss(*nk.bigru_encode(x, fwd, bwd))
+        got = nk.backward(got_loss, tape, params)
+        with nk.Tape() as tape:
+            ahead = gru_module._gru(x, None, fwd, reverse=False)
+            behind = gru_module._gru(x, None, bwd, reverse=True)
+            want_loss = bigru_loss(nk.concat([ahead, behind], axis=1),
+                                   nk.concat([row_slice(ahead, -1), row_slice(behind, 0)]))
+        want = nk.backward(want_loss, tape, params)
+        assert got_loss.item() == want_loss.item()
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == w.tobytes()
+
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(0)
-        fwd = nk.GruParams.create(2, 3, rng)
+        fwd = nk.GruParams(2, 3, rng)
         with pytest.raises(ValueError):
             nk.bigru_encode(nk.zeros((0, 2)), fwd, fwd)
 
@@ -851,7 +902,7 @@ def test_softmax_is_a_distribution(values):
 
 
 def test_bigru_rejects_input_that_is_not_a_t_by_e_matrix():
-    fwd = nk.GruParams.create(2, 3, np.random.default_rng(0))
+    fwd = nk.GruParams(2, 3, np.random.default_rng(0))
     with pytest.raises(ValueError):
         nk.bigru_encode(nk.zeros((4, 5)), fwd, fwd)
     with pytest.raises(ValueError):
@@ -862,7 +913,7 @@ def test_huge_gru_weights_raise_from_both_entry_points():
     # the fused kernels keep the per-op contract: a non-finite
     # pre-activation raises, although the gates it saturates stay finite
     rng = np.random.default_rng(4)
-    params = nk.GruParams.create(2, 3, rng)
+    params = nk.GruParams(2, 3, rng)
     for name in ("w_z", "w_r", "w_n"):
         getattr(params, name).data[:] = 1e308
     x = nk.Tensor([10.0, 10.0])
@@ -871,7 +922,7 @@ def test_huge_gru_weights_raise_from_both_entry_points():
             nk.gru_cell(x, nk.zeros(3), params)
         with pytest.raises(FloatingPointError):
             nk.bigru_encode(nk.Tensor([[0.1, 0.2], [10.0, 10.0]]),
-                            nk.GruParams.create(2, 3, rng), params)
+                            nk.GruParams(2, 3, rng), params)
 
 
 def test_sigmoid_matches_two_branch_reference_bitwise():

@@ -13,9 +13,10 @@ from personagen.topic import (
     GRAD_CLIP,
     TopicModel,
     TopicTrainConfig,
+    _bag,
+    _encode,
     decode,
     elbo_loss,
-    encode,
     reparameterize,
     train_topic_model,
     word_topic_vectors,
@@ -28,7 +29,7 @@ def small_vocab(n=6):
 
 def test_param_names_and_order_are_pinned():
     # checkpoint names and the order of clipping sums and Adam state
-    model = TopicModel.create(small_vocab(), 2, 3, np.random.default_rng(0))
+    model = TopicModel(small_vocab(), 2, 3, np.random.default_rng(0))
     assert [name for name, _ in model.named_params()] == [
         "enc_hidden.w", "enc_hidden.b", "enc_mu.w", "enc_mu.b", "enc_logvar.w", "enc_logvar.b",
         "dec_hidden.w", "dec_hidden.b", "dec_out.w", "dec_out.b"]
@@ -66,18 +67,18 @@ def np_elbo(model, dense, eps):
 
 class TestEncode:
     def test_zeroed_model_gives_zero_moments(self):
-        model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
-        mu, logvar, _ = encode([TfIdfDoc({})], model)
+        model = zeroed(TopicModel(small_vocab(), 2, 4, np.random.default_rng(0)))
+        mu, logvar, _ = _encode(*_bag([TfIdfDoc({})]), model)
         assert np.array_equal(mu.data, np.zeros((1, 2)))
         assert np.array_equal(logvar.data, np.zeros((1, 2)))
 
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(11)
-        model = TopicModel.create(small_vocab(), 2, 5, rng)
+        model = TopicModel(small_vocab(), 2, 5, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
         doc = TfIdfDoc({4: 1.5, 6: 0.75})
-        mu, logvar, h = encode([doc], model)
+        mu, logvar, h = _encode(*_bag([doc]), model)
         oh, omu, ologvar = np_forward(model, to_dense(doc, len(model.vocab))[None])
         assert np.allclose(h.data, oh, atol=1e-12)
         assert np.allclose(mu.data, omu, atol=1e-12)
@@ -85,19 +86,19 @@ class TestEncode:
 
     def test_list_gives_one_row_per_document(self):
         rng = np.random.default_rng(12)
-        model = TopicModel.create(small_vocab(), 2, 5, rng)
+        model = TopicModel(small_vocab(), 2, 5, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
         docs = [TfIdfDoc({4: 1.5, 6: 0.75}), TfIdfDoc({}), TfIdfDoc({6: 2.0, 9: 1.0})]
-        batched = encode(docs, model)
+        batched = _encode(*_bag(docs), model)
         for row, doc in enumerate(docs):
-            for whole, single in zip(batched, encode([doc], model)):
+            for whole, single in zip(batched, _encode(*_bag([doc]), model)):
                 assert whole.shape == (len(docs),) + single.shape[1:]
                 assert np.allclose(whole.data[row], single.data[0], rtol=0, atol=1e-12)
 
     def test_doubling_doc_doubles_preactivation(self):
         rng = np.random.default_rng(2)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)  # bias starts zero
+        model = TopicModel(small_vocab(), 2, 4, rng)  # bias starts zero
         doc = TfIdfDoc({4: 1.0, 5: 2.0})
         single = model.enc_hidden(nk.Tensor(to_dense(doc, len(model.vocab))))
         double = model.enc_hidden(nk.Tensor(2 * to_dense(doc, len(model.vocab))))
@@ -121,21 +122,21 @@ class TestReparameterize:
 
 class TestDecode:
     def test_zero_weights_give_uniform(self):
-        model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
+        model = zeroed(TopicModel(small_vocab(), 2, 4, np.random.default_rng(0)))
         probs = decode(nk.Tensor([0.4, -0.2]), model)
         assert np.allclose(probs.data, np.full(len(model.vocab), 1.0 / len(model.vocab)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=2))
     def test_always_a_distribution(self, z):
-        model = TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(4))
+        model = TopicModel(small_vocab(), 2, 4, np.random.default_rng(4))
         probs = decode(nk.Tensor(z), model).data
         assert ((probs > 0) & (probs < 1)).all()
         assert abs(probs.sum() - 1.0) < 1e-12
 
     def test_matches_forward_oracle(self):
         rng = np.random.default_rng(13)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        model = TopicModel(small_vocab(), 2, 4, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.5
         z = rng.normal(size=2)
@@ -147,14 +148,14 @@ class TestDecode:
 
 class TestElbo:
     def test_standard_posterior_has_zero_kl(self):
-        model = zeroed(TopicModel.create(small_vocab(), 2, 4, np.random.default_rng(0)))
+        model = zeroed(TopicModel(small_vocab(), 2, 4, np.random.default_rng(0)))
         # zeroed model: mu = 0, logvar = 0; empty doc: reconstruction term 0
         loss = elbo_loss([TfIdfDoc({})], model, nk.zeros((1, 2)))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_is_nonnegative(self):
         rng = np.random.default_rng(21)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        model = TopicModel(small_vocab(), 2, 4, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
         # empty doc isolates the KL term
@@ -164,7 +165,7 @@ class TestElbo:
 
     def test_matches_hand_computed_oracle(self):
         rng = np.random.default_rng(5)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        model = TopicModel(small_vocab(), 2, 4, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         doc = TfIdfDoc({4: 2.0, 7: 1.0})
@@ -186,7 +187,7 @@ class TestElbo:
 
     def test_gradients_verify(self):
         rng = np.random.default_rng(6)
-        model = TopicModel.create(small_vocab(4), 2, 3, rng)
+        model = TopicModel(small_vocab(4), 2, 3, rng)
         doc = TfIdfDoc({4: 1.0, 6: 2.0})
         eps = nk.Tensor(rng.normal(size=(1, 2)))
         params = [t for _, t in model.named_params()]
@@ -196,7 +197,7 @@ class TestElbo:
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(7)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        model = TopicModel(small_vocab(), 2, 4, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5}), TfIdfDoc({})]
@@ -213,7 +214,7 @@ class TestElbo:
     ], ids=["shared_words", "with_empty_doc", "all_empty"])
     def test_batch_matches_dense_oracle(self, docs):
         rng = np.random.default_rng(8)
-        model = TopicModel.create(small_vocab(), 2, 4, rng)
+        model = TopicModel(small_vocab(), 2, 4, rng)
         for _, t in model.named_params():
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
         eps = rng.normal(size=(len(docs), 2))
@@ -230,7 +231,7 @@ class TestTraining:
         doc = TfIdfDoc({4: 1.0})
         config = TopicTrainConfig(topics=2, hidden=4, epochs=0, seed=9)
         model, trace = train_topic_model([doc], vocab, config)
-        fresh = TopicModel.create(vocab, 2, 4, np.random.default_rng(9))
+        fresh = TopicModel(vocab, 2, 4, np.random.default_rng(9))
         for (_, trained), (_, init) in zip(model.named_params(), fresh.named_params()):
             assert np.array_equal(trained.data, init.data)
         assert trace == []
@@ -261,6 +262,25 @@ class TestTraining:
         assert [epoch for epoch, _ in trace] == [1, 2]
         assert len(widths) == 4  # two batches per epoch
 
+    def test_overflowing_gradient_norm_aborts_with_batch_start(self, monkeypatch):
+        # a mean of 1e152 keeps the KL term finite, but with encoder hidden
+        # units near 1e3 the squares of the mean layer's weight gradient
+        # overflow: the step must abort, naming the norm and not a loss
+        class Overflowing(TopicModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.enc_hidden.b.data[:] = 1e3
+                self.enc_mu.b.data[:] = 1e152
+
+        monkeypatch.setattr(topic, "TopicModel", Overflowing)
+        docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0})]
+        config = TopicTrainConfig(topics=2, hidden=4, epochs=1, batch_size=2, seed=1)
+        with np.errstate(over="ignore"), pytest.raises(RuntimeError) as err:
+            train_topic_model(docs, small_vocab(), config)
+        assert str(err.value).endswith(
+            "epoch 1, batch starting 0: global gradient norm is inf")
+        assert "loss" not in str(err.value)
+
     def test_matches_a_dense_oracle_loop_bitwise(self):
         # the oracle fills every gradient densely (the dict form of backward,
         # zeros for the rest) and applies Adam in Kingma & Ba's efficient
@@ -274,7 +294,7 @@ class TestTraining:
         model, trace = train_topic_model(docs, vocab, config)
 
         rng = np.random.default_rng(config.seed)
-        oracle = TopicModel.create(vocab, config.topics, config.hidden, rng)
+        oracle = TopicModel(vocab, config.topics, config.hidden, rng)
         params = oracle.params()
         m = [np.zeros_like(p.data) for p in params]
         v = [np.zeros_like(p.data) for p in params]
@@ -318,7 +338,7 @@ class TestTraining:
         model, _ = train_topic_model([doc] * 16, vocab, config)
         target = to_dense(doc, len(vocab))
         target /= target.sum()
-        mu, _, _ = encode([doc], model)
+        mu, _, _ = _encode(*_bag([doc]), model)
         recon = decode(mu, model).data[0]
         assert np.abs(recon - target).sum() < 0.1
 
@@ -331,20 +351,20 @@ class TestTraining:
 
 class TestWordTopicVectors:
     def test_shapes_and_count(self):
-        model = TopicModel.create(small_vocab(6), 2, 4, np.random.default_rng(0))
+        model = TopicModel(small_vocab(6), 2, 4, np.random.default_rng(0))
         vectors = word_topic_vectors(model)
         assert len(vectors) == 6
         assert vectors.matrix.shape == (6, 2)
 
     def test_reads_decoder_output_columns(self):
-        model = TopicModel.create(small_vocab(6), 2, 4, np.random.default_rng(1))
+        model = TopicModel(small_vocab(6), 2, 4, np.random.default_rng(1))
         vectors = word_topic_vectors(model)
         for token, vector in zip(vectors.tokens, vectors.matrix):
-            column = model.vocab.index(token)
+            column = model.vocab.token_to_index[token]
             assert np.array_equal(vector, model.dec_out.w.data[:, column])
 
     def test_is_a_read_only_snapshot(self):
-        model = TopicModel.create(small_vocab(6), 3, 4, np.random.default_rng(2))
+        model = TopicModel(small_vocab(6), 3, 4, np.random.default_rng(2))
         vectors = word_topic_vectors(model)
         before = vectors.matrix.copy()
         model.dec_out.w.data *= 2.0
@@ -354,7 +374,7 @@ class TestWordTopicVectors:
             vectors.matrix[vectors.rows["w0"], 0] = 1.0
 
     def test_rows_cover_the_non_reserved_tokens(self):
-        model = TopicModel.create(small_vocab(3), 2, 4, np.random.default_rng(3))
+        model = TopicModel(small_vocab(3), 2, 4, np.random.default_rng(3))
         vectors = word_topic_vectors(model)
         assert vectors.tokens == ["w0", "w1", "w2"]
         assert vectors.rows == {"w0": 0, "w1": 1, "w2": 2}

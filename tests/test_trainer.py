@@ -112,6 +112,19 @@ def test_overflowing_gradient_norm_aborts_with_batch_id(toy_setup):
                              np.random.default_rng(0))
 
 
+def test_gradient_norm_overflow_is_not_called_a_loss(toy_setup):
+    # the losses are finite; the message names the value that is not
+    vocab, examples = toy_setup
+    model = make_model(vocab)
+    model.decoder.out.w.data[:] = 1e308
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError) as err:
+        train_dialogue_model(model, examples[:2], None, LossSettings(),
+                             TrainSettings(epochs=1, batch_size=2, lr=0.01),
+                             np.random.default_rng(0))
+    assert str(err.value).endswith("epoch 1, batch 0: global gradient norm is inf")
+    assert "loss" not in str(err.value)
+
+
 def test_empty_training_set_rejected(toy_setup):
     vocab, _ = toy_setup
     with pytest.raises(ValueError):
