@@ -194,11 +194,12 @@ def compute_tfidf(documents: list[list[str]], vocab: Vocabulary) -> list[TfIdfDo
         counts = Counter(vocab.token_to_index[t] for t in tokens if t in vocab.token_to_index)
         doc_counts.append(counts)
         df.update(counts.keys())
+    idf = {index: np.log(n_docs / (1.0 + count)) for index, count in df.items()}
     docs = []
     for counts in doc_counts:
         weights = {}
         for index, count in counts.items():
-            weight = count * np.log(n_docs / (1.0 + df[index]))
+            weight = count * idf[index]
             if weight > 0.0:
                 weights[index] = float(weight)
         docs.append(TfIdfDoc(weights))

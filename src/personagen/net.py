@@ -1,8 +1,13 @@
 """Multi-source sequence encoders, the persona-oriented decoder, and
 beam-search generation (greedy decoding is beam width 1).
 
-A decoder step runs on one (H,) state or on a (k, H) batch of rows, one per
-beam hypothesis, so beam search reads the output weights once per step.
+Only the decoder GRU is recurrent: its reads (history attention and the
+multi-hop persona read) take the new state alone. So teacher forcing runs the
+GRU once over the whole response and the reads once over the (T, H) state
+matrix, while generation runs one decoder step at a time on one (H,) state
+or on a (k, H) batch of rows, one per beam hypothesis, so beam search reads
+the output weights once per step. The encoders run every sentence of a
+level as one row of one GRU record per direction.
 
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
@@ -43,6 +48,7 @@ from .numkit import (
     bigru_encode,
     concat,
     gru_cell,
+    gru_sequence,
     lookup,
     matmul,
     reshape,
@@ -96,11 +102,13 @@ class DecoderParams(Module):
 
 
 def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams,
-                      embedding: Tensor) -> tuple[list[Tensor], Tensor]:
-    """Bi-GRU over each sentence: every sentence's final state, and the
-    per-token states of all sentences as one (tokens, 2H) matrix."""
-    encoded = [bigru_encode(lookup(embedding, sentence), fwd, bwd) for sentence in sentences]
-    return [final for _, final in encoded], concat([steps for steps, _ in encoded])
+                      embedding: Tensor) -> tuple[Tensor, Tensor]:
+    """Bi-GRU over each sentence, all sentences as rows of one record per
+    direction: the (n, 2H) matrix of final states, and the per-token states
+    of all sentences, in sentence order, as one (tokens, 2H) matrix."""
+    tokens = lookup(embedding, [token for sentence in sentences for token in sentence])
+    states, finals = bigru_encode(tokens, fwd, bwd, [len(sentence) for sentence in sentences])
+    return finals, states
 
 
 def encode_persona(persona_sentences: list[list[int]], params: PersonaEncoderParams,
@@ -114,25 +122,26 @@ def encode_persona(persona_sentences: list[list[int]], params: PersonaEncoderPar
         raise ValueError("encode_persona needs at least one persona sentence")
     sentence_reps, word_reps = _encode_sentences(
         persona_sentences, params.fwd, params.bwd, embedding)
-    mem_s = build_memory(stack(sentence_reps), params.sent_key, params.sent_value)
+    mem_s = build_memory(sentence_reps, params.sent_key, params.sent_value)
     mem_w = build_memory(word_reps, params.word_key, params.word_value)
     return mem_s, mem_w
 
 
 def encode_history(history: list[list[int]], params: HistoryEncoderParams,
-                   embedding: Tensor) -> tuple[Tensor, list[Tensor], Tensor]:
+                   embedding: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """Hierarchical encoding of the dialogue history.
 
-    The word level encodes each utterance into a sentence vector C_i and
-    exposes every per-token state, as one (tokens, H) matrix, for decoder
-    attention; the utterance level consumes C_1..C_k in turn order and its
-    final state summarizes the whole history.
+    The word level encodes each utterance into a sentence vector C_i, row i
+    of the (k, H) matrix returned second, and exposes every per-token state,
+    as one (tokens, H) matrix, for decoder attention; the utterance level
+    consumes C_1..C_k in turn order and its final state summarizes the whole
+    history.
     """
     if not history:
         raise ValueError("encode_history needs at least one utterance")
     sentence_vectors, word_states = _encode_sentences(
         history, params.word_fwd, params.word_bwd, embedding)
-    _, e_x = bigru_encode(stack(sentence_vectors), params.utt_fwd, params.utt_bwd)
+    _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd)
     return e_x, sentence_vectors, word_states
 
 
@@ -175,26 +184,36 @@ class StepDiagnostics:
     e_weights: Tensor | None
 
 
+def decoder_reads(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
+                  word_states: Tensor, word_keys: Tensor, params: DecoderParams, hops: int,
+                  ) -> tuple[Tensor, StepDiagnostics]:
+    """Everything of a decoder step between the GRU and the output layer.
+
+    Attends over history words and runs the multi-hop read over both persona
+    word memories. Returns the concatenation [state; history context; word
+    read; external read] and attention diagnostics. ``s_t`` is one (H,)
+    state or a (k, H) matrix of states, each read on its own: the hypotheses
+    of a beam step, or every step of a teacher-forced response.
+    """
+    u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
+    hop = multihop(s_t, mem_w, mem_e, hops)
+    features = concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1)
+    return features, StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
+
+
 def decoder_features(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
                      mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
                      params: DecoderParams, hops: int, embedding: Tensor,
                      ) -> tuple[Tensor, Tensor, StepDiagnostics]:
-    """Everything of a decoder step before the output layer.
-
-    Advances the GRU on the previous token's embedding, attends over history
-    words and runs the multi-hop read over both persona word memories.
-    Returns the concatenation [state; history context; word read; external
-    read], the new state, and attention diagnostics.
+    """Everything of a decoder step before the output layer: the GRU on the
+    previous token's embedding, then ``decoder_reads``. Returns the
+    features, the new state, and attention diagnostics.
 
     ``prev`` is one token id with an (H,) ``state``, or a sequence of k ids
     with a (k, H) ``state``: k independent steps whose results are rows.
     """
-    x = lookup(embedding, prev)
-    s_t = gru_cell(x, state, params.cell)
-    u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
-    hop = multihop(s_t, mem_w, mem_e, hops)
-    features = concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1)
-    diag = StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
+    s_t = gru_cell(lookup(embedding, prev), state, params.cell)
+    features, diag = decoder_reads(s_t, mem_w, mem_e, word_states, word_keys, params, hops)
     return features, s_t, diag
 
 
@@ -292,8 +311,9 @@ class DialogueModel(Module):
         mem_s, mem_w = encode_persona(bound.persona_ids, self.persona, self.embedding)
         e_x, sentence_vectors, word_states = encode_history(
             bound.history_ids, self.history, self.embedding)
-        queries = [self.c_proj(c) for c in sentence_vectors]
-        o_k, match_weights = persona_information_retrieval(queries, mem_s)
+        queries = self.c_proj(sentence_vectors)
+        o_k, match_weights = persona_information_retrieval(
+            [lookup(queries, i) for i in range(queries.shape[0])], mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
         mem_e = self.external_memory(bound.expansion_ids)
         word_keys = history_keys(word_states, self.decoder)
@@ -302,19 +322,18 @@ class DialogueModel(Module):
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
         """Teacher-forced joint loss of one example.
 
-        The decoder runs step by step up to the output layer; the output
-        layer and softmax then run once over the stacked (T, 4H) features.
+        The decoder GRU runs once over [SOS] + response, one record; the
+        history attention and multi-hop reads then run once over its (T, H)
+        states, and the output layer and softmax once over the (T, 4H)
+        features.
         """
         mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
-        step_features = []
-        for prev in inputs:
-            features, state, _ = decoder_features(
-                prev, state, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops,
-                self.embedding)
-            step_features.append(features)
-        activations = self.decoder.out(stack(step_features))
+        states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell)
+        features, _ = decoder_reads(
+            states, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops)
+        activations = self.decoder.out(features)
         nll = nll_loss(softmax(activations, axis=-1), targets)
         match_target = p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold)

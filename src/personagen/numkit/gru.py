@@ -1,16 +1,20 @@
 """GRU recurrences as fused primitives: one tape record per run.
 
-One forward kernel and one backward kernel serve both entry points.
-``bigru_encode`` runs each direction over a whole (T, E) sequence as one
-record, and ``gru_cell`` is the same kernel for a single step from a given
-state. As in cuDNN's fused RNNs (Appleyard, Kočiský & Blunsom 2016), the input
+One forward kernel and one backward kernel serve every entry point, each a
+run of ``steps × rows`` GRU steps in which row i reads its own sequence:
+``gru_cell`` is one step of k rows, ``gru_sequence`` T steps of one row
+(teacher forcing's decoder), and ``bigru_encode`` runs each direction over
+one sequence, or over n sequences of different lengths as n rows. As in
+cuDNN's fused RNNs (Appleyard, Kočiský & Blunsom 2016), the input
 projections of all steps are one GEMM per gate before the loop, which keeps
 only the ``h @ U`` terms; the hand-written backward runs back-propagation
-through time into (T, H) pre-activation gradients, so each weight gradient is
-again one GEMM.
+through time into (steps, rows, H) pre-activation gradients, so each weight
+gradient is again one GEMM.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -53,16 +57,35 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     if h.shape != x.shape[:-1] + (params.hidden_dim,):
         raise ValueError(f"gru_cell hidden has shape {h.shape}, expected "
                          f"{x.shape[:-1] + (params.hidden_dim,)} for input of shape {x.shape}")
-    return _gru(x, h, params, reverse=False)
+    return _gru(x, h, params, False, [1] * (x.shape[0] if x.ndim == 2 else 1))
 
 
-def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams) -> tuple[Tensor, Tensor]:
+def gru_sequence(x: Tensor, h0: Tensor, params: GruParams) -> Tensor:
+    """The GRU over the rows of a (T, E) input from the (H,) state ``h0``:
+    the (T, H) states, row t the state after input row t."""
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.input_dim:
+        raise ValueError(f"gru_sequence needs a non-empty (T, {params.input_dim}) input, "
+                         f"got shape {x.shape}")
+    if h0.shape != (params.hidden_dim,):
+        raise ValueError(f"gru_sequence start state has shape {h0.shape}, "
+                         f"expected ({params.hidden_dim},)")
+    return _gru(x, h0, params, False, [x.shape[0]])
+
+
+def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
+                 lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
     """Run a Bi-GRU over the rows of a (T, E) input matrix.
 
     Returns the (T, 2H) matrix of per-step states, row t holding the forward
     and backward states at position t side by side, and the final state,
     which concatenates the forward state at the last position with the
     backward state at the first position. Both directions start from zero.
+
+    With ``lengths``, the rows of ``x`` are n sequences one after another,
+    sequence i ``lengths[i]`` rows long, each encoded on its own; all n run
+    as rows of one record per direction. The per-step states keep ``x``'s
+    row order, and the finals are the (n, 2H) matrix of the sequences' final
+    states.
     """
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"bigru_encode needs a non-empty (T, E) sequence, got shape {x.shape}")
@@ -72,33 +95,64 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams) -> tuple[Tensor, Ten
         if x.shape[1] != params.input_dim:
             raise ValueError(f"bigru_encode input has width {x.shape[1]}, "
                              f"expected {params.input_dim}")
-    ahead = _gru(x, None, fwd, reverse=False)
-    behind = _gru(x, None, bwd, reverse=True)
-    return (concat([ahead, behind], axis=1),
-            concat([lookup(ahead, x.shape[0] - 1), lookup(behind, 0)]))
+    spans = [x.shape[0]] if lengths is None else [int(n) for n in lengths]
+    if min(spans, default=0) < 1 or sum(spans) != x.shape[0]:
+        raise ValueError(f"bigru_encode needs positive lengths that sum to the {x.shape[0]} "
+                         f"input rows, got {list(lengths)}")
+    ahead = _gru(x, None, fwd, False, spans)
+    behind = _gru(x, None, bwd, True, spans)
+    states = concat([ahead, behind], axis=1)
+    if lengths is None:
+        return states, concat([lookup(ahead, x.shape[0] - 1), lookup(behind, 0)])
+    ends = np.cumsum(spans)
+    return states, concat([lookup(ahead, ends - 1), lookup(behind, ends - spans)], axis=1)
 
 
-def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tensor:
-    """The GRU over the rows of ``x`` as one tape record.
+def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
+         lengths: list[int]) -> Tensor:
+    """The GRU over ``steps × rows`` as one tape record.
 
-    With ``h0`` None, ``x`` is a (T, E) sequence run from the zero state, which
-    is then no input of the record and gets no gradient; the result is the
-    (T, H) states, row t the state after input row t, and ``reverse`` feeds the
-    rows last to first. Otherwise ``x`` is one step, an (E,) input or (k, E)
-    rows, from the matching (H,) or (k, H) ``h0``, and gives one state per row.
+    Row i reads ``lengths[i]`` inputs; the rows of ``x`` (one (E,) input, or
+    a matrix of them) are row 0's inputs, then row 1's, and so on. Each row
+    starts from its row of ``h0``, an input of the record, or from zero when
+    ``h0`` is None, and ``reverse`` feeds each row's inputs last to first.
+    The result holds the state after each input, in ``x``'s order and of
+    shape ``x.shape[:-1] + (H,)``.
+
+    The loop runs ``max(lengths)`` steps over all rows. Position t of row i
+    is live for t < lengths[i]; at a dead position the row keeps the state it
+    has, which is its last state going forward and the start going in
+    reverse, and the backward sweep gives it zero pre-activation gradients
+    and passes the carried gradient through unchanged. Steps where every row
+    is live run the plain arithmetic.
     """
     tensors = params.params()
     w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in tensors)
     hidden = params.hidden_dim
     xs = x.data.reshape(-1, params.input_dim)
-    if h0 is None:   # (steps, rows) = (T, 1)
-        steps, rows, start = xs.shape[0], 1, np.zeros((1, hidden))
-    else:            # (1, k)
-        steps, rows, start = 1, xs.shape[0], h0.data.reshape(-1, hidden)
+    rows, steps = len(lengths), max(lengths)
+    start = np.zeros((rows, hidden)) if h0 is None else h0.data.reshape(rows, hidden)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    dead = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]   # (steps, rows)
+    held = dead.any(axis=1).tolist()
+    # x's rows sit at these rows of the step-major (steps * rows) layout;
+    # None when the two orders agree
+    layout = None if rows == 1 or steps == 1 else np.concatenate(
+        [np.arange(n) * rows + i for i, n in enumerate(lengths)])
+
+    def step_major(a):
+        if layout is None:
+            return a.reshape(steps, rows, hidden)
+        full = np.zeros((steps * rows, hidden))
+        full[layout] = a
+        return full.reshape(steps, rows, hidden)
+
+    def in_x_order(a):
+        a = a.reshape(steps * rows, hidden)
+        return a if layout is None else a[layout]
 
     # every step's input projections, one GEMM per gate
-    x_z, x_r, x_n = ((xs @ w).reshape(steps, rows, hidden) for w in (w_z, w_r, w_n))
+    x_z, x_r, x_n = (step_major(xs @ w) for w in (w_z, w_r, w_n))
     pre = np.empty((steps, rows, 3 * hidden))      # [a_z | a_r | a_n] per step and row
     gates = np.empty((steps, rows, 3 * hidden))    # [z | r | n] per step and row
     states = np.empty((steps, rows, hidden))
@@ -115,11 +169,14 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
         np.add(x_n[t], (r * h) @ u_n, out=a_n)
         a_n += b_n
         np.tanh(a_n, out=n)
-        h = states[t] = (1.0 - z) * h + z * n
+        new = (1.0 - z) * h + z * n
+        if held[t]:
+            new[dead[t]] = h[dead[t]]
+        h = states[t] = new
     _require_finite(pre, "GRU pre-activation")
 
     def backward_fn(g_out):
-        g_states = g_out.reshape(steps, rows, hidden)
+        g_states = step_major(g_out.reshape(-1, hidden))
         prev = np.empty_like(states)          # the state each step started from
         if reverse:
             prev[:-1], prev[-1] = states[1:], start
@@ -132,6 +189,8 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
         f_n = z * (1.0 - n * n)
         f_r = prev * r * (1.0 - r)
         keep = 1.0 - z
+        if any(held):   # a dead position is the identity map
+            f_z[dead], f_n[dead], f_r[dead], keep[dead] = 0.0, 0.0, 0.0, 1.0
         u_z_t, u_r_t, u_n_t = u_z.T, u_r.T, u_n.T
         d_z, d_r, d_n = (np.empty((steps, rows, hidden)) for _ in range(3))  # d(pre-activation)
         carry = None
@@ -144,8 +203,8 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
             np.multiply(d_rh, f_r[t], out=d_rt)
             if t != order[0] or h0 is not None:
                 carry = dh * keep[t] + d_rh * r[t] + d_zt @ u_z_t + d_rt @ u_r_t
-        # one (steps * rows)-row GEMM per weight gradient
-        d_z, d_r, d_n, prev, r = (a.reshape(-1, hidden) for a in (d_z, d_r, d_n, prev, r))
+        # one GEMM over the live positions per weight gradient
+        d_z, d_r, d_n, prev, r = (in_x_order(a) for a in (d_z, d_r, d_n, prev, r))
         d_x = (d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T).reshape(x.shape)
         d_params = [xs.T @ d_z, prev.T @ d_z, d_z.sum(axis=0),
                     xs.T @ d_r, prev.T @ d_r, d_r.sum(axis=0),
@@ -153,5 +212,4 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool) -> Tens
         return [d_x] + ([] if h0 is None else [carry.reshape(h0.shape)]) + d_params
 
     inputs = (x,) + (() if h0 is None else (h0,)) + tuple(tensors)
-    return _finish(states[:, 0] if h0 is None else states[0].reshape(h0.shape),
-                   inputs, backward_fn)
+    return _finish(in_x_order(states).reshape(x.shape[:-1] + (hidden,)), inputs, backward_fn)

@@ -36,8 +36,10 @@ class AdamState:
     def __init__(self, params: list[Tensor], lr: float):
         self.lr = lr
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
+        # np.zeros gets large buffers as fresh pages that are zeroed on first
+        # touch; np.zeros_like would write every zero up front
+        self.m = [np.zeros(p.data.shape) for p in params]
+        self.v = [np.zeros(p.data.shape) for p in params]
 
 
 def adam_step(params: list[Tensor], grads: list[Array | RowGrad],

@@ -23,12 +23,11 @@ what when where which while who whom why will with won would wouldn y you
 your yours yourself yourselves
 """.split())
 
-_PUNCT = set(string.punctuation)
-
 
 def is_stopword(token: str) -> bool:
-    """True for listed function words and punctuation-only tokens."""
+    """True for listed function words and punctuation-only tokens (a
+    non-empty token that stripping ASCII punctuation empties)."""
     if token in STOPWORDS:
         return True
-    return bool(token) and all(ch in _PUNCT for ch in token)
+    return bool(token) and not token.strip(string.punctuation)
 

@@ -59,7 +59,7 @@ def test_example_loss_tape_records_are_pinned():
     model, bound = toy_model_and_example()
     with numkit.Tape() as tape:
         model.example_loss(bound, LossSettings())
-    assert len(tape) == 204
+    assert len(tape) == 104
 
 
 @pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])

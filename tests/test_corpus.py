@@ -191,6 +191,31 @@ class TestTfIdf:
         for doc_f, doc_b in zip(forward, backward[::-1]):
             assert doc_f.weights == doc_b.weights
 
+    def test_weights_equal_the_per_entry_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(30)]
+        documents = [[str(w) for w in rng.choice(words, size=int(rng.integers(0, 25)))]
+                     for _ in range(40)]
+        vocab = build_vocab(documents, size_limit=28)
+        df = {}
+        for tokens in documents:
+            for index in {vocab.token_to_index[t] for t in tokens if t in vocab.token_to_index}:
+                df[index] = df.get(index, 0) + 1
+        docs = compute_tfidf(documents, vocab)
+        assert sum(len(doc.weights) for doc in docs) > 100
+        for tokens, doc in zip(documents, docs):
+            want = {}
+            for t in tokens:
+                if t in vocab.token_to_index:
+                    index = vocab.token_to_index[t]
+                    want[index] = want.get(index, 0) + 1
+            want = {index: float(count * np.log(len(documents) / (1.0 + df[index])))
+                    for index, count in want.items()}
+            want = {index: weight for index, weight in want.items() if weight > 0.0}
+            assert doc.weights.keys() == want.keys()
+            for index, weight in want.items():
+                assert np.float64(doc.weights[index]).tobytes() == np.float64(weight).tobytes()
+
     def test_dense_round_trip(self):
         vocab = build_vocab([["a", "b"]], size_limit=8)
         docs = compute_tfidf([["a", "a"], ["b"], ["b"]], vocab)

@@ -1,7 +1,10 @@
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from personagen import numkit as nk
 from personagen.corpus import Vocabulary, load_personachat
@@ -203,3 +206,25 @@ def test_stopword_list_covers_common_function_words():
     for word in ("vegan", "candy", "dairy", "music", "form"):
         assert not is_stopword(word)
     assert is_stopword(".") and is_stopword("?") and is_stopword("'")
+
+
+def punctuation_only(token):
+    """The stop-token rule for tokens off the list, character by character."""
+    return bool(token) and all(ch in string.punctuation for ch in token)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list(string.punctuation + string.ascii_letters
+                                             + string.digits + " éß’…—¿中")),
+               max_size=6)
+       | st.text(max_size=6))
+def test_stopword_rule_equals_per_character_definition(token):
+    # is_stopword strips the punctuation in C; ASCII punctuation only, so
+    # non-ASCII marks such as "…" or "’" keep a token
+    assert is_stopword(token) == (token in STOPWORDS or punctuation_only(token))
+
+
+def test_stopword_rule_edge_cases():
+    for token in ("", "a1", "1", "é", "…", "’", " ", "!?.", "-x-", "x!"):
+        assert is_stopword(token) == (token in STOPWORDS or punctuation_only(token)), token
+    assert not is_stopword("") and is_stopword("!?.") and not is_stopword("…")

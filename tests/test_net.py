@@ -5,10 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import np_bigru, np_gru_step, np_retrieve, np_softmax, np_tanh_mlp
 from personagen import numkit as nk
-from personagen.corpus import EOS, SOS, DialogueExample, Vocabulary
-from personagen.memory import KeyValueMemory
+from personagen.corpus import EOS, PAD, SOS, DialogueExample, Vocabulary
+from personagen.memory import KeyValueMemory, build_memory, persona_information_retrieval
 from personagen.losses import (
     joint_loss,
+    nll_loss,
     p_bows_loss,
     p_bows_targets,
     p_match_loss,
@@ -21,6 +22,7 @@ from personagen.net import (
     attend_history,
     bind_example,
     decode_step,
+    decoder_features,
     encode_history,
     encode_persona,
     history_keys,
@@ -129,7 +131,7 @@ class TestEncodeHistory:
         model = tiny_model(seed=4)
         e_x, sentence_vectors, word_states = encode_history(
             [[0, 1, 2]], model.history, model.embedding)
-        assert len(sentence_vectors) == 1
+        assert sentence_vectors.shape == (1, model.hidden)
         # e_X is the utterance-level encoding of the single C_1
         raw = [model.embedding.data[t] for t in [0, 1, 2]]
         _, c1 = np_bigru(raw, model.history.word_fwd, model.history.word_bwd)
@@ -159,8 +161,9 @@ class TestEncodeHistory:
         assert word_states.shape == (len(oracle_words), model.hidden)
         for ours, expected in zip(word_states.data, oracle_words):
             assert np.allclose(ours, expected, atol=1e-12)
-        for ours, expected in zip(sentence_vectors, oracle_cs):
-            assert np.allclose(ours.data, expected, atol=1e-12)
+        assert sentence_vectors.shape == (len(history), model.hidden)
+        for ours, expected in zip(sentence_vectors.data, oracle_cs):
+            assert np.allclose(ours, expected, atol=1e-12)
 
     def test_empty_history_rejected(self):
         model = tiny_model()
@@ -440,6 +443,66 @@ class TestJointLossAndGradients:
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
+    def test_tape_length_independent_of_response_length(self):
+        # the decoder GRU is one record and the reads run once over its states
+        model = tiny_model(seed=17)
+        bound = tiny_example(model.vocab)
+        lengths = []
+        for count in (3, 12):
+            bound.response_ids = [4 + i % 12 for i in range(count)]
+            with nk.Tape() as tape:
+                model.example_loss(bound, LossSettings())
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_tape_length_independent_of_persona_sentence_count(self):
+        # all persona sentences are rows of one record per direction (the
+        # response shares no word with them, so no sentence gets a P-Match
+        # label and adds its own term)
+        model = tiny_model(seed=18)
+        words = ["guitar", "music", "play", "songs", "."]
+        lengths = []
+        for count in (2, 5):
+            bound = bind_example(DialogueExample(
+                persona_sentences=[[words[(s + i) % 5] for i in range(2 + s % 3)]
+                                   for s in range(count)],
+                history=[["what", "do", "you", "like", "?"]],
+                response=["i", "love", "you", "."],
+            ), model.vocab, ["music"])
+            assert not p_match_targets(bound.example.persona_sentences,
+                                       bound.example.response, 0.03).any()
+            with nk.Tape() as tape:
+                model.example_loss(bound, LossSettings())
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_pad_row_reaches_no_output_and_gets_no_gradient(self):
+        # sentences of different lengths share one record; its padding must
+        # not reach a loss or a gradient, whatever the PAD embedding holds
+        model = tiny_model(seed=19)
+        bound = bind_example(DialogueExample(
+            persona_sentences=[["i", "love"], ["i", "play", "songs", "do", "guitar"], ["."]],
+            history=[["what", "do", "you", "like"], ["?"], ["you", "play", "songs"]],
+            response=["i", "love", "guitar", "."],
+        ), model.vocab, ["music"])
+        runs = []
+        for pad_row in (np.zeros(3), np.full(3, 1e3)):
+            model.embedding.data[PAD] = pad_row
+            with nk.Tape() as tape:
+                parts = model.example_loss(bound, LossSettings())
+            grads = nk.backward(parts.joint, tape)
+            runs.append(([parts.joint.item(), parts.nll.item(), parts.p_match.item(),
+                          parts.p_bows.item()], grads))
+        (losses_a, grads_a), (losses_b, grads_b) = runs
+        assert losses_a == losses_b
+        for _, p in model.named_params():
+            if p is not model.embedding:
+                assert grads_a[p].tobytes() == grads_b[p].tobytes()
+        for grads in (grads_a, grads_b):
+            assert not grads[model.embedding][PAD].any()
+        assert np.array_equal(np.delete(grads_a[model.embedding], PAD, axis=0),
+                              np.delete(grads_b[model.embedding], PAD, axis=0))
+
     def test_full_joint_loss_gradients_verify(self):
         model = tiny_model(hidden=4, emb=3, seed=14)
         # check at a well-conditioned point: with the default tiny init some
@@ -510,6 +573,70 @@ def random_example(vocab, rng, with_expansion):
     )
     expansion = sentence(1, 4) if with_expansion else []
     return bind_example(example, vocab, expansion)
+
+
+def step_by_step_loss(model, bound, settings):
+    """Oracle for ``example_loss`` as one record per sentence and per step:
+    a Bi-GRU per persona sentence and per utterance, ``c_proj`` per
+    utterance, and ``decoder_features`` once per decode step."""
+    embedding, persona, history = model.embedding, model.persona, model.history
+
+    def encode(sentences, fwd, bwd):
+        encoded = [nk.bigru_encode(nk.lookup(embedding, s), fwd, bwd) for s in sentences]
+        return [final for _, final in encoded], nk.concat([steps for steps, _ in encoded])
+
+    sentence_reps, word_reps = encode(bound.persona_ids, persona.fwd, persona.bwd)
+    mem_s = build_memory(nk.stack(sentence_reps), persona.sent_key, persona.sent_value)
+    mem_w = build_memory(word_reps, persona.word_key, persona.word_value)
+    vectors, word_states = encode(bound.history_ids, history.word_fwd, history.word_bwd)
+    _, e_x = nk.bigru_encode(nk.stack(vectors), history.utt_fwd, history.utt_bwd)
+    o_k, match_weights = persona_information_retrieval([model.c_proj(c) for c in vectors], mem_s)
+    state = init_state(e_x, o_k, model.decoder.init_proj)
+    mem_e = model.external_memory(bound.expansion_ids)
+    word_keys = history_keys(word_states, model.decoder)
+    step_features = []
+    for prev in [SOS] + bound.response_ids:
+        features, state, _ = decoder_features(
+            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
+            model.embedding)
+        step_features.append(features)
+    activations = model.decoder.out(nk.stack(step_features))
+    nll = nll_loss(nk.softmax(activations, axis=-1), bound.response_ids + [EOS])
+    match = p_match_loss(match_weights, p_match_targets(
+        bound.example.persona_sentences, bound.example.response, settings.match_threshold))
+    bows = p_bows_loss(activations, p_bows_targets(
+        bound.example.response, model.persona_word_set(bound), model.vocab,
+        settings.bows_extra_weight))
+    return joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows), nll, bows
+
+
+class TestTeacherForcing:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_step_by_step_oracle(self, seed):
+        # example_loss runs each encoder level and the decoder GRU as one
+        # record per direction and the decoder reads once over all steps;
+        # the oracle is the per-sentence, per-step computation
+        model = tiny_model(hidden=4 + 2 * (seed % 2), emb=3, hops=1 + seed % 3, seed=400 + seed)
+        rng = np.random.default_rng(500 + seed)
+        for p in model.params():
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        bound = random_example(model.vocab, rng, with_expansion=seed % 2 == 0)
+        settings = LossSettings()
+        with nk.Tape() as tape:
+            parts = model.example_loss(bound, settings)
+        got = nk.backward(parts.joint, tape)
+        with nk.Tape() as tape:
+            joint, nll, bows = step_by_step_loss(model, bound, settings)
+        want = nk.backward(joint, tape)
+        for a, b in ((parts.joint, joint), (parts.nll, nll), (parts.p_bows, bows)):
+            assert a.item() == pytest.approx(b.item(), rel=1e-10, abs=0.0)
+        assert set(got) == set(want)
+        for name, p in model.named_params():
+            if p not in want:  # the expansion memory's networks, when it is empty
+                continue
+            scale = np.abs(want[p]).max()
+            np.testing.assert_allclose(got[p], want[p], rtol=1e-10, atol=1e-10 * scale,
+                                       err_msg=name)
 
 
 class TestBatchedOutputLayer:

@@ -358,6 +358,22 @@ def bigru_case(x, *weights):
     return bigru_loss(*nk.bigru_encode(x, gru_params(weights[:9]), gru_params(weights[9:])))
 
 
+def ragged_bigru_case(x, *weights):
+    # three sequences of lengths 3, 1 and 2 as rows of one record per direction
+    return bigru_loss(*nk.bigru_encode(x, gru_params(weights[:9]), gru_params(weights[9:]),
+                                       [3, 1, 2]))
+
+
+def held_start_case(x, h0, *weights):
+    # reverse rows of lengths 1, 3 and 2 from a start state: rows 0 and 2
+    # hold their start through the steps before their first input
+    return nk.sum_(nk.tanh(gru_module._gru(x, h0, gru_params(weights), True, [1, 3, 2])))
+
+
+def gru_sequence_case(x, h0, *weights):
+    return nk.sum_(nk.tanh(nk.gru_sequence(x, h0, gru_params(weights))))
+
+
 def lookup_op_output_case(a):
     # an int row gather of an op output that a dense op reads too, as the
     # Bi-GRU's final state gathers rows of the per-step states
@@ -396,6 +412,9 @@ PRIMITIVE_CASES = {
     "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
     "gru_cell_rows": (gru_cell_case, [(3, 2), (3, 3)] + gru_shapes(2, 3)),
     "bigru_encode": (bigru_case, [(4, 2)] + gru_shapes(2, 3) * 2),
+    "bigru_encode_ragged": (ragged_bigru_case, [(6, 2)] + gru_shapes(2, 3) * 2),
+    "gru_held_start": (held_start_case, [(6, 2), (3, 3)] + gru_shapes(2, 3)),
+    "gru_sequence": (gru_sequence_case, [(4, 2), (3,)] + gru_shapes(2, 3)),
 }
 
 
@@ -811,6 +830,52 @@ class TestGru:
             nk.gru_cell(nk.zeros(x_shape), nk.zeros(h_shape), p)
         assert str(x_shape) in str(err.value) and str(h_shape) in str(err.value)
 
+    def test_sequence_equals_chained_cells(self):
+        rng = np.random.default_rng(65)
+        p = nk.GruParams(2, 3, rng)
+        for t in p.params():
+            t.data[:] = rng.normal(size=t.data.shape)
+        x, h0 = rng.normal(size=(5, 2)), rng.normal(size=3)
+        states = nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p)
+        assert states.shape == (5, 3)
+        h = nk.Tensor(h0)
+        for t in range(5):
+            h = nk.gru_cell(nk.Tensor(x[t]), h, p)
+            np.testing.assert_allclose(states.data[t], h.data, rtol=0, atol=1e-12)
+        with pytest.raises(ValueError):
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0[None, :]), p)
+        with pytest.raises(ValueError):
+            nk.gru_sequence(nk.Tensor(x[0]), nk.Tensor(h0), p)
+
+    def test_held_start_rows_equal_their_own_runs(self):
+        # a reverse row that starts late keeps its start state until its
+        # first input, and the gradient of that state passes the held steps
+        # unchanged: each row equals a run of that row alone
+        rng = np.random.default_rng(66)
+        p = nk.GruParams(2, 3, rng)
+        for t in p.params():
+            t.data[:] = rng.normal(size=t.data.shape)
+        lengths = [1, 4, 2]
+        x = nk.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
+        h0 = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        weights = rng.normal(size=(7, 3))
+        with nk.Tape() as tape:
+            out = gru_module._gru(x, h0, p, True, lengths)
+            loss = nk.sum_(nk.mul(out, weights))
+        got = nk.backward(loss, tape)
+        begin = 0
+        for i, n in enumerate(lengths):
+            xi = nk.Tensor(x.data[begin:begin + n], requires_grad=True)
+            hi = nk.Tensor(h0.data[i], requires_grad=True)
+            with nk.Tape() as tape:
+                one = gru_module._gru(xi, hi, p, True, [n])
+                one_loss = nk.sum_(nk.mul(one, weights[begin:begin + n]))
+            want = nk.backward(one_loss, tape)
+            np.testing.assert_allclose(out.data[begin:begin + n], one.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[x][begin:begin + n], want[xi], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[h0][i], want[hi], rtol=0, atol=1e-12)
+            begin += n
+
     def test_gradients_through_cell(self):
         rng = np.random.default_rng(5)
         p = nk.GruParams(2, 3, rng)
@@ -877,14 +942,64 @@ class TestBigru:
             got_loss = bigru_loss(*nk.bigru_encode(x, fwd, bwd))
         got = nk.backward(got_loss, tape, params)
         with nk.Tape() as tape:
-            ahead = gru_module._gru(x, None, fwd, reverse=False)
-            behind = gru_module._gru(x, None, bwd, reverse=True)
+            ahead = gru_module._gru(x, None, fwd, False, [4])
+            behind = gru_module._gru(x, None, bwd, True, [4])
             want_loss = bigru_loss(nk.concat([ahead, behind], axis=1),
                                    nk.concat([row_slice(ahead, -1), row_slice(behind, 0)]))
         want = nk.backward(want_loss, tape, params)
         assert got_loss.item() == want_loss.item()
         for g, w in zip(got, want, strict=True):
             assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("lengths", [[3, 1, 4, 2], [2, 2], [1], [5], [1, 1, 1], [1, 6]])
+    def test_ragged_rows_match_per_sequence_oracle(self, lengths):
+        # n sequences as rows of one record per direction: states in input
+        # order and finals as rows, each as if encoded alone
+        rng = np.random.default_rng(sum(lengths) + len(lengths))
+        fwd, bwd = nk.GruParams(2, 3, rng), nk.GruParams(2, 3, rng)
+        for t in fwd.params() + bwd.params():
+            t.data[:] = rng.normal(size=t.shape)
+        raw = rng.normal(size=(sum(lengths), 2))
+        steps, finals = nk.bigru_encode(nk.Tensor(raw), fwd, bwd, lengths)
+        assert steps.shape == (sum(lengths), 6) and finals.shape == (len(lengths), 6)
+        begin = 0
+        for i, n in enumerate(lengths):
+            oracle_steps, oracle_final = np_bigru(list(raw[begin:begin + n]), fwd, bwd)
+            np.testing.assert_allclose(steps.data[begin:begin + n], np.stack(oracle_steps),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(finals.data[i], oracle_final, rtol=0, atol=1e-12)
+            begin += n
+
+    def test_ragged_gradients_equal_per_sequence_runs(self):
+        rng = np.random.default_rng(13)
+        fwd, bwd = nk.GruParams(2, 3, rng), nk.GruParams(2, 3, rng)
+        lengths = [2, 5, 1, 3]
+        x = nk.Tensor(rng.normal(size=(sum(lengths), 2)), requires_grad=True)
+        params = fwd.params() + bwd.params()
+        for t in params:
+            t.data[:] = rng.normal(size=t.shape)
+        with nk.Tape() as tape:
+            loss = bigru_loss(*nk.bigru_encode(x, fwd, bwd, lengths))
+        got = nk.backward(loss, tape, [x] + params)
+        pieces, begin = [], 0
+        for n in lengths:
+            pieces.append(nk.Tensor(x.data[begin:begin + n], requires_grad=True))
+            begin += n
+        with nk.Tape() as tape:
+            want_loss = nk.sum_(nk.stack([bigru_loss(*nk.bigru_encode(piece, fwd, bwd))
+                                          for piece in pieces]))
+        want = nk.backward(want_loss, tape, pieces + params)
+        assert loss.item() == pytest.approx(want_loss.item(), rel=1e-13, abs=0)
+        np.testing.assert_allclose(got[0], np.concatenate(want[:len(pieces)]),
+                                   rtol=0, atol=1e-12)
+        for g, w in zip(got[1:], want[len(pieces):], strict=True):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("lengths", [[3, 2], [4, 0], [5], [], [-1, 5]])
+    def test_lengths_must_be_positive_and_cover_the_input(self, lengths):
+        fwd = nk.GruParams(2, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="lengths"):
+            nk.bigru_encode(nk.zeros((4, 2)), fwd, fwd, lengths)
 
     def test_empty_sequence_rejected(self):
         rng = np.random.default_rng(0)
