@@ -406,12 +406,8 @@ def cmd_generate(args) -> int:
     def records():
         for index, (i, _, response, diag) in enumerate(
                 _generated(model, config, conversations, expansions, args.mode, args.diagnostics)):
-            record = {"conversation": i, "example": index, "response": detokenize(response)}
-            if diag is not None:
-                record["match_weights"] = diag["match_weights"]
-                if diag["steps"]:
-                    record["memory_attention"] = diag["steps"][-1]
-            yield record
+            yield {"conversation": i, "example": index, "response": detokenize(response),
+                   **(diag or {})}
 
     _write_jsonl(args.out, records())
     return EXIT_OK

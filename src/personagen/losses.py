@@ -15,6 +15,7 @@ from .numkit import (
     clip,
     cross_entropy,
     log,
+    matmul,
     mean,
     mul,
     scale,
@@ -50,17 +51,14 @@ def p_match_targets(persona_sentences: list[list[str]], response: list[str],
 
 def p_match_loss(a_s: Tensor, labels: np.ndarray) -> Tensor:
     """-sum_i a_i log a_s_i over the labeled sentences (probabilities floored
-    at 1e-12). Zero when no sentence is labeled."""
+    at 1e-12, with no gradient below the floor), one term of four records
+    however many sentences are labeled. Zero when no sentence is labeled."""
     a_s = as_tensor(a_s)
     if a_s.shape != labels.shape:
         raise ValueError(f"weights have shape {a_s.shape}, labels {labels.shape}")
-    labeled = np.flatnonzero(labels)
-    if labeled.size == 0:
+    if not labels.any():
         return Tensor(0.0)
-    total = cross_entropy(a_s, int(labeled[0]))
-    for i in labeled[1:]:
-        total = total + cross_entropy(a_s, int(i))
-    return total
+    return scale(matmul(labels, log(clip(a_s, PROB_FLOOR, 1.0))), -1.0)
 
 
 def p_bows_targets(response: list[str], persona_word_set: set[str],

@@ -1,13 +1,14 @@
 """Multi-source sequence encoders, the persona-oriented decoder, and
 beam-search generation (greedy decoding is beam width 1).
 
-Only the decoder GRU is recurrent: its reads (history attention and the
-multi-hop persona read) take the new state alone. So teacher forcing runs the
-GRU once over the whole response and the reads once over the (T, H) state
-matrix, while generation runs one decoder step at a time on one (H,) state
-or on a (k, H) batch of rows, one per beam hypothesis, so beam search reads
-the output weights once per step. The encoders run every sentence of a
-level as one row of one GRU record per direction.
+Only the decoder GRU is recurrent: everything after it (history attention,
+the multi-hop persona read and the output layer, ``decoder_output``) takes
+the new state alone. So teacher forcing runs the GRU once over the whole
+response and ``decoder_output`` once over the (T, H) state matrix, while
+generation runs one decoder step at a time on one (H,) state or on a (k, H)
+batch of rows, one per beam hypothesis, so beam search reads the output
+weights once per step. The encoders run every sentence of a level as one row
+of one GRU record per direction.
 
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
@@ -184,54 +185,42 @@ class StepDiagnostics:
     e_weights: Tensor | None
 
 
-def decoder_reads(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
-                  word_states: Tensor, word_keys: Tensor, params: DecoderParams, hops: int,
-                  ) -> tuple[Tensor, StepDiagnostics]:
-    """Everything of a decoder step between the GRU and the output layer.
+def decoder_output(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
+                   word_states: Tensor, word_keys: Tensor, params: DecoderParams, hops: int,
+                   ) -> tuple[Tensor, Tensor, StepDiagnostics]:
+    """Everything of a decoder step after the GRU.
 
-    Attends over history words and runs the multi-hop read over both persona
-    word memories. Returns the concatenation [state; history context; word
-    read; external read] and attention diagnostics. ``s_t`` is one (H,)
-    state or a (k, H) matrix of states, each read on its own: the hypotheses
-    of a beam step, or every step of a teacher-forced response.
+    Attends over history words, runs the multi-hop read over both persona
+    word memories, and maps [state; history context; word read; external
+    read] through the output layer. Returns the token distribution, the raw
+    output activations and attention diagnostics. ``s_t`` is one (H,) state
+    or a (k, H) matrix of states, each read on its own: the hypotheses of a
+    beam step, or every step of a teacher-forced response; the output layer
+    is then one (k, 4H) GEMM.
     """
     u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
     hop = multihop(s_t, mem_w, mem_e, hops)
-    features = concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1)
-    return features, StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights)
-
-
-def decoder_features(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
-                     mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
-                     params: DecoderParams, hops: int, embedding: Tensor,
-                     ) -> tuple[Tensor, Tensor, StepDiagnostics]:
-    """Everything of a decoder step before the output layer: the GRU on the
-    previous token's embedding, then ``decoder_reads``. Returns the
-    features, the new state, and attention diagnostics.
-
-    ``prev`` is one token id with an (H,) ``state``, or a sequence of k ids
-    with a (k, H) ``state``: k independent steps whose results are rows.
-    """
-    s_t = gru_cell(lookup(embedding, prev), state, params.cell)
-    features, diag = decoder_reads(s_t, mem_w, mem_e, word_states, word_keys, params, hops)
-    return features, s_t, diag
+    activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1))
+    return (softmax(activations, axis=-1), activations,
+            StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights))
 
 
 def decode_step(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
                 mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
                 params: DecoderParams, hops: int, embedding: Tensor,
                 ) -> tuple[Tensor, Tensor, Tensor, StepDiagnostics]:
-    """One decoder step: ``decoder_features`` mapped through the output layer.
+    """One decoder step: the GRU on the previous token's embedding, then
+    ``decoder_output``.
 
     Returns the token distribution, the raw output activations, the new
-    state, and attention diagnostics. With k rows in, each result holds one
-    row per input row, and the output layer is one (k, 4H) GEMM.
+    state, and attention diagnostics. ``prev`` is one token id with an (H,)
+    ``state``, or a sequence of k ids with a (k, H) ``state``: k independent
+    steps whose results are rows.
     """
-    features, new_state, diag = decoder_features(
-        prev, state, mem_w, mem_e, word_states, word_keys, params, hops, embedding)
-    s_tilde = params.out(features)
-    probs = softmax(s_tilde, axis=-1)
-    return probs, s_tilde, new_state, diag
+    s_t = gru_cell(lookup(embedding, prev), state, params.cell)
+    probs, activations, diag = decoder_output(
+        s_t, mem_w, mem_e, word_states, word_keys, params, hops)
+    return probs, activations, s_t, diag
 
 
 @dataclass
@@ -322,19 +311,16 @@ class DialogueModel(Module):
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
         """Teacher-forced joint loss of one example.
 
-        The decoder GRU runs once over [SOS] + response, one record; the
-        history attention and multi-hop reads then run once over its (T, H)
-        states, and the output layer and softmax once over the (T, 4H)
-        features.
+        The decoder GRU runs once over [SOS] + response, one record; then
+        ``decoder_output`` runs once over its (T, H) states.
         """
         mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
         states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell)
-        features, _ = decoder_reads(
+        probs, activations, _ = decoder_output(
             states, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops)
-        activations = self.decoder.out(features)
-        nll = nll_loss(softmax(activations, axis=-1), targets)
+        nll = nll_loss(probs, targets)
         match_target = p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold)
         match = p_match_loss(match_weights, match_target)
@@ -359,6 +345,10 @@ class DialogueModel(Module):
         normalization, retiring EOS-terminated hypotheses and comparing them
         by the same score. Greedy is beam search of width 1, so it picks the
         argmax token each step. Ties break toward lower token indices.
+
+        With ``collect_diagnostics``, also returns the persona match weights
+        and the ``memory_attention`` of the step that chose the response's
+        last token (the EOS step when one ended it).
         """
         if max_len < 1:
             raise ValueError("max_len must be at least 1")
@@ -368,21 +358,23 @@ class DialogueModel(Module):
             raise ValueError(f"unknown generation mode {mode!r}")
         mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
         width = 1 if mode == "greedy" else beam_width
-        ids, steps = self._beam(state, mem_w, mem_e, word_states, word_keys, width, max_len,
-                                collect_diagnostics)
+        ids, (diag, row) = self._beam(state, mem_w, mem_e, word_states, word_keys, width,
+                                      max_len)
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
-            diagnostics = {
-                "match_weights": [float(x) for x in match_weights.data],
-                "steps": steps,
+            return tokens, {
+                "match_weights": match_weights.data.tolist(),
+                "memory_attention": _step_record(diag, row),
             }
-            return tokens, diagnostics
         return tokens
 
-    def _beam(self, state, mem_w, mem_e, word_states, word_keys, beam_width, max_len, collect):
-        # live hypotheses: (summed log prob, token tuple, step diagnostics);
-        # row i of `rows` is live hypothesis i's decoder state
-        live = [(0.0, (), ())]
+    def _beam(self, state, mem_w, mem_e, word_states, word_keys, beam_width, max_len):
+        """The best hypothesis' token ids, and the (diagnostics, row) of the
+        decode step that chose its last token."""
+        # hypotheses: (summed log prob, token tuple, (diagnostics, row) of the
+        # step that chose the last token); row i of `rows` is live hypothesis
+        # i's decoder state
+        live = [(0.0, (), None)]
         rows = stack([state])
         finished = []
         for _ in range(max_len):
@@ -391,38 +383,29 @@ class DialogueModel(Module):
                 prev, rows, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops,
                 self.embedding)
             log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
-            candidates = []   # (score, tokens, parent row, step diagnostics)
-            for i, (score, tokens, steps) in enumerate(live):
-                if collect:
-                    steps = steps + (_step_record(diag, i),)
-                for token in _top_k(log_probs[i], beam_width):
-                    candidates.append((score + float(log_probs[i, token]),
-                                       tokens + (int(token),), i, steps))
+            candidates = [(score + float(log_probs[i, token]), tokens + (int(token),), (diag, i))
+                          for i, (score, tokens, _) in enumerate(live)
+                          for token in _top_k(log_probs[i], beam_width)]
             candidates.sort(key=lambda c: (-c[0], c[1]))
-            live, parents = [], []
-            for score, tokens, parent, steps in candidates:
-                if tokens[-1] == EOS:
-                    finished.append((score, tokens, steps))
-                else:
-                    live.append((score, tokens, steps))
-                    parents.append(parent)
+            live = []
+            for candidate in candidates:
+                (finished if candidate[1][-1] == EOS else live).append(candidate)
                 if len(live) >= beam_width:
                     break
             if not live:
                 break
-            rows = lookup(rows, parents)
-        _, best, steps = min(finished + live, key=lambda c: (-c[0], c[1]))
-        return [i for i in best if i != EOS], list(steps)
+            rows = lookup(rows, [row for _, _, (_, row) in live])
+        _, best, chosen = min(finished + live, key=lambda c: (-c[0], c[1]))
+        return [i for i in best if i != EOS], chosen
 
 
 def _step_record(diag: StepDiagnostics, row: int) -> dict[str, list[float]]:
     """History attention and the last hop's memory attention of one step's
     ``row``."""
-    record = {"attention": [float(x) for x in diag.attention.data[row]]}
-    if diag.w_weights is not None:
-        record["word_memory"] = [float(x) for x in diag.w_weights.data[row]]
-    if diag.e_weights is not None:
-        record["external_memory"] = [float(x) for x in diag.e_weights.data[row]]
+    record = {"attention": diag.attention.data[row].tolist()}
+    for name, weights in (("word_memory", diag.w_weights), ("external_memory", diag.e_weights)):
+        if weights is not None:
+            record[name] = weights.data[row].tolist()
     return record
 
 

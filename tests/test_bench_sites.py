@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from personagen import numkit, topic, trainer
+from personagen import net, numkit, topic, trainer
 from personagen.corpus import DialogueExample, TfIdfDoc, Vocabulary
 from personagen.net import DialogueModel, LossSettings, bind_example
 
@@ -59,7 +59,29 @@ def test_example_loss_tape_records_are_pinned():
     model, bound = toy_model_and_example()
     with numkit.Tape() as tape:
         model.example_loss(bound, LossSettings())
-    assert len(tape) == 104
+    assert len(tape) == 107
+
+
+def test_decoder_reaches_the_traced_sites(monkeypatch):
+    # the benchmark times the decoder's parts by wrapping these module
+    # attributes of personagen.net (memory.multihop_s, and the children that
+    # net.decode_step_self_s subtracts); a decoder that reached them some
+    # other way would make those spans read 0 silently
+    calls = {name: 0 for name in ("attend_history", "multihop", "gru_cell")}
+    for name in calls:
+        original = getattr(net, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(net, name, counting)
+    model, bound = toy_model_and_example()
+    model.example_loss(bound, LossSettings())
+    assert calls["attend_history"] > 0 and calls["multihop"] > 0
+    calls.update(dict.fromkeys(calls, 0))
+    model.generate(bound, mode="beam", beam_width=2, max_len=3)
+    assert all(count > 0 for count in calls.values()), calls
 
 
 @pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])

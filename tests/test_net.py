@@ -22,7 +22,7 @@ from personagen.net import (
     attend_history,
     bind_example,
     decode_step,
-    decoder_features,
+    decoder_output,
     encode_history,
     encode_persona,
     history_keys,
@@ -456,21 +456,38 @@ class TestJointLossAndGradients:
         assert lengths[0] == lengths[1]
 
     def test_tape_length_independent_of_persona_sentence_count(self):
-        # all persona sentences are rows of one record per direction (the
-        # response shares no word with them, so no sentence gets a P-Match
-        # label and adds its own term)
+        # all persona sentences are rows of one record per direction, and
+        # P-Match is one term over the label vector (2 of 2 sentences are
+        # labeled, then 4 of 5)
         model = tiny_model(seed=18)
         words = ["guitar", "music", "play", "songs", "."]
         lengths = []
-        for count in (2, 5):
+        for count, labeled in ((2, 2), (5, 4)):
             bound = bind_example(DialogueExample(
                 persona_sentences=[[words[(s + i) % 5] for i in range(2 + s % 3)]
                                    for s in range(count)],
                 history=[["what", "do", "you", "like", "?"]],
-                response=["i", "love", "you", "."],
+                response=["i", "play", "music", "."],
             ), model.vocab, ["music"])
-            assert not p_match_targets(bound.example.persona_sentences,
-                                       bound.example.response, 0.03).any()
+            assert p_match_targets(bound.example.persona_sentences,
+                                   bound.example.response, 0.03).sum() == labeled
+            with nk.Tape() as tape:
+                model.example_loss(bound, LossSettings())
+            lengths.append(len(tape))
+        assert lengths[0] == lengths[1]
+
+    def test_tape_length_independent_of_p_match_label_count(self):
+        # the same three persona sentences, of which the response labels two,
+        # then all three
+        model = tiny_model(seed=20)
+        persona = [["i", "love", "guitar", "."], ["i", "play", "songs", "."], ["music", "?"]]
+        lengths = []
+        for response, labeled in ((["love", "songs"], 2), (["love", "songs", "music"], 3)):
+            bound = bind_example(DialogueExample(
+                persona_sentences=persona, history=[["what", "do", "you", "like", "?"]],
+                response=response,
+            ), model.vocab, ["music"])
+            assert p_match_targets(persona, response, 0.03).sum() == labeled
             with nk.Tape() as tape:
                 model.example_loss(bound, LossSettings())
             lengths.append(len(tape))
@@ -578,7 +595,7 @@ def random_example(vocab, rng, with_expansion):
 def step_by_step_loss(model, bound, settings):
     """Oracle for ``example_loss`` as one record per sentence and per step:
     a Bi-GRU per persona sentence and per utterance, ``c_proj`` per
-    utterance, and ``decoder_features`` once per decode step."""
+    utterance, and ``gru_cell`` and ``decoder_output`` once per decode step."""
     embedding, persona, history = model.embedding, model.persona, model.history
 
     def encode(sentences, fwd, bwd):
@@ -594,14 +611,15 @@ def step_by_step_loss(model, bound, settings):
     state = init_state(e_x, o_k, model.decoder.init_proj)
     mem_e = model.external_memory(bound.expansion_ids)
     word_keys = history_keys(word_states, model.decoder)
-    step_features = []
+    step_probs, step_activations = [], []
     for prev in [SOS] + bound.response_ids:
-        features, state, _ = decoder_features(
-            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
-            model.embedding)
-        step_features.append(features)
-    activations = model.decoder.out(nk.stack(step_features))
-    nll = nll_loss(nk.softmax(activations, axis=-1), bound.response_ids + [EOS])
+        state = nk.gru_cell(nk.lookup(embedding, prev), state, model.decoder.cell)
+        probs, s_tilde, _ = decoder_output(
+            state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops)
+        step_probs.append(probs)
+        step_activations.append(s_tilde)
+    activations = nk.stack(step_activations)
+    nll = nll_loss(nk.stack(step_probs), bound.response_ids + [EOS])
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
     bows = p_bows_loss(activations, p_bows_targets(
@@ -773,7 +791,8 @@ class TestGenerate:
         model.decoder.out.b.data[EOS] += 0.5 * (seed % 4)
         bound = tiny_example(model.vocab)
         tokens, diag = model.generate(bound, mode="greedy", max_len=8, collect_diagnostics=True)
-        assert (tokens, diag["steps"]) == greedy_oracle(model, bound, 8)
+        want_tokens, want_steps = greedy_oracle(model, bound, 8)
+        assert (tokens, diag["memory_attention"]) == (want_tokens, want_steps[-1])
 
     @pytest.mark.parametrize("width", [2, 3])
     @pytest.mark.parametrize("seed", range(24))
@@ -789,11 +808,10 @@ class TestGenerate:
                                       collect_diagnostics=True)
         want_tokens, want_steps = per_hypothesis_beam(model, bound, width, 8)
         assert tokens == want_tokens
-        assert len(diag["steps"]) == len(want_steps)
-        for got, want in zip(diag["steps"], want_steps):
-            assert got.keys() == want.keys()
-            for name in want:
-                np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
+        got, want = diag["memory_attention"], want_steps[-1]
+        assert got.keys() == want.keys()
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=0, atol=1e-12)
 
     def test_max_len_one_gives_at_most_one_token(self):
         model = tiny_model(seed=16)
@@ -839,8 +857,10 @@ class TestGenerate:
             assert tokens == model.generate(bound, mode=mode, max_len=3)
             assert len(diag["match_weights"]) == 2
             assert abs(sum(diag["match_weights"]) - 1.0) < 1e-9
-            assert diag["steps"], "per-step attention should be recorded"
-            # one entry per decoded token, plus the EOS step when one was taken
-            assert len(diag["steps"]) in (len(tokens), len(tokens) + 1)
-            assert "attention" in diag["steps"][0]
-            assert "word_memory" in diag["steps"][-1]
+            # the step that chose the last token: its history attention and
+            # the last hop's weights over both persona word memories
+            assert diag.keys() == {"match_weights", "memory_attention"}
+            attention = diag["memory_attention"]
+            assert attention.keys() == {"attention", "word_memory", "external_memory"}
+            for weights in attention.values():
+                assert abs(sum(weights) - 1.0) < 1e-9
