@@ -84,6 +84,16 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: header missing {', '.join(missing)}")
         if not isinstance(header["params"], list):
             raise CheckpointError(f"{path}: header params is not a list")
+        tokens = header["vocab"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise CheckpointError(f"{path}: header vocab is not a list of strings")
+        if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
+            raise CheckpointError(f"{path}: vocabulary missing reserved tokens")
+        if len(set(tokens)) != len(tokens):
+            raise CheckpointError(f"{path}: header vocab lists a token twice")
+        extra = header.get("extra", {})
+        if not isinstance(extra, dict):
+            raise CheckpointError(f"{path}: header extra is not a JSON object")
         params: dict[str, np.ndarray] = {}
         for entry in header["params"]:
             name, shape = _manifest_entry(path, entry)
@@ -94,16 +104,12 @@ def load_checkpoint(path) -> Checkpoint:
             params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
-        tokens = header["vocab"]
-        if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
-            raise CheckpointError(f"{path}: vocabulary missing reserved tokens")
-        vocab = Vocabulary.from_tokens(tokens[len(RESERVED_TOKENS):])
     return Checkpoint(
         kind=header["kind"],
         params=params,
-        vocab=vocab,
+        vocab=Vocabulary.from_tokens(tokens[len(RESERVED_TOKENS):]),
         config=header.get("config", {}),
-        extra=header.get("extra", {}),
+        extra=extra,
     )
 
 

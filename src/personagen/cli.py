@@ -220,12 +220,17 @@ def cmd_pretrain_topic(args) -> int:
     return EXIT_OK
 
 
-def _topic_model_from_checkpoint(loaded: ckpt.Checkpoint) -> TopicModel:
+def _load_topic_model(path) -> TopicModel:
+    loaded = ckpt.load_checkpoint(path)
     if loaded.kind != "topic":
         raise UserError(f"checkpoint kind {loaded.kind!r} is not a topic model")
-    topics = int(loaded.extra["topics"])
-    hidden = int(loaded.extra["hidden"])
-    model = TopicModel(loaded.vocab, topics, hidden, np.random.default_rng(0))
+    for key in ("topics", "hidden"):
+        size = loaded.extra.get(key)
+        if type(size) is not int or size < 1:
+            raise UserError(f"{path}: header extra.{key} must be an integer of at least 1, "
+                            f"got {size!r}")
+    model = TopicModel(loaded.vocab, loaded.extra["topics"], loaded.extra["hidden"],
+                       np.random.default_rng(0))
     ckpt.restore_params(model, loaded.params)
     return model
 
@@ -237,8 +242,7 @@ def _topic_model_from_checkpoint(loaded: ckpt.Checkpoint) -> TopicModel:
 
 def cmd_expand(args) -> int:
     config = _load_config(args)
-    loaded = ckpt.load_checkpoint(args.topic)
-    model = _topic_model_from_checkpoint(loaded)
+    model = _load_topic_model(args.topic)
     conversations = _load_conversations(args.data)
     vectors = word_topic_vectors(model)
 

@@ -96,7 +96,8 @@ class Config:
 
     def check_bounds(self) -> None:
         """Raise a ValueError naming the first count below its bound in
-        ``_LEAST``, or an odd ``model.hidden``."""
+        ``_LEAST``, an odd ``model.hidden``, a negative loss weight or match
+        threshold, or a bag-of-words extra weight that is not above 0."""
         for where, least in _LEAST.items():
             value = reduce(getattr, where.split("."), self)
             if value < least:
@@ -104,6 +105,13 @@ class Config:
                                  f"got {value!r}")
         if self.model.hidden % 2:
             raise ValueError(f"model.hidden must be even, got {self.model.hidden}")
+        for key in ("gamma_match", "gamma_bows", "match_threshold"):
+            value = getattr(self.losses, key)
+            if value < 0:
+                raise ValueError(f"losses.{key} must be at least 0, got {value!r}")
+        if self.losses.bows_extra_weight <= 0:
+            raise ValueError(f"losses.bows_extra_weight must be above 0, "
+                             f"got {self.losses.bows_extra_weight!r}")
 
     @classmethod
     def from_file(cls, path) -> "Config":

@@ -241,6 +241,8 @@ def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
                 vectors[token] = np.array([float(v) for v in values])
             except ValueError as err:
                 raise InputFormatError(line_no, str(err)) from err
+            if not np.all(np.isfinite(vectors[token])):
+                raise InputFormatError(line_no, f"non-finite component in {token!r}'s vector")
     if dim is None:
         raise InputFormatError(None, "embedding file is empty")
     return EmbeddingTable(dim, vectors)

@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import DialogueExample
 from .stopwords import is_stopword
-from .topic import TopicSpace
+from .topic import TopicSpace, row_norms
 
 
 @dataclass
@@ -33,20 +33,24 @@ def persona_vocab(example: DialogueExample, space: TopicSpace) -> set[str]:
     return result
 
 
-def cosine(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+def cosine(u1: np.ndarray, u2: np.ndarray, norms2: np.ndarray | None = None) -> np.ndarray:
     """The (r1, r2) cosine similarities of every row pair of an (r1, d) and
-    an (r2, d) matrix, each ``dot / (norm1 * norm2)``; 0 where either row is
-    zero."""
+    an (r2, d) matrix, each ``dot / (norm1 * norm2)``; +0.0 where that norm
+    product is zero, even by underflow. ``norms2``, when given, must be
+    ``row_norms(u2)``."""
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
     if u1.ndim != 2 or u2.ndim != 2 or u1.shape[1] != u2.shape[1]:
         raise ValueError(f"cosine needs two matrices of equal row length, "
                          f"got {u1.shape} vs {u2.shape}")
-    norms = np.outer(np.sqrt(np.einsum("ij,ij->i", u1, u1)),
-                     np.sqrt(np.einsum("ij,ij->i", u2, u2)))
-    # the cosines overwrite the norms; a zero norm product is +0.0, which
-    # np.divide leaves in place
-    return np.divide(u1 @ u2.T, norms, out=norms, where=norms != 0.0)
+    if norms2 is None:
+        norms2 = row_norms(u2)
+    norms = np.outer(row_norms(u1), norms2)
+    scores = u1 @ u2.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores /= norms
+    scores[norms == 0.0] = 0.0
+    return scores
 
 
 def _check_m(m: int) -> None:
@@ -54,23 +58,24 @@ def _check_m(m: int) -> None:
         raise ValueError(f"neighbour count m must be at least 0, got {m}")
 
 
-def _nearest(space: TopicSpace, rows: list[int], allowed: np.ndarray,
+def _nearest(space: TopicSpace, rows: list[int], excluded: list[int],
              m: int) -> list[list[tuple[str, float]]]:
-    """For each of ``rows``, the m best ``allowed`` words by cosine score
-    descending then token ascending.
+    """For each of ``rows``, the m best words outside the distinct row
+    indices ``excluded``, by cosine score descending then token ascending.
 
-    One cosine product scores the rows against the whole space, in place.
-    Only the words scoring at least a row's m-th best allowed score (found
-    with ``np.partition``) are sorted, so the order equals a full sort's.
+    One cosine product scores the rows against the whole space, and one
+    ``np.partition`` finds every row's m-th best score. Only the words
+    scoring at least that are sorted, so the order equals a full sort's.
     """
-    m = min(m, int(np.count_nonzero(allowed)))
+    m = min(m, len(space) - len(excluded))
     if m == 0:
         return [[] for _ in rows]
-    scores = cosine(space.matrix[rows], space.matrix)
-    scores[:, ~allowed] = -np.inf
+    scores = cosine(space.matrix[rows], space.matrix, space.norms)
+    scores[:, excluded] = -np.inf
+    cuts = np.partition(scores, -m, axis=1)[:, -m]
     result = []
-    for row in scores:
-        picked = np.flatnonzero(row >= np.partition(row, -m)[-m])
+    for row, cut in zip(scores, cuts):
+        picked = np.flatnonzero(row >= cut)
         ranked = sorted(zip(row[picked].tolist(), picked.tolist()),
                         key=lambda item: (-item[0], space.tokens[item[1]]))
         result.append([(space.tokens[i], score) for score, i in ranked[:m]])
@@ -88,9 +93,8 @@ def nearest_words(word: str, space: TopicSpace, m: int,
     if word not in space.rows:
         raise KeyError(f"{word!r} is not in the topic vocabulary")
     row = space.rows[word]
-    allowed = np.ones(len(space), dtype=bool)
-    allowed[[row] + [space.rows[token] for token in exclude if token in space.rows]] = False
-    return _nearest(space, [row], allowed, m)[0]
+    excluded = {row} | {space.rows[token] for token in exclude if token in space.rows}
+    return _nearest(space, [row], sorted(excluded), m)[0]
 
 
 def expand(example: DialogueExample, space: TopicSpace,
@@ -107,9 +111,7 @@ def expand(example: DialogueExample, space: TopicSpace,
     best: dict[str, float] = {}
     if seeds:
         rows = [space.rows[seed] for seed in seeds]
-        allowed = np.ones(len(space), dtype=bool)
-        allowed[rows] = False
-        for words in _nearest(space, rows, allowed, m):
+        for words in _nearest(space, rows, rows, m):
             for token, score in words:
                 if token not in best or score > best[token]:
                     best[token] = score

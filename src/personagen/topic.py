@@ -57,9 +57,19 @@ class TopicModel(Module):
         self.dec_out = Affine(topics, len(vocab), rng, INIT_SCALE)
 
 
+def row_norms(matrix: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of every row of a (rows, d) matrix."""
+    return np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
+
+
 class TopicSpace:
     """Topic-space vectors of a token list: ``matrix[rows[token]]`` is
-    ``token``'s vector, and ``matrix`` is read-only."""
+    ``token``'s vector and ``norms[rows[token]]`` its norm, both read-only.
+
+    The norms are computed once, from a C-contiguous copy of ``matrix``, so
+    they equal ``row_norms`` of any rows gathered from it bit for bit,
+    whatever the layout of ``matrix``.
+    """
 
     def __init__(self, tokens: list[str], matrix: np.ndarray):
         if matrix.shape[0] != len(tokens):
@@ -68,6 +78,8 @@ class TopicSpace:
         self.rows = {token: row for row, token in enumerate(tokens)}
         self.matrix = matrix.view()
         self.matrix.flags.writeable = False
+        self.norms = row_norms(np.ascontiguousarray(matrix))
+        self.norms.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -170,7 +182,12 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
 
 def word_topic_vectors(model: TopicModel) -> TopicSpace:
     """Column of the decoder output weights for every non-reserved token, as
-    rows of one matrix copied from the weights (later training leaves it be)."""
+    rows of one matrix copied from the weights (later training leaves it be).
+
+    The copy is one contiguous (topics, words) array and the space's
+    ``matrix`` its transpose, so scoring against the whole space multiplies
+    by a row-major operand.
+    """
     start = len(RESERVED_TOKENS)
     tokens = [model.vocab.token(index) for index in range(start, len(model.vocab))]
-    return TopicSpace(tokens, model.dec_out.w.data[:, start:].T.copy())
+    return TopicSpace(tokens, model.dec_out.w.data[:, start:].copy().T)

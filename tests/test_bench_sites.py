@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from personagen import net, numkit, topic, trainer
+from personagen import expansion, net, numkit, topic, trainer
 from personagen.corpus import DialogueExample, TfIdfDoc, Vocabulary
 from personagen.net import DialogueModel, LossSettings, bind_example
 
@@ -82,6 +82,25 @@ def test_decoder_reaches_the_traced_sites(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     model.generate(bound, mode="beam", beam_width=2, max_len=3)
     assert all(count > 0 for count in calls.values()), calls
+
+
+def test_expand_reaches_the_counted_cosine(monkeypatch):
+    # the benchmark counts expansion.cosine_calls by wrapping this module
+    # attribute; an expand that scored some other way would make the count
+    # read 0 silently
+    calls = []
+    original = expansion.cosine
+
+    def counting(u1, u2, norms2=None):
+        calls.append(norms2)
+        return original(u1, u2, norms2)
+
+    monkeypatch.setattr(expansion, "cosine", counting)
+    vocab = Vocabulary.from_tokens(["guitar", "music", "love", "song", "tea"])
+    space = topic.word_topic_vectors(topic.TopicModel(vocab, 3, 4, np.random.default_rng(0)))
+    for persona in (["i", "love", "guitar"], ["music", "and", "tea"]):
+        expansion.expand(DialogueExample([persona], [["hi"]], ["ok"]), space, 2, 3)
+    assert len(calls) == 2 and all(norms2 is space.norms for norms2 in calls)
 
 
 @pytest.mark.parametrize("module", [topic, trainer], ids=["topic", "trainer"])

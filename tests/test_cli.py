@@ -70,6 +70,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"expansion.{key}"):
             Config.from_dict({"expansion": {key: value}})
 
+    @pytest.mark.parametrize("key,value", [("gamma_match", -1), ("gamma_bows", -0.5),
+                                           ("match_threshold", -0.5),
+                                           ("bows_extra_weight", 0),
+                                           ("bows_extra_weight", -1.0)])
+    def test_loss_settings_out_of_range_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"losses.{key} must be"):
+            Config.from_dict({"losses": {key: value}})
+
+    def test_zero_loss_weights_and_threshold_allowed(self):
+        zeros = {"gamma_match": 0, "gamma_bows": 0.0, "match_threshold": 0}
+        losses = Config.from_dict({"losses": zeros}).losses
+        assert (losses.gamma_match, losses.gamma_bows, losses.match_threshold) == (0, 0, 0)
+
     def test_zero_expansion_words_allowed(self):
         assert Config.from_dict({"expansion": {"max_words": 0}}).expansion.max_words == 0
 
@@ -110,6 +123,10 @@ BAD_CONFIG_VALUES = {
     "grad_clip_infinity": ({"model": {"grad_clip": float("inf")}}, "model.grad_clip"),
     "topic_lr_minus_infinity": ({"topic": {"lr": float("-inf")}}, "topic.lr"),
     "gamma_nan": ({"losses": {"gamma_bows": float("nan")}}, "losses.gamma_bows"),
+    "gamma_negative": ({"losses": {"gamma_match": -1}}, "losses.gamma_match"),
+    "bows_extra_weight_zero": ({"losses": {"bows_extra_weight": 0}},
+                               "losses.bows_extra_weight"),
+    "threshold_negative": ({"losses": {"match_threshold": -0.5}}, "losses.match_threshold"),
 }
 
 
@@ -216,6 +233,23 @@ MALFORMED_CHECKPOINTS = {
                                   VALID_PAYLOAD),
     "shape_negative": raw_checkpoint(dict(VALID_HEADER, params=[{"name": "w", "shape": [-2]}]),
                                      VALID_PAYLOAD),
+    "vocab_not_list": raw_checkpoint(dict(VALID_HEADER, vocab=5), VALID_PAYLOAD),
+    "vocab_not_strings": raw_checkpoint(dict(VALID_HEADER, vocab=list(RESERVED_TOKENS) + [3]),
+                                        VALID_PAYLOAD),
+    "vocab_duplicate": raw_checkpoint(
+        dict(VALID_HEADER, vocab=list(RESERVED_TOKENS) + ["x", "x"]), VALID_PAYLOAD),
+    "extra_not_object": raw_checkpoint(dict(VALID_HEADER, extra=[1]), VALID_PAYLOAD),
+}
+
+# topic checkpoints whose header loads but whose sizes cannot build a model
+TOPIC_HEADER = dict(VALID_HEADER, kind="topic", extra={"topics": 2, "hidden": 4})
+MALFORMED_TOPIC_EXTRAS = {
+    "extra_empty": {},
+    "topics_missing": {"hidden": 4},
+    "topics_string": {"topics": "2", "hidden": 4},
+    "topics_float": {"topics": 2.0, "hidden": 4},
+    "hidden_bool": {"topics": 2, "hidden": True},
+    "hidden_zero": {"topics": 2, "hidden": 0},
 }
 
 
@@ -235,6 +269,21 @@ class TestMalformedCheckpoint:
         data.write_text(toy_dialogue_text(), encoding="utf-8")
         assert main(["generate", "--checkpoint", str(path), "--data", str(data),
                      "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert main(["expand", "--topic", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TOPIC_EXTRAS))
+    def test_topic_sizes_rejected_with_exit_2(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(raw_checkpoint(dict(TOPIC_HEADER, extra=MALFORMED_TOPIC_EXTRAS[case]),
+                                        VALID_PAYLOAD))
+        data = tmp_path / "dialogues.txt"
+        data.write_text(toy_dialogue_text(), encoding="utf-8")
+        assert main(["expand", "--topic", str(path), "--data", str(data),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: header extra." in err
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -616,6 +665,8 @@ BAD_INPUT_FILES = {
     "embeddings_not_utf8": ("guitar 0.1 0.2 0.3\ncafé 0.4 0.5 0.6\n".encode("latin-1"), 2),
     "embeddings_ragged": (b"guitar 0.1 0.2 0.3\nlove 0.4 0.5\n", 2),
     "embeddings_not_numbers": (b"guitar 0.1 0.2 0.3\nlove 0.4 high 0.6\n", 2),
+    "embeddings_nan": (b"guitar 0.1 0.2 0.3\nlove 0.4 nan 0.6\n", 2),
+    "embeddings_infinite": (b"guitar 0.1 -inf 0.3\nlove 0.4 0.5 0.6\n", 1),
     "expansions_not_utf8": ((VALID_EXPANSION_LINE + '\n{"conversation": 1, "words": '
                              '[["café", 0.5]]}\n').encode("latin-1"), 2),
     "persona_not_utf8": ("i love guitar .\ni drink café .\n".encode("latin-1"), 2),
@@ -627,6 +678,7 @@ BAD_INPUT_COMMANDS = [
     ("corpus_malformed", "pretrain-topic"), ("corpus_malformed", "eval"),
     ("embeddings_not_utf8", "train"), ("embeddings_not_utf8", "eval"),
     ("embeddings_ragged", "train"), ("embeddings_not_numbers", "eval"),
+    ("embeddings_nan", "train"), ("embeddings_infinite", "eval"),
     ("expansions_not_utf8", "train"), ("expansions_not_utf8", "generate"),
     ("persona_not_utf8", "chat"),
 ]

@@ -245,3 +245,10 @@ class TestEmbeddings:
         path.write_text("cat 1.0 2.0\ndog 3.0\n", encoding="utf-8")
         with pytest.raises(InputFormatError, match="line 2"):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
+    def test_non_finite_component_names_line(self, tmp_path, component):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1.0 2.0\ndog 3.0 {component}\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 2: non-finite"):
+            load_embeddings(path)

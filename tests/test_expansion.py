@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import np_cosine
-from personagen.corpus import DialogueExample, load_personachat
+from personagen.corpus import DialogueExample, Vocabulary, load_personachat
 from personagen.expansion import cosine, expand, nearest_words, persona_vocab
-from personagen.topic import TopicSpace, word_topic_vectors
+from personagen.topic import TopicModel, TopicSpace, row_norms, word_topic_vectors
 
 
 def make_vectors(entries: dict[str, list[float]]) -> TopicSpace:
@@ -90,6 +90,63 @@ class TestCosine:
         want = np.array([[np_cosine(u, v) for v in b] for u in a])
         assert np.max(np.abs(got - want)) <= 1e-12
         assert np.all(got[:, 3] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-200])
+    def test_given_norms_match_computed_norms(self, scale):
+        # rows scaled by 1e-200 make the norm product underflow to 0 while
+        # the dot product underflows too: the cosine is +0.0, never NaN
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=(6, 30)), rng.normal(size=(50, 30))
+        a[1] = 0.0
+        b[4] = 0.0
+        a[2:4] *= scale
+        b[5:9] *= scale
+        got = cosine(a, b, row_norms(b))
+        assert np.all(got == cosine(a, b))
+        assert not np.isnan(got).any()
+        zero = np.outer(row_norms(a), row_norms(b)) == 0.0
+        assert zero[1].all() and zero[:, 4].all()
+        assert (scale == 1.0) == (not zero[2:4, 5:9].any())
+        assert np.all(got[zero] == 0.0) and not np.signbit(got[zero]).any()
+
+
+class TestTopicSpaceNorms:
+    def test_norms_equal_row_norms_of_gathered_rows(self, cluster_topic_model):
+        for space in (word_topic_vectors(cluster_topic_model["model"]),
+                      word_topic_vectors(random_topic_model()),
+                      make_vectors({"a": [3.0, 4.0], "b": [0.0, 0.0], "c": [1e-200, 0.0]})):
+            rows = list(range(0, len(space), 2))
+            assert space.norms[rows].tobytes() == row_norms(space.matrix[rows]).tobytes()
+            with pytest.raises(ValueError):
+                space.norms[0] = 1.0
+
+    @pytest.mark.parametrize("model_name", ["cluster", "benchmark_shape"])
+    def test_expand_matches_a_row_major_copy(self, model_name, cluster_topic_model):
+        # the snapshot's transposed layout changes the rounding of the dot
+        # products only where BLAS takes its one- and two-row path; at the
+        # cluster model's shape and the benchmark's (9,996 words, 50 topics)
+        # three or more rows take the same GEMM kernel in either layout
+        model = (cluster_topic_model["model"] if model_name == "cluster"
+                 else random_topic_model(9996))
+        space = word_topic_vectors(model)
+        copy = TopicSpace(space.tokens, np.ascontiguousarray(space.matrix))
+        rng = np.random.default_rng(3)
+        for count in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                seeds = rng.choice(space.tokens, count, replace=False).tolist()
+                example = example_with_personas([seeds])
+                got = expand(example, space, 6, 25).words
+                want = expand(example, copy, 6, 25).words
+                if count >= 3:
+                    assert got == want
+                else:
+                    assert [t for t, _ in got] == [t for t, _ in want]
+                    assert all(abs(a - b) <= 1e-15 for (_, a), (_, b) in zip(got, want))
+
+
+def random_topic_model(words: int = 400) -> TopicModel:
+    vocab = Vocabulary.from_tokens([f"w{i:04d}" for i in range(words)])
+    return TopicModel(vocab, 50, 2, np.random.default_rng(5))
 
 
 class TestNearestWords:
