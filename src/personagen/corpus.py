@@ -217,8 +217,9 @@ class EmbeddingTable:
 def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
     """Read a text embedding file (token followed by its vector components).
 
-    When a vocabulary is given only its tokens are kept; tokens missing from
-    the file are simply absent from the table.
+    Every line is checked, kept or not: a malformed or non-finite component
+    names its line. When a vocabulary is given only its tokens are kept;
+    tokens missing from the file are simply absent from the table.
     """
     dim: int | None = None
     vectors: dict[str, np.ndarray] = {}
@@ -235,14 +236,14 @@ def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
             elif len(values) != dim:
                 raise InputFormatError(
                     line_no, f"expected {dim} components, got {len(values)}")
-            if vocab is not None and token not in vocab:
-                continue
             try:
-                vectors[token] = np.array([float(v) for v in values])
+                vector = np.array(values, dtype=np.float64)
             except ValueError as err:
                 raise InputFormatError(line_no, str(err)) from err
-            if not np.all(np.isfinite(vectors[token])):
+            if not np.isfinite(vector).all():
                 raise InputFormatError(line_no, f"non-finite component in {token!r}'s vector")
+            if vocab is None or token in vocab:
+                vectors[token] = vector
     if dim is None:
         raise InputFormatError(None, "embedding file is empty")
     return EmbeddingTable(dim, vectors)

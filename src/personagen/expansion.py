@@ -19,9 +19,6 @@ class ExpansionResult:
     words: list[tuple[str, float]]
     source: int | None = None
 
-    def tokens(self) -> list[str]:
-        return [token for token, _ in self.words]
-
 
 def persona_vocab(example: DialogueExample, space: TopicSpace) -> set[str]:
     """Non-stop-word persona tokens that have a vector in ``space``."""

@@ -6,6 +6,7 @@ from .layers import Affine, Module, TanhMlp, uniform_param, zero_param
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensor import (
     PROB_FLOOR,
+    Factors,
     RowGrad,
     Tape,
     Tensor,

@@ -12,26 +12,39 @@ gradient for it, and ``matmul`` and ``mul`` return ``None`` in its slot rather
 than compute one. For every other input, a backward rule returns either its
 upstream gradient ``g_out`` itself (``add`` hands it to both operands) or a
 value it allocated, which shares no memory with ``g_out`` or with the rule's
-other results (``lookup``'s ``RowGrad`` rows may be ``g_out``; they are only
-read). ``backward`` owns, and later adds into in place, every gradient a rule
-allocated; a ``g_out`` passed through is copied once, before its first write
-or when it reaches a leaf. Each leaf gradient returned is an array owned by
-``backward`` alone: no two parameters share one, and none aliases an
-intermediate gradient, so callers may scale them in place.
+other results (``lookup``'s ``RowGrad`` rows and ``matmul``'s ``Factors`` may
+hold ``g_out`` and the forward input; they are only read). ``backward`` owns,
+and later adds into in place, every gradient a rule allocated; a ``g_out``
+passed through is copied once, before its first write or when it reaches a
+leaf. Each leaf gradient returned is an array owned by ``backward`` alone: no
+two parameters share one, and none aliases an intermediate gradient, so
+callers may scale them in place.
 
-Row-sparse lookups: the backward rule of ``lookup`` returns ``RowGrad(indices,
-rows)`` rather than a dense table-size array. While only ``lookup`` has
-reached a table, ``backward`` keeps its ``RowGrad``s as they arrive. The first
-dense gradient of the same table (say, from a ``matmul``) scatter-adds them, in
-arrival order, into one owned table-size buffer, which that and every later
-gradient accumulates into. Strictly increasing indices, such as ``np.unique``
-gives, are scattered with one fancy-index ``+=``; any other index array goes
-through ``np.add.at``, which sums repeated rows. Given the parameters,
-``backward`` hands a table that only ``lookup`` reached its gradient as one
-owned ``RowGrad`` with strictly increasing indices, each row summed in arrival
-order, so scattering it into zeros gives the dense buffer bit for bit; clipping
-and Adam read only its rows. The dict form (no parameters given) always
-returns dense gradients.
+Two gradient forms stay compact until something needs them dense. The
+backward rule of ``lookup`` returns ``RowGrad(indices, rows)`` rather than a
+dense table-size array, and the rule of ``matmul(a, W)`` with 2-D ``a`` and
+``W`` returns ``Factors(a, g)``, which stands for ``aᵀ·g``. While only such
+gradients have reached a tensor, ``backward`` keeps them as they arrive. The
+first dense gradient of the same tensor, or the record that produced it,
+densifies them in arrival order into one owned buffer, which that and every
+later gradient accumulates into: a ``RowGrad`` by a scatter-add (one
+fancy-index ``+=`` for strictly increasing indices, such as ``np.unique``
+gives, ``np.add.at`` otherwise, which sums repeated rows) and a ``Factors`` by
+adding its product ``aᵀ·g``. So such a tensor gets the sum, in arrival order,
+of one dense array per contribution.
+
+Given the parameters, ``backward`` hands a leaf that only ``lookup`` reached
+its gradient as one owned ``RowGrad`` with strictly increasing indices, each
+row summed in arrival order, so scattering it into zeros gives the dense
+buffer bit for bit; clipping and Adam read only its rows. A leaf that only
+``matmul`` reached gets its factors stacked once, in arrival order, into
+``Factors(A, G)`` of T rows, when T²·(K+N) ≤ K·N for a (K, N) parameter: the
+Gram matrices ``AAᵀ`` and ``GGᵀ`` that give its norm then cost no more than
+one pass over the dense gradient. Clipping scales ``G`` and nothing writes
+``A``. Otherwise the leaf gets ``AᵀG`` from one GEMM over all the stacked
+rows. A leaf that both forms, or a dense gradient,
+reach is densified in arrival order. The dict form (no parameters given)
+always returns dense gradients.
 
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
@@ -78,26 +91,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_tensor(value) -> Tensor:
@@ -182,14 +177,37 @@ class RowGrad(NamedTuple):
     rows: Array
 
 
+class Factors(NamedTuple):
+    """Gradient ``aᵀ·g`` of a (K, N) matrix ``W`` used as ``matmul(a, W)``,
+    kept as its factors: ``a`` (T, K) and ``g`` (T, N). A 1-D ``a`` and ``g``
+    count as one row."""
+
+    a: Array
+    g: Array
+
+    def matrices(self) -> tuple[Array, Array]:
+        """``a`` and ``g`` as (T, K) and (T, N) matrices (views)."""
+        return np.atleast_2d(self.a), np.atleast_2d(self.g)
+
+    def dense(self) -> Array:
+        """``aᵀ·g`` as one fresh (K, N) array."""
+        a, g = self.matrices()
+        return a.T @ g
+
+
+Pending = list[RowGrad | Factors]
+
+
 def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
-             ) -> dict[Tensor, Array] | list[Array | RowGrad]:
+             ) -> dict[Tensor, Array] | list[Array | RowGrad | Factors]:
     """Reverse sweep over ``tape`` from a scalar ``loss``.
 
     Given distinct ``params``, returns one gradient per parameter, in order:
     an owned ``RowGrad`` with strictly increasing indices for a table that
     only ``lookup`` reached, an empty ``RowGrad`` for a parameter that nothing
-    reached, and an owned dense array otherwise.
+    reached, ``Factors`` with an owned ``g`` or a dense array, by the rule in
+    the module docstring, for a matrix that only ``matmul`` reached, and an
+    owned dense array otherwise.
 
     Without ``params``, returns the same gradients densified, keyed by tensor,
     for every requires_grad tensor that appears on the tape (zeros for those
@@ -202,28 +220,30 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
     owned: set[int] = set()
-    sparse: dict[int, list[RowGrad]] = {}  # tables only lookup has reached so far
+    pending: dict[int, Pending] = {}  # tensors only compact gradients have reached so far
     for rec in reversed(tape.records):
-        _densify(flowing, owned, sparse, rec.output)
+        _densify(flowing, owned, pending, rec.output)
         g_out = flowing.pop(id(rec.output), None)
         if g_out is None:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is None or not _needs_grad(tensor):
                 continue
-            if isinstance(g, RowGrad) and id(tensor) not in flowing:
-                sparse.setdefault(id(tensor), []).append(g)
+            if isinstance(g, (RowGrad, Factors)) and id(tensor) not in flowing:
+                pending.setdefault(id(tensor), []).append(g)
             else:
-                _densify(flowing, owned, sparse, tensor)
+                _densify(flowing, owned, pending, tensor)
                 _accumulate(flowing, owned, tensor, g, g is not g_out)
     leaves = params if params is not None else list(dict.fromkeys(
         t for rec in tape.records for t in rec.inputs if t.requires_grad))
-    grads = [_leaf_grad(flowing, owned, sparse, t) for t in leaves]
+    grads = [_leaf_grad(flowing, owned, pending, t) for t in leaves]
     if params is not None:
         return grads
     result: dict[Tensor, Array] = {}
     for tensor, grad in zip(leaves, grads):
-        if isinstance(grad, RowGrad):
+        if isinstance(grad, Factors):
+            grad = grad.dense()
+        elif isinstance(grad, RowGrad):
             dense = np.zeros_like(tensor.data)
             if grad.indices.size:
                 dense[grad.indices] = grad.rows
@@ -232,19 +252,23 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
     return result
 
 
-def _densify(flowing: dict[int, Array], owned: set[int], sparse: dict[int, list[RowGrad]],
+def _densify(flowing: dict[int, Array], owned: set[int], pending: dict[int, Pending],
              tensor: Tensor) -> None:
-    """Scatter ``tensor``'s pending ``RowGrad``s, in arrival order, into its
+    """Add ``tensor``'s pending compact gradients, in arrival order, into its
     dense entry in ``flowing``."""
-    for g in sparse.pop(id(tensor), ()):
+    for g in pending.pop(id(tensor), ()):
         _accumulate(flowing, owned, tensor, g, True)
 
 
-def _leaf_grad(flowing: dict[int, Array], owned: set[int], sparse: dict[int, list[RowGrad]],
-               leaf: Tensor) -> Array | RowGrad:
+def _leaf_grad(flowing: dict[int, Array], owned: set[int], pending: dict[int, Pending],
+               leaf: Tensor) -> Array | RowGrad | Factors:
     key = id(leaf)
-    if key in sparse:
-        return _coalesce(sparse[key])
+    parts = pending.get(key, ())
+    if parts and all(isinstance(g, RowGrad) for g in parts):
+        return _coalesce(parts)
+    if parts and all(isinstance(g, Factors) for g in parts):
+        return _stack_factors(parts)
+    _densify(flowing, owned, pending, leaf)
     if key in flowing:
         return flowing[key] if key in owned else np.array(flowing[key], dtype=np.float64)
     return RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + leaf.data.shape[1:]))
@@ -265,13 +289,31 @@ def _coalesce(parts: list[RowGrad]) -> RowGrad:
     return RowGrad(unique, summed)
 
 
+def _stack_factors(parts: list[Factors]) -> Factors | Array:
+    """The leaf gradient of ``parts``, stacked in arrival order: ``Factors``
+    with owned arrays while T²·(K+N) ≤ K·N for T stacked rows, the dense
+    (K, N) product of one GEMM otherwise (a lone part's own product, which
+    needs no stacked copy)."""
+    matrices = [f.matrices() for f in parts]
+    rows = sum(a.shape[0] for a, _ in matrices)
+    k, n = matrices[0][0].shape[1], matrices[0][1].shape[1]
+    factored = rows * rows * (k + n) <= k * n
+    if len(parts) == 1 and not factored:
+        return parts[0].dense()
+    a = np.concatenate([a for a, _ in matrices])
+    g = np.concatenate([g for _, g in matrices])
+    return Factors(a, g) if factored else a.T @ g
+
+
 def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,
                 fresh: bool) -> None:
-    """Add gradient ``g`` (dense, or a RowGrad) to ``tensor``'s entry in
-    ``flowing``; ``owned`` holds the keys whose arrays ``backward`` may write
-    into, and ``fresh`` says that a rule allocated ``g``."""
+    """Add gradient ``g`` (dense, a RowGrad or Factors) to ``tensor``'s entry
+    in ``flowing``; ``owned`` holds the keys whose arrays ``backward`` may
+    write into, and ``fresh`` says that a rule allocated ``g``."""
     key = id(tensor)
     current = flowing.get(key)
+    if isinstance(g, Factors):
+        g, fresh = g.dense(), True
     if isinstance(g, RowGrad):
         if key not in owned:
             flowing[key] = current = (np.zeros_like(tensor.data) if current is None
@@ -373,10 +415,10 @@ def _matmul_grad_a(g: Array, adata: Array, bdata: Array) -> Array:
     return bdata @ g if adata.ndim == 1 else g @ bdata.T
 
 
-def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Array:
+def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Array | Factors:
     if adata.ndim == 1:
         return g * adata if bdata.ndim == 1 else np.outer(adata, g)
-    return adata.T @ g
+    return Factors(adata, g) if bdata.ndim == 2 else adata.T @ g
 
 
 # ---------------------------------------------------------------------------
@@ -462,18 +504,15 @@ def sum_(x, axis: int | None = None) -> Tensor:
     return _finish(np.asarray(out), (x,), backward_fn)
 
 
-def mean(x, axis: int | None = None) -> Tensor:
+def mean(x) -> Tensor:
+    """The mean of all entries."""
     x = as_tensor(x)
-    out = x.data.mean(axis=axis)
-    shape = x.data.shape
-    count = x.data.size if axis is None else shape[axis]
+    shape, count = x.data.shape, x.data.size
 
     def backward_fn(g):
-        if axis is None:
-            return [np.full(shape, float(g) / count)]
-        return [np.broadcast_to(np.expand_dims(g / count, axis), shape).copy()]
+        return [np.full(shape, float(g) / count)]
 
-    return _finish(np.asarray(out), (x,), backward_fn)
+    return _finish(np.asarray(x.data.mean()), (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

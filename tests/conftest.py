@@ -3,6 +3,8 @@ plain-numpy oracle implementations used to cross-check the tensor code."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,9 +119,55 @@ def tiny_embeddings_file(tmp_path):
     return path
 
 
+def traced_peak_bytes(fn) -> int:
+    """The most bytes that ``fn()`` held allocated at once above what was
+    allocated when it started, as tracemalloc counts them. numpy reports its
+    array buffers to tracemalloc, so this counts the arrays ``fn`` makes."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
 # ---------------------------------------------------------------------------
 # straight-line numpy oracles (independent of the tensor code paths)
 # ---------------------------------------------------------------------------
+
+
+def dense_matmul_rule(g, adata, bdata):
+    """matmul's gradient rule for its second operand before factored
+    gradients: the dense product for every operand shape. Patched over
+    ``personagen.numkit.tensor._matmul_grad_b`` it gives the dense sweep."""
+    if adata.ndim == 1:
+        return g * adata if bdata.ndim == 1 else np.outer(adata, g)
+    return adata.T @ g
+
+
+def densified(grad, param):
+    """A per-parameter gradient (array, RowGrad or Factors) as a dense array
+    of the parameter's shape."""
+    from personagen.numkit import Factors, RowGrad
+
+    if isinstance(grad, Factors):
+        return grad.dense()
+    if isinstance(grad, RowGrad):
+        dense = np.zeros_like(param.data)
+        dense[grad.indices] = grad.rows
+        return dense
+    return grad
+
+
+def relative_error(got, want) -> float:
+    """grad_check's entry-wise measure, |got - want| / max(1e-8, |got| +
+    |want|), maximised."""
+    return float((np.abs(got - want) / np.maximum(1e-8, np.abs(got) + np.abs(want))).max())
 
 
 def np_sigmoid(v):

@@ -17,9 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import dense_matmul_rule, densified, relative_error, traced_peak_bytes
 from personagen import expansion, net, numkit, topic, trainer
 from personagen.corpus import DialogueExample, TfIdfDoc, Vocabulary
 from personagen.net import DialogueModel, LossSettings, bind_example
+from personagen.numkit import tensor as tensor_module
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -176,3 +178,145 @@ def test_benchmark_smoke_passes():
     run = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")],
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+# ---------------------------------------------------------------------------
+# the weight-gradient form at the benchmark's shapes
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def refvocab(tmp_path_factory):
+    """The train_refvocab workload and 16 of its seed-1 examples, built by
+    the workload's own set-up code."""
+    sys.path.insert(0, str(PERFBENCH))  # workloads imports checks and synth
+    try:
+        workloads = load_perfbench("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    workload = workloads.TrainRefVocab()
+    vocab, bound = workloads.dialogue_inputs(
+        1, workload.inputs(1), workload.shape.vocab, 16, workload.shape.expansions,
+        tmp_path_factory.mktemp("refvocab"))
+    return workload, vocab, bound
+
+
+def handed_gradients(monkeypatch):
+    """The gradient lists the trainer hands clip_global_norm and adam_step,
+    one per batch."""
+    seen = {"clip_global_norm": [], "adam_step": []}
+    for attr, position in (("clip_global_norm", 0), ("adam_step", 1)):
+        def spy(*args, _attr=attr, _position=position, _original=getattr(trainer, attr)):
+            seen[_attr].append(args[_position])
+            return _original(*args)
+
+        monkeypatch.setattr(trainer, attr, spy)
+    return seen
+
+
+def output_index(model) -> int:
+    return [name for name, _ in model.named_params()].index("decoder.out.w")
+
+
+def test_refvocab_batch_of_one_keeps_the_output_gradient_factored(refvocab, monkeypatch):
+    # T rows of 14 against K = 512, N = 20000: T^2 (K + N) <= K N, so clipping
+    # and Adam get the factors and no (4H, V) gradient is built
+    workload, vocab, bound = refvocab
+    model = workload.model(vocab, 1)
+    seen = handed_gradients(monkeypatch)
+    trainer.train_dialogue_model(model, bound[:1], None, workload.losses, workload.settings,
+                                 np.random.default_rng(1))
+    (clipped,), (stepped,) = seen["clip_global_norm"], seen["adam_step"]
+    assert clipped is stepped
+    grad = clipped[output_index(model)]
+    rows = len(bound[0].response_ids) + 1
+    assert isinstance(grad, numkit.Factors)
+    assert grad.a.shape == (rows, 4 * workload.shape.hidden)
+    assert grad.g.shape == (rows, len(vocab))
+
+
+def test_refvocab_batch_of_16_forms_the_output_gradient_in_one_product(refvocab, monkeypatch):
+    # 16 examples stack to about 200 rows: the leaf gets one dense GEMM over
+    # all of them, and no per-example product of the output layer is formed
+    workload, vocab, bound = refvocab
+    model = workload.model(vocab, 1)
+    seen = handed_gradients(monkeypatch)
+    stacked, per_part = [], []
+    stack_factors, dense = tensor_module._stack_factors, numkit.Factors.dense
+
+    def stack_spy(parts):
+        result = stack_factors(parts)
+        stacked.append((len(parts), result))
+        return result
+
+    def dense_spy(factors):
+        per_part.append(factors.g.shape[-1])
+        return dense(factors)
+
+    monkeypatch.setattr(tensor_module, "_stack_factors", stack_spy)
+    monkeypatch.setattr(numkit.Factors, "dense", dense_spy)
+    trainer.train_dialogue_model(model, bound, None, workload.losses,
+                                 trainer.TrainSettings(epochs=1, batch_size=16),
+                                 np.random.default_rng(1))
+    (clipped,) = seen["clip_global_norm"]
+    grad = clipped[output_index(model)]
+    assert type(grad) is np.ndarray
+    assert grad.shape == (4 * workload.shape.hidden, len(vocab))
+    assert [count for count, result in stacked if result is grad] == [16]
+    assert len(vocab) not in per_part
+
+
+def test_topic_model_gradients_stay_dense(monkeypatch):
+    # the topic_expand shape: 32 rows against K <= 256 never pass the rule
+    vocab = Vocabulary.from_tokens([f"w{i}" for i in range(9996)])
+    rng = np.random.default_rng(3)
+    docs = [TfIdfDoc({int(i): float(rng.uniform(0.1, 2.0))
+                      for i in rng.choice(np.arange(4, len(vocab)), 30, replace=False)})
+            for _ in range(32)]
+    seen = []
+    clip = topic.clip_global_norm
+
+    def spy(grads, max_norm):
+        seen.append(grads)
+        return clip(grads, max_norm)
+
+    monkeypatch.setattr(topic, "clip_global_norm", spy)
+    model, _ = topic.train_topic_model(docs, vocab, topic.TopicTrainConfig(
+        topics=50, hidden=256, epochs=1, batch_size=32, seed=1))
+    (grads,) = seen
+    for (name, _), grad in zip(model.named_params(), grads):
+        # the input layer is read by lookup only, so it keeps its rows
+        want = numkit.RowGrad if name == "enc_hidden.w" else np.ndarray
+        assert type(grad) is want, name
+
+
+def test_refvocab_gradients_match_the_dict_form_and_the_dense_rule(refvocab, monkeypatch):
+    workload, vocab, bound = refvocab
+    model = workload.model(vocab, 1)
+    params = model.params()
+    with numkit.Tape() as tape:
+        loss = model.example_loss(bound[0], workload.losses).joint
+    grads = numkit.backward(loss, tape, params)
+    assert isinstance(grads[output_index(model)], numkit.Factors)
+    by_tensor = numkit.backward(loss, tape)
+    for p, grad in zip(params, grads):
+        assert densified(grad, p).tobytes() == by_tensor[p].tobytes()
+    del by_tensor
+    monkeypatch.setattr(tensor_module, "_matmul_grad_b", dense_matmul_rule)
+    want = numkit.backward(loss, tape, params)
+    for p, grad, dense in zip(params, grads, want):
+        assert relative_error(densified(grad, p), densified(dense, p)) < 1e-10
+
+
+def test_refvocab_backward_and_clip_peak_below_one_output_gradient(refvocab):
+    workload, vocab, bound = refvocab
+    model = workload.model(vocab, 1)
+    params = model.params()
+    limit = 4 * workload.shape.hidden * len(vocab) * 8  # one float64 (4H, V) array
+    # numpy's buffers are counted: one such array alone reaches the limit
+    assert traced_peak_bytes(lambda: np.ones(limit // 8)) >= limit
+    with numkit.Tape() as tape:
+        loss = model.example_loss(bound[0], workload.losses).joint
+    peak = traced_peak_bytes(lambda: numkit.clip_global_norm(
+        numkit.backward(loss, tape, params), workload.settings.grad_clip))
+    assert peak < limit

@@ -246,6 +246,25 @@ class TestEmbeddings:
         with pytest.raises(InputFormatError, match="line 2"):
             load_embeddings(path)
 
+    @pytest.mark.parametrize("line", ["zzz 1.0 high", "yyy nan 1.0", "xxx 1.0 -inf"])
+    def test_out_of_vocabulary_line_is_still_checked(self, tmp_path, line):
+        # a line is parsed whether or not its token is kept, so a malformed
+        # or non-finite vector names its line even when the vocabulary drops it
+        path = tmp_path / "emb.txt"
+        path.write_text(f"cat 1.0 2.0\n{line}\ndog 3.0 4.0\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 2"):
+            load_embeddings(path, Vocabulary.from_tokens(["cat"]))
+
+    def test_components_parse_as_float_does(self, tmp_path):
+        rng = np.random.default_rng(11)
+        values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(-300, 300, 40),
+                                 [5e-324, -0.0, 1.7976931348623157e308]])
+        texts = [repr(float(v)) for v in values] + [f"{v:.6f}" for v in values[:10]] + ["1_000"]
+        path = tmp_path / "emb.txt"
+        path.write_text("cat " + " ".join(texts) + "\n", encoding="utf-8")
+        got = load_embeddings(path).vectors["cat"]
+        assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+
     @pytest.mark.parametrize("component", ["nan", "inf", "-Infinity"])
     def test_non_finite_component_names_line(self, tmp_path, component):
         path = tmp_path / "emb.txt"

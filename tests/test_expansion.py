@@ -197,7 +197,7 @@ class TestExpand:
         assert scores["shared"] == pytest.approx(
             max(np_cosine(np.array([1.0, 0.0]), np.array([0.9, 0.05])),
                 np_cosine(np.array([0.0, 1.0]), np.array([0.9, 0.05]))))
-        assert result.tokens().count("shared") == 1
+        assert [token for token, _ in result.words].count("shared") == 1
 
     def test_zero_budget_gives_empty(self):
         vectors = make_vectors({"p1": [1, 0], "x": [0.5, 0.5]})
@@ -214,7 +214,7 @@ class TestExpand:
         vectors = word_topic_vectors(cluster_topic_model["model"])
         example = example_with_personas([["red00", "red01", "blue00"]])
         result = expand(example, vectors, m=5, n_w=30)
-        assert not {"red00", "red01", "blue00"} & set(result.tokens())
+        assert not {"red00", "red01", "blue00"} & {token for token, _ in result.words}
 
     def test_size_bound(self, cluster_topic_model):
         vectors = word_topic_vectors(cluster_topic_model["model"])
@@ -228,7 +228,7 @@ class TestExpand:
         example = example_with_personas([["red00", "red05"]])
         previous: list[str] = []
         for n_w in (1, 3, 6, 12):
-            tokens = expand(example, vectors, m=6, n_w=n_w).tokens()
+            tokens = [token for token, _ in expand(example, vectors, m=6, n_w=n_w).words]
             assert tokens[:len(previous)] == previous
             previous = tokens
 

@@ -3,8 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import np_bigru, np_gru_step, np_retrieve, np_softmax, np_tanh_mlp
+from conftest import (
+    dense_matmul_rule,
+    densified,
+    np_bigru,
+    np_gru_step,
+    np_retrieve,
+    np_softmax,
+    np_tanh_mlp,
+    relative_error,
+)
 from personagen import numkit as nk
+from personagen.numkit import tensor as tensor_module
 from personagen.corpus import EOS, PAD, SOS, DialogueExample, Vocabulary
 from personagen.memory import KeyValueMemory, build_memory, persona_information_retrieval
 from personagen.losses import (
@@ -552,6 +562,76 @@ class TestJointLossAndGradients:
             return nk.mean(nk.stack(parts))
 
         assert nk.grad_check(batch_loss, model.params()) < 1e-4
+
+    def test_three_example_batch_stacked_gradients_verify(self, monkeypatch):
+        # a matrix that only matmul reaches gets its per-example factors
+        # stacked into one product; central differences check exactly those
+        model = tiny_model(hidden=4, emb=3, seed=23)
+        rng = np.random.default_rng(2023)
+        for _, p in model.named_params():
+            p.data[:] = rng.uniform(-0.8, 0.8, size=p.data.shape)
+        batch = three_examples(model.vocab)
+        settings = LossSettings()
+
+        def batch_loss():
+            return nk.mean(nk.stack([model.example_loss(b, settings).joint for b in batch]))
+
+        stacked = []
+        leaf_grad = tensor_module._leaf_grad
+
+        def spy(flowing, owned, pending, leaf):
+            parts = pending.get(id(leaf), ())
+            if len(parts) > 1 and all(isinstance(g, nk.Factors) for g in parts):
+                stacked.append(leaf)
+            return leaf_grad(flowing, owned, pending, leaf)
+
+        monkeypatch.setattr(tensor_module, "_leaf_grad", spy)
+        with nk.Tape() as tape:
+            loss = batch_loss()
+        nk.backward(loss, tape, model.params())
+        monkeypatch.undo()
+        names = {id(p): name for name, p in model.named_params()}
+        assert {"decoder.out.w", "persona.sent_key.w", "c_proj.w"} <= {
+            names[id(p)] for p in stacked}
+        assert nk.grad_check(batch_loss, stacked) < 1e-4
+
+
+def three_examples(vocab):
+    """The tiny example and two more of other sizes, one with no expansions."""
+    return [tiny_example(vocab)] + [bind_example(DialogueExample(
+        persona_sentences=persona, history=history, response=response), vocab, expansions)
+        for persona, history, response, expansions in (
+            ([["i", "play", "music", "."]], [["you", "like", "songs", "?"]],
+             ["i", "do", "."], []),
+            ([["i", "like", "songs"], ["you", "play", "guitar", "."], ["i", "love", "music"]],
+             [["what", "do", "you", "play", "?"], ["songs", "."]],
+             ["i", "play", "guitar", "songs", "."], ["music", "love"]))]
+
+
+class TestFactoredWeightGradients:
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_list_form_equals_dict_form_and_the_dense_rule(self, size, monkeypatch):
+        # every parameter: the per-parameter form, factors densified, equals
+        # the dict form bit for bit, and the dense rule (one product per
+        # contribution, added in arrival order) within grad_check's measure
+        model = tiny_model(hidden=4, emb=3, seed=5)
+        batch = three_examples(model.vocab)[:size]
+        params = model.params()
+
+        def sweep():
+            with nk.Tape() as tape:
+                loss = nk.mean(nk.stack([model.example_loss(b, LossSettings()).joint
+                                         for b in batch]))
+            return nk.backward(loss, tape, params), nk.backward(loss, tape)
+
+        grads, by_tensor = sweep()
+        monkeypatch.setattr(tensor_module, "_matmul_grad_b", dense_matmul_rule)
+        want, _ = sweep()
+        assert any(isinstance(g, nk.Factors) for g in grads) == (size == 1)
+        for p, grad, dense in zip(params, grads, want):
+            got = densified(grad, p)
+            assert got.tobytes() == by_tensor[p].tobytes()
+            assert relative_error(got, densified(dense, p)) < 1e-10
 
 
 def per_step_loss(model, bound, settings):

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import np_bigru, np_gru_step
+from conftest import dense_matmul_rule, np_bigru, np_gru_step
 from personagen import numkit as nk
 from personagen.numkit import gru as gru_module
 from personagen.numkit import tensor as tensor_module
-from personagen.numkit.tensor import RowGrad
+from personagen.numkit.tensor import Factors, RowGrad
 
 
 def finite_difference(fn, tensor, eps=1e-6):
@@ -33,7 +33,7 @@ class TestBackward:
         x = nk.Tensor([2.0], requires_grad=True)
         y = nk.Tensor([3.0], requires_grad=True)
         with nk.Tape() as tape:
-            loss = nk.sum_(x * y)
+            loss = nk.sum_(nk.mul(x, y))
         grads = nk.backward(loss, tape)
         assert np.allclose(grads[x], [3.0])
         assert np.allclose(grads[y], [2.0])
@@ -59,7 +59,7 @@ class TestBackward:
     def test_non_scalar_loss_rejected(self):
         x = nk.Tensor([1.0, 2.0], requires_grad=True)
         with nk.Tape() as tape:
-            out = x * 2.0
+            out = nk.scale(x, 2.0)
         with pytest.raises(ValueError):
             nk.backward(out, tape)
 
@@ -67,7 +67,7 @@ class TestBackward:
         x = nk.Tensor([1.0, 2.0], requires_grad=True)
         y = nk.Tensor([3.0, 4.0], requires_grad=True)
         with nk.Tape() as tape:
-            _ = x * y  # recorded but not part of the loss
+            _ = nk.mul(x, y)  # recorded but not part of the loss
             loss = nk.sum_(x)
         grads = nk.backward(loss, tape)
         assert np.array_equal(grads[y], np.zeros(2))
@@ -80,23 +80,23 @@ class TestBackward:
             loss_a = nk.sum_(nk.tanh(x))
         ga = nk.backward(loss_a, tape)[x]
         with nk.Tape() as tape:
-            loss_b = nk.sum_(x * x)
+            loss_b = nk.sum_(nk.mul(x, x))
         gb = nk.backward(loss_b, tape)[x]
         with nk.Tape() as tape:
-            total = nk.sum_(nk.tanh(x)) + nk.sum_(x * x)
+            total = nk.sum_(nk.tanh(x)) + nk.sum_(nk.mul(x, x))
         gt = nk.backward(total, tape)[x]
         assert np.allclose(gt, ga + gb, atol=1e-12)
 
     def test_repeated_input_accumulates(self):
         x = nk.Tensor([3.0], requires_grad=True)
         with nk.Tape() as tape:
-            loss = nk.sum_(x * x)
+            loss = nk.sum_(nk.mul(x, x))
         grads = nk.backward(loss, tape)
         assert np.allclose(grads[x], [6.0])
 
     def test_nothing_recorded_without_tape(self):
         x = nk.Tensor([1.0], requires_grad=True)
-        out = x * 2.0
+        out = nk.scale(x, 2.0)
         assert not out._tracked
 
 
@@ -120,9 +120,17 @@ class TestConstantInputs:
         with nk.Tape() as tape:
             out = op(*operands)
         (record,) = tape.records
-        grads = record.backward_fn(np.ones(out.shape))
+        g_out = np.ones(out.shape)
+        grads = record.backward_fn(g_out)
         assert grads[constant] is None
-        assert grads[1 - constant].shape == shapes[1 - constant]
+        grad = grads[1 - constant]
+        if isinstance(grad, Factors):
+            # matmul(a, W)'s rule keeps W's gradient as its factors: the
+            # forward input and the upstream gradient, both only read
+            assert grad.a is operands[0].data and grad.g is g_out
+            assert np.array_equal(grad.dense(), operands[0].data.T @ g_out)
+            grad = grad.dense()
+        assert grad.shape == shapes[1 - constant]
 
     def test_backward_keeps_no_gradient_for_a_constant(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -397,7 +405,7 @@ PRIMITIVE_CASES = {
     "transpose": (lambda a, b: nk.sum_(nk.tanh(nk.matmul(b, nk.transpose(a)))), [(3, 2), (4, 2)]),
     "sum_axis": (lambda a: nk.sum_(nk.tanh(nk.sum_(a, axis=0))), [(3, 2)]),
     "mean": (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
-    "mean_axis": (lambda a: nk.sum_(nk.tanh(nk.mean(a, axis=1))), [(2, 3)]),
+    "mean_axis": (lambda a: nk.sum_(nk.tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
     "tanh": (lambda a: nk.sum_(nk.tanh(a)), [(4,)]),
     "sigmoid": (lambda a: nk.sum_(nk.sigmoid(a)), [(4,)]),
     "softplus": (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
@@ -438,8 +446,16 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
         build(*params)
     for rec in tape.records:
         g_out = np.asarray(rng.normal(size=rec.output.shape))
-        fresh = [g for g in rec.backward_fn(g_out)
-                 if g is not None and g is not g_out and not isinstance(g, RowGrad)]
+        grads = rec.backward_fn(g_out)
+        for tensor, g in zip(rec.inputs, grads):
+            if isinstance(g, Factors):
+                # matmul's factors are the forward input and g_out itself,
+                # which backward only reads
+                assert rec.inputs[0].data is g.a and g.g is g_out
+                assert np.array_equal(g.dense(), g.a.T @ g_out)
+                assert g.dense().shape == tensor.shape
+        fresh = [g for g in grads if g is not None and g is not g_out
+                 and not isinstance(g, (RowGrad, Factors))]
         for g in fresh:
             assert not np.shares_memory(g, g_out)
         for g, h in itertools.combinations(fresh, 2):
@@ -496,7 +512,7 @@ def test_scalar_leaf_gradients_accumulate():
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         x = nk.Tensor([3.0], requires_grad=True)
-        err = nk.grad_check(lambda: nk.sum_(x * x), [x], eps=1e-4)
+        err = nk.grad_check(lambda: nk.sum_(nk.mul(x, x)), [x], eps=1e-4)
         assert err < 1e-8
 
     def test_constant_function_has_zero_error(self):
@@ -728,6 +744,174 @@ class TestClipGlobalNorm:
         assert sparse[1].tobytes() == (other * factor).tobytes()
         assert np.allclose(sparse[0].rows, dense[0][idx], rtol=1e-15, atol=0)
         assert sparse[0].indices is idx
+
+
+def factor_case(row_counts, k, n, seed=0):
+    """(weight, loss, tape, a_i, g_i) of ``sum_i sum(matmul(a_i, W) * c_i)``
+    with constant inputs ``a_i`` of the given row counts, so W's gradient
+    contributions arrive as ``Factors(a_i, c_i)``, in reverse order."""
+    rng = np.random.default_rng(seed)
+    weight = nk.Tensor(rng.normal(size=(k, n)), requires_grad=True)
+    inputs = [rng.normal(size=(rows, k)) for rows in row_counts]
+    upstream = [rng.normal(size=(rows, n)) for rows in row_counts]
+    with nk.Tape() as tape:
+        terms = [nk.sum_(nk.mul(nk.matmul(a, weight), c)) for a, c in zip(inputs, upstream)]
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = nk.add(loss, term)
+    return weight, loss, tape, inputs[::-1], upstream[::-1]
+
+
+class TestFactoredGradients:
+    # T stacked rows of a (K, N) weight stay factored while T^2 (K + N) <= K N
+    @pytest.mark.parametrize("row_counts,k,n,factored", [
+        ([2], 8, 8, True),            # 4 * 16 = 64 <= 64, the boundary
+        ([3], 8, 8, False),
+        ([1, 1], 8, 8, True),
+        ([2, 1], 8, 8, False),
+        ([14], 512, 2000, True),
+        ([5, 4, 6], 16, 4000, False),
+        ([1, 2, 1, 3], 100, 2000, True),
+    ])
+    def test_leaf_rule_gives_factors_or_one_stacked_product(self, row_counts, k, n, factored):
+        weight, loss, tape, inputs, upstream = factor_case(row_counts, k, n)
+        (grad,) = nk.backward(loss, tape, [weight])
+        by_tensor = nk.backward(loss, tape)[weight]
+        assert isinstance(grad, Factors) == factored
+        dense = grad.dense() if factored else grad
+        # the dict form densifies the same factors the same way
+        assert dense.tobytes() == by_tensor.tobytes()
+        if factored:
+            # stacked in arrival order, into arrays of their own
+            a, g = grad.matrices()
+            assert np.array_equal(a, np.concatenate(inputs))
+            assert np.array_equal(g, np.concatenate(upstream))
+            assert not any(np.shares_memory(x, y) for x in (a, g) for y in inputs + upstream)
+        want = sum(a.T @ c for a, c in zip(inputs, upstream))
+        assert np.allclose(dense, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        if len(row_counts) == 1:
+            # one contribution is formed by the rule's own product, bit for bit
+            assert dense.tobytes() == (inputs[0].T @ upstream[0]).tobytes()
+
+    @pytest.mark.parametrize("other", ["lookup_first", "lookup_last", "vec_mat", "dense_add"])
+    def test_leaf_that_other_forms_reach_is_dense_in_arrival_order(self, other, monkeypatch):
+        # the per-parameter form against the dense rule, whose sweep adds each
+        # contribution as it arrives: bit for bit
+        rng = np.random.default_rng(8)
+        weight = nk.Tensor(rng.normal(size=(6, 9)), requires_grad=True)
+        a, c = rng.normal(size=(2, 6)), rng.normal(size=(2, 9))
+        row_ids, vector, extra = [1, 4, 1], rng.normal(size=6), rng.normal(size=(6, 9))
+
+        def sweep():
+            with nk.Tape() as tape:
+                parts = []
+                if other == "lookup_first":
+                    parts.append(nk.sum_(nk.tanh(nk.lookup(weight, row_ids))))
+                parts.append(nk.sum_(nk.mul(nk.matmul(a, weight), c)))
+                if other == "lookup_last":
+                    parts.append(nk.sum_(nk.tanh(nk.lookup(weight, row_ids))))
+                if other == "vec_mat":
+                    parts.append(nk.sum_(nk.tanh(nk.matmul(vector, weight))))
+                if other == "dense_add":
+                    parts.append(nk.sum_(nk.tanh(nk.add(weight, extra))))
+                loss = parts[0]
+                for part in parts[1:]:
+                    loss = nk.add(loss, part)
+            return nk.backward(loss, tape, [weight])[0]
+
+        got = sweep()
+        monkeypatch.setattr(tensor_module, "_matmul_grad_b", dense_matmul_rule)
+        want = sweep()
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == want.tobytes()
+
+    def test_intermediate_operand_gets_the_dense_rule_bitwise(self, monkeypatch):
+        # matmul(q, transpose(keys)): the transpose output is no leaf, so its
+        # factors are densified at its record, as the dense rule formed them
+        rng = np.random.default_rng(9)
+        keys = nk.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        q = nk.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+
+        def sweep():
+            with nk.Tape() as tape:
+                loss = nk.sum_(nk.softmax(nk.matmul(q, nk.transpose(keys)), axis=-1))
+                loss = nk.add(loss, nk.sum_(nk.tanh(nk.matmul(q, nk.transpose(keys)))))
+            return nk.backward(loss, tape, [keys, q])
+
+        got = sweep()
+        monkeypatch.setattr(tensor_module, "_matmul_grad_b", dense_matmul_rule)
+        want = sweep()
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+    @pytest.mark.parametrize("rows", [1, 14, 40])
+    def test_clip_norm_from_grams_matches_dense(self, rows):
+        rng = np.random.default_rng(rows)
+        a, g = rng.normal(size=(rows, 64)), rng.normal(size=(rows, 3000))
+        other = rng.normal(size=(5, 7))
+        dense = [a.T @ g, other.copy()]
+        factored = [Factors(a, g.copy()), other.copy()]
+        a_before = a.copy()
+        want = float(np.sqrt(np.vdot(dense[0], dense[0]) + np.vdot(other, other)))
+        norm = nk.clip_global_norm(factored, 1.0)
+        assert abs(norm - want) <= 1e-12 * want
+        # the clip fired: g and the dense gradients scaled, a never written
+        assert a.tobytes() == a_before.tobytes()
+        assert factored[0].g.tobytes() == (g * (1.0 / norm)).tobytes()
+        clipped = dense[0] / want
+        assert np.allclose(factored[0].dense(), clipped, rtol=0,
+                           atol=1e-12 * np.abs(clipped).max())
+
+    def test_vector_factors_count_as_one_row(self):
+        rng = np.random.default_rng(10)
+        a, g = rng.normal(size=6), rng.normal(size=9)
+        dense = np.outer(a, g)
+        assert np.array_equal(Factors(a, g).dense(), dense)
+        norm = nk.clip_global_norm([Factors(a, g.copy())], 1e9)
+        assert abs(norm - np.linalg.norm(dense)) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_g_raises_and_leaves_factors_unscaled(self, bad):
+        rng = np.random.default_rng(11)
+        a, g = rng.normal(size=(3, 4)), rng.normal(size=(3, 5))
+        g[1, 2] = bad
+        grads = [Factors(a, g), np.array([3.0, 4.0])]
+        before = g.tobytes()
+        with pytest.raises(FloatingPointError, match="gradient norm"):
+            nk.clip_global_norm(grads, 1.0)
+        assert g.tobytes() == before and grads[1].tolist() == [3.0, 4.0]
+
+    @pytest.mark.parametrize("shape,rows", [((300, 5000), 14), ((37, 100), 3), ((9, 4096), 1)],
+                             ids=["tiles_with_partial_edges", "narrow", "one_tile_row"])
+    def test_adam_step_on_factors_matches_the_dense_step(self, shape, rows):
+        # the tile-wise products are BLAS results like the one dense product,
+        # so the steps agree to within the product's rounding
+        rng = np.random.default_rng(12)
+        start = rng.normal(size=shape)
+        factored = nk.Tensor(start.copy(), requires_grad=True)
+        dense = nk.Tensor(start.copy(), requires_grad=True)
+        f_state, d_state = nk.AdamState([factored], 1e-3), nk.AdamState([dense], 1e-3)
+        for _ in range(3):
+            grad = Factors(rng.normal(size=(rows, shape[0])), rng.normal(size=(rows, shape[1])))
+            a_before = grad.a.copy()
+            nk.adam_step([factored], [grad], f_state)
+            nk.adam_step([dense], [grad.dense()], d_state)
+            assert grad.a.tobytes() == a_before.tobytes()
+        assert np.allclose(f_state.m[0], d_state.m[0], rtol=1e-13, atol=1e-16)
+        assert np.allclose(f_state.v[0], d_state.v[0], rtol=1e-13, atol=1e-16)
+        assert np.allclose(factored.data, dense.data, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("a_shape,g_shape", [((2, 6), (3, 4)), ((2, 5), (2, 4)),
+                                                 ((2, 6), (2, 5)), ((2, 2, 6), (2, 4))],
+                             ids=["row_counts", "a_width", "g_width", "a_3d"])
+    def test_bad_factors_rejected_naming_their_parameter(self, a_shape, g_shape):
+        params = [nk.Tensor(np.ones(3), requires_grad=True),
+                  nk.Tensor(np.ones((6, 4)), requires_grad=True)]
+        state = nk.AdamState(params, lr=1e-4)
+        grad = Factors(np.ones(a_shape), np.ones(g_shape))
+        with pytest.raises(ValueError, match="parameter 1 .*Factors of shapes"):
+            nk.adam_step(params, [np.ones(3), grad], state)
+        assert state.step_count == 0
+        assert all((p.data == 1.0).all() for p in params)
 
 
 class TestModule:

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import toy_expansions
+from personagen import trainer
 from personagen.checkpoint import CheckpointError, restore_params
 from personagen.corpus import build_vocab, conversation_document, load_personachat
 from personagen.net import DialogueModel, LossSettings, bind_example
+from personagen.numkit import Factors
 from personagen.trainer import TrainSettings, evaluate_loss, train_dialogue_model
 
 
@@ -110,6 +112,32 @@ def test_overflowing_gradient_norm_aborts_with_batch_id(toy_setup):
         train_dialogue_model(model, examples[:2], None, LossSettings(),
                              TrainSettings(epochs=1, batch_size=2, lr=0.01),
                              np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_factored_gradient_aborts_with_batch_id(toy_setup, monkeypatch, bad):
+    # a weight gradient kept as factors is checked like a dense one: a bad
+    # entry in its g makes the norm non-finite, and nothing is stepped
+    vocab, examples = toy_setup
+    model = make_model(vocab)
+    before = [p.data.copy() for p in model.params()]
+    backward = trainer.backward
+    poisoned = []
+
+    def poisoning(*args):
+        grads = backward(*args)
+        factors = [g for g in grads if isinstance(g, Factors)]
+        factors[-1].g[0, 0] = bad
+        poisoned.append(len(factors))
+        return grads
+
+    monkeypatch.setattr(trainer, "backward", poisoning)
+    with pytest.raises(RuntimeError, match=f"epoch 1, batch 0: global gradient norm is {bad}"):
+        train_dialogue_model(model, examples[:1], None, LossSettings(),
+                             TrainSettings(epochs=1, batch_size=1, lr=0.01),
+                             np.random.default_rng(0))
+    assert poisoned
+    assert all(np.array_equal(p.data, b) for p, b in zip(model.params(), before))
 
 
 def test_gradient_norm_overflow_is_not_called_a_loss(toy_setup):
