@@ -97,6 +97,8 @@ def load_checkpoint(path) -> Checkpoint:
         params: dict[str, np.ndarray] = {}
         for entry in header["params"]:
             name, shape = _manifest_entry(path, entry)
+            if name in params:
+                raise CheckpointError(f"{path}: header params lists {name} twice")
             count = int(np.prod(shape)) if shape else 1
             raw = handle.read(count * 8)
             if len(raw) != count * 8:

@@ -451,7 +451,7 @@ def cmd_chat(args) -> int:
     if args.expansions:
         records = load_expansion_records(args.expansions)
         if records:
-            expansion_tokens = records[min(records)]
+            expansion_tokens = next(iter(records.values()))
 
     history: list[list[str]] = []
     for raw in sys.stdin:

@@ -96,8 +96,8 @@ class Config:
 
     def check_bounds(self) -> None:
         """Raise a ValueError naming the first count below its bound in
-        ``_LEAST``, an odd ``model.hidden``, a negative loss weight or match
-        threshold, or a bag-of-words extra weight that is not above 0."""
+        ``_LEAST``, an odd ``model.hidden``, a number in ``_NON_NEGATIVE``
+        below 0, or one in ``_POSITIVE`` that is not above 0."""
         for where, least in _LEAST.items():
             value = reduce(getattr, where.split("."), self)
             if value < least:
@@ -105,13 +105,14 @@ class Config:
                                  f"got {value!r}")
         if self.model.hidden % 2:
             raise ValueError(f"model.hidden must be even, got {self.model.hidden}")
-        for key in ("gamma_match", "gamma_bows", "match_threshold"):
-            value = getattr(self.losses, key)
+        for where in _NON_NEGATIVE:
+            value = reduce(getattr, where.split("."), self)
             if value < 0:
-                raise ValueError(f"losses.{key} must be at least 0, got {value!r}")
-        if self.losses.bows_extra_weight <= 0:
-            raise ValueError(f"losses.bows_extra_weight must be above 0, "
-                             f"got {self.losses.bows_extra_weight!r}")
+                raise ValueError(f"{where} must be at least 0, got {value!r}")
+        for where in _POSITIVE:
+            value = reduce(getattr, where.split("."), self)
+            if value <= 0:
+                raise ValueError(f"{where} must be above 0, got {value!r}")
 
     @classmethod
     def from_file(cls, path) -> "Config":
@@ -123,11 +124,18 @@ class Config:
 _LEAST = {
     "seed": 0,
     "topic.topics": 1, "topic.vocab_size": len(RESERVED_TOKENS) + 1, "topic.hidden": 1,
-    "topic.batch_size": 1,
+    "topic.batch_size": 1, "topic.epochs": 0,
     "expansion.neighbors": 1, "expansion.max_words": 0,
     "model.hidden": 2, "model.emb_dim": 1, "model.vocab_size": len(RESERVED_TOKENS) + 1,
     "model.batch_size": 1, "model.hops": 1, "model.beam": 1, "model.max_len": 1,
+    "model.epochs": 0,
 }
+
+# numbers that must be at least 0 (a zero grad_clip turns clipping off) and
+# numbers that must be above 0
+_NON_NEGATIVE = ("losses.gamma_match", "losses.gamma_bows", "losses.match_threshold",
+                 "model.grad_clip")
+_POSITIVE = ("losses.bows_extra_weight", "model.lr", "topic.lr")
 
 
 def _override(section, data: dict, name: str) -> None:

@@ -75,10 +75,10 @@ def adam_step(params: list[Tensor], grads: list[Array | RowGrad | Factors],
 def _gradient_problem(param: Array, g: Array | RowGrad | Factors) -> str | None:
     """What makes ``g`` unfit to be ``param``'s gradient, if anything."""
     if isinstance(g, Factors):
-        a, rows = g.matrices()
-        if (param.ndim != 2 or a.ndim != 2 or rows.ndim != 2 or a.shape[0] != rows.shape[0]
-                or (a.shape[1], rows.shape[1]) != param.shape):
-            return f"Factors of shapes {np.shape(g.a)} and {np.shape(g.g)}"
+        a, rows = np.shape(g.a), np.shape(g.g)
+        if (param.ndim != 2 or len(a) != 2 or len(rows) != 2 or a[0] != rows[0]
+                or (a[1], rows[1]) != param.shape):
+            return f"Factors of shapes {a} and {rows}"
         return None
     if not isinstance(g, RowGrad):
         return None if param.shape == np.shape(g) else f"gradient of shape {np.shape(g)}"
@@ -109,7 +109,7 @@ def _gradient_blocks(g: Array | RowGrad | Factors, p: Array):
     others are ``_block_rows(p)`` whole rows."""
     rows = p.shape[0]
     if isinstance(g, Factors):
-        a, g_rows = g.matrices()
+        a, g_rows = g.a, g.g
         width = min(p.shape[1], _TILE_COLS)
         height = max(1, _BLOCK // width)
         tile = np.empty(height * width)
@@ -193,15 +193,14 @@ def clip_global_norm(grads: list[Array | RowGrad | Factors], max_norm: float) ->
     if total > max_norm > 0.0:
         factor = max_norm / total
         for g in grads:
-            owned = g.rows if isinstance(g, RowGrad) else g.g if isinstance(g, Factors) else g
-            owned *= factor
+            scaled = g.rows if isinstance(g, RowGrad) else g.g if isinstance(g, Factors) else g
+            scaled *= factor
     return total
 
 
 def _squared_norm(g: Array | RowGrad | Factors) -> float:
     if isinstance(g, Factors):
-        a, rows = g.matrices()
         # np.maximum keeps a NaN, which the caller reports
-        return float(np.maximum(np.vdot(a @ a.T, rows @ rows.T), 0.0))
+        return float(np.maximum(np.vdot(g.a @ g.a.T, g.g @ g.g.T), 0.0))
     a = g.rows if isinstance(g, RowGrad) else g
     return float(np.vdot(a, a))

@@ -9,42 +9,38 @@ finite-difference probes run at plain numpy speed.
 Gradient ownership: an input that neither requires a gradient nor is
 tracked (the output of a recorded op) is a constant: ``backward`` keeps no
 gradient for it, and ``matmul`` and ``mul`` return ``None`` in its slot rather
-than compute one. For every other input, a backward rule returns either its
-upstream gradient ``g_out`` itself (``add`` hands it to both operands) or a
-value it allocated, which shares no memory with ``g_out`` or with the rule's
-other results (``lookup``'s ``RowGrad`` rows and ``matmul``'s ``Factors`` may
-hold ``g_out`` and the forward input; they are only read). ``backward`` owns,
-and later adds into in place, every gradient a rule allocated; a ``g_out``
-passed through is copied once, before its first write or when it reaches a
-leaf. Each leaf gradient returned is an array owned by ``backward`` alone: no
-two parameters share one, and none aliases an intermediate gradient, so
-callers may scale them in place.
+than compute one. For every other input, a backward rule returns either a
+fresh array or its upstream gradient ``g_out`` itself, and it hands ``g_out``
+to at most one input (``add`` copies the second operand's when both would
+get it; ``lookup``'s ``RowGrad`` rows and ``matmul``'s ``Factors`` count as
+handing on ``g_out``). So ``backward`` holds every gradient array alone, adds
+into it in place, and returns leaf gradients that callers may scale in place.
 
 Two gradient forms stay compact until something needs them dense. The
 backward rule of ``lookup`` returns ``RowGrad(indices, rows)`` rather than a
 dense table-size array, and the rule of ``matmul(a, W)`` with 2-D ``a`` and
-``W`` returns ``Factors(a, g)``, which stands for ``aᵀ·g``. While only such
-gradients have reached a tensor, ``backward`` keeps them as they arrive. The
-first dense gradient of the same tensor, or the record that produced it,
-densifies them in arrival order into one owned buffer, which that and every
-later gradient accumulates into: a ``RowGrad`` by a scatter-add (one
-fancy-index ``+=`` for strictly increasing indices, such as ``np.unique``
-gives, ``np.add.at`` otherwise, which sums repeated rows) and a ``Factors`` by
-adding its product ``aᵀ·g``. So such a tensor gets the sum, in arrival order,
+``W`` returns ``Factors(a, g)``, which stands for ``aᵀ·g``. An op output adds
+them into its dense gradient on arrival. A leaf keeps them as they arrive
+while only such gradients have reached it; its first dense gradient
+densifies them in arrival order into its buffer, which that and every later
+gradient accumulates into: a ``RowGrad`` by a scatter-add (one fancy-index
+``+=`` for strictly increasing indices, such as ``np.unique`` gives,
+``np.add.at`` otherwise, which sums repeated rows) and a ``Factors`` by
+adding its product ``aᵀ·g``. So every tensor gets the sum, in arrival order,
 of one dense array per contribution.
 
 Given the parameters, ``backward`` hands a leaf that only ``lookup`` reached
-its gradient as one owned ``RowGrad`` with strictly increasing indices, each
-row summed in arrival order, so scattering it into zeros gives the dense
-buffer bit for bit; clipping and Adam read only its rows. A leaf that only
+its gradient as one ``RowGrad`` with strictly increasing indices, each row
+summed in arrival order, so scattering it into zeros gives the dense buffer
+bit for bit; clipping and Adam read only its rows. A leaf that only
 ``matmul`` reached gets its factors stacked once, in arrival order, into
 ``Factors(A, G)`` of T rows, when T²·(K+N) ≤ K·N for a (K, N) parameter: the
 Gram matrices ``AAᵀ`` and ``GGᵀ`` that give its norm then cost no more than
 one pass over the dense gradient. Clipping scales ``G`` and nothing writes
 ``A``. Otherwise the leaf gets ``AᵀG`` from one GEMM over all the stacked
-rows. A leaf that both forms, or a dense gradient,
-reach is densified in arrival order. The dict form (no parameters given)
-always returns dense gradients.
+rows. A leaf that both forms, or a dense gradient, reach is densified in
+arrival order. The dict form (no parameters given) always returns dense
+gradients.
 
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
@@ -179,20 +175,14 @@ class RowGrad(NamedTuple):
 
 class Factors(NamedTuple):
     """Gradient ``aᵀ·g`` of a (K, N) matrix ``W`` used as ``matmul(a, W)``,
-    kept as its factors: ``a`` (T, K) and ``g`` (T, N). A 1-D ``a`` and ``g``
-    count as one row."""
+    kept as its factors: ``a`` (T, K) and ``g`` (T, N)."""
 
     a: Array
     g: Array
 
-    def matrices(self) -> tuple[Array, Array]:
-        """``a`` and ``g`` as (T, K) and (T, N) matrices (views)."""
-        return np.atleast_2d(self.a), np.atleast_2d(self.g)
-
     def dense(self) -> Array:
         """``aᵀ·g`` as one fresh (K, N) array."""
-        a, g = self.matrices()
-        return a.T @ g
+        return self.a.T @ self.g
 
 
 Pending = list[RowGrad | Factors]
@@ -203,40 +193,39 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
     """Reverse sweep over ``tape`` from a scalar ``loss``.
 
     Given distinct ``params``, returns one gradient per parameter, in order:
-    an owned ``RowGrad`` with strictly increasing indices for a table that
-    only ``lookup`` reached, an empty ``RowGrad`` for a parameter that nothing
-    reached, ``Factors`` with an owned ``g`` or a dense array, by the rule in
-    the module docstring, for a matrix that only ``matmul`` reached, and an
-    owned dense array otherwise.
+    a ``RowGrad`` with strictly increasing indices for a table that only
+    ``lookup`` reached, an empty ``RowGrad`` for a parameter that nothing
+    reached, ``Factors`` or a dense array, by the rule in the module
+    docstring, for a matrix that only ``matmul`` reached, and a dense array
+    otherwise.
 
     Without ``params``, returns the same gradients densified, keyed by tensor,
     for every requires_grad tensor that appears on the tape (zeros for those
     not reachable from the loss).
 
-    Every returned array is a fresh one that no other tensor's gradient
-    shares.
+    No two returned gradients share memory, and none shares it with the
+    tape's tensors.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     flowing: dict[int, Array] = {id(loss): np.ones_like(loss.data)}
-    owned: set[int] = set()
-    pending: dict[int, Pending] = {}  # tensors only compact gradients have reached so far
+    pending: dict[int, Pending] = {}  # leaves only compact gradients have reached so far
     for rec in reversed(tape.records):
-        _densify(flowing, owned, pending, rec.output)
         g_out = flowing.pop(id(rec.output), None)
         if g_out is None:
             continue
         for tensor, g in zip(rec.inputs, rec.backward_fn(g_out)):
             if g is None or not _needs_grad(tensor):
                 continue
-            if isinstance(g, (RowGrad, Factors)) and id(tensor) not in flowing:
+            if (tensor.requires_grad and isinstance(g, (RowGrad, Factors))
+                    and id(tensor) not in flowing):
                 pending.setdefault(id(tensor), []).append(g)
             else:
-                _densify(flowing, owned, pending, tensor)
-                _accumulate(flowing, owned, tensor, g, g is not g_out)
+                _densify(flowing, pending, tensor)
+                _accumulate(flowing, tensor, g)
     leaves = params if params is not None else list(dict.fromkeys(
         t for rec in tape.records for t in rec.inputs if t.requires_grad))
-    grads = [_leaf_grad(flowing, owned, pending, t) for t in leaves]
+    grads = [_leaf_grad(flowing, pending, t) for t in leaves]
     if params is not None:
         return grads
     result: dict[Tensor, Array] = {}
@@ -252,32 +241,30 @@ def backward(loss: Tensor, tape: Tape, params: Sequence[Tensor] | None = None,
     return result
 
 
-def _densify(flowing: dict[int, Array], owned: set[int], pending: dict[int, Pending],
-             tensor: Tensor) -> None:
+def _densify(flowing: dict[int, Array], pending: dict[int, Pending], tensor: Tensor) -> None:
     """Add ``tensor``'s pending compact gradients, in arrival order, into its
     dense entry in ``flowing``."""
     for g in pending.pop(id(tensor), ()):
-        _accumulate(flowing, owned, tensor, g, True)
+        _accumulate(flowing, tensor, g)
 
 
-def _leaf_grad(flowing: dict[int, Array], owned: set[int], pending: dict[int, Pending],
+def _leaf_grad(flowing: dict[int, Array], pending: dict[int, Pending],
                leaf: Tensor) -> Array | RowGrad | Factors:
-    key = id(leaf)
-    parts = pending.get(key, ())
+    parts = pending.get(id(leaf), ())
     if parts and all(isinstance(g, RowGrad) for g in parts):
         return _coalesce(parts)
     if parts and all(isinstance(g, Factors) for g in parts):
         return _stack_factors(parts)
-    _densify(flowing, owned, pending, leaf)
-    if key in flowing:
-        return flowing[key] if key in owned else np.array(flowing[key], dtype=np.float64)
+    _densify(flowing, pending, leaf)
+    if id(leaf) in flowing:
+        return flowing[id(leaf)]
     return RowGrad(np.empty(0, dtype=np.intp), np.empty((0,) + leaf.data.shape[1:]))
 
 
 def _coalesce(parts: list[RowGrad]) -> RowGrad:
-    """One owned RowGrad with strictly increasing indices whose row for an
-    index is zero plus that index's rows in arrival order, which is what
-    scattering ``parts`` into a zero buffer sums."""
+    """One RowGrad with strictly increasing indices whose row for an index is
+    zero plus that index's rows in arrival order, which is what scattering
+    ``parts`` into a zero buffer sums."""
     indices = np.concatenate([g.indices for g in parts])
     rows = np.concatenate([g.rows for g in parts])
     if (indices[1:] > indices[:-1]).all():
@@ -291,34 +278,29 @@ def _coalesce(parts: list[RowGrad]) -> RowGrad:
 
 def _stack_factors(parts: list[Factors]) -> Factors | Array:
     """The leaf gradient of ``parts``, stacked in arrival order: ``Factors``
-    with owned arrays while T²·(K+N) ≤ K·N for T stacked rows, the dense
-    (K, N) product of one GEMM otherwise (a lone part's own product, which
-    needs no stacked copy)."""
-    matrices = [f.matrices() for f in parts]
-    rows = sum(a.shape[0] for a, _ in matrices)
-    k, n = matrices[0][0].shape[1], matrices[0][1].shape[1]
+    of the stacked rows while T²·(K+N) ≤ K·N for T of them, the dense (K, N)
+    product of one GEMM otherwise (a lone part's own product, which needs no
+    stacked copy)."""
+    rows = sum(f.a.shape[0] for f in parts)
+    k, n = parts[0].a.shape[1], parts[0].g.shape[1]
     factored = rows * rows * (k + n) <= k * n
     if len(parts) == 1 and not factored:
         return parts[0].dense()
-    a = np.concatenate([a for a, _ in matrices])
-    g = np.concatenate([g for _, g in matrices])
+    a = np.concatenate([f.a for f in parts])
+    g = np.concatenate([f.g for f in parts])
     return Factors(a, g) if factored else a.T @ g
 
 
-def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,
-                fresh: bool) -> None:
+def _accumulate(flowing: dict[int, Array], tensor: Tensor, g) -> None:
     """Add gradient ``g`` (dense, a RowGrad or Factors) to ``tensor``'s entry
-    in ``flowing``; ``owned`` holds the keys whose arrays ``backward`` may
-    write into, and ``fresh`` says that a rule allocated ``g``."""
+    in ``flowing``."""
     key = id(tensor)
     current = flowing.get(key)
     if isinstance(g, Factors):
-        g, fresh = g.dense(), True
+        g = g.dense()
     if isinstance(g, RowGrad):
-        if key not in owned:
-            flowing[key] = current = (np.zeros_like(tensor.data) if current is None
-                                      else np.array(current, dtype=np.float64))
-            owned.add(key)
+        if current is None:
+            flowing[key] = current = np.zeros_like(tensor.data)
         indices = g.indices
         if (indices[1:] > indices[:-1]).all():  # unique, so no row adds twice
             current[indices] += g.rows
@@ -326,13 +308,8 @@ def _accumulate(flowing: dict[int, Array], owned: set[int], tensor: Tensor, g,
             np.add.at(current, indices, g.rows)
     elif current is None:
         flowing[key] = np.asarray(g)  # a reduction to shape () gives a numpy scalar
-        if fresh:
-            owned.add(key)
-    elif key in owned:
-        current += g
     else:
-        flowing[key] = np.asarray(current + g)
-        owned.add(key)
+        current += g
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -357,7 +334,8 @@ def add(a, b) -> Tensor:
     ashape, bshape = a.data.shape, b.data.shape
 
     def backward_fn(g):
-        return [_unbroadcast(g, ashape), _unbroadcast(g, bshape)]
+        ga, gb = _unbroadcast(g, ashape), _unbroadcast(g, bshape)
+        return [ga, gb.copy() if gb is ga else gb]
 
     return _finish(a.data + b.data, (a, b), backward_fn)
 

@@ -83,6 +83,11 @@ class TestConfig:
         losses = Config.from_dict({"losses": zeros}).losses
         assert (losses.gamma_match, losses.gamma_bows, losses.match_threshold) == (0, 0, 0)
 
+    def test_zero_epochs_and_grad_clip_allowed(self):
+        config = Config.from_dict({"model": {"epochs": 0, "grad_clip": 0},
+                                   "topic": {"epochs": 0}})
+        assert (config.model.epochs, config.model.grad_clip, config.topic.epochs) == (0, 0, 0)
+
     def test_zero_expansion_words_allowed(self):
         assert Config.from_dict({"expansion": {"max_words": 0}}).expansion.max_words == 0
 
@@ -127,6 +132,13 @@ BAD_CONFIG_VALUES = {
     "bows_extra_weight_zero": ({"losses": {"bows_extra_weight": 0}},
                                "losses.bows_extra_weight"),
     "threshold_negative": ({"losses": {"match_threshold": -0.5}}, "losses.match_threshold"),
+    "model_epochs_negative": ({"model": {"epochs": -1}}, "model.epochs"),
+    "topic_epochs_negative": ({"topic": {"epochs": -2}}, "topic.epochs"),
+    "lr_negative": ({"model": {"lr": -0.5}}, "model.lr"),
+    "lr_zero": ({"model": {"lr": 0}}, "model.lr"),
+    "topic_lr_zero": ({"topic": {"lr": 0.0}}, "topic.lr"),
+    "topic_lr_negative": ({"topic": {"lr": -1e-3}}, "topic.lr"),
+    "grad_clip_negative": ({"model": {"grad_clip": -1}}, "model.grad_clip"),
 }
 
 
@@ -186,6 +198,13 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
+    def test_repeated_parameter_name_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "dialogue", [("w", np.ones(2)), ("w", np.zeros(2))],
+                        Vocabulary.from_tokens(["x"]), {}, {})
+        with pytest.raises(CheckpointError, match="params lists w twice"):
+            load_checkpoint(path)
+
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, "topic", [("w", np.zeros((4, 4)))],
@@ -239,6 +258,8 @@ MALFORMED_CHECKPOINTS = {
     "vocab_duplicate": raw_checkpoint(
         dict(VALID_HEADER, vocab=list(RESERVED_TOKENS) + ["x", "x"]), VALID_PAYLOAD),
     "extra_not_object": raw_checkpoint(dict(VALID_HEADER, extra=[1]), VALID_PAYLOAD),
+    "params_duplicate": raw_checkpoint(
+        dict(VALID_HEADER, params=[{"name": "w", "shape": [2]}] * 2), VALID_PAYLOAD * 2),
 }
 
 # topic checkpoints whose header loads but whose sizes cannot build a model
@@ -448,6 +469,28 @@ class TestPipeline:
                      "--persona", str(persona), "--mode", "greedy"]) == 0
         out = capsys.readouterr().out
         assert len(out.strip().splitlines()) == 2  # empty line re-prompts, no decode
+
+    def test_chat_uses_the_first_expansion_record_in_file_order(self, pipeline, monkeypatch,
+                                                               tmp_path):
+        records = tmp_path / "expansions.jsonl"
+        records.write_text(json.dumps({"conversation": 5, "words": [["guitar", 0.9]]}) + "\n"
+                           + json.dumps({"conversation": 2, "words": [["store", 0.8]]}) + "\n",
+                           encoding="utf-8")
+        persona = tmp_path / "persona.txt"
+        persona.write_text("i love guitar.\n", encoding="utf-8")
+        bound_with = []
+        bind = cli.bind_example
+
+        def spy(example, vocab, expansions):
+            bound_with.append(list(expansions))
+            return bind(example, vocab, expansions)
+
+        monkeypatch.setattr(cli, "bind_example", spy)
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello there\n"))
+        assert main(["chat", "--checkpoint", str(pipeline["model_ckpt"]),
+                     "--persona", str(persona), "--expansions", str(records),
+                     "--mode", "greedy"]) == 0
+        assert bound_with == [["guitar"]]
 
     def test_generate_deterministic(self, pipeline, tmp_path):
         outputs = []
