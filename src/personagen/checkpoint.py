@@ -16,6 +16,7 @@ Float64 values are stored exactly, so a load/save round trip is bit-exact.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -66,7 +67,8 @@ def load_checkpoint(path) -> Checkpoint:
         if magic != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         header_len = int.from_bytes(handle.read(8), "little")
-        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        file_size = os.fstat(handle.fileno()).st_size
+        remaining = file_size - handle.tell()
         if header_len > remaining:
             raise CheckpointError(f"{path}: header length {header_len} exceeds the "
                                   f"{remaining} bytes left in the file")
@@ -99,11 +101,19 @@ def load_checkpoint(path) -> Checkpoint:
             name, shape = _manifest_entry(path, entry)
             if name in params:
                 raise CheckpointError(f"{path}: header params lists {name} twice")
-            count = int(np.prod(shape)) if shape else 1
-            raw = handle.read(count * 8)
-            if len(raw) != count * 8:
+            size = math.prod(shape) * 8
+            remaining = file_size - handle.tell()
+            if size > remaining:  # checked before allocating: a header may declare any shape
+                raise CheckpointError(f"{path}: truncated payload at {name}: shape "
+                                      f"{list(shape)} needs {size} bytes, {remaining} left")
+            try:
+                array = np.empty(shape, dtype="<f8")
+            except ValueError as err:  # an empty shape whose sizes numpy cannot index
+                raise CheckpointError(f"{path}: parameter {name} has shape "
+                                      f"{list(shape)}: {err}") from err
+            if handle.readinto(array) != size:
                 raise CheckpointError(f"{path}: truncated payload at {name}")
-            params[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            params[name] = array
         if handle.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     return Checkpoint(

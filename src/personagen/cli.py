@@ -318,6 +318,8 @@ def cmd_train(args) -> int:
     if not config.paths.train:
         raise UserError("config paths.train is required")
     train_conversations = _load_conversations(config.paths.train)
+    if not any(c.examples for c in train_conversations):
+        raise UserError(f"{config.paths.train}: no training examples (no exchange lines)")
     valid_conversations = _load_conversations(config.paths.valid) if config.paths.valid else []
     expansions = load_expansion_records(args.expansions) if args.expansions else None
     valid_expansions = (load_expansion_records(args.valid_expansions)

@@ -1,5 +1,8 @@
 """Training objectives: response likelihood, persona sentence matching, and
-the persona bag-of-words objective, plus their target constructors."""
+the persona bag-of-words objective, plus their target constructors.
+
+Each objective adds one likelihood record to the tape (``cross_entropy`` or
+``sigmoid_cross_entropy``) and at most one reduction."""
 
 from __future__ import annotations
 
@@ -9,18 +12,12 @@ import numpy as np
 
 from .corpus import Vocabulary
 from .numkit import (
-    PROB_FLOOR,
     Tensor,
     as_tensor,
-    clip,
     cross_entropy,
-    log,
-    matmul,
     mean,
-    mul,
     scale,
-    sigmoid,
-    sub,
+    sigmoid_cross_entropy,
     sum_,
 )
 from .stopwords import is_stopword
@@ -50,15 +47,17 @@ def p_match_targets(persona_sentences: list[list[str]], response: list[str],
 
 
 def p_match_loss(a_s: Tensor, labels: np.ndarray) -> Tensor:
-    """-sum_i a_i log a_s_i over the labeled sentences (probabilities floored
-    at 1e-12, with no gradient below the floor), one term of four records
-    however many sentences are labeled. Zero when no sentence is labeled."""
+    """-sum_i a_i log a_s_i over the 0-1 labels a_i, that is the sum of
+    -log a_s_i over the labeled sentences (probabilities floored at
+    ``PROB_FLOOR``, with no gradient below the floor): one ``cross_entropy``
+    record however many sentences are labeled. Zero, and no record, when no
+    sentence is labeled."""
     a_s = as_tensor(a_s)
     if a_s.shape != labels.shape:
         raise ValueError(f"weights have shape {a_s.shape}, labels {labels.shape}")
     if not labels.any():
         return Tensor(0.0)
-    return scale(matmul(labels, log(clip(a_s, PROB_FLOOR, 1.0))), -1.0)
+    return cross_entropy(a_s, np.flatnonzero(labels))
 
 
 def p_bows_targets(response: list[str], persona_word_set: set[str],
@@ -84,10 +83,11 @@ def p_bows_loss(output_activations: Tensor, target: np.ndarray) -> Tensor:
     """Bag-of-words cross entropy on the sigmoid of summed output activations.
 
     ``output_activations`` stacks the raw output-layer activations of the T
-    decode steps as a (T, V) matrix; they are summed over steps. The stated
-    formula is applied literally, including slots whose target is
-    1 + lambda, so individual terms can be negative; probabilities are clamped
-    to [1e-12, 1 - 1e-12].
+    decode steps as a (T, V) matrix; they are summed over steps (one record)
+    and scored by one ``sigmoid_cross_entropy`` record. The stated formula is
+    applied literally, including slots whose target is 1 + lambda, so
+    individual terms can be negative; probabilities are clamped to
+    [PROB_FLOOR, 1 - PROB_FLOOR].
     """
     activations = as_tensor(output_activations)
     if activations.ndim != 2 or activations.shape[0] == 0:
@@ -95,11 +95,7 @@ def p_bows_loss(output_activations: Tensor, target: np.ndarray) -> Tensor:
     summed = sum_(activations, axis=0)
     if summed.shape != target.shape:
         raise ValueError(f"activations cover {summed.shape}, target {target.shape}")
-    probs = clip(sigmoid(summed), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    b = Tensor(target)
-    positive = mul(b, log(probs))
-    negative = mul(sub(1.0, b), log(sub(1.0, probs)))
-    return scale(mean(positive + negative), -1.0)
+    return sigmoid_cross_entropy(summed, target)
 
 
 def nll_loss(step_distributions: Tensor, targets: Sequence[int]) -> Tensor:

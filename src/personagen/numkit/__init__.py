@@ -13,24 +13,21 @@ from .tensor import (
     add,
     as_tensor,
     backward,
-    clip,
     concat,
     cross_entropy,
     exp,
-    log,
     lookup,
     matmul,
     mean,
     mul,
     reshape,
     scale,
-    sigmoid,
+    sigmoid_cross_entropy,
     softmax,
     softplus,
     stack,
     sub,
     sum_,
-    take_columns,
     tanh,
     transpose,
     zeros,

@@ -514,16 +514,6 @@ def tanh(x) -> Tensor:
     return _finish(out, (x,), backward_fn)
 
 
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    out = _sigmoid_stable(x.data)
-
-    def backward_fn(g):
-        return [g * out * (1.0 - out)]
-
-    return _finish(out, (x,), backward_fn)
-
-
 def softplus(x) -> Tensor:
     x = as_tensor(x)
     xdata = x.data
@@ -544,30 +534,6 @@ def exp(x) -> Tensor:
     return _finish(out, (x,), backward_fn)
 
 
-def log(x) -> Tensor:
-    x = as_tensor(x)
-    xdata = x.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.log(xdata)
-
-    def backward_fn(g):
-        return [g / xdata]
-
-    return _finish(out, (x,), backward_fn)
-
-
-def clip(x, lo: float, hi: float) -> Tensor:
-    """Clamp values to [lo, hi]; gradient passes through only inside the range."""
-    x = as_tensor(x)
-    xdata = x.data
-    mask = (xdata >= lo) & (xdata <= hi)
-
-    def backward_fn(g):
-        return [g * mask]
-
-    return _finish(np.clip(xdata, lo, hi), (x,), backward_fn)
-
-
 def softmax(x, axis: int = -1) -> Tensor:
     x = as_tensor(x)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
@@ -582,7 +548,7 @@ def softmax(x, axis: int = -1) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# indexing ops: rows, columns and picked entries
+# row gather
 # ---------------------------------------------------------------------------
 
 
@@ -606,57 +572,71 @@ def lookup(table, ids) -> Tensor:
     return _finish(out, (table,), backward_fn)
 
 
-def take_columns(x, cols) -> Tensor:
-    """Columns ``cols`` of a 2-D tensor. ``cols`` must be strictly
-    increasing, as ``np.unique`` gives, so the backward rule writes each
-    column's gradient once."""
-    x = as_tensor(x)
-    xdata = x.data
-    if xdata.ndim != 2:
-        raise ValueError("take_columns expects a 2-D tensor")
-    idx = np.asarray(cols, dtype=np.intp)
-    if idx.ndim != 1 or (idx[1:] <= idx[:-1]).any():
-        raise ValueError("take_columns needs strictly increasing column indices")
-    size = xdata.shape[1]
-    if idx.size and (idx[0] < 0 or idx[-1] >= size):
-        raise IndexError(f"column index out of range for {size} columns")
-    shape = xdata.shape
 
-    def backward_fn(g):
-        grad = np.zeros(shape)
-        grad[:, idx] = g
-        return [grad]
-
-    return _finish(xdata[:, idx], (x,), backward_fn)
+# ---------------------------------------------------------------------------
+# likelihoods: one record per loss term
+# ---------------------------------------------------------------------------
 
 
-def cross_entropy(p, index) -> Tensor:
-    """-log p[index] with the probability clamped below at ``PROB_FLOOR``.
+def cross_entropy(p, index, weights=None) -> Tensor:
+    """Floored ``-log`` of picked probabilities, in one record.
 
-    A 1-D distribution takes one index and gives a scalar; a 2-D ``p`` holds
-    one distribution per row, takes one index per row and gives the vector of
-    per-row values, all in one record.
+    ``p`` is a 1-D distribution or a 2-D batch of them, one per row. An
+    ``index`` of ``p``'s batch shape picks one entry per distribution and
+    gives ``-log p[index]`` per distribution. An ``index`` with one more,
+    trailing, axis picks k strictly increasing entries per distribution and
+    gives the sum of their terms per distribution. ``weights``, of
+    ``index``'s shape, scale the terms. Probabilities are clamped below at
+    ``PROB_FLOOR``; a clamped entry gets no gradient.
     """
     p = as_tensor(p)
     pdata = p.data
     if pdata.ndim not in (1, 2):
         raise ValueError("cross_entropy expects a 1-D distribution or a 2-D batch of them")
     idx = np.asarray(index, dtype=np.intp)
-    if idx.shape != pdata.shape[:-1]:
-        raise ValueError(f"cross_entropy needs one target index per distribution, got "
-                         f"index shape {idx.shape} for distributions of shape {pdata.shape}")
+    picks = idx.ndim == pdata.ndim and idx.shape[:-1] == pdata.shape[:-1]
+    if not picks and idx.shape != pdata.shape[:-1]:
+        raise ValueError(f"cross_entropy needs one index, or one trailing axis of them, per "
+                         f"distribution, got index shape {idx.shape} for distributions of "
+                         f"shape {pdata.shape}")
+    at = idx if picks else idx[..., None]
+    if (at[..., 1:] <= at[..., :-1]).any():
+        raise ValueError("cross_entropy needs strictly increasing picks per distribution")
     size = pdata.shape[-1]
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
+    if at.size and (at.min() < 0 or at.max() >= size):
         raise IndexError(f"target index out of range for distribution of size {size}")
-    at = idx[..., None]
-    values = np.take_along_axis(pdata, at, axis=-1)[..., 0]
-    clamped = np.maximum(values, PROB_FLOOR)
+    w = np.ones(idx.shape) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != idx.shape:
+        raise ValueError(f"weights have shape {w.shape}, index {idx.shape}")
+    w = w.reshape(at.shape)
+    values = np.take_along_axis(pdata, at, axis=-1)
+    terms = w * -np.log(np.maximum(values, PROB_FLOOR))
 
     def backward_fn(g):
         picked = np.zeros_like(values)
-        np.divide(-g, values, out=picked, where=values >= PROB_FLOOR)
+        np.divide(-np.asarray(g)[..., None] * w, values, out=picked, where=values >= PROB_FLOOR)
         grad = np.zeros_like(pdata)
-        np.put_along_axis(grad, at, picked[..., None], axis=-1)
+        np.put_along_axis(grad, at, picked, axis=-1)
         return [grad]
 
-    return _finish(-np.log(clamped), (p,), backward_fn)
+    return _finish(terms.sum(axis=-1) if picks else terms[..., 0], (p,), backward_fn)
+
+
+def sigmoid_cross_entropy(z, target) -> Tensor:
+    """Mean over entries of ``-(t log q + (1 - t) log(1 - q))``, with ``q``
+    the sigmoid of ``z`` clamped to [PROB_FLOOR, 1 - PROB_FLOOR], in one
+    record. Targets outside [0, 1] are taken as written. The gradient is
+    ``(q - t) / n`` for n entries, zero where ``q`` is clamped.
+    """
+    z = as_tensor(z)
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != z.data.shape:
+        raise ValueError(f"targets have shape {t.shape}, logits {z.data.shape}")
+    s = _sigmoid_stable(z.data)
+    q = np.clip(s, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    inside = (s >= PROB_FLOOR) & (s <= 1.0 - PROB_FLOOR)
+
+    def backward_fn(g):
+        return [np.where(inside, (q - t) * (float(g) / t.size), 0.0)]
+
+    return _finish(-(t * np.log(q) + (1.0 - t) * np.log(1.0 - q)).mean(), (z,), backward_fn)

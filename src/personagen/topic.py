@@ -16,7 +16,6 @@ import numpy as np
 
 from .corpus import RESERVED_TOKENS, TfIdfDoc, Vocabulary
 from .numkit import (
-    PROB_FLOOR,
     AdamState,
     Affine,
     Module,
@@ -25,10 +24,9 @@ from .numkit import (
     adam_step,
     add,
     backward,
-    clip,
     clip_global_norm,
+    cross_entropy,
     exp,
-    log,
     lookup,
     matmul,
     mul,
@@ -37,7 +35,6 @@ from .numkit import (
     softplus,
     sub,
     sum_,
-    take_columns,
 )
 
 
@@ -121,15 +118,15 @@ def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
     """Mean negative ELBO over documents: reconstruction cross-entropy (tf-idf
     weights as soft counts) plus the closed-form Gaussian KL to N(0, I).
 
-    ``eps`` has shape (len(docs), topics). The reconstruction term reads the
-    probabilities of the words present only; absent words weigh 0.
+    ``eps`` has shape (len(docs), topics). The reconstruction term is one
+    weighted ``cross_entropy`` record over the batch's words, the union of
+    its documents' words, and one sum; a word absent from a document weighs
+    0 in its row.
     """
     weights, cols = _bag(docs)
     mu, logvar, _ = _encode(weights, cols, model)
     z = reparameterize(mu, logvar, eps)
-    recon_probs = take_columns(decode(z, model), cols)
-    log_probs = log(clip(recon_probs, PROB_FLOOR, 1.0))
-    recon = scale(sum_(mul(weights, log_probs)), -1.0)
+    recon = sum_(cross_entropy(decode(z, model), np.broadcast_to(cols, weights.shape), weights))
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
     return scale(recon + kl, 1.0 / len(docs))
 

@@ -97,6 +97,7 @@ def test_criterion_1_gradient_fidelity():
         return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(nk.tanh(nk.lookup(h, 2))))
 
     # every primitive, randomized inputs
+    below_floor = np.array([0.0, -40.0, 0.0, 0.0, 0.0])
     primitive_cases = [
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
@@ -113,14 +114,21 @@ def test_criterion_1_gradient_fidelity():
         (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
         (lambda a: nk.sum_(nk.tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
         (lambda a: nk.sum_(nk.tanh(a)), [(4,)]),
-        (lambda a: nk.sum_(nk.sigmoid(a)), [(4,)]),
         (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
         (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
         (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
-        (lambda a: nk.sum_(nk.log(nk.add(nk.mul(a, a), 0.5))), [(4,)]),
-        (lambda a: nk.sum_(nk.clip(a, -0.5, 0.5)), [(6,)]),
         (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
         (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
+        # weighted picks, with entry 1 below PROB_FLOOR, of one distribution
+        # and of each row of a batch
+        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [0, 1, 3],
+                                    [0.5, 2.0, 1.5]), [(5,)]),
+        (lambda a: nk.sum_(nk.cross_entropy(nk.softmax(nk.add(a, below_floor)),
+                                            [[0, 1, 4], [1, 2, 3]],
+                                            [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]])), [(2, 5)]),
+        # targets 0, 1 and 1 + lambda, and one clamped sigmoid
+        (lambda a: nk.sigmoid_cross_entropy(nk.add(a, [0.0, 0.0, 0.0, 40.0]),
+                                            [0.0, 1.0, 1.5, 1.0]), [(4,)]),
     ]
     for build, shapes in primitive_cases:
         params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import toy_dialogue_text
+from conftest import toy_dialogue_text, traced_peak_bytes
 from personagen.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from personagen import cli
 from personagen.cli import load_expansion_records, main
@@ -214,6 +214,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
 
+    def test_load_reads_payload_straight_into_the_arrays(self, tmp_path):
+        # one buffer per parameter, not a bytes copy beside it
+        path = tmp_path / "model.ckpt"
+        payload = np.random.default_rng(1).normal(size=(1024, 1024))
+        save_checkpoint(path, "topic", [("w", payload)], Vocabulary.from_tokens(["x"]), {}, {})
+        loaded = []
+        peak = traced_peak_bytes(lambda: loaded.append(load_checkpoint(path)))
+        assert np.array_equal(loaded[0].params["w"], payload)
+        assert peak < 1.25 * payload.nbytes
+
 
 def raw_checkpoint(header, payload: bytes = b"", header_len: int | None = None) -> bytes:
     encoded = json.dumps(header).encode("utf-8")
@@ -260,6 +270,10 @@ MALFORMED_CHECKPOINTS = {
     "extra_not_object": raw_checkpoint(dict(VALID_HEADER, extra=[1]), VALID_PAYLOAD),
     "params_duplicate": raw_checkpoint(
         dict(VALID_HEADER, params=[{"name": "w", "shape": [2]}] * 2), VALID_PAYLOAD * 2),
+    "shape_larger_than_file": raw_checkpoint(
+        dict(VALID_HEADER, params=[{"name": "w", "shape": [10**12]}]), VALID_PAYLOAD),
+    "empty_shape_too_large_to_index": raw_checkpoint(
+        dict(VALID_HEADER, params=[{"name": "w", "shape": [2**40, 2**40, 0]}])),
 }
 
 # topic checkpoints whose header loads but whose sizes cannot build a model
@@ -556,6 +570,18 @@ class TestExitCodes:
 
     def test_missing_train_path_is_user_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.ckpt")]) == 2
+
+    @pytest.mark.parametrize("text", ["", "1 your persona: i like music.\n"],
+                             ids=["empty", "persona_only"])
+    def test_train_file_without_examples_is_user_error(self, text, tmp_path, capsys):
+        data = tmp_path / "dialogues.txt"
+        data.write_text(text, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"paths": {"train": str(data)}}), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: no training examples" in err
+        assert "Traceback" not in err
 
     def test_corrupt_checkpoint_is_user_error(self, pipeline, tmp_path):
         bad = tmp_path / "bad.ckpt"

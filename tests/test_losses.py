@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import np_sigmoid, relative_error
 from personagen import numkit as nk
-from personagen.corpus import Vocabulary, load_personachat
+from personagen.corpus import TfIdfDoc, Vocabulary, load_personachat
 from personagen.losses import (
     jaccard,
     joint_loss,
@@ -18,6 +19,7 @@ from personagen.losses import (
     p_match_targets,
 )
 from personagen.stopwords import STOPWORDS, is_stopword
+from personagen.topic import _bag
 
 
 class TestJaccard:
@@ -228,3 +230,117 @@ def test_stopword_rule_edge_cases():
     for token in ("", "a1", "1", "é", "…", "’", " ", "!?.", "-x-", "x!"):
         assert is_stopword(token) == (token in STOPWORDS or punctuation_only(token)), token
     assert not is_stopword("") and is_stopword("!?.") and not is_stopword("…")
+
+
+# ---------------------------------------------------------------------------
+# numpy oracles of the record chains the loss terms were once built from
+# (take_columns, clip, log, sigmoid, mul, sub and scale), each gradient by
+# the chain rule through those records
+# ---------------------------------------------------------------------------
+
+FLOOR = nk.PROB_FLOOR
+
+
+def chain_nll(probs, targets):
+    steps = np.arange(len(targets))
+    picked = probs[steps, targets]
+    value = np.mean(-np.log(np.maximum(picked, FLOOR)))
+    grad = np.zeros_like(probs)
+    grad[steps, targets] = np.where(picked >= FLOOR, -1.0 / len(targets) / picked, 0.0)
+    return value, grad
+
+
+def chain_p_match(a_s, labels):
+    # -(labels @ log(clip(a_s, floor, 1)))
+    clipped = np.clip(a_s, FLOOR, 1.0)
+    inside = (a_s >= FLOOR) & (a_s <= 1.0)
+    return -(labels @ np.log(clipped)), -labels / clipped * inside
+
+
+def chain_p_bows(activations, target):
+    # -mean(t log q + (1 - t) log(1 - q)), q = clip(sigmoid(sum over steps))
+    s = np_sigmoid(activations.sum(axis=0))
+    q = np.clip(s, FLOOR, 1.0 - FLOOR)
+    inside = (s >= FLOOR) & (s <= 1.0 - FLOOR)
+    value = -np.mean(target * np.log(q) + (1.0 - target) * np.log(1.0 - q))
+    c = -1.0 / target.size
+    g_q = c * target / q - c * (1.0 - target) / (1.0 - q)
+    g_summed = g_q * inside * s * (1.0 - s)
+    return value, np.broadcast_to(g_summed, activations.shape)
+
+
+def chain_reconstruction(probs, weights, cols):
+    # -sum(weights * log(clip(take_columns(probs, cols), floor, 1)))
+    taken = probs[:, cols]
+    clipped = np.clip(taken, FLOOR, 1.0)
+    inside = (taken >= FLOOR) & (taken <= 1.0)
+    grad = np.zeros_like(probs)
+    grad[:, cols] = -weights / clipped * inside
+    return -(weights * np.log(clipped)).sum(), grad
+
+
+def value_and_grad(build, *leaves):
+    with nk.Tape() as tape:
+        loss = build()
+    return loss.item(), nk.backward(loss, tape, list(leaves)), len(tape)
+
+
+def distributions(rng, rows, size):
+    # each row a softmax with one entry below the probability floor
+    logits = rng.normal(size=(rows, size))
+    logits[:, 1] -= 40.0
+    e = np.exp(logits)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+class TestLossTermOracles:
+    # each term matches its old record chain within 1e-12, in value and in
+    # grad_check's entry-wise measure, and adds at most two tape records:
+    # one likelihood record and at most one reduction
+
+    def test_nll(self):
+        rng = np.random.default_rng(31)
+        probs = nk.Tensor(distributions(rng, 4, 7), requires_grad=True)
+        targets = [0, 1, 6, 3]
+        value, (grad,), records = value_and_grad(lambda: nll_loss(probs, targets), probs)
+        want, want_grad = chain_nll(probs.data, targets)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert relative_error(grad, want_grad) < 1e-12
+        assert records <= 2
+
+    @pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
+    def test_p_match(self, labels):
+        labels = np.array(labels)
+        a_s = nk.Tensor([0.3, 1e-14, 0.2, 0.45, 0.05], requires_grad=True)
+        value, (grad,), records = value_and_grad(lambda: p_match_loss(a_s, labels), a_s)
+        want, want_grad = chain_p_match(a_s.data, labels)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert relative_error(grad, want_grad) < 1e-12
+        assert records <= 2
+
+    def test_p_bows(self):
+        rng = np.random.default_rng(32)
+        activations = rng.normal(size=(3, 8))
+        activations[:, 2] = 15.0  # summed to 45: the sigmoid is clamped
+        activations = nk.Tensor(activations, requires_grad=True)
+        target = np.array([0.0, 1.0, 1.0, 0.0, 1.5, 0.0, 1.0, 1.5])
+        value, (grad,), records = value_and_grad(
+            lambda: p_bows_loss(activations, target), activations)
+        want, want_grad = chain_p_bows(activations.data, target)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert relative_error(grad, want_grad) < 1e-12
+        assert records <= 2
+
+    def test_elbo_reconstruction(self):
+        # the topic model's term: tf-idf weights of a batch's bag of words
+        # against each document's reconstruction distribution
+        rng = np.random.default_rng(33)
+        weights, cols = _bag([TfIdfDoc({1: 0.5, 4: 1.25}), TfIdfDoc({}),
+                              TfIdfDoc({4: 2.0, 6: 0.75, 2: 0.1})])
+        probs = nk.Tensor(distributions(rng, 3, 8), requires_grad=True)
+        value, (grad,), records = value_and_grad(lambda: nk.sum_(nk.cross_entropy(
+            probs, np.broadcast_to(cols, weights.shape), weights)), probs)
+        want, want_grad = chain_reconstruction(probs.data, weights, cols)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert relative_error(grad, want_grad) < 1e-12
+        assert records <= 2

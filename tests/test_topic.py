@@ -194,6 +194,28 @@ class TestElbo:
         err = nk.grad_check(lambda: elbo_loss([doc], model, eps), params)
         assert err < 1e-4
 
+    def test_reconstruction_adds_two_records(self, monkeypatch):
+        # one weighted cross_entropy record and one sum: the records from
+        # the cross_entropy on that read only the term's own outputs
+        starts = []
+
+        def spy(*args):
+            starts.append(len(tape))
+            return nk.cross_entropy(*args)
+
+        monkeypatch.setattr(topic, "cross_entropy", spy)
+        rng = np.random.default_rng(9)
+        model = TopicModel(small_vocab(), 2, 4, rng)
+        docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5})]
+        with nk.Tape() as tape:
+            elbo_loss(docs, model, rng.normal(size=(2, 2)))
+        (first,) = starts
+        term = [tape.records[first]]
+        for rec in tape.records[first + 1:]:
+            tracked = [id(t) for t in rec.inputs if t._tracked]
+            if tracked and set(tracked) <= {id(r.output) for r in term}:
+                term.append(rec)
+        assert len(term) == 2
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(7)
