@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import traceback
+from dataclasses import asdict
 from typing import Iterator
 
 import numpy as np
@@ -35,7 +36,7 @@ from .expansion import expand
 from .metrics import evaluate_corpus
 from .net import BoundExample, DialogueModel, bind_example
 from .topic import TopicModel, TopicTrainConfig, train_topic_model, word_topic_vectors
-from .trainer import TrainSettings, train_dialogue_model
+from .trainer import train_dialogue_model
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -170,6 +171,15 @@ def _load_conversations(path) -> list[Conversation]:
     return _read_input(load_personachat, path)
 
 
+def _load_exchanges(path, what: str) -> list[Conversation]:
+    """The conversations of ``path``, which must hold at least one exchange
+    line: one ``what`` example."""
+    conversations = _load_conversations(path)
+    if not any(c.examples for c in conversations):
+        raise UserError(f"{path}: no {what} examples (no exchange lines)")
+    return conversations
+
+
 def _write_jsonl(path, records) -> None:
     """One JSON line per record, to ``path``, or to stdout when it is None."""
     out = open(path, "w", encoding="utf-8") if path else sys.stdout
@@ -206,32 +216,33 @@ def cmd_pretrain_topic(args) -> int:
     documents = [conversation_document(c) for c in conversations]
     vocab = build_vocab(documents, config.topic.vocab_size, remove_stopwords=True)
     docs = compute_tfidf(documents, vocab)
-    topic_config = TopicTrainConfig(
-        topics=config.topic.topics, hidden=config.topic.hidden, epochs=config.topic.epochs,
-        batch_size=config.topic.batch_size, lr=config.topic.lr, seed=config.seed,
-    )
-    model, trace = train_topic_model(docs, vocab, topic_config)
-    ckpt.save_checkpoint(
-        args.out, "topic", [(n, t.data) for n, t in model.named_params()], vocab,
-        config.to_dict(), extra={"topics": model.topics, "hidden": config.topic.hidden},
-    )
+    model, trace = train_topic_model(
+        docs, vocab, TopicTrainConfig(**asdict(config.topic), seed=config.seed))
+    ckpt.save_checkpoint(args.out, "topic", [(n, t.data) for n, t in model.named_params()],
+                         vocab, config.to_dict())
     _write_trace(args, ({"epoch": epoch, "loss": loss} for epoch, loss in trace))
     print(f"wrote {args.out} ({len(docs)} documents, {len(vocab)} vocab entries)")
     return EXIT_OK
 
 
-def _load_topic_model(path) -> TopicModel:
+def _load_model(path, kind: str, build) -> tuple:
+    """(model, saved config) of the ``kind`` checkpoint at ``path``, the
+    model ``build(vocab, saved config)`` with the saved parameters."""
     loaded = ckpt.load_checkpoint(path)
-    if loaded.kind != "topic":
-        raise UserError(f"checkpoint kind {loaded.kind!r} is not a topic model")
-    for key in ("topics", "hidden"):
-        size = loaded.extra.get(key)
-        if type(size) is not int or size < 1:
-            raise UserError(f"{path}: header extra.{key} must be an integer of at least 1, "
-                            f"got {size!r}")
-    model = TopicModel(loaded.vocab, loaded.extra["topics"], loaded.extra["hidden"],
-                       np.random.default_rng(0))
+    if loaded.kind != kind:
+        raise UserError(f"checkpoint kind {loaded.kind!r} is not a {kind} model")
+    try:
+        config = Config.from_dict(loaded.config)
+    except ValueError as err:
+        raise UserError(f"{path}: saved config: {err}") from err
+    model = build(loaded.vocab, config)
     ckpt.restore_params(model, loaded.params)
+    return model, config
+
+
+def _load_topic_model(path) -> TopicModel:
+    model, _ = _load_model(path, "topic", lambda vocab, config: TopicModel(
+        vocab, config.topic.topics, config.topic.hidden, np.random.default_rng(0)))
     return model
 
 
@@ -317,10 +328,9 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     if not config.paths.train:
         raise UserError("config paths.train is required")
-    train_conversations = _load_conversations(config.paths.train)
-    if not any(c.examples for c in train_conversations):
-        raise UserError(f"{config.paths.train}: no training examples (no exchange lines)")
-    valid_conversations = _load_conversations(config.paths.valid) if config.paths.valid else []
+    train_conversations = _load_exchanges(config.paths.train, "training")
+    valid_conversations = (_load_exchanges(config.paths.valid, "validation")
+                           if config.paths.valid else [])
     expansions = load_expansion_records(args.expansions) if args.expansions else None
     valid_expansions = (load_expansion_records(args.valid_expansions)
                         if args.valid_expansions else None)
@@ -350,22 +360,15 @@ def cmd_train(args) -> int:
         print(f"epoch {record.epoch}: train {record.train_loss:.4f}"
               + (f", valid {record.valid_loss:.4f}" if record.valid_loss is not None else ""))
 
-    result = train_dialogue_model(
-        model, train_examples, valid_examples, config.losses,
-        TrainSettings(epochs=config.model.epochs, batch_size=config.model.batch_size,
-                      lr=config.model.lr, grad_clip=config.model.grad_clip),
-        rng, log=log,
-    )
+    result = train_dialogue_model(model, train_examples, valid_examples, config.losses,
+                                  config.model, rng, log=log)
     if result.best_params is not None:
         ckpt.restore_params(model, result.best_params)
     ckpt.save_checkpoint(
         args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"best_valid": result.best_valid},
     )
-    _write_trace(args, ({
-        "epoch": record.epoch, "train_loss": record.train_loss,
-        "train_nll": record.train_nll, "valid_loss": record.valid_loss,
-    } for record in result.trace))
+    _write_trace(args, map(asdict, result.trace))
     print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -374,16 +377,9 @@ def _load_dialogue_model(args) -> tuple[DialogueModel, Config]:
     """The model in ``--checkpoint``, with the config saved beside it unless
     ``--config`` overrides it."""
     config_cli = _load_config(args)
-    loaded = ckpt.load_checkpoint(args.checkpoint)
-    if loaded.kind != "dialogue":
-        raise UserError(f"checkpoint kind {loaded.kind!r} is not a dialogue model")
-    try:
-        config = Config.from_dict(loaded.config)
-    except ValueError as err:
-        raise UserError(f"{args.checkpoint}: saved config: {err}") from err
-    model = DialogueModel(loaded.vocab, config.model.emb_dim, config.model.hidden,
-                          config.model.hops, np.random.default_rng(0))
-    ckpt.restore_params(model, loaded.params)
+    model, config = _load_model(args.checkpoint, "dialogue", lambda vocab, config: DialogueModel(
+        vocab, config.model.emb_dim, config.model.hidden, config.model.hops,
+        np.random.default_rng(0)))
     return model, config_cli if args.config else config
 
 
@@ -421,7 +417,7 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     model, config = _load_dialogue_model(args)
-    conversations = _load_conversations(args.data)
+    conversations = _load_exchanges(args.data, "evaluation")
     expansions = load_expansion_records(args.expansions) if args.expansions else None
 
     table: EmbeddingTable | None = None

@@ -58,7 +58,7 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
     if mem.slots == 0:
         return zeros(query.shape[:-1] + (mem.value_dim,)), None
     scores = matmul(query, transpose(mem.keys))         # (n,) or (k, n)
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores)
     return matmul(weights, mem.values), weights
 
 

@@ -171,7 +171,7 @@ def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
     attn, n = query.shape[-1], word_keys.shape[0]
     pre = tanh(reshape(query, (-1, 1, attn)) + word_keys)     # (k, n, attn); k = 1 for one state
     scores = matmul(reshape(pre, (-1, attn)), params.attn_v)  # (k * n,)
-    weights = softmax(reshape(scores, query.shape[:-1] + (n,)), axis=-1)
+    weights = softmax(reshape(scores, query.shape[:-1] + (n,)))
     return matmul(weights, word_states), weights
 
 
@@ -201,7 +201,7 @@ def decoder_output(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
     u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
     hop = multihop(s_t, mem_w, mem_e, hops)
     activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1))
-    return (softmax(activations, axis=-1), activations,
+    return (softmax(activations), activations,
             StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights))
 
 

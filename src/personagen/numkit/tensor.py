@@ -534,14 +534,15 @@ def exp(x) -> Tensor:
     return _finish(out, (x,), backward_fn)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
+def softmax(x) -> Tensor:
+    """Softmax over the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def backward_fn(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
+        inner = (g * out).sum(axis=-1, keepdims=True)
         return [out * (g - inner)]
 
     return _finish(out, (x,), backward_fn)

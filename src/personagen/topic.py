@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import TopicConfig
 from .corpus import RESERVED_TOKENS, TfIdfDoc, Vocabulary
 from .numkit import (
     AdamState,
@@ -111,7 +112,7 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps) -> Tensor:
 def decode(z, model: TopicModel) -> Tensor:
     """Latent vector -> probability vector over the topic vocabulary."""
     h = softplus(model.dec_hidden(z))
-    return softmax(model.dec_out(h), axis=-1)
+    return softmax(model.dec_out(h))
 
 
 def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
@@ -132,12 +133,9 @@ def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
 
 
 @dataclass
-class TopicTrainConfig:
-    topics: int = 50
-    hidden: int = 256
-    epochs: int = 40
-    batch_size: int = 32
-    lr: float = 1e-3
+class TopicTrainConfig(TopicConfig):
+    """The topic section and the run's seed."""
+
     seed: int = 0
 
 
@@ -160,7 +158,7 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(docs))
         total = 0.0
-        for start in range(0, len(docs), config.batch_size):
+        for batch_id, start in enumerate(range(0, len(docs), config.batch_size)):
             batch = order[start:start + config.batch_size]
             eps = rng.standard_normal((len(batch), model.topics))
             try:
@@ -170,7 +168,7 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
                 clip_global_norm(grads, GRAD_CLIP)
             except FloatingPointError as err:
                 raise RuntimeError(f"topic training stopped at epoch {epoch}, "
-                                   f"batch starting {start}: {err}") from err
+                                   f"batch {batch_id}: {err}") from err
             adam_step(params, grads, state)
             total += loss.item() * len(batch)
         trace.append((epoch, total / len(docs)))

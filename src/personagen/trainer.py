@@ -6,17 +6,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LossSettings
+from .config import LossSettings, ModelConfig
 from .net import BoundExample, DialogueModel
 from .numkit import AdamState, Tape, adam_step, backward, clip_global_norm, mean, stack
 
-
-@dataclass
-class TrainSettings:
-    epochs: int = 10
-    batch_size: int = 64
-    lr: float = 1e-4
-    grad_clip: float = 5.0
+# the loop reads the model section's epochs, batch_size, lr and grad_clip
+TrainSettings = ModelConfig
 
 
 @dataclass

@@ -1,10 +1,14 @@
+import importlib
 import io
 import json
+import pkgutil
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from conftest import toy_dialogue_text, traced_peak_bytes
+import personagen
 from personagen.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
 from personagen import cli
 from personagen.cli import load_expansion_records, main
@@ -98,6 +102,25 @@ class TestConfig:
                      "--data", str(tmp_path / "d.txt"), "--out", str(tmp_path / "e.jsonl")])
         assert code == 2
         assert "expansion.neighbors" in capsys.readouterr().err
+
+    def test_no_dataclass_outside_config_restates_a_section_setting(self):
+        # each setting's name and default live in config.py alone; a dataclass
+        # elsewhere that declares one keeps a second copy to drift apart
+        config = Config()
+        settings = {(f.name, f.default) for section in fields(config)
+                    if is_dataclass(getattr(config, section.name))
+                    for f in fields(getattr(config, section.name)) if f.default is not MISSING}
+        restated = []
+        for info in pkgutil.walk_packages(personagen.__path__, "personagen."):
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                if (not is_dataclass(obj) or not isinstance(obj, type)
+                        or obj.__module__ != info.name or info.name == "personagen.config"):
+                    continue
+                own = obj.__dict__.get("__annotations__", {})
+                restated += [f"{obj.__qualname__}.{f.name}" for f in fields(obj)
+                             if f.name in own and (f.name, f.default) in settings]
+        assert restated == []
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
     def test_bad_config_file_is_user_error(self, case, tmp_path, capsys):
@@ -276,15 +299,16 @@ MALFORMED_CHECKPOINTS = {
         dict(VALID_HEADER, params=[{"name": "w", "shape": [2**40, 2**40, 0]}])),
 }
 
-# topic checkpoints whose header loads but whose sizes cannot build a model
-TOPIC_HEADER = dict(VALID_HEADER, kind="topic", extra={"topics": 2, "hidden": 4})
-MALFORMED_TOPIC_EXTRAS = {
-    "extra_empty": {},
-    "topics_missing": {"hidden": 4},
-    "topics_string": {"topics": "2", "hidden": 4},
-    "topics_float": {"topics": 2.0, "hidden": 4},
-    "hidden_bool": {"topics": 2, "hidden": True},
-    "hidden_zero": {"topics": 2, "hidden": 0},
+# topic checkpoints whose header loads but whose saved config's sizes cannot
+# build a model, and the key the error names
+TOPIC_HEADER = dict(VALID_HEADER, kind="topic")
+MALFORMED_TOPIC_SIZES = {
+    "topics_null": ({"topics": None, "hidden": 4}, "topics"),
+    "topics_string": ({"topics": "2", "hidden": 4}, "topics"),
+    "topics_float": ({"topics": 2.0, "hidden": 4}, "topics"),
+    "topics_zero": ({"topics": 0, "hidden": 4}, "topics"),
+    "hidden_bool": ({"topics": 2, "hidden": True}, "hidden"),
+    "hidden_zero": ({"topics": 2, "hidden": 0}, "hidden"),
 }
 
 
@@ -307,17 +331,18 @@ class TestMalformedCheckpoint:
         assert main(["expand", "--topic", str(path), "--data", str(data),
                      "--out", str(tmp_path / "out.jsonl")]) == 2
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_TOPIC_EXTRAS))
+    @pytest.mark.parametrize("case", sorted(MALFORMED_TOPIC_SIZES))
     def test_topic_sizes_rejected_with_exit_2(self, case, tmp_path, capsys):
+        sizes, key = MALFORMED_TOPIC_SIZES[case]
         path = tmp_path / "bad.ckpt"
-        path.write_bytes(raw_checkpoint(dict(TOPIC_HEADER, extra=MALFORMED_TOPIC_EXTRAS[case]),
+        path.write_bytes(raw_checkpoint(dict(TOPIC_HEADER, config={"topic": sizes}),
                                         VALID_PAYLOAD))
         data = tmp_path / "dialogues.txt"
         data.write_text(toy_dialogue_text(), encoding="utf-8")
         assert main(["expand", "--topic", str(path), "--data", str(data),
                      "--out", str(tmp_path / "out.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert f"error: {path}: header extra." in err
+        assert f"error: {path}: saved config: topic.{key} must be" in err
         assert "Traceback" not in err
 
 
@@ -356,11 +381,23 @@ class TestPipeline:
     def test_topic_checkpoint_and_trace(self, pipeline):
         loaded = load_checkpoint(pipeline["topic_ckpt"])
         assert loaded.kind == "topic"
-        assert loaded.extra["topics"] == 2
+        assert loaded.extra == {}  # the sizes live in the saved config alone
+        assert cli._load_topic_model(pipeline["topic_ckpt"]).topics == 2
         trace = [json.loads(line) for line in
                  open(f"{pipeline['topic_ckpt']}.trace.jsonl", encoding="utf-8")]
         assert [r["epoch"] for r in trace] == [1, 2, 3]
         assert all(np.isfinite(r["loss"]) for r in trace)
+
+    def test_topic_checkpoint_with_sizes_in_extra_expands_the_same(self, pipeline, tmp_path):
+        # earlier topic checkpoints also carried their sizes in extra
+        loaded = load_checkpoint(pipeline["topic_ckpt"])
+        earlier = tmp_path / "topic.ckpt"
+        save_checkpoint(earlier, "topic", list(loaded.params.items()), loaded.vocab,
+                        loaded.config, {"topics": 2, "hidden": 8})
+        out = tmp_path / "expansions.jsonl"
+        assert main(["expand", "--config", str(pipeline["config"]), "--topic", str(earlier),
+                     "--data", str(pipeline["data"]), "--out", str(out)]) == 0
+        assert out.read_bytes() == pipeline["expansions"].read_bytes()
 
     def test_default_topic_count_recorded(self, pipeline, tmp_path):
         # without a config override the checkpoint metadata records 50 topics
@@ -582,6 +619,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {data}: no training examples" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["", "1 your persona: i like music.\n"],
+                             ids=["empty", "persona_only"])
+    def test_valid_file_without_examples_is_user_error(self, text, pipeline, tmp_path, capsys):
+        valid = tmp_path / "valid.txt"
+        valid.write_text(text, encoding="utf-8")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "paths": {"train": str(pipeline["data"]), "valid": str(valid)},
+            "model": {"hidden": 4, "emb_dim": 3, "vocab_size": 64, "epochs": 1},
+        }), encoding="utf-8")
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "m.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {valid}: no validation examples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("text", ["", "1 your persona: i like music.\n"],
+                             ids=["empty", "persona_only"])
+    def test_eval_file_without_examples_is_user_error(self, text, pipeline, tmp_path, capsys):
+        data = tmp_path / "dialogues.txt"
+        data.write_text(text, encoding="utf-8")
+        out = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", str(pipeline["model_ckpt"]), "--data", str(data),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: no evaluation examples" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_corrupt_checkpoint_is_user_error(self, pipeline, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -870,7 +870,7 @@ class TestFactoredGradients:
 
         def sweep():
             with nk.Tape() as tape:
-                loss = nk.sum_(nk.softmax(nk.matmul(q, nk.transpose(keys)), axis=-1))
+                loss = nk.sum_(nk.softmax(nk.matmul(q, nk.transpose(keys))))
                 loss = nk.add(loss, nk.sum_(nk.tanh(nk.matmul(q, nk.transpose(keys)))))
             return nk.backward(loss, tape, [keys, q])
 

@@ -284,7 +284,7 @@ class TestTraining:
         assert [epoch for epoch, _ in trace] == [1, 2]
         assert len(widths) == 4  # two batches per epoch
 
-    def test_overflowing_gradient_norm_aborts_with_batch_start(self, monkeypatch):
+    def test_overflowing_gradient_norm_aborts_with_batch_id(self, monkeypatch):
         # a mean of 1e152 keeps the KL term finite, but with encoder hidden
         # units near 1e3 the squares of the mean layer's weight gradient
         # overflow: the step must abort, naming the norm and not a loss
@@ -300,8 +300,26 @@ class TestTraining:
         with np.errstate(over="ignore"), pytest.raises(RuntimeError) as err:
             train_topic_model(docs, small_vocab(), config)
         assert str(err.value).endswith(
-            "epoch 1, batch starting 0: global gradient norm is inf")
+            "epoch 1, batch 0: global gradient norm is inf")
         assert "loss" not in str(err.value)
+
+    def test_a_failing_later_batch_is_named_by_its_id(self, monkeypatch):
+        # the second batch of two documents starts at document 2 and is batch 1
+        backward = topic.backward
+        calls = []
+
+        def failing_second(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise FloatingPointError("injected")
+            return backward(*args)
+
+        monkeypatch.setattr(topic, "backward", failing_second)
+        docs = [TfIdfDoc({4: 1.0}), TfIdfDoc({5: 1.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({7: 1.0})]
+        config = TopicTrainConfig(topics=2, hidden=4, epochs=1, batch_size=2, seed=1)
+        with pytest.raises(RuntimeError, match="^topic training stopped at epoch 1, "
+                                               "batch 1: injected$"):
+            train_topic_model(docs, small_vocab(), config)
 
     def test_matches_a_dense_oracle_loop_bitwise(self):
         # the oracle fills every gradient densely (the dict form of backward,
