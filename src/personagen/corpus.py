@@ -122,7 +122,7 @@ def load_personachat(path) -> list[Conversation]:
             if not line.strip():
                 raise InputFormatError(line_no, "blank line")
             head, sep, rest = line.partition(" ")
-            if not sep or not head.isdigit():
+            if not sep or not (head.isascii() and head.isdigit()):
                 raise InputFormatError(line_no, f"malformed line index {head!r}")
             if int(head) == 1:
                 flush()

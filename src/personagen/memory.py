@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .numkit import Tensor, matmul, softmax, transpose, zeros
+from .numkit import Tensor, dot_attention_weights, matmul, zeros
 
 
 @dataclass
@@ -46,9 +46,9 @@ def build_memory(representations: Tensor,
 
 
 def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, Tensor | None]:
-    """Attention read: softmax(keys @ query) weighted sum of values, and the
-    weights. An empty memory reads as a zero vector (weights None) so
-    downstream additive updates are unaffected.
+    """Attention read: the values weighted by ``dot_attention_weights`` (one
+    record), and those weights. An empty memory reads as a zero vector
+    (weights None) so downstream additive updates are unaffected.
 
     ``query`` is one (key_dim,) query or a (k, key_dim) batch of rows; row i
     of the read and of the (k, n) weights belongs to query row i.
@@ -57,8 +57,7 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
         raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
     if mem.slots == 0:
         return zeros(query.shape[:-1] + (mem.value_dim,)), None
-    scores = matmul(query, transpose(mem.keys))         # (n,) or (k, n)
-    weights = softmax(scores)
+    weights = dot_attention_weights(query, mem.keys)    # (n,) or (k, n)
     return matmul(weights, mem.values), weights
 
 

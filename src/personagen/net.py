@@ -46,16 +46,15 @@ from .numkit import (
     Module,
     TanhMlp,
     Tensor,
+    additive_attention_weights,
     bigru_encode,
     concat,
     gru_cell,
     gru_sequence,
     lookup,
     matmul,
-    reshape,
     softmax,
     stack,
-    tanh,
     uniform_param,
     zero_param,
 )
@@ -164,14 +163,11 @@ def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
 
     ``word_states`` is the stacked (n, word_dim) matrix and ``word_keys`` its
     ``history_keys``. ``s_t`` is one (H,) state or a (k, H) batch of rows.
-    Returns the context vector and the (n,) attention distribution, or one row
-    of each per state row.
+    Returns the context vector and the (n,) attention distribution (one
+    ``additive_attention_weights`` record), or one row of each per state row.
     """
     query = matmul(s_t, params.attn_ws)                       # (attn,) or (k, attn)
-    attn, n = query.shape[-1], word_keys.shape[0]
-    pre = tanh(reshape(query, (-1, 1, attn)) + word_keys)     # (k, n, attn); k = 1 for one state
-    scores = matmul(reshape(pre, (-1, attn)), params.attn_v)  # (k * n,)
-    weights = softmax(reshape(scores, query.shape[:-1] + (n,)))
+    weights = additive_attention_weights(query, word_keys, params.attn_v)
     return matmul(weights, word_states), weights
 
 
@@ -257,7 +253,6 @@ class LossBreakdown:
     p_match: Tensor
     p_bows: Tensor
     match_weights: Tensor
-    match_target: np.ndarray
 
 
 class DialogueModel(Module):
@@ -321,15 +316,14 @@ class DialogueModel(Module):
         probs, activations, _ = decoder_output(
             states, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops)
         nll = nll_loss(probs, targets)
-        match_target = p_match_targets(
-            bound.example.persona_sentences, bound.example.response, settings.match_threshold)
-        match = p_match_loss(match_weights, match_target)
+        match = p_match_loss(match_weights, p_match_targets(
+            bound.example.persona_sentences, bound.example.response, settings.match_threshold))
         persona_words = self.persona_word_set(bound)
         bows_target = p_bows_targets(
             bound.example.response, persona_words, self.vocab, settings.bows_extra_weight)
         bows = p_bows_loss(activations, bows_target)
         total = joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows)
-        return LossBreakdown(total, nll, match, bows, match_weights, match_target)
+        return LossBreakdown(total, nll, match, bows, match_weights)
 
     def persona_word_set(self, bound: BoundExample) -> set[str]:
         """Predefined persona content words plus the expansion tokens."""

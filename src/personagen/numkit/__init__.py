@@ -11,16 +11,17 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    additive_attention_weights,
     as_tensor,
     backward,
     concat,
     cross_entropy,
+    dot_attention_weights,
     exp,
     lookup,
     matmul,
     mean,
     mul,
-    reshape,
     scale,
     sigmoid_cross_entropy,
     softmax,
@@ -28,7 +29,5 @@ from .tensor import (
     stack,
     sub,
     sum_,
-    tanh,
-    transpose,
     zeros,
 )

@@ -439,31 +439,6 @@ def stack(tensors: Iterable) -> Tensor:
     return _finish(out, tuple(parts), backward_fn)
 
 
-def reshape(x, shape: tuple[int, ...]) -> Tensor:
-    """The same entries in another shape (numpy's row-major order)."""
-    x = as_tensor(x)
-    old = x.data.shape
-
-    def backward_fn(g):
-        return [np.array(g.reshape(old))]
-
-    return _finish(x.data.reshape(shape), (x,), backward_fn)
-
-
-def transpose(x) -> Tensor:
-    """The transpose of a 2-D tensor. The output's data is a view of ``x``'s,
-    so ``matmul(q, transpose(keys))`` makes the same BLAS call as
-    ``matmul(keys, q)`` for a 1-D ``q`` and gives bit-identical results."""
-    x = as_tensor(x)
-    if x.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {x.data.shape}")
-
-    def backward_fn(g):
-        return [np.array(g.T)]
-
-    return _finish(x.data.T, (x,), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -494,7 +469,7 @@ def mean(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise nonlinearities
+# nonlinearities and attention weights
 # ---------------------------------------------------------------------------
 
 
@@ -534,18 +509,66 @@ def exp(x) -> Tensor:
     return _finish(out, (x,), backward_fn)
 
 
+def _softmax(x: Array) -> Array:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(g: Array, out: Array) -> Array:
+    return out * (g - (g * out).sum(axis=-1, keepdims=True))
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data)
 
     def backward_fn(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return [out * (g - inner)]
+        return [_softmax_grad(g, out)]
 
     return _finish(out, (x,), backward_fn)
+
+
+def dot_attention_weights(query, keys) -> Tensor:
+    """``softmax(query @ keysᵀ)`` in one record: the weights of a (d,) query,
+    or of each row of a (k, d) query, over the rows of (n, d) ``keys``."""
+    query, keys = as_tensor(query), as_tensor(keys)
+    qdata, kdata = query.data, keys.data
+    if qdata.ndim not in (1, 2) or kdata.ndim != 2 or qdata.shape[-1] != kdata.shape[1]:
+        raise ValueError(f"dot attention got query {qdata.shape} and keys {kdata.shape}")
+    scores = qdata @ kdata.T
+    _require_finite(scores, "attention scores")
+    out = _softmax(scores)
+
+    def backward_fn(g):
+        g_s = _softmax_grad(g, out)
+        return [_matmul_grad_a(g_s, qdata, kdata.T),
+                np.outer(g_s, qdata) if qdata.ndim == 1 else (qdata.T @ g_s).T]
+
+    return _finish(out, (query, keys), backward_fn)
+
+
+def additive_attention_weights(query, keys, v) -> Tensor:
+    """``softmax(tanh(query + keys) @ v)`` in one record, for an (a,) ``v`` and
+    operands as in ``dot_attention_weights``; the backward recomputes the tanh."""
+    query, keys, v = as_tensor(query), as_tensor(keys), as_tensor(v)
+    qdata, kdata, vdata = query.data, keys.data, v.data
+    if qdata.ndim not in (1, 2) or not qdata.shape[-1:] == kdata.shape[1:] == vdata.shape:
+        raise ValueError(f"additive attention needs an (a,) or (k, a) query, (n, a) keys and an "
+                         f"(a,) v, got {qdata.shape}, {kdata.shape} and {vdata.shape}")
+    pre = qdata.reshape(-1, 1, vdata.size) + kdata      # (k, n, a); k = 1 for an (a,) query
+    _require_finite(pre, "additive attention pre-activation")
+    scores = np.tanh(pre).reshape(-1, vdata.size) @ vdata
+    out = _softmax(scores.reshape(qdata.shape[:-1] + kdata.shape[:1]))
+
+    def backward_fn(g):
+        g_s = _softmax_grad(g, out).ravel()
+        act = np.tanh(qdata.reshape(-1, 1, vdata.size) + kdata)
+        g_pre = np.outer(g_s, vdata).reshape(act.shape) * (1.0 - act * act)
+        return [g_pre.sum(axis=1).reshape(qdata.shape), g_pre.sum(axis=0),
+                act.reshape(-1, vdata.size).T @ g_s]
+
+    return _finish(out, (query, keys, v), backward_fn)
 
 
 # ---------------------------------------------------------------------------

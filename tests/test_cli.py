@@ -796,6 +796,10 @@ BAD_INPUT_FILES = {
                         + "".join(TOY_LINES[3:]).encode("utf-8"), 3),
     "corpus_malformed": ((TOY_LINES[0] + "two your persona: i drink tea.\n"
                           + "".join(TOY_LINES[2:])).encode("utf-8"), 2),
+    "corpus_superscript_index": ((TOY_LINES[0] + "² your persona: i drink tea.\n"
+                                  + "".join(TOY_LINES[2:])).encode("utf-8"), 2),
+    "corpus_arabic_indic_index": ((TOY_LINES[0] + "١ your persona: i drink tea.\n"
+                                   + "".join(TOY_LINES[2:])).encode("utf-8"), 2),
     "embeddings_not_utf8": ("guitar 0.1 0.2 0.3\ncafé 0.4 0.5 0.6\n".encode("latin-1"), 2),
     "embeddings_ragged": (b"guitar 0.1 0.2 0.3\nlove 0.4 0.5\n", 2),
     "embeddings_not_numbers": (b"guitar 0.1 0.2 0.3\nlove 0.4 high 0.6\n", 2),
@@ -810,6 +814,7 @@ BAD_INPUT_COMMANDS = [
     ("corpus_not_utf8", "pretrain-topic"), ("corpus_not_utf8", "expand"),
     ("corpus_not_utf8", "train"), ("corpus_not_utf8", "generate"),
     ("corpus_malformed", "pretrain-topic"), ("corpus_malformed", "eval"),
+    ("corpus_superscript_index", "pretrain-topic"), ("corpus_arabic_indic_index", "train"),
     ("embeddings_not_utf8", "train"), ("embeddings_not_utf8", "eval"),
     ("embeddings_ragged", "train"), ("embeddings_not_numbers", "eval"),
     ("embeddings_nan", "train"), ("embeddings_infinite", "eval"),

@@ -122,6 +122,16 @@ class TestLoadPersonaChat:
         with pytest.raises(InputFormatError, match="line 2"):
             load_personachat(path)
 
+    @pytest.mark.parametrize("head", ["²", "١", "１", "1²"],
+                             ids=["superscript", "arabic_indic_one", "fullwidth_one", "trailing"])
+    def test_non_ascii_digit_index_reports_line(self, head, tmp_path):
+        # str.isdigit accepts these; int() rejects the superscript and reads
+        # the others as 1, which would start a new conversation
+        path = tmp_path / "digits.txt"
+        path.write_text(f"1 your persona: i ski.\n{head} hello\thi\n", encoding="utf-8")
+        with pytest.raises(InputFormatError, match="line 2: malformed line index"):
+            load_personachat(path)
+
     def test_missing_tab_reports_line(self, tmp_path):
         path = tmp_path / "notab.txt"
         path.write_text("1 your persona: i ski.\n2 hello there\n", encoding="utf-8")

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import np_retrieve
 from personagen import numkit as nk
+from personagen.numkit.tensor import tanh
 from personagen.memory import (
     KeyValueMemory,
     build_memory,
@@ -229,7 +230,7 @@ class TestMultihop:
             mem_w = KeyValueMemory(keys_w, values_w, 3, 3)
             mem_e = KeyValueMemory(keys_e, values_e, 3, 3)
             result = multihop(q0, mem_w, mem_e, hops=3)
-            return nk.sum_(nk.tanh(result.query))
+            return nk.sum_(tanh(result.query))
 
         err = nk.grad_check(fn, [keys_w, values_w, keys_e, values_e, q0])
         assert err < 1e-6
@@ -290,7 +291,7 @@ class TestRowForms:
             mem_e = (KeyValueMemory.empty(3, 3) if empty_external
                      else KeyValueMemory(keys_e, values_e, 3, 3))
             result = multihop(q0, mem_w, mem_e, hops=3)
-            return nk.sum_(nk.tanh(result.query))
+            return nk.sum_(tanh(result.query))
 
         params = [keys_w, values_w, q0] + ([] if empty_external else [keys_e, values_e])
         assert nk.grad_check(fn, params) < 1e-6

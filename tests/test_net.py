@@ -15,6 +15,7 @@ from conftest import (
 )
 from personagen import numkit as nk
 from personagen.numkit import tensor as tensor_module
+from personagen.numkit.tensor import tanh
 from personagen.corpus import EOS, PAD, SOS, DialogueExample, Vocabulary
 from personagen.memory import KeyValueMemory, build_memory, persona_information_retrieval
 from personagen.losses import (
@@ -277,7 +278,7 @@ class TestAttendHistory:
 
         def loss(s_t):
             u, weights = attend_history(s_t, rows, history_keys(rows, d), d)
-            return nk.sum_(nk.tanh(u)) + nk.sum_(nk.mul(weights, weights))
+            return nk.sum_(tanh(u)) + nk.sum_(nk.mul(weights, weights))
 
         assert nk.grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
         # and they are the sums of the single-state calls' gradients

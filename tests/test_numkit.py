@@ -12,7 +12,7 @@ from conftest import dense_matmul_rule, np_bigru, np_gru_step
 from personagen import numkit as nk
 from personagen.numkit import gru as gru_module
 from personagen.numkit import tensor as tensor_module
-from personagen.numkit.tensor import Factors, RowGrad
+from personagen.numkit.tensor import Factors, RowGrad, tanh
 
 
 def finite_difference(fn, tensor, eps=1e-6):
@@ -79,13 +79,13 @@ class TestBackward:
         x = nk.Tensor(rng.normal(size=5), requires_grad=True)
 
         with nk.Tape() as tape:
-            loss_a = nk.sum_(nk.tanh(x))
+            loss_a = nk.sum_(tanh(x))
         ga = nk.backward(loss_a, tape)[x]
         with nk.Tape() as tape:
             loss_b = nk.sum_(nk.mul(x, x))
         gb = nk.backward(loss_b, tape)[x]
         with nk.Tape() as tape:
-            total = nk.sum_(nk.tanh(x)) + nk.sum_(nk.mul(x, x))
+            total = nk.sum_(tanh(x)) + nk.sum_(nk.mul(x, x))
         gt = nk.backward(total, tape)[x]
         assert np.allclose(gt, ga + gb, atol=1e-12)
 
@@ -145,7 +145,7 @@ class TestConstantInputs:
                          for a in (bags, scales, shift)]
             c, d, e = constants
             with nk.Tape() as tape:
-                h = nk.tanh(nk.add(nk.matmul(c, w), b))
+                h = tanh(nk.add(nk.matmul(c, w), b))
                 loss = nk.sum_(nk.add(nk.mul(d, h), e))
             by_tensor = nk.backward(loss, tape)
             gw, gb, *of_constants = nk.backward(loss, tape, [w, b] + constants)
@@ -216,12 +216,12 @@ def row_case(name):
         elif name == "repeated_lookups":
             # the embedding case: ids repeat within and across lookups
             parts = [nk.mul(nk.lookup(table, [2, 5, 2]), weights),
-                     nk.tanh(nk.lookup(table, [7, 0, 2])), nk.lookup(table, [5, 5, 8])]
+                     tanh(nk.lookup(table, [7, 0, 2])), nk.lookup(table, [5, 5, 8])]
             out = nk.add(nk.sum_(nk.add(nk.add(parts[0], parts[1]), parts[2])),
                          nk.sum_(nk.lookup(table, 5)))
         else:  # lookup and a dense matmul of one table, in either order
             def sparse():
-                return nk.sum_(nk.tanh(nk.lookup(table, [1, 3, 1])), axis=0)
+                return nk.sum_(tanh(nk.lookup(table, [1, 3, 1])), axis=0)
 
             def dense():
                 return nk.matmul(x, table)
@@ -230,8 +230,8 @@ def row_case(name):
                 s, d = sparse(), dense()
             else:
                 d, s = dense(), sparse()
-            out = nk.sum_(nk.mul(s, nk.tanh(d)))
-        nk.tanh(nk.lookup(other, [0, 2]))  # on the tape, but unreached
+            out = nk.sum_(nk.mul(s, tanh(d)))
+        tanh(nk.lookup(other, [0, 2]))  # on the tape, but unreached
         loss = nk.add(out, nk.sum_(nk.mul(x, x)))
     return [table, other, x, off_tape], loss, tape
 
@@ -302,7 +302,7 @@ class TestGradientOwnership:
 
         def fn():
             def sparse():
-                return nk.sum_(nk.tanh(nk.lookup(table, [1, 3, 1])), axis=0) + nk.lookup(table, 1)
+                return nk.sum_(tanh(nk.lookup(table, [1, 3, 1])), axis=0) + nk.lookup(table, 1)
 
             def dense():
                 return nk.matmul(x, table)
@@ -311,7 +311,7 @@ class TestGradientOwnership:
                 s, d = sparse(), dense()
             else:
                 d, s = dense(), sparse()
-            return nk.sum_(nk.mul(s, nk.tanh(d)))
+            return nk.sum_(nk.mul(s, tanh(d)))
 
         assert nk.grad_check(fn, [table, x]) < 1e-6
 
@@ -354,11 +354,11 @@ def gru_params(weights):
 
 
 def gru_cell_case(x, h, *weights):
-    return nk.sum_(nk.tanh(nk.gru_cell(x, h, gru_params(weights))))
+    return nk.sum_(tanh(nk.gru_cell(x, h, gru_params(weights))))
 
 
 def bigru_loss(steps, final):
-    return nk.add(nk.sum_(nk.tanh(steps)), nk.sum_(nk.mul(final, final)))
+    return nk.add(nk.sum_(tanh(steps)), nk.sum_(nk.mul(final, final)))
 
 
 def bigru_case(x, *weights):
@@ -374,18 +374,18 @@ def ragged_bigru_case(x, *weights):
 def held_start_case(x, h0, *weights):
     # reverse rows of lengths 1, 3 and 2 from a start state: rows 0 and 2
     # hold their start through the steps before their first input
-    return nk.sum_(nk.tanh(gru_module._gru(x, h0, gru_params(weights), True, [1, 3, 2])))
+    return nk.sum_(tanh(gru_module._gru(x, h0, gru_params(weights), True, [1, 3, 2])))
 
 
 def gru_sequence_case(x, h0, *weights):
-    return nk.sum_(nk.tanh(nk.gru_sequence(x, h0, gru_params(weights))))
+    return nk.sum_(tanh(nk.gru_sequence(x, h0, gru_params(weights))))
 
 
 def lookup_op_output_case(a):
     # an int row gather of an op output that a dense op reads too, as the
     # Bi-GRU's final state gathers rows of the per-step states
-    h = nk.tanh(a)
-    return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(nk.tanh(nk.lookup(h, 2))))
+    h = tanh(a)
+    return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, 2))))
 
 
 # added to logits, puts entry 1's softmax probability below PROB_FLOOR
@@ -411,6 +411,16 @@ def sigmoid_cross_entropy_case(a):
     return nk.sigmoid_cross_entropy(nk.add(a, [0.0, 0.0, 0.0, 40.0]), [0.0, 1.0, 1.5, 1.0])
 
 
+CONSTANT_KEYS = np.array([[0.3, -1.2, 0.5], [1.1, 0.4, -0.7], [-0.2, 0.9, 0.6], [0.8, -0.5, -1.0]])
+CONSTANT_V = np.array([0.7, -1.3, 0.4])
+CONSTANT_VALUES = np.array([[0.5, -1.0], [1.5, 0.3], [-0.8, 0.9], [0.2, -1.4]])
+
+
+def read(weights):
+    # as the model uses attention weights: a read of four value rows
+    return nk.sum_(tanh(nk.matmul(weights, CONSTANT_VALUES)))
+
+
 PRIMITIVE_CASES = {
     "matmul_mat_vec": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
     "matmul_vec_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
@@ -421,18 +431,28 @@ PRIMITIVE_CASES = {
     "sub": (lambda a, b: nk.sum_(nk.mul(nk.sub(a, b), nk.sub(a, b))), [(4,), (4,)]),
     "mul": (lambda a, b: nk.sum_(nk.mul(a, b)), [(2, 3), (2, 3)]),
     "scale": (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
-    "concat": (lambda a, b: nk.sum_(nk.tanh(nk.concat([a, b]))), [(3,), (2,)]),
-    "stack": (lambda a, b: nk.sum_(nk.tanh(nk.stack([a, b]))), [(3,), (3,)]),
-    "reshape": (lambda a, b: nk.sum_(nk.mul(nk.reshape(a, (3, 1, 2)), b)), [(2, 3), (4, 2)]),
-    "transpose": (lambda a, b: nk.sum_(nk.tanh(nk.matmul(b, nk.transpose(a)))), [(3, 2), (4, 2)]),
-    "sum_axis": (lambda a: nk.sum_(nk.tanh(nk.sum_(a, axis=0))), [(3, 2)]),
+    "concat": (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(3,), (2,)]),
+    "stack": (lambda a, b: nk.sum_(tanh(nk.stack([a, b]))), [(3,), (3,)]),
+    "sum_axis": (lambda a: nk.sum_(tanh(nk.sum_(a, axis=0))), [(3, 2)]),
     "mean": (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
-    "mean_axis": (lambda a: nk.sum_(nk.tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
-    "tanh": (lambda a: nk.sum_(nk.tanh(a)), [(4,)]),
+    "mean_axis": (lambda a: nk.sum_(tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
+    "tanh": (lambda a: nk.sum_(tanh(a)), [(4,)]),
     "softplus": (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
     "softmax": (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
+    "dot_attention": (lambda q, k: read(nk.dot_attention_weights(q, k)), [(3,), (4, 3)]),
+    "dot_attention_rows": (lambda q, k: read(nk.dot_attention_weights(q, k)),
+                           [(2, 3), (4, 3)]),
+    "dot_attention_constant_keys": (
+        lambda q: read(nk.dot_attention_weights(q, nk.Tensor(CONSTANT_KEYS))), [(2, 3)]),
+    "additive_attention": (lambda q, k, v: read(nk.additive_attention_weights(q, k, v)),
+                           [(3,), (4, 3), (3,)]),
+    "additive_attention_rows": (lambda q, k, v: read(nk.additive_attention_weights(q, k, v)),
+                                [(2, 3), (4, 3), (3,)]),
+    "additive_attention_constant_v": (
+        lambda q, k: read(nk.additive_attention_weights(q, k, nk.Tensor(CONSTANT_V))),
+        [(2, 3), (4, 3)]),
     "exp": (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
-    "lookup": (lambda a: nk.sum_(nk.tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
+    "lookup": (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
     "lookup_row_of_op_output": (lookup_op_output_case, [(4, 3)]),
     "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
     "cross_entropy_picks": (cross_entropy_picks_case, [(5,)]),
@@ -511,17 +531,95 @@ def test_cross_entropy_rejects_bad_picks(p_shape, index, weights, error):
         nk.cross_entropy(nk.Tensor(np.full(p_shape, 0.2)), index, weights)
 
 
-def test_transpose_rejects_non_matrix():
-    with pytest.raises(ValueError, match=r"\(3,\)"):
-        nk.transpose(nk.Tensor(np.zeros(3)))
+@pytest.mark.parametrize("q_shape,k_shape", [
+    ((3,), (4, 2)), ((2, 3), (4, 2)), ((2, 2, 2), (4, 2)), ((2,), (2,)), ((), (4, 2)),
+], ids=["width", "rows_width", "three_axes", "vector_keys", "scalar_query"])
+def test_dot_attention_weights_rejects_bad_shapes(q_shape, k_shape):
+    with pytest.raises(ValueError, match=r"dot attention got query"):
+        nk.dot_attention_weights(nk.Tensor(np.ones(q_shape)), nk.Tensor(np.ones(k_shape)))
 
 
-def test_transpose_then_matmul_equals_matmul_bitwise():
-    # a view, so q @ keys.T makes the same BLAS call as keys @ q
+@pytest.mark.parametrize("q_shape,k_shape,v_shape", [
+    ((3,), (4, 3), (2,)), ((2, 3), (4, 2), (3,)), ((2, 2, 3), (4, 3), (3,)),
+    ((3,), (3,), (3,)), ((3,), (4, 3), (3, 1)),
+], ids=["v_width", "keys_width", "three_axes", "vector_keys", "matrix_v"])
+def test_additive_attention_weights_rejects_bad_shapes(q_shape, k_shape, v_shape):
+    with pytest.raises(ValueError, match=r"additive attention needs"):
+        nk.additive_attention_weights(nk.Tensor(np.ones(q_shape)), nk.Tensor(np.ones(k_shape)),
+                                      nk.Tensor(np.ones(v_shape)))
+
+
+def np_softmax_rule(scores, g):
+    """softmax over the last axis and its backward rule, as plain numpy."""
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    return w, w * (g - (g * w).sum(axis=-1, keepdims=True))
+
+
+def attention_gradients(build, operands, g):
+    """The weights of ``build`` on leaf copies of ``operands`` and their
+    gradients when ``g`` flows into the weights, in both gradient forms."""
+    leaves = [nk.Tensor(x.copy(), requires_grad=True) for x in operands]
+    with nk.Tape() as tape:
+        weights = build(*leaves)
+        loss = nk.sum_(nk.mul(weights, g))
+    as_dict = nk.backward(loss, tape)
+    as_list = nk.backward(loss, tape, leaves)
+    assert all(as_dict[t].tobytes() == h.tobytes() for t, h in zip(leaves, as_list))
+    return weights.data, as_list
+
+
+@pytest.mark.parametrize("q_shape", [(6,), (3, 6)], ids=["vector", "rows"])
+def test_dot_attention_weights_equal_the_transpose_matmul_softmax_composition_bitwise(q_shape):
+    # the oracle composes the weights from generic ops, each with its own
+    # backward rule: matmul(q, transpose(keys)), then softmax
     rng = np.random.default_rng(12)
-    keys, q = rng.normal(size=(76, 512)), rng.normal(size=512)
-    rows = nk.matmul(nk.Tensor(q[None, :]), nk.transpose(nk.Tensor(keys)))
-    assert np.array_equal(rows.data[0], keys @ q)
+    q, keys = rng.normal(size=q_shape), rng.normal(size=(7, 6))
+    g = rng.normal(size=q_shape[:-1] + (7,))
+    weights, (g_q, g_keys) = attention_gradients(nk.dot_attention_weights, [q, keys], g)
+    keys_t = keys.T                                       # transpose's output: a view
+    want, g_s = np_softmax_rule(q @ keys_t, g)
+    want_q = keys_t @ g_s if q.ndim == 1 else g_s @ keys_t.T
+    want_keys = np.array((np.outer(q, g_s) if q.ndim == 1 else q.T @ g_s).T)
+    assert weights.tobytes() == want.tobytes()
+    assert g_q.tobytes() == want_q.tobytes()
+    assert g_keys.tobytes() == want_keys.tobytes()
+
+
+@pytest.mark.parametrize("q_shape,words", [((5,), 4), ((3, 5), 4), ((3, 5), 1)],
+                         ids=["vector", "rows", "one_word"])
+def test_additive_attention_weights_equal_the_reshape_tanh_composition_bitwise(q_shape, words):
+    # the oracle composes the weights from generic ops, each with its own
+    # backward rule: reshape the query to (k, 1, a), add the keys, tanh,
+    # reshape to (k * n, a), matmul by v, reshape to (k, n) and softmax
+    rng = np.random.default_rng(13)
+    q, keys, v = rng.normal(size=q_shape), rng.normal(size=(words, 5)), rng.normal(size=5)
+    g = rng.normal(size=q_shape[:-1] + (words,))
+    weights, (g_q, g_keys, g_v) = attention_gradients(
+        nk.additive_attention_weights, [q, keys, v], g)
+    q3 = q.reshape(-1, 1, 5)
+    pre = np.tanh(q3 + keys)
+    rows = pre.reshape(-1, 5)
+    want, g_s = np_softmax_rule((rows @ v).reshape(q_shape[:-1] + (words,)), g)
+    g_scores = np.array(g_s.reshape(-1))
+    g_pre = np.array(np.outer(g_scores, v).reshape(pre.shape)) * (1.0 - pre * pre)
+    want_q3 = g_pre if words == 1 else g_pre.sum(axis=1, keepdims=True)
+    assert weights.tobytes() == want.tobytes()
+    assert g_q.tobytes() == np.array(want_q3.reshape(q_shape)).tobytes()
+    assert g_keys.tobytes() == g_pre.sum(axis=0).tobytes()
+    assert g_v.tobytes() == (rows.T @ g_scores).tobytes()
+
+
+def test_attention_weights_raise_at_a_non_finite_score():
+    # the per-op contract: an overflow inside the record raises there,
+    # although tanh and softmax would turn it into finite weights
+    keys = nk.Tensor([[-1e308, -1e308, -1e308], [0.0, 0.0, 0.0]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError, match="attention scores"):
+            nk.dot_attention_weights(nk.Tensor(np.full(3, 1e308)), keys)  # -inf and 0
+        with pytest.raises(FloatingPointError, match="pre-activation"):
+            nk.additive_attention_weights(nk.Tensor(np.full(3, -1e308)), keys,
+                                          nk.Tensor(np.ones(3)))
 
 
 def test_cross_entropy_of_no_picks_is_zero():
@@ -842,14 +940,14 @@ class TestFactoredGradients:
             with nk.Tape() as tape:
                 parts = []
                 if other == "lookup_first":
-                    parts.append(nk.sum_(nk.tanh(nk.lookup(weight, row_ids))))
+                    parts.append(nk.sum_(tanh(nk.lookup(weight, row_ids))))
                 parts.append(nk.sum_(nk.mul(nk.matmul(a, weight), c)))
                 if other == "lookup_last":
-                    parts.append(nk.sum_(nk.tanh(nk.lookup(weight, row_ids))))
+                    parts.append(nk.sum_(tanh(nk.lookup(weight, row_ids))))
                 if other == "vec_mat":
-                    parts.append(nk.sum_(nk.tanh(nk.matmul(vector, weight))))
+                    parts.append(nk.sum_(tanh(nk.matmul(vector, weight))))
                 if other == "dense_add":
-                    parts.append(nk.sum_(nk.tanh(nk.add(weight, extra))))
+                    parts.append(nk.sum_(tanh(nk.add(weight, extra))))
                 loss = parts[0]
                 for part in parts[1:]:
                     loss = nk.add(loss, part)
@@ -862,16 +960,17 @@ class TestFactoredGradients:
         assert got.tobytes() == want.tobytes()
 
     def test_intermediate_operand_gets_the_dense_rule_bitwise(self, monkeypatch):
-        # matmul(q, transpose(keys)): the transpose output is no leaf, so its
+        # matmul(q, tanh(keys)), twice: the tanh output is no leaf, so its
         # factors are densified on arrival, as the dense rule formed them
         rng = np.random.default_rng(9)
-        keys = nk.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        keys = nk.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
         q = nk.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
 
         def sweep():
             with nk.Tape() as tape:
-                loss = nk.sum_(nk.softmax(nk.matmul(q, nk.transpose(keys))))
-                loss = nk.add(loss, nk.sum_(nk.tanh(nk.matmul(q, nk.transpose(keys)))))
+                hidden = tanh(keys)
+                loss = nk.sum_(nk.softmax(nk.matmul(q, hidden)))
+                loss = nk.add(loss, nk.sum_(tanh(nk.matmul(q, hidden))))
             return nk.backward(loss, tape, [keys, q])
 
         got = sweep()
@@ -1300,3 +1399,24 @@ def test_every_numkit_export_is_used_outside_numkit():
                   and node.value.id in modules):
                 used.add(node.attr)
     assert sorted(exports - used - UNCALLED_EXPORTS) == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a deleted caller's import goes with it; package __init__ modules
+    # import names to export them
+    package = Path(nk.__file__).parent.parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.relative_to(package)}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
