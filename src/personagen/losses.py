@@ -47,17 +47,17 @@ def p_match_targets(persona_sentences: list[list[str]], response: list[str],
 
 
 def p_match_loss(a_s: Tensor, labels: np.ndarray) -> Tensor:
-    """-sum_i a_i log a_s_i over the 0-1 labels a_i, that is the sum of
-    -log a_s_i over the labeled sentences (probabilities floored at
-    ``PROB_FLOOR``, with no gradient below the floor): one ``cross_entropy``
-    record however many sentences are labeled. Zero, and no record, when no
-    sentence is labeled."""
+    """-sum_i a_i log a_s_i over the 0-1 labels a_i of the (1, n) weights
+    ``a_s``, that is the sum of -log a_s_i over the labeled sentences
+    (probabilities floored at ``PROB_FLOOR``, with no gradient below the
+    floor): one ``cross_entropy`` record however many sentences are labeled.
+    Zero, and no record, when no sentence is labeled."""
     a_s = as_tensor(a_s)
-    if a_s.shape != labels.shape:
+    if a_s.shape != (1,) + labels.shape:
         raise ValueError(f"weights have shape {a_s.shape}, labels {labels.shape}")
     if not labels.any():
         return Tensor(0.0)
-    return cross_entropy(a_s, np.flatnonzero(labels))
+    return cross_entropy(a_s, np.flatnonzero(labels)[None])
 
 
 def p_bows_targets(response: list[str], persona_word_set: set[str],

@@ -1,13 +1,15 @@
 """Key-value memories and every retrieval procedure used by the model:
 plain attention reads, history-chained persona sentence retrieval, and
-mutual-reinforcement multi-hop reads over the two persona word memories."""
+mutual-reinforcement multi-hop reads over the two persona word memories.
+Queries are (k, key_dim) matrices; row i of a read and of its (k, n) weights
+belongs to query row i alone."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
-from .numkit import Tensor, dot_attention_weights, matmul, zeros
+from .numkit import Tensor, dot_attention_weights, lookup, matmul, zeros
 
 
 @dataclass
@@ -16,7 +18,7 @@ class KeyValueMemory:
 
     ``keys`` is (n, key_dim) and ``values`` is (n, value_dim); both are None
     for an empty memory, which still carries its dimensions so reads can
-    return a zero vector of the right size.
+    return zero rows of the right size.
     """
 
     keys: Tensor | None
@@ -47,36 +49,35 @@ def build_memory(representations: Tensor,
 
 def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, Tensor | None]:
     """Attention read: the values weighted by ``dot_attention_weights`` (one
-    record), and those weights. An empty memory reads as a zero vector
-    (weights None) so downstream additive updates are unaffected.
-
-    ``query`` is one (key_dim,) query or a (k, key_dim) batch of rows; row i
-    of the read and of the (k, n) weights belongs to query row i.
+    record), and those weights. An empty memory reads as zero rows (weights
+    None) so downstream additive updates are unaffected.
     """
-    if query.ndim not in (1, 2) or query.shape[-1] != mem.key_dim:
+    if query.ndim != 2 or query.shape[1] != mem.key_dim:
         raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
     if mem.slots == 0:
-        return zeros(query.shape[:-1] + (mem.value_dim,)), None
-    weights = dot_attention_weights(query, mem.keys)    # (n,) or (k, n)
+        return zeros((query.shape[0], mem.value_dim)), None
+    weights = dot_attention_weights(query, mem.keys)
     return matmul(weights, mem.values), weights
 
 
-def persona_information_retrieval(history_vectors: Sequence[Tensor],
+def persona_information_retrieval(queries: Tensor,
                                   mem_s: KeyValueMemory) -> tuple[Tensor, Tensor]:
     """Chained retrieval over the persona sentence memory.
 
-    Step i queries with the i-th history vector plus the previous step's
-    output (the first step uses the history vector alone); returns the final
-    output and the last step's weights, which feed the sentence matching
-    loss.
+    Step i queries with row i of the (k, key_dim) ``queries``, one per
+    history utterance, plus the previous step's output (the first step uses
+    row 0 alone); returns the last step's (1, value_dim) output and its
+    (1, n) weights, which feed the sentence matching loss.
     """
-    if not history_vectors:
-        raise ValueError("persona_information_retrieval needs at least one history vector")
+    if queries.ndim != 2 or queries.shape[0] == 0:
+        raise ValueError(f"persona_information_retrieval needs a (k, d) matrix of at least "
+                         f"one query row, got shape {queries.shape}")
     if mem_s.slots == 0:
         raise ValueError("persona sentence memory is empty")
     output: Tensor | None = None
-    for i, c in enumerate(history_vectors):
-        output, weights = retrieve_with_weights(c if i == 0 else c + output, mem_s)
+    for i in range(queries.shape[0]):
+        row = lookup(queries, [i])
+        output, weights = retrieve_with_weights(row if output is None else row + output, mem_s)
     return output, weights
 
 
@@ -98,8 +99,7 @@ def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
 
     Each hop reads both memories with the shared query, then adds both
     outputs back into the query so the two retrievals influence each other on
-    the next hop. Requires at least one hop. ``q0`` is one query or a (k, d)
-    batch of rows, each read on its own.
+    the next hop. Requires at least one hop.
     """
     if hops < 1:
         raise ValueError("multihop needs at least one hop")

@@ -5,10 +5,10 @@ Only the decoder GRU is recurrent: everything after it (history attention,
 the multi-hop persona read and the output layer, ``decoder_output``) takes
 the new state alone. So teacher forcing runs the GRU once over the whole
 response and ``decoder_output`` once over the (T, H) state matrix, while
-generation runs one decoder step at a time on one (H,) state or on a (k, H)
-batch of rows, one per beam hypothesis, so beam search reads the output
-weights once per step. The encoders run every sentence of a level as one row
-of one GRU record per direction.
+generation runs one decoder step at a time on a (k, H) matrix of states, one
+row per beam hypothesis, so beam search reads the output weights once per
+step. The encoders run every sentence of a level as one row of one GRU
+record per direction.
 
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
@@ -54,7 +54,6 @@ from .numkit import (
     lookup,
     matmul,
     softmax,
-    stack,
     uniform_param,
     zero_param,
 )
@@ -146,8 +145,9 @@ def encode_history(history: list[list[int]], params: HistoryEncoderParams,
 
 
 def init_state(e_x: Tensor, o_k: Tensor, init_proj: Affine) -> Tensor:
-    """Project the concatenated history summary and final retrieval output to
-    the decoder hidden size: the (H,) initial decoder state."""
+    """Project the concatenated history summary and final retrieval output,
+    one row each, to the decoder hidden size: the (1, H) initial decoder
+    state."""
     return init_proj(concat([e_x, o_k]))
 
 
@@ -162,11 +162,11 @@ def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
     """Additive attention over history word states.
 
     ``word_states`` is the stacked (n, word_dim) matrix and ``word_keys`` its
-    ``history_keys``. ``s_t`` is one (H,) state or a (k, H) batch of rows.
-    Returns the context vector and the (n,) attention distribution (one
-    ``additive_attention_weights`` record), or one row of each per state row.
+    ``history_keys``. For the (k, H) states ``s_t``, returns the (k, word_dim)
+    contexts and the (k, n) attention distributions (one
+    ``additive_attention_weights`` record), one row per state row.
     """
-    query = matmul(s_t, params.attn_ws)                       # (attn,) or (k, attn)
+    query = matmul(s_t, params.attn_ws)                       # (k, attn)
     weights = additive_attention_weights(query, word_keys, params.attn_v)
     return matmul(weights, word_states), weights
 
@@ -189,19 +189,19 @@ def decoder_output(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
     Attends over history words, runs the multi-hop read over both persona
     word memories, and maps [state; history context; word read; external
     read] through the output layer. Returns the token distribution, the raw
-    output activations and attention diagnostics. ``s_t`` is one (H,) state
-    or a (k, H) matrix of states, each read on its own: the hypotheses of a
-    beam step, or every step of a teacher-forced response; the output layer
-    is then one (k, 4H) GEMM.
+    output activations and attention diagnostics, one row per row of the
+    (k, H) states ``s_t``, each read on its own: the hypotheses of a beam
+    step, or every step of a teacher-forced response; the output layer is
+    one (k, 4H) GEMM.
     """
     u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
     hop = multihop(s_t, mem_w, mem_e, hops)
-    activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e], axis=-1))
+    activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e]))
     return (softmax(activations), activations,
             StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights))
 
 
-def decode_step(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
+def decode_step(prev: list[int], state: Tensor, mem_w: KeyValueMemory,
                 mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
                 params: DecoderParams, hops: int, embedding: Tensor,
                 ) -> tuple[Tensor, Tensor, Tensor, StepDiagnostics]:
@@ -209,9 +209,8 @@ def decode_step(prev: int | list[int], state: Tensor, mem_w: KeyValueMemory,
     ``decoder_output``.
 
     Returns the token distribution, the raw output activations, the new
-    state, and attention diagnostics. ``prev`` is one token id with an (H,)
-    ``state``, or a sequence of k ids with a (k, H) ``state``: k independent
-    steps whose results are rows.
+    state, and attention diagnostics. ``prev`` is a list of k token ids with
+    a (k, H) ``state``: k independent steps whose results are rows.
     """
     s_t = gru_cell(lookup(embedding, prev), state, params.cell)
     probs, activations, diag = decoder_output(
@@ -296,8 +295,7 @@ class DialogueModel(Module):
         e_x, sentence_vectors, word_states = encode_history(
             bound.history_ids, self.history, self.embedding)
         queries = self.c_proj(sentence_vectors)
-        o_k, match_weights = persona_information_retrieval(
-            [lookup(queries, i) for i in range(queries.shape[0])], mem_s)
+        o_k, match_weights = persona_information_retrieval(queries, mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
         mem_e = self.external_memory(bound.expansion_ids)
         word_keys = history_keys(word_states, self.decoder)
@@ -357,19 +355,19 @@ class DialogueModel(Module):
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
             return tokens, {
-                "match_weights": match_weights.data.tolist(),
+                "match_weights": match_weights.data[0].tolist(),
                 "memory_attention": _step_record(diag, row),
             }
         return tokens
 
-    def _beam(self, state, mem_w, mem_e, word_states, word_keys, beam_width, max_len):
+    def _beam(self, rows, mem_w, mem_e, word_states, word_keys, beam_width, max_len):
         """The best hypothesis' token ids, and the (diagnostics, row) of the
-        decode step that chose its last token."""
+        decode step that chose its last token, from the (1, H) start state
+        ``rows``."""
         # hypotheses: (summed log prob, token tuple, (diagnostics, row) of the
         # step that chose the last token); row i of `rows` is live hypothesis
         # i's decoder state
         live = [(0.0, (), None)]
-        rows = stack([state])
         finished = []
         for _ in range(max_len):
             prev = [tokens[-1] if tokens else SOS for _, tokens, _ in live]

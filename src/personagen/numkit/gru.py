@@ -4,12 +4,11 @@ One forward kernel and one backward kernel serve every entry point, each a
 run of ``steps × rows`` GRU steps in which row i reads its own sequence:
 ``gru_cell`` is one step of k rows, ``gru_sequence`` T steps of one row
 (teacher forcing's decoder), and ``bigru_encode`` runs each direction over
-one sequence, or over n sequences of different lengths as n rows. As in
-cuDNN's fused RNNs (Appleyard, Kočiský & Blunsom 2016), the input
-projections of all steps are one GEMM per gate before the loop, which keeps
-only the ``h @ U`` terms; the hand-written backward runs back-propagation
-through time into (steps, rows, H) pre-activation gradients, so each weight
-gradient is again one GEMM.
+n sequences of different lengths as n rows. As in cuDNN's fused RNNs
+(Appleyard, Kočiský & Blunsom 2016), the input projections of all steps are
+one GEMM per gate before the loop, which keeps only the ``h @ U`` terms; the
+hand-written backward runs back-propagation through time into (steps, rows,
+H) pre-activation gradients, so each weight gradient is again one GEMM.
 """
 
 from __future__ import annotations
@@ -48,44 +47,40 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
 
     Update/reset gates are sigmoids of affine combinations of x and h; the
     candidate applies the reset gate to h before its hidden-to-hidden term.
-    ``x`` is one (E,) input with an (H,) ``h``, or a (k, E) batch of rows with
-    a (k, H) ``h``; row i of the result is the step of row i.
+    ``x`` is a (k, E) matrix of rows with a (k, H) ``h``; row i of the result
+    is the step of row i.
     """
-    if x.ndim not in (1, 2) or x.shape[-1] != params.input_dim:
-        raise ValueError(f"gru_cell input has shape {x.shape}, expected "
-                         f"({params.input_dim},) or (k, {params.input_dim})")
-    if h.shape != x.shape[:-1] + (params.hidden_dim,):
-        raise ValueError(f"gru_cell hidden has shape {h.shape}, expected "
-                         f"{x.shape[:-1] + (params.hidden_dim,)} for input of shape {x.shape}")
-    return _gru(x, h, params, False, [1] * (x.shape[0] if x.ndim == 2 else 1))
+    if (x.ndim != 2 or x.shape[1] != params.input_dim
+            or h.shape != (x.shape[0], params.hidden_dim)):
+        raise ValueError(f"gru_cell needs a (k, {params.input_dim}) input and a (k, "
+                         f"{params.hidden_dim}) hidden, got shapes {x.shape} and {h.shape}")
+    return _gru(x, h, params, False, [1] * x.shape[0])
 
 
 def gru_sequence(x: Tensor, h0: Tensor, params: GruParams) -> Tensor:
-    """The GRU over the rows of a (T, E) input from the (H,) state ``h0``:
+    """The GRU over the rows of a (T, E) input from the (1, H) state ``h0``:
     the (T, H) states, row t the state after input row t."""
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.input_dim:
         raise ValueError(f"gru_sequence needs a non-empty (T, {params.input_dim}) input, "
                          f"got shape {x.shape}")
-    if h0.shape != (params.hidden_dim,):
+    if h0.shape != (1, params.hidden_dim):
         raise ValueError(f"gru_sequence start state has shape {h0.shape}, "
-                         f"expected ({params.hidden_dim},)")
+                         f"expected (1, {params.hidden_dim})")
     return _gru(x, h0, params, False, [x.shape[0]])
 
 
 def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
                  lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
-    """Run a Bi-GRU over the rows of a (T, E) input matrix.
+    """Run a Bi-GRU over n sequences, the rows of a (T, E) input matrix one
+    after another: sequence i is ``lengths[i]`` rows long, and no
+    ``lengths`` means one sequence of all T rows. Each sequence is encoded
+    on its own, all n as rows of one record per direction, and both
+    directions start from zero.
 
-    Returns the (T, 2H) matrix of per-step states, row t holding the forward
-    and backward states at position t side by side, and the final state,
-    which concatenates the forward state at the last position with the
-    backward state at the first position. Both directions start from zero.
-
-    With ``lengths``, the rows of ``x`` are n sequences one after another,
-    sequence i ``lengths[i]`` rows long, each encoded on its own; all n run
-    as rows of one record per direction. The per-step states keep ``x``'s
-    row order, and the finals are the (n, 2H) matrix of the sequences' final
-    states.
+    Returns the (T, 2H) matrix of per-step states, in ``x``'s row order, row
+    t holding the forward and backward states at position t side by side,
+    and the (n, 2H) matrix of final states, row i concatenating sequence i's
+    forward state at its last position with its backward state at its first.
     """
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"bigru_encode needs a non-empty (T, E) sequence, got shape {x.shape}")
@@ -101,23 +96,20 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
                          f"input rows, got {list(lengths)}")
     ahead = _gru(x, None, fwd, False, spans)
     behind = _gru(x, None, bwd, True, spans)
-    states = concat([ahead, behind], axis=1)
-    if lengths is None:
-        return states, concat([lookup(ahead, x.shape[0] - 1), lookup(behind, 0)])
     ends = np.cumsum(spans)
-    return states, concat([lookup(ahead, ends - 1), lookup(behind, ends - spans)], axis=1)
+    return (concat([ahead, behind]),
+            concat([lookup(ahead, ends - 1), lookup(behind, ends - spans)]))
 
 
 def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
          lengths: list[int]) -> Tensor:
     """The GRU over ``steps × rows`` as one tape record.
 
-    Row i reads ``lengths[i]`` inputs; the rows of ``x`` (one (E,) input, or
-    a matrix of them) are row 0's inputs, then row 1's, and so on. Each row
-    starts from its row of ``h0``, an input of the record, or from zero when
-    ``h0`` is None, and ``reverse`` feeds each row's inputs last to first.
-    The result holds the state after each input, in ``x``'s order and of
-    shape ``x.shape[:-1] + (H,)``.
+    Row i reads ``lengths[i]`` inputs; the rows of the (X, E) ``x`` are row
+    0's inputs, then row 1's, and so on. Each row starts from its row of the
+    (rows, H) ``h0``, an input of the record, or from zero when ``h0`` is
+    None, and ``reverse`` feeds each row's inputs last to first. The result
+    is the (X, H) matrix of the state after each input, in ``x``'s order.
 
     The loop runs ``max(lengths)`` steps over all rows. Position t of row i
     is live for t < lengths[i]; at a dead position the row keeps the state it
@@ -129,9 +121,9 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
     tensors = params.params()
     w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in tensors)
     hidden = params.hidden_dim
-    xs = x.data.reshape(-1, params.input_dim)
+    xs = x.data
     rows, steps = len(lengths), max(lengths)
-    start = np.zeros((rows, hidden)) if h0 is None else h0.data.reshape(rows, hidden)
+    start = np.zeros((rows, hidden)) if h0 is None else h0.data
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     dead = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]   # (steps, rows)
     held = dead.any(axis=1).tolist()
@@ -205,11 +197,11 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
                 carry = dh * keep[t] + d_rh * r[t] + d_zt @ u_z_t + d_rt @ u_r_t
         # one GEMM over the live positions per weight gradient
         d_z, d_r, d_n, prev, r = (in_x_order(a) for a in (d_z, d_r, d_n, prev, r))
-        d_x = (d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T).reshape(x.shape)
+        d_x = d_z @ w_z.T + d_r @ w_r.T + d_n @ w_n.T
         d_params = [xs.T @ d_z, prev.T @ d_z, d_z.sum(axis=0),
                     xs.T @ d_r, prev.T @ d_r, d_r.sum(axis=0),
                     xs.T @ d_n, (r * prev).T @ d_n, d_n.sum(axis=0)]
-        return [d_x] + ([] if h0 is None else [carry.reshape(h0.shape)]) + d_params
+        return [d_x] + ([] if h0 is None else [carry]) + d_params
 
     inputs = (x,) + (() if h0 is None else (h0,)) + tuple(tensors)
-    return _finish(in_x_order(states).reshape(x.shape[:-1] + (hidden,)), inputs, backward_fn)
+    return _finish(in_x_order(states), inputs, backward_fn)

@@ -39,11 +39,8 @@ def zero_param(shape) -> Tensor:
 
 
 class Affine(Module):
-    """y = x @ w + b with w stored as (in_dim, out_dim).
-
-    The orientation makes single vectors (in_dim,) and batches (n, in_dim)
-    go through the same code path.
-    """
+    """y = x @ w + b for the (n, in_dim) rows ``x``, with w stored as
+    (in_dim, out_dim)."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, scale: float = 0.1):
         self.w = uniform_param(rng, (in_dim, out_dim), scale)

@@ -18,8 +18,8 @@ into it in place, and returns leaf gradients that callers may scale in place.
 
 Two gradient forms stay compact until something needs them dense. The
 backward rule of ``lookup`` returns ``RowGrad(indices, rows)`` rather than a
-dense table-size array, and the rule of ``matmul(a, W)`` with 2-D ``a`` and
-``W`` returns ``Factors(a, g)``, which stands for ``aᵀ·g``. An op output adds
+dense table-size array, and the rule of ``matmul(a, W)`` returns
+``Factors(a, g)``, which stands for ``aᵀ·g``. An op output adds
 them into its dense gradient on arrival. A leaf keeps them as they arrive
 while only such gradients have reached it; its first dense gradient
 densifies them in arrival order into its buffer, which that and every later
@@ -41,6 +41,9 @@ one pass over the dense gradient. Clipping scales ``G`` and nothing writes
 rows. A leaf that both forms, or a dense gradient, reach is densified in
 arrival order. The dict form (no parameters given) always returns dense
 gradients.
+
+Every activation is a (rows, d) matrix, one row per query, state or token;
+only parameters (biases and the like) and loss values have other shapes.
 
 Every op validates that its output is finite, so a bad computation surfaces at
 the op that produced it rather than as a NaN loss many steps later.
@@ -375,8 +378,8 @@ def scale(x, factor: float) -> Tensor:
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     adata, bdata = a.data, b.data
-    if not (1 <= adata.ndim <= 2 and 1 <= bdata.ndim <= 2):
-        raise ValueError(f"matmul supports 1-D/2-D operands, got {adata.ndim}-D @ {bdata.ndim}-D")
+    if adata.ndim != 2 or bdata.ndim != 2:
+        raise ValueError(f"matmul needs two matrices, got shapes {adata.shape} and {bdata.shape}")
     out = adata @ bdata
     need_a, need_b = _needs_grad(a), _needs_grad(b)
 
@@ -384,19 +387,15 @@ def matmul(a, b) -> Tensor:
         return [_matmul_grad_a(g, adata, bdata) if need_a else None,
                 _matmul_grad_b(g, adata, bdata) if need_b else None]
 
-    return _finish(np.asarray(out), (a, b), backward_fn)
+    return _finish(out, (a, b), backward_fn)
 
 
 def _matmul_grad_a(g: Array, adata: Array, bdata: Array) -> Array:
-    if bdata.ndim == 1:
-        return g * bdata if adata.ndim == 1 else np.outer(g, bdata)
-    return bdata @ g if adata.ndim == 1 else g @ bdata.T
+    return g @ bdata.T
 
 
-def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Array | Factors:
-    if adata.ndim == 1:
-        return g * adata if bdata.ndim == 1 else np.outer(adata, g)
-    return Factors(adata, g) if bdata.ndim == 2 else adata.T @ g
+def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Factors:
+    return Factors(adata, g)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +403,21 @@ def _matmul_grad_b(g: Array, adata: Array, bdata: Array) -> Array | Factors:
 # ---------------------------------------------------------------------------
 
 
-def concat(tensors: Iterable, axis: int = 0) -> Tensor:
+def concat(tensors: Iterable) -> Tensor:
+    """Matrices of equal row count side by side: row i of the result is row
+    i of each part, in order."""
     parts = [as_tensor(t) for t in tensors]
     if not parts:
         raise ValueError("concat needs at least one tensor")
     datas = [p.data for p in parts]
-    out = np.concatenate(datas, axis=axis)
-    axis_n = axis % out.ndim
-    sizes = [d.shape[axis_n] for d in datas]
+    if any(d.ndim != 2 for d in datas):
+        raise ValueError(f"concat joins matrices, got shapes {[d.shape for d in datas]}")
+    ends = np.cumsum([d.shape[1] for d in datas])[:-1]
 
     def backward_fn(g):
-        grads = []
-        start = 0
-        for size in sizes:
-            index = [slice(None)] * g.ndim
-            index[axis_n] = slice(start, start + size)
-            grads.append(g[tuple(index)].copy())
-            start += size
-        return grads
+        return [part.copy() for part in np.split(g, ends, axis=1)]
 
-    return _finish(out, tuple(parts), backward_fn)
+    return _finish(np.concatenate(datas, axis=1), tuple(parts), backward_fn)
 
 
 def stack(tensors: Iterable) -> Tensor:
@@ -530,43 +524,43 @@ def softmax(x) -> Tensor:
 
 
 def dot_attention_weights(query, keys) -> Tensor:
-    """``softmax(query @ keysᵀ)`` in one record: the weights of a (d,) query,
-    or of each row of a (k, d) query, over the rows of (n, d) ``keys``."""
+    """``softmax(query @ keysᵀ)`` in one record: the weights of each row of a
+    (k, d) query over the rows of (n, d) ``keys``."""
     query, keys = as_tensor(query), as_tensor(keys)
     qdata, kdata = query.data, keys.data
-    if qdata.ndim not in (1, 2) or kdata.ndim != 2 or qdata.shape[-1] != kdata.shape[1]:
-        raise ValueError(f"dot attention got query {qdata.shape} and keys {kdata.shape}")
+    if qdata.ndim != 2 or kdata.ndim != 2 or qdata.shape[1] != kdata.shape[1]:
+        raise ValueError(f"dot attention needs a (k, d) query and (n, d) keys, "
+                         f"got {qdata.shape} and {kdata.shape}")
     scores = qdata @ kdata.T
     _require_finite(scores, "attention scores")
     out = _softmax(scores)
 
     def backward_fn(g):
         g_s = _softmax_grad(g, out)
-        return [_matmul_grad_a(g_s, qdata, kdata.T),
-                np.outer(g_s, qdata) if qdata.ndim == 1 else (qdata.T @ g_s).T]
+        return [g_s @ kdata, (qdata.T @ g_s).T]
 
     return _finish(out, (query, keys), backward_fn)
 
 
 def additive_attention_weights(query, keys, v) -> Tensor:
-    """``softmax(tanh(query + keys) @ v)`` in one record, for an (a,) ``v`` and
-    operands as in ``dot_attention_weights``; the backward recomputes the tanh."""
+    """``softmax(tanh(query + keys) @ v)`` in one record: the weights of each
+    row of a (k, a) query over the rows of (n, a) ``keys``, for an (a,) ``v``;
+    the backward recomputes the tanh."""
     query, keys, v = as_tensor(query), as_tensor(keys), as_tensor(v)
     qdata, kdata, vdata = query.data, keys.data, v.data
-    if qdata.ndim not in (1, 2) or not qdata.shape[-1:] == kdata.shape[1:] == vdata.shape:
-        raise ValueError(f"additive attention needs an (a,) or (k, a) query, (n, a) keys and an "
-                         f"(a,) v, got {qdata.shape}, {kdata.shape} and {vdata.shape}")
-    pre = qdata.reshape(-1, 1, vdata.size) + kdata      # (k, n, a); k = 1 for an (a,) query
+    if qdata.ndim != 2 or not qdata.shape[1:] == kdata.shape[1:] == vdata.shape:
+        raise ValueError(f"additive attention needs a (k, a) query, (n, a) keys and an (a,) v, "
+                         f"got {qdata.shape}, {kdata.shape} and {vdata.shape}")
+    pre = qdata[:, None, :] + kdata                     # (k, n, a)
     _require_finite(pre, "additive attention pre-activation")
     scores = np.tanh(pre).reshape(-1, vdata.size) @ vdata
-    out = _softmax(scores.reshape(qdata.shape[:-1] + kdata.shape[:1]))
+    out = _softmax(scores.reshape(pre.shape[:2]))
 
     def backward_fn(g):
         g_s = _softmax_grad(g, out).ravel()
-        act = np.tanh(qdata.reshape(-1, 1, vdata.size) + kdata)
+        act = np.tanh(qdata[:, None, :] + kdata)
         g_pre = np.outer(g_s, vdata).reshape(act.shape) * (1.0 - act * act)
-        return [g_pre.sum(axis=1).reshape(qdata.shape), g_pre.sum(axis=0),
-                act.reshape(-1, vdata.size).T @ g_s]
+        return [g_pre.sum(axis=1), g_pre.sum(axis=0), act.reshape(-1, vdata.size).T @ g_s]
 
     return _finish(out, (query, keys, v), backward_fn)
 
@@ -577,24 +571,24 @@ def additive_attention_weights(query, keys, v) -> Tensor:
 
 
 def lookup(table, ids) -> Tensor:
-    """Rows of a 2-D tensor, a parameter table or an op output alike: an int
-    gives a vector, a sequence a matrix. The one row gather."""
+    """The rows of a 2-D tensor, a parameter table or an op output alike, at
+    a 1-D sequence of integer ids, as a matrix. The one row gather."""
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise ValueError("lookup expects a 2-D table")
-    single = isinstance(ids, (int, np.integer))
-    idx = np.asarray([ids] if single else list(ids), dtype=np.intp)
+    idx = np.asarray(ids)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ValueError(f"lookup needs a 1-D sequence of integer ids, "
+                         f"got {idx.dtype} ids of shape {idx.shape}")
+    idx = idx.astype(np.intp)
     rows = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise IndexError(f"lookup index out of range for table with {rows} rows")
-    gathered = table.data[idx]
-    out = gathered[0] if single else gathered
 
     def backward_fn(g):
-        return [RowGrad(idx, g[None, :] if single else g)]
+        return [RowGrad(idx, g)]
 
-    return _finish(out, (table,), backward_fn)
-
+    return _finish(table.data[idx], (table,), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -605,45 +599,48 @@ def lookup(table, ids) -> Tensor:
 def cross_entropy(p, index, weights=None) -> Tensor:
     """Floored ``-log`` of picked probabilities, in one record.
 
-    ``p`` is a 1-D distribution or a 2-D batch of them, one per row. An
-    ``index`` of ``p``'s batch shape picks one entry per distribution and
-    gives ``-log p[index]`` per distribution. An ``index`` with one more,
-    trailing, axis picks k strictly increasing entries per distribution and
-    gives the sum of their terms per distribution. ``weights``, of
-    ``index``'s shape, scale the terms. Probabilities are clamped below at
-    ``PROB_FLOOR``; a clamped entry gets no gradient.
+    ``p`` is a (k, n) matrix of k distributions, one per row. An ``index`` of
+    k integers picks one entry per distribution and gives the k terms
+    ``-log p[i, index[i]]``. A (k, m) ``index`` picks m strictly increasing
+    entries per distribution and gives the total of all k·m terms.
+    ``weights``, of ``index``'s shape, scale the terms. Probabilities are
+    clamped below at ``PROB_FLOOR``; a clamped entry gets no gradient.
     """
     p = as_tensor(p)
     pdata = p.data
-    if pdata.ndim not in (1, 2):
-        raise ValueError("cross_entropy expects a 1-D distribution or a 2-D batch of them")
-    idx = np.asarray(index, dtype=np.intp)
-    picks = idx.ndim == pdata.ndim and idx.shape[:-1] == pdata.shape[:-1]
-    if not picks and idx.shape != pdata.shape[:-1]:
-        raise ValueError(f"cross_entropy needs one index, or one trailing axis of them, per "
+    if pdata.ndim != 2:
+        raise ValueError(f"cross_entropy needs a (k, n) matrix of distributions, "
+                         f"got shape {pdata.shape}")
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"cross_entropy needs integer indices, got {idx.dtype}")
+    if idx.ndim not in (1, 2) or idx.shape[0] != pdata.shape[0]:
+        raise ValueError(f"cross_entropy needs one index, or one row of them, per "
                          f"distribution, got index shape {idx.shape} for distributions of "
                          f"shape {pdata.shape}")
-    at = idx if picks else idx[..., None]
-    if (at[..., 1:] <= at[..., :-1]).any():
+    picks = idx.ndim == 2
+    at = idx if picks else idx[:, None]
+    if (at[:, 1:] <= at[:, :-1]).any():
         raise ValueError("cross_entropy needs strictly increasing picks per distribution")
-    size = pdata.shape[-1]
+    size = pdata.shape[1]
     if at.size and (at.min() < 0 or at.max() >= size):
         raise IndexError(f"target index out of range for distribution of size {size}")
     w = np.ones(idx.shape) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != idx.shape:
         raise ValueError(f"weights have shape {w.shape}, index {idx.shape}")
     w = w.reshape(at.shape)
-    values = np.take_along_axis(pdata, at, axis=-1)
+    values = np.take_along_axis(pdata, at, axis=1)
     terms = w * -np.log(np.maximum(values, PROB_FLOOR))
 
     def backward_fn(g):
+        upstream = g if picks else g[:, None]
         picked = np.zeros_like(values)
-        np.divide(-np.asarray(g)[..., None] * w, values, out=picked, where=values >= PROB_FLOOR)
+        np.divide(-upstream * w, values, out=picked, where=values >= PROB_FLOOR)
         grad = np.zeros_like(pdata)
-        np.put_along_axis(grad, at, picked, axis=-1)
+        np.put_along_axis(grad, at, picked, axis=1)
         return [grad]
 
-    return _finish(terms.sum(axis=-1) if picks else terms[..., 0], (p,), backward_fn)
+    return _finish(terms.sum(axis=-1).sum() if picks else terms[:, 0], (p,), backward_fn)
 
 
 def sigmoid_cross_entropy(z, target) -> Tensor:

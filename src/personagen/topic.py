@@ -121,13 +121,12 @@ def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
 
     ``eps`` has shape (len(docs), topics). The reconstruction term is one
     weighted ``cross_entropy`` record over the batch's words, the union of
-    its documents' words, and one sum; a word absent from a document weighs
-    0 in its row.
+    its documents' words; a word absent from a document weighs 0 in its row.
     """
     weights, cols = _bag(docs)
     mu, logvar, _ = _encode(weights, cols, model)
     z = reparameterize(mu, logvar, eps)
-    recon = sum_(cross_entropy(decode(z, model), np.broadcast_to(cols, weights.shape), weights))
+    recon = cross_entropy(decode(z, model), np.broadcast_to(cols, weights.shape), weights)
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
     return scale(recon + kl, 1.0 / len(docs))
 

@@ -143,10 +143,8 @@ def traced_peak_bytes(fn) -> int:
 
 def dense_matmul_rule(g, adata, bdata):
     """matmul's gradient rule for its second operand before factored
-    gradients: the dense product for every operand shape. Patched over
+    gradients: the dense product. Patched over
     ``personagen.numkit.tensor._matmul_grad_b`` it gives the dense sweep."""
-    if adata.ndim == 1:
-        return g * adata if bdata.ndim == 1 else np.outer(adata, g)
     return adata.T @ g
 
 

@@ -92,23 +92,23 @@ def test_criterion_1_gradient_fidelity():
     rng = np.random.default_rng(0)
 
     def row_of_op_output(a):
-        # an int lookup of an op output that a dense op reads too: the
+        # a one-row lookup of an op output that a dense op reads too: the
         # Bi-GRU final state's row gather
         h = tanh(a)
-        return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, 2))))
+        return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, [2]))))
 
     # every primitive, randomized inputs
     below_floor = np.array([0.0, -40.0, 0.0, 0.0, 0.0])
     primitive_cases = [
-        (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
-        (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
+        (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4, 1)]),
+        (lambda a, b: nk.sum_(nk.matmul(a, b)), [(1, 3), (3, 2)]),
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(2, 3), (3, 2)]),
-        (lambda a, b: nk.matmul(a, b), [(4,), (4,)]),
+        (lambda a, b: nk.matmul(a, b), [(1, 4), (4, 1)]),
         (lambda a, b: nk.sum_(nk.mul(nk.add(a, b), nk.add(a, b))), [(3, 2), (2,)]),
         (lambda a, b: nk.sum_(nk.mul(nk.sub(a, b), nk.sub(a, b))), [(4,), (4,)]),
         (lambda a, b: nk.sum_(nk.mul(a, b)), [(2, 3), (2, 3)]),
         (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
-        (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(3,), (2,)]),
+        (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(2, 3), (2, 2)]),
         (lambda a, b: nk.sum_(tanh(nk.stack([a, b]))), [(3,), (3,)]),
         (row_of_op_output, [(4, 3)]),
         (lambda a: nk.sum_(tanh(nk.sum_(a, axis=0))), [(3, 2)]),
@@ -119,14 +119,13 @@ def test_criterion_1_gradient_fidelity():
         (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
         (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
         (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
-        (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
+        (lambda a: nk.cross_entropy(nk.softmax(a), [2]), [(1, 5)]),
         # weighted picks, with entry 1 below PROB_FLOOR, of one distribution
         # and of each row of a batch
-        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [0, 1, 3],
-                                    [0.5, 2.0, 1.5]), [(5,)]),
-        (lambda a: nk.sum_(nk.cross_entropy(nk.softmax(nk.add(a, below_floor)),
-                                            [[0, 1, 4], [1, 2, 3]],
-                                            [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]])), [(2, 5)]),
+        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [[0, 1, 3]],
+                                    [[0.5, 2.0, 1.5]]), [(1, 5)]),
+        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [[0, 1, 4], [1, 2, 3]],
+                                    [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]]), [(2, 5)]),
         # targets 0, 1 and 1 + lambda, and one clamped sigmoid
         (lambda a: nk.sigmoid_cross_entropy(nk.add(a, [0.0, 0.0, 0.0, 40.0]),
                                             [0.0, 1.0, 1.5, 1.0]), [(4,)]),
@@ -231,35 +230,35 @@ def test_criterion_4_retrieval_suite():
     # weights sum to one
     memory = mem(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))
     for _ in range(5):
-        _, weights = retrieve_with_weights(nk.Tensor(rng.normal(size=3)), memory)
+        _, weights = retrieve_with_weights(nk.Tensor(rng.normal(size=(1, 3))), memory)
         assert abs(weights.data.sum() - 1.0) < 1e-9
 
     # single-slot identity
     single = mem([[0.3, -0.2]], [[7.0, 8.0]])
-    out, weights = retrieve_with_weights(nk.Tensor([1.0, 1.0]), single)
-    assert np.allclose(out.data, [7.0, 8.0]) and np.allclose(weights.data, [1.0])
+    out, weights = retrieve_with_weights(nk.Tensor([[1.0, 1.0]]), single)
+    assert np.allclose(out.data, [[7.0, 8.0]]) and np.allclose(weights.data, [[1.0]])
 
     # identical keys average the values
     same = mem([[1.0, 2.0]] * 4, [[0.0], [2.0], [4.0], [6.0]])
-    out, _ = retrieve_with_weights(nk.Tensor([0.5, -1.0]), same)
-    assert np.allclose(out.data, [3.0])
+    out, _ = retrieve_with_weights(nk.Tensor([[0.5, -1.0]]), same)
+    assert np.allclose(out.data, [[3.0]])
 
     # key scaling: argmax preserved, alpha=100 sharpens past 0.99
     keys = np.array([[2.0, 0.1], [0.3, 1.0], [-0.5, 0.4]])
     values = rng.normal(size=(3, 2))
-    query = nk.Tensor([1.0, 0.2])
+    query = nk.Tensor([[1.0, 0.2]])
     _, base = retrieve_with_weights(query, mem(keys, values))
     argmax = int(np.argmax(base.data))
     for alpha in (0.5, 3.0, 100.0):
         _, scaled = retrieve_with_weights(query, mem(alpha * keys, values))
         assert int(np.argmax(scaled.data)) == argmax
     _, sharp = retrieve_with_weights(query, mem(100.0 * keys, values))
-    assert sharp.data[argmax] > 0.99
+    assert sharp.data[0, argmax] > 0.99
 
     # zero-value memories leave multihop queries unchanged, hops 1..5
     zero_w = mem(rng.normal(size=(3, 2)), np.zeros((3, 2)))
     zero_e = mem(rng.normal(size=(2, 2)), np.zeros((2, 2)))
-    q0 = rng.normal(size=2)
+    q0 = rng.normal(size=(1, 2))
     for hops in range(1, 6):
         result = multihop(nk.Tensor(q0), zero_w, zero_e, hops)
         assert np.array_equal(result.query.data, q0)
@@ -273,10 +272,10 @@ def test_criterion_4_retrieval_suite():
         o_w, _ = np_retrieve(q_oracle, kw, vw)
         o_e, _ = np_retrieve(q_oracle, ke, ve)
         q_oracle = q_oracle + o_w + o_e
-    result = multihop(nk.Tensor(q), mem(kw, vw), mem(ke, ve), hops=3)
-    assert np.allclose(result.query.data, q_oracle, atol=1e-10)
-    assert np.allclose(result.o_w.data, o_w, atol=1e-10)
-    assert np.allclose(result.o_e.data, o_e, atol=1e-10)
+    result = multihop(nk.Tensor([q]), mem(kw, vw), mem(ke, ve), hops=3)
+    assert np.allclose(result.query.data, [q_oracle], atol=1e-10)
+    assert np.allclose(result.o_w.data, [o_w], atol=1e-10)
+    assert np.allclose(result.o_e.data, [o_e], atol=1e-10)
     report(4, "retrieval suite", started, budget=10)
 
 
@@ -291,7 +290,7 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     assert jaccard({"x"}, {"x"}) == 1.0
     assert jaccard(set(), set()) == 0.0
 
-    loss = p_match_loss(nk.Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
+    loss = p_match_loss(nk.Tensor([[0.5, 0.5]]), np.array([1.0, 0.0]))
     assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
     probs = [nk.Tensor(np.full(10, 0.1)) for _ in range(3)]

@@ -68,25 +68,27 @@ class TestPMatchTargets:
 
 class TestPMatchLoss:
     def test_no_labels_gives_zero(self):
-        loss = p_match_loss(nk.Tensor([0.3, 0.7]), np.zeros(2))
+        loss = p_match_loss(nk.Tensor([[0.3, 0.7]]), np.zeros(2))
         assert loss.item() == 0.0
 
     def test_certain_match_gives_zero(self):
-        loss = p_match_loss(nk.Tensor([1.0, 0.0]), np.array([1.0, 0.0]))
+        loss = p_match_loss(nk.Tensor([[1.0, 0.0]]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_value_log_two(self):
-        loss = p_match_loss(nk.Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
+        loss = p_match_loss(nk.Tensor([[0.5, 0.5]]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(math.log(2), abs=1e-12)
         assert loss.item() == pytest.approx(0.6931, abs=1e-4)
 
     def test_zero_probability_clamped(self):
-        loss = p_match_loss(nk.Tensor([0.0, 1.0]), np.array([1.0, 0.0]))
+        loss = p_match_loss(nk.Tensor([[0.0, 1.0]]), np.array([1.0, 0.0]))
         assert loss.item() == pytest.approx(-math.log(1e-12))
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            p_match_loss(nk.Tensor([1.0]), np.zeros(2))
+            p_match_loss(nk.Tensor([[1.0]]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"\(2,\)"):   # PIR's weights are one row
+            p_match_loss(nk.Tensor([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 def tiny_vocab():
@@ -311,9 +313,10 @@ class TestLossTermOracles:
     @pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
     def test_p_match(self, labels):
         labels = np.array(labels)
-        a_s = nk.Tensor([0.3, 1e-14, 0.2, 0.45, 0.05], requires_grad=True)
+        a_s = nk.Tensor([[0.3, 1e-14, 0.2, 0.45, 0.05]], requires_grad=True)
         value, (grad,), records = value_and_grad(lambda: p_match_loss(a_s, labels), a_s)
-        want, want_grad = chain_p_match(a_s.data, labels)
+        want, want_grad = chain_p_match(a_s.data[0], labels)
+        assert grad.shape == (1, 5)
         assert value == pytest.approx(want, rel=1e-12)
         assert relative_error(grad, want_grad) < 1e-12
         assert records <= 2
@@ -338,8 +341,8 @@ class TestLossTermOracles:
         weights, cols = _bag([TfIdfDoc({1: 0.5, 4: 1.25}), TfIdfDoc({}),
                               TfIdfDoc({4: 2.0, 6: 0.75, 2: 0.1})])
         probs = nk.Tensor(distributions(rng, 3, 8), requires_grad=True)
-        value, (grad,), records = value_and_grad(lambda: nk.sum_(nk.cross_entropy(
-            probs, np.broadcast_to(cols, weights.shape), weights)), probs)
+        value, (grad,), records = value_and_grad(lambda: nk.cross_entropy(
+            probs, np.broadcast_to(cols, weights.shape), weights), probs)
         want, want_grad = chain_reconstruction(probs.data, weights, cols)
         assert value == pytest.approx(want, rel=1e-12)
         assert relative_error(grad, want_grad) < 1e-12

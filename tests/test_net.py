@@ -13,6 +13,7 @@ from conftest import (
     np_tanh_mlp,
     relative_error,
 )
+from personagen import net
 from personagen import numkit as nk
 from personagen.numkit import tensor as tensor_module
 from personagen.numkit.tensor import tanh
@@ -187,16 +188,16 @@ class TestInitState:
         proj = nk.Affine(4, 4, np.random.default_rng(0))
         proj.w.data[:] = np.eye(4)
         proj.b.data[:] = 0.0
-        state = init_state(nk.Tensor([1.0, 2.0]), nk.Tensor([3.0, 4.0]), proj)
-        assert np.allclose(state.data, [1.0, 2.0, 3.0, 4.0])
-        assert state.shape == (4,)
+        state = init_state(nk.Tensor([[1.0, 2.0]]), nk.Tensor([[3.0, 4.0]]), proj)
+        assert np.allclose(state.data, [[1.0, 2.0, 3.0, 4.0]])
+        assert state.shape == (1, 4)
 
     def test_zero_retrieval_depends_only_on_history(self):
         rng = np.random.default_rng(1)
         proj = nk.Affine(5, 3, rng)
-        e_x = nk.Tensor(rng.normal(size=3))
-        a = init_state(e_x, nk.zeros(2), proj).data
-        b = init_state(e_x, nk.zeros(2), proj).data
+        e_x = nk.Tensor(rng.normal(size=(1, 3)))
+        a = init_state(e_x, nk.zeros((1, 2)), proj).data
+        b = init_state(e_x, nk.zeros((1, 2)), proj).data
         assert np.array_equal(a, b)
         w_ex, w_ok = proj.w.data[:3], proj.w.data[3:]
         expected = e_x.data @ w_ex + proj.b.data
@@ -205,10 +206,10 @@ class TestInitState:
     def test_matches_affine_oracle(self):
         rng = np.random.default_rng(2)
         proj = nk.Affine(5, 4, rng)
-        e_x = rng.normal(size=3)
-        o_k = rng.normal(size=2)
+        e_x = rng.normal(size=(1, 3))
+        o_k = rng.normal(size=(1, 2))
         state = init_state(nk.Tensor(e_x), nk.Tensor(o_k), proj)
-        expected = np.concatenate([e_x, o_k]) @ proj.w.data + proj.b.data
+        expected = np.concatenate([e_x, o_k], axis=1) @ proj.w.data + proj.b.data
         assert np.allclose(state.data, expected, atol=1e-12)
 
 
@@ -217,10 +218,10 @@ class TestAttendHistory:
         model = tiny_model(seed=6)
         state_row = np.random.default_rng(0).normal(size=model.hidden)
         word_states = nk.Tensor(np.tile(state_row, (5, 1)))
-        s_t = nk.Tensor(np.random.default_rng(1).normal(size=model.hidden))
+        s_t = nk.Tensor(np.random.default_rng(1).normal(size=(1, model.hidden)))
         u, weights = attend_history(s_t, word_states, history_keys(word_states, model.decoder),
                                     model.decoder)
-        assert np.allclose(u.data, state_row, atol=1e-12)
+        assert np.allclose(u.data, [state_row], atol=1e-12)
         assert np.allclose(weights.data, 0.2)
 
     def test_zero_score_vector_gives_uniform(self):
@@ -228,10 +229,11 @@ class TestAttendHistory:
         model.decoder.attn_v.data[:] = 0.0
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(4, model.hidden))
-        u, weights = attend_history(nk.Tensor(rng.normal(size=model.hidden)), nk.Tensor(rows),
-                                    history_keys(nk.Tensor(rows), model.decoder), model.decoder)
+        u, weights = attend_history(nk.Tensor(rng.normal(size=(1, model.hidden))),
+                                    nk.Tensor(rows), history_keys(nk.Tensor(rows), model.decoder),
+                                    model.decoder)
         assert np.allclose(weights.data, 0.25)
-        assert np.allclose(u.data, rows.mean(axis=0), atol=1e-12)
+        assert np.allclose(u.data, [rows.mean(axis=0)], atol=1e-12)
 
     def test_two_state_hand_oracle(self):
         model = tiny_model(seed=8)
@@ -243,10 +245,10 @@ class TestAttendHistory:
                         @ d.attn_v.data) for row in rows]
         expected_weights = np_softmax(scores)
         expected_u = expected_weights @ rows
-        u, weights = attend_history(nk.Tensor(s_t), nk.Tensor(rows),
+        u, weights = attend_history(nk.Tensor([s_t]), nk.Tensor(rows),
                                     history_keys(nk.Tensor(rows), d), d)
-        assert np.allclose(weights.data, expected_weights, atol=1e-12)
-        assert np.allclose(u.data, expected_u, atol=1e-12)
+        assert np.allclose(weights.data, [expected_weights], atol=1e-12)
+        assert np.allclose(u.data, [expected_u], atol=1e-12)
 
 
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -258,10 +260,12 @@ class TestAttendHistory:
         states = rng.normal(size=(k, model.hidden))
         u, weights = attend_history(nk.Tensor(states), rows, keys, model.decoder)
         assert u.shape == (k, model.hidden) and weights.shape == (k, 5)
-        for i, s_t in enumerate(states):
-            want_u, want_weights = attend_history(nk.Tensor(s_t), rows, keys, model.decoder)
-            np.testing.assert_allclose(u.data[i], want_u.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(weights.data[i], want_weights.data, rtol=0, atol=1e-12)
+        for i in range(k):
+            want_u, want_weights = attend_history(nk.Tensor(states[i:i + 1]), rows, keys,
+                                                  model.decoder)
+            np.testing.assert_allclose(u.data[i:i + 1], want_u.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(weights.data[i:i + 1], want_weights.data,
+                                       rtol=0, atol=1e-12)
 
     def test_rows_gradients(self):
         model = tiny_model(seed=13)
@@ -281,15 +285,15 @@ class TestAttendHistory:
             return nk.sum_(tanh(u)) + nk.sum_(nk.mul(weights, weights))
 
         assert nk.grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
-        # and they are the sums of the single-state calls' gradients
+        # and they are the sums of the one-row calls' gradients
         with nk.Tape() as tape:
             got = nk.backward(loss(states), tape)
-        singles = [nk.Tensor(s, requires_grad=True) for s in states.data]
+        singles = [nk.Tensor(states.data[i:i + 1], requires_grad=True) for i in range(3)]
         with nk.Tape() as tape:
             want = nk.backward(nk.sum_(nk.stack([loss(s) for s in singles])), tape)
         for p in [rows] + attention:
             np.testing.assert_allclose(got[p], want[p], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(got[states], np.stack([want[s] for s in singles]),
+        np.testing.assert_allclose(got[states], np.concatenate([want[s] for s in singles]),
                                    rtol=0, atol=1e-12)
 
 
@@ -308,14 +312,14 @@ class TestDecodeStep:
         rng = np.random.default_rng(4)
         mem_w, mem_e = self.build_memories(model, rng)
         word_states = nk.Tensor(rng.normal(size=(6, model.hidden)))
-        state = nk.Tensor(rng.normal(size=model.hidden))
+        state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         probs, s_tilde, new_state, diag = decode_step(
-            SOS, state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            [SOS], state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
             model.decoder, 3, model.embedding)
-        assert probs.data.shape == (len(model.vocab),)
+        assert probs.data.shape == (1, len(model.vocab))
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert (probs.data > 0).all()
-        assert new_state.shape == (model.hidden,)
+        assert new_state.shape == (1, model.hidden)
         assert abs(diag.attention.data.sum() - 1.0) < 1e-9
         assert abs(diag.w_weights.data.sum() - 1.0) < 1e-9
 
@@ -325,9 +329,9 @@ class TestDecodeStep:
         mem_w, _ = self.build_memories(model, rng)
         mem_e = KeyValueMemory.empty(model.hidden, model.hidden)
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
-        state = nk.Tensor(rng.normal(size=model.hidden))
+        state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         probs, _, _, diag = decode_step(
-            1, state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            [1], state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
             model.decoder, 2, model.embedding)
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert diag.e_weights is None
@@ -346,38 +350,22 @@ class TestDecodeStep:
             tokens, nk.Tensor(states), mem_w, mem_e, word_states, keys, model.decoder, 2,
             model.embedding)
         assert probs.shape == (3, len(model.vocab)) and new_rows.shape == (3, model.hidden)
-        for i, (token, state) in enumerate(zip(tokens, states)):
-            one = decode_step(token, nk.Tensor(state), mem_w, mem_e, word_states, keys,
-                              model.decoder, 2, model.embedding)
+        for i, token in enumerate(tokens):
+            one = decode_step([token], nk.Tensor(states[i:i + 1]), mem_w, mem_e, word_states,
+                              keys, model.decoder, 2, model.embedding)
             for got, want in zip((probs, s_tilde, new_rows), one[:3]):
-                np.testing.assert_allclose(got.data[i], want.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(diag.attention.data[i], one[3].attention.data,
+                np.testing.assert_allclose(got.data[i:i + 1], want.data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(diag.attention.data[i:i + 1], one[3].attention.data,
                                        rtol=0, atol=1e-12)
-
-    def test_one_row_is_bitwise_the_single_state_step(self):
-        # greedy decoding runs one row; its oracle runs single states
-        model = tiny_model(hidden=6, seed=14)
-        rng = np.random.default_rng(9)
-        mem_w, mem_e = self.build_memories(model, rng)
-        word_states = nk.Tensor(rng.normal(size=(5, model.hidden)))
-        keys = history_keys(word_states, model.decoder)
-        state = rng.normal(size=model.hidden)
-        args = (mem_w, mem_e, word_states, keys, model.decoder, 3, model.embedding)
-        row = decode_step([7], nk.Tensor(state[None, :]), *args)
-        one = decode_step(7, nk.Tensor(state), *args)
-        for got, want in zip(row[:3], one[:3]):
-            assert np.array_equal(got.data[0], want.data)
-        for field in ("w_weights", "e_weights", "attention"):
-            assert np.array_equal(getattr(row[3], field).data[0], getattr(one[3], field).data)
 
     def test_out_of_range_token_rejected(self):
         model = tiny_model()
         rng = np.random.default_rng(6)
         mem_w, mem_e = self.build_memories(model, rng)
         word_states = nk.Tensor(rng.normal(size=(2, model.hidden)))
-        state = nk.Tensor(rng.normal(size=model.hidden))
+        state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         with pytest.raises(IndexError):
-            decode_step(len(model.vocab) + 5, state, mem_w, mem_e, word_states,
+            decode_step([len(model.vocab) + 5], state, mem_w, mem_e, word_states,
                         history_keys(word_states, model.decoder), model.decoder, 2,
                         model.embedding)
 
@@ -407,10 +395,10 @@ class TestDecodeStep:
         expected = np_softmax(logits)
 
         probs, s_tilde, _, _ = decode_step(
-            token, nk.Tensor(state_vec), mem_w, mem_e, nk.Tensor(word_rows),
+            [token], nk.Tensor([state_vec]), mem_w, mem_e, nk.Tensor(word_rows),
             history_keys(nk.Tensor(word_rows), d), d, 3, model.embedding)
-        assert np.allclose(s_tilde.data, logits, atol=1e-10)
-        assert np.allclose(probs.data, expected, atol=1e-10)
+        assert np.allclose(s_tilde.data, [logits], atol=1e-10)
+        assert np.allclose(probs.data, [expected], atol=1e-10)
 
 
 class TestJointLossAndGradients:
@@ -427,6 +415,23 @@ class TestJointLossAndGradients:
         bound = tiny_example(model.vocab)
         parts = model.example_loss(bound, LossSettings(gamma_match=0.0, gamma_bows=0.0))
         assert parts.joint.item() == pytest.approx(parts.nll.item(), abs=1e-12)
+
+    def test_records_before_the_losses_output_matrices(self, monkeypatch):
+        # one activation layout: every record that the encoders, memories and
+        # decoder add, everything before NLL's record, outputs (rows, d)
+        starts = []
+
+        def spy(*args):
+            starts.append(len(tape))
+            return nll_loss(*args)
+
+        monkeypatch.setattr(net, "nll_loss", spy)
+        model = tiny_model(seed=14)
+        with nk.Tape() as tape:
+            model.example_loss(tiny_example(model.vocab), LossSettings())
+        (start,) = starts
+        shapes = [rec.output.shape for rec in tape.records[:start]]
+        assert len(shapes) > 50 and [s for s in shapes if len(s) != 2] == []
 
     def test_tape_length_independent_of_expansion_count(self):
         # the external memory is built from one lookup and one call of each
@@ -645,6 +650,15 @@ class TestFactoredWeightGradients:
             assert relative_error(got, densified(dense, p)) < 1e-10
 
 
+def vstack(parts):
+    """The rows of the matrices ``parts``, one after another, as one record:
+    the oracles' join, since the model joins matrices only side by side."""
+    datas = [p.data for p in parts]
+    ends = np.cumsum([len(d) for d in datas])[:-1]
+    return tensor_module._finish(np.concatenate(datas), tuple(parts),
+                                 lambda g: [part.copy() for part in np.split(g, ends)])
+
+
 def per_step_loss(model, bound, settings):
     """Oracle for ``example_loss``: the output layer, softmax and cross
     entropy run once per decode step, through ``decode_step``."""
@@ -655,14 +669,14 @@ def per_step_loss(model, bound, settings):
     step_activations = []
     for prev, target in zip(inputs, targets):
         probs, s_tilde, state, _ = decode_step(
-            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
+            [prev], state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
             model.embedding)
-        step_losses.append(nk.cross_entropy(probs, target))
+        step_losses.append(nk.cross_entropy(probs, [target]))
         step_activations.append(s_tilde)
     nll = nk.mean(nk.stack(step_losses))
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
-    bows = p_bows_loss(nk.stack(step_activations), p_bows_targets(
+    bows = p_bows_loss(vstack(step_activations), p_bows_targets(
         bound.example.response, model.persona_word_set(bound), model.vocab,
         settings.bows_extra_weight))
     return joint_loss(nll, match, bows, settings.gamma_match, settings.gamma_bows), nll, bows
@@ -691,26 +705,27 @@ def step_by_step_loss(model, bound, settings):
 
     def encode(sentences, fwd, bwd):
         encoded = [nk.bigru_encode(nk.lookup(embedding, s), fwd, bwd) for s in sentences]
-        return [final for _, final in encoded], nk.concat([steps for steps, _ in encoded])
+        return [final for _, final in encoded], vstack([steps for steps, _ in encoded])
 
     sentence_reps, word_reps = encode(bound.persona_ids, persona.fwd, persona.bwd)
-    mem_s = build_memory(nk.stack(sentence_reps), persona.sent_key, persona.sent_value)
+    mem_s = build_memory(vstack(sentence_reps), persona.sent_key, persona.sent_value)
     mem_w = build_memory(word_reps, persona.word_key, persona.word_value)
     vectors, word_states = encode(bound.history_ids, history.word_fwd, history.word_bwd)
-    _, e_x = nk.bigru_encode(nk.stack(vectors), history.utt_fwd, history.utt_bwd)
-    o_k, match_weights = persona_information_retrieval([model.c_proj(c) for c in vectors], mem_s)
+    _, e_x = nk.bigru_encode(vstack(vectors), history.utt_fwd, history.utt_bwd)
+    o_k, match_weights = persona_information_retrieval(
+        vstack([model.c_proj(c) for c in vectors]), mem_s)
     state = init_state(e_x, o_k, model.decoder.init_proj)
     mem_e = model.external_memory(bound.expansion_ids)
     word_keys = history_keys(word_states, model.decoder)
     step_probs, step_activations = [], []
     for prev in [SOS] + bound.response_ids:
-        state = nk.gru_cell(nk.lookup(embedding, prev), state, model.decoder.cell)
+        state = nk.gru_cell(nk.lookup(embedding, [prev]), state, model.decoder.cell)
         probs, s_tilde, _ = decoder_output(
             state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops)
         step_probs.append(probs)
         step_activations.append(s_tilde)
-    activations = nk.stack(step_activations)
-    nll = nll_loss(nk.stack(step_probs), bound.response_ids + [EOS])
+    activations = vstack(step_activations)
+    nll = nll_loss(vstack(step_probs), bound.response_ids + [EOS])
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
     bows = p_bows_loss(activations, p_bows_targets(
@@ -800,12 +815,12 @@ class TestPretrainedEmbeddings:
 
 
 def oracle_step_entry(diag):
-    """The ``--diagnostics`` record of one single-state decode step."""
-    entry = {"attention": [float(x) for x in diag.attention.data]}
+    """The ``--diagnostics`` record of one one-row decode step."""
+    entry = {"attention": [float(x) for x in diag.attention.data[0]]}
     if diag.w_weights is not None:
-        entry["word_memory"] = [float(x) for x in diag.w_weights.data]
+        entry["word_memory"] = [float(x) for x in diag.w_weights.data[0]]
     if diag.e_weights is not None:
-        entry["external_memory"] = [float(x) for x in diag.e_weights.data]
+        entry["external_memory"] = [float(x) for x in diag.e_weights.data[0]]
     return entry
 
 
@@ -817,9 +832,9 @@ def greedy_oracle(model, bound, max_len):
     prev = SOS
     for _ in range(max_len):
         probs, _, state, diag = decode_step(
-            prev, state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
+            [prev], state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
             model.embedding)
-        token = int(np.argmax(probs.data))
+        token = int(np.argmax(probs.data[0]))
         steps.append(oracle_step_entry(diag))
         if token == EOS:
             break
@@ -829,7 +844,7 @@ def greedy_oracle(model, bound, max_len):
 
 
 def per_hypothesis_beam(model, bound, beam_width, max_len):
-    """Beam search with one single-state ``decode_step`` per live hypothesis,
+    """Beam search with one one-row ``decode_step`` per live hypothesis,
     each carrying its own state: the tokens and the best hypothesis' step
     records. Same ranking as ``generate``: summed log probability, then the
     token tuple; EOS-terminated hypotheses retire and compete by score."""
@@ -841,10 +856,10 @@ def per_hypothesis_beam(model, bound, beam_width, max_len):
         for score, tokens, hyp_state, steps in live:
             prev = tokens[-1] if tokens else SOS
             probs, _, new_state, diag = decode_step(
-                prev, hyp_state, mem_w, mem_e, word_states, word_keys, model.decoder,
+                [prev], hyp_state, mem_w, mem_e, word_states, word_keys, model.decoder,
                 model.hops, model.embedding)
             steps = steps + (oracle_step_entry(diag),)
-            log_probs = np.log(np.maximum(probs.data, nk.PROB_FLOOR))
+            log_probs = np.log(np.maximum(probs.data[0], nk.PROB_FLOOR))
             for token in np.argsort(-log_probs, kind="stable")[:beam_width]:
                 candidates.append((score + float(log_probs[token]),
                                    tokens + (int(token),), new_state, steps))

@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 import zlib
 from pathlib import Path
 
@@ -49,12 +50,12 @@ class TestBackward:
 
     def test_softmax_cross_entropy_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        logits = nk.Tensor(rng.normal(size=4), requires_grad=True)
+        logits = nk.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
         with nk.Tape() as tape:
-            loss = nk.cross_entropy(nk.softmax(logits), 1)
+            loss = nk.cross_entropy(nk.softmax(logits), [1])
         grads = nk.backward(loss, tape)
         numeric = finite_difference(
-            lambda: nk.cross_entropy(nk.softmax(logits), 1).item(), logits)
+            lambda: nk.cross_entropy(nk.softmax(logits), [1]).item(), logits)
         rel = np.abs(grads[logits] - numeric) / np.maximum(1e-8, np.abs(numeric))
         assert rel.max() < 1e-6
 
@@ -104,13 +105,14 @@ class TestBackward:
 
 class TestConstantInputs:
     # a constant is an input that neither requires a gradient nor is the
-    # output of a recorded op: nothing reads a gradient for it
+    # output of a recorded op: nothing reads a gradient for it. vec_mat,
+    # mat_vec and dot take a one-row or one-column matrix for the vector.
 
     @pytest.mark.parametrize("op,shapes", [
         (nk.matmul, [(3, 4), (4, 2)]),
-        (nk.matmul, [(4,), (4, 2)]),
-        (nk.matmul, [(3, 4), (4,)]),
-        (nk.matmul, [(4,), (4,)]),
+        (nk.matmul, [(1, 4), (4, 2)]),
+        (nk.matmul, [(3, 4), (4, 1)]),
+        (nk.matmul, [(1, 4), (4, 1)]),
         (nk.mul, [(3, 2), (3, 2)]),
         (nk.mul, [(3, 2), (2,)]),
     ], ids=["mat_mat", "vec_mat", "mat_vec", "dot", "mul", "mul_broadcast"])
@@ -200,25 +202,25 @@ PASS_THROUGH_CASES = {
 
 
 def row_case(name):
-    """(params, loss, tape) of a small graph over two tables, a vector and a
+    """(params, loss, tape) of a small graph over two tables, a row and a
     parameter off the tape; ``name`` picks how the first table is reached."""
     rng = np.random.default_rng(6)
     table = nk.Tensor(rng.normal(size=(9, 4)), requires_grad=True)
     other = nk.Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    x = nk.Tensor(rng.normal(size=9), requires_grad=True)
+    x = nk.Tensor(rng.normal(size=(1, 9)), requires_grad=True)
     off_tape = nk.Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     weights = rng.normal(size=(3, 4))
     with nk.Tape() as tape:
         if name == "unique_lookup":
             out = nk.sum_(nk.lookup(table, [1, 4, 8]))
         elif name == "single_id":
-            out = nk.sum_(nk.mul(nk.lookup(table, 3), weights[0]))
+            out = nk.sum_(nk.mul(nk.lookup(table, [3]), weights[:1]))
         elif name == "repeated_lookups":
             # the embedding case: ids repeat within and across lookups
             parts = [nk.mul(nk.lookup(table, [2, 5, 2]), weights),
                      tanh(nk.lookup(table, [7, 0, 2])), nk.lookup(table, [5, 5, 8])]
             out = nk.add(nk.sum_(nk.add(nk.add(parts[0], parts[1]), parts[2])),
-                         nk.sum_(nk.lookup(table, 5)))
+                         nk.sum_(nk.lookup(table, [5])))
         else:  # lookup and a dense matmul of one table, in either order
             def sparse():
                 return nk.sum_(tanh(nk.lookup(table, [1, 3, 1])), axis=0)
@@ -298,11 +300,11 @@ class TestGradientOwnership:
         # buffer, in either arrival order
         rng = np.random.default_rng(5)
         table = nk.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        x = nk.Tensor(rng.normal(size=5), requires_grad=True)
+        x = nk.Tensor(rng.normal(size=(1, 5)), requires_grad=True)
 
         def fn():
             def sparse():
-                return nk.sum_(tanh(nk.lookup(table, [1, 3, 1])), axis=0) + nk.lookup(table, 1)
+                return nk.sum_(tanh(nk.lookup(table, [1, 3, 1])), axis=0) + nk.lookup(table, [1])
 
             def dense():
                 return nk.matmul(x, table)
@@ -326,8 +328,11 @@ class TestGradientOwnership:
             def spy(g, rule=rec.backward_fn):
                 results = rule(g)
                 seen.append(g)
-                seen.extend(r.rows if isinstance(r, RowGrad) else r
-                            for r in results if r is not None)
+                for r in results:
+                    if isinstance(r, (RowGrad, Factors)):
+                        seen.extend(r)          # its arrays
+                    elif r is not None:
+                        seen.append(r)
                 return results
             rec.backward_fn = spy
         grads = nk.backward(loss, tape, params)
@@ -382,10 +387,10 @@ def gru_sequence_case(x, h0, *weights):
 
 
 def lookup_op_output_case(a):
-    # an int row gather of an op output that a dense op reads too, as the
+    # a one-row gather of an op output that a dense op reads too, as the
     # Bi-GRU's final state gathers rows of the per-step states
     h = tanh(a)
-    return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, 2))))
+    return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, [2]))))
 
 
 # added to logits, puts entry 1's softmax probability below PROB_FLOOR
@@ -395,15 +400,14 @@ BELOW_FLOOR = np.array([0.0, -40.0, 0.0, 0.0, 0.0])
 def cross_entropy_picks_case(a):
     # weighted picks of one distribution; entry 1 lies below PROB_FLOOR
     p = nk.softmax(nk.add(a, BELOW_FLOOR))
-    return nk.cross_entropy(p, [0, 1, 3], [0.5, 2.0, 1.5])
+    return nk.cross_entropy(p, [[0, 1, 3]], [[0.5, 2.0, 1.5]])
 
 
 def cross_entropy_row_picks_case(a):
     # weighted picks per row, as the topic model's reconstruction term;
     # column 1 lies below PROB_FLOOR in both rows
     p = nk.softmax(nk.add(a, BELOW_FLOOR))
-    return nk.sum_(nk.cross_entropy(p, [[0, 1, 4], [1, 2, 3]],
-                                    [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]]))
+    return nk.cross_entropy(p, [[0, 1, 4], [1, 2, 3]], [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]])
 
 
 def sigmoid_cross_entropy_case(a):
@@ -421,17 +425,19 @@ def read(weights):
     return nk.sum_(tanh(nk.matmul(weights, CONSTANT_VALUES)))
 
 
+# matmul_mat_vec, matmul_vec_mat and matmul_dot take a one-row or one-column
+# matrix for the vector
 PRIMITIVE_CASES = {
-    "matmul_mat_vec": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4,)]),
-    "matmul_vec_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3,), (3, 2)]),
+    "matmul_mat_vec": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4, 1)]),
+    "matmul_vec_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(1, 3), (3, 2)]),
     "matmul_mat_mat": (lambda a, b: nk.sum_(nk.matmul(a, b)), [(2, 3), (3, 2)]),
-    "matmul_dot": (lambda a, b: nk.matmul(a, b), [(4,), (4,)]),
+    "matmul_dot": (lambda a, b: nk.matmul(a, b), [(1, 4), (4, 1)]),
     "add": (lambda a, b: nk.sum_(nk.add(a, b)), [(3, 2), (3, 2)]),
     "add_broadcast": (lambda a, b: nk.sum_(nk.mul(nk.add(a, b), nk.add(a, b))), [(3, 2), (2,)]),
     "sub": (lambda a, b: nk.sum_(nk.mul(nk.sub(a, b), nk.sub(a, b))), [(4,), (4,)]),
     "mul": (lambda a, b: nk.sum_(nk.mul(a, b)), [(2, 3), (2, 3)]),
     "scale": (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
-    "concat": (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(3,), (2,)]),
+    "concat": (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(2, 3), (2, 2)]),
     "stack": (lambda a, b: nk.sum_(tanh(nk.stack([a, b]))), [(3,), (3,)]),
     "sum_axis": (lambda a: nk.sum_(tanh(nk.sum_(a, axis=0))), [(3, 2)]),
     "mean": (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
@@ -439,13 +445,13 @@ PRIMITIVE_CASES = {
     "tanh": (lambda a: nk.sum_(tanh(a)), [(4,)]),
     "softplus": (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
     "softmax": (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
-    "dot_attention": (lambda q, k: read(nk.dot_attention_weights(q, k)), [(3,), (4, 3)]),
+    "dot_attention": (lambda q, k: read(nk.dot_attention_weights(q, k)), [(1, 3), (4, 3)]),
     "dot_attention_rows": (lambda q, k: read(nk.dot_attention_weights(q, k)),
                            [(2, 3), (4, 3)]),
     "dot_attention_constant_keys": (
         lambda q: read(nk.dot_attention_weights(q, nk.Tensor(CONSTANT_KEYS))), [(2, 3)]),
     "additive_attention": (lambda q, k, v: read(nk.additive_attention_weights(q, k, v)),
-                           [(3,), (4, 3), (3,)]),
+                           [(1, 3), (4, 3), (3,)]),
     "additive_attention_rows": (lambda q, k, v: read(nk.additive_attention_weights(q, k, v)),
                                 [(2, 3), (4, 3), (3,)]),
     "additive_attention_constant_v": (
@@ -454,16 +460,16 @@ PRIMITIVE_CASES = {
     "exp": (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
     "lookup": (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
     "lookup_row_of_op_output": (lookup_op_output_case, [(4, 3)]),
-    "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), 2), [(5,)]),
-    "cross_entropy_picks": (cross_entropy_picks_case, [(5,)]),
+    "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), [2]), [(1, 5)]),
+    "cross_entropy_picks": (cross_entropy_picks_case, [(1, 5)]),
     "cross_entropy_row_picks": (cross_entropy_row_picks_case, [(2, 5)]),
     "sigmoid_cross_entropy": (sigmoid_cross_entropy_case, [(4,)]),
-    "gru_cell": (gru_cell_case, [(2,), (3,)] + gru_shapes(2, 3)),
+    "gru_cell": (gru_cell_case, [(1, 2), (1, 3)] + gru_shapes(2, 3)),
     "gru_cell_rows": (gru_cell_case, [(3, 2), (3, 3)] + gru_shapes(2, 3)),
     "bigru_encode": (bigru_case, [(4, 2)] + gru_shapes(2, 3) * 2),
     "bigru_encode_ragged": (ragged_bigru_case, [(6, 2)] + gru_shapes(2, 3) * 2),
     "gru_held_start": (held_start_case, [(6, 2), (3, 3)] + gru_shapes(2, 3)),
-    "gru_sequence": (gru_sequence_case, [(4, 2), (3,)] + gru_shapes(2, 3)),
+    "gru_sequence": (gru_sequence_case, [(4, 2), (1, 3)] + gru_shapes(2, 3)),
 }
 
 
@@ -509,44 +515,91 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
 
 
 @pytest.mark.parametrize("p_shape,index,weights,error", [
-    ((5,), [3, 1], None, ValueError),
-    ((5,), [1, 1], None, ValueError),
+    ((1, 5), [[3, 1]], None, ValueError),
+    ((1, 5), [[1, 1]], None, ValueError),
     ((2, 5), [[0, 2], [3, 3]], None, ValueError),
     ((2, 5), [0, 1, 2], None, ValueError),
     ((2, 5), [[[0]]], None, ValueError),
     ((2, 2, 5), [[0, 1], [0, 1]], None, ValueError),
-    ((5,), [0, 2], [1.0], ValueError),
+    ((1, 5), [[0, 2]], [[1.0]], ValueError),
     ((2, 5), [1, 2], [[1.0], [1.0]], ValueError),
     ((2, 5), [[0, 5], [1, 2]], None, IndexError),
-    ((5,), [-1, 2], None, IndexError),
-    ((5,), 5, None, IndexError),
+    ((1, 5), [[-1, 2]], None, IndexError),
+    ((1, 5), [5], None, IndexError),
 ], ids=["decreasing", "repeated", "repeated_in_a_row", "neither_shape", "extra_axis",
         "three_axes", "short_weights", "misshaped_weights", "past_the_end_in_a_row",
         "negative", "single_past_the_end"])
 def test_cross_entropy_rejects_bad_picks(p_shape, index, weights, error):
     # picks must be in range, strictly increasing per distribution, and
-    # shaped as one index or one trailing axis of them per distribution;
-    # weights take the picks' shape
+    # shaped as one index or one row of them per distribution; weights take
+    # the picks' shape
     with pytest.raises(error):
         nk.cross_entropy(nk.Tensor(np.full(p_shape, 0.2)), index, weights)
 
 
 @pytest.mark.parametrize("q_shape,k_shape", [
-    ((3,), (4, 2)), ((2, 3), (4, 2)), ((2, 2, 2), (4, 2)), ((2,), (2,)), ((), (4, 2)),
+    ((1, 3), (4, 2)), ((2, 3), (4, 2)), ((2, 2, 2), (4, 2)), ((1, 2), (2,)), ((), (4, 2)),
 ], ids=["width", "rows_width", "three_axes", "vector_keys", "scalar_query"])
 def test_dot_attention_weights_rejects_bad_shapes(q_shape, k_shape):
-    with pytest.raises(ValueError, match=r"dot attention got query"):
+    with pytest.raises(ValueError, match=r"dot attention needs"):
         nk.dot_attention_weights(nk.Tensor(np.ones(q_shape)), nk.Tensor(np.ones(k_shape)))
 
 
 @pytest.mark.parametrize("q_shape,k_shape,v_shape", [
-    ((3,), (4, 3), (2,)), ((2, 3), (4, 2), (3,)), ((2, 2, 3), (4, 3), (3,)),
-    ((3,), (3,), (3,)), ((3,), (4, 3), (3, 1)),
+    ((1, 3), (4, 3), (2,)), ((2, 3), (4, 2), (3,)), ((2, 2, 3), (4, 3), (3,)),
+    ((1, 3), (3,), (3,)), ((1, 3), (4, 3), (3, 1)),
 ], ids=["v_width", "keys_width", "three_axes", "vector_keys", "matrix_v"])
 def test_additive_attention_weights_rejects_bad_shapes(q_shape, k_shape, v_shape):
     with pytest.raises(ValueError, match=r"additive attention needs"):
         nk.additive_attention_weights(nk.Tensor(np.ones(q_shape)), nk.Tensor(np.ones(k_shape)),
                                       nk.Tensor(np.ones(v_shape)))
+
+
+@pytest.mark.parametrize("ids", [[1.5], [True, False], [[0, 1]], np.array([[0]]), 3],
+                         ids=["float", "bool", "nested_list", "matrix", "int"])
+def test_lookup_rejects_ids_that_are_not_a_1d_integer_sequence(ids):
+    # each of these once read rows: 1.5 as row 1, True and False as rows 1
+    # and 0, a 2-D array as a 3-D tensor and an int as a vector
+    table = nk.Tensor(np.arange(12.0).reshape(4, 3))
+    given = np.asarray(ids)
+    with pytest.raises(ValueError, match=re.escape(f"got {given.dtype} ids of shape {given.shape}")):
+        nk.lookup(table, ids)
+
+
+@pytest.mark.parametrize("index", [[1.7, 0.2], [True, False], [[1.0, 3.0], [0.0, 2.0]]],
+                         ids=["float", "bool", "float_picks"])
+def test_cross_entropy_rejects_indices_that_are_not_integers(index):
+    # np.asarray(index, dtype=np.intp) once truncated 1.7 to 1
+    with pytest.raises(ValueError, match="integer indices"):
+        nk.cross_entropy(nk.Tensor(np.full((2, 5), 0.2)), index)
+
+
+def vector_cases():
+    """Calls, by name, that each hand a layer a (3,) activation (lookup an
+    int id)."""
+    rng = np.random.default_rng(0)
+    vec = nk.Tensor(rng.normal(size=3))
+    rows, keys = nk.Tensor(rng.normal(size=(2, 3))), nk.Tensor(rng.normal(size=(4, 3)))
+    gru = nk.GruParams(3, 3, rng)
+    return {
+        "matmul_left": lambda: nk.matmul(vec, keys.data.T),
+        "matmul_right": lambda: nk.matmul(rows, vec),
+        "concat": lambda: nk.concat([vec, vec]),
+        "lookup_int": lambda: nk.lookup(keys, 2),
+        "dot_attention": lambda: nk.dot_attention_weights(vec, keys),
+        "additive_attention": lambda: nk.additive_attention_weights(vec, keys, vec),
+        "gru_cell": lambda: nk.gru_cell(vec, vec, gru),
+        "gru_sequence_start": lambda: nk.gru_sequence(rows, vec, gru),
+        "cross_entropy": lambda: nk.cross_entropy(nk.softmax(vec), [0]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(vector_cases()))
+def test_layers_reject_a_vector_activation_naming_its_shape(name):
+    call = vector_cases()[name]
+    shape = "()" if name == "lookup_int" else "(3,)"
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        call()
 
 
 def np_softmax_rule(scores, g):
@@ -569,38 +622,38 @@ def attention_gradients(build, operands, g):
     return weights.data, as_list
 
 
-@pytest.mark.parametrize("q_shape", [(6,), (3, 6)], ids=["vector", "rows"])
+@pytest.mark.parametrize("q_shape", [(1, 6), (3, 6)], ids=["one_row", "rows"])
 def test_dot_attention_weights_equal_the_transpose_matmul_softmax_composition_bitwise(q_shape):
     # the oracle composes the weights from generic ops, each with its own
     # backward rule: matmul(q, transpose(keys)), then softmax
     rng = np.random.default_rng(12)
     q, keys = rng.normal(size=q_shape), rng.normal(size=(7, 6))
-    g = rng.normal(size=q_shape[:-1] + (7,))
+    g = rng.normal(size=(q_shape[0], 7))
     weights, (g_q, g_keys) = attention_gradients(nk.dot_attention_weights, [q, keys], g)
     keys_t = keys.T                                       # transpose's output: a view
     want, g_s = np_softmax_rule(q @ keys_t, g)
-    want_q = keys_t @ g_s if q.ndim == 1 else g_s @ keys_t.T
-    want_keys = np.array((np.outer(q, g_s) if q.ndim == 1 else q.T @ g_s).T)
+    want_q = g_s @ keys_t.T
+    want_keys = np.array((q.T @ g_s).T)
     assert weights.tobytes() == want.tobytes()
     assert g_q.tobytes() == want_q.tobytes()
     assert g_keys.tobytes() == want_keys.tobytes()
 
 
-@pytest.mark.parametrize("q_shape,words", [((5,), 4), ((3, 5), 4), ((3, 5), 1)],
-                         ids=["vector", "rows", "one_word"])
+@pytest.mark.parametrize("q_shape,words", [((1, 5), 4), ((3, 5), 4), ((3, 5), 1)],
+                         ids=["one_row", "rows", "one_word"])
 def test_additive_attention_weights_equal_the_reshape_tanh_composition_bitwise(q_shape, words):
     # the oracle composes the weights from generic ops, each with its own
     # backward rule: reshape the query to (k, 1, a), add the keys, tanh,
     # reshape to (k * n, a), matmul by v, reshape to (k, n) and softmax
     rng = np.random.default_rng(13)
     q, keys, v = rng.normal(size=q_shape), rng.normal(size=(words, 5)), rng.normal(size=5)
-    g = rng.normal(size=q_shape[:-1] + (words,))
+    g = rng.normal(size=(q_shape[0], words))
     weights, (g_q, g_keys, g_v) = attention_gradients(
         nk.additive_attention_weights, [q, keys, v], g)
     q3 = q.reshape(-1, 1, 5)
     pre = np.tanh(q3 + keys)
     rows = pre.reshape(-1, 5)
-    want, g_s = np_softmax_rule((rows @ v).reshape(q_shape[:-1] + (words,)), g)
+    want, g_s = np_softmax_rule((rows @ v).reshape(q_shape[0], words), g)
     g_scores = np.array(g_s.reshape(-1))
     g_pre = np.array(np.outer(g_scores, v).reshape(pre.shape)) * (1.0 - pre * pre)
     want_q3 = g_pre if words == 1 else g_pre.sum(axis=1, keepdims=True)
@@ -616,16 +669,16 @@ def test_attention_weights_raise_at_a_non_finite_score():
     keys = nk.Tensor([[-1e308, -1e308, -1e308], [0.0, 0.0, 0.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError, match="attention scores"):
-            nk.dot_attention_weights(nk.Tensor(np.full(3, 1e308)), keys)  # -inf and 0
+            nk.dot_attention_weights(nk.Tensor(np.full((1, 3), 1e308)), keys)  # -inf and 0
         with pytest.raises(FloatingPointError, match="pre-activation"):
-            nk.additive_attention_weights(nk.Tensor(np.full(3, -1e308)), keys,
+            nk.additive_attention_weights(nk.Tensor(np.full((1, 3), -1e308)), keys,
                                           nk.Tensor(np.ones(3)))
 
 
 def test_cross_entropy_of_no_picks_is_zero():
     p = nk.Tensor(np.full((2, 4), 0.25), requires_grad=True)
     with nk.Tape() as tape:
-        loss = nk.sum_(nk.cross_entropy(p, np.empty((2, 0), dtype=np.intp), np.empty((2, 0))))
+        loss = nk.cross_entropy(p, np.empty((2, 0), dtype=np.intp), np.empty((2, 0)))
     assert loss.item() == 0.0
     assert np.array_equal(nk.backward(loss, tape)[p], np.zeros((2, 4)))
 
@@ -927,14 +980,14 @@ class TestFactoredGradients:
             # one contribution is formed by the rule's own product, bit for bit
             assert dense.tobytes() == (inputs[0].T @ upstream[0]).tobytes()
 
-    @pytest.mark.parametrize("other", ["lookup_first", "lookup_last", "vec_mat", "dense_add"])
+    @pytest.mark.parametrize("other", ["lookup_first", "lookup_last", "dense_add"])
     def test_leaf_that_other_forms_reach_is_dense_in_arrival_order(self, other, monkeypatch):
         # the per-parameter form against the dense rule, whose sweep adds each
         # contribution as it arrives: bit for bit
         rng = np.random.default_rng(8)
         weight = nk.Tensor(rng.normal(size=(6, 9)), requires_grad=True)
         a, c = rng.normal(size=(2, 6)), rng.normal(size=(2, 9))
-        row_ids, vector, extra = [1, 4, 1], rng.normal(size=6), rng.normal(size=(6, 9))
+        row_ids, extra = [1, 4, 1], rng.normal(size=(6, 9))
 
         def sweep():
             with nk.Tape() as tape:
@@ -944,8 +997,6 @@ class TestFactoredGradients:
                 parts.append(nk.sum_(nk.mul(nk.matmul(a, weight), c)))
                 if other == "lookup_last":
                     parts.append(nk.sum_(tanh(nk.lookup(weight, row_ids))))
-                if other == "vec_mat":
-                    parts.append(nk.sum_(tanh(nk.matmul(vector, weight))))
                 if other == "dense_add":
                     parts.append(nk.sum_(tanh(nk.add(weight, extra))))
                 loss = parts[0]
@@ -1083,13 +1134,13 @@ class TestGru:
         p = nk.GruParams(2, 3, rng)
         for _, t in p.named_params():
             t.data[:] = 0.0
-        h = nk.gru_cell(nk.Tensor([0.7, -0.2]), nk.Tensor([1.0, 2.0, 3.0]), p)
-        assert np.allclose(h.data, [0.5, 1.0, 1.5])
+        h = nk.gru_cell(nk.Tensor([[0.7, -0.2]]), nk.Tensor([[1.0, 2.0, 3.0]]), p)
+        assert np.allclose(h.data, [[0.5, 1.0, 1.5]])
 
     def test_zero_input_and_hidden_stay_zero(self):
         rng = np.random.default_rng(1)
         p = nk.GruParams(2, 3, rng)  # random weights, zero biases
-        h = nk.gru_cell(nk.zeros(2), nk.zeros(3), p)
+        h = nk.gru_cell(nk.zeros((1, 2)), nk.zeros((1, 3)), p)
         assert np.allclose(h.data, 0.0)
 
     def test_matches_straight_line_oracle(self):
@@ -1097,17 +1148,17 @@ class TestGru:
         p = nk.GruParams(2, 3, rng)
         for _, t in p.named_params():
             t.data[:] = rng.normal(size=t.data.shape)
-        x = rng.normal(size=2)
-        h = rng.normal(size=3)
+        x = rng.normal(size=(1, 2))
+        h = rng.normal(size=(1, 3))
         ours = nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p)
         assert np.allclose(ours.data, np_gru_step(x, h, p), atol=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         p = nk.GruParams(2, 3, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            nk.gru_cell(nk.zeros(5), nk.zeros(3), p)
+            nk.gru_cell(nk.zeros((1, 5)), nk.zeros((1, 3)), p)
         with pytest.raises(ValueError):
-            nk.gru_cell(nk.zeros(2), nk.zeros(4), p)
+            nk.gru_cell(nk.zeros((1, 2)), nk.zeros((1, 4)), p)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_rows_equal_stacked_single_steps(self, k):
@@ -1119,15 +1170,8 @@ class TestGru:
         rows = nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p)
         assert rows.shape == (k, 3)
         for i in range(k):
-            one = nk.gru_cell(nk.Tensor(x[i]), nk.Tensor(h[i]), p)
-            np.testing.assert_allclose(rows.data[i], one.data, rtol=0, atol=1e-12)
-
-    def test_one_row_is_bitwise_the_single_step(self):
-        rng = np.random.default_rng(64)
-        p = nk.GruParams(5, 7, rng)
-        x, h = rng.normal(size=5), rng.normal(size=7)
-        row = nk.gru_cell(nk.Tensor(x[None, :]), nk.Tensor(h[None, :]), p)
-        assert np.array_equal(row.data[0], nk.gru_cell(nk.Tensor(x), nk.Tensor(h), p).data)
+            one = nk.gru_cell(nk.Tensor(x[i:i + 1]), nk.Tensor(h[i:i + 1]), p)
+            np.testing.assert_allclose(rows.data[i:i + 1], one.data, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("x_shape,h_shape", [
         ((2, 2), (3, 3)),
@@ -1146,15 +1190,15 @@ class TestGru:
         p = nk.GruParams(2, 3, rng)
         for t in p.params():
             t.data[:] = rng.normal(size=t.data.shape)
-        x, h0 = rng.normal(size=(5, 2)), rng.normal(size=3)
+        x, h0 = rng.normal(size=(5, 2)), rng.normal(size=(1, 3))
         states = nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p)
         assert states.shape == (5, 3)
         h = nk.Tensor(h0)
         for t in range(5):
-            h = nk.gru_cell(nk.Tensor(x[t]), h, p)
-            np.testing.assert_allclose(states.data[t], h.data, rtol=0, atol=1e-12)
+            h = nk.gru_cell(nk.Tensor(x[t:t + 1]), h, p)
+            np.testing.assert_allclose(states.data[t:t + 1], h.data, rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
-            nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0[None, :]), p)
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(np.concatenate([h0, h0])), p)
         with pytest.raises(ValueError):
             nk.gru_sequence(nk.Tensor(x[0]), nk.Tensor(h0), p)
 
@@ -1177,21 +1221,21 @@ class TestGru:
         begin = 0
         for i, n in enumerate(lengths):
             xi = nk.Tensor(x.data[begin:begin + n], requires_grad=True)
-            hi = nk.Tensor(h0.data[i], requires_grad=True)
+            hi = nk.Tensor(h0.data[i:i + 1], requires_grad=True)
             with nk.Tape() as tape:
                 one = gru_module._gru(xi, hi, p, True, [n])
                 one_loss = nk.sum_(nk.mul(one, weights[begin:begin + n]))
             want = nk.backward(one_loss, tape)
             np.testing.assert_allclose(out.data[begin:begin + n], one.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(got[x][begin:begin + n], want[xi], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got[h0][i], want[hi], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[h0][i:i + 1], want[hi], rtol=0, atol=1e-12)
             begin += n
 
     def test_gradients_through_cell(self):
         rng = np.random.default_rng(5)
         p = nk.GruParams(2, 3, rng)
-        x = nk.Tensor(rng.normal(size=2), requires_grad=True)
-        h = nk.Tensor(rng.normal(size=3), requires_grad=True)
+        x = nk.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
+        h = nk.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         params = [x, h] + [t for _, t in p.named_params()]
         err = nk.grad_check(lambda: nk.sum_(nk.gru_cell(x, h, p)), params)
         assert err < 1e-6
@@ -1204,7 +1248,7 @@ class TestBigru:
         bwd = nk.GruParams(2, 3, rng)
         steps, final = nk.bigru_encode(nk.Tensor([[0.3, -0.6]]), fwd, bwd)
         assert steps.shape == (1, 6)
-        assert np.array_equal(steps.data[0], final.data)
+        assert np.array_equal(steps.data, final.data)
 
     def test_palindrome_with_shared_params_mirrors(self):
         rng = np.random.default_rng(3)
@@ -1227,7 +1271,7 @@ class TestBigru:
         assert steps.shape == (3, 6)
         for ours, expected in zip(steps.data, oracle_steps):
             assert np.allclose(ours, expected, atol=1e-12)
-        assert np.allclose(final.data, oracle_final, atol=1e-12)
+        assert np.allclose(final.data, [oracle_final], atol=1e-12)
 
     def test_gradients_equal_a_row_slice_oracle_bitwise(self):
         # bigru_encode gathers the final state's rows with lookup; the oracle
@@ -1238,10 +1282,10 @@ class TestBigru:
 
             def backward_fn(g):
                 full = np.zeros(shape)
-                full[row] += g
+                full[[row]] += g
                 return [full]
 
-            return tensor_module._finish(np.array(states.data[row]), (states,), backward_fn)
+            return tensor_module._finish(states.data[[row]], (states,), backward_fn)
 
         rng = np.random.default_rng(12)
         fwd, bwd = nk.GruParams(2, 3, rng), nk.GruParams(2, 3, rng)
@@ -1255,7 +1299,7 @@ class TestBigru:
         with nk.Tape() as tape:
             ahead = gru_module._gru(x, None, fwd, False, [4])
             behind = gru_module._gru(x, None, bwd, True, [4])
-            want_loss = bigru_loss(nk.concat([ahead, behind], axis=1),
+            want_loss = bigru_loss(nk.concat([ahead, behind]),
                                    nk.concat([row_slice(ahead, -1), row_slice(behind, 0)]))
         want = nk.backward(want_loss, tape, params)
         assert got_loss.item() == want_loss.item()
@@ -1342,10 +1386,10 @@ def test_huge_gru_weights_raise_from_both_entry_points():
     params = nk.GruParams(2, 3, rng)
     for name in ("w_z", "w_r", "w_n"):
         getattr(params, name).data[:] = 1e308
-    x = nk.Tensor([10.0, 10.0])
+    x = nk.Tensor([[10.0, 10.0]])
     with np.errstate(over="ignore"):
         with pytest.raises(FloatingPointError):
-            nk.gru_cell(x, nk.zeros(3), params)
+            nk.gru_cell(x, nk.zeros((1, 3)), params)
         with pytest.raises(FloatingPointError):
             nk.bigru_encode(nk.Tensor([[0.1, 0.2], [10.0, 10.0]]),
                             nk.GruParams(2, 3, rng), params)

@@ -100,8 +100,8 @@ class TestEncode:
         rng = np.random.default_rng(2)
         model = TopicModel(small_vocab(), 2, 4, rng)  # bias starts zero
         doc = TfIdfDoc({4: 1.0, 5: 2.0})
-        single = model.enc_hidden(nk.Tensor(to_dense(doc, len(model.vocab))))
-        double = model.enc_hidden(nk.Tensor(2 * to_dense(doc, len(model.vocab))))
+        single = model.enc_hidden(nk.Tensor(to_dense(doc, len(model.vocab))[None]))
+        double = model.enc_hidden(nk.Tensor(2 * to_dense(doc, len(model.vocab))[None]))
         assert np.allclose(double.data, 2 * single.data, atol=1e-12)
 
 
@@ -123,14 +123,14 @@ class TestReparameterize:
 class TestDecode:
     def test_zero_weights_give_uniform(self):
         model = zeroed(TopicModel(small_vocab(), 2, 4, np.random.default_rng(0)))
-        probs = decode(nk.Tensor([0.4, -0.2]), model)
-        assert np.allclose(probs.data, np.full(len(model.vocab), 1.0 / len(model.vocab)))
+        probs = decode(nk.Tensor([[0.4, -0.2]]), model)
+        assert np.allclose(probs.data, np.full((1, len(model.vocab)), 1.0 / len(model.vocab)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=2))
     def test_always_a_distribution(self, z):
         model = TopicModel(small_vocab(), 2, 4, np.random.default_rng(4))
-        probs = decode(nk.Tensor(z), model).data
+        probs = decode(nk.Tensor([z]), model).data
         assert ((probs > 0) & (probs < 1)).all()
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -143,7 +143,7 @@ class TestDecode:
         softplus = lambda v: np.logaddexp(0.0, v)
         h = softplus(z @ model.dec_hidden.w.data + model.dec_hidden.b.data)
         expected = np_softmax(h @ model.dec_out.w.data + model.dec_out.b.data)
-        assert np.allclose(decode(nk.Tensor(z), model).data, expected, atol=1e-12)
+        assert np.allclose(decode(nk.Tensor([z]), model).data, [expected], atol=1e-12)
 
 
 class TestElbo:
@@ -194,9 +194,9 @@ class TestElbo:
         err = nk.grad_check(lambda: elbo_loss([doc], model, eps), params)
         assert err < 1e-4
 
-    def test_reconstruction_adds_two_records(self, monkeypatch):
-        # one weighted cross_entropy record and one sum: the records from
-        # the cross_entropy on that read only the term's own outputs
+    def test_reconstruction_is_one_record(self, monkeypatch):
+        # one weighted cross_entropy record, which sums its terms: no record
+        # after it reads only the term's own outputs
         starts = []
 
         def spy(*args):
@@ -215,7 +215,18 @@ class TestElbo:
             tracked = [id(t) for t in rec.inputs if t._tracked]
             if tracked and set(tracked) <= {id(r.output) for r in term}:
                 term.append(rec)
-        assert len(term) == 2
+        assert len(term) == 1
+
+    def test_batch_records_are_pinned(self):
+        # encoder 8, reparameterisation 4, decoder 6, reconstruction 1, KL 7,
+        # and the add and scale of the mean; 29 while the reconstruction took
+        # a sum record of its own
+        rng = np.random.default_rng(9)
+        model = TopicModel(small_vocab(), 2, 4, rng)
+        docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5})]
+        with nk.Tape() as tape:
+            elbo_loss(docs, model, rng.normal(size=(2, 2)))
+        assert len(tape) == 28
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(7)
