@@ -2,13 +2,15 @@
 
 Subcommands: pretrain-topic, expand, train, generate, eval, chat. All
 structured outputs are line-delimited JSON records; inputs are UTF-8 text.
-Exit codes: 0 success, 1 internal error, 2 user/input error.
+Exit codes: 0 success, 1 internal error or a reader that closed stdout early
+(with nothing on stderr), 2 user/input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import asdict
@@ -51,7 +53,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: send what is left to devnull, so
+        # the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INTERNAL
     except (UserError, FileNotFoundError, PermissionError, ckpt.CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USER
@@ -328,6 +337,8 @@ def cmd_train(args) -> int:
     config = _load_config(args)
     if not config.paths.train:
         raise UserError("config paths.train is required")
+    if args.valid_expansions and not config.paths.valid:
+        raise UserError("--valid-expansions given but the config sets no paths.valid")
     train_conversations = _load_exchanges(config.paths.train, "training")
     valid_conversations = (_load_exchanges(config.paths.valid, "validation")
                            if config.paths.valid else [])

@@ -2,7 +2,8 @@
 the persona bag-of-words objective, plus their target constructors.
 
 Each objective adds one likelihood record to the tape (``cross_entropy`` or
-``sigmoid_cross_entropy``) and at most one reduction."""
+``sigmoid_cross_entropy``); only P-BoWs adds a reduction before it, the sum
+of its activations over steps."""
 
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from .numkit import (
     Tensor,
     as_tensor,
     cross_entropy,
-    mean,
     scale,
     sigmoid_cross_entropy,
     sum_,
@@ -102,15 +102,16 @@ def nll_loss(step_distributions: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log probability of the target token at each step.
 
     ``step_distributions`` is the (T, V) matrix of the T steps' token
-    distributions, one row per target; all T targets are picked in one
-    ``cross_entropy`` record.
+    distributions, one row per target; all T targets are picked, each
+    weighted 1/T, in one ``cross_entropy`` record.
     """
     probs = as_tensor(step_distributions)
     if probs.ndim != 2 or probs.shape[0] != len(targets):
         raise ValueError("one target per decode step required")
     if not targets:
         raise ValueError("nll_loss needs at least one step")
-    return mean(cross_entropy(probs, targets))
+    steps = len(targets)
+    return cross_entropy(probs, np.asarray(targets)[:, None], np.full((steps, 1), 1 / steps))
 
 
 def joint_loss(nll, p_match, p_bows, gamma1: float, gamma2: float) -> Tensor:

@@ -140,7 +140,7 @@ def encode_history(history: list[list[int]], params: HistoryEncoderParams,
         raise ValueError("encode_history needs at least one utterance")
     sentence_vectors, word_states = _encode_sentences(
         history, params.word_fwd, params.word_bwd, embedding)
-    _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd)
+    _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd, [len(history)])
     return e_x, sentence_vectors, word_states
 
 

@@ -26,7 +26,6 @@ from .tensor import (
     sigmoid_cross_entropy,
     softmax,
     softplus,
-    stack,
     sub,
     sum_,
     zeros,

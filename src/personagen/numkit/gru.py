@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .layers import Module, uniform_param, zero_param
-from .tensor import Tensor, _finish, _require_finite, _sigmoid_stable, concat, lookup
+from .tensor import Tensor, _finish, _needs_grad, _require_finite, _sigmoid_stable, concat, lookup
 
 
 class GruParams(Module):
@@ -70,11 +70,10 @@ def gru_sequence(x: Tensor, h0: Tensor, params: GruParams) -> Tensor:
 
 
 def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
-                 lengths: Sequence[int] | None = None) -> tuple[Tensor, Tensor]:
+                 lengths: Sequence[int]) -> tuple[Tensor, Tensor]:
     """Run a Bi-GRU over n sequences, the rows of a (T, E) input matrix one
-    after another: sequence i is ``lengths[i]`` rows long, and no
-    ``lengths`` means one sequence of all T rows. Each sequence is encoded
-    on its own, all n as rows of one record per direction, and both
+    after another: sequence i is ``lengths[i]`` rows long. Each sequence is
+    encoded on its own, all n as rows of one record per direction, and both
     directions start from zero.
 
     Returns the (T, 2H) matrix of per-step states, in ``x``'s row order, row
@@ -90,26 +89,28 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
         if x.shape[1] != params.input_dim:
             raise ValueError(f"bigru_encode input has width {x.shape[1]}, "
                              f"expected {params.input_dim}")
-    spans = [x.shape[0]] if lengths is None else [int(n) for n in lengths]
+    spans = [int(n) for n in lengths]
     if min(spans, default=0) < 1 or sum(spans) != x.shape[0]:
         raise ValueError(f"bigru_encode needs positive lengths that sum to the {x.shape[0]} "
                          f"input rows, got {list(lengths)}")
-    ahead = _gru(x, None, fwd, False, spans)
-    behind = _gru(x, None, bwd, True, spans)
+    start = Tensor(np.zeros((len(spans), fwd.hidden_dim)))
+    ahead = _gru(x, start, fwd, False, spans)
+    behind = _gru(x, start, bwd, True, spans)
     ends = np.cumsum(spans)
     return (concat([ahead, behind]),
             concat([lookup(ahead, ends - 1), lookup(behind, ends - spans)]))
 
 
-def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
+def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
          lengths: list[int]) -> Tensor:
     """The GRU over ``steps × rows`` as one tape record.
 
     Row i reads ``lengths[i]`` inputs; the rows of the (X, E) ``x`` are row
     0's inputs, then row 1's, and so on. Each row starts from its row of the
-    (rows, H) ``h0``, an input of the record, or from zero when ``h0`` is
-    None, and ``reverse`` feeds each row's inputs last to first. The result
-    is the (X, H) matrix of the state after each input, in ``x``'s order.
+    (rows, H) ``h0``, an input of the record whose gradient the backward
+    sweep skips when none can flow to it, and ``reverse`` feeds each row's
+    inputs last to first. The result is the (X, H) matrix of the state after
+    each input, in ``x``'s order.
 
     The loop runs ``max(lengths)`` steps over all rows. Position t of row i
     is live for t < lengths[i]; at a dead position the row keeps the state it
@@ -123,7 +124,8 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
     hidden = params.hidden_dim
     xs = x.data
     rows, steps = len(lengths), max(lengths)
-    start = np.zeros((rows, hidden)) if h0 is None else h0.data
+    start = h0.data
+    carry_start = _needs_grad(h0)
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     dead = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]   # (steps, rows)
     held = dead.any(axis=1).tolist()
@@ -193,7 +195,7 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
             np.multiply(dh, f_n[t], out=d_nt)
             d_rh = d_nt @ u_n_t
             np.multiply(d_rh, f_r[t], out=d_rt)
-            if t != order[0] or h0 is not None:
+            if t != order[0] or carry_start:
                 carry = dh * keep[t] + d_rh * r[t] + d_zt @ u_z_t + d_rt @ u_r_t
         # one GEMM over the live positions per weight gradient
         d_z, d_r, d_n, prev, r = (in_x_order(a) for a in (d_z, d_r, d_n, prev, r))
@@ -201,7 +203,6 @@ def _gru(x: Tensor, h0: Tensor | None, params: GruParams, reverse: bool,
         d_params = [xs.T @ d_z, prev.T @ d_z, d_z.sum(axis=0),
                     xs.T @ d_r, prev.T @ d_r, d_r.sum(axis=0),
                     xs.T @ d_n, (r * prev).T @ d_n, d_n.sum(axis=0)]
-        return [d_x] + ([] if h0 is None else [carry]) + d_params
+        return [d_x, carry if carry_start else None] + d_params
 
-    inputs = (x,) + (() if h0 is None else (h0,)) + tuple(tensors)
-    return _finish(in_x_order(states), inputs, backward_fn)
+    return _finish(in_x_order(states), (x, h0) + tuple(tensors), backward_fn)

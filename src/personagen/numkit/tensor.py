@@ -420,19 +420,6 @@ def concat(tensors: Iterable) -> Tensor:
     return _finish(np.concatenate(datas, axis=1), tuple(parts), backward_fn)
 
 
-def stack(tensors: Iterable) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis (scalars give a vector)."""
-    parts = [as_tensor(t) for t in tensors]
-    if not parts:
-        raise ValueError("stack needs at least one tensor")
-    out = np.stack([p.data for p in parts], axis=0)
-
-    def backward_fn(g):
-        return [g[i].copy() for i in range(len(parts))]
-
-    return _finish(out, tuple(parts), backward_fn)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 # ---------------------------------------------------------------------------
@@ -451,15 +438,18 @@ def sum_(x, axis: int | None = None) -> Tensor:
     return _finish(np.asarray(out), (x,), backward_fn)
 
 
-def mean(x) -> Tensor:
-    """The mean of all entries."""
-    x = as_tensor(x)
-    shape, count = x.data.shape, x.data.size
+def mean(xs: Iterable) -> Tensor:
+    """The mean of a sequence of scalar tensors, in one record."""
+    parts = [as_tensor(x) for x in xs]
+    if not parts or any(p.data.shape != () for p in parts):
+        raise ValueError(f"mean needs one or more scalars, "
+                         f"got shapes {[p.data.shape for p in parts]}")
+    count = len(parts)
 
     def backward_fn(g):
-        return [np.full(shape, float(g) / count)]
+        return [np.full((), float(g) / count) for _ in parts]
 
-    return _finish(np.asarray(x.data.mean()), (x,), backward_fn)
+    return _finish(np.asarray(np.mean([p.data for p in parts])), tuple(parts), backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -597,12 +587,11 @@ def lookup(table, ids) -> Tensor:
 
 
 def cross_entropy(p, index, weights=None) -> Tensor:
-    """Floored ``-log`` of picked probabilities, in one record.
+    """Floored ``-log`` of picked probabilities, summed, in one record.
 
-    ``p`` is a (k, n) matrix of k distributions, one per row. An ``index`` of
-    k integers picks one entry per distribution and gives the k terms
-    ``-log p[i, index[i]]``. A (k, m) ``index`` picks m strictly increasing
-    entries per distribution and gives the total of all k·m terms.
+    ``p`` is a (k, n) matrix of k distributions, one per row, and the (k, m)
+    ``index`` picks m strictly increasing entries per distribution; the
+    result is the total of the k·m terms ``-log p[i, index[i, j]]``.
     ``weights``, of ``index``'s shape, scale the terms. Probabilities are
     clamped below at ``PROB_FLOOR``; a clamped entry gets no gradient.
     """
@@ -614,33 +603,28 @@ def cross_entropy(p, index, weights=None) -> Tensor:
     idx = np.asarray(index)
     if idx.dtype.kind not in "iu":
         raise ValueError(f"cross_entropy needs integer indices, got {idx.dtype}")
-    if idx.ndim not in (1, 2) or idx.shape[0] != pdata.shape[0]:
-        raise ValueError(f"cross_entropy needs one index, or one row of them, per "
-                         f"distribution, got index shape {idx.shape} for distributions of "
-                         f"shape {pdata.shape}")
-    picks = idx.ndim == 2
-    at = idx if picks else idx[:, None]
-    if (at[:, 1:] <= at[:, :-1]).any():
+    if idx.ndim != 2 or idx.shape[0] != pdata.shape[0]:
+        raise ValueError(f"cross_entropy needs one row of indices per distribution, got "
+                         f"index shape {idx.shape} for distributions of shape {pdata.shape}")
+    if (idx[:, 1:] <= idx[:, :-1]).any():
         raise ValueError("cross_entropy needs strictly increasing picks per distribution")
     size = pdata.shape[1]
-    if at.size and (at.min() < 0 or at.max() >= size):
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
         raise IndexError(f"target index out of range for distribution of size {size}")
     w = np.ones(idx.shape) if weights is None else np.asarray(weights, dtype=np.float64)
     if w.shape != idx.shape:
         raise ValueError(f"weights have shape {w.shape}, index {idx.shape}")
-    w = w.reshape(at.shape)
-    values = np.take_along_axis(pdata, at, axis=1)
+    values = np.take_along_axis(pdata, idx, axis=1)
     terms = w * -np.log(np.maximum(values, PROB_FLOOR))
 
     def backward_fn(g):
-        upstream = g if picks else g[:, None]
         picked = np.zeros_like(values)
-        np.divide(-upstream * w, values, out=picked, where=values >= PROB_FLOOR)
+        np.divide(-g * w, values, out=picked, where=values >= PROB_FLOOR)
         grad = np.zeros_like(pdata)
-        np.put_along_axis(grad, at, picked, axis=1)
+        np.put_along_axis(grad, idx, picked, axis=1)
         return [grad]
 
-    return _finish(terms.sum(axis=-1).sum() if picks else terms[:, 0], (p,), backward_fn)
+    return _finish(terms.sum(axis=-1).sum(), (p,), backward_fn)
 
 
 def sigmoid_cross_entropy(z, target) -> Tensor:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import LossSettings, ModelConfig
 from .net import BoundExample, DialogueModel
-from .numkit import AdamState, Tape, adam_step, backward, clip_global_norm, mean, stack
+from .numkit import AdamState, Tape, adam_step, backward, clip_global_norm, mean
 
 # the loop reads the model section's epochs, batch_size, lr and grad_clip
 TrainSettings = ModelConfig
@@ -72,7 +72,7 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
             try:
                 with Tape() as tape:
                     parts = [model.example_loss(b, loss_settings) for b in batch]
-                    batch_loss = mean(stack([p.joint for p in parts]))
+                    batch_loss = mean([p.joint for p in parts])
                 grads = backward(batch_loss, tape, params)
                 clip_global_norm(grads, train_settings.grad_clip)
             except FloatingPointError as err:

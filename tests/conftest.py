@@ -162,6 +162,17 @@ def densified(grad, param):
     return grad
 
 
+def vstack(parts):
+    """The rows of the matrices ``parts``, one after another, as one record:
+    the oracles' join, since the model joins matrices only side by side."""
+    from personagen.numkit.tensor import _finish
+
+    datas = [p.data for p in parts]
+    ends = np.cumsum([len(d) for d in datas])[:-1]
+    return _finish(np.concatenate(datas), tuple(parts),
+                   lambda g: [part.copy() for part in np.split(g, ends)])
+
+
 def relative_error(got, want) -> float:
     """grad_check's entry-wise measure, |got - want| / max(1e-8, |got| +
     |want|), maximised."""

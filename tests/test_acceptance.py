@@ -109,17 +109,17 @@ def test_criterion_1_gradient_fidelity():
         (lambda a, b: nk.sum_(nk.mul(a, b)), [(2, 3), (2, 3)]),
         (lambda a: nk.sum_(nk.scale(a, -2.5)), [(5,)]),
         (lambda a, b: nk.sum_(tanh(nk.concat([a, b]))), [(2, 3), (2, 2)]),
-        (lambda a, b: nk.sum_(tanh(nk.stack([a, b]))), [(3,), (3,)]),
         (row_of_op_output, [(4, 3)]),
         (lambda a: nk.sum_(tanh(nk.sum_(a, axis=0))), [(3, 2)]),
-        (lambda a: nk.mean(nk.mul(a, a)), [(4,)]),
+        (lambda a, b, c: nk.exp(nk.mean([nk.sum_(tanh(a)), nk.sum_(nk.mul(b, b)), c])),
+         [(3,), (2, 2), ()]),
         (lambda a: nk.sum_(tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
         (lambda a: nk.sum_(tanh(a)), [(4,)]),
         (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
         (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
         (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
         (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
-        (lambda a: nk.cross_entropy(nk.softmax(a), [2]), [(1, 5)]),
+        (lambda a: nk.cross_entropy(nk.softmax(a), [[2]]), [(1, 5)]),
         # weighted picks, with entry 1 below PROB_FLOOR, of one distribution
         # and of each row of a batch
         (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [[0, 1, 3]],
@@ -293,8 +293,8 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     loss = p_match_loss(nk.Tensor([[0.5, 0.5]]), np.array([1.0, 0.0]))
     assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
-    probs = [nk.Tensor(np.full(10, 0.1)) for _ in range(3)]
-    assert nll_loss(nk.stack(probs), [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
+    probs = nk.Tensor(np.full((3, 10), 0.1))
+    assert nll_loss(probs, [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
 
     vocab = Vocabulary.from_tokens(["cat"])
     target = p_bows_targets(["cat", "runs"], {"cat"}, vocab, lam=1.0)

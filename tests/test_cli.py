@@ -1,7 +1,10 @@
 import importlib
 import io
 import json
+import os
 import pkgutil
+import subprocess
+import sys
 from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
@@ -446,6 +449,23 @@ class TestPipeline:
             assert abs(sum(attention["word_memory"]) - 1.0) < 1e-9
             assert abs(sum(attention["external_memory"]) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("command", ["generate", "eval"])
+    def test_stdout_closed_by_its_reader_exits_1_quietly(self, command, pipeline):
+        # as in `personagen generate … | head -c 10` once head has exited:
+        # the pipe's read end is closed before the command writes
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "import sys; from personagen.cli import main; "
+                 "sys.exit(main())", command, "--checkpoint", str(pipeline["model_ckpt"]),
+                 "--data", str(pipeline["data"]), "--mode", "greedy"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=300)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr.decode()) == (1, "")
+
     def test_eval_report_schema(self, pipeline, tmp_path):
         out = tmp_path / "report.json"
         assert main(["eval", "--checkpoint", str(pipeline["model_ckpt"]),
@@ -755,6 +775,16 @@ class TestValidExpansions:
         assert main(["train", "--config", str(config_path), "--expansions",
                      str(pipeline["expansions"]), "--out", str(tmp_path / "m.ckpt")]) == 0
         assert capsys.readouterr().err.count("--valid-expansions") == 1
+
+    def test_records_without_a_validation_file_exit_2(self, pipeline, tmp_path, capsys):
+        # they were read and then ignored: training ran with no validation
+        config_path = small_train_config(tmp_path, pipeline, valid=False)
+        out = tmp_path / "m.ckpt"
+        assert main(["train", "--config", str(config_path), "--valid-expansions",
+                     str(pipeline["expansions"]), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "--valid-expansions" in err and "paths.valid" in err
+        assert not out.exists()
 
     def test_no_warning_without_a_validation_file(self, pipeline, tmp_path, capsys):
         config_path = small_train_config(tmp_path, pipeline, valid=False)

@@ -123,8 +123,8 @@ class TestPBowsTargets:
 class TestPBowsLoss:
     def test_saturated_correct_rejection_vanishes(self):
         target = np.zeros(4)
-        activations = [nk.Tensor([-50.0] * 4)]
-        assert p_bows_loss(nk.stack(activations), target).item() == pytest.approx(0.0, abs=1e-12)
+        activations = nk.Tensor([[-50.0] * 4])
+        assert p_bows_loss(activations, target).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_single_uncertain_slot_contributes_log2_over_v(self):
         size = 8
@@ -132,7 +132,7 @@ class TestPBowsLoss:
         weights[3] = 1.0
         acts = np.full(size, -50.0)
         acts[3] = 0.0  # sigmoid -> 0.5 exactly where the target is 1
-        loss = p_bows_loss(nk.stack([nk.Tensor(acts)]), weights)
+        loss = p_bows_loss(nk.Tensor([acts]), weights)
         assert loss.item() == pytest.approx(math.log(2) / size, abs=1e-9)
 
     def test_upweighted_slot_pushes_harder(self):
@@ -140,48 +140,48 @@ class TestPBowsLoss:
         def grad_at(b_value):
             weights = np.zeros(1)
             weights[0] = b_value
-            act = nk.Tensor([0.0], requires_grad=True)
+            act = nk.Tensor([[0.0]], requires_grad=True)
             with nk.Tape() as tape:
-                loss = p_bows_loss(nk.stack([act]), weights)
-            return nk.backward(loss, tape)[act][0]
+                loss = p_bows_loss(act, weights)
+            return nk.backward(loss, tape)[act][0, 0]
 
         assert grad_at(2.0) < grad_at(1.0) < 0.0
 
     def test_finite_even_with_overweighted_targets(self):
         rng = np.random.default_rng(0)
         weights = rng.choice([0.0, 1.0, 2.0], size=6)
-        acts = [nk.Tensor(rng.normal(size=6) * 30) for _ in range(3)]
-        loss = p_bows_loss(nk.stack(acts), weights)
+        acts = nk.Tensor(rng.normal(size=(3, 6)) * 30)
+        loss = p_bows_loss(acts, weights)
         assert math.isfinite(loss.item())
 
     def test_sums_activations_over_steps(self):
         weights = np.zeros(2)
         weights[0] = 1.0
-        split = [nk.Tensor([1.0, -2.0]), nk.Tensor([2.0, 1.0])]
-        merged = [nk.Tensor([3.0, -1.0])]
-        a = p_bows_loss(nk.stack(split), weights).item()
-        b = p_bows_loss(nk.stack(merged), weights).item()
+        split = nk.Tensor([[1.0, -2.0], [2.0, 1.0]])
+        merged = nk.Tensor([[3.0, -1.0]])
+        a = p_bows_loss(split, weights).item()
+        b = p_bows_loss(merged, weights).item()
         assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestNll:
     def test_perfect_prediction_is_zero(self):
-        probs = [nk.Tensor([0.0, 1.0, 0.0]), nk.Tensor([0.0, 0.0, 1.0])]
-        assert nll_loss(nk.stack(probs), [1, 2]).item() == pytest.approx(0.0, abs=1e-9)
+        probs = nk.Tensor([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        assert nll_loss(probs, [1, 2]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_is_log_vocab(self):
-        probs = [nk.Tensor(np.full(10, 0.1)) for _ in range(4)]
-        loss = nll_loss(nk.stack(probs), [0, 3, 7, 9]).item()
+        probs = nk.Tensor(np.full((4, 10), 0.1))
+        loss = nll_loss(probs, [0, 3, 7, 9]).item()
         assert loss == pytest.approx(math.log(10), abs=1e-12)
         assert loss == pytest.approx(2.3026, abs=1e-4)
 
     def test_single_token(self):
-        p = nk.Tensor([0.25, 0.5, 0.25])
-        assert nll_loss(nk.stack([p]), [1]).item() == pytest.approx(-math.log(0.5), abs=1e-12)
+        p = nk.Tensor([[0.25, 0.5, 0.25]])
+        assert nll_loss(p, [1]).item() == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
-            nll_loss(nk.stack([nk.Tensor([1.0])]), [0, 1])
+            nll_loss(nk.Tensor([[1.0]]), [0, 1])
 
 
 class TestJointLoss:
@@ -308,7 +308,7 @@ class TestLossTermOracles:
         want, want_grad = chain_nll(probs.data, targets)
         assert value == pytest.approx(want, rel=1e-12)
         assert relative_error(grad, want_grad) < 1e-12
-        assert records <= 2
+        assert records == 1  # the weighted picks need no mean of their own
 
     @pytest.mark.parametrize("labels", [[1.0, 0.0, 1.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 0.0]])
     def test_p_match(self, labels):

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from conftest import (
     np_softmax,
     np_tanh_mlp,
     relative_error,
+    vstack,
 )
 from personagen import net
 from personagen import numkit as nk
@@ -290,7 +293,7 @@ class TestAttendHistory:
             got = nk.backward(loss(states), tape)
         singles = [nk.Tensor(states.data[i:i + 1], requires_grad=True) for i in range(3)]
         with nk.Tape() as tape:
-            want = nk.backward(nk.sum_(nk.stack([loss(s) for s in singles])), tape)
+            want = nk.backward(functools.reduce(nk.add, [loss(s) for s in singles]), tape)
         for p in [rows] + attention:
             np.testing.assert_allclose(got[p], want[p], rtol=0, atol=1e-12)
         np.testing.assert_allclose(got[states], np.concatenate([want[s] for s in singles]),
@@ -565,7 +568,7 @@ class TestJointLossAndGradients:
 
         def batch_loss():
             parts = [model.example_loss(b, settings).joint for b in (first, second)]
-            return nk.mean(nk.stack(parts))
+            return nk.mean(parts)
 
         assert nk.grad_check(batch_loss, model.params()) < 1e-4
 
@@ -580,7 +583,7 @@ class TestJointLossAndGradients:
         settings = LossSettings()
 
         def batch_loss():
-            return nk.mean(nk.stack([model.example_loss(b, settings).joint for b in batch]))
+            return nk.mean([model.example_loss(b, settings).joint for b in batch])
 
         with nk.Tape() as tape:
             loss = batch_loss()
@@ -636,8 +639,7 @@ class TestFactoredWeightGradients:
 
         def sweep():
             with nk.Tape() as tape:
-                loss = nk.mean(nk.stack([model.example_loss(b, LossSettings()).joint
-                                         for b in batch]))
+                loss = nk.mean([model.example_loss(b, LossSettings()).joint for b in batch])
             return nk.backward(loss, tape, params), nk.backward(loss, tape)
 
         grads, by_tensor = sweep()
@@ -648,15 +650,6 @@ class TestFactoredWeightGradients:
             got = densified(grad, p)
             assert got.tobytes() == by_tensor[p].tobytes()
             assert relative_error(got, densified(dense, p)) < 1e-10
-
-
-def vstack(parts):
-    """The rows of the matrices ``parts``, one after another, as one record:
-    the oracles' join, since the model joins matrices only side by side."""
-    datas = [p.data for p in parts]
-    ends = np.cumsum([len(d) for d in datas])[:-1]
-    return tensor_module._finish(np.concatenate(datas), tuple(parts),
-                                 lambda g: [part.copy() for part in np.split(g, ends)])
 
 
 def per_step_loss(model, bound, settings):
@@ -671,9 +664,9 @@ def per_step_loss(model, bound, settings):
         probs, s_tilde, state, _ = decode_step(
             [prev], state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
             model.embedding)
-        step_losses.append(nk.cross_entropy(probs, [target]))
+        step_losses.append(nk.cross_entropy(probs, [[target]]))
         step_activations.append(s_tilde)
-    nll = nk.mean(nk.stack(step_losses))
+    nll = nk.mean(step_losses)
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
     bows = p_bows_loss(vstack(step_activations), p_bows_targets(
@@ -704,14 +697,15 @@ def step_by_step_loss(model, bound, settings):
     embedding, persona, history = model.embedding, model.persona, model.history
 
     def encode(sentences, fwd, bwd):
-        encoded = [nk.bigru_encode(nk.lookup(embedding, s), fwd, bwd) for s in sentences]
+        encoded = [nk.bigru_encode(nk.lookup(embedding, s), fwd, bwd, [len(s)])
+                   for s in sentences]
         return [final for _, final in encoded], vstack([steps for steps, _ in encoded])
 
     sentence_reps, word_reps = encode(bound.persona_ids, persona.fwd, persona.bwd)
     mem_s = build_memory(vstack(sentence_reps), persona.sent_key, persona.sent_value)
     mem_w = build_memory(word_reps, persona.word_key, persona.word_value)
     vectors, word_states = encode(bound.history_ids, history.word_fwd, history.word_bwd)
-    _, e_x = nk.bigru_encode(vstack(vectors), history.utt_fwd, history.utt_bwd)
+    _, e_x = nk.bigru_encode(vstack(vectors), history.utt_fwd, history.utt_bwd, [len(vectors)])
     o_k, match_weights = persona_information_retrieval(
         vstack([model.c_proj(c) for c in vectors]), mem_s)
     state = init_state(e_x, o_k, model.decoder.init_proj)

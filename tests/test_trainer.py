@@ -6,7 +6,7 @@ from personagen import trainer
 from personagen.checkpoint import CheckpointError, restore_params
 from personagen.corpus import build_vocab, conversation_document, load_personachat
 from personagen.net import DialogueModel, LossSettings, bind_example
-from personagen.numkit import Factors
+from personagen.numkit import Factors, Tape
 from personagen.trainer import TrainSettings, evaluate_loss, train_dialogue_model
 
 
@@ -75,6 +75,29 @@ def test_no_snapshot_without_validation(toy_setup):
                                   np.random.default_rng(2))
     assert result.best_params is None and result.best_valid is None
     assert [r.valid_loss for r in result.trace] == [None, None]
+
+
+def test_batch_tape_adds_one_record_to_the_example_losses(toy_setup, monkeypatch):
+    # the batch loss is one mean record over the examples' joint losses
+    vocab, examples = toy_setup
+    model = make_model(vocab, seed=3)
+    batch = examples[:3]
+    per_example = []
+    for bound in batch:
+        with Tape() as tape:
+            model.example_loss(bound, LossSettings())
+        per_example.append(len(tape))
+    backward = trainer.backward
+    handed = []
+
+    def counting(loss, tape, *rest):
+        handed.append(len(tape))
+        return backward(loss, tape, *rest)
+
+    monkeypatch.setattr(trainer, "backward", counting)
+    train_dialogue_model(model, batch, None, LossSettings(),
+                         TrainSettings(epochs=1, batch_size=3, lr=0.01), np.random.default_rng(0))
+    assert handed == [sum(per_example) + 1]
 
 
 def test_non_finite_loss_aborts_with_batch_id(toy_setup):
