@@ -15,6 +15,7 @@ Float64 values are stored exactly, so a load/save round trip is bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -43,6 +44,9 @@ class Checkpoint:
 
 def save_checkpoint(path, kind: str, params: list[tuple[str, np.ndarray]],
                     vocab: Vocabulary, config: dict, extra: dict | None = None) -> None:
+    """Write a checkpoint to a temporary file beside ``path``, then move it
+    into place, so a save that fails leaves whatever was at ``path`` as it
+    was and no temporary file behind."""
     manifest = [{"name": name, "shape": list(np.shape(array))} for name, array in params]
     header = {
         "format_version": FORMAT_VERSION,
@@ -53,76 +57,125 @@ def save_checkpoint(path, kind: str, params: list[tuple[str, np.ndarray]],
         "extra": extra or {},
     }
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(len(header_bytes).to_bytes(8, "little"))
-        handle.write(header_bytes)
-        for _, array in params:
-            handle.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+    temporary = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(temporary, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(len(header_bytes).to_bytes(8, "little"))
+            handle.write(header_bytes)
+            for _, array in params:
+                handle.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(temporary)
+        raise
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint at ``path``, each parameter read into a fresh array."""
     with open(path, "rb") as handle:
-        magic = handle.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        header_len = int.from_bytes(handle.read(8), "little")
-        file_size = os.fstat(handle.fileno()).st_size
-        remaining = file_size - handle.tell()
-        if header_len > remaining:
-            raise CheckpointError(f"{path}: header length {header_len} exceeds the "
-                                  f"{remaining} bytes left in the file")
-        try:
-            header = json.loads(handle.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
-            raise CheckpointError(f"{path}: corrupt header: {err}") from err
-        if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: header is not a JSON object")
-        version = header.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointError(f"{path}: unsupported format version {version}")
-        missing = [key for key in ("kind", "params", "vocab") if key not in header]
-        if missing:
-            raise CheckpointError(f"{path}: header missing {', '.join(missing)}")
-        if not isinstance(header["params"], list):
-            raise CheckpointError(f"{path}: header params is not a list")
-        tokens = header["vocab"]
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise CheckpointError(f"{path}: header vocab is not a list of strings")
-        if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
-            raise CheckpointError(f"{path}: vocabulary missing reserved tokens")
-        if len(set(tokens)) != len(tokens):
-            raise CheckpointError(f"{path}: header vocab lists a token twice")
-        extra = header.get("extra", {})
-        if not isinstance(extra, dict):
-            raise CheckpointError(f"{path}: header extra is not a JSON object")
-        params: dict[str, np.ndarray] = {}
-        for entry in header["params"]:
-            name, shape = _manifest_entry(path, entry)
-            if name in params:
-                raise CheckpointError(f"{path}: header params lists {name} twice")
-            size = math.prod(shape) * 8
-            remaining = file_size - handle.tell()
-            if size > remaining:  # checked before allocating: a header may declare any shape
-                raise CheckpointError(f"{path}: truncated payload at {name}: shape "
-                                      f"{list(shape)} needs {size} bytes, {remaining} left")
+        loaded, manifest = _read_header(path, handle)
+        for name, shape in manifest:
             try:
-                array = np.empty(shape, dtype="<f8")
+                loaded.params[name] = np.empty(shape, dtype="<f8")
             except ValueError as err:  # an empty shape whose sizes numpy cannot index
                 raise CheckpointError(f"{path}: parameter {name} has shape "
                                       f"{list(shape)}: {err}") from err
-            if handle.readinto(array) != size:
-                raise CheckpointError(f"{path}: truncated payload at {name}")
-            params[name] = array
-        if handle.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the last parameter")
-    return Checkpoint(
+        _read_payloads(path, handle, manifest, loaded.params)
+    return loaded
+
+
+def load_model(path, kind: str, build):
+    """``(model, checkpoint)`` of the ``kind`` checkpoint at ``path``.
+
+    ``build(checkpoint)`` makes the model, anything with ``named_params()``,
+    from the header's vocabulary and config. The manifest must list the
+    model's parameters by name and shape, which is checked before any payload
+    is read; each payload is then read straight into its parameter's array,
+    so the parameters are held once, and the checkpoint's ``params`` are
+    those arrays.
+    """
+    with open(path, "rb") as handle:
+        loaded, manifest = _read_header(path, handle)
+        if loaded.kind != kind:
+            raise CheckpointError(f"checkpoint kind {loaded.kind!r} is not a {kind} model")
+        model = build(loaded)
+        problem = _params_mismatch(dict(manifest), model)
+        if problem:
+            raise CheckpointError(f"{path}: {problem}")
+        loaded.params = {name: tensor.data for name, tensor in model.named_params()}
+        _read_payloads(path, handle, manifest, loaded.params)
+    return model, loaded
+
+
+def _read_header(path, handle) -> tuple[Checkpoint, list[tuple[str, tuple[int, ...]]]]:
+    """The checkpoint of an open file, with no parameters yet, and its
+    manifest: every header check, and the check that the payloads the
+    manifest declares fill the rest of the file exactly."""
+    magic = handle.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+    header_len = int.from_bytes(handle.read(8), "little")
+    file_size = os.fstat(handle.fileno()).st_size
+    remaining = file_size - handle.tell()
+    if header_len > remaining:
+        raise CheckpointError(f"{path}: header length {header_len} exceeds the "
+                              f"{remaining} bytes left in the file")
+    try:
+        header = json.loads(handle.read(header_len).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise CheckpointError(f"{path}: corrupt header: {err}") from err
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    missing = [key for key in ("kind", "params", "vocab") if key not in header]
+    if missing:
+        raise CheckpointError(f"{path}: header missing {', '.join(missing)}")
+    if not isinstance(header["params"], list):
+        raise CheckpointError(f"{path}: header params is not a list")
+    tokens = header["vocab"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CheckpointError(f"{path}: header vocab is not a list of strings")
+    if tokens[:len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
+        raise CheckpointError(f"{path}: vocabulary missing reserved tokens")
+    if len(set(tokens)) != len(tokens):
+        raise CheckpointError(f"{path}: header vocab lists a token twice")
+    extra = header.get("extra", {})
+    if not isinstance(extra, dict):
+        raise CheckpointError(f"{path}: header extra is not a JSON object")
+    manifest = [_manifest_entry(path, entry) for entry in header["params"]]
+    remaining = file_size - handle.tell()
+    seen = set()
+    for name, shape in manifest:
+        if name in seen:
+            raise CheckpointError(f"{path}: header params lists {name} twice")
+        seen.add(name)
+        size = math.prod(shape) * 8
+        if size > remaining:  # checked before allocating: a header may declare any shape
+            raise CheckpointError(f"{path}: truncated payload at {name}: shape "
+                                  f"{list(shape)} needs {size} bytes, {remaining} left")
+        remaining -= size
+    if remaining:
+        raise CheckpointError(f"{path}: trailing bytes after the last parameter")
+    loaded = Checkpoint(
         kind=header["kind"],
-        params=params,
+        params={},
         vocab=Vocabulary.from_tokens(tokens[len(RESERVED_TOKENS):]),
         config=header.get("config", {}),
         extra=extra,
     )
+    return loaded, manifest
+
+
+def _read_payloads(path, handle, manifest, arrays: dict[str, np.ndarray]) -> None:
+    """Read each manifest entry's payload into ``arrays[name]``, a
+    C-contiguous little-endian float64 array of its shape."""
+    for name, _ in manifest:
+        if handle.readinto(arrays[name]) != arrays[name].nbytes:
+            raise CheckpointError(f"{path}: truncated payload at {name}")
 
 
 def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
@@ -143,15 +196,23 @@ def restore_params(model, arrays: dict[str, np.ndarray]) -> None:
     ``named_params()``. The names must match exactly and every shape must
     agree; otherwise nothing is copied and CheckpointError names the first
     offending parameter."""
-    named = model.named_params()
-    unexpected = sorted(set(arrays) - {name for name, _ in named})
-    if unexpected:
-        raise CheckpointError(f"unexpected parameter {unexpected[0]}")
-    for name, tensor in named:
-        if name not in arrays:
-            raise CheckpointError(f"missing parameter {name}")
-        if arrays[name].shape != tensor.data.shape:
-            raise CheckpointError(f"parameter {name} has shape {arrays[name].shape}, "
-                                  f"expected {tensor.data.shape}")
-    for name, tensor in named:
+    problem = _params_mismatch({name: array.shape for name, array in arrays.items()}, model)
+    if problem:
+        raise CheckpointError(problem)
+    for name, tensor in model.named_params():
         tensor.data[...] = arrays[name]
+
+
+def _params_mismatch(shapes: dict[str, tuple[int, ...]], model) -> str | None:
+    """What keeps parameters of these shapes, by name, from being exactly
+    ``model``'s, if anything: the first offending parameter."""
+    named = model.named_params()
+    unexpected = sorted(set(shapes) - {name for name, _ in named})
+    if unexpected:
+        return f"unexpected parameter {unexpected[0]}"
+    for name, tensor in named:
+        if name not in shapes:
+            return f"missing parameter {name}"
+        if shapes[name] != tensor.data.shape:
+            return f"parameter {name} has shape {shapes[name]}, expected {tensor.data.shape}"
+    return None

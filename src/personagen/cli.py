@@ -61,7 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_INTERNAL
-    except (UserError, FileNotFoundError, PermissionError, ckpt.CheckpointError) as err:
+    except (UserError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ckpt.CheckpointError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USER
     except Exception:
@@ -200,9 +201,21 @@ def _write_jsonl(path, records) -> None:
             out.close()
 
 
-def _write_trace(args, records) -> None:
-    """Loss trace records to ``--trace``, by default ``<out>.trace.jsonl``."""
-    _write_jsonl(args.trace or f"{args.out}.trace.jsonl", records)
+def _trace_path(args) -> str:
+    """``--trace``, by default ``<out>.trace.jsonl``."""
+    return args.trace or f"{args.out}.trace.jsonl"
+
+
+def _check_outputs(*paths) -> None:
+    """Raise UserError unless a file can be made at each of ``paths``: none
+    is a directory, and each one's parent is, so that a run does not train
+    only to fail at its save."""
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            raise UserError(f"cannot write {path}: it is a directory")
+        if not os.path.isdir(parent):
+            raise UserError(f"cannot write {path}: {parent} is not a directory")
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +225,7 @@ def _write_trace(args, records) -> None:
 
 def cmd_pretrain_topic(args) -> int:
     config = _load_config(args)
+    _check_outputs(args.out, _trace_path(args))
     paths = list(config.paths.topic_corpora) + list(args.corpus)
     if config.paths.train:
         paths.insert(0, config.paths.train)
@@ -229,24 +243,25 @@ def cmd_pretrain_topic(args) -> int:
         docs, vocab, TopicTrainConfig(**asdict(config.topic), seed=config.seed))
     ckpt.save_checkpoint(args.out, "topic", [(n, t.data) for n, t in model.named_params()],
                          vocab, config.to_dict())
-    _write_trace(args, ({"epoch": epoch, "loss": loss} for epoch, loss in trace))
+    _write_jsonl(_trace_path(args), ({"epoch": epoch, "loss": loss} for epoch, loss in trace))
     print(f"wrote {args.out} ({len(docs)} documents, {len(vocab)} vocab entries)")
     return EXIT_OK
 
 
 def _load_model(path, kind: str, build) -> tuple:
     """(model, saved config) of the ``kind`` checkpoint at ``path``, the
-    model ``build(vocab, saved config)`` with the saved parameters."""
-    loaded = ckpt.load_checkpoint(path)
-    if loaded.kind != kind:
-        raise UserError(f"checkpoint kind {loaded.kind!r} is not a {kind} model")
-    try:
-        config = Config.from_dict(loaded.config)
-    except ValueError as err:
-        raise UserError(f"{path}: saved config: {err}") from err
-    model = build(loaded.vocab, config)
-    ckpt.restore_params(model, loaded.params)
-    return model, config
+    model ``build(vocab, saved config)`` with the saved parameters read
+    straight into it."""
+
+    def saved_config(loaded: ckpt.Checkpoint) -> Config:
+        try:
+            return Config.from_dict(loaded.config)
+        except ValueError as err:
+            raise UserError(f"{path}: saved config: {err}") from err
+
+    model, loaded = ckpt.load_model(
+        path, kind, lambda loaded: build(loaded.vocab, saved_config(loaded)))
+    return model, saved_config(loaded)
 
 
 def _load_topic_model(path) -> TopicModel:
@@ -335,6 +350,7 @@ def _bind_conversations(conversations: list[Conversation], vocab: Vocabulary,
 
 def cmd_train(args) -> int:
     config = _load_config(args)
+    _check_outputs(args.out, _trace_path(args))
     if not config.paths.train:
         raise UserError("config paths.train is required")
     if args.valid_expansions and not config.paths.valid:
@@ -379,7 +395,7 @@ def cmd_train(args) -> int:
         args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
         config.to_dict(), extra={"best_valid": result.best_valid},
     )
-    _write_trace(args, map(asdict, result.trace))
+    _write_jsonl(_trace_path(args), map(asdict, result.trace))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 import string
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -31,8 +32,11 @@ _TOKEN = re.compile(rf"[^\s{_PUNCT}]+|[{_PUNCT}]")
 
 def tokenize(text: str) -> list[str]:
     """Lowercase, split punctuation characters into standalone tokens, then
-    whitespace-split. Empty text gives an empty list."""
-    return _TOKEN.findall(text.lower())
+    whitespace-split. Empty text gives an empty list.
+
+    Tokens are interned, so a corpus holds one string per distinct token and
+    a pointer per occurrence."""
+    return list(map(sys.intern, _TOKEN.findall(text.lower())))
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -170,6 +170,8 @@ def train_topic_model(docs: list[TfIdfDoc], vocab: Vocabulary,
                                    f"batch {batch_id}: {err}") from err
             adam_step(params, grads, state)
             total += loss.item() * len(batch)
+            # freed before the next batch's forward: one batch is alive at a time
+            del tape, loss, grads
         trace.append((epoch, total / len(docs)))
     return model, trace
 

@@ -51,9 +51,10 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
     """Run Adam over shuffled mini-batches of the joint loss.
 
     The batch loss is the mean of per-example joint losses; gradients are
-    clipped to a global norm before each update. Validation (when provided)
-    runs after every epoch and the best parameter snapshot is kept; without
-    it ``best_params`` stays ``None`` and the model holds the final
+    clipped to a global norm before each update, and a batch's tape and
+    gradients are released before the next batch starts. Validation (when
+    provided) runs after every epoch and the best parameter snapshot is kept;
+    without it ``best_params`` stays ``None`` and the model holds the final
     parameters. A non-finite value in the forward or backward pass, or a
     gradient norm that overflows, aborts with the epoch and batch id.
     """
@@ -81,6 +82,9 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
             adam_step(params, grads, state)
             epoch_joint += batch_loss.item() * len(batch)
             epoch_nll += float(np.mean([p.nll.item() for p in parts])) * len(batch)
+            # the gradients and the tape hold the batch's activations: free
+            # them before the next batch's forward, so one batch is alive
+            del tape, parts, batch_loss, grads
 
         record = EpochRecord(
             epoch=epoch,

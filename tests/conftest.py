@@ -4,6 +4,7 @@ plain-numpy oracle implementations used to cross-check the tensor code."""
 from __future__ import annotations
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -134,6 +135,22 @@ def traced_peak_bytes(fn) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def gradient_array_refs(grads) -> list[weakref.ref]:
+    """Weak references to every array that list-form gradients hold: dense
+    arrays, a ``RowGrad``'s rows and both factors of ``Factors``."""
+    from personagen.numkit import Factors, RowGrad
+
+    arrays = []
+    for grad in grads:
+        if isinstance(grad, RowGrad):
+            arrays.append(grad.rows)
+        elif isinstance(grad, Factors):
+            arrays.extend(grad)
+        else:
+            arrays.append(grad)
+    return [weakref.ref(array) for array in arrays]
 
 
 # ---------------------------------------------------------------------------

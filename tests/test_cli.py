@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import io
 import json
@@ -17,6 +18,7 @@ from personagen import cli
 from personagen.cli import load_expansion_records, main
 from personagen.config import Config
 from personagen.corpus import RESERVED_TOKENS, Vocabulary
+from personagen.net import DialogueModel
 
 
 BAD_CONFIG_FILES = {
@@ -201,6 +203,32 @@ def test_negative_seed_option_exits_2_naming_seed(command, toy_corpus, tmp_path,
     assert "seed must be" in capsys.readouterr().err
 
 
+def unwritable(kind: str, tmp_path) -> str:
+    """A path where no file can be made: a directory, or a path under a
+    regular file."""
+    if kind == "directory":
+        (tmp_path / "dir").mkdir()
+        return str(tmp_path / "dir")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    return str(tmp_path / "file" / "out")
+
+
+@pytest.mark.parametrize("kind", ["directory", "under_a_file"])
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+@pytest.mark.parametrize("command", ["pretrain-topic", "train"])
+def test_unwritable_output_exits_2_before_training(command, option, kind, toy_corpus,
+                                                   tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("trained before checking the outputs")
+
+    monkeypatch.setattr(cli, "train_topic_model", refuse)
+    monkeypatch.setattr(cli, "train_dialogue_model", refuse)
+    path = unwritable(kind, tmp_path)
+    assert run_small_config({}, command, toy_corpus, tmp_path, option, path) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
+
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -249,6 +277,64 @@ class TestCheckpoint:
         peak = traced_peak_bytes(lambda: loaded.append(load_checkpoint(path)))
         assert np.array_equal(loaded[0].params["w"], payload)
         assert peak < 1.25 * payload.nbytes
+
+
+    def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        vocab = Vocabulary.from_tokens(["x"])
+        save_checkpoint(path, "topic", [("w", np.arange(3.0))], vocab, {}, {})
+        with pytest.raises(ValueError):
+            save_checkpoint(path, "topic", [("w", np.zeros(3)), ("b", np.array(["nan?"]))],
+                            vocab, {}, {})
+        assert load_checkpoint(path).params["w"].tolist() == [0.0, 1.0, 2.0]
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+
+    @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
+    def test_save_to_an_unwritable_path_leaves_no_file(self, kind, tmp_path):
+        path = unwritable(kind, tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises((IsADirectoryError, NotADirectoryError)):
+            save_checkpoint(path, "topic", [("w", np.zeros(3))], Vocabulary.from_tokens(["x"]),
+                            {}, {})
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_model_load_reads_payloads_into_the_model(self, tmp_path):
+        # one copy of the parameters: no array beside the model's own
+        vocab = Vocabulary.from_tokens([f"w{i}" for i in range(2000)])
+        config = Config.from_dict({"model": {"hidden": 64, "emb_dim": 32, "hops": 1}})
+        model = DialogueModel(vocab, 32, 64, 1, np.random.default_rng(2))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
+                        config.to_dict())
+        args = argparse.Namespace(config=None, seed=None, checkpoint=str(path))
+        loaded = []
+        peak = traced_peak_bytes(lambda: loaded.append(cli._load_dialogue_model(args)))
+        (got, _), = loaded
+        param_bytes = sum(t.data.nbytes for _, t in model.named_params())
+        assert peak < 1.25 * param_bytes
+        for (name, want), (_, have) in zip(model.named_params(), got.named_params()):
+            assert have.data.tobytes() == want.data.tobytes(), name
+
+    @pytest.mark.parametrize("change,message", [("missing", "missing parameter"),
+                                                ("unexpected", "unexpected parameter extra.w"),
+                                                ("reshaped", "has shape")])
+    def test_model_load_checks_the_manifest_against_the_model(self, change, message, tmp_path):
+        vocab = Vocabulary.from_tokens(["x", "y"])
+        model = DialogueModel(vocab, 3, 4, 1, np.random.default_rng(0))
+        params = [(n, t.data) for n, t in model.named_params()]
+        name = params[1][0]
+        if change == "missing":
+            del params[1]
+        elif change == "unexpected":
+            params.append(("extra.w", np.zeros(2)))
+        else:
+            params[1] = (name, np.zeros(params[1][1].size + 1))
+        path = tmp_path / "model.ckpt"
+        config = Config.from_dict({"model": {"hidden": 4, "emb_dim": 3, "hops": 1}})
+        save_checkpoint(path, "dialogue", params, vocab, config.to_dict())
+        with pytest.raises(CheckpointError, match=message):
+            cli._load_dialogue_model(argparse.Namespace(config=None, seed=None,
+                                                        checkpoint=str(path)))
 
 
 def raw_checkpoint(header, payload: bytes = b"", header_len: int | None = None) -> bytes:
@@ -624,6 +710,15 @@ class TestExitCodes:
     def test_generate_on_topic_checkpoint_is_user_error(self, pipeline, tmp_path):
         assert main(["generate", "--checkpoint", str(pipeline["topic_ckpt"]),
                      "--data", str(pipeline["data"])]) == 2
+
+    @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
+    def test_expand_out_where_no_file_can_be_made_is_user_error(self, kind, pipeline, tmp_path,
+                                                                capsys):
+        path = unwritable(kind, tmp_path)
+        assert main(["expand", "--topic", str(pipeline["topic_ckpt"]),
+                     "--data", str(pipeline["data"]), "--out", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
 
     def test_missing_train_path_is_user_error(self, tmp_path):
         assert main(["train", "--out", str(tmp_path / "m.ckpt")]) == 2

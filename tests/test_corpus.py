@@ -33,6 +33,11 @@ class TestTokenize:
     def test_apostrophe_becomes_token(self):
         assert tokenize("don't") == ["don", "'", "t"]
 
+    def test_equal_tokens_are_one_string(self):
+        # a corpus holds one string per distinct token
+        first, second = tokenize("Vegan music, VEGAN!"), tokenize("vegan")
+        assert first[0] is first[3] is second[0]
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(["hello", "cat", ".", "?", "'", "42", "you"]),
                     min_size=0, max_size=10))
@@ -61,6 +66,13 @@ class TestTokenize:
 
 
 class TestLoadPersonaChat:
+    def test_equal_tokens_are_one_string(self, sample_chat_file):
+        conversation, = load_personachat(sample_chat_file)
+        persona = conversation.persona_sentences[1]   # i like to skateboard .
+        reply = conversation.utterances[1]            # i do not have a car , i have a skateboard .
+        assert persona[3] == reply[-2] == "skateboard"
+        assert persona[3] is reply[-2] is tokenize("skateboard")[0]
+
     def test_expansion_counts_and_history_lengths(self, sample_chat_file):
         conversations = load_personachat(sample_chat_file)
         assert len(conversations) == 1

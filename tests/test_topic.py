@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
+from conftest import gradient_array_refs, make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
 from personagen import numkit as nk
 from personagen import topic
 from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
@@ -294,6 +294,30 @@ class TestTraining:
         _, trace = train_topic_model(docs, small_vocab(), config)
         assert [epoch for epoch, _ in trace] == [1, 2]
         assert len(widths) == 4  # two batches per epoch
+
+    def test_a_batch_is_freed_before_the_next_forward(self, monkeypatch):
+        # one batch in memory: no array of a batch's gradients is alive when
+        # the next batch's ELBO starts
+        backward, loss = topic.backward, topic.elbo_loss
+        refs, alive = [], []
+
+        def keeping(*args):
+            grads = backward(*args)
+            refs.extend(gradient_array_refs(grads))
+            return grads
+
+        def checking(*args):
+            if refs:
+                alive.append(sum(ref() is not None for ref in refs))
+            return loss(*args)
+
+        monkeypatch.setattr(topic, "backward", keeping)
+        monkeypatch.setattr(topic, "elbo_loss", checking)
+        docs = [TfIdfDoc({4: 1.0, 5: 2.0}), TfIdfDoc({6: 1.0}), TfIdfDoc({7: 3.0}),
+                TfIdfDoc({4: 2.0, 7: 1.0})]
+        config = TopicTrainConfig(topics=2, hidden=4, epochs=2, batch_size=2, seed=3)
+        train_topic_model(docs, small_vocab(), config)
+        assert alive == [0, 0, 0]  # the four batches' forwards after the first
 
     def test_overflowing_gradient_norm_aborts_with_batch_id(self, monkeypatch):
         # a mean of 1e152 keeps the KL term finite, but with encoder hidden

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import toy_expansions
+from conftest import gradient_array_refs, toy_expansions
 from personagen import trainer
 from personagen.checkpoint import CheckpointError, restore_params
 from personagen.corpus import build_vocab, conversation_document, load_personachat
@@ -98,6 +98,32 @@ def test_batch_tape_adds_one_record_to_the_example_losses(toy_setup, monkeypatch
     train_dialogue_model(model, batch, None, LossSettings(),
                          TrainSettings(epochs=1, batch_size=3, lr=0.01), np.random.default_rng(0))
     assert handed == [sum(per_example) + 1]
+
+
+def test_a_batch_is_freed_before_the_next_forward(toy_setup, monkeypatch):
+    # one batch in memory: no array of a batch's gradients is alive when the
+    # next batch's forward (or validation) starts
+    vocab, examples = toy_setup
+    model = make_model(vocab, seed=4)
+    backward, example_loss = trainer.backward, DialogueModel.example_loss
+    refs, alive = [], []
+
+    def keeping(loss, tape, *rest):
+        grads = backward(loss, tape, *rest)
+        refs.extend(gradient_array_refs(grads))
+        return grads
+
+    def checking(self, *args):
+        if refs:
+            alive.append(sum(ref() is not None for ref in refs))
+        return example_loss(self, *args)
+
+    monkeypatch.setattr(trainer, "backward", keeping)
+    monkeypatch.setattr(DialogueModel, "example_loss", checking)
+    train_dialogue_model(model, examples[:6], examples[6:8], LossSettings(),
+                         TrainSettings(epochs=2, batch_size=2, lr=0.01), np.random.default_rng(0))
+    assert len(alive) == 2 * 6 + 2 * 2 - 2  # every forward after the first batch's
+    assert alive == [0] * len(alive)
 
 
 def test_non_finite_loss_aborts_with_batch_id(toy_setup):
