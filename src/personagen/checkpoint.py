@@ -36,24 +36,24 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     kind: str
-    params: dict[str, np.ndarray]
     vocab: Vocabulary
     config: dict
     extra: dict
 
 
-def save_checkpoint(path, kind: str, params: list[tuple[str, np.ndarray]],
-                    vocab: Vocabulary, config: dict, extra: dict | None = None) -> None:
-    """Write a checkpoint to a temporary file beside ``path``, then move it
-    into place, so a save that fails leaves whatever was at ``path`` as it
-    was and no temporary file behind."""
-    manifest = [{"name": name, "shape": list(np.shape(array))} for name, array in params]
+def save_model(path, kind: str, model, config: dict, extra: dict | None = None) -> None:
+    """Write ``model``, anything with ``named_params()`` and a ``vocab``, as a
+    ``kind`` checkpoint: its parameters in ``named_params()`` order. The file
+    is written beside ``path`` and then moved into place, so a save that
+    fails leaves whatever was at ``path`` as it was and no temporary file
+    behind."""
+    params = model.named_params()
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
         "config": config,
-        "vocab": list(vocab.index_to_token),
-        "params": manifest,
+        "vocab": list(model.vocab.index_to_token),
+        "params": [{"name": name, "shape": list(tensor.data.shape)} for name, tensor in params],
         "extra": extra or {},
     }
     header_bytes = json.dumps(header).encode("utf-8")
@@ -63,27 +63,13 @@ def save_checkpoint(path, kind: str, params: list[tuple[str, np.ndarray]],
             handle.write(MAGIC)
             handle.write(len(header_bytes).to_bytes(8, "little"))
             handle.write(header_bytes)
-            for _, array in params:
-                handle.write(np.ascontiguousarray(array, dtype="<f8").tobytes())
+            for _, tensor in params:
+                handle.write(np.ascontiguousarray(tensor.data, dtype="<f8").tobytes())
         os.replace(temporary, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(temporary)
         raise
-
-
-def load_checkpoint(path) -> Checkpoint:
-    """The checkpoint at ``path``, each parameter read into a fresh array."""
-    with open(path, "rb") as handle:
-        loaded, manifest = _read_header(path, handle)
-        for name, shape in manifest:
-            try:
-                loaded.params[name] = np.empty(shape, dtype="<f8")
-            except ValueError as err:  # an empty shape whose sizes numpy cannot index
-                raise CheckpointError(f"{path}: parameter {name} has shape "
-                                      f"{list(shape)}: {err}") from err
-        _read_payloads(path, handle, manifest, loaded.params)
-    return loaded
 
 
 def load_model(path, kind: str, build):
@@ -93,26 +79,34 @@ def load_model(path, kind: str, build):
     from the header's vocabulary and config. The manifest must list the
     model's parameters by name and shape, which is checked before any payload
     is read; each payload is then read straight into its parameter's array,
-    so the parameters are held once, and the checkpoint's ``params`` are
-    those arrays.
+    so the parameters are held once.
     """
     with open(path, "rb") as handle:
         loaded, manifest = _read_header(path, handle)
         if loaded.kind != kind:
             raise CheckpointError(f"checkpoint kind {loaded.kind!r} is not a {kind} model")
         model = build(loaded)
-        problem = _params_mismatch(dict(manifest), model)
-        if problem:
-            raise CheckpointError(f"{path}: {problem}")
-        loaded.params = {name: tensor.data for name, tensor in model.named_params()}
-        _read_payloads(path, handle, manifest, loaded.params)
+        arrays = {name: tensor.data for name, tensor in model.named_params()}
+        shapes = dict(manifest)
+        unexpected = sorted(set(shapes) - set(arrays))
+        if unexpected:
+            raise CheckpointError(f"{path}: unexpected parameter {unexpected[0]}")
+        for name, array in arrays.items():
+            if name not in shapes:
+                raise CheckpointError(f"{path}: missing parameter {name}")
+            if shapes[name] != array.shape:
+                raise CheckpointError(f"{path}: parameter {name} has shape {shapes[name]}, "
+                                      f"expected {array.shape}")
+        for name, _ in manifest:
+            if handle.readinto(arrays[name]) != arrays[name].nbytes:
+                raise CheckpointError(f"{path}: truncated payload at {name}")
     return model, loaded
 
 
 def _read_header(path, handle) -> tuple[Checkpoint, list[tuple[str, tuple[int, ...]]]]:
-    """The checkpoint of an open file, with no parameters yet, and its
-    manifest: every header check, and the check that the payloads the
-    manifest declares fill the rest of the file exactly."""
+    """The header of an open checkpoint file and its manifest: every header
+    check, and the check that the payloads the manifest declares fill the
+    rest of the file exactly."""
     magic = handle.read(len(MAGIC))
     if magic != MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -154,7 +148,7 @@ def _read_header(path, handle) -> tuple[Checkpoint, list[tuple[str, tuple[int, .
             raise CheckpointError(f"{path}: header params lists {name} twice")
         seen.add(name)
         size = math.prod(shape) * 8
-        if size > remaining:  # checked before allocating: a header may declare any shape
+        if size > remaining:  # a header may declare any shape
             raise CheckpointError(f"{path}: truncated payload at {name}: shape "
                                   f"{list(shape)} needs {size} bytes, {remaining} left")
         remaining -= size
@@ -162,20 +156,11 @@ def _read_header(path, handle) -> tuple[Checkpoint, list[tuple[str, tuple[int, .
         raise CheckpointError(f"{path}: trailing bytes after the last parameter")
     loaded = Checkpoint(
         kind=header["kind"],
-        params={},
         vocab=Vocabulary.from_tokens(tokens[len(RESERVED_TOKENS):]),
         config=header.get("config", {}),
         extra=extra,
     )
     return loaded, manifest
-
-
-def _read_payloads(path, handle, manifest, arrays: dict[str, np.ndarray]) -> None:
-    """Read each manifest entry's payload into ``arrays[name]``, a
-    C-contiguous little-endian float64 array of its shape."""
-    for name, _ in manifest:
-        if handle.readinto(arrays[name]) != arrays[name].nbytes:
-            raise CheckpointError(f"{path}: truncated payload at {name}")
 
 
 def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
@@ -189,30 +174,3 @@ def _manifest_entry(path, entry) -> tuple[str, tuple[int, ...]]:
         raise CheckpointError(f"{path}: parameter {name} has shape {shape!r}, "
                               f"not a list of non-negative integers")
     return name, tuple(shape)
-
-
-def restore_params(model, arrays: dict[str, np.ndarray]) -> None:
-    """Copy ``arrays`` into the parameters of ``model``, anything with
-    ``named_params()``. The names must match exactly and every shape must
-    agree; otherwise nothing is copied and CheckpointError names the first
-    offending parameter."""
-    problem = _params_mismatch({name: array.shape for name, array in arrays.items()}, model)
-    if problem:
-        raise CheckpointError(problem)
-    for name, tensor in model.named_params():
-        tensor.data[...] = arrays[name]
-
-
-def _params_mismatch(shapes: dict[str, tuple[int, ...]], model) -> str | None:
-    """What keeps parameters of these shapes, by name, from being exactly
-    ``model``'s, if anything: the first offending parameter."""
-    named = model.named_params()
-    unexpected = sorted(set(shapes) - {name for name, _ in named})
-    if unexpected:
-        return f"unexpected parameter {unexpected[0]}"
-    for name, tensor in named:
-        if name not in shapes:
-            return f"missing parameter {name}"
-        if shapes[name] != tensor.data.shape:
-            return f"parameter {name} has shape {shapes[name]}, expected {tensor.data.shape}"
-    return None

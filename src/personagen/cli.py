@@ -241,8 +241,7 @@ def cmd_pretrain_topic(args) -> int:
     docs = compute_tfidf(documents, vocab)
     model, trace = train_topic_model(
         docs, vocab, TopicTrainConfig(**asdict(config.topic), seed=config.seed))
-    ckpt.save_checkpoint(args.out, "topic", [(n, t.data) for n, t in model.named_params()],
-                         vocab, config.to_dict())
+    ckpt.save_model(args.out, "topic", model, config.to_dict())
     _write_jsonl(_trace_path(args), ({"epoch": epoch, "loss": loss} for epoch, loss in trace))
     print(f"wrote {args.out} ({len(docs)} documents, {len(vocab)} vocab entries)")
     return EXIT_OK
@@ -252,16 +251,18 @@ def _load_model(path, kind: str, build) -> tuple:
     """(model, saved config) of the ``kind`` checkpoint at ``path``, the
     model ``build(vocab, saved config)`` with the saved parameters read
     straight into it."""
+    config = None
 
-    def saved_config(loaded: ckpt.Checkpoint) -> Config:
+    def build_saved(loaded: ckpt.Checkpoint):
+        nonlocal config
         try:
-            return Config.from_dict(loaded.config)
+            config = Config.from_dict(loaded.config)
         except ValueError as err:
             raise UserError(f"{path}: saved config: {err}") from err
+        return build(loaded.vocab, config)
 
-    model, loaded = ckpt.load_model(
-        path, kind, lambda loaded: build(loaded.vocab, saved_config(loaded)))
-    return model, saved_config(loaded)
+    model, _ = ckpt.load_model(path, kind, build_saved)
+    return model, config
 
 
 def _load_topic_model(path) -> TopicModel:
@@ -389,12 +390,8 @@ def cmd_train(args) -> int:
 
     result = train_dialogue_model(model, train_examples, valid_examples, config.losses,
                                   config.model, rng, log=log)
-    if result.best_params is not None:
-        ckpt.restore_params(model, result.best_params)
-    ckpt.save_checkpoint(
-        args.out, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
-        config.to_dict(), extra={"best_valid": result.best_valid},
-    )
+    ckpt.save_model(args.out, "dialogue", model, config.to_dict(),
+                    extra={"best_valid": result.best_valid})
     _write_jsonl(_trace_path(args), map(asdict, result.trace))
     print(f"wrote {args.out}")
     return EXIT_OK

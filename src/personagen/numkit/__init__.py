@@ -1,6 +1,5 @@
 """Reverse-mode differentiation core, optimizer, and recurrent primitives."""
 
-from .gradcheck import grad_check
 from .gru import GruParams, bigru_encode, gru_cell, gru_sequence
 from .layers import Affine, Module, TanhMlp, uniform_param, zero_param
 from .optim import AdamState, adam_step, clip_global_norm

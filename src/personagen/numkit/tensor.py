@@ -160,7 +160,11 @@ def _needs_grad(t: Tensor) -> bool:
 def _finish(out_data, inputs: tuple[Tensor, ...],
             backward_fn: Callable[[Array], Sequence[Array | None]]) -> Tensor:
     out = Tensor(out_data)
-    _require_finite(out.data, "primitive")
+    if not np.isfinite(out.data).all():
+        # each primitive's closure is named <primitive>.<locals>.backward_fn
+        shapes = ", ".join(str(t.data.shape) for t in inputs)
+        raise FloatingPointError(f"{backward_fn.__qualname__.split('.')[0]} produced "
+                                 f"non-finite values (inputs of shapes {shapes})")
     tape = active_tape()
     if tape is not None and any(_needs_grad(t) for t in inputs):
         out._tracked = True

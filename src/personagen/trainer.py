@@ -26,7 +26,6 @@ class EpochRecord:
 class TrainResult:
     trace: list[EpochRecord] = field(default_factory=list)
     best_valid: float | None = None
-    best_params: dict[str, np.ndarray] | None = None
 
 
 def evaluate_loss(model: DialogueModel, examples: list[BoundExample],
@@ -53,16 +52,18 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
     The batch loss is the mean of per-example joint losses; gradients are
     clipped to a global norm before each update, and a batch's tape and
     gradients are released before the next batch starts. Validation (when
-    provided) runs after every epoch and the best parameter snapshot is kept;
-    without it ``best_params`` stays ``None`` and the model holds the final
-    parameters. A non-finite value in the forward or backward pass, or a
-    gradient norm that overflows, aborts with the epoch and batch id.
+    provided) runs after every epoch, and the model returns holding the
+    parameters of the epoch with the lowest validation loss; without it the
+    model holds the final parameters. A non-finite value in the forward or
+    backward pass, or a gradient norm that overflows, aborts with the epoch
+    and batch id.
     """
     if not train_examples:
         raise ValueError("no training examples")
     params = model.params()
     state = AdamState(params, lr=train_settings.lr)
     result = TrainResult()
+    best = None
 
     for epoch in range(1, train_settings.epochs + 1):
         order = rng.permutation(len(train_examples))
@@ -95,10 +96,13 @@ def train_dialogue_model(model: DialogueModel, train_examples: list[BoundExample
             record.valid_loss, _ = evaluate_loss(model, valid_examples, loss_settings)
             if result.best_valid is None or record.valid_loss < result.best_valid:
                 result.best_valid = record.valid_loss
-                result.best_params = {name: p.data.copy() for name, p in model.named_params()}
+                best = [p.data.copy() for p in params]
         result.trace.append(record)
         if log is not None:
             log(record)
 
+    if best is not None:
+        for p, snapshot in zip(params, best):
+            p.data[...] = snapshot
     return result
 

@@ -1,13 +1,20 @@
-"""Shared fixtures: a small Persona-Chat-format file, toy embeddings, and
-plain-numpy oracle implementations used to cross-check the tensor code."""
+"""Shared fixtures: a small Persona-Chat-format file, toy embeddings,
+central-difference gradient checking, a model of named arrays for the
+checkpoint tests, and plain-numpy oracle implementations used to
+cross-check the tensor code."""
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 import weakref
+from typing import Callable
 
 import numpy as np
 import pytest
+
+from personagen.checkpoint import Checkpoint, load_model
+from personagen.numkit import Module, Tape, Tensor, backward
 
 SAMPLE_CHAT = """\
 1 your persona: i like music.
@@ -151,6 +158,79 @@ def gradient_array_refs(grads) -> list[weakref.ref]:
         else:
             arrays.append(grad)
     return [weakref.ref(array) for array in arrays]
+
+
+class ArrayModule(Module):
+    """A model for the checkpoint tests: a vocabulary and one parameter per
+    entry of ``arrays``, in order, each named by its key."""
+
+    def __init__(self, vocab, arrays: dict[str, np.ndarray]):
+        self.vocab = vocab
+        for name, array in arrays.items():
+            setattr(self, name, Tensor(array, requires_grad=True))
+
+
+def load_like(path, kind: str, model) -> tuple[ArrayModule, Checkpoint]:
+    """``load_model``'s ``(model, checkpoint)`` of the ``kind`` checkpoint at
+    ``path``, read into an ``ArrayModule`` with the parameter names and
+    shapes of ``model``."""
+    return load_model(path, kind, lambda loaded: ArrayModule(
+        loaded.vocab, {name: np.empty_like(t.data) for name, t in model.named_params()}))
+
+
+# ---------------------------------------------------------------------------
+# central-difference gradient verification
+# ---------------------------------------------------------------------------
+
+
+def grad_check(fn: Callable[[], Tensor], params: list[Tensor], eps: float = 1e-4) -> float:
+    """Compare reverse-mode gradients of ``fn`` against central differences.
+
+    ``fn`` must be a deterministic closure over ``params`` returning a scalar
+    tensor. Every entry of every listed parameter is perturbed by +/- eps.
+    Returns max over entries of |analytic - numeric| / max(1e-8, |analytic|
+    + |numeric|).
+    """
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    with Tape() as tape:
+        loss = fn()
+    if loss.data.size != 1:
+        raise ValueError("grad_check needs a scalar-valued function")
+    grad_map = backward(loss, tape)
+
+    worst = 0.0
+    for pi, p in enumerate(params):
+        analytic = grad_map.get(p)
+        if analytic is None:
+            analytic = np.zeros_like(p.data)
+        flat = p.data.reshape(-1)
+        analytic_flat = np.asarray(analytic).reshape(-1)
+        for j in range(flat.size):
+            original = flat[j]
+            flat[j] = original + eps
+            plus = _evaluate(fn, pi, j, "+")
+            flat[j] = original - eps
+            minus = _evaluate(fn, pi, j, "-")
+            flat[j] = original
+            numeric = (plus - minus) / (2.0 * eps)
+            denom = max(1e-8, abs(analytic_flat[j]) + abs(numeric))
+            worst = max(worst, abs(analytic_flat[j] - numeric) / denom)
+    return worst
+
+
+def _evaluate(fn: Callable[[], Tensor], param_index: int, entry_index: int, direction: str) -> float:
+    try:
+        value = fn().item()
+    except FloatingPointError as err:
+        raise FloatingPointError(
+            f"non-finite value while perturbing param {param_index} entry {entry_index} ({direction}eps)"
+        ) from err
+    if not math.isfinite(value):
+        raise FloatingPointError(
+            f"non-finite value while perturbing param {param_index} entry {entry_index} ({direction}eps)"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import np_retrieve, top_topic_words, toy_dialogue_text, toy_expansions
+from conftest import grad_check, np_retrieve, top_topic_words, toy_dialogue_text, toy_expansions
 from personagen import numkit as nk
 from personagen.numkit.tensor import tanh
 from personagen.cli import main
@@ -132,7 +132,7 @@ def test_criterion_1_gradient_fidelity():
     ]
     for build, shapes in primitive_cases:
         params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-        err = nk.grad_check(lambda: build(*params), params, eps=1e-4)
+        err = grad_check(lambda: build(*params), params, eps=1e-4)
         assert err < 1e-4, f"primitive check failed at {err:.2e}"
 
     # full joint loss: encoders, PIR over 2 history utterances, 3-hop
@@ -154,8 +154,8 @@ def test_criterion_1_gradient_fidelity():
     bound = bind_example(example, vocab, ["music"])
     settings = LossSettings()
     assert len(bound.response_ids) + 1 == 5
-    err = nk.grad_check(lambda: model.example_loss(bound, settings).joint,
-                        model.params(), eps=1e-4)
+    err = grad_check(lambda: model.example_loss(bound, settings).joint,
+                     model.params(), eps=1e-4)
     assert err < 1e-4, f"full joint loss check failed at {err:.2e}"
     report(1, "gradient fidelity", started, budget=120)
 

@@ -10,6 +10,7 @@ benchmark's own toy-size smoke tests.
 """
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -178,6 +179,17 @@ def test_benchmark_smoke_passes():
     run = subprocess.run([sys.executable, str(PERFBENCH / "smoke.py")],
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_committed_bench_records_are_correct_runs():
+    # each BENCH_*.json at the repository root is the run record of one
+    # benchmark run, committed as a point on the performance trajectory
+    records = sorted(PERFBENCH.parent.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(record["env"], dict) and record["workload"], path.name
+        assert record["result"]["correct"] is True, path.name
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from dataclasses import MISSING, fields, is_dataclass
 import numpy as np
 import pytest
 
-from conftest import toy_dialogue_text, traced_peak_bytes
+from conftest import ArrayModule, load_like, toy_dialogue_text, traced_peak_bytes
 import personagen
-from personagen.checkpoint import MAGIC, CheckpointError, load_checkpoint, save_checkpoint
+from personagen.checkpoint import MAGIC, CheckpointError, save_model
 from personagen import cli
 from personagen.cli import load_expansion_records, main
 from personagen.config import Config
@@ -232,61 +232,53 @@ def test_unwritable_output_exits_2_before_training(command, option, kind, toy_co
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        params = [("layer.w", rng.normal(size=(7, 3))),
-                  ("layer.b", rng.normal(size=(3,))),
-                  ("scalarish", np.array(rng.normal()))]
         vocab = Vocabulary.from_tokens(["alpha", "beta"])
+        model = ArrayModule(vocab, {"layer.w": rng.normal(size=(7, 3)),
+                                    "layer.b": rng.normal(size=(3,)),
+                                    "scalarish": np.array(rng.normal())})
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "dialogue", params, vocab, {"seed": 3}, {"note": 1})
-        loaded = load_checkpoint(path)
+        save_model(path, "dialogue", model, {"seed": 3}, {"note": 1})
+        got, loaded = load_like(path, "dialogue", model)
         assert loaded.kind == "dialogue"
         assert loaded.config == {"seed": 3}
         assert loaded.extra == {"note": 1}
-        assert loaded.vocab.index_to_token == vocab.index_to_token
-        for name, array in params:
-            assert loaded.params[name].tobytes() == np.asarray(array).tobytes()
+        assert got.vocab.index_to_token == vocab.index_to_token
+        for (name, want), (got_name, have) in zip(model.named_params(), got.named_params()):
+            assert got_name == name
+            assert have.data.shape == want.data.shape
+            assert have.data.tobytes() == want.data.tobytes()
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_like(path, "dialogue", ArrayModule(None, {}))
 
     def test_repeated_parameter_name_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "dialogue", [("w", np.ones(2)), ("w", np.zeros(2))],
-                        Vocabulary.from_tokens(["x"]), {}, {})
+        path.write_bytes(MALFORMED_CHECKPOINTS["params_duplicate"])
         with pytest.raises(CheckpointError, match="params lists w twice"):
-            load_checkpoint(path)
+            load_like(path, "dialogue", VALID_MODEL)
 
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "topic", [("w", np.zeros((4, 4)))],
-                        Vocabulary.from_tokens(["x"]), {}, {})
+        model = ArrayModule(Vocabulary.from_tokens(["x"]), {"w": np.zeros((4, 4))})
+        save_model(path, "topic", model, {}, {})
         data = path.read_bytes()
         path.write_bytes(data[:-16])
         with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(path)
-
-    def test_load_reads_payload_straight_into_the_arrays(self, tmp_path):
-        # one buffer per parameter, not a bytes copy beside it
-        path = tmp_path / "model.ckpt"
-        payload = np.random.default_rng(1).normal(size=(1024, 1024))
-        save_checkpoint(path, "topic", [("w", payload)], Vocabulary.from_tokens(["x"]), {}, {})
-        loaded = []
-        peak = traced_peak_bytes(lambda: loaded.append(load_checkpoint(path)))
-        assert np.array_equal(loaded[0].params["w"], payload)
-        assert peak < 1.25 * payload.nbytes
-
+            load_like(path, "topic", model)
 
     def test_failed_save_keeps_the_earlier_checkpoint(self, tmp_path):
         path = tmp_path / "model.ckpt"
         vocab = Vocabulary.from_tokens(["x"])
-        save_checkpoint(path, "topic", [("w", np.arange(3.0))], vocab, {}, {})
+        save_model(path, "topic", ArrayModule(vocab, {"w": np.arange(3.0)}), {}, {})
+        failing = ArrayModule(vocab, {"w": np.zeros(3), "b": np.zeros(1)})
+        failing.b.data = np.array(["nan?"])  # its payload cannot be written as float64
         with pytest.raises(ValueError):
-            save_checkpoint(path, "topic", [("w", np.zeros(3)), ("b", np.array(["nan?"]))],
-                            vocab, {}, {})
-        assert load_checkpoint(path).params["w"].tolist() == [0.0, 1.0, 2.0]
+            save_model(path, "topic", failing, {}, {})
+        kept, _ = load_like(path, "topic", ArrayModule(vocab, {"w": np.zeros(3)}))
+        assert kept.w.data.tolist() == [0.0, 1.0, 2.0]
         assert os.listdir(tmp_path) == ["model.ckpt"]
 
     @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
@@ -294,8 +286,8 @@ class TestCheckpoint:
         path = unwritable(kind, tmp_path)
         before = sorted(os.listdir(tmp_path))
         with pytest.raises((IsADirectoryError, NotADirectoryError)):
-            save_checkpoint(path, "topic", [("w", np.zeros(3))], Vocabulary.from_tokens(["x"]),
-                            {}, {})
+            save_model(path, "topic", ArrayModule(Vocabulary.from_tokens(["x"]),
+                                                  {"w": np.zeros(3)}), {}, {})
         assert sorted(os.listdir(tmp_path)) == before
 
     def test_model_load_reads_payloads_into_the_model(self, tmp_path):
@@ -304,8 +296,7 @@ class TestCheckpoint:
         config = Config.from_dict({"model": {"hidden": 64, "emb_dim": 32, "hops": 1}})
         model = DialogueModel(vocab, 32, 64, 1, np.random.default_rng(2))
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, "dialogue", [(n, t.data) for n, t in model.named_params()], vocab,
-                        config.to_dict())
+        save_model(path, "dialogue", model, config.to_dict())
         args = argparse.Namespace(config=None, seed=None, checkpoint=str(path))
         loaded = []
         peak = traced_peak_bytes(lambda: loaded.append(cli._load_dialogue_model(args)))
@@ -321,17 +312,17 @@ class TestCheckpoint:
     def test_model_load_checks_the_manifest_against_the_model(self, change, message, tmp_path):
         vocab = Vocabulary.from_tokens(["x", "y"])
         model = DialogueModel(vocab, 3, 4, 1, np.random.default_rng(0))
-        params = [(n, t.data) for n, t in model.named_params()]
-        name = params[1][0]
+        arrays = {n: t.data for n, t in model.named_params()}
+        name = list(arrays)[1]
         if change == "missing":
-            del params[1]
+            del arrays[name]
         elif change == "unexpected":
-            params.append(("extra.w", np.zeros(2)))
+            arrays["extra.w"] = np.zeros(2)
         else:
-            params[1] = (name, np.zeros(params[1][1].size + 1))
+            arrays[name] = np.zeros(arrays[name].size + 1)
         path = tmp_path / "model.ckpt"
         config = Config.from_dict({"model": {"hidden": 4, "emb_dim": 3, "hops": 1}})
-        save_checkpoint(path, "dialogue", params, vocab, config.to_dict())
+        save_model(path, "dialogue", ArrayModule(vocab, arrays), config.to_dict())
         with pytest.raises(CheckpointError, match=message):
             cli._load_dialogue_model(argparse.Namespace(config=None, seed=None,
                                                         checkpoint=str(path)))
@@ -347,6 +338,7 @@ VALID_HEADER = {"format_version": 1, "kind": "dialogue", "config": {},
                 "vocab": list(RESERVED_TOKENS) + ["x"],
                 "params": [{"name": "w", "shape": [2]}], "extra": {}}
 VALID_PAYLOAD = np.zeros(2).tobytes()
+VALID_MODEL = ArrayModule(None, {"w": np.zeros(2)})  # the parameters VALID_HEADER lists
 
 
 def without(key):
@@ -405,14 +397,15 @@ class TestMalformedCheckpoint:
     def test_valid_raw_checkpoint_loads(self, tmp_path):
         path = tmp_path / "ok.ckpt"
         path.write_bytes(raw_checkpoint(VALID_HEADER, VALID_PAYLOAD))
-        assert load_checkpoint(path).params["w"].tolist() == [0.0, 0.0]
+        model, _ = load_like(path, "dialogue", VALID_MODEL)
+        assert model.w.data.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
     def test_rejected_with_exit_2(self, case, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(MALFORMED_CHECKPOINTS[case])
         with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+            load_like(path, "dialogue", VALID_MODEL)
         data = tmp_path / "dialogues.txt"
         data.write_text(toy_dialogue_text(), encoding="utf-8")
         assert main(["generate", "--checkpoint", str(path), "--data", str(data),
@@ -468,10 +461,11 @@ def pipeline(tmp_path_factory):
 
 class TestPipeline:
     def test_topic_checkpoint_and_trace(self, pipeline):
-        loaded = load_checkpoint(pipeline["topic_ckpt"])
+        model = cli._load_topic_model(pipeline["topic_ckpt"])
+        assert model.topics == 2
+        _, loaded = load_like(pipeline["topic_ckpt"], "topic", model)
         assert loaded.kind == "topic"
         assert loaded.extra == {}  # the sizes live in the saved config alone
-        assert cli._load_topic_model(pipeline["topic_ckpt"]).topics == 2
         trace = [json.loads(line) for line in
                  open(f"{pipeline['topic_ckpt']}.trace.jsonl", encoding="utf-8")]
         assert [r["epoch"] for r in trace] == [1, 2, 3]
@@ -479,10 +473,10 @@ class TestPipeline:
 
     def test_topic_checkpoint_with_sizes_in_extra_expands_the_same(self, pipeline, tmp_path):
         # earlier topic checkpoints also carried their sizes in extra
-        loaded = load_checkpoint(pipeline["topic_ckpt"])
+        model = cli._load_topic_model(pipeline["topic_ckpt"])
+        _, loaded = load_like(pipeline["topic_ckpt"], "topic", model)
         earlier = tmp_path / "topic.ckpt"
-        save_checkpoint(earlier, "topic", list(loaded.params.items()), loaded.vocab,
-                        loaded.config, {"topics": 2, "hidden": 8})
+        save_model(earlier, "topic", model, loaded.config, {"topics": 2, "hidden": 8})
         out = tmp_path / "expansions.jsonl"
         assert main(["expand", "--config", str(pipeline["config"]), "--topic", str(earlier),
                      "--data", str(pipeline["data"]), "--out", str(out)]) == 0
@@ -490,7 +484,8 @@ class TestPipeline:
 
     def test_default_topic_count_recorded(self, pipeline, tmp_path):
         # without a config override the checkpoint metadata records 50 topics
-        loaded = load_checkpoint(pipeline["topic_ckpt"])
+        model = cli._load_topic_model(pipeline["topic_ckpt"])
+        _, loaded = load_like(pipeline["topic_ckpt"], "topic", model)
         assert loaded.config["topic"]["topics"] == 2
         assert Config().topic.topics == 50
 
@@ -503,7 +498,9 @@ class TestPipeline:
             assert scores == sorted(scores, reverse=True)
 
     def test_train_trace_and_checkpoint(self, pipeline):
-        loaded = load_checkpoint(pipeline["model_ckpt"])
+        model, _ = cli._load_dialogue_model(argparse.Namespace(
+            config=None, seed=None, checkpoint=str(pipeline["model_ckpt"])))
+        _, loaded = load_like(pipeline["model_ckpt"], "dialogue", model)
         assert loaded.kind == "dialogue"
         trace = [json.loads(line) for line in
                  open(f"{pipeline['model_ckpt']}.trace.jsonl", encoding="utf-8")]
@@ -673,11 +670,12 @@ class TestTrainVariants:
         }), encoding="utf-8")
         out = tmp_path / "m.ckpt"
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
-        loaded = load_checkpoint(out)
+        model, _ = cli._load_dialogue_model(argparse.Namespace(config=None, seed=None,
+                                                               checkpoint=str(out)))
         # table dim (3) wins over the configured emb_dim
-        assert loaded.params["embedding"].shape[1] == 3
-        guitar = loaded.vocab.token_to_index["guitar"]
-        assert np.isfinite(loaded.params["embedding"][guitar]).all()
+        assert model.embedding.data.shape[1] == 3
+        guitar = model.vocab.token_to_index["guitar"]
+        assert np.isfinite(model.embedding.data[guitar]).all()
 
     def test_missing_expansion_record_warns(self, pipeline, tmp_path, capsys):
         partial = tmp_path / "partial.jsonl"
@@ -841,13 +839,12 @@ class TestTrainCheckpoint:
         out = tmp_path / "m.ckpt"
         config_path = small_train_config(tmp_path, pipeline, valid)
         assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
-        (_, _, _, result, final), = train_calls
-        assert (result.best_params is not None) == valid
-        want = result.best_params if valid else final
-        saved = load_checkpoint(out).params
-        assert sorted(saved) == sorted(want)
-        for name, values in want.items():
-            assert saved[name].tobytes() == values.tobytes(), name
+        (model, _, _, result, final), = train_calls
+        assert (result.best_valid is not None) == valid
+        saved, _ = load_like(out, "dialogue", model)
+        assert [name for name, _ in saved.named_params()] == list(final)
+        for name, tensor in saved.named_params():
+            assert tensor.data.tobytes() == final[name].tobytes(), name
 
 
 class TestValidExpansions:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import np_retrieve
+from conftest import grad_check, np_retrieve
 from personagen import numkit as nk
 from personagen.numkit.tensor import tanh
 from personagen.memory import (
@@ -235,7 +235,7 @@ class TestMultihop:
             result = multihop(q0, mem_w, mem_e, hops=3)
             return nk.sum_(tanh(result.query))
 
-        err = nk.grad_check(fn, [keys_w, values_w, keys_e, values_e, q0])
+        err = grad_check(fn, [keys_w, values_w, keys_e, values_e, q0])
         assert err < 1e-6
 
 
@@ -298,7 +298,7 @@ class TestRowForms:
             return nk.sum_(tanh(result.query))
 
         params = [keys_w, values_w, q0] + ([] if empty_external else [keys_e, values_e])
-        assert nk.grad_check(fn, params) < 1e-6
+        assert grad_check(fn, params) < 1e-6
 
     @pytest.mark.parametrize("shape", [(2, 4), (4,), (2, 2, 3)])
     def test_query_width_mismatch_names_both(self, shape):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import (
     dense_matmul_rule,
     densified,
+    grad_check,
     np_bigru,
     np_gru_step,
     np_retrieve,
@@ -287,7 +288,7 @@ class TestAttendHistory:
             u, weights = attend_history(s_t, rows, history_keys(rows, d), d)
             return nk.sum_(tanh(u)) + nk.sum_(nk.mul(weights, weights))
 
-        assert nk.grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
+        assert grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
         # and they are the sums of the one-row calls' gradients
         with nk.Tape() as tape:
             got = nk.backward(loss(states), tape)
@@ -550,7 +551,7 @@ class TestJointLossAndGradients:
         bound = tiny_example(model.vocab)
         settings = LossSettings()
         params = model.params()
-        err = nk.grad_check(lambda: model.example_loss(bound, settings).joint, params)
+        err = grad_check(lambda: model.example_loss(bound, settings).joint, params)
         assert err < 1e-4
 
     def test_two_example_batch_gradients_verify(self):
@@ -570,7 +571,7 @@ class TestJointLossAndGradients:
             parts = [model.example_loss(b, settings).joint for b in (first, second)]
             return nk.mean(parts)
 
-        assert nk.grad_check(batch_loss, model.params()) < 1e-4
+        assert grad_check(batch_loss, model.params()) < 1e-4
 
     def test_three_example_batch_stacked_gradients_verify(self):
         # a matrix that only matmul reaches gets its per-example factors
@@ -612,7 +613,7 @@ class TestJointLossAndGradients:
         names = {id(p): name for name, p in model.named_params()}
         assert {"decoder.out.w", "persona.sent_key.w", "c_proj.w"} <= {
             names[id(p)] for p in stacked}
-        assert nk.grad_check(batch_loss, stacked) < 1e-4
+        assert grad_check(batch_loss, stacked) < 1e-4
 
 
 def three_examples(vocab):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import functools
 import itertools
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_matmul_rule, np_bigru, np_gru_step
+from conftest import dense_matmul_rule, grad_check, np_bigru, np_gru_step
 from personagen import numkit as nk
 from personagen.numkit import gru as gru_module
 from personagen.numkit import tensor as tensor_module
@@ -316,7 +317,7 @@ class TestGradientOwnership:
                 d, s = dense(), sparse()
             return nk.sum_(nk.mul(s, tanh(d)))
 
-        assert nk.grad_check(fn, [table, x]) < 1e-6
+        assert grad_check(fn, [table, x]) < 1e-6
 
     @pytest.mark.parametrize("case", ROW_CASES)
     def test_row_gradients_share_no_memory(self, case):
@@ -480,7 +481,7 @@ def test_primitive_gradients(name):
     build, shapes = PRIMITIVE_CASES[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = [nk.Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
-    assert nk.grad_check(lambda: build(*params), params) < 1e-6
+    assert grad_check(lambda: build(*params), params) < 1e-6
 
 
 @pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
@@ -707,12 +708,12 @@ def test_scalar_leaf_gradients_accumulate():
 class TestGradCheck:
     def test_quadratic_is_nearly_exact(self):
         x = nk.Tensor([3.0], requires_grad=True)
-        err = nk.grad_check(lambda: nk.sum_(nk.mul(x, x)), [x], eps=1e-4)
+        err = grad_check(lambda: nk.sum_(nk.mul(x, x)), [x], eps=1e-4)
         assert err < 1e-8
 
     def test_constant_function_has_zero_error(self):
         x = nk.Tensor([1.0, 2.0], requires_grad=True)
-        err = nk.grad_check(lambda: nk.Tensor(5.0), [x])
+        err = grad_check(lambda: nk.Tensor(5.0), [x])
         assert err == 0.0
 
     def test_non_finite_eval_identifies_perturbation(self):
@@ -720,12 +721,12 @@ class TestGradCheck:
         # exp overflows under entry 1's +eps probe only
         with np.errstate(over="ignore"):
             with pytest.raises(FloatingPointError, match=r"param 0 entry 1 \(\+eps\)"):
-                nk.grad_check(lambda: nk.sum_(nk.exp(x)), [x], eps=1e-4)
+                grad_check(lambda: nk.sum_(nk.exp(x)), [x], eps=1e-4)
 
     def test_rejects_bad_eps(self):
         x = nk.Tensor([1.0], requires_grad=True)
         with pytest.raises(ValueError):
-            nk.grad_check(lambda: nk.sum_(x), [x], eps=0.0)
+            grad_check(lambda: nk.sum_(x), [x], eps=0.0)
 
 
 class TestAdam:
@@ -1246,7 +1247,7 @@ class TestGru:
         x = nk.Tensor(rng.normal(size=(1, 2)), requires_grad=True)
         h = nk.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
         params = [x, h] + [t for _, t in p.named_params()]
-        err = nk.grad_check(lambda: nk.sum_(nk.gru_cell(x, h, p)), params)
+        err = grad_check(lambda: nk.sum_(nk.gru_cell(x, h, p)), params)
         assert err < 1e-6
 
 
@@ -1425,9 +1426,17 @@ def test_finite_check_raises_at_the_failing_op():
             nk.exp(nk.Tensor([1000.0]))
 
 
+def test_non_finite_error_names_the_primitive_and_its_input_shapes():
+    x = nk.Tensor(np.ones((2, 3)))
+    w = nk.Tensor(np.full((3, 4), 800.0), requires_grad=True)
+    with np.errstate(over="ignore"), nk.Tape(), pytest.raises(FloatingPointError) as err:
+        nk.exp(nk.matmul(x, w))
+    assert str(err.value) == "exp produced non-finite values (inputs of shapes (2, 4))"
+
+
 # exports that no caller outside numkit needs by name: the gradient forms,
-# which callers meet as values, and grad_check, a utility for tests
-UNCALLED_EXPORTS = {"Factors", "RowGrad", "grad_check"}
+# which callers meet as values
+UNCALLED_EXPORTS = {"Factors", "RowGrad"}
 
 
 def test_every_numkit_export_is_used_outside_numkit():
@@ -1454,6 +1463,42 @@ def test_every_numkit_export_is_used_outside_numkit():
                   and node.value.id in modules):
                 used.add(node.attr)
     assert sorted(exports - used - UNCALLED_EXPORTS) == []
+
+
+def test_every_package_definition_is_named_outside_itself():
+    # a module-level function or class, or a method, that nothing in the
+    # package or the benchmark names serves tests alone, and test code lives
+    # in tests/; the benchmark's tracer names its sites in strings, so a
+    # string that is a whole name counts as a use
+    def names(tree) -> collections.Counter:
+        counts = collections.Counter()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                counts[node.id] += 1
+            elif isinstance(node, ast.Attribute):
+                counts[node.attr] += 1
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                counts[node.value] += 1
+        return counts
+
+    package = Path(nk.__file__).parent.parent
+    perfbench = package.parents[1] / "perfbench"
+    uses, definitions = collections.Counter(), []
+    for path in sorted(package.rglob("*.py")) + sorted(perfbench.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses.update(names(tree))
+        if package not in path.parents:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((path, node))
+            if isinstance(node, ast.ClassDef):
+                definitions += [(path, member) for member in node.body
+                                if isinstance(member, ast.FunctionDef)
+                                and not re.fullmatch(r"__\w+__", member.name)]
+    unused = [f"{path.relative_to(package)}:{node.lineno}: {node.name}"
+              for path, node in definitions if uses[node.name] == names(node)[node.name]]
+    assert unused == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gradient_array_refs, make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
+from conftest import grad_check, gradient_array_refs, make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
 from personagen import numkit as nk
 from personagen import topic
 from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
@@ -191,7 +191,7 @@ class TestElbo:
         doc = TfIdfDoc({4: 1.0, 6: 2.0})
         eps = nk.Tensor(rng.normal(size=(1, 2)))
         params = [t for _, t in model.named_params()]
-        err = nk.grad_check(lambda: elbo_loss([doc], model, eps), params)
+        err = grad_check(lambda: elbo_loss([doc], model, eps), params)
         assert err < 1e-4
 
     def test_reconstruction_is_one_record(self, monkeypatch):
@@ -238,7 +238,7 @@ class TestElbo:
         rows = [elbo_loss([d], model, e[None]).item() for d, e in zip(docs, eps)]
         assert elbo_loss(docs, model, eps).item() == pytest.approx(np.mean(rows), rel=1e-12)
         params = [t for _, t in model.named_params()]
-        assert nk.grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
+        assert grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
 
     @pytest.mark.parametrize("docs", [
         [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({7: 0.5, 5: 1.5}), TfIdfDoc({4: 1.0, 9: 3.0})],
@@ -255,7 +255,7 @@ class TestElbo:
         expected = np_elbo(model, dense, eps)
         assert elbo_loss(docs, model, eps).item() == pytest.approx(expected, rel=1e-12, abs=1e-12)
         params = [t for _, t in model.named_params()]
-        assert nk.grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
+        assert grad_check(lambda: elbo_loss(docs, model, eps), params) < 1e-4
 
 
 class TestTraining:

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import gradient_array_refs, toy_expansions
 from personagen import trainer
-from personagen.checkpoint import CheckpointError, restore_params
 from personagen.corpus import build_vocab, conversation_document, load_personachat
 from personagen.net import DialogueModel, LossSettings, bind_example
 from personagen.numkit import Factors, Tape
@@ -53,14 +52,26 @@ def test_deterministic_given_seed(toy_setup):
     assert run() == run()
 
 
+def epoch_snapshots(model):
+    """A list and a ``log`` callback that appends a copy of the model's
+    parameters at the end of each epoch."""
+    snapshots = []
+    return snapshots, lambda record: snapshots.append([p.data.copy() for p in model.params()])
+
+
 def test_best_validation_snapshot_kept(toy_setup):
+    # the validation loss rises after its best epoch here, so the model
+    # must return holding that epoch's parameters, not the last epoch's
     vocab, examples = toy_setup
     model = make_model(vocab, seed=1)
+    snapshots, log = epoch_snapshots(model)
     result = train_dialogue_model(model, examples[:6], examples[6:10], LossSettings(),
-                                  TrainSettings(epochs=5, batch_size=6, lr=0.02),
-                                  np.random.default_rng(1))
-    assert result.best_valid == min(r.valid_loss for r in result.trace)
-    restore_params(model, result.best_params)
+                                  TrainSettings(epochs=5, batch_size=6, lr=0.1),
+                                  np.random.default_rng(1), log=log)
+    valid = [r.valid_loss for r in result.trace]
+    best = valid.index(min(valid))
+    assert result.best_valid == valid[best] and best < len(valid) - 1
+    assert all(np.array_equal(p.data, kept) for p, kept in zip(model.params(), snapshots[best]))
     joint, _ = evaluate_loss(model, examples[6:10], LossSettings())
     assert joint == pytest.approx(result.best_valid, abs=1e-9)
 
@@ -70,11 +81,13 @@ def test_no_snapshot_without_validation(toy_setup):
     # end would cost a full parameter copy per call
     vocab, examples = toy_setup
     model = make_model(vocab, seed=2)
+    snapshots, log = epoch_snapshots(model)
     result = train_dialogue_model(model, examples[:4], None, LossSettings(),
                                   TrainSettings(epochs=2, batch_size=2, lr=0.02),
-                                  np.random.default_rng(2))
-    assert result.best_params is None and result.best_valid is None
+                                  np.random.default_rng(2), log=log)
+    assert result.best_valid is None
     assert [r.valid_loss for r in result.trace] == [None, None]
+    assert all(np.array_equal(p.data, last) for p, last in zip(model.params(), snapshots[-1]))
 
 
 def test_batch_tape_adds_one_record_to_the_example_losses(toy_setup, monkeypatch):
@@ -139,11 +152,13 @@ def test_non_finite_loss_aborts_with_batch_id(toy_setup):
 def test_overflowing_loss_aborts_with_batch_id(toy_setup):
     # finite parameters, but P-BoWs' sum of the output logits over the
     # steps overflows: the op that makes the first non-finite value stops
-    # the batch
+    # the batch, and the message names it and its input's shape
     vocab, examples = toy_setup
     model = make_model(vocab)
     model.decoder.out.b.data[:] = 1e308
-    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="epoch 1, batch 0"):
+    message = (r"epoch 1, batch 0: sum_ produced non-finite values "
+               rf"\(inputs of shapes \(\d+, {len(vocab)}\)\)$")
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=message):
         train_dialogue_model(model, examples[:2], None, LossSettings(),
                              TrainSettings(epochs=1, batch_size=2, lr=0.01),
                              np.random.default_rng(0))
@@ -207,22 +222,3 @@ def test_empty_training_set_rejected(toy_setup):
     with pytest.raises(ValueError):
         train_dialogue_model(make_model(vocab), [], None, LossSettings(),
                              TrainSettings(), np.random.default_rng(0))
-
-
-def test_restore_params_validates(toy_setup):
-    vocab, _ = toy_setup
-    model = make_model(vocab)
-    good = {name: np.full_like(t.data, 0.5) for name, t in model.named_params()}
-    missing = dict(good)
-    del missing["embedding"]
-    reshaped = dict(good, embedding=good["embedding"][:-1])
-    extra = dict(good, spare=np.zeros(2))
-    for snapshot, message in ((missing, "missing parameter embedding"),
-                              (reshaped, "parameter embedding has shape"),
-                              (extra, "unexpected parameter spare")):
-        with pytest.raises(CheckpointError, match=message):
-            restore_params(model, snapshot)
-    # a rejected snapshot copies nothing; an accepted one copies everything
-    assert not any((t.data == 0.5).all() for _, t in model.named_params())
-    restore_params(model, good)
-    assert all((t.data == 0.5).all() for _, t in model.named_params())
