@@ -84,7 +84,7 @@ def load_model(path, kind: str, build):
     with open(path, "rb") as handle:
         loaded, manifest = _read_header(path, handle)
         if loaded.kind != kind:
-            raise CheckpointError(f"checkpoint kind {loaded.kind!r} is not a {kind} model")
+            raise CheckpointError(f"{path}: checkpoint kind {loaded.kind!r} is not a {kind} model")
         model = build(loaded)
         arrays = {name: tensor.data for name, tensor in model.named_params()}
         shapes = dict(manifest)

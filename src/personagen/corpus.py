@@ -24,19 +24,41 @@ from .stopwords import is_stopword
 PAD, UNK, SOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<sos>", "<eos>")
 
-_PUNCT = re.escape(string.punctuation)
-# a run of characters that are neither whitespace nor punctuation, or one
-# punctuation character
-_TOKEN = re.compile(rf"[^\s{_PUNCT}]+|[{_PUNCT}]")
+_PUNCTUATION = re.compile(f"[{re.escape(string.punctuation)}]")
+# load_personachat pads at most this many fields as one string
+_CHUNK_FIELDS = 256
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase, split punctuation characters into standalone tokens, then
-    whitespace-split. Empty text gives an empty list.
+    """Lowercase, pad each ASCII punctuation character with spaces, then
+    whitespace-split, so each punctuation character stands alone. Empty text
+    gives an empty list.
 
     Tokens are interned, so a corpus holds one string per distinct token and
     a pointer per occurrence."""
-    return list(map(sys.intern, _TOKEN.findall(text.lower())))
+    return _split(_padded(text))
+
+
+def _padded(text: str) -> str:
+    return _PUNCTUATION.sub(lambda match: f" {match[0]} ", text.lower())
+
+
+def _split(padded: str) -> list[str]:
+    return list(map(sys.intern, padded.split()))
+
+
+def _tokenize_fields(fields: list[str]) -> list[list[str]]:
+    """``[tokenize(f) for f in fields]`` for fields that hold no newline.
+
+    Up to ``_CHUNK_FIELDS`` fields are joined by newlines and padded as one
+    string, then split back at the newlines. Neither lowercasing nor padding
+    makes a newline, and lowercasing treats one as it does the ends of a
+    string (a final sigma looks at its neighbours)."""
+    tokens = []
+    for start in range(0, len(fields), _CHUNK_FIELDS):
+        chunk = _padded("\n".join(fields[start:start + _CHUNK_FIELDS]))
+        tokens.extend(map(_split, chunk.split("\n")))
+    return tokens
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -104,22 +126,23 @@ def load_personachat(path) -> list[Conversation]:
     target, in order.
     """
     conversations: list[Conversation] = []
-    current: Conversation | None = None
+    start_line = 0      # the current conversation's first line; 0 before any
+    personas: list[str] = []     # its persona sentences, untokenized
+    exchanges: list[str] = []    # its utterances, two per exchange line, untokenized
 
     def flush():
-        if current is None:
+        if not start_line:
             return
-        if current.utterances and not current.persona_sentences:
-            raise InputFormatError(flush_line, "conversation has utterances but no persona lines")
-        for t in range(1, len(current.utterances), 2):
-            current.examples.append(DialogueExample(
-                persona_sentences=current.persona_sentences,
-                history=current.utterances[:t],
-                response=current.utterances[t],
-            ))
-        conversations.append(current)
+        tokens = _tokenize_fields(personas + exchanges)
+        persona_sentences = [sentence for sentence in tokens[:len(personas)] if sentence]
+        utterances = tokens[len(personas):]
+        if utterances and not persona_sentences:
+            raise InputFormatError(start_line, "conversation has utterances but no persona lines")
+        examples = [DialogueExample(persona_sentences=persona_sentences,
+                                    history=utterances[:t], response=utterances[t])
+                    for t in range(1, len(utterances), 2)]
+        conversations.append(Conversation(persona_sentences, utterances, examples))
 
-    flush_line = 0
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
@@ -130,22 +153,18 @@ def load_personachat(path) -> list[Conversation]:
                 raise InputFormatError(line_no, f"malformed line index {head!r}")
             if int(head) == 1:
                 flush()
-                flush_line = line_no
-                current = Conversation()
-            if current is None:
+                start_line, personas, exchanges = line_no, [], []
+            if not start_line:
                 raise InputFormatError(line_no, "file does not start with line index 1")
             if rest.startswith("your persona: "):
-                sentence = tokenize(rest[len("your persona: "):])
-                if sentence:
-                    current.persona_sentences.append(sentence)
+                personas.append(rest[len("your persona: "):])
             elif rest.startswith("partner's persona: "):
                 continue
             else:
-                parts = rest.split("\t")
+                parts = rest.split("\t", 2)
                 if len(parts) < 2:
                     raise InputFormatError(line_no, "exchange line missing tab separator")
-                current.utterances.append(tokenize(parts[0]))
-                current.utterances.append(tokenize(parts[1]))
+                exchanges += parts[:2]
         flush()
     return conversations
 
@@ -167,14 +186,15 @@ def build_vocab(corpus, size_limit: int, remove_stopwords: bool = False) -> Voca
     punctuation tokens) are removed first when flagged."""
     if size_limit <= len(RESERVED_TOKENS):
         raise ValueError(f"size_limit must exceed {len(RESERVED_TOKENS)}")
-    counts: Counter[str] = Counter()
+    counts: dict[str, int] = Counter()
     for tokens in corpus:
         counts.update(tokens)
     if remove_stopwords:
-        counts = Counter({t: c for t, c in counts.items() if not is_stopword(t)})
+        counts = {t: c for t, c in counts.items() if not is_stopword(t)}
     capacity = size_limit - len(RESERVED_TOKENS)
-    kept = sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:capacity]
-    return Vocabulary.from_tokens([token for token, _ in kept])
+    # two stable sorts: by token, then by falling count
+    ranked = sorted(sorted(counts), key=counts.__getitem__, reverse=True)
+    return Vocabulary.from_tokens(ranked[:capacity])
 
 
 @dataclass
@@ -192,22 +212,19 @@ def compute_tfidf(documents: list[list[str]], vocab: Vocabulary) -> list[TfIdfDo
     of documents.
     """
     n_docs = len(documents)
+    token_to_index = vocab.token_to_index
     doc_counts: list[Counter[int]] = []
     df: Counter[int] = Counter()
     for tokens in documents:
-        counts = Counter(vocab.token_to_index[t] for t in tokens if t in vocab.token_to_index)
+        counts = Counter(map(token_to_index.get, tokens))
+        counts.pop(None, None)   # the out-of-vocabulary tokens
         doc_counts.append(counts)
         df.update(counts.keys())
-    idf = {index: np.log(n_docs / (1.0 + count)) for index, count in df.items()}
-    docs = []
-    for counts in doc_counts:
-        weights = {}
-        for index, count in counts.items():
-            weight = count * idf[index]
-            if weight > 0.0:
-                weights[index] = float(weight)
-        docs.append(TfIdfDoc(weights))
-    return docs
+    doc_freq = np.fromiter(df.values(), np.float64, len(df))
+    idf = dict(zip(df, np.log(n_docs / (1.0 + doc_freq)).tolist()))
+    return [TfIdfDoc({index: weight for index, count in counts.items()
+                      if (weight := count * idf[index]) > 0.0})
+            for counts in doc_counts]
 
 
 @dataclass

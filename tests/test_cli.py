@@ -700,14 +700,19 @@ class TestExitCodes:
         assert main(["pretrain-topic", "--corpus", str(tmp_path / "missing.txt"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2
 
-    def test_wrong_checkpoint_kind_is_user_error(self, pipeline, tmp_path):
+    def test_wrong_checkpoint_kind_is_user_error(self, pipeline, tmp_path, capsys):
         assert main(["expand", "--topic", str(pipeline["model_ckpt"]),
                      "--data", str(pipeline["data"]),
                      "--out", str(tmp_path / "x.jsonl")]) == 2
+        assert capsys.readouterr().err == (f"error: {pipeline['model_ckpt']}: checkpoint kind "
+                                           "'dialogue' is not a topic model\n")
 
-    def test_generate_on_topic_checkpoint_is_user_error(self, pipeline, tmp_path):
+    def test_generate_on_topic_checkpoint_is_user_error(self, pipeline, capsys):
+        # the kind check names the file, as every other checkpoint error does
         assert main(["generate", "--checkpoint", str(pipeline["topic_ckpt"]),
                      "--data", str(pipeline["data"])]) == 2
+        assert capsys.readouterr().err == (f"error: {pipeline['topic_ckpt']}: checkpoint kind "
+                                           "'topic' is not a dialogue model\n")
 
     @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
     def test_expand_out_where_no_file_can_be_made_is_user_error(self, kind, pipeline, tmp_path,

@@ -1,5 +1,7 @@
 import math
 import string
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import to_dense
 from personagen import corpus
 from personagen.corpus import (
+    RESERVED_TOKENS,
     InputFormatError,
     Vocabulary,
     build_vocab,
@@ -18,6 +21,7 @@ from personagen.corpus import (
     load_personachat,
     tokenize,
 )
+from personagen.stopwords import is_stopword
 
 
 class TestTokenize:
@@ -150,6 +154,56 @@ class TestLoadPersonaChat:
         with pytest.raises(InputFormatError, match="line 2"):
             load_personachat(path)
 
+    # a field holds the tokenizer's tricky characters and every ASCII
+    # punctuation character, but no newline; only persona fields hold tabs
+    FIELD_CHARS = [c for c in TestTokenize.TRICKY if c not in "\t\n"] + list(string.punctuation)
+    FIELD = st.text(alphabet=st.sampled_from(FIELD_CHARS), max_size=12)
+    LINE = st.one_of(
+        st.tuples(st.just("your persona: "),
+                  st.text(alphabet=st.sampled_from(FIELD_CHARS + ["\t"]), max_size=12)),
+        st.tuples(st.just("partner's persona: "), FIELD),
+        # an exchange, sometimes with a third (candidates) field
+        st.lists(FIELD, min_size=2, max_size=3))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(LINE, min_size=1, max_size=6), max_size=4),
+           st.sampled_from([1, 2, 3, corpus._CHUNK_FIELDS]))
+    def test_tokens_are_tokenize_of_each_field(self, tmp_path_factory, conversations, chunk):
+        # however load_personachat groups fields, each field's tokens are
+        # tokenize()'s, and equal tokens are one string
+        lines, want, error_line = [], [], None
+        for conversation in conversations:
+            start = len(lines) + 1
+            personas, utterances = [], []
+            for index, line in enumerate(conversation, 1):
+                if isinstance(line, tuple):
+                    lines.append(f"{index} {line[0]}{line[1]}")
+                    if line[0] == "your persona: " and tokenize(line[1]):
+                        personas.append(tokenize(line[1]))
+                else:
+                    lines.append(f"{index} " + "\t".join(line))
+                    utterances += [tokenize(line[0]), tokenize(line[1])]
+            if utterances and not personas and error_line is None:
+                error_line = start
+            want.append((personas, utterances))
+        path = tmp_path_factory.getbasetemp() / "fields.txt"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        with mock.patch.object(corpus, "_CHUNK_FIELDS", chunk):
+            if error_line is not None:
+                with pytest.raises(InputFormatError, match=f"^line {error_line}: conversation has "
+                                                          "utterances but no persona lines$"):
+                    load_personachat(path)
+                return
+            loaded = load_personachat(path)
+        assert [(c.persona_sentences, c.utterances) for c in loaded] == want
+        got = [t for c in loaded for seq in c.persona_sentences + c.utterances for t in seq]
+        expected = [t for personas, utterances in want for seq in personas + utterances for t in seq]
+        assert all(a is b for a, b in zip(got, expected))
+        for conv in loaded:
+            assert [(e.history, e.response) for e in conv.examples] == [
+                (conv.utterances[:t], conv.utterances[t])
+                for t in range(1, len(conv.utterances), 2)]
+
     def test_conversation_document_covers_everything(self, sample_chat_file):
         conv = load_personachat(sample_chat_file)[0]
         doc = corpus.conversation_document(conv)
@@ -171,6 +225,26 @@ class TestBuildVocab:
         docs = [["b", "b", "a", "a"]]
         vocab = build_vocab(docs, size_limit=5)
         assert "a" in vocab and "b" not in vocab
+
+    # words, stop-words and punctuation, whose counts of 1-3 tie often
+    TOKENS = ["the", "a", "i", "you", "s", ".", ",", "'", "?!", "cat", "dog", "music", "vegan",
+              "b", "aa", "ab", "ba", "é", "字", "x1", "1x"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.sampled_from(TOKENS), st.integers(1, 3), min_size=1),
+           st.booleans(), st.randoms(use_true_random=False), st.data())
+    def test_matches_the_tuple_key_reference(self, counts, remove_stopwords, rng, data):
+        tokens = [token for token, count in counts.items() for _ in range(count)]
+        rng.shuffle(tokens)
+        cuts = sorted(rng.randint(0, len(tokens)) for _ in range(rng.randint(0, 3)))
+        documents = [tokens[a:b] for a, b in zip([0] + cuts, cuts + [len(tokens)])]
+        capacity = data.draw(st.integers(1, len(counts) + 1), label="capacity")
+        vocab = build_vocab(documents, len(RESERVED_TOKENS) + capacity, remove_stopwords)
+        kept = Counter(t for doc in documents for t in doc)
+        if remove_stopwords:
+            kept = Counter({t: c for t, c in kept.items() if not is_stopword(t)})
+        reference = sorted(kept.items(), key=lambda kv: (-kv[1], kv[0]))[:capacity]
+        assert vocab.index_to_token == list(RESERVED_TOKENS) + [t for t, _ in reference]
 
     def test_reserved_tokens_first(self):
         vocab = build_vocab([["word"]], size_limit=5)
@@ -237,6 +311,14 @@ class TestTfIdf:
             assert doc.weights.keys() == want.keys()
             for index, weight in want.items():
                 assert np.float64(doc.weights[index]).tobytes() == np.float64(weight).tobytes()
+
+    def test_weights_follow_first_occurrence_order(self):
+        # a document's weights are keyed in the order its in-vocabulary
+        # tokens first occur, out-of-vocabulary tokens skipped
+        documents = [["d", "zz", "b", "d", "a", "yy", "b"], ["c"], ["c"], ["c"]]
+        vocab = build_vocab([["a", "b", "c", "d"]], size_limit=8)
+        weights = compute_tfidf(documents, vocab)[0].weights
+        assert list(weights) == [vocab.token_to_index[t] for t in ("d", "b", "a")]
 
     def test_dense_round_trip(self):
         vocab = build_vocab([["a", "b"]], size_limit=8)
