@@ -25,8 +25,6 @@ PAD, UNK, SOS, EOS = 0, 1, 2, 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<sos>", "<eos>")
 
 _PUNCTUATION = re.compile(f"[{re.escape(string.punctuation)}]")
-# load_personachat pads at most this many fields as one string
-_CHUNK_FIELDS = 256
 
 
 def tokenize(text: str) -> list[str]:
@@ -36,29 +34,8 @@ def tokenize(text: str) -> list[str]:
 
     Tokens are interned, so a corpus holds one string per distinct token and
     a pointer per occurrence."""
-    return _split(_padded(text))
-
-
-def _padded(text: str) -> str:
-    return _PUNCTUATION.sub(lambda match: f" {match[0]} ", text.lower())
-
-
-def _split(padded: str) -> list[str]:
+    padded = _PUNCTUATION.sub(lambda match: f" {match[0]} ", text.lower())
     return list(map(sys.intern, padded.split()))
-
-
-def _tokenize_fields(fields: list[str]) -> list[list[str]]:
-    """``[tokenize(f) for f in fields]`` for fields that hold no newline.
-
-    Up to ``_CHUNK_FIELDS`` fields are joined by newlines and padded as one
-    string, then split back at the newlines. Neither lowercasing nor padding
-    makes a newline, and lowercasing treats one as it does the ends of a
-    string (a final sigma looks at its neighbours)."""
-    tokens = []
-    for start in range(0, len(fields), _CHUNK_FIELDS):
-        chunk = _padded("\n".join(fields[start:start + _CHUNK_FIELDS]))
-        tokens.extend(map(_split, chunk.split("\n")))
-    return tokens
 
 
 def detokenize(tokens: list[str]) -> str:
@@ -126,23 +103,22 @@ def load_personachat(path) -> list[Conversation]:
     target, in order.
     """
     conversations: list[Conversation] = []
-    start_line = 0      # the current conversation's first line; 0 before any
-    personas: list[str] = []     # its persona sentences, untokenized
-    exchanges: list[str] = []    # its utterances, two per exchange line, untokenized
+    current: Conversation | None = None
 
     def flush():
-        if not start_line:
+        if current is None:
             return
-        tokens = _tokenize_fields(personas + exchanges)
-        persona_sentences = [sentence for sentence in tokens[:len(personas)] if sentence]
-        utterances = tokens[len(personas):]
-        if utterances and not persona_sentences:
-            raise InputFormatError(start_line, "conversation has utterances but no persona lines")
-        examples = [DialogueExample(persona_sentences=persona_sentences,
-                                    history=utterances[:t], response=utterances[t])
-                    for t in range(1, len(utterances), 2)]
-        conversations.append(Conversation(persona_sentences, utterances, examples))
+        if current.utterances and not current.persona_sentences:
+            raise InputFormatError(flush_line, "conversation has utterances but no persona lines")
+        for t in range(1, len(current.utterances), 2):
+            current.examples.append(DialogueExample(
+                persona_sentences=current.persona_sentences,
+                history=current.utterances[:t],
+                response=current.utterances[t],
+            ))
+        conversations.append(current)
 
+    flush_line = 0
     with open(path, encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n")
@@ -153,18 +129,22 @@ def load_personachat(path) -> list[Conversation]:
                 raise InputFormatError(line_no, f"malformed line index {head!r}")
             if int(head) == 1:
                 flush()
-                start_line, personas, exchanges = line_no, [], []
-            if not start_line:
+                flush_line = line_no
+                current = Conversation()
+            if current is None:
                 raise InputFormatError(line_no, "file does not start with line index 1")
             if rest.startswith("your persona: "):
-                personas.append(rest[len("your persona: "):])
+                sentence = tokenize(rest[len("your persona: "):])
+                if sentence:
+                    current.persona_sentences.append(sentence)
             elif rest.startswith("partner's persona: "):
                 continue
             else:
-                parts = rest.split("\t", 2)
+                parts = rest.split("\t")
                 if len(parts) < 2:
                     raise InputFormatError(line_no, "exchange line missing tab separator")
-                exchanges += parts[:2]
+                current.utterances.append(tokenize(parts[0]))
+                current.utterances.append(tokenize(parts[1]))
         flush()
     return conversations
 

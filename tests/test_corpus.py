@@ -1,7 +1,6 @@
 import math
 import string
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,11 +165,9 @@ class TestLoadPersonaChat:
         st.lists(FIELD, min_size=2, max_size=3))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(LINE, min_size=1, max_size=6), max_size=4),
-           st.sampled_from([1, 2, 3, corpus._CHUNK_FIELDS]))
-    def test_tokens_are_tokenize_of_each_field(self, tmp_path_factory, conversations, chunk):
-        # however load_personachat groups fields, each field's tokens are
-        # tokenize()'s, and equal tokens are one string
+    @given(st.lists(st.lists(LINE, min_size=1, max_size=6), max_size=4))
+    def test_tokens_are_tokenize_of_each_field(self, tmp_path_factory, conversations):
+        # each field's tokens are tokenize()'s, and equal tokens are one string
         lines, want, error_line = [], [], None
         for conversation in conversations:
             start = len(lines) + 1
@@ -188,13 +185,12 @@ class TestLoadPersonaChat:
             want.append((personas, utterances))
         path = tmp_path_factory.getbasetemp() / "fields.txt"
         path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
-        with mock.patch.object(corpus, "_CHUNK_FIELDS", chunk):
-            if error_line is not None:
-                with pytest.raises(InputFormatError, match=f"^line {error_line}: conversation has "
-                                                          "utterances but no persona lines$"):
-                    load_personachat(path)
-                return
-            loaded = load_personachat(path)
+        if error_line is not None:
+            with pytest.raises(InputFormatError, match=f"^line {error_line}: conversation has "
+                                                      "utterances but no persona lines$"):
+                load_personachat(path)
+            return
+        loaded = load_personachat(path)
         assert [(c.persona_sentences, c.utterances) for c in loaded] == want
         got = [t for c in loaded for seq in c.persona_sentences + c.utterances for t in seq]
         expected = [t for personas, utterances in want for seq in personas + utterances for t in seq]
