@@ -177,14 +177,10 @@ def _undecodable_line(path) -> int | None:
     return None
 
 
-def _load_conversations(path) -> list[Conversation]:
-    return _read_input(load_personachat, path)
-
-
 def _load_exchanges(path, what: str) -> list[Conversation]:
     """The conversations of ``path``, which must hold at least one exchange
     line: one ``what`` example."""
-    conversations = _load_conversations(path)
+    conversations = _read_input(load_personachat, path)
     if not any(c.examples for c in conversations):
         raise UserError(f"{path}: no {what} examples (no exchange lines)")
     return conversations
@@ -233,7 +229,7 @@ def cmd_pretrain_topic(args) -> int:
         raise UserError("no corpus: set paths.train/paths.topic_corpora in the config or pass --corpus")
     conversations: list[Conversation] = []
     for path in paths:
-        conversations.extend(_load_conversations(path))
+        conversations.extend(_read_input(load_personachat, path))
     if not conversations:
         raise UserError("corpora contain no conversations")
     documents = [conversation_document(c) for c in conversations]
@@ -279,7 +275,7 @@ def _load_topic_model(path) -> TopicModel:
 def cmd_expand(args) -> int:
     config = _load_config(args)
     model = _load_topic_model(args.topic)
-    conversations = _load_conversations(args.data)
+    conversations = _read_input(load_personachat, args.data)
     vectors = word_topic_vectors(model)
 
     def record(i: int, conv: Conversation) -> dict:
@@ -295,10 +291,11 @@ def cmd_expand(args) -> int:
     return EXIT_OK
 
 
-def load_expansion_records(path) -> dict[int, list[str]]:
+def load_expansion_records(path) -> dict[int, list[str]] | None:
     """Expansion tokens by conversation from the JSONL records ``expand``
-    writes: ``{"conversation": int, "words": [[token, score], ...]}``."""
-    return _read_input(_parse_expansion_records, path)
+    writes: ``{"conversation": int, "words": [[token, score], ...]}``; None
+    when no ``path`` is given."""
+    return _read_input(_parse_expansion_records, path) if path else None
 
 
 def _parse_expansion_records(path) -> dict[int, list[str]]:
@@ -359,9 +356,8 @@ def cmd_train(args) -> int:
     train_conversations = _load_exchanges(config.paths.train, "training")
     valid_conversations = (_load_exchanges(config.paths.valid, "validation")
                            if config.paths.valid else [])
-    expansions = load_expansion_records(args.expansions) if args.expansions else None
-    valid_expansions = (load_expansion_records(args.valid_expansions)
-                        if args.valid_expansions else None)
+    expansions = load_expansion_records(args.expansions)
+    valid_expansions = load_expansion_records(args.valid_expansions)
     if expansions is not None and config.paths.valid and valid_expansions is None:
         print("warning: --expansions given but not --valid-expansions; validation examples "
               "get an empty external persona memory", file=sys.stderr)
@@ -426,8 +422,8 @@ def _generated(model: DialogueModel, config: Config, conversations: list[Convers
 
 def cmd_generate(args) -> int:
     model, config = _load_dialogue_model(args)
-    conversations = _load_conversations(args.data)
-    expansions = load_expansion_records(args.expansions) if args.expansions else None
+    conversations = _read_input(load_personachat, args.data)
+    expansions = load_expansion_records(args.expansions)
 
     def records():
         for index, (i, _, response, diag) in enumerate(
@@ -440,13 +436,19 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.out:
+        _check_outputs(args.out)
     model, config = _load_dialogue_model(args)
     conversations = _load_exchanges(args.data, "evaluation")
-    expansions = load_expansion_records(args.expansions) if args.expansions else None
+    expansions = load_expansion_records(args.expansions)
 
     table: EmbeddingTable | None = None
     if config.paths.embeddings:
-        table = _read_input(load_embeddings, config.paths.embeddings)
+        # the metrics look up only candidate (model-vocabulary) and reference tokens
+        wanted = set(model.vocab.index_to_token).union(
+            token for conv in conversations for example in conv.examples
+            for token in example.response)
+        table = _read_input(load_embeddings, config.paths.embeddings, wanted)
 
     candidates: list[list[str]] = []
     references: list[list[str]] = []
@@ -469,11 +471,7 @@ def cmd_chat(args) -> int:
     persona_sentences = _read_input(_load_persona, args.persona)
     if not persona_sentences:
         raise UserError(f"{args.persona}: no persona sentences")
-    expansion_tokens: list[str] = []
-    if args.expansions:
-        records = load_expansion_records(args.expansions)
-        if records:
-            expansion_tokens = next(iter(records.values()))
+    expansion_tokens = next(iter((load_expansion_records(args.expansions) or {}).values()), [])
 
     history: list[list[str]] = []
     for raw in sys.stdin:

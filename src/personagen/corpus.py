@@ -16,6 +16,7 @@ import string
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Container
 
 import numpy as np
 
@@ -215,12 +216,13 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
 
 
-def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
+def load_embeddings(path, keep: Container[str] | None = None) -> EmbeddingTable:
     """Read a text embedding file (token followed by its vector components).
 
     Every line is checked, kept or not: a malformed or non-finite component
-    names its line. When a vocabulary is given only its tokens are kept;
-    tokens missing from the file are simply absent from the table.
+    names its line. When ``keep`` is given (a vocabulary or a set of tokens)
+    only the tokens in it are kept; tokens missing from the file are simply
+    absent from the table.
     """
     dim: int | None = None
     vectors: dict[str, np.ndarray] = {}
@@ -243,7 +245,7 @@ def load_embeddings(path, vocab: Vocabulary | None = None) -> EmbeddingTable:
                 raise InputFormatError(line_no, str(err)) from err
             if not np.isfinite(vector).all():
                 raise InputFormatError(line_no, f"non-finite component in {token!r}'s vector")
-            if vocab is None or token in vocab:
+            if keep is None or token in keep:
                 vectors[token] = vector
     if dim is None:
         raise InputFormatError(None, "embedding file is empty")

@@ -16,23 +16,21 @@ from .numkit import Tensor, dot_attention_weights, lookup, matmul, zeros
 class KeyValueMemory:
     """Parallel key and value matrices; rows are slots.
 
-    ``keys`` is (n, key_dim) and ``values`` is (n, value_dim); both are None
-    for an empty memory, which still carries its dimensions so reads can
-    return zero rows of the right size.
+    ``keys`` is (n, key_dim) and ``values`` is (n, value_dim). An empty
+    memory has n = 0, so its matrices still carry the widths that reads
+    return zero rows of.
     """
 
-    keys: Tensor | None
-    values: Tensor | None
-    key_dim: int
-    value_dim: int
+    keys: Tensor
+    values: Tensor
 
     @classmethod
     def empty(cls, key_dim: int, value_dim: int) -> "KeyValueMemory":
-        return cls(None, None, key_dim, value_dim)
+        return cls(zeros((0, key_dim)), zeros((0, value_dim)))
 
     @property
     def slots(self) -> int:
-        return 0 if self.keys is None else self.keys.shape[0]
+        return self.keys.shape[0]
 
 
 def build_memory(representations: Tensor,
@@ -42,9 +40,7 @@ def build_memory(representations: Tensor,
     value networks, one call each; row i of both becomes slot i."""
     if representations.ndim != 2:
         raise ValueError(f"build_memory needs an (n, d) matrix, got shape {representations.shape}")
-    keys = key_mlp(representations)
-    values = value_mlp(representations)
-    return KeyValueMemory(keys, values, keys.shape[1], values.shape[1])
+    return KeyValueMemory(key_mlp(representations), value_mlp(representations))
 
 
 def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, Tensor | None]:
@@ -52,10 +48,11 @@ def retrieve_with_weights(query: Tensor, mem: KeyValueMemory) -> tuple[Tensor, T
     record), and those weights. An empty memory reads as zero rows (weights
     None) so downstream additive updates are unaffected.
     """
-    if query.ndim != 2 or query.shape[1] != mem.key_dim:
-        raise ValueError(f"query has shape {query.shape}, memory keys have dim {mem.key_dim}")
+    key_dim = mem.keys.shape[1]
+    if query.ndim != 2 or query.shape[1] != key_dim:
+        raise ValueError(f"query has shape {query.shape}, memory keys have dim {key_dim}")
     if mem.slots == 0:
-        return zeros((query.shape[0], mem.value_dim)), None
+        return zeros((query.shape[0], mem.values.shape[1])), None
     weights = dot_attention_weights(query, mem.keys)
     return matmul(weights, mem.values), weights
 
@@ -103,7 +100,7 @@ def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
     """
     if hops < 1:
         raise ValueError("multihop needs at least one hop")
-    if mem_w.key_dim != mem_e.key_dim or mem_w.value_dim != mem_e.value_dim:
+    if (mem_w.keys.shape[1], mem_w.values.shape[1]) != (mem_e.keys.shape[1], mem_e.values.shape[1]):
         raise ValueError("both memories must share key/value dimensions")
     query = q0
     for _ in range(hops):

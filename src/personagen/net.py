@@ -151,70 +151,61 @@ def init_state(e_x: Tensor, o_k: Tensor, init_proj: Affine) -> Tensor:
     return init_proj(concat([e_x, o_k]))
 
 
-def history_keys(word_states: Tensor, params: DecoderParams) -> Tensor:
-    """The step-independent half of the history attention's pre-activation,
-    ``word_states @ attn_wt + attn_b``: (n, attn), computed once per example."""
-    return matmul(word_states, params.attn_wt) + params.attn_b
+def history_memory(word_states: Tensor, params: DecoderParams) -> KeyValueMemory:
+    """The history words as a memory, built once per example: slot i's key is
+    row i of ``word_states @ attn_wt + attn_b``, the step-independent half of
+    the additive attention's pre-activation, and its value word state i."""
+    return KeyValueMemory(matmul(word_states, params.attn_wt) + params.attn_b, word_states)
 
 
-def attend_history(s_t: Tensor, word_states: Tensor, word_keys: Tensor,
+def attend_history(s_t: Tensor, mem_h: KeyValueMemory,
                    params: DecoderParams) -> tuple[Tensor, Tensor]:
-    """Additive attention over history word states.
+    """Additive attention over the ``history_memory`` ``mem_h``.
 
-    ``word_states`` is the stacked (n, word_dim) matrix and ``word_keys`` its
-    ``history_keys``. For the (k, H) states ``s_t``, returns the (k, word_dim)
-    contexts and the (k, n) attention distributions (one
-    ``additive_attention_weights`` record), one row per state row.
+    For the (k, H) states ``s_t``, returns the (k, word_dim) contexts and the
+    (k, n) attention distributions (one ``additive_attention_weights``
+    record), one row per state row.
     """
     query = matmul(s_t, params.attn_ws)                       # (k, attn)
-    weights = additive_attention_weights(query, word_keys, params.attn_v)
-    return matmul(weights, word_states), weights
+    weights = additive_attention_weights(query, mem_h.keys, params.attn_v)
+    return matmul(weights, mem_h.values), weights
 
 
-@dataclass
-class StepDiagnostics:
-    """History attention and the last hop's weights over the persona word
-    and external memories (None for an empty memory)."""
-
-    attention: Tensor
-    w_weights: Tensor | None
-    e_weights: Tensor | None
-
-
-def decoder_output(s_t: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
-                   word_states: Tensor, word_keys: Tensor, params: DecoderParams, hops: int,
-                   ) -> tuple[Tensor, Tensor, StepDiagnostics]:
+def decoder_output(s_t: Tensor, mem_h: KeyValueMemory, mem_w: KeyValueMemory,
+                   mem_e: KeyValueMemory, params: DecoderParams, hops: int,
+                   ) -> tuple[Tensor, Tensor, dict[str, Tensor | None]]:
     """Everything of a decoder step after the GRU.
 
-    Attends over history words, runs the multi-hop read over both persona
-    word memories, and maps [state; history context; word read; external
-    read] through the output layer. Returns the token distribution, the raw
-    output activations and attention diagnostics, one row per row of the
-    (k, H) states ``s_t``, each read on its own: the hypotheses of a beam
-    step, or every step of a teacher-forced response; the output layer is
-    one (k, 4H) GEMM.
+    Attends over the history memory, runs the multi-hop read over both
+    persona word memories, and maps [state; history context; word read;
+    external read] through the output layer. Returns the token distribution,
+    the raw output activations and each read's weights by its
+    ``--diagnostics`` name (None for an empty memory), one row per row of
+    the (k, H) states ``s_t``, each read on its own: the hypotheses of a
+    beam step, or every step of a teacher-forced response; the output layer
+    is one (k, 4H) GEMM.
     """
-    u_x, attn_weights = attend_history(s_t, word_states, word_keys, params)
+    u_x, attn_weights = attend_history(s_t, mem_h, params)
     hop = multihop(s_t, mem_w, mem_e, hops)
     activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e]))
-    return (softmax(activations), activations,
-            StepDiagnostics(attn_weights, hop.w_weights, hop.e_weights))
+    return softmax(activations), activations, {
+        "attention": attn_weights, "word_memory": hop.w_weights,
+        "external_memory": hop.e_weights}
 
 
-def decode_step(prev: list[int], state: Tensor, mem_w: KeyValueMemory,
-                mem_e: KeyValueMemory, word_states: Tensor, word_keys: Tensor,
-                params: DecoderParams, hops: int, embedding: Tensor,
-                ) -> tuple[Tensor, Tensor, Tensor, StepDiagnostics]:
+def decode_step(prev: list[int], state: Tensor, mem_h: KeyValueMemory,
+                mem_w: KeyValueMemory, mem_e: KeyValueMemory, params: DecoderParams,
+                hops: int, embedding: Tensor,
+                ) -> tuple[Tensor, Tensor, Tensor, dict[str, Tensor | None]]:
     """One decoder step: the GRU on the previous token's embedding, then
     ``decoder_output``.
 
     Returns the token distribution, the raw output activations, the new
-    state, and attention diagnostics. ``prev`` is a list of k token ids with
-    a (k, H) ``state``: k independent steps whose results are rows.
+    state, and the reads' weights. ``prev`` is a list of k token ids with a
+    (k, H) ``state``: k independent steps whose results are rows.
     """
     s_t = gru_cell(lookup(embedding, prev), state, params.cell)
-    probs, activations, diag = decoder_output(
-        s_t, mem_w, mem_e, word_states, word_keys, params, hops)
+    probs, activations, diag = decoder_output(s_t, mem_h, mem_w, mem_e, params, hops)
     return probs, activations, s_t, diag
 
 
@@ -298,8 +289,8 @@ class DialogueModel(Module):
         o_k, match_weights = persona_information_retrieval(queries, mem_s)
         state = init_state(e_x, o_k, self.decoder.init_proj)
         mem_e = self.external_memory(bound.expansion_ids)
-        word_keys = history_keys(word_states, self.decoder)
-        return mem_w, mem_e, word_states, word_keys, state, match_weights
+        mem_h = history_memory(word_states, self.decoder)
+        return mem_h, mem_w, mem_e, state, match_weights
 
     def example_loss(self, bound: BoundExample, settings: LossSettings) -> LossBreakdown:
         """Teacher-forced joint loss of one example.
@@ -307,12 +298,12 @@ class DialogueModel(Module):
         The decoder GRU runs once over [SOS] + response, one record; then
         ``decoder_output`` runs once over its (T, H) states.
         """
-        mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
+        mem_h, mem_w, mem_e, state, match_weights = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
         states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell)
         probs, activations, _ = decoder_output(
-            states, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops)
+            states, mem_h, mem_w, mem_e, self.decoder, self.hops)
         nll = nll_loss(probs, targets)
         match = p_match_loss(match_weights, p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold))
@@ -348,10 +339,9 @@ class DialogueModel(Module):
             raise ValueError("beam_width must be at least 1")
         if mode not in ("greedy", "beam"):
             raise ValueError(f"unknown generation mode {mode!r}")
-        mem_w, mem_e, word_states, word_keys, state, match_weights = self._encode(bound)
+        mem_h, mem_w, mem_e, state, match_weights = self._encode(bound)
         width = 1 if mode == "greedy" else beam_width
-        ids, (diag, row) = self._beam(state, mem_w, mem_e, word_states, word_keys, width,
-                                      max_len)
+        ids, (diag, row) = self._beam(state, mem_h, mem_w, mem_e, width, max_len)
         tokens = [self.vocab.token(i) for i in ids]
         if collect_diagnostics:
             return tokens, {
@@ -360,7 +350,7 @@ class DialogueModel(Module):
             }
         return tokens
 
-    def _beam(self, rows, mem_w, mem_e, word_states, word_keys, beam_width, max_len):
+    def _beam(self, rows, mem_h, mem_w, mem_e, beam_width, max_len):
         """The best hypothesis' token ids, and the (diagnostics, row) of the
         decode step that chose its last token, from the (1, H) start state
         ``rows``."""
@@ -372,8 +362,7 @@ class DialogueModel(Module):
         for _ in range(max_len):
             prev = [tokens[-1] if tokens else SOS for _, tokens, _ in live]
             probs, _, rows, diag = decode_step(
-                prev, rows, mem_w, mem_e, word_states, word_keys, self.decoder, self.hops,
-                self.embedding)
+                prev, rows, mem_h, mem_w, mem_e, self.decoder, self.hops, self.embedding)
             log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
             candidates = [(score + float(log_probs[i, token]), tokens + (int(token),), (diag, i))
                           for i, (score, tokens, _) in enumerate(live)
@@ -391,14 +380,11 @@ class DialogueModel(Module):
         return [i for i in best if i != EOS], chosen
 
 
-def _step_record(diag: StepDiagnostics, row: int) -> dict[str, list[float]]:
-    """History attention and the last hop's memory attention of one step's
-    ``row``."""
-    record = {"attention": diag.attention.data[row].tolist()}
-    for name, weights in (("word_memory", diag.w_weights), ("external_memory", diag.e_weights)):
-        if weights is not None:
-            record[name] = weights.data[row].tolist()
-    return record
+def _step_record(diag: dict[str, Tensor | None], row: int) -> dict[str, list[float]]:
+    """Each read's weights in one step's ``row``, leaving out an empty
+    memory's."""
+    return {name: weights.data[row].tolist() for name, weights in diag.items()
+            if weights is not None}
 
 
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:

@@ -224,8 +224,7 @@ def test_criterion_4_retrieval_suite():
     def mem(keys, values):
         keys = np.asarray(keys, dtype=float)
         values = np.asarray(values, dtype=float)
-        return KeyValueMemory(nk.Tensor(keys), nk.Tensor(values),
-                              keys.shape[1], values.shape[1])
+        return KeyValueMemory(nk.Tensor(keys), nk.Tensor(values))
 
     # weights sum to one
     memory = mem(rng.normal(size=(5, 3)), rng.normal(size=(5, 2)))

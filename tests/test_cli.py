@@ -590,6 +590,59 @@ class TestPipeline:
         want = evaluate_corpus(candidates, references, None, per_conversation)
         assert json.loads(report.read_text(encoding="utf-8")) == want.to_record()
 
+    def test_eval_reads_only_candidate_and_reference_embeddings(self, pipeline, tmp_path,
+                                                                monkeypatch):
+        from personagen.corpus import load_embeddings, load_personachat
+        from personagen.metrics import evaluate_corpus
+
+        # "zebra" is a reference token outside the model vocabulary
+        data = tmp_path / "dialogues.txt"
+        data.write_text(toy_dialogue_text() + "1 your persona: i love guitar.\n"
+                        "2 what do you like?\ti love zebra .\n", encoding="utf-8")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("".join(f"{token} {i / 10} {1 - i / 20} 0.3\n" for i, token in enumerate(
+            ["i", "love", "guitar", "my", "makes", "me", "happy", ".", "zebra", "zzextra"])),
+            encoding="utf-8")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"paths": {"embeddings": str(emb)},
+                                           "model": {"beam": 2, "max_len": 8}}),
+                               encoding="utf-8")
+        scored = []
+
+        def spy(candidates, references, table, conversations):
+            scored.append((candidates, references, table, conversations))
+            return evaluate_corpus(candidates, references, table, conversations)
+
+        monkeypatch.setattr(cli, "evaluate_corpus", spy)
+        report = tmp_path / "report.json"
+        assert main(["eval", "--config", str(config_path),
+                     "--checkpoint", str(pipeline["model_ckpt"]), "--data", str(data),
+                     "--mode", "greedy", "--out", str(report)]) == 0
+        (candidates, references, table, conversations), = scored
+        vocab = cli._load_dialogue_model(argparse.Namespace(
+            config=None, seed=None, checkpoint=str(pipeline["model_ckpt"])))[0].vocab
+        wanted = set(vocab.index_to_token).union(
+            token for conv in load_personachat(data) for example in conv.examples
+            for token in example.response)
+        assert "zebra" not in vocab and set(table.vectors) <= wanted
+        assert {"guitar", "zebra"} <= set(table.vectors) and "zzextra" not in table.vectors
+        unfiltered = evaluate_corpus(candidates, references, load_embeddings(emb), conversations)
+        assert unfiltered.emb_average != 0.0
+        assert json.loads(report.read_text(encoding="utf-8")) == unfiltered.to_record()
+
+    @pytest.mark.parametrize("kind", ["directory", "under_a_file"])
+    def test_eval_out_where_no_file_can_be_made_exits_2_before_decoding(
+            self, kind, pipeline, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("decoded before checking --out")
+
+        monkeypatch.setattr(DialogueModel, "generate", refuse)
+        path = unwritable(kind, tmp_path)
+        assert main(["eval", "--checkpoint", str(pipeline["model_ckpt"]),
+                     "--data", str(pipeline["data"]), "--out", path]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and path in err[0]
+
     @pytest.mark.parametrize("command", ["generate", "eval"])
     def test_missing_expansion_records_warn_and_decode_as_empty(self, command, pipeline,
                                                                 tmp_path, capsys):
@@ -789,6 +842,9 @@ MALFORMED_EXPANSION_LINES = {
 
 
 class TestMalformedExpansions:
+    def test_no_path_reads_as_no_records(self):
+        assert load_expansion_records(None) is None
+
     @pytest.mark.parametrize("command", ["train", "generate", "eval"])
     @pytest.mark.parametrize("case", sorted(MALFORMED_EXPANSION_LINES))
     def test_rejected_with_exit_2(self, case, command, pipeline, tmp_path, capsys):

@@ -18,7 +18,7 @@ from personagen.memory import (
 def memory_from_arrays(keys, values) -> KeyValueMemory:
     keys = np.asarray(keys, dtype=float)
     values = np.asarray(values, dtype=float)
-    return KeyValueMemory(nk.Tensor(keys), nk.Tensor(values), keys.shape[1], values.shape[1])
+    return KeyValueMemory(nk.Tensor(keys), nk.Tensor(values))
 
 
 class TestBuildMemory:
@@ -74,6 +74,14 @@ class TestRetrieve:
         mem = KeyValueMemory.empty(2, 3)
         out = retrieve_with_weights(nk.Tensor([[1.0, 2.0]]), mem)[0]
         assert np.array_equal(out.data, np.zeros((1, 3)))
+
+    def test_empty_memory_is_zero_slots_that_read_as_zero_rows(self):
+        mem = KeyValueMemory.empty(2, 3)
+        assert isinstance(mem.keys, nk.Tensor) and isinstance(mem.values, nk.Tensor)
+        assert (mem.keys.shape, mem.values.shape, mem.slots) == ((0, 2), (0, 3), 0)
+        out, weights = retrieve_with_weights(nk.Tensor(np.ones((4, 2))), mem)
+        assert weights is None
+        assert out.shape == (4, 3) and np.array_equal(out.data, np.zeros((4, 3)))
 
     def test_query_dim_checked(self):
         mem = memory_from_arrays([[1.0, 0.0]], [[1.0]])
@@ -230,8 +238,8 @@ class TestMultihop:
         q0 = nk.Tensor(rng.normal(size=(1, 3)), requires_grad=True)
 
         def fn():
-            mem_w = KeyValueMemory(keys_w, values_w, 3, 3)
-            mem_e = KeyValueMemory(keys_e, values_e, 3, 3)
+            mem_w = KeyValueMemory(keys_w, values_w)
+            mem_e = KeyValueMemory(keys_e, values_e)
             result = multihop(q0, mem_w, mem_e, hops=3)
             return nk.sum_(tanh(result.query))
 
@@ -291,9 +299,9 @@ class TestRowForms:
         q0 = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 
         def fn():
-            mem_w = KeyValueMemory(keys_w, values_w, 3, 3)
+            mem_w = KeyValueMemory(keys_w, values_w)
             mem_e = (KeyValueMemory.empty(3, 3) if empty_external
-                     else KeyValueMemory(keys_e, values_e, 3, 3))
+                     else KeyValueMemory(keys_e, values_e))
             result = multihop(q0, mem_w, mem_e, hops=3)
             return nk.sum_(tanh(result.query))
 

@@ -41,7 +41,7 @@ from personagen.net import (
     decoder_output,
     encode_history,
     encode_persona,
-    history_keys,
+    history_memory,
     init_state,
 )
 from personagen.trainer import TrainSettings, train_dialogue_model
@@ -223,7 +223,7 @@ class TestAttendHistory:
         state_row = np.random.default_rng(0).normal(size=model.hidden)
         word_states = nk.Tensor(np.tile(state_row, (5, 1)))
         s_t = nk.Tensor(np.random.default_rng(1).normal(size=(1, model.hidden)))
-        u, weights = attend_history(s_t, word_states, history_keys(word_states, model.decoder),
+        u, weights = attend_history(s_t, history_memory(word_states, model.decoder),
                                     model.decoder)
         assert np.allclose(u.data, [state_row], atol=1e-12)
         assert np.allclose(weights.data, 0.2)
@@ -234,7 +234,7 @@ class TestAttendHistory:
         rng = np.random.default_rng(2)
         rows = rng.normal(size=(4, model.hidden))
         u, weights = attend_history(nk.Tensor(rng.normal(size=(1, model.hidden))),
-                                    nk.Tensor(rows), history_keys(nk.Tensor(rows), model.decoder),
+                                    history_memory(nk.Tensor(rows), model.decoder),
                                     model.decoder)
         assert np.allclose(weights.data, 0.25)
         assert np.allclose(u.data, [rows.mean(axis=0)], atol=1e-12)
@@ -249,8 +249,7 @@ class TestAttendHistory:
                         @ d.attn_v.data) for row in rows]
         expected_weights = np_softmax(scores)
         expected_u = expected_weights @ rows
-        u, weights = attend_history(nk.Tensor([s_t]), nk.Tensor(rows),
-                                    history_keys(nk.Tensor(rows), d), d)
+        u, weights = attend_history(nk.Tensor([s_t]), history_memory(nk.Tensor(rows), d), d)
         assert np.allclose(weights.data, [expected_weights], atol=1e-12)
         assert np.allclose(u.data, [expected_u], atol=1e-12)
 
@@ -260,12 +259,12 @@ class TestAttendHistory:
         model = tiny_model(seed=9 + k)
         rng = np.random.default_rng(30 + k)
         rows = nk.Tensor(rng.normal(size=(5, model.hidden)))
-        keys = history_keys(rows, model.decoder)
+        mem_h = history_memory(rows, model.decoder)
         states = rng.normal(size=(k, model.hidden))
-        u, weights = attend_history(nk.Tensor(states), rows, keys, model.decoder)
+        u, weights = attend_history(nk.Tensor(states), mem_h, model.decoder)
         assert u.shape == (k, model.hidden) and weights.shape == (k, 5)
         for i in range(k):
-            want_u, want_weights = attend_history(nk.Tensor(states[i:i + 1]), rows, keys,
+            want_u, want_weights = attend_history(nk.Tensor(states[i:i + 1]), mem_h,
                                                   model.decoder)
             np.testing.assert_allclose(u.data[i:i + 1], want_u.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(weights.data[i:i + 1], want_weights.data,
@@ -285,7 +284,7 @@ class TestAttendHistory:
         states = nk.Tensor(rng.normal(size=(3, model.hidden)), requires_grad=True)
 
         def loss(s_t):
-            u, weights = attend_history(s_t, rows, history_keys(rows, d), d)
+            u, weights = attend_history(s_t, history_memory(rows, d), d)
             return nk.sum_(tanh(u)) + nk.sum_(nk.mul(weights, weights))
 
         assert grad_check(lambda: loss(states), [rows, states] + attention) < 1e-6
@@ -304,11 +303,9 @@ class TestAttendHistory:
 class TestDecodeStep:
     def build_memories(self, model, rng):
         mem_w = KeyValueMemory(nk.Tensor(rng.normal(size=(3, model.hidden))),
-                               nk.Tensor(rng.normal(size=(3, model.hidden))),
-                               model.hidden, model.hidden)
+                               nk.Tensor(rng.normal(size=(3, model.hidden))))
         mem_e = KeyValueMemory(nk.Tensor(rng.normal(size=(2, model.hidden))),
-                               nk.Tensor(rng.normal(size=(2, model.hidden))),
-                               model.hidden, model.hidden)
+                               nk.Tensor(rng.normal(size=(2, model.hidden))))
         return mem_w, mem_e
 
     def test_emits_distribution_and_diagnostics(self):
@@ -318,14 +315,14 @@ class TestDecodeStep:
         word_states = nk.Tensor(rng.normal(size=(6, model.hidden)))
         state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         probs, s_tilde, new_state, diag = decode_step(
-            [SOS], state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            [SOS], state, history_memory(word_states, model.decoder), mem_w, mem_e,
             model.decoder, 3, model.embedding)
         assert probs.data.shape == (1, len(model.vocab))
         assert abs(probs.data.sum() - 1.0) < 1e-9
         assert (probs.data > 0).all()
         assert new_state.shape == (1, model.hidden)
-        assert abs(diag.attention.data.sum() - 1.0) < 1e-9
-        assert abs(diag.w_weights.data.sum() - 1.0) < 1e-9
+        assert abs(diag["attention"].data.sum() - 1.0) < 1e-9
+        assert abs(diag["word_memory"].data.sum() - 1.0) < 1e-9
 
     def test_empty_external_memory_still_decodes(self):
         model = tiny_model(seed=10)
@@ -335,10 +332,10 @@ class TestDecodeStep:
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
         state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         probs, _, _, diag = decode_step(
-            [1], state, mem_w, mem_e, word_states, history_keys(word_states, model.decoder),
+            [1], state, history_memory(word_states, model.decoder), mem_w, mem_e,
             model.decoder, 2, model.embedding)
         assert abs(probs.data.sum() - 1.0) < 1e-9
-        assert diag.e_weights is None
+        assert diag["external_memory"] is None
 
     @pytest.mark.parametrize("empty_external", [False, True])
     def test_rows_equal_stacked_steps(self, empty_external):
@@ -348,19 +345,18 @@ class TestDecodeStep:
         if empty_external:
             mem_e = KeyValueMemory.empty(model.hidden, model.hidden)
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
-        keys = history_keys(word_states, model.decoder)
+        mem_h = history_memory(word_states, model.decoder)
         tokens, states = [SOS, 5, 5], rng.normal(size=(3, model.hidden))
         probs, s_tilde, new_rows, diag = decode_step(
-            tokens, nk.Tensor(states), mem_w, mem_e, word_states, keys, model.decoder, 2,
-            model.embedding)
+            tokens, nk.Tensor(states), mem_h, mem_w, mem_e, model.decoder, 2, model.embedding)
         assert probs.shape == (3, len(model.vocab)) and new_rows.shape == (3, model.hidden)
         for i, token in enumerate(tokens):
-            one = decode_step([token], nk.Tensor(states[i:i + 1]), mem_w, mem_e, word_states,
-                              keys, model.decoder, 2, model.embedding)
+            one = decode_step([token], nk.Tensor(states[i:i + 1]), mem_h, mem_w, mem_e,
+                              model.decoder, 2, model.embedding)
             for got, want in zip((probs, s_tilde, new_rows), one[:3]):
                 np.testing.assert_allclose(got.data[i:i + 1], want.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(diag.attention.data[i:i + 1], one[3].attention.data,
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(diag["attention"].data[i:i + 1],
+                                       one[3]["attention"].data, rtol=0, atol=1e-12)
 
     def test_out_of_range_token_rejected(self):
         model = tiny_model()
@@ -369,9 +365,9 @@ class TestDecodeStep:
         word_states = nk.Tensor(rng.normal(size=(2, model.hidden)))
         state = nk.Tensor(rng.normal(size=(1, model.hidden)))
         with pytest.raises(IndexError):
-            decode_step([len(model.vocab) + 5], state, mem_w, mem_e, word_states,
-                        history_keys(word_states, model.decoder), model.decoder, 2,
-                        model.embedding)
+            decode_step([len(model.vocab) + 5], state,
+                        history_memory(word_states, model.decoder), mem_w, mem_e,
+                        model.decoder, 2, model.embedding)
 
     def test_matches_composition_oracle(self):
         model = tiny_model(seed=11)
@@ -399,8 +395,8 @@ class TestDecodeStep:
         expected = np_softmax(logits)
 
         probs, s_tilde, _, _ = decode_step(
-            [token], nk.Tensor([state_vec]), mem_w, mem_e, nk.Tensor(word_rows),
-            history_keys(nk.Tensor(word_rows), d), d, 3, model.embedding)
+            [token], nk.Tensor([state_vec]), history_memory(nk.Tensor(word_rows), d),
+            mem_w, mem_e, d, 3, model.embedding)
         assert np.allclose(s_tilde.data, [logits], atol=1e-10)
         assert np.allclose(probs.data, [expected], atol=1e-10)
 
@@ -656,15 +652,14 @@ class TestFactoredWeightGradients:
 def per_step_loss(model, bound, settings):
     """Oracle for ``example_loss``: the output layer, softmax and cross
     entropy run once per decode step, through ``decode_step``."""
-    mem_w, mem_e, word_states, word_keys, state, match_weights = model._encode(bound)
+    mem_h, mem_w, mem_e, state, match_weights = model._encode(bound)
     inputs = [SOS] + bound.response_ids
     targets = bound.response_ids + [EOS]
     step_losses = []
     step_activations = []
     for prev, target in zip(inputs, targets):
         probs, s_tilde, state, _ = decode_step(
-            [prev], state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
-            model.embedding)
+            [prev], state, mem_h, mem_w, mem_e, model.decoder, model.hops, model.embedding)
         step_losses.append(nk.cross_entropy(probs, [[target]]))
         step_activations.append(s_tilde)
     nll = nk.mean(step_losses)
@@ -711,12 +706,12 @@ def step_by_step_loss(model, bound, settings):
         vstack([model.c_proj(c) for c in vectors]), mem_s)
     state = init_state(e_x, o_k, model.decoder.init_proj)
     mem_e = model.external_memory(bound.expansion_ids)
-    word_keys = history_keys(word_states, model.decoder)
+    mem_h = history_memory(word_states, model.decoder)
     step_probs, step_activations = [], []
     for prev in [SOS] + bound.response_ids:
         state = nk.gru_cell(nk.lookup(embedding, [prev]), state, model.decoder.cell)
         probs, s_tilde, _ = decoder_output(
-            state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops)
+            state, mem_h, mem_w, mem_e, model.decoder, model.hops)
         step_probs.append(probs)
         step_activations.append(s_tilde)
     activations = vstack(step_activations)
@@ -811,24 +806,23 @@ class TestPretrainedEmbeddings:
 
 def oracle_step_entry(diag):
     """The ``--diagnostics`` record of one one-row decode step."""
-    entry = {"attention": [float(x) for x in diag.attention.data[0]]}
-    if diag.w_weights is not None:
-        entry["word_memory"] = [float(x) for x in diag.w_weights.data[0]]
-    if diag.e_weights is not None:
-        entry["external_memory"] = [float(x) for x in diag.e_weights.data[0]]
+    entry = {"attention": [float(x) for x in diag["attention"].data[0]]}
+    if diag["word_memory"] is not None:
+        entry["word_memory"] = [float(x) for x in diag["word_memory"].data[0]]
+    if diag["external_memory"] is not None:
+        entry["external_memory"] = [float(x) for x in diag["external_memory"].data[0]]
     return entry
 
 
 def greedy_oracle(model, bound, max_len):
     """Argmax decoding straight over decode_step: the tokens, and the history
     and last-hop memory attention of every step (the EOS step included)."""
-    mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
+    mem_h, mem_w, mem_e, state, _ = model._encode(bound)
     ids, steps = [], []
     prev = SOS
     for _ in range(max_len):
         probs, _, state, diag = decode_step(
-            [prev], state, mem_w, mem_e, word_states, word_keys, model.decoder, model.hops,
-            model.embedding)
+            [prev], state, mem_h, mem_w, mem_e, model.decoder, model.hops, model.embedding)
         token = int(np.argmax(probs.data[0]))
         steps.append(oracle_step_entry(diag))
         if token == EOS:
@@ -843,7 +837,7 @@ def per_hypothesis_beam(model, bound, beam_width, max_len):
     each carrying its own state: the tokens and the best hypothesis' step
     records. Same ranking as ``generate``: summed log probability, then the
     token tuple; EOS-terminated hypotheses retire and compete by score."""
-    mem_w, mem_e, word_states, word_keys, state, _ = model._encode(bound)
+    mem_h, mem_w, mem_e, state, _ = model._encode(bound)
     live = [(0.0, (), state, ())]
     finished = []
     for _ in range(max_len):
@@ -851,8 +845,8 @@ def per_hypothesis_beam(model, bound, beam_width, max_len):
         for score, tokens, hyp_state, steps in live:
             prev = tokens[-1] if tokens else SOS
             probs, _, new_state, diag = decode_step(
-                [prev], hyp_state, mem_w, mem_e, word_states, word_keys, model.decoder,
-                model.hops, model.embedding)
+                [prev], hyp_state, mem_h, mem_w, mem_e, model.decoder, model.hops,
+                model.embedding)
             steps = steps + (oracle_step_entry(diag),)
             log_probs = np.log(np.maximum(probs.data[0], nk.PROB_FLOOR))
             for token in np.argsort(-log_probs, kind="stable")[:beam_width]:
