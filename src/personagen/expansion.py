@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import DialogueExample
-from .stopwords import is_stopword
+from .stopwords import content_words
 from .topic import TopicSpace, row_norms
 
 
@@ -21,13 +21,8 @@ class ExpansionResult:
 
 
 def persona_vocab(example: DialogueExample, space: TopicSpace) -> set[str]:
-    """Non-stop-word persona tokens that have a vector in ``space``."""
-    result = set()
-    for sentence in example.persona_sentences:
-        for token in sentence:
-            if not is_stopword(token) and token in space.rows:
-                result.add(token)
-    return result
+    """Persona content words that have a vector in ``space``."""
+    return {t for t in content_words(example.persona_sentences) if t in space.rows}
 
 
 def cosine(u1: np.ndarray, u2: np.ndarray, norms2: np.ndarray | None = None) -> np.ndarray:

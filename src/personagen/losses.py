@@ -20,7 +20,7 @@ from .numkit import (
     sigmoid_cross_entropy,
     sum_,
 )
-from .stopwords import is_stopword
+from .stopwords import content_words, is_stopword
 
 
 def jaccard(set1: set, set2: set) -> float:
@@ -37,10 +37,10 @@ def p_match_targets(persona_sentences: list[list[str]], response: list[str],
     ``threshold``."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
-    response_set = {t for t in response if not is_stopword(t)}
+    response_set = content_words([response])
     labels = np.zeros(len(persona_sentences))
     for i, sentence in enumerate(persona_sentences):
-        sentence_set = {t for t in sentence if not is_stopword(t)}
+        sentence_set = content_words([sentence])
         if jaccard(sentence_set, response_set) >= threshold:
             labels[i] = 1.0
     return labels

@@ -5,108 +5,79 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .corpus import EmbeddingTable
 from .expansion import cosine
-from .stopwords import is_stopword
+from .stopwords import content_words
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def clipped_matches(candidate: list[str], reference: list[str]) -> list[int]:
+    """The pair's clipped (modified) n-gram matches for n = 1..4: each
+    candidate n-gram counts at most as often as it occurs in the reference."""
+    matched = []
+    for n in range(1, 5):
+        counts = Counter(tuple(candidate[i:i + n]) for i in range(len(candidate) - n + 1))
+        ref_counts = Counter(tuple(reference[i:i + n]) for i in range(len(reference) - n + 1))
+        matched.append(sum(min(c, ref_counts[g]) for g, c in counts.items()))
+    return matched
 
 
-def bleu_n(candidates: list[list[str]], references: list[list[str]], n: int) -> float:
-    """Corpus-level BLEU over n-gram orders 1..n, as a percentage.
+def corpus_bleu(matched: list[int], total: list[int], cand_len: int, ref_len: int) -> list[float]:
+    """Corpus-level BLEU-1..4, as percentages, from the clipped matches and
+    candidate n-gram counts of orders 1..4 pooled over the whole corpus.
 
-    Modified n-gram precisions are pooled over the whole corpus, combined by a
-    uniform geometric mean, and multiplied by the brevity penalty computed
-    from total candidate and reference lengths. Any zero pooled precision
-    gives 0.
+    BLEU-n is the uniform geometric mean of the first n pooled precisions
+    times the brevity penalty computed from total candidate and reference
+    lengths. Any zero pooled precision among the first n, or no candidate
+    tokens, gives 0.
     """
-    if len(candidates) != len(references):
-        raise ValueError("candidates and references must pair up")
-    if not 1 <= n <= 4:
-        raise ValueError("n must be between 1 and 4")
-    if not candidates:
-        return 0.0
-    matched = [0] * n
-    total = [0] * n
-    cand_len = 0
-    ref_len = 0
-    for cand, ref in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += len(ref)
-        for order in range(1, n + 1):
-            counts = _ngram_counts(cand, order)
-            ref_counts = _ngram_counts(ref, order)
-            matched[order - 1] += sum(min(c, ref_counts[g]) for g, c in counts.items())
-            total[order - 1] += sum(counts.values())
     if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for order in range(n):
-        if total[order] == 0 or matched[order] == 0:
-            return 0.0
-        log_sum += math.log(matched[order] / total[order]) / n
+        return [0.0] * 4
     brevity = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return 100.0 * brevity * math.exp(log_sum)
+    scores = []
+    for n in range(1, 5):
+        if 0 in matched[:n]:
+            scores.append(0.0)
+            continue
+        log_sum = 0.0
+        for order in range(n):
+            log_sum += math.log(matched[order] / total[order]) / n
+        scores.append(100.0 * brevity * math.exp(log_sum))
+    return scores
 
 
-def f1_tokens(candidate: list[str], reference: list[str]) -> float:
-    """Harmonic mean of multiset precision and recall over tokens."""
-    if not candidate or not reference:
-        return 0.0
-    overlap = sum((Counter(candidate) & Counter(reference)).values())
+def token_f1(overlap: int, cand_len: int, ref_len: int) -> float:
+    """Harmonic mean of multiset precision and recall over tokens, from the
+    pair's clipped unigram matches; 0 when none match."""
     if overlap == 0:
         return 0.0
-    precision = overlap / len(candidate)
-    recall = overlap / len(reference)
+    precision = overlap / cand_len
+    recall = overlap / ref_len
     return 2.0 * precision * recall / (precision + recall)
 
 
-def _embedded(tokens: list[str], table: EmbeddingTable) -> list[np.ndarray]:
-    return [table.vectors[t] for t in tokens if t in table.vectors]
+def emb_average(cand: np.ndarray, ref: np.ndarray) -> float:
+    """Cosine of the mean word vectors of two (words, d) matrices."""
+    return float(cosine(cand.mean(axis=0, keepdims=True), ref.mean(axis=0, keepdims=True))[0, 0])
 
 
-def emb_average(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:
-    """Cosine of the mean word vectors; 0 if either side has no embedded tokens."""
-    cand = _embedded(candidate, table)
-    ref = _embedded(reference, table)
-    if not cand or not ref:
-        return 0.0
-    return float(cosine(np.mean(cand, axis=0, keepdims=True),
-                        np.mean(ref, axis=0, keepdims=True))[0, 0])
+def _extrema_vector(vectors: np.ndarray) -> np.ndarray:
+    picks = np.abs(vectors).argmax(axis=0)
+    return vectors[picks, np.arange(vectors.shape[1])]
 
 
-def _extrema_vector(vectors: list[np.ndarray]) -> np.ndarray:
-    arr = np.stack(vectors)
-    picks = np.abs(arr).argmax(axis=0)
-    return arr[picks, np.arange(arr.shape[1])]
-
-
-def emb_extrema(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:
+def emb_extrema(cand: np.ndarray, ref: np.ndarray) -> float:
     """Cosine of the per-dimension extrema (largest absolute value) vectors."""
-    cand = _embedded(candidate, table)
-    ref = _embedded(reference, table)
-    if not cand or not ref:
-        return 0.0
     return float(cosine(_extrema_vector(cand)[None], _extrema_vector(ref)[None])[0, 0])
 
 
-def emb_greedy(candidate: list[str], reference: list[str], table: EmbeddingTable) -> float:
+def emb_greedy(cand: np.ndarray, ref: np.ndarray) -> float:
     """Greedy matching score, averaged over both directions."""
-    cand = _embedded(candidate, table)
-    ref = _embedded(reference, table)
-    if not cand or not ref:
-        return 0.0
-
-    def directed(src: list[np.ndarray], dst: list[np.ndarray]) -> float:
-        return float(np.mean(cosine(np.stack(src), np.stack(dst)).max(axis=1)))
-
-    return 0.5 * (directed(cand, ref) + directed(ref, cand))
+    return 0.5 * (float(np.mean(cosine(cand, ref).max(axis=1)))
+                  + float(np.mean(cosine(ref, cand).max(axis=1))))
 
 
 def persona_use_ratio(persona_sentences: list[list[str]],
@@ -114,7 +85,7 @@ def persona_use_ratio(persona_sentences: list[list[str]],
     """Fraction of distinct non-stop persona tokens used anywhere in the
     conversation's generated responses. Distinctness means repeating the same
     persona word never raises the score. Empty persona token set gives 0."""
-    persona_tokens = {t for s in persona_sentences for t in s if not is_stopword(t)}
+    persona_tokens = content_words(persona_sentences)
     if not persona_tokens:
         return 0.0
     used_tokens = {t for r in responses for t in r}
@@ -123,59 +94,54 @@ def persona_use_ratio(persona_sentences: list[list[str]],
 
 @dataclass
 class EvalReport:
-    """Corpus-level automatic scores."""
+    """Corpus-level automatic scores, named as in the eval record."""
 
-    bleu1: float
-    bleu2: float
-    bleu3: float
-    bleu4: float
-    f1: float
-    emb_average: float
-    emb_extrema: float
-    emb_greedy: float
-    persona_use_ratio: float
+    BLEU1: float
+    BLEU2: float
+    BLEU3: float
+    BLEU4: float
+    F1: float
+    Average: float
+    Extrema: float
+    Greedy: float
+    PersonaUseRatio: float
 
     def to_record(self) -> dict[str, float]:
-        return {
-            "BLEU1": self.bleu1,
-            "BLEU2": self.bleu2,
-            "BLEU3": self.bleu3,
-            "BLEU4": self.bleu4,
-            "F1": self.f1,
-            "Average": self.emb_average,
-            "Extrema": self.emb_extrema,
-            "Greedy": self.emb_greedy,
-            "PersonaUseRatio": self.persona_use_ratio,
-        }
+        return asdict(self)
+
+
+def _mean(values: list[float]) -> float:
+    return float(np.mean(values)) if values else 0.0
 
 
 def evaluate_corpus(candidates: list[list[str]], references: list[list[str]],
                     table: EmbeddingTable | None,
                     conversations: list[tuple[list[list[str]], list[list[str]]]],
                     ) -> EvalReport:
-    """Aggregate all metrics over a generated corpus.
+    """Aggregate all metrics over a generated corpus, reading each
+    (candidate, reference) pair once.
 
     ``conversations`` pairs each conversation's persona sentences with its
-    generated responses, for the persona use ratio. Embedding metrics are 0
-    when no table is available.
+    generated responses, for the persona use ratio. A pair's embedding scores
+    are 0 when either side has no token in the table, and all are 0 when no
+    table is available.
     """
     if len(candidates) != len(references):
         raise ValueError("candidates and references must pair up")
-
-    def mean_over_pairs(metric) -> float:
-        if not candidates or table is None:
-            return 0.0
-        return float(np.mean([metric(c, r, table) for c, r in zip(candidates, references)]))
-
+    matched, total = [0] * 4, [0] * 4
+    f1 = []
+    embedding = {emb_average: [], emb_extrema: [], emb_greedy: []}
+    for cand, ref in zip(candidates, references):
+        pair = clipped_matches(cand, ref)
+        for order in range(4):
+            matched[order] += pair[order]
+            total[order] += max(len(cand) - order, 0)
+        f1.append(token_f1(pair[0], len(cand), len(ref)))
+        if table is not None:
+            sides = [[table.vectors[t] for t in side if t in table.vectors] for side in (cand, ref)]
+            stacked = [np.stack(side) for side in sides] if all(sides) else None
+            for metric, scores in embedding.items():
+                scores.append(metric(*stacked) if stacked else 0.0)
+    bleu = corpus_bleu(matched, total, sum(map(len, candidates)), sum(map(len, references)))
     use_ratios = [persona_use_ratio(p, r) for p, r in conversations]
-    return EvalReport(
-        bleu1=bleu_n(candidates, references, 1),
-        bleu2=bleu_n(candidates, references, 2),
-        bleu3=bleu_n(candidates, references, 3),
-        bleu4=bleu_n(candidates, references, 4),
-        f1=float(np.mean([f1_tokens(c, r) for c, r in zip(candidates, references)])) if candidates else 0.0,
-        emb_average=mean_over_pairs(emb_average),
-        emb_extrema=mean_over_pairs(emb_extrema),
-        emb_greedy=mean_over_pairs(emb_greedy),
-        persona_use_ratio=float(np.mean(use_ratios)) if use_ratios else 0.0,
-    )
+    return EvalReport(*bleu, _mean(f1), *map(_mean, embedding.values()), _mean(use_ratios))

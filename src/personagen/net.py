@@ -57,7 +57,7 @@ from .numkit import (
     uniform_param,
     zero_param,
 )
-from .stopwords import is_stopword
+from .stopwords import content_words
 
 
 class PersonaEncoderParams(Module):
@@ -316,12 +316,12 @@ class DialogueModel(Module):
 
     def persona_word_set(self, bound: BoundExample) -> set[str]:
         """Predefined persona content words plus the expansion tokens."""
-        words = {t for s in bound.example.persona_sentences for t in s if not is_stopword(t)}
+        words = content_words(bound.example.persona_sentences)
         words.update(bound.expansion_tokens)
         return words
 
-    def generate(self, bound: BoundExample, mode: str = "beam", beam_width: int = 2,
-                 max_len: int = 30, collect_diagnostics: bool = False):
+    def generate(self, bound: BoundExample, mode: str, beam_width: int, max_len: int,
+                 collect_diagnostics: bool = False):
         """Generate a response token list (EOS excluded).
 
         Beam search ranks hypotheses by summed log probability with no length

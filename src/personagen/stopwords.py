@@ -31,3 +31,8 @@ def is_stopword(token: str) -> bool:
         return True
     return bool(token) and not token.strip(string.punctuation)
 
+
+def content_words(sentences: list[list[str]]) -> set[str]:
+    """The distinct non-stop-word tokens of ``sentences``: the persona
+    content words that P-Match, P-BoWs, expansion and the use ratio read."""
+    return {t for s in sentences for t in s if not is_stopword(t)}

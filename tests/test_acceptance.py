@@ -30,7 +30,7 @@ from personagen.losses import (
     p_match_targets,
 )
 from personagen.memory import KeyValueMemory, multihop, retrieve_with_weights
-from personagen.metrics import bleu_n, f1_tokens, persona_use_ratio
+from personagen.metrics import evaluate_corpus, persona_use_ratio
 from personagen.net import DialogueModel, LossSettings, bind_example
 from personagen.stopwords import STOPWORDS
 from personagen.topic import TopicSpace, word_topic_vectors
@@ -354,8 +354,9 @@ def test_criterion_6_metric_oracles():
     for _ in range(20):
         cand = [str(w) for w in rng.choice(vocab, size=rng.integers(1, 9))]
         ref = [str(w) for w in rng.choice(vocab, size=rng.integers(1, 9))]
+        scores = evaluate_corpus([cand], [ref], None, []).to_record()
         for order in (1, 2, 3, 4):
-            assert bleu_n([cand], [ref], order) == pytest.approx(
+            assert scores[f"BLEU{order}"] == pytest.approx(
                 oracle_bleu([cand], [ref], order), abs=1e-9)
         overlap = sum(min(cand.count(t), ref.count(t)) for t in set(cand))
         if overlap == 0:
@@ -364,9 +365,9 @@ def test_criterion_6_metric_oracles():
             p = overlap / len(cand)
             r = overlap / len(ref)
             expected_f1 = 2 * p * r / (p + r)
-        assert f1_tokens(cand, ref) == pytest.approx(expected_f1, abs=1e-9)
+        assert scores["F1"] == pytest.approx(expected_f1, abs=1e-9)
 
-    score = bleu_n([["the", "cat"]], [["the", "cat", "sat"]], 1)
+    score = evaluate_corpus([["the", "cat"]], [["the", "cat", "sat"]], None, []).BLEU1
     assert score == pytest.approx(100 * math.exp(-0.5), abs=1e-9)
     assert round(score, 2) == 60.65
 
@@ -392,7 +393,7 @@ def test_criterion_7_end_to_end_overfit(overfit_runs):
 
     total = matched = 0
     for bound in overfit_runs["examples"]:
-        out = model.generate(bound, mode="greedy", max_len=12)
+        out = model.generate(bound, mode="greedy", beam_width=2, max_len=12)
         for i, token in enumerate(bound.example.response):
             total += 1
             if i < len(out) and out[i] == token:

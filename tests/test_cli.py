@@ -1,5 +1,6 @@
 import argparse
 import importlib
+import inspect
 import io
 import json
 import os
@@ -28,6 +29,14 @@ BAD_CONFIG_FILES = {
     "section_not_object": '{"model": 8}',
     "beam_zero": '{"model": {"beam": 0}}',
 }
+
+
+def section_settings() -> set[tuple[str, object]]:
+    """The (name, default) pair of every field of every Config section."""
+    config = Config()
+    return {(f.name, f.default) for section in fields(config)
+            if is_dataclass(getattr(config, section.name))
+            for f in fields(getattr(config, section.name)) if f.default is not MISSING}
 
 
 class TestConfig:
@@ -111,10 +120,7 @@ class TestConfig:
     def test_no_dataclass_outside_config_restates_a_section_setting(self):
         # each setting's name and default live in config.py alone; a dataclass
         # elsewhere that declares one keeps a second copy to drift apart
-        config = Config()
-        settings = {(f.name, f.default) for section in fields(config)
-                    if is_dataclass(getattr(config, section.name))
-                    for f in fields(getattr(config, section.name)) if f.default is not MISSING}
+        settings = section_settings()
         restated = []
         for info in pkgutil.walk_packages(personagen.__path__, "personagen."):
             module = importlib.import_module(info.name)
@@ -125,6 +131,26 @@ class TestConfig:
                 own = obj.__dict__.get("__annotations__", {})
                 restated += [f"{obj.__qualname__}.{f.name}" for f in fields(obj)
                              if f.name in own and (f.name, f.default) in settings]
+        assert restated == []
+
+    def test_no_parameter_restates_a_section_setting(self):
+        # a keyword default that equals a section field's is the same second
+        # copy: callers that omit it silently stop following the config
+        settings = section_settings()
+        restated = []
+        for info in pkgutil.walk_packages(personagen.__path__, "personagen."):
+            module = importlib.import_module(info.name)
+            for obj in vars(module).values():
+                members = [obj] + (list(vars(obj).values()) if isinstance(obj, type) else [])
+                for fn in members:
+                    fn = getattr(fn, "__func__", fn)
+                    # code compiled from the module's own file: not imports,
+                    # not the __init__ a dataclass generates
+                    if not inspect.isfunction(fn) or fn.__code__.co_filename != module.__file__:
+                        continue
+                    restated += [f"{info.name}.{fn.__qualname__}({p.name}={p.default!r})"
+                                 for p in inspect.signature(fn).parameters.values()
+                                 if p.default is not p.empty and (p.name, p.default) in settings]
         assert restated == []
 
     @pytest.mark.parametrize("case", sorted(BAD_CONFIG_FILES))
@@ -567,8 +593,8 @@ class TestPipeline:
 
         sents = [["i", "love", "guitar", "."]]
         report = evaluate_corpus(sents, sents, None, [([["guitar"]], sents)])
-        assert report.bleu1 == pytest.approx(100.0)
-        assert report.f1 == pytest.approx(1.0)
+        assert report.BLEU1 == pytest.approx(100.0)
+        assert report.F1 == pytest.approx(1.0)
 
     def test_eval_scores_the_responses_generate_writes(self, pipeline, tmp_path):
         from personagen.corpus import load_personachat
@@ -627,7 +653,7 @@ class TestPipeline:
         assert "zebra" not in vocab and set(table.vectors) <= wanted
         assert {"guitar", "zebra"} <= set(table.vectors) and "zzextra" not in table.vectors
         unfiltered = evaluate_corpus(candidates, references, load_embeddings(emb), conversations)
-        assert unfiltered.emb_average != 0.0
+        assert unfiltered.Average != 0.0
         assert json.loads(report.read_text(encoding="utf-8")) == unfiltered.to_record()
 
     @pytest.mark.parametrize("kind", ["directory", "under_a_file"])

@@ -3,18 +3,37 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from personagen.corpus import EmbeddingTable
-from personagen.metrics import (
-    EvalReport,
-    bleu_n,
-    emb_average,
-    emb_extrema,
-    emb_greedy,
-    evaluate_corpus,
-    f1_tokens,
-    persona_use_ratio,
-)
+from personagen.metrics import EvalReport, evaluate_corpus, persona_use_ratio
+from personagen.stopwords import STOPWORDS
+
+
+def record(candidates, references, table=None, conversations=()):
+    return evaluate_corpus(candidates, references, table, list(conversations)).to_record()
+
+
+# each score as the record of a corpus of the given pairs reports it
+def bleu_n(candidates, references, n):
+    return record(candidates, references)[f"BLEU{n}"]
+
+
+def f1_tokens(candidate, reference):
+    return record([candidate], [reference])["F1"]
+
+
+def emb_average(candidate, reference, table):
+    return record([candidate], [reference], table)["Average"]
+
+
+def emb_extrema(candidate, reference, table):
+    return record([candidate], [reference], table)["Extrema"]
+
+
+def emb_greedy(candidate, reference, table):
+    return record([candidate], [reference], table)["Greedy"]
 
 
 def oracle_bleu(candidates, references, max_order):
@@ -45,6 +64,15 @@ def oracle_bleu(candidates, references, max_order):
         return 0.0
     bp = 1.0 if c > r else math.exp(1.0 - r / c)
     return 100.0 * bp * geo
+
+
+def oracle_f1(cand, ref):
+    overlap = sum(min(cand.count(t), ref.count(t)) for t in set(cand))
+    if overlap == 0:
+        return 0.0
+    p = overlap / len(cand)
+    r = overlap / len(ref)
+    return 2 * p * r / (p + r)
 
 
 class TestBleu:
@@ -86,10 +114,6 @@ class TestBleu:
         for n in (1, 2, 3):
             assert bleu_n(cands, refs, n) == pytest.approx(oracle_bleu(cands, refs, n), abs=1e-9)
 
-    def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            bleu_n([["a"]], [["a"]], 5)
-
 
 class TestF1:
     def test_identical(self):
@@ -115,14 +139,7 @@ class TestF1:
         for _ in range(20):
             cand = [str(w) for w in rng.choice(vocab, size=rng.integers(1, 7))]
             ref = [str(w) for w in rng.choice(vocab, size=rng.integers(1, 7))]
-            overlap = sum(min(cand.count(t), ref.count(t)) for t in set(cand))
-            if overlap == 0:
-                expected = 0.0
-            else:
-                p = overlap / len(cand)
-                r = overlap / len(ref)
-                expected = 2 * p * r / (p + r)
-            assert f1_tokens(cand, ref) == pytest.approx(expected, abs=1e-9)
+            assert f1_tokens(cand, ref) == pytest.approx(oracle_f1(cand, ref), abs=1e-9)
 
 
 @pytest.fixture
@@ -168,7 +185,7 @@ class TestEmbeddingMetrics:
         from personagen.metrics import _extrema_vector
 
         # dim0 values 1 and -1: first max by magnitude wins; dim1: 0 vs 0.5
-        out = _extrema_vector([table.vectors["sun"], table.vectors["rock"]])
+        out = _extrema_vector(np.stack([table.vectors["sun"], table.vectors["rock"]]))
         assert np.array_equal(out, np.array([1.0, 0.5]))
 
     def test_average_is_symmetric(self, table):
@@ -207,10 +224,10 @@ class TestEvalReport:
         sents = [["sun", "moon"], ["star", "rock", "sun"]]
         conversations = [([["sun"]], sents)]
         report = evaluate_corpus(sents, sents, table, conversations)
-        assert report.bleu1 == pytest.approx(100.0)
-        assert report.f1 == pytest.approx(1.0)
-        assert report.emb_average == pytest.approx(1.0)
-        assert report.persona_use_ratio == pytest.approx(1.0)
+        assert report.BLEU1 == pytest.approx(100.0)
+        assert report.F1 == pytest.approx(1.0)
+        assert report.Average == pytest.approx(1.0)
+        assert report.PersonaUseRatio == pytest.approx(1.0)
 
     def test_vocabulary_reindexing_invariance(self):
         # renaming tokens consistently must not change any score
@@ -222,3 +239,78 @@ class TestEvalReport:
         for n in (1, 2):
             assert bleu_n(cands, refs, n) == pytest.approx(bleu_n(cands2, refs2, n))
         assert f1_tokens(cands[0], refs[0]) == pytest.approx(f1_tokens(cands2[0], refs2[0]))
+
+    def test_unpaired_corpus_rejected(self):
+        with pytest.raises(ValueError, match="pair up"):
+            evaluate_corpus([["a"]], [], None, [])
+
+
+# a small vocabulary, two of its words stop words, so pairs often share n-grams
+WORDS = ["sun", "moon", "star", "rock", "the", "i"]
+sentences = st.lists(st.sampled_from(WORDS), max_size=6)
+
+
+def oracle_cosine(u, v):
+    norms = np.linalg.norm(u) * np.linalg.norm(v)
+    return 0.0 if norms == 0.0 else float(u @ v) / norms
+
+
+def oracle_embedding_scores(cand, ref, vectors):
+    """Per-pair (Average, Extrema, Greedy), one word vector at a time."""
+    cand = [vectors[t] for t in cand if t in vectors]
+    ref = [vectors[t] for t in ref if t in vectors]
+    if not cand or not ref:
+        return 0.0, 0.0, 0.0
+
+    def extrema(side):
+        out = []
+        for dim in range(len(side[0])):
+            best = side[0][dim]
+            for v in side[1:]:
+                if abs(v[dim]) > abs(best):
+                    best = v[dim]
+            out.append(best)
+        return np.array(out)
+
+    def directed(src, dst):
+        return sum(max(oracle_cosine(s, d) for d in dst) for s in src) / len(src)
+
+    return (oracle_cosine(sum(cand) / len(cand), sum(ref) / len(ref)),
+            oracle_cosine(extrema(cand), extrema(ref)),
+            0.5 * (directed(cand, ref) + directed(ref, cand)))
+
+
+@st.composite
+def corpora(draw):
+    pairs = draw(st.lists(st.tuples(sentences, sentences), max_size=5))
+    in_table = draw(st.one_of(st.none(), st.lists(st.sampled_from(WORDS), unique=True)))
+    components = st.integers(-2, 2).map(float)
+    table = None if in_table is None else EmbeddingTable(3, {
+        t: np.array(draw(st.lists(components, min_size=3, max_size=3))) for t in in_table})
+    conversations = draw(st.lists(st.tuples(st.lists(sentences, max_size=3),
+                                            st.lists(sentences, max_size=3)), max_size=3))
+    return [c for c, _ in pairs], [r for _, r in pairs], table, conversations
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_corpus_scores_match_per_pair_oracles(corpus):
+    # BLEU pools over the corpus; F1, the embedding scores and the use ratio
+    # are means of per-pair (per-conversation) scores, 0 for an empty corpus
+    candidates, references, table, conversations = corpus
+    got = record(candidates, references, table, conversations)
+    want = {f"BLEU{n}": oracle_bleu(candidates, references, n) for n in range(1, 5)}
+    pairs = list(zip(candidates, references))
+    want["F1"] = sum(oracle_f1(c, r) for c, r in pairs) / len(pairs) if pairs else 0.0
+    per_pair = [oracle_embedding_scores(c, r, table.vectors if table else {}) for c, r in pairs]
+    for i, name in enumerate(["Average", "Extrema", "Greedy"]):
+        want[name] = sum(s[i] for s in per_pair) / len(pairs) if pairs else 0.0
+    ratios = []
+    for persona, responses in conversations:
+        content = {t for s in persona for t in s if t not in STOPWORDS}
+        used = {t for r in responses for t in r}
+        ratios.append(len(content & used) / len(content) if content else 0.0)
+    want["PersonaUseRatio"] = sum(ratios) / len(ratios) if ratios else 0.0
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == pytest.approx(want[name], abs=1e-9), name

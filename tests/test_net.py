@@ -885,7 +885,8 @@ class TestGenerate:
         # a raised EOS bias on some seeds mixes early stops into the max-length runs
         model.decoder.out.b.data[EOS] += 0.5 * (seed % 4)
         bound = tiny_example(model.vocab)
-        tokens, diag = model.generate(bound, mode="greedy", max_len=8, collect_diagnostics=True)
+        tokens, diag = model.generate(bound, mode="greedy", beam_width=2, max_len=8,
+                                      collect_diagnostics=True)
         want_tokens, want_steps = greedy_oracle(model, bound, 8)
         assert (tokens, diag["memory_attention"]) == (want_tokens, want_steps[-1])
 
@@ -911,7 +912,7 @@ class TestGenerate:
     def test_max_len_one_gives_at_most_one_token(self):
         model = tiny_model(seed=16)
         bound = tiny_example(model.vocab)
-        out = model.generate(bound, mode="greedy", max_len=1)
+        out = model.generate(bound, mode="greedy", beam_width=2, max_len=1)
         assert len(out) <= 1
 
     def test_deterministic(self):
@@ -925,11 +926,11 @@ class TestGenerate:
         model = tiny_model()
         bound = tiny_example(model.vocab)
         with pytest.raises(ValueError):
-            model.generate(bound, mode="greedy", max_len=0)
+            model.generate(bound, mode="greedy", beam_width=2, max_len=0)
         with pytest.raises(ValueError):
-            model.generate(bound, mode="sampled")
+            model.generate(bound, mode="sampled", beam_width=2, max_len=30)
         with pytest.raises(ValueError, match="beam_width"):
-            model.generate(bound, mode="beam", beam_width=0)
+            model.generate(bound, mode="beam", beam_width=0, max_len=30)
 
     def test_overfit_model_reproduces_response(self):
         model = tiny_model(hidden=8, emb=6, seed=18)
@@ -939,7 +940,7 @@ class TestGenerate:
             model, [bound], None, settings,
             TrainSettings(epochs=150, batch_size=1, lr=0.02), np.random.default_rng(0))
         assert result.trace[-1].train_nll < 0.2
-        out = model.generate(bound, mode="greedy", max_len=10)
+        out = model.generate(bound, mode="greedy", beam_width=2, max_len=10)
         assert out == bound.example.response
         assert out == greedy_oracle(model, bound, 10)[0]
 
@@ -947,9 +948,9 @@ class TestGenerate:
         model = tiny_model(seed=19)
         bound = tiny_example(model.vocab)
         for mode in ("greedy", "beam"):
-            tokens, diag = model.generate(bound, mode=mode, max_len=3,
+            tokens, diag = model.generate(bound, mode=mode, beam_width=2, max_len=3,
                                           collect_diagnostics=True)
-            assert tokens == model.generate(bound, mode=mode, max_len=3)
+            assert tokens == model.generate(bound, mode=mode, beam_width=2, max_len=3)
             assert len(diag["match_weights"]) == 2
             assert abs(sum(diag["match_weights"]) - 1.0) < 1e-9
             # the step that chose the last token: its history attention and
