@@ -80,12 +80,11 @@ def persona_information_retrieval(queries: Tensor,
 
 @dataclass
 class MultihopResult:
-    """Final-hop reads, query and memory weights of the mutual-reinforcement
+    """The last hop's reads and memory weights of the mutual-reinforcement
     retrieval; a weight is None for an empty memory."""
 
     o_w: Tensor
     o_e: Tensor
-    query: Tensor
     w_weights: Tensor | None
     e_weights: Tensor | None
 
@@ -94,17 +93,18 @@ def multihop(q0: Tensor, mem_w: KeyValueMemory, mem_e: KeyValueMemory,
              hops: int) -> MultihopResult:
     """Alternating reads from the two persona word memories.
 
-    Each hop reads both memories with the shared query, then adds both
-    outputs back into the query so the two retrievals influence each other on
-    the next hop. Requires at least one hop.
+    Each hop reads both memories with the shared query; between hops both
+    outputs are added back into the query so the two retrievals influence
+    each other on the next hop. Requires at least one hop.
     """
     if hops < 1:
         raise ValueError("multihop needs at least one hop")
     if (mem_w.keys.shape[1], mem_w.values.shape[1]) != (mem_e.keys.shape[1], mem_e.values.shape[1]):
         raise ValueError("both memories must share key/value dimensions")
     query = q0
-    for _ in range(hops):
+    for hop in range(hops):
+        if hop:
+            query = query + o_w + o_e
         o_w, w_weights = retrieve_with_weights(query, mem_w)
         o_e, e_weights = retrieve_with_weights(query, mem_e)
-        query = query + o_w + o_e
-    return MultihopResult(o_w, o_e, query, w_weights, e_weights)
+    return MultihopResult(o_w, o_e, w_weights, e_weights)

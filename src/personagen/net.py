@@ -63,41 +63,36 @@ from .stopwords import content_words
 class PersonaEncoderParams(Module):
     """Shared Bi-GRU over persona tokens plus the two key/value network pairs."""
 
-    def __init__(self, emb_dim: int, direction_hidden: int, memory_dim: int,
-                 rng: np.random.Generator):
-        rep_dim = 2 * direction_hidden
-        self.fwd = GruParams(emb_dim, direction_hidden, rng)
-        self.bwd = GruParams(emb_dim, direction_hidden, rng)
-        self.sent_key = TanhMlp(rep_dim, memory_dim, rng)
-        self.sent_value = TanhMlp(rep_dim, memory_dim, rng)
-        self.word_key = TanhMlp(rep_dim, memory_dim, rng)
-        self.word_value = TanhMlp(rep_dim, memory_dim, rng)
+    def __init__(self, emb_dim: int, hidden: int, rng: np.random.Generator):
+        self.fwd = GruParams(emb_dim, hidden // 2, rng)
+        self.bwd = GruParams(emb_dim, hidden // 2, rng)
+        self.sent_key = TanhMlp(hidden, hidden, rng)
+        self.sent_value = TanhMlp(hidden, hidden, rng)
+        self.word_key = TanhMlp(hidden, hidden, rng)
+        self.word_value = TanhMlp(hidden, hidden, rng)
 
 
 class HistoryEncoderParams(Module):
     """Word-level Bi-GRU per utterance, utterance-level Bi-GRU over those."""
 
-    def __init__(self, emb_dim: int, direction_hidden: int, rng: np.random.Generator):
-        rep_dim = 2 * direction_hidden
-        self.word_fwd = GruParams(emb_dim, direction_hidden, rng)
-        self.word_bwd = GruParams(emb_dim, direction_hidden, rng)
-        self.utt_fwd = GruParams(rep_dim, direction_hidden, rng)
-        self.utt_bwd = GruParams(rep_dim, direction_hidden, rng)
+    def __init__(self, emb_dim: int, hidden: int, rng: np.random.Generator):
+        self.word_fwd = GruParams(emb_dim, hidden // 2, rng)
+        self.word_bwd = GruParams(emb_dim, hidden // 2, rng)
+        self.utt_fwd = GruParams(hidden, hidden // 2, rng)
+        self.utt_bwd = GruParams(hidden, hidden // 2, rng)
 
 
 class DecoderParams(Module):
     """GRU cell, history attention, output layer, and state initializer."""
 
-    def __init__(self, emb_dim: int, hidden: int, word_state_dim: int, vocab_size: int,
-                 rng: np.random.Generator):
-        attn_dim = hidden
+    def __init__(self, emb_dim: int, hidden: int, vocab_size: int, rng: np.random.Generator):
         self.cell = GruParams(emb_dim, hidden, rng)
-        self.attn_ws = uniform_param(rng, (hidden, attn_dim))
-        self.attn_wt = uniform_param(rng, (word_state_dim, attn_dim))
-        self.attn_b = zero_param((attn_dim,))
-        self.attn_v = uniform_param(rng, (attn_dim,))
-        self.out = Affine(hidden + word_state_dim + 2 * hidden, vocab_size, rng)
-        self.init_proj = Affine(word_state_dim + hidden, hidden, rng)
+        self.attn_ws = uniform_param(rng, (hidden, hidden))
+        self.attn_wt = uniform_param(rng, (hidden, hidden))
+        self.attn_b = zero_param((hidden,))
+        self.attn_v = uniform_param(rng, (hidden,))
+        self.out = Affine(4 * hidden, vocab_size, rng)
+        self.init_proj = Affine(2 * hidden, hidden, rng)
 
 
 def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams,
@@ -256,8 +251,6 @@ class DialogueModel(Module):
         self.emb_dim = emb_dim
         self.hidden = hidden
         self.hops = hops
-        direction_hidden = hidden // 2
-        word_state_dim = hidden
 
         self.embedding = uniform_param(rng, (len(vocab), emb_dim))
         if pretrained is not None:
@@ -268,12 +261,12 @@ class DialogueModel(Module):
                 if index is not None:
                     self.embedding.data[index] = vector
 
-        self.persona = PersonaEncoderParams(emb_dim, direction_hidden, hidden, rng)
-        self.history = HistoryEncoderParams(emb_dim, direction_hidden, rng)
-        self.c_proj = Affine(word_state_dim, hidden, rng)
+        self.persona = PersonaEncoderParams(emb_dim, hidden, rng)
+        self.history = HistoryEncoderParams(emb_dim, hidden, rng)
+        self.c_proj = Affine(hidden, hidden, rng)
         self.e_key = TanhMlp(emb_dim, hidden, rng)
         self.e_value = TanhMlp(emb_dim, hidden, rng)
-        self.decoder = DecoderParams(emb_dim, hidden, word_state_dim, len(vocab), rng)
+        self.decoder = DecoderParams(emb_dim, hidden, len(vocab), rng)
 
     def external_memory(self, expansion_ids: list[int]) -> KeyValueMemory:
         if not expansion_ids:
@@ -301,7 +294,8 @@ class DialogueModel(Module):
         mem_h, mem_w, mem_e, state, match_weights = self._encode(bound)
         inputs = [SOS] + bound.response_ids
         targets = bound.response_ids + [EOS]
-        states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell)
+        states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell,
+                              [len(inputs)])
         probs, activations, _ = decoder_output(
             states, mem_h, mem_w, mem_e, self.decoder, self.hops)
         nll = nll_loss(probs, targets)

@@ -1,14 +1,15 @@
 """GRU recurrences as fused primitives: one tape record per run.
 
 One forward kernel and one backward kernel serve every entry point, each a
-run of ``steps × rows`` GRU steps in which row i reads its own sequence:
-``gru_cell`` is one step of k rows, ``gru_sequence`` T steps of one row
-(teacher forcing's decoder), and ``bigru_encode`` runs each direction over
-n sequences of different lengths as n rows. As in cuDNN's fused RNNs
-(Appleyard, Kočiský & Blunsom 2016), the input projections of all steps are
-one GEMM per gate before the loop, which keeps only the ``h @ U`` terms; the
-hand-written backward runs back-propagation through time into (steps, rows,
-H) pre-activation gradients, so each weight gradient is again one GEMM.
+run of ``steps × rows`` GRU steps in which row i reads its own sequence.
+``gru_sequence``, the one entry that checks shapes, runs n sequences from
+their own starts as n rows: ``gru_cell`` is its one-step case, and
+``bigru_encode`` runs its forward direction through it and its backward
+direction reversed. As in cuDNN's fused RNNs (Appleyard, Kočiský & Blunsom
+2016), the input projections of all steps are one GEMM per gate before the
+loop, which keeps only the ``h @ U`` terms; the hand-written backward runs
+back-propagation through time into (steps, rows, H) pre-activation
+gradients, so each weight gradient is again one GEMM.
 """
 
 from __future__ import annotations
@@ -50,23 +51,24 @@ def gru_cell(x: Tensor, h: Tensor, params: GruParams) -> Tensor:
     ``x`` is a (k, E) matrix of rows with a (k, H) ``h``; row i of the result
     is the step of row i.
     """
+    return gru_sequence(x, h, params, [1] * (x.shape[0] if x.ndim else 0))
+
+
+def gru_sequence(x: Tensor, h0: Tensor, params: GruParams, lengths: Sequence[int]) -> Tensor:
+    """The GRU over n sequences, the rows of an (X, E) input one after
+    another: sequence i is ``lengths[i]`` rows long and starts from row i of
+    the (n, H) ``h0``. All n run as rows of one record; the result is the
+    (X, H) matrix of the state after each input row, in ``x``'s order."""
+    spans = [int(n) for n in lengths]
     if (x.ndim != 2 or x.shape[1] != params.input_dim
-            or h.shape != (x.shape[0], params.hidden_dim)):
-        raise ValueError(f"gru_cell needs a (k, {params.input_dim}) input and a (k, "
-                         f"{params.hidden_dim}) hidden, got shapes {x.shape} and {h.shape}")
-    return _gru(x, h, params, False, [1] * x.shape[0])
-
-
-def gru_sequence(x: Tensor, h0: Tensor, params: GruParams) -> Tensor:
-    """The GRU over the rows of a (T, E) input from the (1, H) state ``h0``:
-    the (T, H) states, row t the state after input row t."""
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != params.input_dim:
-        raise ValueError(f"gru_sequence needs a non-empty (T, {params.input_dim}) input, "
-                         f"got shape {x.shape}")
-    if h0.shape != (1, params.hidden_dim):
-        raise ValueError(f"gru_sequence start state has shape {h0.shape}, "
-                         f"expected (1, {params.hidden_dim})")
-    return _gru(x, h0, params, False, [x.shape[0]])
+            or h0.shape != (len(spans), params.hidden_dim)):
+        raise ValueError(f"gru_sequence needs an (X, {params.input_dim}) input and a "
+                         f"({len(spans)}, {params.hidden_dim}) start, got shapes {x.shape} "
+                         f"and {h0.shape}")
+    if min(spans, default=0) < 1 or sum(spans) != x.shape[0]:
+        raise ValueError(f"gru_sequence needs positive lengths that sum to the {x.shape[0]} "
+                         f"input rows, got {list(lengths)}")
+    return _gru(x, h0, params, False, spans)
 
 
 def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
@@ -81,28 +83,18 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
     and the (n, 2H) matrix of final states, row i concatenating sequence i's
     forward state at its last position with its backward state at its first.
     """
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError(f"bigru_encode needs a non-empty (T, E) sequence, got shape {x.shape}")
-    if fwd.hidden_dim != bwd.hidden_dim:
-        raise ValueError("forward/backward hidden sizes differ")
-    for params in (fwd, bwd):
-        if x.shape[1] != params.input_dim:
-            raise ValueError(f"bigru_encode input has width {x.shape[1]}, "
-                             f"expected {params.input_dim}")
-    spans = [int(n) for n in lengths]
-    if min(spans, default=0) < 1 or sum(spans) != x.shape[0]:
-        raise ValueError(f"bigru_encode needs positive lengths that sum to the {x.shape[0]} "
-                         f"input rows, got {list(lengths)}")
-    start = Tensor(np.zeros((len(spans), fwd.hidden_dim)))
-    ahead = _gru(x, start, fwd, False, spans)
-    behind = _gru(x, start, bwd, True, spans)
-    ends = np.cumsum(spans)
+    if (fwd.input_dim, fwd.hidden_dim) != (bwd.input_dim, bwd.hidden_dim):
+        raise ValueError("forward and backward GRU shapes differ")
+    start = Tensor(np.zeros((len(lengths), fwd.hidden_dim)))
+    ahead = gru_sequence(x, start, fwd, lengths)
+    behind = _gru(x, start, bwd, True, lengths)
+    ends = np.cumsum(lengths)
     return (concat([ahead, behind]),
-            concat([lookup(ahead, ends - 1), lookup(behind, ends - spans)]))
+            concat([lookup(ahead, ends - 1), lookup(behind, ends - lengths)]))
 
 
 def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
-         lengths: list[int]) -> Tensor:
+         lengths: Sequence[int]) -> Tensor:
     """The GRU over ``steps × rows`` as one tape record.
 
     Row i reads ``lengths[i]`` inputs; the rows of the (X, E) ``x`` are row
@@ -112,12 +104,12 @@ def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
     inputs last to first. The result is the (X, H) matrix of the state after
     each input, in ``x``'s order.
 
-    The loop runs ``max(lengths)`` steps over all rows. Position t of row i
-    is live for t < lengths[i]; at a dead position the row keeps the state it
-    has, which is its last state going forward and the start going in
-    reverse, and the backward sweep gives it zero pre-activation gradients
-    and passes the carried gradient through unchanged. Steps where every row
-    is live run the plain arithmetic.
+    The loop runs ``max(lengths)`` steps over all rows, step t of row i
+    reading its input t, or in reverse its input ``lengths[i] - 1 - t``.
+    Step t of row i is live for t < lengths[i]; once a row has ended it
+    holds its last state, and the backward sweep gives its dead steps zero
+    pre-activation gradients and passes the carried gradient through
+    unchanged. Steps where every row is live run the plain arithmetic.
     """
     tensors = params.params()
     w_z, u_z, b_z, w_r, u_r, b_r, w_n, u_n, b_n = (t.data for t in tensors)
@@ -126,13 +118,13 @@ def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
     rows, steps = len(lengths), max(lengths)
     start = h0.data
     carry_start = _needs_grad(h0)
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
     dead = np.arange(steps)[:, None] >= np.asarray(lengths)[None, :]   # (steps, rows)
     held = dead.any(axis=1).tolist()
-    # x's rows sit at these rows of the step-major (steps * rows) layout;
-    # None when the two orders agree
-    layout = None if rows == 1 or steps == 1 else np.concatenate(
-        [np.arange(n) * rows + i for i, n in enumerate(lengths)])
+    # x's rows sit at these rows of the step-major (steps * rows) layout,
+    # where every row starts at step 0; None when the two orders agree
+    layout = None if steps == 1 or rows == 1 and not reverse else np.concatenate(
+        [(np.arange(n - 1, -1, -1) if reverse else np.arange(n)) * rows + i
+         for i, n in enumerate(lengths)])
 
     def step_major(a):
         if layout is None:
@@ -151,7 +143,7 @@ def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
     gates = np.empty((steps, rows, 3 * hidden))    # [z | r | n] per step and row
     states = np.empty((steps, rows, hidden))
     h = start
-    for t in order:
+    for t in range(steps):
         a, g = pre[t], gates[t]
         a_z, a_r, a_n = a[:, :hidden], a[:, hidden:2 * hidden], a[:, 2 * hidden:]
         np.add(x_z[t], h @ u_z, out=a_z)
@@ -172,10 +164,7 @@ def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
     def backward_fn(g_out):
         g_states = step_major(g_out.reshape(-1, hidden))
         prev = np.empty_like(states)          # the state each step started from
-        if reverse:
-            prev[:-1], prev[-1] = states[1:], start
-        else:
-            prev[1:], prev[0] = states[:-1], start
+        prev[1:], prev[0] = states[:-1], start
         z, r, n = gates[..., :hidden], gates[..., hidden:2 * hidden], gates[..., 2 * hidden:]
         # per-step factors of d(pre-activation)/d(state) that the carried
         # gradient does not change
@@ -188,14 +177,14 @@ def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,
         u_z_t, u_r_t, u_n_t = u_z.T, u_r.T, u_n.T
         d_z, d_r, d_n = (np.empty((steps, rows, hidden)) for _ in range(3))  # d(pre-activation)
         carry = None
-        for t in reversed(order):
+        for t in reversed(range(steps)):
             dh = g_states[t] if carry is None else g_states[t] + carry
             d_zt, d_rt, d_nt = d_z[t], d_r[t], d_n[t]
             np.multiply(dh, f_z[t], out=d_zt)
             np.multiply(dh, f_n[t], out=d_nt)
             d_rh = d_nt @ u_n_t
             np.multiply(d_rh, f_r[t], out=d_rt)
-            if t != order[0] or carry_start:
+            if t or carry_start:
                 carry = dh * keep[t] + d_rh * r[t] + d_zt @ u_z_t + d_rt @ u_r_t
         # one GEMM over the live positions per weight gradient
         d_z, d_r, d_n, prev, r = (in_x_order(a) for a in (d_z, d_r, d_n, prev, r))

@@ -47,7 +47,7 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], grads: list[Array | RowGrad | Factors],
-              state: AdamState) -> tuple[list[Tensor], AdamState]:
+              state: AdamState) -> None:
     """Apply one bias-corrected Adam update in place; advances the step counter."""
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ValueError("params, grads and state must have matching lengths")
@@ -69,7 +69,6 @@ def adam_step(params: list[Tensor], grads: list[Array | RowGrad | Factors],
         for block, selected, g_block in _gradient_blocks(g, p):
             _adam_update(state, alpha, eps_hat, p[block], m[block], v[block], selected,
                          g_block, g_buffer, step_buffer)
-    return params, state
 
 
 def _gradient_problem(param: Array, g: Array | RowGrad | Factors) -> str | None:

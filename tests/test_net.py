@@ -509,6 +509,39 @@ class TestJointLossAndGradients:
             lengths.append(len(tape))
         assert lengths[0] == lengths[1]
 
+    @pytest.mark.parametrize("utterances", [1, 3])
+    def test_every_record_reaches_the_joint_loss(self, utterances):
+        # a record whose output never reaches the loss is work for nothing;
+        # the one allowed is the utterance-level Bi-GRU's per-step states,
+        # which bigru_encode returns beside the finals and encode_history
+        # drops
+        model = tiny_model(seed=21)
+        bound = tiny_example(model.vocab)
+        if utterances == 3:
+            bound = bind_example(DialogueExample(
+                persona_sentences=bound.example.persona_sentences,
+                history=[["what", "do", "you", "like", "?"], ["music", "."],
+                         ["you", "play", "songs", "?"]],
+                response=bound.example.response,
+            ), model.vocab, ["music"])
+        with nk.Tape() as tape:
+            loss = model.example_loss(bound, LossSettings()).joint
+        reached = {id(loss)}
+        for rec in reversed(tape.records):
+            if id(rec.output) in reached:
+                reached.update(id(t) for t in rec.inputs)
+        utterance_weights = {id(model.history.utt_fwd.w_z), id(model.history.utt_bwd.w_z)}
+        utterance_states = {id(rec.output) for rec in tape.records
+                            if utterance_weights & {id(t) for t in rec.inputs}}
+
+        def op(rec):   # each primitive's closure is named <primitive>.<locals>.backward_fn
+            return rec.backward_fn.__qualname__.split(".")[0]
+
+        dead = [(i, op(rec), rec.output.shape) for i, rec in enumerate(tape.records)
+                if id(rec.output) not in reached
+                and not (op(rec) == "concat" and {id(t) for t in rec.inputs} <= utterance_states)]
+        assert dead == []
+
     def test_pad_row_reaches_no_output_and_gets_no_gradient(self):
         # sentences of different lengths share one record; its padding must
         # not reach a loss or a gradient, whatever the PAD embedding holds

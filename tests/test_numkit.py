@@ -381,12 +381,17 @@ def ragged_bigru_case(x, *weights):
 
 def held_start_case(x, h0, *weights):
     # reverse rows of lengths 1, 3 and 2 from a start state: rows 0 and 2
-    # hold their start through the steps before their first input
+    # hold their last state through the steps after their last input
     return nk.sum_(tanh(gru_module._gru(x, h0, gru_params(weights), True, [1, 3, 2])))
 
 
 def gru_sequence_case(x, h0, *weights):
-    return nk.sum_(tanh(nk.gru_sequence(x, h0, gru_params(weights))))
+    return nk.sum_(tanh(nk.gru_sequence(x, h0, gru_params(weights), [x.shape[0]])))
+
+
+def ragged_gru_sequence_case(x, h0, *weights):
+    # three sequences of lengths 1, 3 and 2, each from its own start row
+    return nk.sum_(tanh(nk.gru_sequence(x, h0, gru_params(weights), [1, 3, 2])))
 
 
 def lookup_op_output_case(a):
@@ -473,6 +478,7 @@ PRIMITIVE_CASES = {
     "bigru_encode_ragged": (ragged_bigru_case, [(6, 2)] + gru_shapes(2, 3) * 2),
     "gru_held_start": (held_start_case, [(6, 2), (3, 3)] + gru_shapes(2, 3)),
     "gru_sequence": (gru_sequence_case, [(4, 2), (1, 3)] + gru_shapes(2, 3)),
+    "gru_sequence_ragged": (ragged_gru_sequence_case, [(6, 2), (3, 3)] + gru_shapes(2, 3)),
 }
 
 
@@ -599,7 +605,7 @@ def vector_cases():
         "dot_attention": lambda: nk.dot_attention_weights(vec, keys),
         "additive_attention": lambda: nk.additive_attention_weights(vec, keys, vec),
         "gru_cell": lambda: nk.gru_cell(vec, vec, gru),
-        "gru_sequence_start": lambda: nk.gru_sequence(rows, vec, gru),
+        "gru_sequence_start": lambda: nk.gru_sequence(rows, vec, gru, [2]),
         "cross_entropy": lambda: nk.cross_entropy(nk.softmax(vec), [0]),
     }
 
@@ -1201,21 +1207,30 @@ class TestGru:
         for t in p.params():
             t.data[:] = rng.normal(size=t.data.shape)
         x, h0 = rng.normal(size=(5, 2)), rng.normal(size=(1, 3))
-        states = nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p)
+        states = nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p, [5])
         assert states.shape == (5, 3)
         h = nk.Tensor(h0)
         for t in range(5):
             h = nk.gru_cell(nk.Tensor(x[t:t + 1]), h, p)
             np.testing.assert_allclose(states.data[t:t + 1], h.data, rtol=0, atol=1e-12)
         with pytest.raises(ValueError):
-            nk.gru_sequence(nk.Tensor(x), nk.Tensor(np.concatenate([h0, h0])), p)
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(np.concatenate([h0, h0])), p, [5])
         with pytest.raises(ValueError):
-            nk.gru_sequence(nk.Tensor(x[0]), nk.Tensor(h0), p)
+            nk.gru_sequence(nk.Tensor(x[0]), nk.Tensor(h0), p, [1])
+        # one start row per sequence
+        with pytest.raises(ValueError, match=re.escape("(1, 3)")):
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p, [2, 3])
+        # lengths that cover the input, each at least one
+        with pytest.raises(ValueError, match="lengths"):
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(h0), p, [4])
+        with pytest.raises(ValueError, match="lengths"):
+            nk.gru_sequence(nk.Tensor(x), nk.Tensor(np.concatenate([h0, h0])), p, [5, 0])
 
     def test_held_start_rows_equal_their_own_runs(self):
-        # a reverse row that starts late keeps its start state until its
-        # first input, and the gradient of that state passes the held steps
-        # unchanged: each row equals a run of that row alone
+        # rows of different lengths, each from its own start, in both
+        # directions: a row that ends early holds its last state, and the
+        # gradients pass the held steps unchanged, so each row equals a run
+        # of that row alone
         rng = np.random.default_rng(66)
         p = nk.GruParams(2, 3, rng)
         for t in p.params():
@@ -1224,22 +1239,26 @@ class TestGru:
         x = nk.Tensor(rng.normal(size=(7, 2)), requires_grad=True)
         h0 = nk.Tensor(rng.normal(size=(3, 3)), requires_grad=True)
         weights = rng.normal(size=(7, 3))
-        with nk.Tape() as tape:
-            out = gru_module._gru(x, h0, p, True, lengths)
-            loss = nk.sum_(nk.mul(out, weights))
-        got = nk.backward(loss, tape)
-        begin = 0
-        for i, n in enumerate(lengths):
-            xi = nk.Tensor(x.data[begin:begin + n], requires_grad=True)
-            hi = nk.Tensor(h0.data[i:i + 1], requires_grad=True)
+        for run in (lambda x, h0, lengths: nk.gru_sequence(x, h0, p, lengths),
+                    lambda x, h0, lengths: gru_module._gru(x, h0, p, True, lengths)):
             with nk.Tape() as tape:
-                one = gru_module._gru(xi, hi, p, True, [n])
-                one_loss = nk.sum_(nk.mul(one, weights[begin:begin + n]))
-            want = nk.backward(one_loss, tape)
-            np.testing.assert_allclose(out.data[begin:begin + n], one.data, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got[x][begin:begin + n], want[xi], rtol=0, atol=1e-12)
-            np.testing.assert_allclose(got[h0][i:i + 1], want[hi], rtol=0, atol=1e-12)
-            begin += n
+                out = run(x, h0, lengths)
+                loss = nk.sum_(nk.mul(out, weights))
+            got = nk.backward(loss, tape)
+            begin = 0
+            for i, n in enumerate(lengths):
+                xi = nk.Tensor(x.data[begin:begin + n], requires_grad=True)
+                hi = nk.Tensor(h0.data[i:i + 1], requires_grad=True)
+                with nk.Tape() as tape:
+                    one = run(xi, hi, [n])
+                    one_loss = nk.sum_(nk.mul(one, weights[begin:begin + n]))
+                want = nk.backward(one_loss, tape)
+                np.testing.assert_allclose(out.data[begin:begin + n], one.data,
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[x][begin:begin + n], want[xi],
+                                           rtol=0, atol=1e-12)
+                np.testing.assert_allclose(got[h0][i:i + 1], want[hi], rtol=0, atol=1e-12)
+                begin += n
 
     def test_gradients_through_cell(self):
         rng = np.random.default_rng(5)
