@@ -1,9 +1,10 @@
 """Training objectives: response likelihood, persona sentence matching, and
 the persona bag-of-words objective, plus their target constructors.
 
-Each objective adds one likelihood record to the tape (``cross_entropy`` or
-``sigmoid_cross_entropy``); only P-BoWs adds a reduction before it, the sum
-of its activations over steps."""
+Each objective adds one likelihood record to the tape (NLL an unfloored
+``softmax_cross_entropy`` over the output logits, P-Match a ``cross_entropy``
+and P-BoWs a ``sigmoid_cross_entropy``, both floored); only P-BoWs adds a
+reduction before it, the sum of its activations over steps."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .numkit import (
     cross_entropy,
     scale,
     sigmoid_cross_entropy,
+    softmax_cross_entropy,
     sum_,
 )
 from .stopwords import content_words, is_stopword
@@ -98,20 +100,22 @@ def p_bows_loss(output_activations: Tensor, target: np.ndarray) -> Tensor:
     return sigmoid_cross_entropy(summed, target)
 
 
-def nll_loss(step_distributions: Tensor, targets: Sequence[int]) -> Tensor:
+def nll_loss(step_logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log probability of the target token at each step.
 
-    ``step_distributions`` is the (T, V) matrix of the T steps' token
-    distributions, one row per target; all T targets are picked, each
-    weighted 1/T, in one ``cross_entropy`` record.
+    ``step_logits`` is the (T, V) matrix of the T steps' output activations,
+    one row per target, whose softmax is each step's token distribution; all
+    T targets are picked, each weighted 1/T, in one ``softmax_cross_entropy``
+    record.
     """
-    probs = as_tensor(step_distributions)
-    if probs.ndim != 2 or probs.shape[0] != len(targets):
+    logits = as_tensor(step_logits)
+    if logits.ndim != 2 or logits.shape[0] != len(targets):
         raise ValueError("one target per decode step required")
     if not targets:
         raise ValueError("nll_loss needs at least one step")
     steps = len(targets)
-    return cross_entropy(probs, np.asarray(targets)[:, None], np.full((steps, 1), 1 / steps))
+    return softmax_cross_entropy(logits, np.asarray(targets)[:, None],
+                                 np.full((steps, 1), 1 / steps))
 
 
 def joint_loss(nll, p_match, p_bows, gamma1: float, gamma2: float) -> Tensor:

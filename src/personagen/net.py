@@ -7,8 +7,10 @@ the new state alone. So teacher forcing runs the GRU once over the whole
 response and ``decoder_output`` once over the (T, H) state matrix, while
 generation runs one decoder step at a time on a (k, H) matrix of states, one
 row per beam hypothesis, so beam search reads the output weights once per
-step. The encoders run every sentence of a level as one row of one GRU
-record per direction.
+step. The decoder hands out the output layer's activations, the logits of
+the token distribution: NLL scores them in one ``softmax_cross_entropy``
+record and beam search ranks tokens by their log-softmax. The encoders run
+every sentence of a level as one row of one GRU record per direction.
 
 Dimension conventions: word embeddings are E-dimensional; each Bi-GRU
 direction uses hidden size H/2 so concatenated sequence states are
@@ -40,7 +42,6 @@ from .memory import (
     persona_information_retrieval,
 )
 from .numkit import (
-    PROB_FLOOR,
     Affine,
     GruParams,
     Module,
@@ -53,7 +54,6 @@ from .numkit import (
     gru_sequence,
     lookup,
     matmul,
-    softmax,
     uniform_param,
     zero_param,
 )
@@ -101,8 +101,9 @@ def _encode_sentences(sentences: list[list[int]], fwd: GruParams, bwd: GruParams
     direction: the (n, 2H) matrix of final states, and the per-token states
     of all sentences, in sentence order, as one (tokens, 2H) matrix."""
     tokens = lookup(embedding, [token for sentence in sentences for token in sentence])
-    states, finals = bigru_encode(tokens, fwd, bwd, [len(sentence) for sentence in sentences])
-    return finals, states
+    ahead, behind, finals = bigru_encode(
+        tokens, fwd, bwd, [len(sentence) for sentence in sentences])
+    return finals, concat([ahead, behind])
 
 
 def encode_persona(persona_sentences: list[list[int]], params: PersonaEncoderParams,
@@ -135,7 +136,7 @@ def encode_history(history: list[list[int]], params: HistoryEncoderParams,
         raise ValueError("encode_history needs at least one utterance")
     sentence_vectors, word_states = _encode_sentences(
         history, params.word_fwd, params.word_bwd, embedding)
-    _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd, [len(history)])
+    _, _, e_x = bigru_encode(sentence_vectors, params.utt_fwd, params.utt_bwd, [len(history)])
     return e_x, sentence_vectors, word_states
 
 
@@ -168,13 +169,13 @@ def attend_history(s_t: Tensor, mem_h: KeyValueMemory,
 
 def decoder_output(s_t: Tensor, mem_h: KeyValueMemory, mem_w: KeyValueMemory,
                    mem_e: KeyValueMemory, params: DecoderParams, hops: int,
-                   ) -> tuple[Tensor, Tensor, dict[str, Tensor | None]]:
+                   ) -> tuple[Tensor, dict[str, Tensor | None]]:
     """Everything of a decoder step after the GRU.
 
     Attends over the history memory, runs the multi-hop read over both
     persona word memories, and maps [state; history context; word read;
-    external read] through the output layer. Returns the token distribution,
-    the raw output activations and each read's weights by its
+    external read] through the output layer. Returns the output activations,
+    the logits of the token distribution, and each read's weights by its
     ``--diagnostics`` name (None for an empty memory), one row per row of
     the (k, H) states ``s_t``, each read on its own: the hypotheses of a
     beam step, or every step of a teacher-forced response; the output layer
@@ -183,7 +184,7 @@ def decoder_output(s_t: Tensor, mem_h: KeyValueMemory, mem_w: KeyValueMemory,
     u_x, attn_weights = attend_history(s_t, mem_h, params)
     hop = multihop(s_t, mem_w, mem_e, hops)
     activations = params.out(concat([s_t, u_x, hop.o_w, hop.o_e]))
-    return softmax(activations), activations, {
+    return activations, {
         "attention": attn_weights, "word_memory": hop.w_weights,
         "external_memory": hop.e_weights}
 
@@ -191,17 +192,17 @@ def decoder_output(s_t: Tensor, mem_h: KeyValueMemory, mem_w: KeyValueMemory,
 def decode_step(prev: list[int], state: Tensor, mem_h: KeyValueMemory,
                 mem_w: KeyValueMemory, mem_e: KeyValueMemory, params: DecoderParams,
                 hops: int, embedding: Tensor,
-                ) -> tuple[Tensor, Tensor, Tensor, dict[str, Tensor | None]]:
+                ) -> tuple[Tensor, Tensor, dict[str, Tensor | None]]:
     """One decoder step: the GRU on the previous token's embedding, then
     ``decoder_output``.
 
-    Returns the token distribution, the raw output activations, the new
-    state, and the reads' weights. ``prev`` is a list of k token ids with a
-    (k, H) ``state``: k independent steps whose results are rows.
+    Returns the output activations (the token logits), the new state, and
+    the reads' weights. ``prev`` is a list of k token ids with a (k, H)
+    ``state``: k independent steps whose results are rows.
     """
     s_t = gru_cell(lookup(embedding, prev), state, params.cell)
-    probs, activations, diag = decoder_output(s_t, mem_h, mem_w, mem_e, params, hops)
-    return probs, activations, s_t, diag
+    activations, diag = decoder_output(s_t, mem_h, mem_w, mem_e, params, hops)
+    return activations, s_t, diag
 
 
 @dataclass
@@ -296,9 +297,8 @@ class DialogueModel(Module):
         targets = bound.response_ids + [EOS]
         states = gru_sequence(lookup(self.embedding, inputs), state, self.decoder.cell,
                               [len(inputs)])
-        probs, activations, _ = decoder_output(
-            states, mem_h, mem_w, mem_e, self.decoder, self.hops)
-        nll = nll_loss(probs, targets)
+        activations, _ = decoder_output(states, mem_h, mem_w, mem_e, self.decoder, self.hops)
+        nll = nll_loss(activations, targets)
         match = p_match_loss(match_weights, p_match_targets(
             bound.example.persona_sentences, bound.example.response, settings.match_threshold))
         persona_words = self.persona_word_set(bound)
@@ -355,9 +355,10 @@ class DialogueModel(Module):
         finished = []
         for _ in range(max_len):
             prev = [tokens[-1] if tokens else SOS for _, tokens, _ in live]
-            probs, _, rows, diag = decode_step(
+            activations, rows, diag = decode_step(
                 prev, rows, mem_h, mem_w, mem_e, self.decoder, self.hops, self.embedding)
-            log_probs = np.log(np.maximum(probs.data, PROB_FLOOR))
+            shifted = activations.data - activations.data.max(axis=1, keepdims=True)
+            log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
             candidates = [(score + float(log_probs[i, token]), tokens + (int(token),), (diag, i))
                           for i, (score, tokens, _) in enumerate(live)
                           for token in _top_k(log_probs[i], beam_width)]

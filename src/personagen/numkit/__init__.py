@@ -4,7 +4,6 @@ from .gru import GruParams, bigru_encode, gru_cell, gru_sequence
 from .layers import Affine, Module, TanhMlp, uniform_param, zero_param
 from .optim import AdamState, adam_step, clip_global_norm
 from .tensor import (
-    PROB_FLOOR,
     Factors,
     RowGrad,
     Tape,
@@ -23,7 +22,7 @@ from .tensor import (
     mul,
     scale,
     sigmoid_cross_entropy,
-    softmax,
+    softmax_cross_entropy,
     softplus,
     sub,
     sum_,

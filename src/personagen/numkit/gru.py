@@ -72,16 +72,16 @@ def gru_sequence(x: Tensor, h0: Tensor, params: GruParams, lengths: Sequence[int
 
 
 def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
-                 lengths: Sequence[int]) -> tuple[Tensor, Tensor]:
+                 lengths: Sequence[int]) -> tuple[Tensor, Tensor, Tensor]:
     """Run a Bi-GRU over n sequences, the rows of a (T, E) input matrix one
     after another: sequence i is ``lengths[i]`` rows long. Each sequence is
     encoded on its own, all n as rows of one record per direction, and both
     directions start from zero.
 
-    Returns the (T, 2H) matrix of per-step states, in ``x``'s row order, row
-    t holding the forward and backward states at position t side by side,
-    and the (n, 2H) matrix of final states, row i concatenating sequence i's
-    forward state at its last position with its backward state at its first.
+    Returns the forward and the backward direction's (T, H) per-step
+    states, in ``x``'s row order, and the (n, 2H) matrix of final states,
+    row i concatenating sequence i's forward state at its last position
+    with its backward state at its first.
     """
     if (fwd.input_dim, fwd.hidden_dim) != (bwd.input_dim, bwd.hidden_dim):
         raise ValueError("forward and backward GRU shapes differ")
@@ -89,8 +89,7 @@ def bigru_encode(x: Tensor, fwd: GruParams, bwd: GruParams,
     ahead = gru_sequence(x, start, fwd, lengths)
     behind = _gru(x, start, bwd, True, lengths)
     ends = np.cumsum(lengths)
-    return (concat([ahead, behind]),
-            concat([lookup(ahead, ends - 1), lookup(behind, ends - lengths)]))
+    return ahead, behind, concat([lookup(ahead, ends - 1), lookup(behind, ends - lengths)])
 
 
 def _gru(x: Tensor, h0: Tensor, params: GruParams, reverse: bool,

@@ -60,7 +60,8 @@ Array = np.ndarray
 
 _local = threading.local()
 
-# Lower clamp applied to probabilities before taking their log.
+# Lower clamp applied to probabilities before taking their log, in
+# ``cross_entropy`` and ``sigmoid_cross_entropy``.
 PROB_FLOOR = 1e-12
 
 
@@ -506,17 +507,6 @@ def _softmax_grad(g: Array, out: Array) -> Array:
     return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
-def softmax(x) -> Tensor:
-    """Softmax over the last axis."""
-    x = as_tensor(x)
-    out = _softmax(x.data)
-
-    def backward_fn(g):
-        return [_softmax_grad(g, out)]
-
-    return _finish(out, (x,), backward_fn)
-
-
 def dot_attention_weights(query, keys) -> Tensor:
     """``softmax(query @ keysᵀ)`` in one record: the weights of each row of a
     (k, d) query over the rows of (n, d) ``keys``."""
@@ -590,45 +580,78 @@ def lookup(table, ids) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def cross_entropy(p, index, weights=None) -> Tensor:
+def _picks(record: str, rows: Array, index) -> Array:
+    """``index`` as (k, m) strictly increasing in-range integer picks, a row
+    per row of the (k, n) ``rows``; raises, naming ``record``, otherwise."""
+    if rows.ndim != 2:
+        raise ValueError(f"{record} needs a (k, n) matrix, one distribution per row, "
+                         f"got shape {rows.shape}")
+    idx = np.asarray(index)
+    if idx.dtype.kind not in "iu":
+        raise ValueError(f"{record} needs integer indices, got {idx.dtype}")
+    if idx.ndim != 2 or idx.shape[0] != rows.shape[0]:
+        raise ValueError(f"{record} needs one row of indices per distribution, got "
+                         f"index shape {idx.shape} for rows of shape {rows.shape}")
+    if (idx[:, 1:] <= idx[:, :-1]).any():
+        raise ValueError(f"{record} needs strictly increasing picks per distribution")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows.shape[1]):
+        raise IndexError(f"target index out of range for distribution of size {rows.shape[1]}")
+    return idx
+
+
+def cross_entropy(p, index) -> Tensor:
     """Floored ``-log`` of picked probabilities, summed, in one record.
 
     ``p`` is a (k, n) matrix of k distributions, one per row, and the (k, m)
     ``index`` picks m strictly increasing entries per distribution; the
     result is the total of the k·m terms ``-log p[i, index[i, j]]``.
-    ``weights``, of ``index``'s shape, scale the terms. Probabilities are
-    clamped below at ``PROB_FLOOR``; a clamped entry gets no gradient.
+    Probabilities are clamped below at ``PROB_FLOOR``; a clamped entry gets
+    no gradient.
     """
     p = as_tensor(p)
     pdata = p.data
-    if pdata.ndim != 2:
-        raise ValueError(f"cross_entropy needs a (k, n) matrix of distributions, "
-                         f"got shape {pdata.shape}")
-    idx = np.asarray(index)
-    if idx.dtype.kind not in "iu":
-        raise ValueError(f"cross_entropy needs integer indices, got {idx.dtype}")
-    if idx.ndim != 2 or idx.shape[0] != pdata.shape[0]:
-        raise ValueError(f"cross_entropy needs one row of indices per distribution, got "
-                         f"index shape {idx.shape} for distributions of shape {pdata.shape}")
-    if (idx[:, 1:] <= idx[:, :-1]).any():
-        raise ValueError("cross_entropy needs strictly increasing picks per distribution")
-    size = pdata.shape[1]
-    if idx.size and (idx.min() < 0 or idx.max() >= size):
-        raise IndexError(f"target index out of range for distribution of size {size}")
-    w = np.ones(idx.shape) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape != idx.shape:
-        raise ValueError(f"weights have shape {w.shape}, index {idx.shape}")
+    idx = _picks("cross_entropy", pdata, index)
     values = np.take_along_axis(pdata, idx, axis=1)
-    terms = w * -np.log(np.maximum(values, PROB_FLOOR))
+    terms = -np.log(np.maximum(values, PROB_FLOOR))
 
     def backward_fn(g):
         picked = np.zeros_like(values)
-        np.divide(-g * w, values, out=picked, where=values >= PROB_FLOOR)
+        np.divide(-g, values, out=picked, where=values >= PROB_FLOOR)
         grad = np.zeros_like(pdata)
         np.put_along_axis(grad, idx, picked, axis=1)
         return [grad]
 
     return _finish(terms.sum(axis=-1).sum(), (p,), backward_fn)
+
+
+def softmax_cross_entropy(z, index, weights) -> Tensor:
+    """Weighted ``-log softmax`` of picked logits, summed, in one record.
+
+    ``z`` is a (k, n) matrix of logits, row i standing for the distribution
+    ``softmax(z_i)``, and the (k, m) ``index`` picks m strictly increasing
+    entries per row, scaled by ``weights`` of ``index``'s shape; the result
+    is ``Σ w_ij (logsumexp(z_i) - z[i, index[i, j]])``. Nothing is floored,
+    so a pick however unlikely gets its gradient: row i's is
+    ``softmax(z_i)·Σ_j w_ij``, less ``w_ij`` at the picks.
+    """
+    z = as_tensor(z)
+    zdata = z.data
+    idx = _picks("softmax_cross_entropy", zdata, index)
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != idx.shape:
+        raise ValueError(f"weights have shape {w.shape}, index {idx.shape}")
+    shifted = zdata - zdata.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    terms = w * (np.log(total) - np.take_along_axis(shifted, idx, axis=1))
+
+    def backward_fn(g):
+        g = float(g)
+        grad = e * (g * w.sum(axis=1, keepdims=True) / total)
+        np.put_along_axis(grad, idx, np.take_along_axis(grad, idx, axis=1) - g * w, axis=1)
+        return [grad]
+
+    return _finish(terms.sum(axis=-1).sum(), (z,), backward_fn)
 
 
 def sigmoid_cross_entropy(z, target) -> Tensor:

@@ -2,10 +2,10 @@
 
 A diagonal-Gaussian encoder compresses a document, read as a sparse bag of
 tf-idf weights, into a latent of the same dimension as the topic count; the
-decoder reconstructs a distribution over the topic vocabulary through a
-softmax output layer. After training, the output layer's weight matrix
-(topics x vocabulary) is read column-wise as a topic-space representation for
-every vocabulary word.
+decoder reconstructs a distribution over the topic vocabulary as the softmax
+of its output layer's logits. After training, the output layer's weight
+matrix (topics x vocabulary) is read column-wise as a topic-space
+representation for every vocabulary word.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ from .numkit import (
     add,
     backward,
     clip_global_norm,
-    cross_entropy,
     exp,
     lookup,
     matmul,
     mul,
     scale,
-    softmax,
+    softmax_cross_entropy,
     softplus,
     sub,
     sum_,
@@ -110,9 +109,10 @@ def reparameterize(mu: Tensor, logvar: Tensor, eps) -> Tensor:
 
 
 def decode(z, model: TopicModel) -> Tensor:
-    """Latent vector -> probability vector over the topic vocabulary."""
+    """Latent rows -> the output layer's logits over the topic vocabulary,
+    one row each; their softmax is the reconstruction distribution."""
     h = softplus(model.dec_hidden(z))
-    return softmax(model.dec_out(h))
+    return model.dec_out(h)
 
 
 def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
@@ -120,13 +120,15 @@ def elbo_loss(docs: list[TfIdfDoc], model: TopicModel, eps) -> Tensor:
     weights as soft counts) plus the closed-form Gaussian KL to N(0, I).
 
     ``eps`` has shape (len(docs), topics). The reconstruction term is one
-    weighted ``cross_entropy`` record over the batch's words, the union of
-    its documents' words; a word absent from a document weighs 0 in its row.
+    weighted ``softmax_cross_entropy`` record over the batch's words, the
+    union of its documents' words; a word absent from a document weighs 0 in
+    its row.
     """
     weights, cols = _bag(docs)
     mu, logvar, _ = _encode(weights, cols, model)
     z = reparameterize(mu, logvar, eps)
-    recon = cross_entropy(decode(z, model), np.broadcast_to(cols, weights.shape), weights)
+    recon = softmax_cross_entropy(decode(z, model), np.broadcast_to(cols, weights.shape),
+                                  weights)
     kl = scale(sum_(sub(mul(mu, mu) + exp(logvar), logvar) - 1.0), 0.5)
     return scale(recon + kl, 1.0 / len(docs))
 

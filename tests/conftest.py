@@ -270,6 +270,18 @@ def vstack(parts):
                    lambda g: [part.copy() for part in np.split(g, ends)])
 
 
+def dead_records(loss, tape):
+    """(index, primitive, output shape) of each record of ``tape`` whose
+    output never reaches ``loss``."""
+    reached = {id(loss)}
+    for rec in reversed(tape.records):
+        if id(rec.output) in reached:
+            reached.update(id(t) for t in rec.inputs)
+    # each primitive's closure is named <primitive>.<locals>.backward_fn
+    return [(i, rec.backward_fn.__qualname__.split(".")[0], rec.output.shape)
+            for i, rec in enumerate(tape.records) if id(rec.output) not in reached]
+
+
 def relative_error(got, want) -> float:
     """grad_check's entry-wise measure, |got - want| / max(1e-8, |got| +
     |want|), maximised."""
@@ -284,6 +296,13 @@ def np_softmax(v):
     v = np.asarray(v, dtype=np.float64)
     e = np.exp(v - v.max())
     return e / e.sum()
+
+
+def np_log_softmax(v):
+    """log-softmax over the last axis."""
+    v = np.asarray(v, dtype=np.float64)
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def np_gru_step(x, h, p):

@@ -99,6 +99,7 @@ def test_criterion_1_gradient_fidelity():
 
     # every primitive, randomized inputs
     below_floor = np.array([0.0, -40.0, 0.0, 0.0, 0.0])
+    thirty_below = np.array([0.0, 0.0, 0.0, -30.0, 0.0])
     primitive_cases = [
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(3, 4), (4, 1)]),
         (lambda a, b: nk.sum_(nk.matmul(a, b)), [(1, 3), (3, 2)]),
@@ -116,16 +117,18 @@ def test_criterion_1_gradient_fidelity():
         (lambda a: nk.sum_(tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
         (lambda a: nk.sum_(tanh(a)), [(4,)]),
         (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
-        (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
         (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
         (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
-        (lambda a: nk.cross_entropy(nk.softmax(a), [[2]]), [(1, 5)]),
-        # weighted picks, with entry 1 below PROB_FLOOR, of one distribution
-        # and of each row of a batch
-        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [[0, 1, 3]],
-                                    [[0.5, 2.0, 1.5]]), [(1, 5)]),
-        (lambda a: nk.cross_entropy(nk.softmax(nk.add(a, below_floor)), [[0, 1, 4], [1, 2, 3]],
-                                    [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]]), [(2, 5)]),
+        (lambda q, k: nk.cross_entropy(nk.dot_attention_weights(q, k), [[2]]),
+         [(1, 3), (4, 3)]),
+        # weighted picks of one row of logits, with entry 1 40 nats below,
+        # and of each row of a batch, with a third row's entry 3 30 below
+        (lambda a: nk.softmax_cross_entropy(nk.add(a, below_floor), [[0, 1, 3]],
+                                            [[0.5, 2.0, 1.5]]), [(1, 5)]),
+        (lambda a: nk.softmax_cross_entropy(
+            nk.add(a, np.stack([below_floor, below_floor, thirty_below])),
+            [[0, 1, 4], [1, 2, 3], [0, 3, 4]],
+            [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25], [0.5, 1.5, 1.0]]), [(3, 5)]),
         # targets 0, 1 and 1 + lambda, and one clamped sigmoid
         (lambda a: nk.sigmoid_cross_entropy(nk.add(a, [0.0, 0.0, 0.0, 40.0]),
                                             [0.0, 1.0, 1.5, 1.0]), [(4,)]),
@@ -294,8 +297,8 @@ def test_criterion_5_loss_oracles(sample_chat_file):
     loss = p_match_loss(nk.Tensor([[0.5, 0.5]]), np.array([1.0, 0.0]))
     assert loss.item() == pytest.approx(math.log(2), abs=1e-9)
 
-    probs = nk.Tensor(np.full((3, 10), 0.1))
-    assert nll_loss(probs, [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
+    uniform = nk.Tensor(np.zeros((3, 10)))
+    assert nll_loss(uniform, [0, 5, 9]).item() == pytest.approx(math.log(10), abs=1e-9)
 
     vocab = Vocabulary.from_tokens(["cat"])
     target = p_bows_targets(["cat", "runs"], {"cat"}, vocab, lam=1.0)

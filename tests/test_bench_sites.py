@@ -62,7 +62,7 @@ def test_example_loss_tape_records_are_pinned():
     model, bound = toy_model_and_example()
     with numkit.Tape() as tape:
         model.example_loss(bound, LossSettings())
-    assert len(tape) == 76
+    assert len(tape) == 74
 
 
 def test_decoder_reaches_the_traced_sites(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import np_sigmoid, relative_error
+from conftest import np_log_softmax, np_sigmoid, relative_error
 from personagen import numkit as nk
 from personagen.corpus import TfIdfDoc, Vocabulary, load_personachat
 from personagen.losses import (
@@ -18,6 +18,7 @@ from personagen.losses import (
     p_match_loss,
     p_match_targets,
 )
+from personagen.numkit.tensor import PROB_FLOOR as FLOOR
 from personagen.stopwords import STOPWORDS, is_stopword
 from personagen.topic import _bag
 
@@ -165,19 +166,22 @@ class TestPBowsLoss:
 
 
 class TestNll:
+    # nll_loss takes the output logits: the softmax of each row is a step's
+    # token distribution
+
     def test_perfect_prediction_is_zero(self):
-        probs = nk.Tensor([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert nll_loss(probs, [1, 2]).item() == pytest.approx(0.0, abs=1e-9)
+        logits = nk.Tensor([[0.0, 50.0, 0.0], [0.0, 0.0, 50.0]])
+        assert nll_loss(logits, [1, 2]).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction_is_log_vocab(self):
-        probs = nk.Tensor(np.full((4, 10), 0.1))
-        loss = nll_loss(probs, [0, 3, 7, 9]).item()
+        logits = nk.Tensor(np.zeros((4, 10)))
+        loss = nll_loss(logits, [0, 3, 7, 9]).item()
         assert loss == pytest.approx(math.log(10), abs=1e-12)
         assert loss == pytest.approx(2.3026, abs=1e-4)
 
     def test_single_token(self):
-        p = nk.Tensor([[0.25, 0.5, 0.25]])
-        assert nll_loss(p, [1]).item() == pytest.approx(-math.log(0.5), abs=1e-12)
+        logits = nk.Tensor(np.log([[0.25, 0.5, 0.25]]))
+        assert nll_loss(logits, [1]).item() == pytest.approx(-math.log(0.5), abs=1e-12)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -235,20 +239,21 @@ def test_stopword_rule_edge_cases():
 
 
 # ---------------------------------------------------------------------------
-# numpy oracles of the record chains the loss terms were once built from
-# (take_columns, clip, log, sigmoid, mul, sub and scale), each gradient by
-# the chain rule through those records
+# numpy oracles of the loss terms: for P-Match and P-BoWs the record chains
+# they were once built from (take_columns, clip, log, sigmoid, mul, sub and
+# scale), each gradient by the chain rule through those records; for NLL and
+# the topic reconstruction, weighted picks of an unfloored numpy log-softmax
 # ---------------------------------------------------------------------------
 
-FLOOR = nk.PROB_FLOOR
 
-
-def chain_nll(probs, targets):
-    steps = np.arange(len(targets))
-    picked = probs[steps, targets]
-    value = np.mean(-np.log(np.maximum(picked, FLOOR)))
-    grad = np.zeros_like(probs)
-    grad[steps, targets] = np.where(picked >= FLOOR, -1.0 / len(targets) / picked, 0.0)
+def log_softmax_picks(logits, index, weights):
+    # -sum(weights * take_along_axis(log_softmax(logits), index)), and its
+    # gradient softmax(logits) * sum(weights) less the weights at the picks
+    log_p = np_log_softmax(logits)
+    value = -(weights * np.take_along_axis(log_p, index, axis=1)).sum()
+    grad = np.exp(log_p) * weights.sum(axis=1, keepdims=True)
+    for row, (cols, w) in enumerate(zip(index, weights)):
+        grad[row, cols] -= w
     return value, grad
 
 
@@ -271,41 +276,32 @@ def chain_p_bows(activations, target):
     return value, np.broadcast_to(g_summed, activations.shape)
 
 
-def chain_reconstruction(probs, weights, cols):
-    # -sum(weights * log(clip(take_columns(probs, cols), floor, 1)))
-    taken = probs[:, cols]
-    clipped = np.clip(taken, FLOOR, 1.0)
-    inside = (taken >= FLOOR) & (taken <= 1.0)
-    grad = np.zeros_like(probs)
-    grad[:, cols] = -weights / clipped * inside
-    return -(weights * np.log(clipped)).sum(), grad
-
-
 def value_and_grad(build, *leaves):
     with nk.Tape() as tape:
         loss = build()
     return loss.item(), nk.backward(loss, tape, list(leaves)), len(tape)
 
 
-def distributions(rng, rows, size):
-    # each row a softmax with one entry below the probability floor
+def far_logits(rng, rows, size):
+    # each row's entry 1 40 nats below the rest, where a floored softmax
+    # probability would give it no gradient
     logits = rng.normal(size=(rows, size))
     logits[:, 1] -= 40.0
-    e = np.exp(logits)
-    return e / e.sum(axis=1, keepdims=True)
+    return logits
 
 
 class TestLossTermOracles:
-    # each term matches its old record chain within 1e-12, in value and in
-    # grad_check's entry-wise measure, and adds at most two tape records:
-    # one likelihood record and at most one reduction
+    # each term matches its oracle within 1e-12, in value and in grad_check's
+    # entry-wise measure, and adds at most two tape records: one likelihood
+    # record and at most one reduction
 
     def test_nll(self):
         rng = np.random.default_rng(31)
-        probs = nk.Tensor(distributions(rng, 4, 7), requires_grad=True)
+        logits = nk.Tensor(far_logits(rng, 4, 7), requires_grad=True)
         targets = [0, 1, 6, 3]
-        value, (grad,), records = value_and_grad(lambda: nll_loss(probs, targets), probs)
-        want, want_grad = chain_nll(probs.data, targets)
+        value, (grad,), records = value_and_grad(lambda: nll_loss(logits, targets), logits)
+        want, want_grad = log_softmax_picks(logits.data, np.array(targets)[:, None],
+                                            np.full((4, 1), 1 / 4))
         assert value == pytest.approx(want, rel=1e-12)
         assert relative_error(grad, want_grad) < 1e-12
         assert records == 1  # the weighted picks need no mean of their own
@@ -336,14 +332,15 @@ class TestLossTermOracles:
 
     def test_elbo_reconstruction(self):
         # the topic model's term: tf-idf weights of a batch's bag of words
-        # against each document's reconstruction distribution
+        # against the logits of each document's reconstruction distribution
         rng = np.random.default_rng(33)
         weights, cols = _bag([TfIdfDoc({1: 0.5, 4: 1.25}), TfIdfDoc({}),
                               TfIdfDoc({4: 2.0, 6: 0.75, 2: 0.1})])
-        probs = nk.Tensor(distributions(rng, 3, 8), requires_grad=True)
-        value, (grad,), records = value_and_grad(lambda: nk.cross_entropy(
-            probs, np.broadcast_to(cols, weights.shape), weights), probs)
-        want, want_grad = chain_reconstruction(probs.data, weights, cols)
+        logits = nk.Tensor(far_logits(rng, 3, 8), requires_grad=True)
+        index = np.broadcast_to(cols, weights.shape)
+        value, (grad,), records = value_and_grad(
+            lambda: nk.softmax_cross_entropy(logits, index, weights), logits)
+        want, want_grad = log_softmax_picks(logits.data, index, weights)
         assert value == pytest.approx(want, rel=1e-12)
         assert relative_error(grad, want_grad) < 1e-12
         assert records <= 2

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    dead_records,
     dense_matmul_rule,
     densified,
     grad_check,
     np_bigru,
     np_gru_step,
+    np_log_softmax,
     np_retrieve,
     np_softmax,
     np_tanh_mlp,
@@ -309,17 +311,19 @@ class TestDecodeStep:
         return mem_w, mem_e
 
     def test_emits_distribution_and_diagnostics(self):
+        # the distribution as its logits, the output activations
         model = tiny_model(seed=9)
         rng = np.random.default_rng(4)
         mem_w, mem_e = self.build_memories(model, rng)
         word_states = nk.Tensor(rng.normal(size=(6, model.hidden)))
         state = nk.Tensor(rng.normal(size=(1, model.hidden)))
-        probs, s_tilde, new_state, diag = decode_step(
+        activations, new_state, diag = decode_step(
             [SOS], state, history_memory(word_states, model.decoder), mem_w, mem_e,
             model.decoder, 3, model.embedding)
-        assert probs.data.shape == (1, len(model.vocab))
-        assert abs(probs.data.sum() - 1.0) < 1e-9
-        assert (probs.data > 0).all()
+        assert activations.data.shape == (1, len(model.vocab))
+        probs = np_softmax(activations.data[0])
+        assert abs(probs.sum() - 1.0) < 1e-9
+        assert (probs > 0).all()
         assert new_state.shape == (1, model.hidden)
         assert abs(diag["attention"].data.sum() - 1.0) < 1e-9
         assert abs(diag["word_memory"].data.sum() - 1.0) < 1e-9
@@ -331,10 +335,10 @@ class TestDecodeStep:
         mem_e = KeyValueMemory.empty(model.hidden, model.hidden)
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
         state = nk.Tensor(rng.normal(size=(1, model.hidden)))
-        probs, _, _, diag = decode_step(
+        activations, _, diag = decode_step(
             [1], state, history_memory(word_states, model.decoder), mem_w, mem_e,
             model.decoder, 2, model.embedding)
-        assert abs(probs.data.sum() - 1.0) < 1e-9
+        assert abs(np_softmax(activations.data[0]).sum() - 1.0) < 1e-9
         assert diag["external_memory"] is None
 
     @pytest.mark.parametrize("empty_external", [False, True])
@@ -347,16 +351,16 @@ class TestDecodeStep:
         word_states = nk.Tensor(rng.normal(size=(4, model.hidden)))
         mem_h = history_memory(word_states, model.decoder)
         tokens, states = [SOS, 5, 5], rng.normal(size=(3, model.hidden))
-        probs, s_tilde, new_rows, diag = decode_step(
+        activations, new_rows, diag = decode_step(
             tokens, nk.Tensor(states), mem_h, mem_w, mem_e, model.decoder, 2, model.embedding)
-        assert probs.shape == (3, len(model.vocab)) and new_rows.shape == (3, model.hidden)
+        assert activations.shape == (3, len(model.vocab)) and new_rows.shape == (3, model.hidden)
         for i, token in enumerate(tokens):
             one = decode_step([token], nk.Tensor(states[i:i + 1]), mem_h, mem_w, mem_e,
                               model.decoder, 2, model.embedding)
-            for got, want in zip((probs, s_tilde, new_rows), one[:3]):
+            for got, want in zip((activations, new_rows), one[:2]):
                 np.testing.assert_allclose(got.data[i:i + 1], want.data, rtol=0, atol=1e-12)
             np.testing.assert_allclose(diag["attention"].data[i:i + 1],
-                                       one[3]["attention"].data, rtol=0, atol=1e-12)
+                                       one[2]["attention"].data, rtol=0, atol=1e-12)
 
     def test_out_of_range_token_rejected(self):
         model = tiny_model()
@@ -392,13 +396,12 @@ class TestDecodeStep:
             q = q + o_w + o_e
         features = np.concatenate([s_t, u_x, o_w, o_e])
         logits = features @ d.out.w.data + d.out.b.data
-        expected = np_softmax(logits)
 
-        probs, s_tilde, _, _ = decode_step(
+        activations, _, _ = decode_step(
             [token], nk.Tensor([state_vec]), history_memory(nk.Tensor(word_rows), d),
             mem_w, mem_e, d, 3, model.embedding)
-        assert np.allclose(s_tilde.data, [logits], atol=1e-10)
-        assert np.allclose(probs.data, [expected], atol=1e-10)
+        assert np.allclose(activations.data, [logits], atol=1e-10)
+        assert np.allclose(np_softmax(activations.data[0]), np_softmax(logits), atol=1e-10)
 
 
 class TestJointLossAndGradients:
@@ -511,10 +514,7 @@ class TestJointLossAndGradients:
 
     @pytest.mark.parametrize("utterances", [1, 3])
     def test_every_record_reaches_the_joint_loss(self, utterances):
-        # a record whose output never reaches the loss is work for nothing;
-        # the one allowed is the utterance-level Bi-GRU's per-step states,
-        # which bigru_encode returns beside the finals and encode_history
-        # drops
+        # a record whose output never reaches the loss is work for nothing
         model = tiny_model(seed=21)
         bound = tiny_example(model.vocab)
         if utterances == 3:
@@ -526,21 +526,31 @@ class TestJointLossAndGradients:
             ), model.vocab, ["music"])
         with nk.Tape() as tape:
             loss = model.example_loss(bound, LossSettings()).joint
-        reached = {id(loss)}
-        for rec in reversed(tape.records):
-            if id(rec.output) in reached:
-                reached.update(id(t) for t in rec.inputs)
-        utterance_weights = {id(model.history.utt_fwd.w_z), id(model.history.utt_bwd.w_z)}
-        utterance_states = {id(rec.output) for rec in tape.records
-                            if utterance_weights & {id(t) for t in rec.inputs}}
+        assert dead_records(loss, tape) == []
 
-        def op(rec):   # each primitive's closure is named <primitive>.<locals>.backward_fn
-            return rec.backward_fn.__qualname__.split(".")[0]
+    def test_nll_gradient_reaches_a_target_ruled_out_by_30_nats(self):
+        # with the output weights zeroed every step's logits are the output
+        # bias, and the bias puts the first target 30 nats below the other
+        # tokens: a floored probability (below 1e-12 from 27.6 nats on) would
+        # give it no gradient, where the log-softmax gives about -w, the
+        # target's weight 1/T in the mean over the T steps
+        model = tiny_model(seed=22)
+        bound = tiny_example(model.vocab)
+        target = bound.response_ids[0]
+        steps = len(bound.response_ids) + 1
+        assert (bound.response_ids + [EOS]).count(target) == 1
+        model.decoder.out.w.data[:] = 0.0
+        model.decoder.out.b.data[:] = 0.0
+        model.decoder.out.b.data[target] = -30.0
+        bias = model.decoder.out.b.data
+        eps = 1e-4
 
-        dead = [(i, op(rec), rec.output.shape) for i, rec in enumerate(tape.records)
-                if id(rec.output) not in reached
-                and not (op(rec) == "concat" and {id(t) for t in rec.inputs} <= utterance_states)]
-        assert dead == []
+        def nll_at(value):
+            bias[target] = value
+            return model.example_loss(bound, LossSettings()).nll.item()
+
+        numeric = (nll_at(-30.0 + eps) - nll_at(-30.0 - eps)) / (2 * eps)
+        assert numeric == pytest.approx(-1.0 / steps, rel=1e-6)
 
     def test_pad_row_reaches_no_output_and_gets_no_gradient(self):
         # sentences of different lengths share one record; its padding must
@@ -683,7 +693,7 @@ class TestFactoredWeightGradients:
 
 
 def per_step_loss(model, bound, settings):
-    """Oracle for ``example_loss``: the output layer, softmax and cross
+    """Oracle for ``example_loss``: the output layer and the softmax cross
     entropy run once per decode step, through ``decode_step``."""
     mem_h, mem_w, mem_e, state, match_weights = model._encode(bound)
     inputs = [SOS] + bound.response_ids
@@ -691,10 +701,10 @@ def per_step_loss(model, bound, settings):
     step_losses = []
     step_activations = []
     for prev, target in zip(inputs, targets):
-        probs, s_tilde, state, _ = decode_step(
+        activations, state, _ = decode_step(
             [prev], state, mem_h, mem_w, mem_e, model.decoder, model.hops, model.embedding)
-        step_losses.append(nk.cross_entropy(probs, [[target]]))
-        step_activations.append(s_tilde)
+        step_losses.append(nk.softmax_cross_entropy(activations, [[target]], [[1.0]]))
+        step_activations.append(activations)
     nll = nk.mean(step_losses)
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
@@ -728,27 +738,27 @@ def step_by_step_loss(model, bound, settings):
     def encode(sentences, fwd, bwd):
         encoded = [nk.bigru_encode(nk.lookup(embedding, s), fwd, bwd, [len(s)])
                    for s in sentences]
-        return [final for _, final in encoded], vstack([steps for steps, _ in encoded])
+        return ([final for _, _, final in encoded],
+                vstack([nk.concat([ahead, behind]) for ahead, behind, _ in encoded]))
 
     sentence_reps, word_reps = encode(bound.persona_ids, persona.fwd, persona.bwd)
     mem_s = build_memory(vstack(sentence_reps), persona.sent_key, persona.sent_value)
     mem_w = build_memory(word_reps, persona.word_key, persona.word_value)
     vectors, word_states = encode(bound.history_ids, history.word_fwd, history.word_bwd)
-    _, e_x = nk.bigru_encode(vstack(vectors), history.utt_fwd, history.utt_bwd, [len(vectors)])
+    _, _, e_x = nk.bigru_encode(vstack(vectors), history.utt_fwd, history.utt_bwd,
+                                [len(vectors)])
     o_k, match_weights = persona_information_retrieval(
         vstack([model.c_proj(c) for c in vectors]), mem_s)
     state = init_state(e_x, o_k, model.decoder.init_proj)
     mem_e = model.external_memory(bound.expansion_ids)
     mem_h = history_memory(word_states, model.decoder)
-    step_probs, step_activations = [], []
+    step_activations = []
     for prev in [SOS] + bound.response_ids:
         state = nk.gru_cell(nk.lookup(embedding, [prev]), state, model.decoder.cell)
-        probs, s_tilde, _ = decoder_output(
-            state, mem_h, mem_w, mem_e, model.decoder, model.hops)
-        step_probs.append(probs)
-        step_activations.append(s_tilde)
+        step, _ = decoder_output(state, mem_h, mem_w, mem_e, model.decoder, model.hops)
+        step_activations.append(step)
     activations = vstack(step_activations)
-    nll = nll_loss(vstack(step_probs), bound.response_ids + [EOS])
+    nll = nll_loss(activations, bound.response_ids + [EOS])
     match = p_match_loss(match_weights, p_match_targets(
         bound.example.persona_sentences, bound.example.response, settings.match_threshold))
     bows = p_bows_loss(activations, p_bows_targets(
@@ -854,9 +864,9 @@ def greedy_oracle(model, bound, max_len):
     ids, steps = [], []
     prev = SOS
     for _ in range(max_len):
-        probs, _, state, diag = decode_step(
+        activations, state, diag = decode_step(
             [prev], state, mem_h, mem_w, mem_e, model.decoder, model.hops, model.embedding)
-        token = int(np.argmax(probs.data[0]))
+        token = int(np.argmax(np_softmax(activations.data[0])))
         steps.append(oracle_step_entry(diag))
         if token == EOS:
             break
@@ -877,11 +887,11 @@ def per_hypothesis_beam(model, bound, beam_width, max_len):
         candidates = []
         for score, tokens, hyp_state, steps in live:
             prev = tokens[-1] if tokens else SOS
-            probs, _, new_state, diag = decode_step(
+            activations, new_state, diag = decode_step(
                 [prev], hyp_state, mem_h, mem_w, mem_e, model.decoder, model.hops,
                 model.embedding)
             steps = steps + (oracle_step_entry(diag),)
-            log_probs = np.log(np.maximum(probs.data[0], nk.PROB_FLOOR))
+            log_probs = np_log_softmax(activations.data[0])
             for token in np.argsort(-log_probs, kind="stable")[:beam_width]:
                 candidates.append((score + float(log_probs[token]),
                                    tokens + (int(token),), new_state, steps))

@@ -54,10 +54,10 @@ class TestBackward:
         rng = np.random.default_rng(7)
         logits = nk.Tensor(rng.normal(size=(1, 4)), requires_grad=True)
         with nk.Tape() as tape:
-            loss = nk.cross_entropy(nk.softmax(logits), [[1]])
+            loss = nk.softmax_cross_entropy(logits, [[1]], [[1.0]])
         grads = nk.backward(loss, tape)
         numeric = finite_difference(
-            lambda: nk.cross_entropy(nk.softmax(logits), [[1]]).item(), logits)
+            lambda: nk.softmax_cross_entropy(logits, [[1]], [[1.0]]).item(), logits)
         rel = np.abs(grads[logits] - numeric) / np.maximum(1e-8, np.abs(numeric))
         assert rel.max() < 1e-6
 
@@ -364,8 +364,9 @@ def gru_cell_case(x, h, *weights):
     return nk.sum_(tanh(nk.gru_cell(x, h, gru_params(weights))))
 
 
-def bigru_loss(steps, final):
-    return nk.add(nk.sum_(tanh(steps)), nk.sum_(nk.mul(final, final)))
+def bigru_loss(ahead, behind, final):
+    return nk.add(nk.add(nk.sum_(tanh(ahead)), nk.sum_(tanh(behind))),
+                  nk.sum_(nk.mul(final, final)))
 
 
 def bigru_case(x, *weights):
@@ -401,21 +402,26 @@ def lookup_op_output_case(a):
     return nk.add(nk.sum_(nk.mul(h, h)), nk.sum_(tanh(nk.lookup(h, [2]))))
 
 
-# added to logits, puts entry 1's softmax probability below PROB_FLOOR
+# added to logits, puts entry 1 of a row 40 nats below the others, where its
+# softmax probability lies below PROB_FLOOR
 BELOW_FLOOR = np.array([0.0, -40.0, 0.0, 0.0, 0.0])
+# row 2 of ROW_PICKS_OFFSETS puts entry 3 FAR_NATS below the row's maximum,
+# past the 27.6 nats where a floored probability stops taking a gradient
+FAR_NATS = 30.0
+ROW_PICKS_OFFSETS = np.stack([BELOW_FLOOR, BELOW_FLOOR, [0.0, 0.0, 0.0, -FAR_NATS, 0.0]])
+ROW_PICKS = [[0, 1, 4], [1, 2, 3], [0, 3, 4]]
+ROW_PICK_WEIGHTS = [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25], [0.5, 1.5, 1.0]]
 
 
 def cross_entropy_picks_case(a):
-    # weighted picks of one distribution; entry 1 lies below PROB_FLOOR
-    p = nk.softmax(nk.add(a, BELOW_FLOOR))
-    return nk.cross_entropy(p, [[0, 1, 3]], [[0.5, 2.0, 1.5]])
+    # weighted picks of one row of logits; entry 1 lies 40 nats below
+    return nk.softmax_cross_entropy(nk.add(a, BELOW_FLOOR), [[0, 1, 3]], [[0.5, 2.0, 1.5]])
 
 
 def cross_entropy_row_picks_case(a):
-    # weighted picks per row, as the topic model's reconstruction term;
-    # column 1 lies below PROB_FLOOR in both rows
-    p = nk.softmax(nk.add(a, BELOW_FLOOR))
-    return nk.cross_entropy(p, [[0, 1, 4], [1, 2, 3]], [[1.0, 0.5, 0.0], [2.0, 1.0, 0.25]])
+    # weighted picks per row, as NLL and the topic model's reconstruction
+    # term; column 1 lies 40 nats below in rows 0 and 1, column 3 30 in row 2
+    return nk.softmax_cross_entropy(nk.add(a, ROW_PICKS_OFFSETS), ROW_PICKS, ROW_PICK_WEIGHTS)
 
 
 def sigmoid_cross_entropy_case(a):
@@ -452,7 +458,6 @@ PRIMITIVE_CASES = {
     "mean_axis": (lambda a: nk.sum_(tanh(nk.scale(nk.sum_(a, axis=1), 1.0 / 3.0))), [(2, 3)]),
     "tanh": (lambda a: nk.sum_(tanh(a)), [(4,)]),
     "softplus": (lambda a: nk.sum_(nk.softplus(a)), [(4,)]),
-    "softmax": (lambda a: nk.sum_(nk.mul(nk.softmax(a), nk.softmax(a))), [(5,)]),
     "dot_attention": (lambda q, k: read(nk.dot_attention_weights(q, k)), [(1, 3), (4, 3)]),
     "dot_attention_rows": (lambda q, k: read(nk.dot_attention_weights(q, k)),
                            [(2, 3), (4, 3)]),
@@ -468,9 +473,10 @@ PRIMITIVE_CASES = {
     "exp": (lambda a: nk.sum_(nk.exp(a)), [(4,)]),
     "lookup": (lambda a: nk.sum_(tanh(nk.lookup(a, [0, 2, 2]))), [(4, 3)]),
     "lookup_row_of_op_output": (lookup_op_output_case, [(4, 3)]),
-    "cross_entropy": (lambda a: nk.cross_entropy(nk.softmax(a), [[2]]), [(1, 5)]),
+    "cross_entropy": (lambda q, k: nk.cross_entropy(nk.dot_attention_weights(q, k), [[2]]),
+                      [(1, 3), (4, 3)]),
     "cross_entropy_picks": (cross_entropy_picks_case, [(1, 5)]),
-    "cross_entropy_row_picks": (cross_entropy_row_picks_case, [(2, 5)]),
+    "cross_entropy_row_picks": (cross_entropy_row_picks_case, [(3, 5)]),
     "sigmoid_cross_entropy": (sigmoid_cross_entropy_case, [(4,)]),
     "gru_cell": (gru_cell_case, [(1, 2), (1, 3)] + gru_shapes(2, 3)),
     "gru_cell_rows": (gru_cell_case, [(3, 2), (3, 3)] + gru_shapes(2, 3)),
@@ -523,27 +529,46 @@ def test_backward_rules_return_upstream_or_fresh_arrays(name):
         assert len(handed) <= 1
 
 
-@pytest.mark.parametrize("p_shape,index,weights,error", [
-    ((1, 5), [[3, 1]], None, ValueError),
-    ((1, 5), [[1, 1]], None, ValueError),
-    ((2, 5), [[0, 2], [3, 3]], None, ValueError),
-    ((2, 5), [0, 1, 2], None, ValueError),
-    ((2, 5), [[[0]]], None, ValueError),
-    ((2, 2, 5), [[0, 1], [0, 1]], None, ValueError),
-    ((1, 5), [[0, 2]], [[1.0]], ValueError),
-    ((2, 5), [[1], [2]], [1.0, 1.0], ValueError),
-    ((2, 5), [[0, 5], [1, 2]], None, IndexError),
-    ((1, 5), [[-1, 2]], None, IndexError),
-    ((1, 5), [[5]], None, IndexError),
-], ids=["decreasing", "repeated", "repeated_in_a_row", "neither_shape", "extra_axis",
-        "three_axes", "short_weights", "misshaped_weights", "past_the_end_in_a_row",
-        "negative", "single_past_the_end"])
-def test_cross_entropy_rejects_bad_picks(p_shape, index, weights, error):
-    # picks must be in range, strictly increasing per distribution, and
-    # shaped as one row of them per distribution; weights take the picks'
-    # shape
+# the two likelihood records over picks, each called on (rows, index); the
+# weighted one gets a weight of 1 per pick
+LIKELIHOODS = {
+    "cross_entropy": nk.cross_entropy,
+    "softmax_cross_entropy": lambda z, index: nk.softmax_cross_entropy(
+        z, index, np.ones(np.shape(index))),
+}
+
+
+def over_both_likelihoods(cases):
+    """pytest params of each ``(id, *args)`` case for each likelihood record,
+    led by the record: ``cross_entropy``'s under the case's own id,
+    ``softmax_cross_entropy``'s under the record's name and the case's."""
+    return [pytest.param(record, *args,
+                         id=case if name == "cross_entropy" else f"{name}-{case}")
+            for name, record in LIKELIHOODS.items() for case, *args in cases]
+
+
+@pytest.mark.parametrize("record,p_shape,index,error", over_both_likelihoods([
+    ("decreasing", (1, 5), [[3, 1]], ValueError),
+    ("repeated", (1, 5), [[1, 1]], ValueError),
+    ("repeated_in_a_row", (2, 5), [[0, 2], [3, 3]], ValueError),
+    ("neither_shape", (2, 5), [0, 1, 2], ValueError),
+    ("extra_axis", (2, 5), [[[0]]], ValueError),
+    ("three_axes", (2, 2, 5), [[0, 1], [0, 1]], ValueError),
+    ("past_the_end_in_a_row", (2, 5), [[0, 5], [1, 2]], IndexError),
+    ("negative", (1, 5), [[-1, 2]], IndexError),
+    ("single_past_the_end", (1, 5), [[5]], IndexError),
+]) + [
+    pytest.param(functools.partial(nk.softmax_cross_entropy, weights=[[1.0]]),
+                 (1, 5), [[0, 2]], ValueError, id="short_weights"),
+    pytest.param(functools.partial(nk.softmax_cross_entropy, weights=[1.0, 1.0]),
+                 (2, 5), [[1], [2]], ValueError, id="misshaped_weights"),
+])
+def test_cross_entropy_rejects_bad_picks(record, p_shape, index, error):
+    # for both records, picks must be in range, strictly increasing per
+    # distribution, and shaped as one row of them per distribution; the
+    # weights of softmax_cross_entropy take the picks' shape
     with pytest.raises(error):
-        nk.cross_entropy(nk.Tensor(np.full(p_shape, 0.2)), index, weights)
+        record(nk.Tensor(np.full(p_shape, 0.2)), index)
 
 
 @pytest.mark.parametrize("q_shape,k_shape", [
@@ -575,19 +600,21 @@ def test_lookup_rejects_ids_that_are_not_a_1d_integer_sequence(ids):
         nk.lookup(table, ids)
 
 
-@pytest.mark.parametrize("index", [[1.7, 0.2], [True, False], [[1.0, 3.0], [0.0, 2.0]]],
-                         ids=["float", "bool", "float_picks"])
-def test_cross_entropy_rejects_indices_that_are_not_integers(index):
+@pytest.mark.parametrize("record,index", over_both_likelihoods([
+    ("float", [1.7, 0.2]), ("bool", [True, False]), ("float_picks", [[1.0, 3.0], [0.0, 2.0]]),
+]))
+def test_cross_entropy_rejects_indices_that_are_not_integers(record, index):
     # np.asarray(index, dtype=np.intp) once truncated 1.7 to 1
     with pytest.raises(ValueError, match="integer indices"):
-        nk.cross_entropy(nk.Tensor(np.full((2, 5), 0.2)), index)
+        record(nk.Tensor(np.full((2, 5), 0.2)), index)
 
 
 def test_cross_entropy_rejects_a_1d_index():
     # one pick per distribution is a (k, 1) index; a 1-D index once gave k
-    # unsummed terms
-    with pytest.raises(ValueError, match="one row of indices per distribution"):
-        nk.cross_entropy(nk.Tensor(np.full((2, 5), 0.2)), [1, 3])
+    # unsummed terms; for both records
+    for record in LIKELIHOODS.values():
+        with pytest.raises(ValueError, match="one row of indices per distribution"):
+            record(nk.Tensor(np.full((2, 5), 0.2)), [1, 3])
 
 
 def vector_cases():
@@ -606,7 +633,8 @@ def vector_cases():
         "additive_attention": lambda: nk.additive_attention_weights(vec, keys, vec),
         "gru_cell": lambda: nk.gru_cell(vec, vec, gru),
         "gru_sequence_start": lambda: nk.gru_sequence(rows, vec, gru, [2]),
-        "cross_entropy": lambda: nk.cross_entropy(nk.softmax(vec), [0]),
+        "cross_entropy": lambda: nk.cross_entropy(vec, [0]),
+        "softmax_cross_entropy": lambda: nk.softmax_cross_entropy(vec, [0], [1.0]),
     }
 
 
@@ -692,11 +720,13 @@ def test_attention_weights_raise_at_a_non_finite_score():
 
 
 def test_cross_entropy_of_no_picks_is_zero():
-    p = nk.Tensor(np.full((2, 4), 0.25), requires_grad=True)
-    with nk.Tape() as tape:
-        loss = nk.cross_entropy(p, np.empty((2, 0), dtype=np.intp), np.empty((2, 0)))
-    assert loss.item() == 0.0
-    assert np.array_equal(nk.backward(loss, tape)[p], np.zeros((2, 4)))
+    # for both records
+    for record in LIKELIHOODS.values():
+        p = nk.Tensor(np.full((2, 4), 0.25), requires_grad=True)
+        with nk.Tape() as tape:
+            loss = record(p, np.empty((2, 0), dtype=np.intp))
+        assert loss.item() == 0.0
+        assert np.array_equal(nk.backward(loss, tape)[p], np.zeros((2, 4)))
 
 
 def test_scalar_leaf_gradients_accumulate():
@@ -1036,7 +1066,7 @@ class TestFactoredGradients:
         def sweep():
             with nk.Tape() as tape:
                 hidden = tanh(keys)
-                loss = nk.sum_(nk.softmax(nk.matmul(q, hidden)))
+                loss = nk.sum_(nk.softplus(nk.matmul(q, hidden)))
                 loss = nk.add(loss, nk.sum_(tanh(nk.matmul(q, hidden))))
             return nk.backward(loss, tape, [keys, q])
 
@@ -1275,30 +1305,28 @@ class TestBigru:
         rng = np.random.default_rng(2)
         fwd = nk.GruParams(2, 3, rng)
         bwd = nk.GruParams(2, 3, rng)
-        steps, final = nk.bigru_encode(nk.Tensor([[0.3, -0.6]]), fwd, bwd, [1])
-        assert steps.shape == (1, 6)
-        assert np.array_equal(steps.data, final.data)
+        ahead, behind, final = nk.bigru_encode(nk.Tensor([[0.3, -0.6]]), fwd, bwd, [1])
+        assert ahead.shape == behind.shape == (1, 3)
+        assert np.array_equal(np.hstack([ahead.data, behind.data]), final.data)
 
     def test_palindrome_with_shared_params_mirrors(self):
         rng = np.random.default_rng(3)
         fwd = nk.GruParams(2, 3, rng)
         seq = nk.Tensor([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
-        steps, _ = nk.bigru_encode(seq, fwd, fwd, [3])
+        ahead, behind, _ = nk.bigru_encode(seq, fwd, fwd, [3])
         n = seq.shape[0]
         for t in range(n):
-            fwd_part = steps.data[t, :3]
-            bwd_part = steps.data[n - 1 - t, 3:]
-            assert np.allclose(fwd_part, bwd_part, atol=1e-12)
+            assert np.allclose(ahead.data[t], behind.data[n - 1 - t], atol=1e-12)
 
     def test_matches_composition_oracle(self):
         rng = np.random.default_rng(9)
         fwd = nk.GruParams(2, 3, rng)
         bwd = nk.GruParams(2, 3, rng)
         raw = [rng.normal(size=2) for _ in range(3)]
-        steps, final = nk.bigru_encode(nk.Tensor(np.stack(raw)), fwd, bwd, [3])
+        ahead, behind, final = nk.bigru_encode(nk.Tensor(np.stack(raw)), fwd, bwd, [3])
         oracle_steps, oracle_final = np_bigru(raw, fwd, bwd)
-        assert steps.shape == (3, 6)
-        for ours, expected in zip(steps.data, oracle_steps):
+        assert ahead.shape == behind.shape == (3, 3)
+        for ours, expected in zip(np.hstack([ahead.data, behind.data]), oracle_steps):
             assert np.allclose(ours, expected, atol=1e-12)
         assert np.allclose(final.data, [oracle_final], atol=1e-12)
 
@@ -1329,7 +1357,7 @@ class TestBigru:
             start = nk.zeros((1, 3))
             ahead = gru_module._gru(x, start, fwd, False, [4])
             behind = gru_module._gru(x, start, bwd, True, [4])
-            want_loss = bigru_loss(nk.concat([ahead, behind]),
+            want_loss = bigru_loss(ahead, behind,
                                    nk.concat([row_slice(ahead, -1), row_slice(behind, 0)]))
         want = nk.backward(want_loss, tape, params)
         assert got_loss.item() == want_loss.item()
@@ -1345,12 +1373,13 @@ class TestBigru:
         for t in fwd.params() + bwd.params():
             t.data[:] = rng.normal(size=t.shape)
         raw = rng.normal(size=(sum(lengths), 2))
-        steps, finals = nk.bigru_encode(nk.Tensor(raw), fwd, bwd, lengths)
+        ahead, behind, finals = nk.bigru_encode(nk.Tensor(raw), fwd, bwd, lengths)
+        steps = np.hstack([ahead.data, behind.data])
         assert steps.shape == (sum(lengths), 6) and finals.shape == (len(lengths), 6)
         begin = 0
         for i, n in enumerate(lengths):
             oracle_steps, oracle_final = np_bigru(list(raw[begin:begin + n]), fwd, bwd)
-            np.testing.assert_allclose(steps.data[begin:begin + n], np.stack(oracle_steps),
+            np.testing.assert_allclose(steps[begin:begin + n], np.stack(oracle_steps),
                                        rtol=0, atol=1e-12)
             np.testing.assert_allclose(finals.data[i], oracle_final, rtol=0, atol=1e-12)
             begin += n
@@ -1397,7 +1426,8 @@ class TestBigru:
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=-30, max_value=30), min_size=1, max_size=8))
 def test_softmax_is_a_distribution(values):
-    out = nk.softmax(nk.Tensor(values)).data
+    # the softmax of both attention records
+    out = tensor_module._softmax(np.asarray(values))
     assert (out >= 0).all()
     assert abs(out.sum() - 1.0) < 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grad_check, gradient_array_refs, make_cluster_corpus, np_cosine, np_softmax, to_dense, top_topic_words
+from conftest import dead_records, grad_check, gradient_array_refs, make_cluster_corpus, np_cosine, np_log_softmax, np_softmax, to_dense, top_topic_words
 from personagen import numkit as nk
 from personagen import topic
 from personagen.corpus import TfIdfDoc, Vocabulary, build_vocab, compute_tfidf
@@ -58,9 +58,8 @@ def np_elbo(model, dense, eps):
     z = mu + np.exp(0.5 * logvar) * eps
     softplus = lambda v: np.logaddexp(0.0, v)
     hid = softplus(z @ model.dec_hidden.w.data + model.dec_hidden.b.data)
-    probs = np.stack([np_softmax(row)
-                      for row in hid @ model.dec_out.w.data + model.dec_out.b.data])
-    recon = -(dense * np.log(np.clip(probs, nk.PROB_FLOOR, 1.0))).sum()
+    log_probs = np_log_softmax(hid @ model.dec_out.w.data + model.dec_out.b.data)
+    recon = -(dense * log_probs).sum()
     kl = 0.5 * (mu * mu + np.exp(logvar) - logvar - 1.0).sum()
     return float((recon + kl) / dense.shape[0])
 
@@ -121,16 +120,21 @@ class TestReparameterize:
 
 
 class TestDecode:
+    # decode gives the output layer's logits; their softmax is the
+    # reconstruction distribution
+
     def test_zero_weights_give_uniform(self):
         model = zeroed(TopicModel(small_vocab(), 2, 4, np.random.default_rng(0)))
-        probs = decode(nk.Tensor([[0.4, -0.2]]), model)
-        assert np.allclose(probs.data, np.full((1, len(model.vocab)), 1.0 / len(model.vocab)))
+        probs = np_softmax(decode(nk.Tensor([[0.4, -0.2]]), model).data[0])
+        assert np.allclose(probs, np.full(len(model.vocab), 1.0 / len(model.vocab)))
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=2))
     def test_always_a_distribution(self, z):
         model = TopicModel(small_vocab(), 2, 4, np.random.default_rng(4))
-        probs = decode(nk.Tensor([z]), model).data
+        logits = decode(nk.Tensor([z]), model).data
+        assert logits.shape == (1, len(model.vocab))
+        probs = np_softmax(logits[0])
         assert ((probs > 0) & (probs < 1)).all()
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -142,7 +146,7 @@ class TestDecode:
         z = rng.normal(size=2)
         softplus = lambda v: np.logaddexp(0.0, v)
         h = softplus(z @ model.dec_hidden.w.data + model.dec_hidden.b.data)
-        expected = np_softmax(h @ model.dec_out.w.data + model.dec_out.b.data)
+        expected = h @ model.dec_out.w.data + model.dec_out.b.data
         assert np.allclose(decode(nk.Tensor([z]), model).data, [expected], atol=1e-12)
 
 
@@ -195,15 +199,15 @@ class TestElbo:
         assert err < 1e-4
 
     def test_reconstruction_is_one_record(self, monkeypatch):
-        # one weighted cross_entropy record, which sums its terms: no record
-        # after it reads only the term's own outputs
+        # one weighted softmax_cross_entropy record, which sums its terms: no
+        # record after it reads only the term's own outputs
         starts = []
 
         def spy(*args):
             starts.append(len(tape))
-            return nk.cross_entropy(*args)
+            return nk.softmax_cross_entropy(*args)
 
-        monkeypatch.setattr(topic, "cross_entropy", spy)
+        monkeypatch.setattr(topic, "softmax_cross_entropy", spy)
         rng = np.random.default_rng(9)
         model = TopicModel(small_vocab(), 2, 4, rng)
         docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5})]
@@ -217,16 +221,25 @@ class TestElbo:
                 term.append(rec)
         assert len(term) == 1
 
+    def test_every_record_reaches_the_loss(self):
+        # a record whose output never reaches the loss is work for nothing
+        rng = np.random.default_rng(9)
+        model = TopicModel(small_vocab(), 2, 4, rng)
+        docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5}), TfIdfDoc({})]
+        with nk.Tape() as tape:
+            loss = elbo_loss(docs, model, rng.normal(size=(3, 2)))
+        assert len(tape) > 20 and dead_records(loss, tape) == []
+
     def test_batch_records_are_pinned(self):
-        # encoder 8, reparameterisation 4, decoder 6, reconstruction 1, KL 7,
-        # and the add and scale of the mean; 29 while the reconstruction took
-        # a sum record of its own
+        # encoder 8, reparameterisation 4, decoder 5, reconstruction 1, KL 7,
+        # and the add and scale of the mean; 28 while the decoder ended in a
+        # softmax record, 29 while the reconstruction took a sum of its own
         rng = np.random.default_rng(9)
         model = TopicModel(small_vocab(), 2, 4, rng)
         docs = [TfIdfDoc({4: 2.0, 7: 1.0}), TfIdfDoc({5: 0.5})]
         with nk.Tape() as tape:
             elbo_loss(docs, model, rng.normal(size=(2, 2)))
-        assert len(tape) == 28
+        assert len(tape) == 27
 
     def test_batch_is_mean_of_rows(self):
         rng = np.random.default_rng(7)
@@ -414,7 +427,7 @@ class TestTraining:
         target = to_dense(doc, len(vocab))
         target /= target.sum()
         mu, _, _ = _encode(*_bag([doc]), model)
-        recon = decode(mu, model).data[0]
+        recon = np_softmax(decode(mu, model).data[0])
         assert np.abs(recon - target).sum() < 0.1
 
     def test_cluster_corpus_loss_descends(self, cluster_topic_model):
